@@ -4,7 +4,7 @@
 
 check: ## full tier-1 verification: build + every test suite + smokes
 	dune build @all && dune runtest && $(MAKE) trace-smoke && $(MAKE) net-smoke && $(MAKE) fault-smoke && $(MAKE) crash-smoke && $(MAKE) cert-smoke && $(MAKE) par-smoke && $(MAKE) guest-smoke && $(MAKE) fast-smoke && $(MAKE) persist-smoke
-	@if [ -f BENCH_10.json ] || [ -f BENCH_9.json ]; then $(MAKE) bench-gate; \
+	@if ls BENCH_*.json >/dev/null 2>&1; then $(MAKE) bench-gate; \
 	else echo "check: no bench snapshot baseline; skipping bench-gate"; fi
 
 build:
@@ -22,10 +22,10 @@ bench-smoke:
 	dune exec bench/main.exe -- service
 
 # Performance regression gate: run the hot-path benchmarks and compare
-# against the committed BENCH_10.json baseline (falling back to the prior
-# BENCH_9.json); >20% regression on any hot path fails. The first run
-# (no baseline) seeds it; keys present in only one snapshot are skipped
-# and summarized in one stderr line.
+# against the committed snapshot with the highest N among BENCH_N.json;
+# >20% regression on any hot path fails. The first run (no baseline)
+# seeds it; keys present in only one snapshot are skipped and summarized
+# in one stderr line.
 bench-gate:
 	dune exec bench/main.exe -- gate
 
@@ -86,7 +86,7 @@ net-smoke:
 	  --engine x86 --remote "$$sock" --stats 2>&1 >/dev/null) || status=1; \
 	kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; rm -f "$$sock"; \
 	[ $$status -eq 0 ] || { echo "net-smoke: FAIL (remote run errored)"; exit 1; }; \
-	echo "$$out" | grep -Eq '"hits":[1-9]' || \
+	echo "$$out" | grep -Eq '"service.cache.hits":[1-9]' || \
 	  { echo "net-smoke: FAIL (no cache hit on the warm run)"; exit 1; }; \
 	echo "net-smoke: OK (second remote run hit the daemon cache)"
 
@@ -164,7 +164,7 @@ par-smoke:
 	kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; rm -f "$$sock"; \
 	[ $$status -ne 1 ] || { echo "par-smoke: FAIL (remote run errored)"; exit 1; }; \
 	[ $$status -ne 2 ] || { echo "par-smoke: FAIL (outputs differ across runs)"; exit 1; }; \
-	echo "$$stats" | grep -Eq '"hits":[1-9]' || \
+	echo "$$stats" | grep -Eq '"service.cache.hits":[1-9]' || \
 	  { echo "par-smoke: FAIL (no cache hit on the pooled daemon)"; exit 1; }; \
 	echo "par-smoke: OK (4 identical runs through a 4-domain pool; cache hit)"
 
@@ -196,8 +196,8 @@ guest-smoke:
 # throwaway socket, serve a cold burst, kill -9 the daemon MID-burst,
 # restart it over the same store directory, and insist the warm serve is
 # byte-identical with the recovered translation re-admitted via its
-# witness (cert_checks > 0, i.e. no re-translation). Skips (exit 0) when
-# the environment cannot create Unix-domain sockets.
+# witness (service.cache.cert_check > 0, i.e. no re-translation). Skips
+# (exit 0) when the environment cannot create Unix-domain sockets.
 persist-smoke:
 	dune build examples/quickstart.exe bin/omnid.exe bin/omnirun.exe
 	@sock="/tmp/omnid-persist-$$$$.sock"; dir="/tmp/omni-store-$$$$"; \
@@ -234,7 +234,7 @@ persist-smoke:
 	rm -f "$$sock"; rm -rf "$$dir"; \
 	[ "$$cold" = "$$warm" ] || \
 	  { echo "persist-smoke: FAIL (output differs after kill -9 + recovery)"; exit 1; }; \
-	echo "$$stats" | grep -Eq '"cert_checks":[1-9]' || \
+	echo "$$stats" | grep -Eq '"service.cache.cert_check":[1-9]' || \
 	  { echo "persist-smoke: FAIL (recovered translation not witness-checked)"; exit 1; }; \
 	echo "persist-smoke: OK (kill -9 mid-burst; journal recovered; warm serve byte-identical)"
 

@@ -21,27 +21,27 @@ let sections =
     "resilience"; "isolation"; "phases"; "cert"; "concurrency"; "guest";
     "fastpath"; "persistence"; "bechamel" ]
 
-(* --- the persisted snapshot + regression gate (BENCH_10.json) ---------
+(* --- the persisted snapshot + regression gate (BENCH_N.json) ----------
 
-   [json] re-measures every subsystem's hot paths and writes BENCH_10.json
-   at the repo root. [gate] additionally diffs the new numbers against
-   the previous snapshot's [hot_paths] before overwriting it: any named
-   path more than 20% slower (and by more than 10us absolute — 20% of a
-   30us path is timer noise) — in the per-key minimum over up to five
-   measurement attempts, so a one-off host interference spike never
-   fails a build — fails the gate (exit 1); hot paths that only
+   [json] re-measures every subsystem's hot paths and writes the latest
+   BENCH_N.json at the repo root. [gate] additionally diffs the new
+   numbers against that snapshot's [hot_paths] before overwriting it:
+   any named path more than 20% slower (and by more than 10us absolute —
+   20% of a 30us path is timer noise) — in the per-key minimum over up
+   to five measurement attempts, so a one-off host interference spike
+   never fails a build — fails the gate (exit 1); hot paths that only
    exist in one of the two snapshots are skipped and summarized in one
    stderr line, so adding or retiring a subsystem never trips the gate —
-   or shrinks it — silently. The first run (falling back to the prior
-   BENCH_9.json baseline when present) seeds the new file and passes.
+   or shrinks it — silently. With no snapshot present the first run
+   seeds BENCH_1.json and passes.
    The classification logic lives in Omni_harness.Gate, where the test
    suite exercises it against synthetic snapshot pairs. *)
 
-let snapshot_file = "BENCH_10.json"
-
-(* Oldest-to-newest fallbacks: gate against the last PR's snapshot the
-   first time this one runs. *)
-let baseline_files = [ snapshot_file; "BENCH_9.json" ]
+(* The highest-numbered snapshot is both the baseline and the file the
+   fresh numbers overwrite. *)
+let snapshot_file =
+  Option.value ~default:"BENCH_1.json"
+    (Gate.latest_snapshot (Array.to_list (Sys.readdir ".")))
 
 let write_snapshot ~size =
   let json = E.bench_snapshot ~size in
@@ -54,14 +54,11 @@ let write_snapshot ~size =
 
 let run_gate ~size =
   let previous =
-    match List.find_opt Sys.file_exists baseline_files with
-    | None -> None
-    | Some file ->
-        let ic = open_in_bin file in
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        Some (Gate.hot_paths_of_json s)
+    if not (Sys.file_exists snapshot_file) then None
+    else
+      Some
+        (Gate.hot_paths_of_json
+           (In_channel.with_open_bin snapshot_file In_channel.input_all))
   in
   let fresh = Gate.hot_paths_of_json (write_snapshot ~size) in
   match previous with
@@ -74,7 +71,7 @@ let run_gate ~size =
          minimum across attempts — the stable estimator under host
          interference. A genuine slowdown is slow in every attempt; a
          scheduler or frequency-scaling spike is not. The written
-         BENCH_10.json is the last attempt's full snapshot. *)
+         snapshot is the last attempt's full snapshot. *)
       let max_attempts = 5 in
       let rec attempt n fresh =
         let d = Gate.diff ~baseline:old ~fresh () in

@@ -52,7 +52,9 @@ let () =
         match engine with
         | None -> ()
         | Some e ->
-            let r = Api.run_exe ~engine:e exe in
+            let r =
+              Api.run { Api.default_request with engine = e } (Api.Exe exe)
+            in
             print_string r.Api.output;
             exit r.Api.exit_code
       with

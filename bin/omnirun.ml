@@ -13,7 +13,7 @@
    With --remote, the module is submitted to a live omnid daemon (ADDR
    is a Unix-socket path or host:port) and executed there; output, exit
    code, and statistics are the daemon's, bit-identical to a local run.
-   --stats then additionally prints the daemon's service counters.
+   --stats then additionally prints the daemon's metrics registry.
 
    Resilience: --retries N arms a retry policy (N attempts, exponential
    backoff from --retry-base, overall --retry-deadline) under which
@@ -35,7 +35,8 @@
 
    runs N requests round-robin over the given modules (each request on a
    fresh isolated image) and reports throughput. --stats prints the
-   service counters as JSON; --metrics dumps the full metrics registry.
+   metrics registry (serving counters, phase histograms) as one JSON
+   line; --metrics prints the same registry as a table.
    Identical module files are deduplicated; only the first request per
    (module, engine, SFI config) pays the translator.
 
@@ -70,7 +71,6 @@
 
 module Api = Omniware.Api
 module Service = Omni_service.Service
-module Counters = Omni_service.Counters
 module Supervise = Omni_service.Supervise
 module Trace = Omni_obs.Trace
 module Metrics = Omni_obs.Metrics
@@ -243,7 +243,7 @@ let run_single trace args =
       in
       let client =
         if !loopback then begin
-          let svc = Service.create () in
+          let svc = Service.of_config Service.default_config in
           let server = Omni_net.Server.create svc in
           let fault =
             if !fault_rate > 0.0 then
@@ -462,57 +462,13 @@ let run_serve trace args =
           { Service.rq_handle = harr.(i mod Array.length harr);
             rq_engine = eng; rq_sfi = !sfi })
     in
-    let report =
-      if !domains <= 1 then Service.run_batch svc reqs
-      else begin
-        (* Partition the batch round-robin across the domains; every
-           domain drives the same shared service (sharded cache/store,
-           atomic counters), so this is the concurrency the serving
-           layer now promises. Elapsed time is wall clock: CPU seconds
-           sum across domains and would overstate the cost. *)
-        let n = !domains in
-        let slice d =
-          let keep = ref [] in
-          Array.iteri (fun i r -> if i mod n = d then keep := r :: !keep) reqs;
-          Array.of_list (List.rev !keep)
-        in
-        let t0 = Unix.gettimeofday () in
-        let workers =
-          List.init n (fun d ->
-              let mine = slice d in
-              Domain.spawn (fun () ->
-                  let failures = ref 0 and instructions = ref 0 in
-                  Array.iter
-                    (fun r ->
-                      let res =
-                        Service.instantiate ~engine:r.Service.rq_engine
-                          ~sfi:r.Service.rq_sfi svc r.Service.rq_handle
-                      in
-                      if res.Api.exit_code <> 0 then incr failures;
-                      instructions := !instructions + res.Api.instructions)
-                    mine;
-                  (!failures, !instructions)))
-        in
-        let totals = List.map Domain.join workers in
-        let dt = Unix.gettimeofday () -. t0 in
-        let failures = List.fold_left (fun a (f, _) -> a + f) 0 totals in
-        let instructions = List.fold_left (fun a (_, i) -> a + i) 0 totals in
-        {
-          Service.br_requests = !requests;
-          br_failures = failures;
-          br_instructions = instructions;
-          br_elapsed_s = dt;
-          br_rps =
-            (if dt > 0.0 then float_of_int !requests /. dt else 0.0);
-        }
-      end
-    in
+    let report = Service.run_batch ~domains:!domains svc reqs in
     (* clean shutdown: flush the journal, commit the marker *)
     Service.close svc;
     print_string (Service.render_batch report);
-    if !stats then print_endline (Counters.to_json (Service.stats svc));
-    if !metrics_dump then
-      print_string (Metrics.render (Metrics.snapshot (Service.metrics svc)));
+    let snap = Metrics.snapshot (Service.metrics svc) in
+    if !stats then print_endline (Metrics.to_json snap);
+    if !metrics_dump then print_string (Metrics.render snap);
     if report.Service.br_failures = 0 then 0 else 1
   in
   exit code

@@ -44,7 +44,9 @@ let () =
   (* host side: pick the processor this host happens to have *)
   let host_arch = Omni_targets.Arch.X86 in
   let r =
-    Api.run_wire ~engine:(Omni_targets.Arch.name host_arch) ~sfi:true wire
+    Api.run
+      { Api.default_request with engine = Api.Target host_arch; sfi = true }
+      (Api.Wire wire)
   in
   print_string r.Api.output;
   Printf.printf
@@ -52,6 +54,6 @@ let () =
     (Omni_targets.Arch.name host_arch)
     r.Api.instructions r.Api.cycles r.Api.exit_code;
   (* the same bytes run identically on the OmniVM reference interpreter *)
-  let r2 = Api.run_wire ~engine:"interp" wire in
+  let r2 = Api.run Api.default_request (Api.Wire wire) in
   assert (r2.Api.output = r.Api.output);
   print_endline "[interpreter produced identical output]"

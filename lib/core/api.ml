@@ -259,71 +259,6 @@ let run (r : request) (src : source) : run_result =
   | None -> go () (* inherit whatever tracer is ambient *)
   | Some t -> Trace.with_current t go
 
-(* --- thin compatibility wrappers over [run] --- *)
-
-let run_exe ?(engine = Interp) ?(sfi = true) ?mode ?opts ?fuel
-    ?(map_host_region = false) (exe : Omnivm.Exe.t) : run_result =
-  run { default_request with engine; sfi; mode; opts; fuel; map_host_region }
-    (Exe exe)
-
-let run_wire ~engine ?(sfi = true) ?fuel bytes : run_result =
-  match engine_of_string engine with
-  | Error msg -> invalid_arg msg
-  | Ok e -> run { default_request with engine = e; sfi; fuel } (Wire bytes)
-
-let run_wire_cached ~(service : Service.t) ~engine ?sfi ?fuel bytes :
-    run_result =
-  match engine_of_string engine with
-  | Error msg -> invalid_arg msg
-  | Ok e ->
-      run
-        {
-          default_request with
-          engine = e;
-          sfi = Option.value sfi ~default:true;
-          fuel;
-          service = Some service;
-        }
-        (Wire bytes)
-
-let run_wire_remote ~(remote : Net.Client.t) ~engine ?sfi ?fuel bytes :
-    run_result =
-  match engine_of_string engine with
-  | Error msg -> invalid_arg msg
-  | Ok e ->
-      run
-        {
-          default_request with
-          engine = e;
-          sfi = Option.value sfi ~default:true;
-          fuel;
-          remote = Some remote;
-        }
-        (Wire bytes)
-
-(* Remote run that also brings home the translation's safety witness —
-   proof-carrying translation end to end: the certificate decodes with
-   [Omni_cert.Certificate.decode] and re-checks locally against a local
-   translation of the same bytes via [Exec.check_cert]. *)
-let run_wire_remote_cert ~(remote : Net.Client.t) ~engine ?sfi ?fuel bytes :
-    run_result * string option =
-  match engine_of_string engine with
-  | Error msg -> invalid_arg msg
-  | Ok e -> (
-      try
-        let h = Net.Client.submit remote bytes in
-        Net.Client.run_cert ~engine:e ~sfi:(Option.value sfi ~default:true)
-          ?fuel ~want_cert:true remote h
-      with
-      | Net.Client.Remote_error (Net.Message.E_decode, msg) ->
-          raise (Omnivm.Wire.Bad_module msg)
-      | Net.Client.Remote_error (Net.Message.E_unknown_handle, _) ->
-          raise Omni_service.Store.Unknown_handle
-      | Net.Client.Remote_error (Net.Message.E_verifier_rejected, msg) ->
-          raise (Omni_service.Cache.Rejected msg)
-      | Net.Client.Remote_error (Net.Message.E_limit_exceeded, msg) ->
-          invalid_arg msg)
-
 (* --- compilation (re-exported for hosts embedding the front-ends) --- *)
 
 let compile = Minic.Driver.compile_wire

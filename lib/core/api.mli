@@ -12,9 +12,9 @@
     + the translated module runs; the host observes its output, exit
       status, and execution statistics ({!run_translated}).
 
-    {!run_exe} and {!run_wire} bundle the last three steps. A host serving
-    many loads of the same modules uses {!Service} (content-addressed
-    module store + memoizing translation cache) via {!run_wire_cached}. *)
+    {!run} bundles the last three steps. A host serving many loads of the
+    same modules sets the request's [service] field to a {!Service}
+    (content-addressed module store + memoizing translation cache). *)
 
 module Arch = Omni_targets.Arch
 module Machine = Omni_targets.Machine
@@ -211,7 +211,7 @@ val default_request : request
 
 val run : request -> source -> run_result
 (** The one entry point: load + translate + run as specified by the
-    request. Every other run function below is a thin wrapper over this.
+    request.
     On the remote path, typed protocol errors are re-raised as the same
     exceptions the local paths use (malformed bytes as
     [Omnivm.Wire.Bad_module], verifier refusal as [Cache.Rejected],
@@ -220,62 +220,6 @@ val run : request -> source -> run_result
     @raise Store.Unknown_handle, Cache.Rejected on service-path errors.
     @raise Net.Client.Remote_error, Net.Client.Protocol_error on remote
     failures outside those classes. *)
-
-val run_exe :
-  ?engine:engine ->
-  ?sfi:bool ->
-  ?mode:Machine.mode ->
-  ?opts:Machine.topts ->
-  ?fuel:int ->
-  ?map_host_region:bool ->
-  Omnivm.Exe.t ->
-  run_result
-(** [run_exe ... exe] = [run { default_request with ... } (Exe exe)].
-    [sfi] (default true) selects sandboxing for mobile modules; it is
-    ignored when [mode] is given. *)
-
-val run_wire : engine:string -> ?sfi:bool -> ?fuel:int -> string -> run_result
-(** Like {!run_exe}, starting from wire-format bytes; the engine is named
-    by string as on the command line.
-    @raise Invalid_argument on an unknown engine name. *)
-
-val run_wire_cached :
-  service:Service.t ->
-  engine:string ->
-  ?sfi:bool ->
-  ?fuel:int ->
-  string ->
-  run_result
-(** [run_wire] through [service]: admission goes through its
-    content-addressed store and translation through its memoizing cache —
-    repeated loads of the same bytes skip decoding and translation
-    entirely, paying only the static re-verification of the cached code. *)
-
-val run_wire_remote :
-  remote:Net.Client.t ->
-  engine:string ->
-  ?sfi:bool ->
-  ?fuel:int ->
-  string ->
-  run_result
-(** [run_wire] against a live daemon: submit the bytes over the wire and
-    run them there. The daemon's store/cache play the role [service]
-    plays locally; results are bit-identical to the in-process path. *)
-
-val run_wire_remote_cert :
-  remote:Net.Client.t ->
-  engine:string ->
-  ?sfi:bool ->
-  ?fuel:int ->
-  string ->
-  run_result * string option
-(** {!run_wire_remote} that also requests the translation's safety
-    certificate (encoded [omni-cert/1] bytes; [None] for interpreter
-    runs and uncertified configurations). The certificate decodes with
-    [Omni_cert.Certificate.decode] and re-checks locally against a local
-    translation of the same bytes — proof-carrying translation end to
-    end. No local-fallback handling: certificates only come from a live
-    daemon. *)
 
 val compile :
   ?options:Minic.Driver.options ->

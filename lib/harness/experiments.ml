@@ -59,7 +59,10 @@ let prepare ?(regfile_size = 16) (w : Omni_workloads.Workloads.t) : prepared =
   | None ->
       let options = { Minic.Driver.opt_level = Minic.Opt.O2; regfile_size } in
       let exe = Minic.Driver.compile_exe ~options ~name:w.name w.source in
-      let r = Api.run_exe ~engine:Api.Interp ~fuel:4_000_000_000 exe in
+      let r =
+        Api.run { Api.default_request with fuel = Some 4_000_000_000 }
+          (Api.Exe exe)
+      in
       (match r.Api.outcome with
       | Machine.Exited 0 -> ()
       | Machine.Exited c -> fail "%s exited %d under the interpreter" w.name c
@@ -100,8 +103,11 @@ let measure ?(regfile_size = 16) (w : Omni_workloads.Workloads.t)
       let p = prepare ~regfile_size w in
       let mode, opts = mode_and_opts arch config in
       let r =
-        Api.run_exe ~engine:(Api.Target arch) ~mode ~opts
-          ~fuel:4_000_000_000 p.p_exe
+        Api.run
+          { Api.default_request with
+            engine = Api.Target arch; mode = Some mode; opts = Some opts;
+            fuel = Some 4_000_000_000 }
+          (Api.Exe p.p_exe)
       in
       (match r.Api.outcome with
       | Machine.Exited 0 -> ()
@@ -451,7 +457,7 @@ let service_amortization ~size =
     "Service: cold vs warm loads through the memoizing translation cache\n\
      (every request instantiates a fresh isolated image; a cold load pays\n\
      translate + verify, a warm load pays static re-verification only)\n\n";
-  let svc = Svc.create () in
+  let svc = Svc.of_config Svc.default_config in
   (* Trace with a Null sink into the service's own registry: no span
      storage, but every phase lands in the "phase.*" histograms, so the
      breakdown below and the serving counters come from one place. *)
@@ -512,7 +518,8 @@ let service_amortization ~size =
   let report = Svc.run_batch ~fuel svc reqs in
   Buffer.add_char buf '\n';
   Buffer.add_string buf (Svc.render_batch report);
-  Buffer.add_string buf (Svc.render_stats svc);
+  let snap = Omni_obs.Metrics.snapshot (Svc.metrics svc) in
+  Buffer.add_string buf (Omni_obs.Metrics.render snap);
   let c = Svc.stats svc in
   let distinct = List.length handles * List.length all_archs in
   Buffer.add_string buf
@@ -523,9 +530,7 @@ let service_amortization ~size =
        (if c.SC.s_translations = distinct && c.SC.s_hits > 0 then "OK"
         else "VIOLATED"));
   Buffer.add_char buf '\n';
-  Buffer.add_string buf
-    (Omni_obs.Metrics.render_phases
-       (Omni_obs.Metrics.snapshot (Svc.metrics svc)));
+  Buffer.add_string buf (Omni_obs.Metrics.render_phases snap);
   Buffer.contents buf
 
 (* Per-phase pipeline breakdown (the observability tentpole, end to end):
@@ -541,7 +546,7 @@ let phase_breakdown ~size =
   let m = Omni_obs.Metrics.create () in
   let tracer = Omni_obs.Trace.make ~metrics:m Omni_obs.Trace.Null in
   Omni_obs.Trace.with_current tracer @@ fun () ->
-  let svc = Svc.create ~metrics:m () in
+  let svc = Svc.of_config ~metrics:m Svc.default_config in
   let fuel = 4_000_000_000 in
   List.iter
     (fun (w : Omni_workloads.Workloads.t) ->
@@ -579,7 +584,7 @@ let remote_overhead ~size =
      Every remote run's output is validated against the local result.\n\n";
   let fuel = 4_000_000_000 in
   (* remote stack: service behind a server behind the loopback client *)
-  let svc_r = Svc.create () in
+  let svc_r = Svc.of_config Svc.default_config in
   let server = Net.Server.create svc_r in
   let client = Net.Client.loopback server in
   (* ping round trip: the protocol floor (frame codec + dispatch only) *)
@@ -599,7 +604,7 @@ let remote_overhead ~size =
         (p, Omnivm.Wire.encode p.p_exe))
       ws
   in
-  let svc_l = Svc.create () in
+  let svc_l = Svc.of_config Svc.default_config in
   let remote_handles =
     List.map (fun (p, bytes) -> (p, Net.Client.submit client bytes)) prepared
   in
@@ -683,7 +688,7 @@ let resilience ~size =
         (p, Omnivm.Wire.encode p.p_exe))
       ws
   in
-  let svc_l = Svc.create () in
+  let svc_l = Svc.of_config Svc.default_config in
   let local_handles =
     List.map (fun (p, bytes) -> (p, Svc.submit svc_l bytes)) prepared
   in
@@ -696,7 +701,7 @@ let resilience ~size =
        "injected" "retries" "rejected" "round (ms)");
   List.iter
     (fun rate ->
-      let svc = Svc.create () in
+      let svc = Svc.of_config Svc.default_config in
       let server = Net.Server.create svc in
       let retry = { Net.Retry.default with max_attempts = 12 } in
       let env = Net.Retry.manual_env () in
@@ -955,7 +960,7 @@ let cert_validate ~size =
   let module SC = Omni_service.Counters in
   let module Exec = Omni_service.Exec in
   let ws = workloads ~size in
-  let svc = Svc.create () in
+  let svc = Svc.of_config Svc.default_config in
   let fuel = 4_000_000_000 in
   let handles =
     List.map
@@ -1092,7 +1097,7 @@ let concurrency_measure ~size : conc_run =
   let n =
     match size with Omni_workloads.Workloads.Test -> 192 | _ -> 384
   in
-  let svc = Svc.create () in
+  let svc = Svc.of_config Svc.default_config in
   let server = Net.Server.create svc in
   let handles =
     conc_tenants
@@ -1301,7 +1306,11 @@ let glift_time (g : gprepared) : float =
 
 (* Run the lifted module and validate against the oracle's output. *)
 let grun (g : gprepared) ~engine ?mode ?opts () : Api.run_result =
-  let r = Api.run_exe ~engine ?mode ?opts ~fuel:2_000_000_000 g.g_exe in
+  let r =
+    Api.run
+      { Api.default_request with engine; mode; opts; fuel = Some 2_000_000_000 }
+      (Api.Exe g.g_exe)
+  in
   (match r.Api.outcome with
   | Machine.Exited 0 -> ()
   | Machine.Exited c -> fail "%s (lifted) exited %d" g.g_name c
@@ -1495,8 +1504,11 @@ let pad_cycles (w : Omni_workloads.Workloads.t) (arch : Arch.t)
       let p = prepare w in
       let mode = Machine.Mobile (Omni_sfi.Policy.make ~pad ()) in
       let r =
-        Api.run_exe ~engine:(Api.Target arch) ~mode
-          ~opts:(Api.mobile_opts arch) ~fuel:4_000_000_000 p.p_exe
+        Api.run
+          { Api.default_request with
+            engine = Api.Target arch; mode = Some mode;
+            opts = Some (Api.mobile_opts arch); fuel = Some 4_000_000_000 }
+          (Api.Exe p.p_exe)
       in
       (match r.Api.outcome with
       | Machine.Exited 0 -> ()
@@ -1644,11 +1656,11 @@ let persist_measure ~size : persist_cell =
   in
   (* untimed warm-up: fill the prepare cache and pay one-time lazy
      initialization so the first timed round isn't charged for it *)
-  round (Svc.create ());
+  round (Svc.of_config Svc.default_config);
   let pc_baseline_s =
     let best = ref infinity in
     for _ = 1 to 3 do
-      let s, () = time (fun () -> round (Svc.create ())) in
+      let s, () = time (fun () -> round (Svc.of_config Svc.default_config)) in
       if s < !best then best := s
     done;
     !best
@@ -1761,7 +1773,7 @@ let persistence ~size =
      else "  => WARNING: warm round did not beat cold\n");
   Buffer.contents b
 
-(* --- machine-readable benchmark snapshot (BENCH_10.json) --------------
+(* --- machine-readable benchmark snapshot (BENCH_N.json) ---------------
 
    A compact re-measurement of the hot paths of every subsystem bench,
    emitted as stable JSON so successive runs can be diffed ([make
@@ -1786,7 +1798,7 @@ let bench_snapshot ~size : string =
   let phase_section =
     let tracer = Omni_obs.Trace.make ~metrics:m Omni_obs.Trace.Null in
     Omni_obs.Trace.with_current tracer @@ fun () ->
-    let svc = Svc.create ~metrics:m () in
+    let svc = Svc.of_config ~metrics:m Svc.default_config in
     List.iter
       (fun (w : Omni_workloads.Workloads.t) ->
         let p = prepare w in
@@ -1823,7 +1835,7 @@ let bench_snapshot ~size : string =
   in
   (* service: cold vs warm admission per arch, via the serving counters *)
   let service_section =
-    let svc = Svc.create () in
+    let svc = Svc.of_config Svc.default_config in
     let handles =
       List.map
         (fun (w : Omni_workloads.Workloads.t) ->
@@ -1859,10 +1871,10 @@ let bench_snapshot ~size : string =
   in
   (* remote: warm round trips over the loopback pair vs in-process *)
   let remote_section =
-    let svc_r = Svc.create () in
+    let svc_r = Svc.of_config Svc.default_config in
     let server = Net.Server.create svc_r in
     let client = Net.Client.loopback server in
-    let svc_l = Svc.create () in
+    let svc_l = Svc.of_config Svc.default_config in
     let prepared =
       List.map
         (fun (w : Omni_workloads.Workloads.t) ->
@@ -1904,7 +1916,7 @@ let bench_snapshot ~size : string =
   let resilience_section =
     List.map
       (fun rate ->
-        let svc = Svc.create () in
+        let svc = Svc.of_config Svc.default_config in
         let server = Net.Server.create svc in
         let retry = { Net.Retry.default with max_attempts = 12 } in
         let env = Net.Retry.manual_env () in

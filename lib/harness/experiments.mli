@@ -155,10 +155,11 @@ val persistence : size:Omni_workloads.Workloads.size -> string
 
 val bench_snapshot : size:Omni_workloads.Workloads.size -> string
 (** Machine-readable snapshot of every subsystem bench's hot paths
-    (the contents of [BENCH_10.json]): stable JSON, integer microseconds
-    of CPU time, with a flat ["hot_paths"] object that [make bench-gate]
-    diffs across runs. The ["concurrency"] section additionally reports
-    wall-clock throughput/latency per pool size; only its one-domain
-    round is gated (multi-domain walls depend on the host's cores). *)
+    (the contents of the latest [BENCH_N.json]): stable JSON, integer
+    microseconds of CPU time, with a flat ["hot_paths"] object that
+    [make bench-gate] diffs across runs. The ["concurrency"] section
+    additionally reports wall-clock throughput/latency per pool size;
+    only its one-domain round is gated (multi-domain walls depend on the
+    host's cores). *)
 
 val all_tables : size:Omni_workloads.Workloads.size -> string

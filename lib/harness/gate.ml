@@ -98,6 +98,28 @@ let skip_summary d =
          (String.concat " and "
             (clause "new" d.d_new @ clause "dropped" d.d_dropped)))
 
+let latest_snapshot names =
+  let prefix = "BENCH_" and suffix = ".json" in
+  let number name =
+    if String.starts_with ~prefix name && String.ends_with ~suffix name then
+      let digits =
+        String.sub name (String.length prefix)
+          (String.length name - String.length prefix - String.length suffix)
+      in
+      if digits <> "" && String.for_all (fun c -> c >= '0' && c <= '9') digits
+      then int_of_string_opt digits
+      else None
+    else None
+  in
+  List.fold_left
+    (fun best name ->
+      match (number name, best) with
+      | Some n, Some (m, _) when n <= m -> best
+      | Some n, _ -> Some (n, name)
+      | None, _ -> best)
+    None names
+  |> Option.map snd
+
 let render_regression (name, before, now) =
   Printf.sprintf "bench-gate: REGRESSION %s: %dus -> %dus (%+.0f%%)" name
     before now

@@ -62,5 +62,11 @@ val skip_summary : diff -> string option
     visible in CI logs without failing the run, and without drowning
     them in one line per key. *)
 
+val latest_snapshot : string list -> string option
+(** The snapshot to write and gate against: among file names of the form
+    [BENCH_<N>.json] (N decimal digits), the one with the largest N,
+    compared numerically so [BENCH_10.json] beats [BENCH_9.json]. Other
+    names are ignored; [None] when none matches. *)
+
 val render_regression : string * int * int -> string
 (** ["bench-gate: REGRESSION name: 10us -> 15us (+50%)"]. *)

@@ -131,4 +131,6 @@ val run_cert :
     same either way). Decode with [Omni_cert.Certificate.decode]. *)
 
 val stats_json : t -> string
-(** The daemon's service-counter snapshot as one JSON line. *)
+(** The daemon's whole metrics registry as one JSON line
+    ({!Omni_obs.Metrics.to_json}): serving counters, [net.*] counters
+    and [phase.*] histograms. *)

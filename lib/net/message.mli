@@ -95,7 +95,7 @@ type req =
   | Ping
   | Submit of string  (** wire-format module bytes *)
   | Run of run_spec
-  | Stats  (** service counters snapshot *)
+  | Stats  (** the server's metrics registry snapshot *)
 
 type resp =
   | Pong

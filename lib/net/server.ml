@@ -16,7 +16,6 @@
 module Service = Omni_service.Service
 module Store = Omni_service.Store
 module Cache = Omni_service.Cache
-module Counters = Omni_service.Counters
 module Supervise = Omni_service.Supervise
 module Metrics = Omni_obs.Metrics
 module Trace = Omni_obs.Trace
@@ -157,7 +156,8 @@ let certificate_for t ~engine ~sfi ~mode h =
 let dispatch t (req : M.req) : M.resp =
   match req with
   | M.Ping -> M.Pong
-  | M.Stats -> M.Stats_json (Counters.to_json (Service.stats t.svc))
+  | M.Stats ->
+      M.Stats_json (Metrics.to_json (Metrics.snapshot (Service.metrics t.svc)))
   | M.Submit bytes when
       t.cfg.max_module_bytes > 0
       && String.length bytes > t.cfg.max_module_bytes ->

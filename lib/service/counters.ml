@@ -141,122 +141,3 @@ let snapshot t : snapshot =
     s_persist_quarantined = Metrics.value t.persist_quarantined;
     s_persist_torn = Metrics.value t.persist_torn;
   }
-
-let hit_rate s =
-  let n = s.s_hits + s.s_misses in
-  if n = 0 then 0.0 else float_of_int s.s_hits /. float_of_int n
-
-let render s =
-  let b = Buffer.create 256 in
-  Printf.bprintf b
-    "module store:      %d modules (%d submits, %d deduped, %d bytes)\n"
-    s.s_modules s.s_submits s.s_dedup_hits s.s_bytes_stored;
-  Printf.bprintf b
-    "predecode cache:   %d hits / %d misses\n"
-    s.s_predecode_hits s.s_predecode_misses;
-  Printf.bprintf b
-    "translation cache: %d hits / %d misses (%.1f%% hit rate), %d evictions\n"
-    s.s_hits s.s_misses (100.0 *. hit_rate s) s.s_evictions;
-  Printf.bprintf b
-    "translations:      %d cold (%.1f ms total); %d verifier runs (%.1f ms warm admission)\n"
-    s.s_translations (1e3 *. s.s_cold_translate_s) s.s_verifications
-    (1e3 *. s.s_warm_admit_s);
-  Printf.bprintf b
-    "certificates:      %d witness checks, %d full re-verifies, %d warm admissions failed\n"
-    s.s_cert_checks s.s_cert_full_verify s.s_verify_fail;
-  Printf.bprintf b "instantiations:    %d\n" s.s_instantiations;
-  Printf.bprintf b
-    "supervision:       %d crash reports (%d deadline), quarantine %d trips / %d refused / %d cleared\n"
-    s.s_crash_reports s.s_deadline_exceeded s.s_quarantine_trips
-    s.s_quarantine_refused s.s_quarantine_cleared;
-  Printf.bprintf b
-    "persistence:       %d appends; recovery replayed %d (%d recovered, %d quarantined, %d torn)\n"
-    s.s_persist_append s.s_persist_replay s.s_persist_recovered
-    s.s_persist_quarantined s.s_persist_torn;
-  Buffer.contents b
-
-let pp fmt s = Format.pp_print_string fmt (render s)
-
-let to_json s =
-  Printf.sprintf
-    "{\"submits\":%d,\"modules\":%d,\"dedup_hits\":%d,\"bytes_stored\":%d,\"predecode_hits\":%d,\"predecode_misses\":%d,\"hits\":%d,\"misses\":%d,\"hit_rate\":%.4f,\"evictions\":%d,\"translations\":%d,\"verifications\":%d,\"cert_checks\":%d,\"cert_full_verify\":%d,\"verify_fail\":%d,\"cold_translate_s\":%.6f,\"warm_admit_s\":%.6f,\"instantiations\":%d,\"quarantine_trips\":%d,\"quarantine_refused\":%d,\"quarantine_cleared\":%d,\"crash_reports\":%d,\"deadline_exceeded\":%d,\"persist_append\":%d,\"persist_replay\":%d,\"persist_recovered\":%d,\"persist_quarantined\":%d,\"persist_torn\":%d}"
-    s.s_submits s.s_modules s.s_dedup_hits s.s_bytes_stored
-    s.s_predecode_hits s.s_predecode_misses s.s_hits
-    s.s_misses (hit_rate s) s.s_evictions s.s_translations s.s_verifications
-    s.s_cert_checks s.s_cert_full_verify s.s_verify_fail
-    s.s_cold_translate_s s.s_warm_admit_s s.s_instantiations
-    s.s_quarantine_trips s.s_quarantine_refused s.s_quarantine_cleared
-    s.s_crash_reports s.s_deadline_exceeded s.s_persist_append
-    s.s_persist_replay s.s_persist_recovered s.s_persist_quarantined
-    s.s_persist_torn
-
-(* Inverse of [to_json], total on arbitrary text: the writer is ours and
-   emits one flat object of numeric fields, so a comma/colon scanner
-   suffices (the same stance as the bench snapshot reader). Unknown keys
-   are ignored; missing keys read as zero, so snapshots from before a
-   field existed still parse. [hit_rate] is derived, not stored. *)
-let of_json text : snapshot =
-  let fields =
-    match (String.index_opt text '{', String.rindex_opt text '}') with
-    | Some i, Some j when j > i ->
-        String.sub text (i + 1) (j - i - 1)
-        |> String.split_on_char ','
-        |> List.filter_map (fun part ->
-               match String.index_opt part ':' with
-               | None -> None
-               | Some c ->
-                   let key = String.trim (String.sub part 0 c) in
-                   let key =
-                     if
-                       String.length key >= 2
-                       && key.[0] = '"'
-                       && key.[String.length key - 1] = '"'
-                     then String.sub key 1 (String.length key - 2)
-                     else key
-                   in
-                   let v =
-                     String.trim
-                       (String.sub part (c + 1) (String.length part - c - 1))
-                   in
-                   Some (key, v))
-    | _ -> []
-  in
-  let geti k =
-    match List.assoc_opt k fields with
-    | Some v -> ( match int_of_string_opt v with Some n -> n | None -> 0)
-    | None -> 0
-  in
-  let getf k =
-    match List.assoc_opt k fields with
-    | Some v -> ( match float_of_string_opt v with Some f -> f | None -> 0.0)
-    | None -> 0.0
-  in
-  {
-    s_submits = geti "submits";
-    s_modules = geti "modules";
-    s_dedup_hits = geti "dedup_hits";
-    s_bytes_stored = geti "bytes_stored";
-    s_predecode_hits = geti "predecode_hits";
-    s_predecode_misses = geti "predecode_misses";
-    s_hits = geti "hits";
-    s_misses = geti "misses";
-    s_evictions = geti "evictions";
-    s_translations = geti "translations";
-    s_verifications = geti "verifications";
-    s_cert_checks = geti "cert_checks";
-    s_cert_full_verify = geti "cert_full_verify";
-    s_verify_fail = geti "verify_fail";
-    s_cold_translate_s = getf "cold_translate_s";
-    s_warm_admit_s = getf "warm_admit_s";
-    s_instantiations = geti "instantiations";
-    s_quarantine_trips = geti "quarantine_trips";
-    s_quarantine_refused = geti "quarantine_refused";
-    s_quarantine_cleared = geti "quarantine_cleared";
-    s_crash_reports = geti "crash_reports";
-    s_deadline_exceeded = geti "deadline_exceeded";
-    s_persist_append = geti "persist_append";
-    s_persist_replay = geti "persist_replay";
-    s_persist_recovered = geti "persist_recovered";
-    s_persist_quarantined = geti "persist_quarantined";
-    s_persist_torn = geti "persist_torn";
-  }

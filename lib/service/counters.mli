@@ -4,8 +4,12 @@
     {!Service.t}, threaded through the module store and the translation
     cache so a single {!snapshot} describes the whole pipeline — and so
     the registry is the single source of truth shared with the tracer's
-    per-phase histograms. Times are CPU seconds from [Sys.time] — the same
-    clock the benchmark harness uses for its load-time measurements. *)
+    per-phase histograms. The two histograms hold [Sys.time] seconds
+    (the source of {!Omni_util.Clock.cpu}): process CPU time summed over
+    every domain, not wall time and not a per-request latency. Every
+    stats surface renders the registry ([Metrics.snapshot (metrics t)]),
+    so a new instrument registered in {!create} shows up everywhere
+    without further edits. *)
 
 module Metrics = Omni_obs.Metrics
 
@@ -92,22 +96,3 @@ type snapshot = {
 }
 
 val snapshot : t -> snapshot
-
-val hit_rate : snapshot -> float
-(** Hits over (hits + misses); 0 when the cache was never consulted. *)
-
-val render : snapshot -> string
-(** Multi-line human-readable form. *)
-
-val pp : Format.formatter -> snapshot -> unit
-
-val to_json : snapshot -> string
-(** One-line JSON object (what [omnirun serve --stats] prints). Every
-    snapshot field is present (plus the derived [hit_rate]); adding a
-    counter means extending snapshot, render, [to_json] {e and}
-    [of_json] together — the qcheck round-trip test enforces it. *)
-
-val of_json : string -> snapshot
-(** Inverse of {!to_json}; total on arbitrary text (unknown keys
-    ignored, missing keys zero). [of_json (to_json s) = s] up to the
-    6-decimal precision of the two histogram fields. *)

@@ -63,21 +63,6 @@ val of_config : ?metrics:Omni_obs.Metrics.t -> ?clock:Omni_util.Clock.t ->
     drives watchdog deadlines; both are capabilities rather than
     configuration, hence not in {!config}. *)
 
-val create :
-  ?cache_capacity:int ->
-  ?metrics:Omni_obs.Metrics.t ->
-  ?quarantine:Supervise.Quarantine.config ->
-  ?deadline_s:float ->
-  ?watchdog_poll:int ->
-  ?clock:Omni_util.Clock.t ->
-  ?on_crash:(Supervise.report -> unit) ->
-  unit ->
-  t
-(** (deprecated) The pre-{!config} entry point, now a thin wrapper over
-    {!of_config} with each option mapping to the config field of the
-    same name. Kept so existing callers and tests build unchanged;
-    prefer {!of_config} in new code. *)
-
 val metrics : t -> Omni_obs.Metrics.t
 (** The backing metrics registry (serving counters + anything else
     registered in it). *)
@@ -108,8 +93,8 @@ val instantiate :
   Store.handle ->
   Exec.run_result
 (** Run the module named by the handle on a fresh isolated image.
-    Defaults mirror [Api.run_exe]: the interpreter engine; for target
-    engines, sandboxed mobile code ([sfi], default true, ignored when
+    Defaults mirror [Api.default_request]: the interpreter engine; for
+    target engines, sandboxed mobile code ([sfi], default true, ignored when
     [mode] is given) with the per-arch translator options. [deadline_s]
     overrides the service-wide wall-clock budget for this run.
     @raise Store.Unknown_handle on a foreign handle.
@@ -150,10 +135,10 @@ val certificate :
     no certificate. Does not perturb recency order. *)
 
 val stats : t -> Counters.snapshot
-(** An immutable reading of the shared counters — see
-    {!Counters.snapshot}, {!Counters.pp}, {!Counters.to_json}. *)
-
-val render_stats : t -> string
+(** An immutable typed reading of the shared counters (see
+    {!Counters.snapshot}). Every stats surface — the wire [Stats] reply,
+    [--stats], [--metrics] — renders [Metrics.snapshot (metrics t)]
+    instead, which also carries whatever else shares the registry. *)
 
 (** One request of a batch: which module, which engine, SFI on/off. *)
 type request = {
@@ -166,9 +151,16 @@ type batch_report = {
   br_requests : int;
   br_failures : int;  (** requests that did not exit 0 *)
   br_instructions : int;  (** total simulated instructions retired *)
-  br_elapsed_s : float;  (** CPU seconds for the whole batch *)
-  br_rps : float;  (** requests per CPU second *)
+  br_elapsed_s : float;  (** wall-clock seconds for the whole batch *)
+  br_rps : float;  (** requests per wall-clock second *)
 }
 
-val run_batch : ?fuel:int -> t -> request array -> batch_report
+val run_batch :
+  ?fuel:int -> ?domains:int -> t -> request array -> batch_report
+(** Run every request, dealt round-robin to [domains] (default 1)
+    domains that share this service, and time the batch on
+    {!Supervise.wall_clock}. The request, failure and instruction totals
+    do not depend on [domains]. *)
+
 val render_batch : batch_report -> string
+(** One line: totals, wall-clock seconds and requests per second. *)

@@ -1,10 +1,11 @@
-(* Monotonic clock with an injectable source.
+(* A clock with an injectable source.
 
    Every timing the observability layer records flows through one of these,
    so tests can substitute a manual clock and obtain deterministic span
-   durations and histogram contents. The CPU clock is [Sys.time] — the same
-   clock the serving counters and the benchmark harness's load-time
-   measurements have always used. *)
+   durations and histogram contents. The CPU clock is [Sys.time]: process
+   CPU time summed over every domain. It is neither monotonic wall time
+   nor a per-request latency; under several busy domains it runs faster
+   than the wall. *)
 
 type t =
   | Cpu

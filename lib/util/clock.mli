@@ -1,4 +1,4 @@
-(** Monotonic clock with an injectable source.
+(** A clock with an injectable source.
 
     Timings in the observability layer ({!Omni_obs.Trace},
     {!Omni_obs.Metrics}) are read from one of these, so tests can inject a
@@ -7,8 +7,10 @@
 type t
 
 val cpu : t
-(** CPU seconds from [Sys.time] — the clock the serving counters and the
-    benchmark harness use. *)
+(** Process CPU seconds from [Sys.time], summed over every domain; not
+    wall time. A span timed on it measures the CPU the whole process
+    spent while the span was open, which equals its latency only when
+    one domain is busy and nothing blocks. *)
 
 val manual : ?start:float -> unit -> t
 (** A clock that only moves when told to ([start] defaults to 0). *)

@@ -528,14 +528,17 @@ let cache_verify_fail () =
   let snap = Counters.snapshot counters in
   Alcotest.(check int) "failure counted" 1 snap.Counters.s_verify_fail;
   (* and the counter is surfaced to operators *)
-  let json = Counters.to_json snap in
+  let json =
+    Omni_obs.Metrics.to_json
+      (Omni_obs.Metrics.snapshot (Counters.metrics counters))
+  in
   let has_field =
-    let needle = "\"verify_fail\":1" in
+    let needle = "\"service.cache.verify_fail\":1" in
     let ln = String.length needle and n = String.length json in
     let rec go i = i + ln <= n && (String.sub json i ln = needle || go (i + 1)) in
     go 0
   in
-  Alcotest.(check bool) "verify_fail in counters JSON" true has_field
+  Alcotest.(check bool) "verify_fail in registry JSON" true has_field
 
 let () =
   Alcotest.run "cert"

@@ -276,7 +276,9 @@ let tame_property seed =
   (* observable agreement with every simulator, under a per-seed pad *)
   let pad = List.nth pads (abs seed mod List.length pads) in
   let expected =
-    let r = Api.run_exe ~engine:Api.Interp ~fuel:5_000_000 exe in
+    let r =
+      Api.run { Api.default_request with fuel = Some 5_000_000 } (Api.Exe exe)
+    in
     (r.Api.outcome, r.Api.output)
   in
   (match expected with
@@ -290,7 +292,10 @@ let tame_property seed =
     (fun arch ->
       let mode = Machine.Mobile (Policy.make ~pad ()) in
       let r =
-        Api.run_exe ~engine:(Api.Target arch) ~mode ~fuel:5_000_000 exe
+        Api.run
+          { Api.default_request with
+            engine = Api.Target arch; mode = Some mode; fuel = Some 5_000_000 }
+          (Api.Exe exe)
       in
       if (r.Api.outcome, r.Api.output) <> expected then
         Alcotest.failf "tame seed=%d: %s pad=%s disagrees" seed
@@ -429,7 +434,11 @@ let workload_matrix (name, exe) () =
         (fun pad ->
           let mode = Machine.Mobile (Policy.make ~pad ()) in
           let r =
-            Api.run_exe ~engine:(Api.Target arch) ~mode ~fuel:500_000_000 exe
+            Api.run
+              { Api.default_request with
+                engine = Api.Target arch; mode = Some mode;
+                fuel = Some 500_000_000 }
+              (Api.Exe exe)
           in
           (match r.Api.outcome with
           | Machine.Exited 0 -> ()

@@ -109,7 +109,7 @@ let fault_matrix () =
   let locals = Lazy.force local_results in
   List.iter
     (fun (what, plan) ->
-      let svc = Service.create () in
+      let svc = Service.of_config Service.default_config in
       let server = Server.create svc in
       let armed = Fault.arm ~metrics:(Service.metrics svc) plan in
       let retry = { Retry.default with Retry.max_attempts = 6 } in
@@ -137,7 +137,7 @@ let fault_seeded_matrix () =
   let locals = Lazy.force local_results in
   List.iter
     (fun seed ->
-      let svc = Service.create () in
+      let svc = Service.of_config Service.default_config in
       let server = Server.create svc in
       let armed =
         Fault.arm ~metrics:(Service.metrics svc)
@@ -305,7 +305,7 @@ let limit_counter svc =
 
 let limits_module_bytes () =
   let bytes = Lazy.force hello_bytes in
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   let server =
     Server.create
       ~config:{ Server.default_config with Server.max_module_bytes = 16 }
@@ -330,7 +330,7 @@ let limits_module_bytes () =
 
 let limits_fuel () =
   let bytes = Lazy.force hello_bytes in
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   let server =
     Server.create
       ~config:{ Server.default_config with Server.max_fuel = 10 }
@@ -352,7 +352,7 @@ let limits_fuel () =
     (r.Exec.outcome = Machine.Out_of_fuel)
 
 let limits_per_conn () =
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   let server =
     Server.create
       ~config:{ Server.default_config with Server.max_requests_per_conn = 2 }
@@ -369,7 +369,7 @@ let limits_per_conn () =
   let client2 = Client.loopback server in
   Client.ping client2;
   (* byte cap: one big submit blows it *)
-  let svc2 = Service.create () in
+  let svc2 = Service.of_config Service.default_config in
   let server2 =
     Server.create
       ~config:{ Server.default_config with Server.max_conn_bytes = 64 }
@@ -427,7 +427,7 @@ let fallback_local () =
 
 let survival_1000 () =
   let bytes = Lazy.force hello_bytes in
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   let reg = Service.metrics svc in
   let tracer = Trace.make ~metrics:reg Trace.Null in
   let server = Server.create ~tracer svc in

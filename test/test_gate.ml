@@ -166,6 +166,15 @@ let merge_min_key_set_is_fresh () =
        [ ("a", 9); ("prev-only", 1) ]
        [ ("a", 7); ("fresh-only", 3) ])
 
+let latest_snapshot_is_numeric () =
+  Alcotest.(check (option string)) "highest N, numerically"
+    (Some "BENCH_10.json")
+    (Gate.latest_snapshot
+       [ "BENCH_9.json"; "BENCH_10.json"; "BENCH_7.json"; "BENCH.json";
+         "BENCH_x.json" ]);
+  Alcotest.(check (option string)) "no match" None
+    (Gate.latest_snapshot [ "BENCH.json"; "BENCH_.json"; "README.md" ])
+
 let () =
   Alcotest.run "gate"
     [ ("scanner",
@@ -192,6 +201,9 @@ let () =
          Alcotest.test_case "dropped key" `Quick gate_dropped_key_skipped;
          Alcotest.test_case "empty baseline seeds" `Quick
            gate_empty_baseline ]);
+      ("snapshot-file",
+       [ Alcotest.test_case "latest BENCH_N.json" `Quick
+           latest_snapshot_is_numeric ]);
       ("re-measure",
        [ Alcotest.test_case "spike absorbed" `Quick merge_min_absorbs_spike;
          Alcotest.test_case "real regression survives" `Quick

@@ -111,25 +111,29 @@ let qcheck_differential =
                what r.Api.exit_code expect_exit;
            true
          in
+         let run ?(sfi = true) engine exe =
+           Api.run
+             { Api.default_request with engine; sfi; fuel = Some fuel }
+             (Api.Exe exe)
+         in
          let exe = lift_ok p in
          let ok =
-           check "interp" (Api.run_exe ~engine:Api.Interp ~fuel exe)
+           check "interp" (run Api.Interp exe)
            && List.for_all
                 (fun arch ->
                   List.for_all
                     (fun sfi ->
                       check
                         (Printf.sprintf "%s/sfi=%b" (Arch.name arch) sfi)
-                        (Api.run_exe ~engine:(Api.Target arch) ~sfi ~fuel exe))
+                        (run ~sfi (Api.Target arch) exe))
                     [ true; false ])
                 all_archs
          in
          (* starved pool: same seeds through the spill paths *)
          let spilly = lift_ok ~options:{ Guest.Lift.pool = 2 } p in
          ok
-         && check "interp/pool=2" (Api.run_exe ~engine:Api.Interp ~fuel spilly)
-         && check "mips/pool=2"
-              (Api.run_exe ~engine:(Api.Target Arch.Mips) ~fuel spilly)))
+         && check "interp/pool=2" (run Api.Interp spilly)
+         && check "mips/pool=2" (run (Api.Target Arch.Mips) spilly)))
 
 (* --- 3. typed refusal -------------------------------------------------- *)
 
@@ -251,7 +255,7 @@ let cached_serving_identity () =
   let p = asm_exn subject in
   let oracle = Guest.Interp.run p in
   let wire = Omnivm.Wire.encode (lift_ok p) in
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   let run () =
     Api.run
       { Api.default_request with

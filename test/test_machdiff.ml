@@ -120,7 +120,11 @@ let gen_program (rng : Random.State.t) : string =
 let engines_agree src =
   let exe = Omni_asm.Link.link [ Omni_asm.Parse.assemble ~name:"fuzz" src ] in
   let run engine ~sfi ?opts () =
-    let r = Api.run_exe ~engine ~sfi ?opts ~fuel:5_000_000 exe in
+    let r =
+      Api.run
+        { Api.default_request with engine; sfi; opts; fuel = Some 5_000_000 }
+        (Api.Exe exe)
+    in
     match r.Api.outcome with
     | Machine.Exited 0 -> Some r.Api.output
     | _ -> None

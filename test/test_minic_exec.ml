@@ -28,7 +28,12 @@ let run_everywhere ?(regs = [ 16 ]) name src =
             (fun sfi ->
               let e = Result.get_ok (Api.engine_of_string engine) in
               if not (e = Api.Interp && not sfi) then begin
-                let r = Api.run_exe ~engine:e ~sfi ~fuel:200_000_000 exe in
+                let r =
+                  Api.run
+                    { Api.default_request with
+                      engine = e; sfi; fuel = Some 200_000_000 }
+                    (Api.Exe exe)
+                in
                 (match r.Api.outcome with
                 | Machine.Exited 0 -> ()
                 | Machine.Exited c ->
@@ -511,7 +516,7 @@ let opt_levels_agree () =
   let out level =
     let options = { Minic.Driver.opt_level = level; regfile_size = 16 } in
     let exe = Minic.Driver.compile_exe ~options ~name:"lv" src in
-    let r = Api.run_exe ~engine:Api.Interp exe in
+    let r = Api.run Api.default_request (Api.Exe exe) in
     r.Api.output
   in
   let o2 = out Minic.Opt.O2 in

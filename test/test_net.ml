@@ -29,15 +29,21 @@ module Client = Omni_net.Client
 
 let fuel = 50_000_000
 
+(* The in-process run every remote x86 result is compared with. *)
+let local_x86 bytes =
+  Api.run
+    { Api.default_request with engine = Exec.Target Arch.X86; fuel = Some fuel }
+    (Api.Wire bytes)
+
 let contains hay needle =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
 
-(* ["hits":N] with N >= 1 somewhere in a one-line JSON object. The
-   leading quote keeps [dedup_hits] from matching. *)
+(* ["service.cache.hits":N] with N >= 1 somewhere in a one-line registry
+   JSON object. *)
 let hits_positive json =
-  let key = "\"hits\":" in
+  let key = "\"service.cache.hits\":" in
   let nl = String.length key and hl = String.length json in
   let rec go i =
     if i + nl >= hl then false
@@ -317,7 +323,7 @@ let qcheck_message_corruption =
 (* --- end-to-end over the in-memory transport --- *)
 
 let with_loopback f =
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   let server = Server.create svc in
   let client = Client.loopback server in
   f svc server client
@@ -359,7 +365,7 @@ let e2e_identity () =
   (* stats travel as JSON *)
   let json = Client.stats_json client in
   Alcotest.(check bool) "stats json mentions hits" true
-    (contains json "\"hits\":")
+    (contains json "\"service.cache.hits\":")
 
 let e2e_native_mode () =
   with_loopback @@ fun _svc _server client ->
@@ -370,8 +376,12 @@ let e2e_native_mode () =
       ~mode:(Msg.M_native Machine.Gcc) ~fuel client h
   in
   let local =
-    Api.run_exe ~engine:(Exec.Target Arch.Ppc) ~mode:(Machine.Native Machine.Gcc)
-      ~fuel (Omnivm.Wire.decode bytes)
+    Api.run
+      { Api.default_request with
+        engine = Exec.Target Arch.Ppc;
+        mode = Some (Machine.Native Machine.Gcc);
+        fuel = Some fuel }
+      (Api.Wire bytes)
   in
   check_same_result "native-gcc baseline over the wire" local remote
 
@@ -443,7 +453,7 @@ let hostile_frames () =
    length field); honest size admission is the server's module-byte
    quota, tested in test_fault.ml. *)
 let frame_boundaries () =
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   let cap = 64 in
   let server =
     Server.create
@@ -522,22 +532,18 @@ let verifier_rejected () =
 let api_remote_path () =
   with_loopback @@ fun _svc _server client ->
   let bytes = Lazy.force hello_bytes in
-  let local = Api.run_wire ~engine:"x86" ~fuel bytes in
-  let remote = Api.run_wire_remote ~remote:client ~engine:"x86" ~fuel bytes in
-  check_same_result "run_wire_remote = run_wire" local remote;
+  let remote_req =
+    { Api.default_request with
+      engine = Exec.Target Arch.X86;
+      fuel = Some fuel;
+      remote = Some client }
+  in
+  let remote = Api.run remote_req (Api.Wire bytes) in
+  check_same_result "remote run = local run" (local_x86 bytes) remote;
   (* remote refusals surface as the local exceptions *)
-  (match Api.run_wire_remote ~remote:client ~engine:"x86" "garbage" with
+  match Api.run remote_req (Api.Wire "garbage") with
   | _ -> Alcotest.fail "garbage ran"
-  | exception Omnivm.Wire.Bad_module _ -> ());
-  match
-    Api.run
-      { Api.default_request with
-        engine = Exec.Target Arch.Ppc;
-        fuel = Some fuel;
-        remote = Some client }
-      (Api.Wire bytes)
-  with
-  | r -> Alcotest.(check int) "request-record remote run" 0 r.Exec.exit_code
+  | exception Omnivm.Wire.Bad_module _ -> ()
 
 (* --- real Unix socket, daemon in a forked child --- *)
 
@@ -565,7 +571,7 @@ let socket_e2e () =
                parent. _exit so alcotest's at_exit never runs here. *)
             (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
              with Invalid_argument _ -> ());
-            let svc = Service.create () in
+            let svc = Service.of_config Service.default_config in
             let server = Server.create svc in
             (try Server.serve server listen_fd with _ -> ());
             Unix._exit 0
@@ -594,10 +600,8 @@ let socket_e2e () =
                 let remote =
                   Client.run ~engine:(Exec.Target Arch.X86) ~fuel client h
                 in
-                let local =
-                  Api.run_wire ~engine:"x86" ~fuel bytes
-                in
-                check_same_result "socket run = local run" local remote;
+                check_same_result "socket run = local run" (local_x86 bytes)
+                  remote;
                 (* hostile frame on a second connection; the daemon
                    answers with a typed error and survives *)
                 let c2 = Transport.connect (Transport.Unix_sock path) in
@@ -660,7 +664,7 @@ let socket_stall_retry () =
                Transport.close conn
              with _ -> ());
             (* then behave *)
-            let svc = Service.create () in
+            let svc = Service.of_config Service.default_config in
             let server = Server.create svc in
             (try Server.serve server listen_fd with _ -> ());
             Unix._exit 0
@@ -690,8 +694,8 @@ let socket_stall_retry () =
                     let remote =
                       Client.run ~engine:(Exec.Target Arch.X86) ~fuel client h
                     in
-                    let local = Api.run_wire ~engine:"x86" ~fuel bytes in
-                    check_same_result "post-stall run = local run" local remote);
+                    check_same_result "post-stall run = local run"
+                      (local_x86 bytes) remote);
                 Alcotest.(check bool) "the stalled attempt was retried" true
                   (Omni_obs.Metrics.value
                      (Omni_obs.Metrics.counter reg "net.retry")

@@ -138,11 +138,11 @@ let hammer_service () =
   let sched = schedule n in
   let bytes = [| Lazy.force hello_bytes; Lazy.force loop_bytes |] in
   (* serial reference on its own service *)
-  let ref_svc = Service.create () in
+  let ref_svc = Service.of_config Service.default_config in
   let ref_handles = Array.map (Service.submit ref_svc) bytes in
   let reference = Array.init n (run_schedule ref_svc ref_handles sched) in
   (* the shared service, hammered by [domains] domains on a stride *)
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   let handles = Array.map (Service.submit svc) bytes in
   let results = Array.make n None in
   let worker d () =
@@ -173,7 +173,7 @@ let hammer_service () =
   Alcotest.(check int) "no admission failures" 0 c.Counters.s_verify_fail
 
 let store_concurrent_dedup () =
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   let bytes = Lazy.force hello_bytes in
   let per_domain = 4 in
   let submitter () =
@@ -202,7 +202,7 @@ let store_concurrent_dedup () =
 let hammer_predecode () =
   let bytes = [| Lazy.force hello_bytes; Lazy.force loop_bytes |] in
   let per_domain = 6 in
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   let handles = Array.map (Service.submit svc) bytes in
   let expected =
     Array.map
@@ -276,7 +276,7 @@ let hammer_persistent_store () =
       handles.(m)
   in
   (* serial reference on a non-persistent service *)
-  let ref_svc = Service.create () in
+  let ref_svc = Service.of_config Service.default_config in
   let ref_handles = Array.map (Service.submit ref_svc) bytes in
   let reference = Array.init n (run ref_svc ref_handles) in
   let io = Omni_persist.Io.sim () in
@@ -341,7 +341,7 @@ let hammer_persistent_store () =
 (* --- server dispatch hammer: handle_request from several domains --- *)
 
 let hammer_server_dispatch () =
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   let server = Server.create svc in
   let handle =
     match Server.handle_request server (Msg.Submit (Lazy.force hello_bytes)) with
@@ -391,7 +391,7 @@ let read_error_resp conn =
 
 let backpressure_sheds_typed () =
   let reg = Metrics.create () in
-  let svc = Service.create ~metrics:reg () in
+  let svc = Service.of_config ~metrics:reg Service.default_config in
   let config =
     { Server.default_config with pool_size = 2; queue_depth = 2 }
   in
@@ -420,6 +420,45 @@ let backpressure_sheds_typed () =
   let _, v4 = offer () in
   Alcotest.(check bool) "closed pool sheds" true (v4 = `Shed)
 
+(* --- the batch driver --- *)
+
+(* Dealing a batch to several domains changes only its elapsed time:
+   request, failure and instruction totals equal the serial batch's. *)
+let batch_domains_match_serial () =
+  let failing = Api.compile ~name:"fail" "int main(void) { return 3; }" in
+  let batch () =
+    let svc = Service.of_config Service.default_config in
+    let hs =
+      List.map (Service.submit svc)
+        [ Lazy.force hello_bytes; Lazy.force loop_bytes; failing ]
+    in
+    let reqs =
+      Array.of_list
+        (List.concat_map
+           (fun h ->
+             List.map
+               (fun e ->
+                 { Service.rq_handle = h; rq_engine = e; rq_sfi = true })
+               [ Exec.Interp; Exec.Target Arch.Mips; Exec.Target Arch.X86 ])
+           (hs @ hs))
+    in
+    (svc, reqs)
+  in
+  let serial =
+    let svc, reqs = batch () in
+    Service.run_batch ~fuel svc reqs
+  in
+  let parallel =
+    let svc, reqs = batch () in
+    Service.run_batch ~fuel ~domains:2 svc reqs
+  in
+  Alcotest.(check int) "requests" 18 parallel.Service.br_requests;
+  Alcotest.(check int) "failures" 6 serial.Service.br_failures;
+  Alcotest.(check int) "same failures" serial.Service.br_failures
+    parallel.Service.br_failures;
+  Alcotest.(check int) "same instructions" serial.Service.br_instructions
+    parallel.Service.br_instructions
+
 let () =
   Alcotest.run "parallel"
     [ ("workq",
@@ -442,6 +481,9 @@ let () =
            hammer_persistent_store;
          Alcotest.test_case "server dispatch, 2 domains" `Quick
            hammer_server_dispatch ]);
+      ("batch",
+       [ Alcotest.test_case "2 domains = serial totals" `Quick
+           batch_domains_match_serial ]);
       ("backpressure",
        [ Alcotest.test_case "full queue sheds typed" `Quick
            backpressure_sheds_typed ]) ]

@@ -17,6 +17,7 @@ module Cache = Omni_service.Cache
 module Counters = Omni_service.Counters
 module Lru = Omni_service.Lru
 module Service = Omni_service.Service
+module Metrics = Omni_obs.Metrics
 
 let fuel = 50_000_000
 
@@ -41,7 +42,7 @@ let check_same_result what (a : Exec.run_result) (b : Exec.run_result) =
 (* --- store --- *)
 
 let store_dedup () =
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   let bytes = Lazy.force hello_bytes in
   let h1 = Service.submit svc bytes in
   let h2 = Service.submit svc bytes in
@@ -54,7 +55,7 @@ let store_dedup () =
     c.Counters.s_bytes_stored
 
 let store_rejects_garbage () =
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   match Service.submit svc "not a module" with
   | _ -> Alcotest.fail "store admitted malformed bytes"
   | exception Omnivm.Wire.Bad_module _ -> ()
@@ -62,7 +63,7 @@ let store_rejects_garbage () =
 let store_digests_differ () =
   let b1 = Lazy.force hello_bytes in
   let b2 = Api.compile ~name:"other" "int main(void) { return 1; }" in
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   let h1 = Service.submit svc b1 in
   let h2 = Service.submit svc b2 in
   Alcotest.(check bool) "distinct handles" false (Store.equal_handle h1 h2);
@@ -73,7 +74,7 @@ let store_digests_differ () =
 let identity_one ~arch ~sfi () =
   let bytes = Lazy.force hello_bytes in
   let engine = Exec.Target arch in
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   let h = Service.submit svc bytes in
   let cold = Service.instantiate ~engine ~sfi ~fuel svc h in
   let warm = Service.instantiate ~engine ~sfi ~fuel svc h in
@@ -84,7 +85,9 @@ let identity_one ~arch ~sfi () =
   check_same_result "warm vs cold" cold warm;
   (* and both must match the uncached façade path *)
   let direct =
-    Api.run_wire ~engine:(Arch.name arch) ~sfi ~fuel bytes
+    Api.run
+      { Api.default_request with engine; sfi; fuel = Some fuel }
+      (Api.Wire bytes)
   in
   check_same_result "cold vs uncached" direct cold;
   Alcotest.(check bool) "exited 0" true (cold.Exec.exit_code = 0)
@@ -102,12 +105,14 @@ let identity_cases =
 
 let interp_cached () =
   let bytes = Lazy.force hello_bytes in
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   let h = Service.submit svc bytes in
   let r1 = Service.instantiate ~fuel svc h in
   let r2 = Service.instantiate ~fuel svc h in
   check_same_result "interp twice" r1 r2;
-  let direct = Api.run_wire ~engine:"interp" ~fuel bytes in
+  let direct =
+    Api.run { Api.default_request with fuel = Some fuel } (Api.Wire bytes)
+  in
   check_same_result "interp vs uncached" direct r1;
   let c = Service.stats svc in
   Alcotest.(check int) "interp never translates" 0 c.Counters.s_translations;
@@ -117,7 +122,7 @@ let interp_cached () =
 
 let cached_artifacts_verify () =
   let bytes = Lazy.force hello_bytes in
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   let h = Service.submit svc bytes in
   List.iter
     (fun arch ->
@@ -153,7 +158,7 @@ let cached_artifacts_verify () =
 
 let nosfi_not_applicable () =
   let bytes = Lazy.force hello_bytes in
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   let h = Service.submit svc bytes in
   ignore
     (Service.instantiate ~engine:(Exec.Target Arch.Mips) ~sfi:false ~fuel svc h);
@@ -170,7 +175,7 @@ let nosfi_not_applicable () =
 let cached_equals_fresh () =
   let bytes = Lazy.force hello_bytes in
   let exe = Omnivm.Wire.decode bytes in
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   let h = Service.submit svc bytes in
   List.iter
     (fun arch ->
@@ -223,7 +228,9 @@ let lru_capacity_zero () =
 
 let cache_capacity_zero_disables () =
   let bytes = Lazy.force hello_bytes in
-  let svc = Service.create ~cache_capacity:0 () in
+  let svc =
+    Service.of_config { Service.default_config with cache_capacity = 0 }
+  in
   let h = Service.submit svc bytes in
   let r1 = Service.instantiate ~engine:(Exec.Target Arch.X86) ~fuel svc h in
   let r2 = Service.instantiate ~engine:(Exec.Target Arch.X86) ~fuel svc h in
@@ -234,7 +241,9 @@ let cache_capacity_zero_disables () =
 
 let cache_eviction_counted () =
   let bytes = Lazy.force hello_bytes in
-  let svc = Service.create ~cache_capacity:1 () in
+  let svc =
+    Service.of_config { Service.default_config with cache_capacity = 1 }
+  in
   let h = Service.submit svc bytes in
   let run arch =
     ignore (Service.instantiate ~engine:(Exec.Target arch) ~fuel svc h)
@@ -248,14 +257,18 @@ let cache_eviction_counted () =
   Alcotest.(check int) "two evictions" 2 c.Counters.s_evictions;
   Alcotest.(check int) "no hits at capacity 1" 0 c.Counters.s_hits
 
-(* --- run_wire_cached façade --- *)
+(* --- Api.run through a service --- *)
 
-let run_wire_cached_matches () =
+let service_run_matches () =
   let bytes = Lazy.force hello_bytes in
-  let svc = Service.create () in
-  let direct = Api.run_wire ~engine:"ppc" ~fuel bytes in
-  let c1 = Api.run_wire_cached ~service:svc ~engine:"ppc" ~fuel bytes in
-  let c2 = Api.run_wire_cached ~service:svc ~engine:"ppc" ~fuel bytes in
+  let svc = Service.of_config Service.default_config in
+  let req =
+    { Api.default_request with engine = Exec.Target Arch.Ppc; fuel = Some fuel }
+  in
+  let direct = Api.run req (Api.Wire bytes) in
+  let served = { req with service = Some svc } in
+  let c1 = Api.run served (Api.Wire bytes) in
+  let c2 = Api.run served (Api.Wire bytes) in
   check_same_result "cached vs direct" direct c1;
   check_same_result "second cached" direct c2;
   let c = Service.stats svc in
@@ -330,12 +343,16 @@ let service_matches_uncached (seed : int) : bool =
   let src = gen_minic_program rng in
   let arch, sfi, opts = gen_config rng in
   let bytes = Api.compile ~name:"rand" src in
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   let h = Service.submit svc bytes in
   let engine = Exec.Target arch in
   let cold = Service.instantiate ~engine ~sfi ?opts ~fuel svc h in
   let warm = Service.instantiate ~engine ~sfi ?opts ~fuel svc h in
-  let direct = Api.run_exe ~engine ~sfi ?opts ~fuel (Omnivm.Wire.decode bytes) in
+  let direct =
+    Api.run
+      { Api.default_request with engine; sfi; opts; fuel = Some fuel }
+      (Api.Exe (Omnivm.Wire.decode bytes))
+  in
   let c = Service.stats svc in
   c.Counters.s_hits = 1
   && c.Counters.s_translations = 1
@@ -355,82 +372,59 @@ let qcheck_identity =
        QCheck.(make ~print:string_of_int Gen.int)
        service_matches_uncached)
 
-(* --- counters JSON: every field survives to_json/of_json ------------- *)
+(* --- one registry behind every stats surface --- *)
 
-(* A random snapshot. The two histogram-sum fields are seconds printed
-   at %.6f, so the generator snaps them to the 6-decimal grid — any
-   value on that grid must round-trip exactly. *)
-let gen_snapshot =
-  QCheck.Gen.(
-    let sec =
-      map2
-        (fun a b -> float_of_string (Printf.sprintf "%d.%06d" a b))
-        (int_bound 10_000) (int_bound 999_999)
-    in
-    map3
-      (fun i cold warm ->
-        {
-          Counters.s_submits = i 0;
-          s_modules = i 1;
-          s_dedup_hits = i 2;
-          s_bytes_stored = i 3;
-          s_predecode_hits = i 4;
-          s_predecode_misses = i 5;
-          s_hits = i 6;
-          s_misses = i 7;
-          s_evictions = i 8;
-          s_translations = i 9;
-          s_verifications = i 10;
-          s_cert_checks = i 11;
-          s_cert_full_verify = i 12;
-          s_verify_fail = i 13;
-          s_cold_translate_s = cold;
-          s_warm_admit_s = warm;
-          s_instantiations = i 14;
-          s_quarantine_trips = i 15;
-          s_quarantine_refused = i 16;
-          s_quarantine_cleared = i 17;
-          s_crash_reports = i 18;
-          s_deadline_exceeded = i 19;
-          s_persist_append = i 20;
-          s_persist_replay = i 21;
-          s_persist_recovered = i 22;
-          s_persist_quarantined = i 23;
-          s_persist_torn = i 24;
-        })
-      (map
-         (fun a k -> a.(k))
-         (array_size (return 25) (int_bound 1_000_000)))
-      sec sec)
+(* Every instrument a fresh service registers. This is the one list of
+   names outside [Counters.create]: a counter added there must be added
+   here too, and then shows up in every surface without further edits. *)
+let golden_counters =
+  [ "exec.crash.reports"; "exec.deadline.exceeded"; "persist.append";
+    "persist.quarantined"; "persist.recovered"; "persist.replay";
+    "persist.torn"; "service.bytes_stored"; "service.cache.cert_check";
+    "service.cache.cert_full_verify"; "service.cache.evictions";
+    "service.cache.hits"; "service.cache.misses";
+    "service.cache.verify_fail"; "service.dedup_hits";
+    "service.instantiations"; "service.modules";
+    "service.quarantine.cleared"; "service.quarantine.refused";
+    "service.quarantine.trips"; "service.submits"; "service.translations";
+    "service.verifications"; "vm.predecode.hit"; "vm.predecode.miss" ]
 
-let qcheck_counters_json =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:300
-       ~name:"counters snapshot JSON round-trip (all fields, incl. persist)"
-       (QCheck.make gen_snapshot ~print:Counters.to_json)
-       (fun s -> Counters.of_json (Counters.to_json s) = s))
+let golden_histograms = [ "service.cold_translate_s"; "service.warm_admit_s" ]
 
-(* the rendered forms carry the post-schema counters too — a counter
-   added to the snapshot but forgotten in render/to_json is invisible in
-   [--stats] output, which is how the persist counters went missing *)
-let snapshot_surfaces_persist () =
-  let contains s sub =
-    let n = String.length sub in
-    let rec go i =
-      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-    in
-    go 0
-  in
-  let c = Counters.create () in
-  Omni_obs.Metrics.incr c.Counters.persist_append;
-  let s = Counters.snapshot c in
-  Alcotest.(check int) "snapshot sees the bump" 1 s.Counters.s_persist_append;
-  Alcotest.(check bool) "to_json has persist_append" true
-    (contains (Counters.to_json s) "\"persist_append\":1");
-  Alcotest.(check bool) "render has a persistence line" true
-    (contains (Counters.render s) "persist");
-  Alcotest.(check bool) "of_json reads it back" true
-    ((Counters.of_json (Counters.to_json s)).Counters.s_persist_append = 1)
+let registry_golden_key_set () =
+  let svc = Service.of_config Service.default_config in
+  let snap = Metrics.snapshot (Service.metrics svc) in
+  Alcotest.(check (list string)) "counters" golden_counters
+    (List.map fst snap.Metrics.counters);
+  Alcotest.(check (list string)) "gauges" [] (List.map fst snap.Metrics.gauges);
+  Alcotest.(check (list string)) "histograms" golden_histograms
+    (List.map fst snap.Metrics.histograms)
+
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+(* The wire [Stats] reply is the registry's JSON: every serving
+   instrument, the server's own [net.*] counters, and the [phase.*]
+   histograms its tracer feeds, with the typed snapshot's values. *)
+let stats_reply_is_registry () =
+  let svc = Service.of_config Service.default_config in
+  let client = Omni_net.Client.loopback (Omni_net.Server.create svc) in
+  let h = Omni_net.Client.submit client (Lazy.force hello_bytes) in
+  for _ = 1 to 2 do
+    ignore (Omni_net.Client.run ~engine:(Exec.Target Arch.Mips) ~fuel client h)
+  done;
+  let json = Omni_net.Client.stats_json client in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) name true (contains json ("\"" ^ name ^ "\":")))
+    (golden_counters @ golden_histograms @ [ "net.requests" ]);
+  Alcotest.(check bool) "a phase histogram" true (contains json "\"phase.");
+  let hits = (Service.stats svc).Counters.s_hits in
+  Alcotest.(check bool) "warm run hit" true (hits > 0);
+  Alcotest.(check bool) "hits agree with the typed snapshot" true
+    (contains json (Printf.sprintf "\"service.cache.hits\":%d," hits))
 
 let () =
   Alcotest.run "service"
@@ -457,10 +451,10 @@ let () =
            cache_capacity_zero_disables;
          Alcotest.test_case "evictions counted" `Quick cache_eviction_counted ]);
       ("facade",
-       [ Alcotest.test_case "run_wire_cached = run_wire" `Quick
-           run_wire_cached_matches ]);
+       [ Alcotest.test_case "service run = direct run" `Quick
+           service_run_matches ]);
       ("qcheck", [ qcheck_identity ]);
-      ("counters-json",
-       [ qcheck_counters_json;
-         Alcotest.test_case "persist counters surfaced" `Quick
-           snapshot_surfaces_persist ]) ]
+      ("stats-surface",
+       [ Alcotest.test_case "golden key set" `Quick registry_golden_key_set;
+         Alcotest.test_case "stats reply is the registry" `Quick
+           stats_reply_is_registry ]) ]

@@ -306,7 +306,10 @@ let read_protection_transparent () =
   (* honest compiled code produces identical output with read checks on *)
   let w = Omni_workloads.Workloads.compress ~size:Omni_workloads.Workloads.Test in
   let exe = Minic.Driver.compile_exe ~name:"c" w.Omni_workloads.Workloads.source in
-  let expected = (Api.run_exe ~engine:Api.Interp ~fuel:1_000_000_000 exe).Api.output in
+  let expected =
+    (Api.run { Api.default_request with fuel = Some 1_000_000_000 }
+       (Api.Exe exe)).Api.output
+  in
   List.iter
     (fun arch ->
       let img = Api.load exe in

@@ -497,10 +497,10 @@ let service_quarantines () =
   let clock = Clock.manual () in
   let reports = ref [] in
   let svc =
-    Service.create
-      ~quarantine:{ Quarantine.threshold = 2; ttl_s = 60.0; clock }
-      ~on_crash:(fun r -> reports := r :: !reports)
-      ()
+    Service.of_config
+      { Service.default_config with
+        quarantine = Some { Quarantine.threshold = 2; ttl_s = 60.0; clock };
+        on_crash = Some (fun r -> reports := r :: !reports) }
   in
   let h = Service.submit svc (Lazy.force crashy_bytes) in
   let engine = Exec.Target Arch.Mips in
@@ -539,9 +539,12 @@ let service_deadline () =
      faults with deadline_exceeded; the fault is transient, so even many
      such runs never quarantine the module. *)
   let svc =
-    Service.create
-      ~quarantine:{ Quarantine.default_config with clock = Clock.manual () }
-      ~deadline_s:0.01 ~watchdog_poll:64 ~clock:(ticking ()) ()
+    Service.of_config ~clock:(ticking ())
+      { Service.default_config with
+        quarantine =
+          Some { Quarantine.default_config with clock = Clock.manual () };
+        deadline_s = Some 0.01;
+        watchdog_poll = Some 64 }
   in
   let h = Service.submit svc (Lazy.force spin_bytes) in
   for _ = 1 to 5 do
@@ -566,12 +569,13 @@ let service_deadline () =
 let survival_1000 () =
   let reports = ref 0 in
   let svc =
-    Service.create
-      ~quarantine:
-        { Quarantine.threshold = 3; ttl_s = 1e9; clock = Clock.manual () }
-      ~watchdog_poll:64 ~clock:(ticking ())
-      ~on_crash:(fun _ -> incr reports)
-      ()
+    Service.of_config ~clock:(ticking ())
+      { Service.default_config with
+        quarantine =
+          Some
+            { Quarantine.threshold = 3; ttl_s = 1e9; clock = Clock.manual () };
+        watchdog_poll = Some 64;
+        on_crash = Some (fun _ -> incr reports) }
   in
   let good = Service.submit svc (Lazy.force hello_bytes) in
   let crashy = Service.submit svc (Lazy.force crashy_bytes) in

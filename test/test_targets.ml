@@ -346,7 +346,9 @@ let tier_ordering () =
 let sfi_opt_correct () =
   let w = Omni_workloads.Workloads.li ~size:Omni_workloads.Workloads.Test in
   let exe = Minic.Driver.compile_exe ~name:"li" w.Omni_workloads.Workloads.source in
-  let interp = Api.run_exe ~engine:Api.Interp ~fuel:500_000_000 exe in
+  let interp =
+    Api.run { Api.default_request with fuel = Some 500_000_000 } (Api.Exe exe)
+  in
   List.iter
     (fun arch ->
       let run opts =

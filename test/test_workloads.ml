@@ -25,7 +25,12 @@ let check_workload (w : W.t) () =
         (fun sfi ->
           let e = Result.get_ok (Api.engine_of_string engine) in
           if not (e = Api.Interp && not sfi) then begin
-            let r = Api.run_exe ~engine:e ~sfi ~fuel:1_000_000_000 exe in
+            let r =
+              Api.run
+                { Api.default_request with
+                  engine = e; sfi; fuel = Some 1_000_000_000 }
+                (Api.Exe exe)
+            in
             (match r.Api.outcome with
             | Machine.Exited 0 -> ()
             | Machine.Exited c -> Alcotest.failf "%s exited %d" engine c
@@ -44,7 +49,10 @@ let check_workload (w : W.t) () =
 let guard_mode_transparent (w : W.t) () =
   let exe = Minic.Driver.compile_exe ~name:w.W.name w.W.source in
   let expected =
-    let r = Api.run_exe ~engine:Api.Interp ~fuel:1_000_000_000 exe in
+    let r =
+      Api.run { Api.default_request with fuel = Some 1_000_000_000 }
+        (Api.Exe exe)
+    in
     r.Api.output
   in
   List.iter
@@ -72,7 +80,10 @@ let wire_roundtrip (w : W.t) () =
   let exe' = Omnivm.Wire.decode (Omnivm.Wire.encode exe) in
   Alcotest.(check int) "text" (Array.length exe.Omnivm.Exe.text)
     (Array.length exe'.Omnivm.Exe.text);
-  let r = Api.run_exe ~engine:Api.Interp ~fuel:1_000_000_000 exe' in
+  let r =
+    Api.run { Api.default_request with fuel = Some 1_000_000_000 }
+      (Api.Exe exe')
+  in
   match r.Api.outcome with
   | Machine.Exited 0 -> ()
   | _ -> Alcotest.fail "decoded module failed to run"
@@ -84,8 +95,11 @@ let instruction_mixes () =
   let stats (w : W.t) =
     let exe = Minic.Driver.compile_exe ~name:w.W.name w.W.source in
     let r =
-      Api.run_exe ~engine:(Api.Target Omni_targets.Arch.Mips)
-        ~fuel:1_000_000_000 exe
+      Api.run
+        { Api.default_request with
+          engine = Api.Target Omni_targets.Arch.Mips;
+          fuel = Some 1_000_000_000 }
+        (Api.Exe exe)
     in
     Option.get r.Api.stats
   in
