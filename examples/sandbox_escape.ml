@@ -66,13 +66,11 @@ main:   li r2, %d
 let run_attack src ~sfi =
   let exe = Omni_asm.Link.link [ Omni_asm.Parse.assemble ~name:"evil" src ] in
   let img = Api.load ~map_host_region:true exe in
-  let canary =
-    match img.Omni_runtime.Loader.host_region with
-    | Some r ->
-        Bytes.fill r.Omnivm.Memory.bytes 0 64 '\xAB';
-        r
-    | None -> assert false
-  in
+  let mem = img.Omni_runtime.Loader.mem in
+  let host_base = Omnivm.Layout.host_base in
+  (match img.Omni_runtime.Loader.host_region with
+  | Some _ -> Omnivm.Memory.blit_in mem ~addr:host_base (Bytes.make 64 '\xAB')
+  | None -> assert false);
   let mode =
     if sfi then Machine.Mobile (Omni_sfi.Policy.make ())
     else Machine.Mobile Omni_sfi.Policy.off
@@ -83,7 +81,9 @@ let run_attack src ~sfi =
   in
   let r = Api.run_translated ~fuel:1_000_000 tr img in
   let intact =
-    Bytes.for_all (fun c -> c = '\xAB') (Bytes.sub canary.Omnivm.Memory.bytes 0 64)
+    Bytes.for_all
+      (fun c -> c = '\xAB')
+      (Omnivm.Memory.read_bytes mem ~addr:host_base ~len:64)
   in
   let outcome =
     match r.Api.outcome with

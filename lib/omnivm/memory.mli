@@ -8,7 +8,12 @@
 
     Access outside any region, against a region's permissions, or
     straddling a region boundary raises {!Fault.Vm_fault} with an
-    access-violation payload. *)
+    access-violation payload.
+
+    Regions are tables of 4 KiB pages. Pages nobody has written are shared
+    read-only (the zero page, or the {!pages} a region was mapped from);
+    the first write to a page copies it, so a memory holds only the pages
+    it has written. *)
 
 type perm = { read : bool; write : bool; execute : bool }
 
@@ -17,31 +22,44 @@ val perm_r : perm
 val perm_rx : perm
 val perm_rwx : perm
 
-type region = {
-  name : string;
-  base : int;
-  size : int;
-  mutable perm : perm;
-  bytes : Bytes.t;
-}
+type region
+
+val base : region -> int
+val size : region -> int
+
+type pages
+(** The initial contents of a region: an immutable page table that every
+    region mapped from it shares until it writes. *)
+
+val pages : size:int -> at:int -> Bytes.t -> pages
+(** [pages ~size ~at b] is [size] bytes, zero except for [b] at offset
+    [at]. All-zero pages are the shared zero page.
+    @raise Invalid_argument unless [b] fits. *)
 
 type t
 
 val create : unit -> t
 
-val map : t -> name:string -> base:int -> size:int -> perm:perm -> region
-(** Map a fresh zero-filled region. [base] must be page (4 KiB) aligned.
-    @raise Invalid_argument on overlap or bad arguments. *)
+val map :
+  ?init:pages -> t -> name:string -> base:int -> size:int -> perm:perm -> region
+(** Map a region reading as [init] (default: all zero) without copying
+    it. [base] must be page (4 KiB) aligned.
+    @raise Invalid_argument on overlap or bad arguments, or if [init] was
+    built for another size. *)
 
 val region_of : t -> int -> region option
-val find_region : t -> string -> region option
 
 val set_perm : t -> string -> perm -> unit
 (** Change a region's permissions by name (the host-imposed permission
     model of the paper's SDCA). *)
 
+val resident_pages : t -> int
+(** Pages this memory has copied on write and owns. *)
+
 (** {2 Checked accesses} — loads return canonical {!Omni_util.Word32}
-    values (unsigned for sub-word widths). *)
+    values (unsigned for sub-word widths). An 8-byte access is two
+    4-byte halves at [addr] and [addr + 4], each checked on its own; a
+    store writes neither half unless both pass. *)
 
 val load8 : t -> int -> int
 val load16 : t -> int -> int
@@ -57,7 +75,8 @@ val store_float : t -> int -> float -> unit
 val store_single : t -> int -> float -> unit
 
 (** {2 Trusted bulk access} — used by the loader and host; bypasses
-    permissions. *)
+    permissions. The range must lie in one region.
+    @raise Invalid_argument otherwise. *)
 
 val blit_in : t -> addr:int -> Bytes.t -> unit
 val read_bytes : t -> addr:int -> len:int -> Bytes.t

@@ -1,8 +1,8 @@
 (* Module loader: set up the segmented address space for a mobile module and
    instantiate the host environment.
 
-   The loader is the trusted component: it maps the code and data segments,
-   copies the module's initialized data image, reserves heap and stack inside
+   The loader is the trusted component: it maps the code and data segments
+   with the module's initialized data image, reserves heap and stack inside
    the data segment, and (optionally) maps a region standing in for the
    host's own memory so tests can demonstrate what SFI protects. *)
 
@@ -16,16 +16,22 @@ type image = {
   host_region : Memory.region option;
 }
 
-(* A validated loading plan: segment geometry and host grant computed once
-   per executable, so a serving host can stamp out many isolated images of
-   the same module without re-checking sizes on every instantiation. *)
+(* A validated loading plan: segment geometry, host grant and the initial
+   data pages computed once per executable, so a serving host can stamp
+   out many isolated images of the same module without re-checking sizes
+   or copying the data image on every instantiation. *)
 type blueprint = {
   bp_exe : Exe.t;
   bp_allow : Hostcall.t list;
   bp_map_host_region : bool;
   bp_heap_start : int;
   bp_heap_limit : int;
+  bp_data : Memory.pages;
+      (* the reserved runtime area, then [exe.data] *)
 }
+
+(* The code segment's contents: every page is the zero page. *)
+let code_pages = Memory.pages ~size:Layout.code_size ~at:0 Bytes.empty
 
 let blueprint ?(allow = Hostcall.all) ?(map_host_region = false)
     ?(stack_size = Layout.default_stack_size) (exe : Exe.t) : blueprint =
@@ -36,7 +42,10 @@ let blueprint ?(allow = Hostcall.all) ?(map_host_region = false)
   let heap_limit = Layout.data_base + Layout.data_size - stack_size in
   if heap_start > heap_limit then invalid_arg "Loader.load: data too large";
   { bp_exe = exe; bp_allow = allow; bp_map_host_region = map_host_region;
-    bp_heap_start = heap_start; bp_heap_limit = heap_limit }
+    bp_heap_start = heap_start; bp_heap_limit = heap_limit;
+    bp_data =
+      Memory.pages ~size:Layout.data_size ~at:Layout.reserved_data
+        exe.Exe.data }
 
 let instantiate (bp : blueprint) : image =
   Trace.phase "load" @@ fun () ->
@@ -46,13 +55,14 @@ let instantiate (bp : blueprint) : image =
   (* The code segment is mapped for realism (it holds no fetchable bytes in
      this implementation: engines execute structured instruction arrays; the
      region exists so data reads of code addresses behave like hardware:
-     readable, not writable). *)
+     readable, not writable). Both segments share their pages with every
+     other image until this one writes them. *)
   ignore
-    (Memory.map mem ~name:"code" ~base:Layout.code_base ~size:Layout.code_size
-       ~perm:Memory.perm_rx);
+    (Memory.map ~init:code_pages mem ~name:"code" ~base:Layout.code_base
+       ~size:Layout.code_size ~perm:Memory.perm_rx);
   ignore
-    (Memory.map mem ~name:"data" ~base:Layout.data_base ~size:Layout.data_size
-       ~perm:Memory.perm_rw);
+    (Memory.map ~init:bp.bp_data mem ~name:"data" ~base:Layout.data_base
+       ~size:Layout.data_size ~perm:Memory.perm_rw);
   let host_region =
     if bp.bp_map_host_region then
       Some
@@ -60,8 +70,6 @@ let instantiate (bp : blueprint) : image =
            ~size:Layout.host_size ~perm:Memory.perm_rw)
     else None
   in
-  Memory.blit_in mem ~addr:(Layout.data_base + Layout.reserved_data)
-    exe.Exe.data;
   let host =
     Host.create ~allow:bp.bp_allow ~heap_start:bp.bp_heap_start
       ~heap_limit:bp.bp_heap_limit ()

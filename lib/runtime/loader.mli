@@ -18,13 +18,14 @@ val load :
   ?stack_size:int ->
   Exe.t ->
   image
-(** Map code/data segments, copy the initialized data image above the
+(** Map code/data segments with the initialized data image above the
     reserved runtime area, and reserve heap and stack. [allow] is the host
     grant (default: every service). *)
 
 type blueprint
-(** A validated loading plan for one executable: segment geometry and the
-    host grant, computed (and size-checked) once. A serving host keeps a
+(** A validated loading plan for one executable: segment geometry, the
+    host grant and the initial data pages, computed (and size-checked)
+    once. A serving host keeps a
     blueprint per cached module and stamps out fresh isolated images with
     {!instantiate}. *)
 
@@ -38,6 +39,8 @@ val blueprint :
 
 val instantiate : blueprint -> image
 (** A fresh, fully isolated image: new memory, new host environment.
+    The memory's page tables point at the blueprint's shared pages, which
+    the image copies on first write, so instantiation copies no bytes.
     [load exe] is [instantiate (blueprint exe)]. *)
 
 val load_wire :

@@ -95,9 +95,9 @@ let window_around mem fault =
       match Omnivm.Memory.region_of mem addr with
       | None -> (-1, "")
       | Some r ->
-          let base = r.Omnivm.Memory.base in
+          let base = Omnivm.Memory.base r in
           let lo = max base (addr - 32) in
-          let hi = min (base + r.Omnivm.Memory.size) (addr + 32) in
+          let hi = min (base + Omnivm.Memory.size r) (addr + 32) in
           if hi <= lo then (-1, "")
           else
             ( lo,

@@ -602,6 +602,10 @@ let socket_e2e () =
                 in
                 check_same_result "socket run = local run" (local_x86 bytes)
                   remote;
+                (* The daemon serves one connection at a time: close this
+                   one so the next is served now, rather than when the
+                   daemon's 30 s idle timeout races the client's own. *)
+                Client.close client;
                 (* hostile frame on a second connection; the daemon
                    answers with a typed error and survives *)
                 let c2 = Transport.connect (Transport.Unix_sock path) in
@@ -624,8 +628,7 @@ let socket_e2e () =
                 let json = Client.stats_json client3 in
                 Alcotest.(check bool) "daemon reports a cache hit" true
                   (hits_positive json);
-                Client.close client3;
-                Client.close client))
+                Client.close client3))
 
 (* A daemon that stalls mid-frame: the first connection answers with 7
    bytes of a Pong frame and then hangs past the client's read timeout.

@@ -356,6 +356,405 @@ let overlap_rejected () =
         (Omnivm.Memory.map mem ~name:"b" ~base:0x2000 ~size:0x1000
            ~perm:Omnivm.Memory.perm_rw))
 
+(* An 8-byte store whose high word faults writes nothing: not past the
+   region end, not into a read-only neighbour, not when its low word
+   straddles a page. *)
+let store_float_precise () =
+  let module M = Omnivm.Memory in
+  let mem = M.create () in
+  ignore (M.map mem ~name:"a" ~base:0x1000 ~size:0x1000 ~perm:M.perm_rw);
+  ignore (M.map mem ~name:"b" ~base:0x3000 ~size:0x1000 ~perm:M.perm_rw);
+  ignore (M.map mem ~name:"ro" ~base:0x4000 ~size:0x1000 ~perm:M.perm_r);
+  ignore (M.map mem ~name:"c" ~base:0x6000 ~size:0x1004 ~perm:M.perm_rw);
+  let violation addr =
+    Omnivm.Fault.Vm_fault
+      (Omnivm.Fault.Access_violation { addr; access = Omnivm.Fault.Write })
+  in
+  let pattern = Bytes.of_string "\x5A\x5A\x5A\x5A\xA5\xA5\xA5\xA5" in
+  (* [len] bytes at [addr] still hold the pattern from byte [off] on *)
+  let unchanged name addr off len =
+    Alcotest.(check string) name
+      (Bytes.sub_string pattern off len)
+      (Bytes.to_string (M.read_bytes mem ~addr ~len))
+  in
+  M.blit_in mem ~addr:0x1FFC (Bytes.sub pattern 0 4);
+  Alcotest.check_raises "high word past the region end" (violation 0x2000)
+    (fun () -> M.store_float mem 0x1FFC 1.0);
+  unchanged "region end: low word intact" 0x1FFC 0 4;
+  M.blit_in mem ~addr:0x3FFC (Bytes.sub pattern 0 4);
+  M.blit_in mem ~addr:0x4000 (Bytes.sub pattern 4 4);
+  Alcotest.check_raises "high word read-only" (violation 0x4000) (fun () ->
+      M.store64 mem 0x3FFC 0x0123456789ABCDEFL);
+  unchanged "read-only neighbour: low word intact" 0x3FFC 0 4;
+  unchanged "read-only neighbour: high word intact" 0x4000 4 4;
+  M.blit_in mem ~addr:0x6FFE (Bytes.sub pattern 0 6);
+  Alcotest.check_raises "straddling low word, short high word" (violation 0x7005)
+    (fun () -> M.store_float mem 0x6FFE 2.5);
+  unchanged "page straddle: bytes intact" 0x6FFE 0 6
+
+(* --- paged memory against a flat reference model ---
+
+   Random operation sequences run against [Omnivm.Memory] and against a
+   flat [Bytes.t]-per-region model of the same semantics; every step must
+   return the same value or raise the same fault. *)
+
+module Flat = struct
+  module M = Omnivm.Memory
+  module F = Omnivm.Fault
+
+  type region = {
+    name : string;
+    base : int;
+    size : int;
+    mutable perm : M.perm;
+    bytes : Bytes.t;
+  }
+
+  let fault addr access = raise (F.Vm_fault (F.Access_violation { addr; access }))
+
+  let find t addr =
+    List.find_opt (fun r -> addr >= r.base && addr < r.base + r.size) t
+
+  let check t addr width access =
+    match find t addr with
+    | None -> fault addr access
+    | Some r ->
+        let ok =
+          match access with
+          | F.Read -> r.perm.M.read
+          | F.Write -> r.perm.M.write
+          | F.Execute -> r.perm.M.execute
+        in
+        if not ok then fault addr access;
+        if addr - r.base + width > r.size then fault (addr + width - 1) access;
+        r
+
+  (* unsigned little-endian *)
+  let load t addr width =
+    let addr = addr land 0xFFFFFFFF in
+    let r = check t addr width F.Read in
+    let v = ref 0 in
+    for i = width - 1 downto 0 do
+      v := (!v lsl 8) lor Char.code (Bytes.get r.bytes (addr - r.base + i))
+    done;
+    !v
+
+  let store t addr width v =
+    let addr = addr land 0xFFFFFFFF in
+    let r = check t addr width F.Write in
+    for i = 0 to width - 1 do
+      Bytes.set r.bytes (addr - r.base + i)
+        (Char.chr ((v lsr (8 * i)) land 0xFF))
+    done
+
+  let load64 t addr =
+    let lo = load t addr 4 in
+    let hi = load t (addr + 4) 4 in
+    Int64.logor (Int64.of_int lo) (Int64.shift_left (Int64.of_int hi) 32)
+
+  let store64 t addr v =
+    ignore (check t (addr land 0xFFFFFFFF) 4 F.Write);
+    ignore (check t ((addr + 4) land 0xFFFFFFFF) 4 F.Write);
+    store t addr 4 (Int64.to_int v);
+    store t (addr + 4) 4 (Int64.to_int (Int64.shift_right_logical v 32))
+
+  let trusted what t addr len =
+    match find t addr with
+    | None -> invalid_arg ("Memory." ^ what ^ ": unmapped")
+    | Some r ->
+        if addr - r.base + len > r.size then
+          invalid_arg ("Memory." ^ what ^ ": overflow");
+        r
+
+  let blit_in t addr b =
+    let r = trusted "blit_in" t addr (Bytes.length b) in
+    Bytes.blit b 0 r.bytes (addr - r.base) (Bytes.length b)
+
+  let read_bytes t addr len =
+    let r = trusted "read_bytes" t addr len in
+    Bytes.sub r.bytes (addr - r.base) len
+
+  let read_cstring t addr max_len =
+    let buf = Buffer.create 16 in
+    let rec go a n =
+      if n < max_len then
+        let c = load t a 1 in
+        if c <> 0 then (
+          Buffer.add_char buf (Char.chr c);
+          go (a + 1) (n + 1))
+    in
+    go addr 0;
+    Buffer.contents buf
+
+  let set_perm t name p = (List.find (fun r -> r.name = name) t).perm <- p
+end
+
+(* name, base, size, perm; "lo"/"hi" make 8-byte accesses wrap at 2^32,
+   "a"/"b" are adjacent with a read-only, page-ragged "b", and "init" is
+   mapped from shared initial pages. *)
+let model_regions =
+  Omnivm.Memory.
+    [ ("lo", 0x0, 0x1000, perm_rw);
+      ("a", 0x10000, 0x3000, perm_rw);
+      ("b", 0x13000, 0x1800, perm_r);
+      ("init", 0x20000, 0x2000, perm_rw);
+      ("hi", 0xFFFFF000, 0x1000, perm_rw) ]
+
+let model_perms =
+  Omnivm.Memory.
+    [ perm_rw; perm_r; perm_rx; perm_rwx;
+      { read = false; write = false; execute = false } ]
+
+type mop =
+  | Load of int * int (* width 1, 2, 4 or 8; address *)
+  | Load_float of int
+  | Load_single of int
+  | Store of int * int * int
+  | Store_float of int * int64 (* bits *)
+  | Store_single of int * int32
+  | Blit of int * string
+  | Read of int * int
+  | Cstring of int * int
+  | Perm of string * int (* index into [model_perms] *)
+
+let show_mop = function
+  | Load (w, a) -> Printf.sprintf "load%d 0x%x" (8 * w) a
+  | Load_float a -> Printf.sprintf "load_float 0x%x" a
+  | Load_single a -> Printf.sprintf "load_single 0x%x" a
+  | Store (w, a, v) -> Printf.sprintf "store%d 0x%x %d" (8 * w) a v
+  | Store_float (a, b) -> Printf.sprintf "store_float 0x%x 0x%Lx" a b
+  | Store_single (a, b) -> Printf.sprintf "store_single 0x%x 0x%lx" a b
+  | Blit (a, s) -> Printf.sprintf "blit_in 0x%x (%d bytes)" a (String.length s)
+  | Read (a, n) -> Printf.sprintf "read_bytes 0x%x %d" a n
+  | Cstring (a, n) -> Printf.sprintf "read_cstring 0x%x %d" a n
+  | Perm (r, p) -> Printf.sprintf "set_perm %s #%d" r p
+
+(* Addresses cluster on page boundaries, region ends and the bytes just
+   outside a region. *)
+let gen_model_addr =
+  let open QCheck.Gen in
+  let points =
+    List.concat_map
+      (fun (_, base, size, _) ->
+        (base + size) :: List.init ((size / 4096) + 1) (fun k -> base + (k * 4096)))
+      model_regions
+  in
+  frequency
+    [ (9, map2 ( + ) (oneofl points) (int_range (-9) 9));
+      (1, int_bound 0xFFFFFFFF) ]
+
+let gen_mop =
+  let open QCheck.Gen in
+  let a = gen_model_addr in
+  frequency
+    [ (4, map2 (fun w a -> Load (w, a)) (oneofl [ 1; 2; 4; 8 ]) a);
+      (1, map (fun a -> Load_float a) a);
+      (1, map (fun a -> Load_single a) a);
+      (4, map3 (fun w a v -> Store (w, a, v)) (oneofl [ 1; 2; 4; 8 ]) a int);
+      (1, map2 (fun a b -> Store_float (a, b)) a ui64);
+      (1, map2 (fun a b -> Store_single (a, b)) a ui32);
+      (2, map2 (fun a s -> Blit (a, s)) a (string_size (int_bound 5000)));
+      (2, map2 (fun a n -> Read (a, n)) a (int_bound 5000));
+      (1, map2 (fun a n -> Cstring (a, n)) a (int_bound 64));
+      (1,
+       map2
+         (fun (name, _, _, _) p -> Perm (name, p))
+         (oneofl model_regions)
+         (int_bound (List.length model_perms - 1))) ]
+
+type mres =
+  | Int of int
+  | I64 of int64
+  | Str of string
+  | Unit
+  | Fault of Omnivm.Fault.t
+  | Invalid of string
+
+let observe f =
+  match f () with
+  | r -> r
+  | exception Omnivm.Fault.Vm_fault x -> Fault x
+  | exception Invalid_argument m -> Invalid m
+
+let paged_step mem = function
+  | Load (8, a) -> I64 (Omnivm.Memory.load64 mem a)
+  | Load (4, a) -> Int (Omnivm.Memory.load32 mem a)
+  | Load (2, a) -> Int (Omnivm.Memory.load16 mem a)
+  | Load (_, a) -> Int (Omnivm.Memory.load8 mem a)
+  | Load_float a -> I64 (Int64.bits_of_float (Omnivm.Memory.load_float mem a))
+  | Load_single a ->
+      I64 (Int64.bits_of_float (Omnivm.Memory.load_single mem a))
+  | Store (8, a, v) -> Omnivm.Memory.store64 mem a (Int64.of_int v); Unit
+  | Store (4, a, v) -> Omnivm.Memory.store32 mem a v; Unit
+  | Store (2, a, v) -> Omnivm.Memory.store16 mem a v; Unit
+  | Store (_, a, v) -> Omnivm.Memory.store8 mem a v; Unit
+  | Store_float (a, b) ->
+      Omnivm.Memory.store_float mem a (Int64.float_of_bits b); Unit
+  | Store_single (a, b) ->
+      Omnivm.Memory.store_single mem a (Int32.float_of_bits b); Unit
+  | Blit (a, s) -> Omnivm.Memory.blit_in mem ~addr:a (Bytes.of_string s); Unit
+  | Read (a, n) -> Str (Bytes.to_string (Omnivm.Memory.read_bytes mem ~addr:a ~len:n))
+  | Cstring (a, n) -> Str (Omnivm.Memory.read_cstring mem ~addr:a ~max_len:n)
+  | Perm (r, p) -> Omnivm.Memory.set_perm mem r (List.nth model_perms p); Unit
+
+let flat_step flat = function
+  | Load (8, a) -> I64 (Flat.load64 flat a)
+  | Load (4, a) -> Int (W.of_int (Flat.load flat a 4))
+  | Load (w, a) -> Int (Flat.load flat a w)
+  | Load_float a ->
+      I64 (Int64.bits_of_float (Int64.float_of_bits (Flat.load64 flat a)))
+  | Load_single a ->
+      I64
+        (Int64.bits_of_float
+           (Int32.float_of_bits (Int32.of_int (Flat.load flat a 4))))
+  | Store (8, a, v) -> Flat.store64 flat a (Int64.of_int v); Unit
+  | Store (w, a, v) -> Flat.store flat a w v; Unit
+  | Store_float (a, b) ->
+      Flat.store64 flat a (Int64.bits_of_float (Int64.float_of_bits b)); Unit
+  | Store_single (a, b) ->
+      Flat.store flat a 4
+        (Int32.to_int (Int32.bits_of_float (Int32.float_of_bits b)));
+      Unit
+  | Blit (a, s) -> Flat.blit_in flat a (Bytes.of_string s); Unit
+  | Read (a, n) -> Str (Bytes.to_string (Flat.read_bytes flat a n))
+  | Cstring (a, n) -> Str (Flat.read_cstring flat a n)
+  | Perm (r, p) -> Flat.set_perm flat r (List.nth model_perms p); Unit
+
+let paged_vs_flat =
+  let gen =
+    QCheck.Gen.(
+      triple (int_bound 0x1F00) (string_size (int_range 1 300))
+        (list_size (int_range 1 60) gen_mop))
+  in
+  let print (at, init, ops) =
+    Printf.sprintf "init: %d bytes at +0x%x\n%s" (String.length init) at
+      (String.concat "\n" (List.map show_mop ops))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:400 ~name:"paged memory = flat reference"
+       (QCheck.make ~print gen)
+       (fun (at, init, ops) ->
+         let init_size = 0x2000 in
+         let init = Bytes.of_string init in
+         let init = Bytes.sub init 0 (min (Bytes.length init) (init_size - at)) in
+         let pages = Omnivm.Memory.pages ~size:init_size ~at init in
+         let fresh () =
+           let mem = Omnivm.Memory.create () in
+           List.iter
+             (fun (name, base, size, perm) ->
+               let init = if name = "init" then Some pages else None in
+               ignore (Omnivm.Memory.map ?init mem ~name ~base ~size ~perm))
+             model_regions;
+           mem
+         in
+         let mem = fresh () and twin = fresh () in
+         let flat =
+           List.map
+             (fun (name, base, size, perm) ->
+               let bytes = Bytes.make size '\000' in
+               if name = "init" then Bytes.blit init 0 bytes at (Bytes.length init);
+               { Flat.name; base; size; perm; bytes })
+             model_regions
+         in
+         List.iter
+           (fun op ->
+             let got = observe (fun () -> paged_step mem op) in
+             let want = observe (fun () -> flat_step flat op) in
+             if got <> want then
+               QCheck.Test.fail_reportf "%s: paged and flat disagree"
+                 (show_mop op))
+           ops;
+         (* every byte agrees at the end, and the twin mapped from the
+            same initial pages never saw a write *)
+         List.for_all
+           (fun r ->
+             Bytes.equal r.Flat.bytes
+               (Omnivm.Memory.read_bytes mem ~addr:r.Flat.base ~len:r.Flat.size))
+           flat
+         && Bytes.equal
+              (Omnivm.Memory.read_bytes twin ~addr:0x20000 ~len:init_size)
+              (let b = Bytes.make init_size '\000' in
+               Bytes.blit init 0 b at (Bytes.length init);
+               b)))
+
+(* The crash report's hexdump window, cut from a faulting run's memory,
+   equals the window cut from the flat reference: inside a region, at
+   both edges of one, and outside every region. *)
+let crash_window () =
+  let module L = Omnivm.Layout in
+  let canary = String.init 64 (fun i -> Char.chr (0xA0 + (i land 0xF))) in
+  let globals = "\x44\x33\x22\x11\x88\x77\x66\x55" in
+  let regions =
+    [ (L.code_base, L.code_size); (L.data_base, L.data_size);
+      (L.host_base, L.host_size) ]
+  in
+  let ref_byte a =
+    let g = a - (L.data_base + L.reserved_data) and h = a - L.host_base in
+    if g >= 0 && g < String.length globals then globals.[g]
+    else if h >= 0 && h < String.length canary then canary.[h]
+    else '\000'
+  in
+  let ref_window addr =
+    match List.find_opt (fun (b, s) -> addr >= b && addr < b + s) regions with
+    | None -> (-1, "")
+    | Some (b, s) ->
+        let lo = max b (addr - 32) and hi = min (b + s) (addr + 32) in
+        (lo, String.init (hi - lo) (fun i -> ref_byte (lo + i)))
+  in
+  let case ~store ~addr ~fault_at =
+    let src =
+      Printf.sprintf
+        {|
+        .data
+        .globl g
+g:      .word 0x11223344
+        .word 0x55667788
+        .text
+        .globl main
+main:   li r2, %d
+        li r3, 7
+        %s r3, 0(r2)
+        li r1, 0
+        hcall 0
+|}
+        (W.of_int addr) store
+    in
+    let exe = Omni_asm.Link.link [ Omni_asm.Parse.assemble ~name:"t" src ] in
+    let img = Omni_service.Exec.load ~map_host_region:true exe in
+    let mem = img.Omni_runtime.Loader.mem in
+    Omnivm.Memory.blit_in mem ~addr:L.host_base (Bytes.of_string canary);
+    (* read-only data and host regions, so stores inside them fault *)
+    if store = "sb" then begin
+      Omnivm.Memory.set_perm mem "data" Omnivm.Memory.perm_r;
+      Omnivm.Memory.set_perm mem "host" Omnivm.Memory.perm_r
+    end;
+    let r = Omni_service.Exec.run_interp ~fuel:1000 img in
+    let name = Printf.sprintf "%s 0x%x" store addr in
+    (match r.Omni_service.Exec.outcome with
+    | Omni_targets.Machine.Faulted
+        (Omnivm.Fault.Access_violation { addr = a; access = Omnivm.Fault.Write })
+      ->
+        Alcotest.(check int) (name ^ ": fault address") fault_at a
+    | _ -> Alcotest.failf "%s: expected a write access violation" name);
+    match r.Omni_service.Exec.crash with
+    | None -> Alcotest.failf "%s: no crash report" name
+    | Some c ->
+        let base, window = ref_window fault_at in
+        Alcotest.(check int) (name ^ ": window base") base
+          c.Omni_service.Exec.cs_window_base;
+        Alcotest.(check string) (name ^ ": window") window
+          c.Omni_service.Exec.cs_window
+  in
+  let data_end = L.data_base + L.data_size and code_end = L.code_base + L.code_size in
+  List.iter
+    (fun addr -> case ~store:"sb" ~addr ~fault_at:addr)
+    [ L.data_base + L.reserved_data + 2; L.data_base; L.data_base + 31;
+      data_end - 1; data_end - 32; L.code_base + 0x100; L.code_base;
+      code_end - 1; L.host_base + 10; L.host_base + L.host_size - 1;
+      data_end; L.host_base - 1; L.host_base + L.host_size; 0x0 ];
+  (* straddling the end of a writable region faults just outside it *)
+  case ~store:"sw" ~addr:(data_end - 2) ~fault_at:(data_end + 1)
+
 (* --- wire format round-trip --- *)
 
 let gen_reg = QCheck.Gen.int_bound 15
@@ -534,7 +933,11 @@ let () =
          Alcotest.test_case "sbrk heap" `Quick sbrk_heap ]);
       ("memory",
        [ Alcotest.test_case "unit" `Quick memory_unit;
-         Alcotest.test_case "overlap rejected" `Quick overlap_rejected ]);
+         Alcotest.test_case "overlap rejected" `Quick overlap_rejected;
+         Alcotest.test_case "8-byte stores are precise" `Quick
+           store_float_precise;
+         paged_vs_flat;
+         Alcotest.test_case "crash window = reference" `Quick crash_window ]);
       ("wire",
        [ wire_roundtrip;
          wire_decode_robust;

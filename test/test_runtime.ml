@@ -120,6 +120,147 @@ main:   li r1, 0
   Alcotest.(check bool) "host region on demand" true
     (img2.Loader.host_region <> None)
 
+(* --- copy-on-write images --- *)
+
+(* Globals spanning two pages, so the heap starts on a third. *)
+let cow_exe =
+  lazy
+    (Omni_asm.Link.link
+       [ Omni_asm.Parse.assemble ~name:"cow"
+           {|
+        .data
+        .globl g
+g:      .word 0x11223344
+        .space 5000
+        .globl h
+h:      .word 0x55667788
+        .text
+        .globl main
+main:   li r1, 0
+        hcall 0
+|} ])
+
+(* What every fresh image of [exe] holds: zeros, with the data image
+   above the reserved runtime area. *)
+let initial_data exe =
+  let b = Bytes.make L.data_size '\000' in
+  let d = exe.Omnivm.Exe.data in
+  Bytes.blit d 0 b L.reserved_data (Bytes.length d);
+  b
+
+let data_of (img : Loader.image) =
+  Omnivm.Memory.read_bytes img.Loader.mem ~addr:L.data_base ~len:L.data_size
+
+(* Writes to one image's globals, stack and heap pages are invisible to a
+   sibling instantiated before them and to one instantiated after, and
+   the blueprint's pages and the zero page read back unchanged. *)
+let cow_isolation =
+  let exe = Lazy.force cow_exe in
+  let bp = Loader.blueprint exe in
+  let probe = Loader.instantiate bp in
+  let heap = probe.Loader.host.Host.brk in
+  let g = Option.get (Omnivm.Exe.lookup_symbol exe "g") in
+  let gen_write =
+    QCheck.Gen.(
+      let near p =
+        map
+          (fun d -> max L.data_base (min (L.data_base + L.data_size - 8) (p + d)))
+          (int_range (-64) 64)
+      in
+      let addr =
+        frequency
+          [ (3, near g); (2, near (g + 4096)); (3, near heap);
+            (3, near (L.initial_sp - 64)); (1, near (L.data_base + L.data_size - 8));
+            (1, map (fun o -> L.data_base + o) (int_bound (L.data_size - 8))) ]
+      in
+      pair addr (string_size (int_range 1 8)))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:25 ~name:"writes stay in their image"
+       QCheck.(
+         make
+           ~print:(fun ws ->
+             String.concat "; "
+               (List.map (fun (a, s) -> Printf.sprintf "0x%x:%d" a (String.length s)) ws))
+           Gen.(list_size (int_range 1 40) gen_write))
+       (fun writes ->
+         let a = Loader.instantiate bp and b = Loader.instantiate bp in
+         let expect_a = initial_data exe in
+         List.iteri
+           (fun i (addr, s) ->
+             let v = Bytes.of_string s in
+             (* alternate guest stores and trusted blits *)
+             if i land 1 = 0 then
+               Bytes.iteri
+                 (fun j c -> Omnivm.Memory.store8 a.Loader.mem (addr + j) (Char.code c))
+                 v
+             else Omnivm.Memory.blit_in a.Loader.mem ~addr v;
+             Bytes.blit v 0 expect_a (addr - L.data_base) (Bytes.length v))
+           writes;
+         let c = Loader.instantiate bp in
+         let pristine = initial_data exe in
+         Bytes.equal (data_of a) expect_a
+         && Bytes.equal (data_of b) pristine
+         && Bytes.equal (data_of c) pristine
+         && Omnivm.Memory.resident_pages b.Loader.mem = 0
+         && Omnivm.Memory.resident_pages c.Loader.mem = 0))
+
+(* A near-empty module owns a handful of pages on every engine. *)
+let resident_per_engine () =
+  let exe =
+    Omniware.Api.compile_exe ~with_stdlib:false ~name:"tiny"
+      "int main(void) { int x = 41; print_int(x + 1); putchar(10); return 0; }"
+  in
+  let runs =
+    ("interp", fun img -> Omni_service.Exec.run_interp img)
+    :: ("fast", fun img -> Omni_service.Exec.run_fast img)
+    :: List.map
+         (fun arch ->
+           ( Omni_targets.Arch.name arch,
+             fun img ->
+               Omniware.Api.run_translated
+                 (Omniware.Api.translate arch exe)
+                 img ))
+         Omni_targets.Arch.all
+  in
+  List.iter
+    (fun (engine, run) ->
+      let img = Loader.load exe in
+      let r = run img in
+      Alcotest.(check string) (engine ^ " output") "42\n" r.Omni_service.Exec.output;
+      let pages = Omnivm.Memory.resident_pages img.Loader.mem in
+      if pages > 16 then
+        Alcotest.failf "%s: %d resident pages, expected at most 16" engine pages)
+    runs
+
+(* 1000 live images of one blueprint, each written on its globals, heap
+   and stack pages, fit in 128 KiB apiece, page tables included (two flat
+   16 MiB segments apiece would be 32 GiB). *)
+let thousand_images () =
+  let exe = Lazy.force cow_exe in
+  let bp = Loader.blueprint exe in
+  let g = Option.get (Omnivm.Exe.lookup_symbol exe "g") in
+  Gc.full_major ();
+  let before = (Gc.stat ()).Gc.heap_words in
+  let images =
+    Array.init 1000 (fun i ->
+        let img = Loader.instantiate bp in
+        let mem = img.Loader.mem in
+        Omnivm.Memory.store32 mem g i;
+        Omnivm.Memory.store32 mem img.Loader.host.Host.brk i;
+        Omnivm.Memory.store32 mem (L.initial_sp - 4) i;
+        img)
+  in
+  Gc.full_major ();
+  let grown = ((Gc.stat ()).Gc.heap_words - before) * (Sys.word_size / 8) in
+  Array.iteri
+    (fun i img ->
+      Alcotest.(check int) "own globals" i
+        (Omnivm.Memory.load32 img.Loader.mem g))
+    images;
+  if grown >= 128 * 1024 * 1024 then
+    Alcotest.failf "1000 images grew the major heap by %d bytes" grown
+
 let lcg_determinism () =
   let a = Omni_util.Lcg.create 42 in
   let b = Omni_util.Lcg.create 42 in
@@ -143,6 +284,11 @@ let () =
          Alcotest.test_case "authority" `Quick authority;
          Alcotest.test_case "service extension" `Quick service_extension;
          Alcotest.test_case "set_handler" `Quick set_handler_outcome ]);
-      ("loader", [ Alcotest.test_case "layout" `Quick loader_layout ]);
+      ("loader",
+       [ Alcotest.test_case "layout" `Quick loader_layout;
+         cow_isolation;
+         Alcotest.test_case "resident pages per engine" `Quick
+           resident_per_engine;
+         Alcotest.test_case "1000 live images" `Quick thousand_images ]);
       ("util", [ Alcotest.test_case "lcg determinism" `Quick lcg_determinism ])
     ]

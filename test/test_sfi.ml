@@ -24,14 +24,15 @@ let compile_asm src =
    output). The canary byte pattern 0xAB is planted in host memory. *)
 let run_with_mode arch exe mode =
   let img = Api.load ~map_host_region:true exe in
+  let mem = img.Omni_runtime.Loader.mem in
   (match img.Omni_runtime.Loader.host_region with
-  | Some r -> Bytes.fill r.Omnivm.Memory.bytes 0 64 '\xAB'
+  | Some _ -> Omnivm.Memory.blit_in mem ~addr:L.host_base (Bytes.make 64 '\xAB')
   | None -> assert false);
   let tr = Api.translate ~mode ~opts:(Api.mobile_opts arch) arch exe in
   let r = Api.run_translated ~fuel:10_000_000 tr img in
   let host_bytes =
     match img.Omni_runtime.Loader.host_region with
-    | Some reg -> Bytes.sub reg.Omnivm.Memory.bytes 0 64
+    | Some _ -> Omnivm.Memory.read_bytes mem ~addr:L.host_base ~len:64
     | None -> assert false
   in
   (r.Api.outcome, host_bytes, r.Api.output)
@@ -267,11 +268,13 @@ let read_protection () =
   let run mode =
     let img = Api.load ~map_host_region:true exe in
     (match img.Omni_runtime.Loader.host_region with
-    | Some r ->
-        Bytes.set r.Omnivm.Memory.bytes 0 (Char.chr (secret land 0xFF));
-        Bytes.set r.Omnivm.Memory.bytes 1 (Char.chr ((secret lsr 8) land 0xFF));
-        Bytes.set r.Omnivm.Memory.bytes 2 (Char.chr ((secret lsr 16) land 0xFF));
-        Bytes.set r.Omnivm.Memory.bytes 3 (Char.chr ((secret lsr 24) land 0xFF))
+    | Some _ ->
+        let b = Bytes.create 4 in
+        Bytes.set b 0 (Char.chr (secret land 0xFF));
+        Bytes.set b 1 (Char.chr ((secret lsr 8) land 0xFF));
+        Bytes.set b 2 (Char.chr ((secret lsr 16) land 0xFF));
+        Bytes.set b 3 (Char.chr ((secret lsr 24) land 0xFF));
+        Omnivm.Memory.blit_in img.Omni_runtime.Loader.mem ~addr:L.host_base b
     | None -> assert false);
     let tr = Api.translate ~mode ~opts:(Api.mobile_opts Arch.Mips) Arch.Mips exe in
     let r = Api.run_translated ~fuel:1_000_000 tr img in
@@ -354,8 +357,11 @@ main:   li r2, %d
          let exe = compile_asm src in
          let o, host, _ = run_with_mode arch exe sandbox in
          let img2 = Api.load ~map_host_region:true exe in
+         let mem2 = img2.Omni_runtime.Loader.mem in
          (match img2.Omni_runtime.Loader.host_region with
-         | Some r -> Bytes.fill r.Omnivm.Memory.bytes 0 64 '\xAB'
+         | Some _ ->
+             Omnivm.Memory.blit_in mem2 ~addr:L.host_base
+               (Bytes.make 64 '\xAB')
          | None -> ());
          let tr2 =
            Api.translate ~mode:sandbox
@@ -366,7 +372,7 @@ main:   li r2, %d
          let r2 = Api.run_translated ~fuel:10_000_000 tr2 img2 in
          let host2 =
            match img2.Omni_runtime.Loader.host_region with
-           | Some reg -> Bytes.sub reg.Omnivm.Memory.bytes 0 64
+           | Some _ -> Omnivm.Memory.read_bytes mem2 ~addr:L.host_base ~len:64
            | None -> assert false
          in
          ignore r2;
