@@ -13,7 +13,14 @@
    write to a page — a guest store or the trusted [blit_in] — gives the
    region its own copy (and its own copies of the tables leading to it),
    so mapping a 16 MiB segment from shared pages copies nothing and an
-   instance holds only the pages it has written. *)
+   instance holds only the pages it has written.
+
+   [release] hands a finished memory's own pages to a small per-domain
+   free list, from which later first writes take their copies: a server
+   running one request after another reuses the same few pages instead
+   of leaving each request's pages to the major heap. A page on the list
+   belongs to no region, and a reused page is overwritten whole before
+   any region can read it. *)
 
 type perm = { read : bool; write : bool; execute : bool }
 
@@ -89,6 +96,33 @@ let no_region =
 let create () = { regions = [||]; last = no_region; resident = 0 }
 let resident_pages t = t.resident
 
+(* The calling domain's free pages: [pages.(0 .. count - 1)]. Only pages
+   some region owned go here, never a shared page. Each push and pop is
+   a straight line with no allocation or call that could switch threads
+   between reading [count] and writing it. *)
+type free_list = { pages : Bytes.t array; mutable count : int }
+
+let free_bound = 256 (* pages: 1 MiB per domain *)
+
+let free =
+  Domain.DLS.new_key (fun () ->
+      { pages = Array.make free_bound zero_page; count = 0 })
+
+let recycled_pages () = (Domain.DLS.get free).count
+
+(* A copy of page [src]: a free page overwritten whole, or a new one. *)
+let copy_page src =
+  let fl = Domain.DLS.get free in
+  let n = fl.count - 1 in
+  if n < 0 then Bytes.copy src
+  else begin
+    let page = fl.pages.(n) in
+    fl.pages.(n) <- zero_page;
+    fl.count <- n;
+    Bytes.blit src 0 page 0 page_size;
+    page
+  end
+
 let map ?init t ~name ~base ~size ~perm =
   if size <= 0 then invalid_arg "Memory.map: size";
   if base land page_mask <> 0 then invalid_arg "Memory.map: base not page aligned";
@@ -116,6 +150,35 @@ let set_perm t name perm =
   match Array.find_opt (fun r -> String.equal r.name name) t.regions with
   | Some r -> r.perm <- perm
   | None -> invalid_arg "Memory.set_perm: unknown region"
+
+(* Unmap every region and put the pages they own on the free list; the
+   tables go back to their initial (shared) state, so nothing left
+   reachable from [t] or its regions leads to a released page. *)
+let release t =
+  let fl = Domain.DLS.get free in
+  let give page =
+    let n = fl.count in
+    if n < free_bound then begin
+      fl.pages.(n) <- page;
+      fl.count <- n + 1
+    end
+  in
+  Array.iter
+    (fun r ->
+      if r.dir != r.init then
+        Array.iteri
+          (fun j leaf ->
+            let shared = r.init.(j) in
+            if leaf != shared then
+              Array.iteri
+                (fun k page -> if page != shared.(k) then give page)
+                leaf)
+          r.dir;
+      r.dir <- r.init)
+    t.regions;
+  t.regions <- [||];
+  t.last <- no_region;
+  t.resident <- 0
 
 let fault addr access = raise (Fault.Vm_fault (Access_violation { addr; access }))
 
@@ -167,7 +230,7 @@ let[@inline never] own t r j k =
       r.dir.(j) <- copy;
       copy
   in
-  let page = Bytes.copy leaf.(k) in
+  let page = copy_page leaf.(k) in
   leaf.(k) <- page;
   t.resident <- t.resident + 1;
   page
@@ -247,20 +310,42 @@ let store32 t addr v =
   let addr = addr land 0xFFFFFFFF in
   write32 t (check t addr 4 Fault.Write) addr v
 
-let load64 t addr =
+(* An 8-byte access is two 4-byte halves, each checked as [load32] and
+   [store32] check it. When the low half's checks pass and all 8 bytes lie
+   in one page of its region, the high half's checks pass too, and the
+   access is one page read or write; otherwise it is made half by half. *)
+
+let load64_halves t addr =
   let lo = load32 t addr land 0xFFFFFFFF in
   let hi = load32 t (addr + 4) land 0xFFFFFFFF in
   Int64.logor (Int64.of_int lo) (Int64.shift_left (Int64.of_int hi) 32)
 
-(* An 8-byte store is two 4-byte halves, each checked as [store32] checks
-   it, and both checked before either is written: a store that faults
+let[@inline] load64 t addr =
+  let addr = addr land 0xFFFFFFFF in
+  let r = check t addr 4 Fault.Read in
+  let off = addr - r.base in
+  let po = off land page_mask in
+  if po <= page_size - 8 && off + 8 <= r.size then
+    Bytes.get_int64_le (page r off) po
+  else load64_halves t addr
+
+(* Both halves are checked before either is written: a store that faults
    leaves memory untouched. *)
-let store64 t addr v =
+let store64_halves t addr v =
   let lo_addr = addr land 0xFFFFFFFF and hi_addr = (addr + 4) land 0xFFFFFFFF in
   let lo_r = check t lo_addr 4 Fault.Write in
   let hi_r = check t hi_addr 4 Fault.Write in
   write32 t lo_r lo_addr (Int64.to_int v);
   write32 t hi_r hi_addr (Int64.to_int (Int64.shift_right_logical v 32))
+
+let[@inline] store64 t addr v =
+  let addr = addr land 0xFFFFFFFF in
+  let r = check t addr 4 Fault.Write in
+  let off = addr - r.base in
+  let po = off land page_mask in
+  if po <= page_size - 8 && off + 8 <= r.size then
+    Bytes.set_int64_le (writable_page t r off) po v
+  else store64_halves t addr v
 
 let load_float t addr = Int64.float_of_bits (load64 t addr)
 let store_float t addr f = store64 t addr (Int64.bits_of_float f)

@@ -56,6 +56,17 @@ val set_perm : t -> string -> perm -> unit
 val resident_pages : t -> int
 (** Pages this memory has copied on write and owns. *)
 
+val release : t -> unit
+(** Unmap every region and hand the pages this memory owns to the calling
+    domain's free list (at most 256 pages are kept), from which later
+    copies on write take their pages, overwriting them whole. Shared
+    pages are never freed. Afterwards every checked access to [t] faults
+    and every bulk access raises [Invalid_argument]; [t] must not be
+    released while another domain uses it. *)
+
+val recycled_pages : unit -> int
+(** Pages on the calling domain's free list. *)
+
 (** {2 Checked accesses} — loads return canonical {!Omni_util.Word32}
     values (unsigned for sub-word widths). An 8-byte access is two
     4-byte halves at [addr] and [addr + 4], each checked on its own; a

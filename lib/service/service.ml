@@ -162,7 +162,13 @@ let instantiate ?(engine = Exec.Interp) ?(sfi = true) ?mode ?opts ?fuel
   in
   let img = Omni_runtime.Loader.instantiate (Store.blueprint t.store h) in
   Metrics.incr t.c.Counters.instantiations;
+  (* The image never leaves this function: once the result holds copies
+     of what it needs (output, crash window), its pages go back to the
+     domain's free list for the next request. *)
   let res =
+    Fun.protect
+      ~finally:(fun () -> Omnivm.Memory.release img.Omni_runtime.Loader.mem)
+    @@ fun () ->
     match engine with
     | Exec.Interp -> Exec.run_interp ?fuel ?watchdog img
     | Exec.Fast ->

@@ -99,6 +99,79 @@ let new_stats () =
     omni_instructions = 0;
   }
 
+(* --- decoded slots ---
+
+   A simulator run decodes each slot the first time it executes into a
+   [table]: the slot's [Pipeline.costs], and a tag packing what is
+   counted when it retires, its origin index in the low three bits, then
+   the flags below (-1: not yet decoded). A table is the run's alone
+   while it runs; afterwards it goes back to a one-table spare per
+   domain, so a server running one request after another decodes into
+   the same storage instead of leaving a table per run to the major
+   heap. Tables are not part of a translated program, which is
+   marshalled into the journal and fingerprinted into certificates. *)
+
+let tag_load = 8
+let tag_store = 16
+let tag_branch = 32 (* conditional: counted in [branches] *)
+let tag_control = 64 (* transfers control; its target is evaluated *)
+
+type table = { costs : Pipeline.costs; tags : int array }
+
+let max_spare_slots = 1 lsl 16
+
+let spare : table option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+(* A table for [n] slots, none decoded. Taking the spare is a straight
+   line with no allocation, so no thread switch can hand it out twice. *)
+let take_table n =
+  let s = Domain.DLS.get spare in
+  match !s with
+  | Some t when Array.length t.tags >= n ->
+      s := None;
+      Array.fill t.tags 0 n (-1);
+      t
+  | Some _ | None -> { costs = Pipeline.costs n; tags = Array.make n (-1) }
+
+(* Keep [t] as the spare unless the spare is at least as large. *)
+let give_table t =
+  let n = Array.length t.tags in
+  if n <= max_spare_slots then
+    let s = Domain.DLS.get spare in
+    match !s with
+    | Some k when Array.length k.tags >= n -> ()
+    | Some _ | None -> s := Some t
+
+(* Decode slot [k], of attributes [a], into [t]; returns its tag.
+   [branch]: a conditional branch; [control]: it transfers control. *)
+let decode t k (a : Pipeline.attrs) origin ~branch ~control =
+  Pipeline.set t.costs k a;
+  let tag =
+    origin_index origin
+    lor (if a.is_load then tag_load else 0)
+    lor (if a.is_store then tag_store else 0)
+    lor (if branch then tag_branch else 0)
+    lor if control then tag_control else 0
+  in
+  t.tags.(k) <- tag;
+  tag
+
+(* Retire slot [k] of [t], tagged [tag]: count it in [s] and step the
+   pipeline. *)
+let retire s pipe t k tag ~taken =
+  s.instructions <- s.instructions + 1;
+  let oi = tag land 7 in
+  Array.unsafe_set s.by_origin oi (Array.unsafe_get s.by_origin oi + 1);
+  if oi = 0 (* Core *) then s.omni_instructions <- s.omni_instructions + 1;
+  if tag land tag_load <> 0 then s.loads <- s.loads + 1;
+  if tag land tag_store <> 0 then s.stores <- s.stores + 1;
+  if tag land tag_branch <> 0 then begin
+    s.branches <- s.branches + 1;
+    if taken then s.taken_branches <- s.taken_branches + 1
+  end;
+  Pipeline.step pipe t.costs k ~taken_branch:taken
+
 type outcome =
   | Exited of int
   | Faulted of Omnivm.Fault.t

@@ -29,40 +29,81 @@ type config = {
   taken_branch_penalty : int;
 }
 
+let resources = 80
+let classes = [| IU; FPU; LSU; BRU |]
+let class_index = function IU -> 0 | FPU -> 1 | LSU -> 2 | BRU -> 3
+
+(* [attrs] as the simulators step them: three ints per instruction in
+   one flat table, so a retired instruction walks ints and allocates
+   nothing. Each resource list is packed into one int, seven bits per
+   resource (its id + 1, lowest first, 0 ends the list); the third int is
+   the latency and the unit class's index. *)
+type costs = int array
+
+let costs n = Array.make (3 * n) 0
+
+(* [rs] packed, given [n] resources before them. *)
+let rec pack n = function
+  | [] -> 0
+  | r :: rs ->
+      if n = 8 || r < 0 || r >= resources then invalid_arg "Pipeline.set";
+      (pack (n + 1) rs lsl 7) lor (r + 1)
+
+let set c k (a : attrs) =
+  c.(3 * k) <- pack 0 a.uses;
+  c.((3 * k) + 1) <- pack 0 a.defs;
+  c.((3 * k) + 2) <- (a.latency lsl 2) lor class_index a.unit_
+
 type t = {
   cfg : config;
+  pairs : bool array; (* [dual_issue_rule], indexed by 4 * last + next *)
   ready : int array; (* resource id -> cycle its value is ready *)
   mutable cycle : int;
   mutable issued_this_cycle : int;
-  mutable last_class : unit_class;
+  mutable last_class : int;
 }
 
 let create cfg = {
   cfg;
-  ready = Array.make 80 0;
+  pairs =
+    Array.init 16 (fun i -> cfg.dual_issue_rule classes.(i / 4) classes.(i mod 4));
+  ready = Array.make resources 0;
   cycle = 0;
   issued_this_cycle = 0;
-  last_class = IU;
+  last_class = class_index IU;
 }
 
-let reset t =
-  Array.fill t.ready 0 (Array.length t.ready) 0;
-  t.cycle <- 0;
-  t.issued_this_cycle <- 0
+(* The [int array] annotations matter: without them these two would be
+   polymorphic, paying a generic comparison and a float-array check per
+   resource. *)
+let rec ready_at (ready : int array) uses acc =
+  if uses = 0 then acc
+  else
+    let r = Array.unsafe_get ready ((uses land 127) - 1) in
+    ready_at ready (uses lsr 7) (if r > acc then r else acc)
 
-(* Account one retired instruction; returns nothing, accumulates in
-   [t.cycle]. *)
-let step t (a : attrs) ~taken_branch =
-  (* operand readiness *)
-  let ready_at =
-    List.fold_left (fun acc r -> max acc t.ready.(r)) t.cycle a.uses
-  in
+let rec set_ready (ready : int array) defs cycle =
+  if defs <> 0 then begin
+    Array.unsafe_set ready ((defs land 127) - 1) cycle;
+    set_ready ready (defs lsr 7) cycle
+  end
+
+(* Account one retired instruction, number [k] of [c]; returns nothing,
+   accumulates in [t.cycle]. *)
+let step t (c : costs) k ~taken_branch =
+  let i = 3 * k in
+  if i < 0 || i + 2 >= Array.length c then invalid_arg "Pipeline.step";
+  let uses = Array.unsafe_get c i
+  and defs = Array.unsafe_get c (i + 1)
+  and meta = Array.unsafe_get c (i + 2) in
+  let unit_ = meta land 3 in
+  let ready_at = ready_at t.ready uses t.cycle in
   let issue_cycle =
     if ready_at > t.cycle then ready_at (* interlock stall *)
     else if t.issued_this_cycle = 0 then t.cycle
     else if
       t.issued_this_cycle < t.cfg.issue_width
-      && t.cfg.dual_issue_rule t.last_class a.unit_
+      && Array.unsafe_get t.pairs ((4 * t.last_class) + unit_)
     then t.cycle
     else t.cycle + 1
   in
@@ -71,8 +112,8 @@ let step t (a : attrs) ~taken_branch =
     t.issued_this_cycle <- 1
   end
   else t.issued_this_cycle <- t.issued_this_cycle + 1;
-  t.last_class <- a.unit_;
-  List.iter (fun r -> t.ready.(r) <- issue_cycle + a.latency) a.defs;
+  t.last_class <- unit_;
+  set_ready t.ready defs (issue_cycle + (meta lsr 2));
   if taken_branch && t.cfg.taken_branch_penalty > 0 then begin
     t.cycle <- t.cycle + t.cfg.taken_branch_penalty;
     t.issued_this_cycle <- 0

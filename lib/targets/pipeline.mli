@@ -29,13 +29,25 @@ type config = {
   taken_branch_penalty : int;
 }
 
+type costs
+(** The {!attrs} of a run of instructions decoded for stepping: resource
+    lists packed into ints in one flat table, so a retired instruction
+    allocates nothing. *)
+
+val costs : int -> costs
+(** A table for [n] instructions, each to be {!set} before it is stepped. *)
+
+val set : costs -> int -> attrs -> unit
+(** [set c k a] decodes [a] as instruction [k] of [c].
+    @raise Invalid_argument if a resource id is outside 0..79 or a list
+    holds more than eight. *)
+
 type t
 
 val create : config -> t
-val reset : t -> unit
 
-val step : t -> attrs -> taken_branch:bool -> unit
-(** Account one retired instruction. *)
+val step : t -> costs -> int -> taken_branch:bool -> unit
+(** [step t c k] accounts one retired instruction, number [k] of [c]. *)
 
 val cycles : t -> int
 (** Total simulated cycles so far. *)

@@ -3,7 +3,9 @@
    Executes the structured native instructions over the module's segmented
    memory, dispatches host calls through the runtime host, models branch
    delay slots (with Sparc-style annulment), and feeds every retired
-   instruction to the generic pipeline cost model. *)
+   instruction to the generic pipeline cost model. A slot's costs are
+   decoded the first time it executes, so retiring an instruction
+   allocates nothing. *)
 
 open Risc
 module W = Omni_util.Word32
@@ -14,7 +16,8 @@ type state = {
   prog : program;
   regs : int array; (* 32, canonical word32; index 0 pinned to zero *)
   fregs : float array; (* 32 *)
-  mutable cc : int * int; (* last compare operand pair *)
+  mutable cc_a : int; (* last compare operand pair *)
+  mutable cc_b : int;
   mutable fcc : bool;
   mutable pc : int; (* native index *)
   mem : Mem.t;
@@ -23,10 +26,13 @@ type state = {
   mutable exited : int option;
   stats : Machine.stats;
   pipe : Pipeline.t;
+  table : Machine.table; (* [prog.code]'s costs; the run's until it ends *)
 }
 
 let get st r = if r = 0 then 0 else st.regs.(r)
 let set st r v = if r <> 0 then st.regs.(r) <- W.of_int v
+
+let is_branch = function Br_cc _ | Br_cmp _ | Fbr _ -> true | _ -> false
 
 let create (prog : program) mem host =
   let st =
@@ -34,7 +40,8 @@ let create (prog : program) mem host =
       prog;
       regs = Array.make 32 0;
       fregs = Array.make 32 0.0;
-      cc = (0, 0);
+      cc_a = 0;
+      cc_b = 0;
       fcc = false;
       pc = prog.entry;
       mem;
@@ -43,6 +50,7 @@ let create (prog : program) mem host =
       exited = None;
       stats = Machine.new_stats ();
       pipe = Pipeline.create (pipeline_config prog.cfg);
+      table = Machine.take_table (Array.length prog.code);
     }
   in
   let module L = Omnivm.Layout in
@@ -111,7 +119,8 @@ let exec_simple st (i : instr) =
   | Alu_record (op, rd, ra, rb) ->
       let v = VI.eval_binop op (get st ra) (get st rb) in
       set st rd v;
-      st.cc <- (v, 0)
+      st.cc_a <- v;
+      st.cc_b <- 0
   | Lui (rd, v) -> set st rd (W.of_int v)
   | Load (w, s, rd, b, d) -> set st rd (do_load st w s (eff st b d))
   | Load_x (w, s, rd, a, b) ->
@@ -166,11 +175,13 @@ let exec_simple st (i : instr) =
       set st rd v
   | Cvt_d_s (fd, fa) | Cvt_s_d (fd, fa) ->
       st.fregs.(fd) <- round_single st.fregs.(fa)
-  | Cmp (a, b) -> st.cc <- (get st a, get st b)
-  | Cmpi (a, imm) -> st.cc <- (get st a, W.of_int imm)
-  | Cc_to_reg (c, rd) ->
-      let a, b = st.cc in
-      set st rd (if VI.eval_cond c a b then 1 else 0)
+  | Cmp (a, b) ->
+      st.cc_a <- get st a;
+      st.cc_b <- get st b
+  | Cmpi (a, imm) ->
+      st.cc_a <- get st a;
+      st.cc_b <- W.of_int imm
+  | Cc_to_reg (c, rd) -> set st rd (if VI.eval_cond c st.cc_a st.cc_b then 1 else 0)
   | Guard_data r ->
       let a = W.to_unsigned (get st r) in
       if not (Omnivm.Layout.in_data a) then
@@ -185,41 +196,35 @@ let exec_simple st (i : instr) =
   | Br_cc _ | Br_cmp _ | Fbr _ | J _ | Call _ | Call_ind _ | Jmp_ind _ ->
       assert false
 
-let account st (s : slot) ~taken =
-  let st_ = st.stats in
-  st_.Machine.instructions <- st_.Machine.instructions + 1;
-  let oi = Machine.origin_index s.origin in
-  st_.Machine.by_origin.(oi) <- st_.Machine.by_origin.(oi) + 1;
-  if s.origin = Machine.Core then
-    st_.Machine.omni_instructions <- st_.Machine.omni_instructions + 1;
-  let a = attrs st.prog.cfg s.i in
-  if a.Pipeline.is_load then st_.Machine.loads <- st_.Machine.loads + 1;
-  if a.Pipeline.is_store then st_.Machine.stores <- st_.Machine.stores + 1;
-  (match s.i with
-  | Br_cc _ | Br_cmp _ | Fbr _ ->
-      st_.Machine.branches <- st_.Machine.branches + 1;
-      if taken then st_.Machine.taken_branches <- st_.Machine.taken_branches + 1
-  | _ -> ());
-  Pipeline.step st.pipe a ~taken_branch:taken
+(* Slot [k]'s tag, decoding the slot the first time it executes. *)
+let[@inline never] decode st k =
+  let s = st.prog.code.(k) in
+  Machine.decode st.table k (attrs st.prog.cfg s.i) s.origin
+    ~branch:(is_branch s.i) ~control:(is_control s.i)
 
-(* Evaluate whether a control instruction branches, and to where. *)
-let control_target st (i : instr) : int option =
+let tag_of st k =
+  let t = Array.unsafe_get st.table.tags k in
+  if t >= 0 then t else decode st k
+
+let account st k tag ~taken =
+  Machine.retire st.stats st.pipe st.table k tag ~taken
+
+(* Evaluate whether a control instruction branches, and to where: the
+   native index, or -1 if it falls through. *)
+let control_target st (i : instr) =
   match i with
-  | Br_cc (c, l) ->
-      let a, b = st.cc in
-      if VI.eval_cond c a b then Some l else None
-  | Br_cmp (c, a, b, l) ->
-      if VI.eval_cond c (get st a) (get st b) then Some l else None
-  | Fbr (flag, l) -> if st.fcc = flag then Some l else None
-  | J l -> Some l
+  | Br_cc (c, l) -> if VI.eval_cond c st.cc_a st.cc_b then l else -1
+  | Br_cmp (c, a, b, l) -> if VI.eval_cond c (get st a) (get st b) then l else -1
+  | Fbr (flag, l) -> if st.fcc = flag then l else -1
+  | J l -> l
   | Call (l, ret) ->
       set st omni_ra ret;
-      Some l
+      l
   | Call_ind (r, ret) ->
       let target = native_of_omni st (W.to_unsigned (get st r)) in
       set st omni_ra ret;
-      Some target
-  | Jmp_ind r -> Some (native_of_omni st (W.to_unsigned (get st r)))
+      target
+  | Jmp_ind r -> native_of_omni st (W.to_unsigned (get st r))
   | _ -> assert false
 
 let deliver_fault st f =
@@ -268,27 +273,29 @@ let run ?(fuel = max_int) ?watchdog (prog : program) mem host :
     else begin
       let s = Array.unsafe_get code st.pc in
       spend ();
-      if is_control s.i then begin
+      let tag = tag_of st st.pc in
+      if tag land Machine.tag_control <> 0 then begin
         let target = control_target st s.i in
-        account st s ~taken:(target <> None);
+        let taken = target >= 0 in
+        account st st.pc tag ~taken;
         if prog.cfg.has_delay_slot then begin
           (* execute the delay slot unless annulled *)
           let slot_i = st.pc + 1 in
           if slot_i < n then begin
             let ds = Array.unsafe_get code slot_i in
-            let annulled = s.annul && target = None in
+            let annulled = s.annul && not taken in
             if not annulled then begin
               spend ();
-              account st ds ~taken:false;
+              account st slot_i (tag_of st slot_i) ~taken:false;
               exec_simple st ds.i
             end
           end;
-          st.pc <- (match target with Some t -> t | None -> st.pc + 2)
+          st.pc <- (if taken then target else st.pc + 2)
         end
-        else st.pc <- (match target with Some t -> t | None -> st.pc + 1)
+        else st.pc <- (if taken then target else st.pc + 1)
       end
       else begin
-        account st s ~taken:false;
+        account st st.pc tag ~taken:false;
         exec_simple st s.i;
         st.pc <- st.pc + 1
       end
@@ -313,4 +320,5 @@ let run ?(fuel = max_int) ?watchdog (prog : program) mem host :
     try go () with Out_of_fuel_exn -> Machine.Out_of_fuel
   in
   st.stats.Machine.cycles <- Pipeline.cycles st.pipe;
+  Machine.give_table st.table;
   (outcome, st.stats, st)

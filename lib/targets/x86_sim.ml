@@ -1,4 +1,6 @@
-(* Functional + cycle-approximate simulator for translated x86 code. *)
+(* Functional + cycle-approximate simulator for translated x86 code. Like
+   [Risc_sim], it decodes a slot's costs the first time the slot executes,
+   so retiring an instruction allocates nothing. *)
 
 open X86
 module W = Omni_util.Word32
@@ -9,7 +11,8 @@ type state = {
   prog : program;
   regs : int array; (* 8 *)
   fps : float array; (* 8 *)
-  mutable cc : int * int;
+  mutable cc_a : int; (* last compare operand pair *)
+  mutable cc_b : int;
   mutable fcc : bool;
   mutable pc : int;
   mem : Mem.t;
@@ -18,7 +21,10 @@ type state = {
   mutable exited : int option;
   stats : Machine.stats;
   pipe : Pipeline.t;
+  table : Machine.table; (* [prog.code]'s costs; the run's until it ends *)
 }
+
+let is_branch = function Jcc _ -> true | _ -> false
 
 let create prog mem host =
   let st =
@@ -26,7 +32,8 @@ let create prog mem host =
       prog;
       regs = Array.make 8 0;
       fps = Array.make 8 0.0;
-      cc = (0, 0);
+      cc_a = 0;
+      cc_b = 0;
       fcc = false;
       pc = prog.entry;
       mem;
@@ -35,6 +42,7 @@ let create prog mem host =
       exited = None;
       stats = Machine.new_stats ();
       pipe = Pipeline.create pipeline_config;
+      table = Machine.take_table (Array.length prog.code);
     }
   in
   st.regs.(esp) <- Omnivm.Layout.initial_sp;
@@ -137,7 +145,8 @@ let exec_simple st (i : instr) =
         | Xor -> W.logxor a b
       in
       write st dst v;
-      st.cc <- (v, 0)
+      st.cc_a <- v;
+      st.cc_b <- 0
   | Shift (op, dst, k) ->
       let a = value st dst in
       let v =
@@ -147,7 +156,8 @@ let exec_simple st (i : instr) =
         | Sar -> W.shift_right_arith a k
       in
       write st dst v;
-      st.cc <- (v, 0)
+      st.cc_a <- v;
+      st.cc_b <- 0
   | Shiftv (op, dst, c) ->
       let a = value st dst in
       let k = W.to_unsigned st.regs.(c) land 31 in
@@ -158,7 +168,8 @@ let exec_simple st (i : instr) =
         | Sar -> W.shift_right_arith a k
       in
       write st dst v;
-      st.cc <- (v, 0)
+      st.cc_a <- v;
+      st.cc_b <- 0
   | Imul (d, src) -> set_reg st d (W.mul st.regs.(d) (value st src))
   | Idiv (src, signed) ->
       let a = st.regs.(eax) and b = value st src in
@@ -174,10 +185,13 @@ let exec_simple st (i : instr) =
       end
   | Cdq -> set_reg st edx (if st.regs.(eax) < 0 then -1 else 0)
   | Lea (d, m) -> set_reg st d (eff st m)
-  | Cmp (a, b) -> st.cc <- (value st a, value st b)
-  | Setcc (c, d) ->
-      let x, y = st.cc in
-      set_reg st d (if VI.eval_cond c x y then 1 else 0)
+  | Cmp (a, b) ->
+      (* [b] before [a], the order the operand pair was evaluated in: a
+         compare whose operands both fault reports the same fault *)
+      let y = value st b in
+      st.cc_a <- value st a;
+      st.cc_b <- y
+  | Setcc (c, d) -> set_reg st d (if VI.eval_cond c st.cc_a st.cc_b then 1 else 0)
   | Fop (op, prec, d, a, b) ->
       let x = st.fps.(a) and y = st.fps.(b) in
       let v =
@@ -236,38 +250,34 @@ let exec_simple st (i : instr) =
   | Nop -> ()
   | Jcc _ | Jmp _ | Jmp_ind _ | Call _ | Call_ind _ -> assert false
 
-let control_target st (i : instr) : int option =
+(* The native index a control instruction transfers to, or -1 if it
+   falls through. *)
+let control_target st (i : instr) =
   match i with
-  | Jcc (c, l) ->
-      let a, b = st.cc in
-      if VI.eval_cond c a b then Some l else None
-  | Jmp l -> Some l
-  | Jmp_ind x -> Some (native_of_omni st (W.to_unsigned (value st x)))
+  | Jcc (c, l) -> if VI.eval_cond c st.cc_a st.cc_b then l else -1
+  | Jmp l -> l
+  | Jmp_ind x -> native_of_omni st (W.to_unsigned (value st x))
   | Call (l, ret) ->
       st.regs.(ebp) <- W.of_int ret;
-      Some l
+      l
   | Call_ind (x, ret) ->
       let t = native_of_omni st (W.to_unsigned (value st x)) in
       st.regs.(ebp) <- W.of_int ret;
-      Some t
+      t
   | _ -> assert false
 
-let account st (s : slot) ~taken =
-  let st_ = st.stats in
-  st_.Machine.instructions <- st_.Machine.instructions + 1;
-  let oi = Machine.origin_index s.origin in
-  st_.Machine.by_origin.(oi) <- st_.Machine.by_origin.(oi) + 1;
-  if s.origin = Machine.Core then
-    st_.Machine.omni_instructions <- st_.Machine.omni_instructions + 1;
-  let a = attrs s.i in
-  if a.Pipeline.is_load then st_.Machine.loads <- st_.Machine.loads + 1;
-  if a.Pipeline.is_store then st_.Machine.stores <- st_.Machine.stores + 1;
-  (match s.i with
-  | Jcc _ ->
-      st_.Machine.branches <- st_.Machine.branches + 1;
-      if taken then st_.Machine.taken_branches <- st_.Machine.taken_branches + 1
-  | _ -> ());
-  Pipeline.step st.pipe a ~taken_branch:taken
+(* Slot [k]'s tag, decoding the slot the first time it executes. *)
+let[@inline never] decode st k =
+  let s = st.prog.code.(k) in
+  Machine.decode st.table k (attrs s.i) s.origin
+    ~branch:(is_branch s.i) ~control:(is_control s.i)
+
+let tag_of st k =
+  let t = Array.unsafe_get st.table.tags k in
+  if t >= 0 then t else decode st k
+
+let account st k tag ~taken =
+  Machine.retire st.stats st.pipe st.table k tag ~taken
 
 let deliver_fault st f =
   if st.handler = 0 then raise (Omnivm.Fault.Vm_fault f)
@@ -313,13 +323,15 @@ let run ?(fuel = max_int) ?watchdog (prog : program) mem host :
       let s = Array.unsafe_get code st.pc in
       decr fuel_left;
       if !fuel_left < 0 then raise Out_of_fuel_exn;
-      if is_control s.i then begin
+      let tag = tag_of st st.pc in
+      if tag land Machine.tag_control <> 0 then begin
         let target = control_target st s.i in
-        account st s ~taken:(target <> None);
-        st.pc <- (match target with Some t -> t | None -> st.pc + 1)
+        let taken = target >= 0 in
+        account st st.pc tag ~taken;
+        st.pc <- (if taken then target else st.pc + 1)
       end
       else begin
-        account st s ~taken:false;
+        account st st.pc tag ~taken:false;
         exec_simple st s.i;
         st.pc <- st.pc + 1
       end
@@ -344,4 +356,5 @@ let run ?(fuel = max_int) ?watchdog (prog : program) mem host :
     try go () with Out_of_fuel_exn -> Machine.Out_of_fuel
   in
   st.stats.Machine.cycles <- Pipeline.cycles st.pipe;
+  Machine.give_table st.table;
   (outcome, st.stats, st)

@@ -392,11 +392,103 @@ let store_float_precise () =
     (fun () -> M.store_float mem 0x6FFE 2.5);
   unchanged "page straddle: bytes intact" 0x6FFE 0 6
 
+(* A released memory maps nothing: every checked access faults at its
+   address, every bulk access is refused. Its own pages, and only those,
+   go to the free list. *)
+let release_unmaps () =
+  let module M = Omnivm.Memory in
+  let mem = M.create () in
+  ignore (M.map mem ~name:"a" ~base:0x1000 ~size:0x3000 ~perm:M.perm_rw);
+  M.store32 mem 0x1000 7;
+  M.store_float mem 0x2FF8 1.5;
+  M.blit_in mem ~addr:0x3000 (Bytes.make 16 'x');
+  Alcotest.(check int) "owns three pages" 3 (M.resident_pages mem);
+  let before = M.recycled_pages () in
+  M.release mem;
+  Alcotest.(check int) "three pages freed"
+    (min (before + 3) 256) (M.recycled_pages ());
+  Alcotest.(check int) "owns nothing" 0 (M.resident_pages mem);
+  let faults name access f =
+    Alcotest.check_raises name
+      (Omnivm.Fault.Vm_fault
+         (Omnivm.Fault.Access_violation { addr = 0x1000; access }))
+      (fun () -> ignore (f ()))
+  in
+  let rd = Omnivm.Fault.Read and wr = Omnivm.Fault.Write in
+  faults "load8" rd (fun () -> M.load8 mem 0x1000);
+  faults "load16" rd (fun () -> M.load16 mem 0x1000);
+  faults "load32" rd (fun () -> M.load32 mem 0x1000);
+  faults "load64" rd (fun () -> M.load64 mem 0x1000);
+  faults "load_float" rd (fun () -> M.load_float mem 0x1000);
+  faults "load_single" rd (fun () -> M.load_single mem 0x1000);
+  faults "read_cstring" rd (fun () -> M.read_cstring mem ~addr:0x1000 ~max_len:4);
+  faults "store8" wr (fun () -> M.store8 mem 0x1000 1);
+  faults "store16" wr (fun () -> M.store16 mem 0x1000 1);
+  faults "store32" wr (fun () -> M.store32 mem 0x1000 1);
+  faults "store64" wr (fun () -> M.store64 mem 0x1000 1L);
+  faults "store_float" wr (fun () -> M.store_float mem 0x1000 1.0);
+  faults "store_single" wr (fun () -> M.store_single mem 0x1000 1.0);
+  Alcotest.check_raises "blit_in" (Invalid_argument "Memory.blit_in: unmapped")
+    (fun () -> M.blit_in mem ~addr:0x1000 (Bytes.make 1 'y'));
+  Alcotest.check_raises "read_bytes"
+    (Invalid_argument "Memory.read_bytes: unmapped") (fun () ->
+      ignore (M.read_bytes mem ~addr:0x1000 ~len:1));
+  Alcotest.(check bool) "no region" true (M.region_of mem 0x1000 = None);
+  (* a second release, or releasing a memory that never wrote, frees
+     nothing *)
+  let n = M.recycled_pages () in
+  M.release mem;
+  let clean = M.create () in
+  ignore (M.map clean ~name:"a" ~base:0x1000 ~size:0x3000 ~perm:M.perm_rw);
+  ignore (M.load32 clean 0x1000);
+  M.release clean;
+  Alcotest.(check int) "nothing more freed" n (M.recycled_pages ())
+
+(* Shared pages never reach the free list: after images mapped from the
+   same initial pages and from the zero page write and are released, every
+   free page is taken and scribbled over, and the shared pages still read
+   as they did. *)
+let release_keeps_shared_pages () =
+  let module M = Omnivm.Memory in
+  let size = 0x10000 in
+  let init = Bytes.init 0x3000 (fun i -> Char.chr (1 + (i mod 251))) in
+  let pages = M.pages ~size ~at:0x1000 init in
+  let image () =
+    let mem = M.create () in
+    ignore (M.map ~init:pages mem ~name:"data" ~base:0x100000 ~size ~perm:M.perm_rw);
+    ignore (M.map mem ~name:"zero" ~base:0x200000 ~size ~perm:M.perm_rw);
+    mem
+  in
+  for _ = 1 to 3 do
+    let mem = image () in
+    for k = 0 to (size / 4096) - 1 do
+      M.store8 mem (0x100000 + (k * 4096) + 5) 0xEE;
+      M.store8 mem (0x200000 + (k * 4096) + 5) 0xEE
+    done;
+    M.release mem
+  done;
+  (* drain the free list into a big region, writing every byte *)
+  let drain = M.create () in
+  let n = M.recycled_pages () in
+  ignore (M.map drain ~name:"d" ~base:0x1000000 ~size:(n * 4096) ~perm:M.perm_rw);
+  M.blit_in drain ~addr:0x1000000 (Bytes.make (n * 4096) '\xFF');
+  Alcotest.(check int) "free list drained" 0 (M.recycled_pages ());
+  let mem = image () in
+  let want = Bytes.make size '\000' in
+  Bytes.blit init 0 want 0x1000 (Bytes.length init);
+  Alcotest.(check bool) "initial pages intact" true
+    (Bytes.equal want (M.read_bytes mem ~addr:0x100000 ~len:size));
+  Alcotest.(check bool) "zero page intact" true
+    (Bytes.equal (Bytes.make size '\000') (M.read_bytes mem ~addr:0x200000 ~len:size))
+
 (* --- paged memory against a flat reference model ---
 
    Random operation sequences run against [Omnivm.Memory] and against a
    flat [Bytes.t]-per-region model of the same semantics; every step must
-   return the same value or raise the same fault. *)
+   return the same value or raise the same fault. A [Release] step
+   releases the memory and maps a fresh one in its place (the model goes
+   back to its initial bytes), so later writes reuse the released pages
+   and any byte they leak shows as a disagreement. *)
 
 module Flat = struct
   module M = Omnivm.Memory
@@ -516,6 +608,7 @@ type mop =
   | Read of int * int
   | Cstring of int * int
   | Perm of string * int (* index into [model_perms] *)
+  | Release
 
 let show_mop = function
   | Load (w, a) -> Printf.sprintf "load%d 0x%x" (8 * w) a
@@ -528,6 +621,7 @@ let show_mop = function
   | Read (a, n) -> Printf.sprintf "read_bytes 0x%x %d" a n
   | Cstring (a, n) -> Printf.sprintf "read_cstring 0x%x %d" a n
   | Perm (r, p) -> Printf.sprintf "set_perm %s #%d" r p
+  | Release -> "release, then map afresh"
 
 (* Addresses cluster on page boundaries, region ends and the bytes just
    outside a region. *)
@@ -560,7 +654,8 @@ let gen_mop =
        map2
          (fun (name, _, _, _) p -> Perm (name, p))
          (oneofl model_regions)
-         (int_bound (List.length model_perms - 1))) ]
+         (int_bound (List.length model_perms - 1)));
+      (1, return Release) ]
 
 type mres =
   | Int of int
@@ -596,6 +691,7 @@ let paged_step mem = function
   | Read (a, n) -> Str (Bytes.to_string (Omnivm.Memory.read_bytes mem ~addr:a ~len:n))
   | Cstring (a, n) -> Str (Omnivm.Memory.read_cstring mem ~addr:a ~max_len:n)
   | Perm (r, p) -> Omnivm.Memory.set_perm mem r (List.nth model_perms p); Unit
+  | Release -> invalid_arg "paged_step: Release"
 
 let flat_step flat = function
   | Load (8, a) -> I64 (Flat.load64 flat a)
@@ -619,6 +715,7 @@ let flat_step flat = function
   | Read (a, n) -> Str (Bytes.to_string (Flat.read_bytes flat a n))
   | Cstring (a, n) -> Str (Flat.read_cstring flat a n)
   | Perm (r, p) -> Flat.set_perm flat r (List.nth model_perms p); Unit
+  | Release -> invalid_arg "flat_step: Release"
 
 let paged_vs_flat =
   let gen =
@@ -647,8 +744,7 @@ let paged_vs_flat =
              model_regions;
            mem
          in
-         let mem = fresh () and twin = fresh () in
-         let flat =
+         let fresh_flat () =
            List.map
              (fun (name, base, size, perm) ->
                let bytes = Bytes.make size '\000' in
@@ -656,21 +752,38 @@ let paged_vs_flat =
                { Flat.name; base; size; perm; bytes })
              model_regions
          in
+         let twin = fresh () in
+         let mem = ref (fresh ()) and flat = ref (fresh_flat ()) in
          List.iter
-           (fun op ->
-             let got = observe (fun () -> paged_step mem op) in
-             let want = observe (fun () -> flat_step flat op) in
-             if got <> want then
-               QCheck.Test.fail_reportf "%s: paged and flat disagree"
-                 (show_mop op))
+           (function
+             | Release ->
+                 let old = !mem in
+                 Omnivm.Memory.release old;
+                 List.iter
+                   (fun (_, base, _, _) ->
+                     match observe (fun () -> Int (Omnivm.Memory.load8 old base)) with
+                     | Fault _ -> ()
+                     | _ ->
+                         QCheck.Test.fail_reportf
+                           "released memory still maps 0x%x" base)
+                   model_regions;
+                 mem := fresh ();
+                 flat := fresh_flat ()
+             | op ->
+                 let got = observe (fun () -> paged_step !mem op) in
+                 let want = observe (fun () -> flat_step !flat op) in
+                 if got <> want then
+                   QCheck.Test.fail_reportf "%s: paged and flat disagree"
+                     (show_mop op))
            ops;
+         let mem = !mem in
          (* every byte agrees at the end, and the twin mapped from the
             same initial pages never saw a write *)
          List.for_all
            (fun r ->
              Bytes.equal r.Flat.bytes
                (Omnivm.Memory.read_bytes mem ~addr:r.Flat.base ~len:r.Flat.size))
-           flat
+           !flat
          && Bytes.equal
               (Omnivm.Memory.read_bytes twin ~addr:0x20000 ~len:init_size)
               (let b = Bytes.make init_size '\000' in
@@ -936,6 +1049,9 @@ let () =
          Alcotest.test_case "overlap rejected" `Quick overlap_rejected;
          Alcotest.test_case "8-byte stores are precise" `Quick
            store_float_precise;
+         Alcotest.test_case "release unmaps" `Quick release_unmaps;
+         Alcotest.test_case "release keeps shared pages" `Quick
+           release_keeps_shared_pages;
          paged_vs_flat;
          Alcotest.test_case "crash window = reference" `Quick crash_window ]);
       ("wire",

@@ -118,6 +118,32 @@ let interp_cached () =
   Alcotest.(check int) "interp never translates" 0 c.Counters.s_translations;
   Alcotest.(check int) "two instantiations" 2 c.Counters.s_instantiations
 
+(* Every request's image gives its pages back when the run is over, and
+   the next request's image, built on those pages, computes the same
+   result on every engine. *)
+let instantiate_recycles_pages () =
+  let module M = Omnivm.Memory in
+  let bytes = Lazy.force hello_bytes in
+  let svc = Service.of_config Service.default_config in
+  let h = Service.submit svc bytes in
+  List.iter
+    (fun engine ->
+      (* empty the free list, so what is on it afterwards is this run's *)
+      let drain = M.create () in
+      let n = M.recycled_pages () in
+      if n > 0 then begin
+        ignore (M.map drain ~name:"d" ~base:0x1000 ~size:(n * 4096) ~perm:M.perm_rw);
+        M.blit_in drain ~addr:0x1000 (Bytes.make (n * 4096) '\xA5')
+      end;
+      let r1 = Service.instantiate ~engine ~fuel svc h in
+      Alcotest.(check bool)
+        (Exec.engine_name engine ^ ": pages recycled")
+        true
+        (M.recycled_pages () > 0);
+      let r2 = Service.instantiate ~engine ~fuel svc h in
+      check_same_result (Exec.engine_name engine ^ " on recycled pages") r1 r2)
+    (Exec.Interp :: Exec.Fast :: List.map (fun a -> Exec.Target a) Arch.all)
+
 (* --- verifier admission of cached artifacts --- *)
 
 let cached_artifacts_verify () =
@@ -436,7 +462,9 @@ let () =
            store_digests_differ ]);
       ("identity", identity_cases);
       ("engines",
-       [ Alcotest.test_case "interp served from store" `Quick interp_cached ]);
+       [ Alcotest.test_case "interp served from store" `Quick interp_cached;
+         Alcotest.test_case "instantiate recycles pages" `Quick
+           instantiate_recycles_pages ]);
       ("verification",
        [ Alcotest.test_case "cached artifacts pass the verifier" `Quick
            cached_artifacts_verify;

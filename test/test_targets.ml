@@ -390,11 +390,16 @@ let pipeline_unit () =
     { P.issue_width = 1; dual_issue_rule = (fun _ _ -> false);
       taken_branch_penalty = 0 }
   in
+  let step t a =
+    let c = P.costs 1 in
+    P.set c 0 a;
+    P.step t c 0 ~taken_branch:false
+  in
   let t = P.create cfg in
   let simple = { P.uses = []; defs = [ 1 ]; latency = 1; unit_ = P.IU;
                  is_load = false; is_store = false } in
-  P.step t simple ~taken_branch:false;
-  P.step t simple ~taken_branch:false;
+  step t simple;
+  step t simple;
   Alcotest.(check int) "two independent ops, 1/cycle" 2 (P.cycles t);
   (* load-use interlock *)
   let t = P.create cfg in
@@ -402,18 +407,245 @@ let pipeline_unit () =
                is_load = true; is_store = false } in
   let use = { P.uses = [ 2 ]; defs = [ 3 ]; latency = 1; unit_ = P.IU;
               is_load = false; is_store = false } in
-  P.step t load ~taken_branch:false;
-  P.step t use ~taken_branch:false;
+  step t load;
+  step t use;
   Alcotest.(check int) "load-use stall" 4 (P.cycles t);
   (* dual issue *)
   let cfg2 = { cfg with P.issue_width = 2; dual_issue_rule = (fun _ _ -> true) } in
   let t = P.create cfg2 in
   let op d = { simple with P.defs = [ d ] } in
-  P.step t (op 1) ~taken_branch:false;
-  P.step t (op 2) ~taken_branch:false;
-  P.step t (op 3) ~taken_branch:false;
-  P.step t (op 4) ~taken_branch:false;
+  step t (op 1);
+  step t (op 2);
+  step t (op 3);
+  step t (op 4);
   Alcotest.(check int) "2-wide pairs" 2 (P.cycles t)
+
+(* --- golden simulator statistics ---
+
+   The cycle model prices SFI, so any drift in it changes every reported
+   overhead. These are the statistics of the six spec-inproc programs (the
+   four SPEC92 analogues and the two guest kernels, Test size) under the
+   default mobile translation on every target, pinned to the values the
+   list-walking cost model produced. *)
+
+module W = Omni_workloads.Workloads
+
+let spec_programs =
+  lazy
+    (List.map
+       (fun (w : W.t) ->
+         ( w.W.name,
+           Omnivm.Wire.decode (Minic.Driver.compile_wire ~name:w.W.name w.W.source)
+         ))
+       (W.all ~size:W.Test)
+    @ List.map
+        (fun (g : W.Guest.t) ->
+          match Result.bind (Omni_guest.Asm.assemble g.W.Guest.asm)
+                  Omni_guest.Lift.lift_wire with
+          | Ok wire -> (g.W.Guest.name, Omnivm.Wire.decode wire)
+          | Error e -> failwith (Omni_guest.Error.to_string e))
+        (W.Guest.all ~size:W.Test))
+
+let targets = [ Arch.Mips; Arch.Sparc; Arch.Ppc; Arch.X86 ]
+
+let run_spec arch exe =
+  let tr = Api.translate ~mode:sandbox arch exe in
+  let img = Api.load exe in
+  Api.run_translated ~fuel:1_000_000_000 tr img
+
+type golden = {
+  g_instrs : int;
+  g_cycles : int;
+  g_loads : int;
+  g_stores : int;
+  g_branches : int;
+  g_taken : int;
+  g_by_origin : int list; (* core addr cmp ldi bnop sfi *)
+  g_output : string; (* FNV-64 of the output *)
+}
+
+let golden_of (r : Api.run_result) =
+  let s = Option.get r.Api.stats in
+  {
+    g_instrs = s.Machine.instructions;
+    g_cycles = s.Machine.cycles;
+    g_loads = s.Machine.loads;
+    g_stores = s.Machine.stores;
+    g_branches = s.Machine.branches;
+    g_taken = s.Machine.taken_branches;
+    g_by_origin = Array.to_list s.Machine.by_origin;
+    g_output = Omni_util.Fnv64.to_hex (Omni_util.Fnv64.digest_string r.Api.output);
+  }
+
+let golden_stats =
+  [
+    ( ("li", "mips"),
+      { g_instrs = 310607; g_cycles = 330416; g_loads = 58742; g_stores = 39362;
+        g_branches = 14630; g_taken = 6559;
+        g_by_origin = [ 204286; 22481; 2016; 3182; 29642; 49000 ];
+        g_output = "3d4b3cce08678ab1" } );
+    ( ("li", "sparc"),
+      { g_instrs = 298667; g_cycles = 329017; g_loads = 58742; g_stores = 39362;
+        g_branches = 14630; g_taken = 6559;
+        g_by_origin = [ 204286; 0; 14673; 36; 30672; 49000 ];
+        g_output = "3d4b3cce08678ab1" } );
+    ( ("li", "ppc"),
+      { g_instrs = 279990; g_cycles = 312242; g_loads = 58742; g_stores = 39362;
+        g_branches = 14630; g_taken = 6559;
+        g_by_origin = [ 204286; 22481; 14673; 2195; 0; 36355 ];
+        g_output = "3d4b3cce08678ab1" } );
+    ( ("li", "x86"),
+      { g_instrs = 378592; g_cycles = 371652; g_loads = 112027; g_stores = 71850;
+        g_branches = 14630; g_taken = 6559;
+        g_by_origin = [ 204286; 93614; 13721; 0; 0; 66971 ];
+        g_output = "3d4b3cce08678ab1" } );
+    ( ("compress", "mips"),
+      { g_instrs = 1657346; g_cycles = 2055435; g_loads = 262824; g_stores = 85480;
+        g_branches = 93200; g_taken = 70437;
+        g_by_origin = [ 1081424; 187468; 56857; 70115; 140920; 120562 ];
+        g_output = "ade13e4a4a427208" } );
+    ( ("compress", "sparc"),
+      { g_instrs = 1500069; g_cycles = 1987692; g_loads = 262824; g_stores = 85480;
+        g_branches = 93200; g_taken = 70437;
+        g_by_origin = [ 1081424; 0; 93200; 63963; 140920; 120562 ];
+        g_output = "ade13e4a4a427208" } );
+    ( ("compress", "ppc"),
+      { g_instrs = 1503237; g_cycles = 2035241; g_loads = 262824; g_stores = 85480;
+        g_branches = 93200; g_taken = 70437;
+        g_by_origin = [ 1081424; 187468; 93200; 63950; 0; 77195 ];
+        g_output = "ade13e4a4a427208" } );
+    ( ("compress", "x86"),
+      { g_instrs = 2034800; g_cycles = 2317839; g_loads = 527526; g_stores = 247230;
+        g_branches = 93200; g_taken = 70437;
+        g_by_origin = [ 1081424; 679333; 93200; 0; 0; 180843 ];
+        g_output = "ade13e4a4a427208" } );
+    ( ("alvinn", "mips"),
+      { g_instrs = 634718; g_cycles = 943818; g_loads = 107316; g_stores = 17250;
+        g_branches = 32858; g_taken = 29961;
+        g_by_origin = [ 486419; 37491; 32026; 11130; 39582; 28070 ];
+        g_output = "09c19759ed84fda7" } );
+    ( ("alvinn", "sparc"),
+      { g_instrs = 610047; g_cycles = 923137; g_loads = 107316; g_stores = 17250;
+        g_branches = 32858; g_taken = 29961;
+        g_by_origin = [ 486419; 10368; 33690; 11918; 39582; 28070 ];
+        g_output = "09c19759ed84fda7" } );
+    ( ("alvinn", "ppc"),
+      { g_instrs = 584936; g_cycles = 915987; g_loads = 107316; g_stores = 17250;
+        g_branches = 32858; g_taken = 29961;
+        g_by_origin = [ 486419; 37491; 33690; 11130; 0; 16206 ];
+        g_output = "09c19759ed84fda7" } );
+    ( ("alvinn", "x86"),
+      { g_instrs = 943400; g_cycles = 1395862; g_loads = 319718; g_stores = 151825;
+        g_branches = 32858; g_taken = 29961;
+        g_by_origin = [ 486419; 381186; 33690; 0; 0; 42105 ];
+        g_output = "09c19759ed84fda7" } );
+    ( ("eqntott", "mips"),
+      { g_instrs = 4104741; g_cycles = 5085958; g_loads = 646640; g_stores = 94010;
+        g_branches = 354547; g_taken = 174328;
+        g_by_origin = [ 2690929; 277127; 258524; 121360; 594622; 162179 ];
+        g_output = "fb386e7b878d757b" } );
+    ( ("eqntott", "sparc"),
+      { g_instrs = 3883805; g_cycles = 5046784; g_loads = 646640; g_stores = 94010;
+        g_branches = 354547; g_taken = 174328;
+        g_by_origin = [ 2690929; 0; 354547; 76809; 599341; 162179 ];
+        g_output = "fb386e7b878d757b" } );
+    ( ("eqntott", "ppc"),
+      { g_instrs = 3541049; g_cycles = 5179423; g_loads = 646640; g_stores = 94010;
+        g_branches = 354547; g_taken = 174328;
+        g_by_origin = [ 2690929; 277127; 354547; 86992; 0; 131454 ];
+        g_output = "fb386e7b878d757b" } );
+    ( ("eqntott", "x86"),
+      { g_instrs = 5415042; g_cycles = 6268271; g_loads = 1579532; g_stores = 869529;
+        g_branches = 354547; g_taken = 174328;
+        g_by_origin = [ 2690929; 2127003; 353843; 0; 0; 243267 ];
+        g_output = "fb386e7b878d757b" } );
+    ( ("g_checksum", "mips"),
+      { g_instrs = 35053; g_cycles = 37745; g_loads = 6540; g_stores = 4625;
+        g_branches = 2315; g_taken = 1541;
+        g_by_origin = [ 25817; 0; 1540; 1540; 2316; 3840 ];
+        g_output = "2d28e924c221e240" } );
+    ( ("g_checksum", "sparc"),
+      { g_instrs = 35828; g_cycles = 39288; g_loads = 6540; g_stores = 4625;
+        g_branches = 2315; g_taken = 1541;
+        g_by_origin = [ 25817; 0; 2315; 1156; 2700; 3840 ];
+        g_output = "2d28e924c221e240" } );
+    ( ("g_checksum", "ppc"),
+      { g_instrs = 32360; g_cycles = 38908; g_loads = 6540; g_stores = 4625;
+        g_branches = 2315; g_taken = 1541;
+        g_by_origin = [ 25817; 0; 2315; 1540; 0; 2688 ];
+        g_output = "2d28e924c221e240" } );
+    ( ("g_checksum", "x86"),
+      { g_instrs = 40045; g_cycles = 42718; g_loads = 12310; g_stores = 10009;
+        g_branches = 2315; g_taken = 1541;
+        g_by_origin = [ 25817; 7305; 2315; 0; 0; 4608 ];
+        g_output = "2d28e924c221e240" } );
+    ( ("g_sort", "mips"),
+      { g_instrs = 37601; g_cycles = 39823; g_loads = 5937; g_stores = 1877;
+        g_branches = 4772; g_taken = 2739;
+        g_by_origin = [ 25734; 0; 3381; 2040; 4772; 1674 ];
+        g_output = "12a3efa6fa5e0aee" } );
+    ( ("g_sort", "sparc"),
+      { g_instrs = 37098; g_cycles = 39415; g_loads = 5937; g_stores = 1877;
+        g_branches = 4772; g_taken = 2739;
+        g_by_origin = [ 25734; 0; 4772; 98; 4820; 1674 ];
+        g_output = "12a3efa6fa5e0aee" } );
+    ( ("g_sort", "ppc"),
+      { g_instrs = 33477; g_cycles = 43712; g_loads = 5937; g_stores = 1877;
+        g_branches = 4772; g_taken = 2739;
+        g_by_origin = [ 25734; 0; 4772; 2040; 0; 931 ];
+        g_output = "12a3efa6fa5e0aee" } );
+    ( ("g_sort", "x86"),
+      { g_instrs = 38221; g_cycles = 36747; g_loads = 11143; g_stores = 6433;
+        g_branches = 4772; g_taken = 2739;
+        g_by_origin = [ 25734; 5345; 4772; 0; 0; 2370 ];
+        g_output = "12a3efa6fa5e0aee" } );
+  ]
+
+let golden_simulator_stats () =
+  List.iter
+    (fun (name, exe) ->
+      List.iter
+        (fun arch ->
+          let got = golden_of (run_spec arch exe) in
+          match List.assoc_opt (name, Arch.name arch) golden_stats with
+          | Some want when want = got -> ()
+          | Some want ->
+              Alcotest.failf
+                "%s on %s: instructions %d cycles %d loads %d stores %d \
+                 branches %d taken %d by_origin [%s] output %s; expected \
+                 %d %d %d %d %d %d [%s] %s"
+                name (Arch.name arch) got.g_instrs got.g_cycles got.g_loads
+                got.g_stores got.g_branches got.g_taken
+                (String.concat ";" (List.map string_of_int got.g_by_origin))
+                got.g_output want.g_instrs want.g_cycles want.g_loads
+                want.g_stores want.g_branches want.g_taken
+                (String.concat ";" (List.map string_of_int want.g_by_origin))
+                want.g_output
+          | None -> Alcotest.failf "%s on %s: no golden entry" name (Arch.name arch))
+        targets)
+    (Lazy.force spec_programs)
+
+(* The simulators allocate nothing per retired instruction: what a run
+   allocates is its set-up, its first decoding of each slot it reaches,
+   and its output, which a few hundred thousand instructions dilute far
+   below this bound. *)
+let simulator_allocation () =
+  List.iter
+    (fun name ->
+      let exe = List.assoc name (Lazy.force spec_programs) in
+      List.iter
+        (fun arch ->
+          let tr = Api.translate ~mode:sandbox arch exe in
+          let img = Api.load exe in
+          let before = Gc.minor_words () in
+          let r = Api.run_translated ~fuel:1_000_000_000 tr img in
+          let words = Gc.minor_words () -. before in
+          let per_instr = words /. float_of_int r.Api.instructions in
+          if per_instr > 0.05 then
+            Alcotest.failf "%s on %s: %.3f minor words per instruction" name
+              (Arch.name arch) per_instr)
+        targets)
+    [ "compress"; "eqntott" ]
 
 (* x86 register homes *)
 let x86_homes () =
@@ -440,6 +672,10 @@ let () =
          Alcotest.test_case "gp addressing" `Quick gp_addressing;
          Alcotest.test_case "tier ordering" `Quick tier_ordering;
          Alcotest.test_case "sfi guard-zone opt" `Quick sfi_opt_correct ]);
-      ("pipeline", [ Alcotest.test_case "cost model" `Quick pipeline_unit ]);
+      ("pipeline",
+       [ Alcotest.test_case "cost model" `Quick pipeline_unit;
+         Alcotest.test_case "golden simulator stats" `Quick golden_simulator_stats;
+         Alcotest.test_case "simulators allocate nothing per instruction" `Quick
+           simulator_allocation ]);
       ("x86", [ Alcotest.test_case "register homes" `Quick x86_homes ])
     ]
