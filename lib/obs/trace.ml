@@ -179,8 +179,7 @@ let observe name v =
   | Some m -> Metrics.observe (Metrics.histogram m name) v
 
 (* Time [f] into histogram [name] when the ambient tracer carries a
-   registry — per-pass attribution inside the translators, where a full
-   span per basic block would be too heavy. *)
+   registry — per-pass attribution for a compiler pass that runs once. *)
 let timed name f =
   let t = Domain.DLS.get cur in
   match t.m with
@@ -190,6 +189,67 @@ let timed name f =
       let r = f () in
       Metrics.observe (Metrics.histogram m name) (Clock.now t.clock -. t0);
       r
+
+(* --- tallies ---
+
+   A translator's passes and counters fire once per basic block or per
+   instruction; reaching the registry each time (a clock read on each
+   side, a lookup under the registry lock) would cost more than the
+   passes. A tally keeps them for one translation instead: counts by
+   name, and the time spent in each named pass on the monotonic clock.
+   [flush] then lands each in the registry once — one counter bump per
+   name, one histogram observation per pass holding its total. A tally
+   opened while the ambient tracer has no registry is off: its probes
+   cost a branch and [flush] does nothing. *)
+
+type tally = {
+  tm : Metrics.t option;
+  mutable counts : (string * int ref) list;
+  mutable passes : (string * int ref) list; (* ns *)
+}
+
+let tally () = { tm = (Domain.DLS.get cur).m; counts = []; passes = [] }
+
+let rec add_to cells name v =
+  match cells with
+  | [] -> false
+  | (n, r) :: rest ->
+      if String.equal n name then begin
+        r := !r + v;
+        true
+      end
+      else add_to rest name v
+
+let tally_count ?(by = 1) t name =
+  match t.tm with
+  | Some _ when not (add_to t.counts name by) ->
+      t.counts <- (name, ref by) :: t.counts
+  | Some _ | None -> ()
+
+let tally_time t name f =
+  match t.tm with
+  | None -> f ()
+  | Some _ ->
+      let t0 = Clock.monotonic_ns () in
+      let r = f () in
+      let dt = Clock.monotonic_ns () - t0 in
+      if not (add_to t.passes name dt) then
+        t.passes <- (name, ref dt) :: t.passes;
+      r
+
+let flush t =
+  match t.tm with
+  | None -> ()
+  | Some m ->
+      List.iter
+        (fun (n, c) -> Metrics.incr ~by:!c (Metrics.counter m n))
+        t.counts;
+      List.iter
+        (fun (n, ns) ->
+          Metrics.observe (Metrics.histogram m n) (float_of_int !ns *. 1e-9))
+        t.passes;
+      t.counts <- [];
+      t.passes <- []
 
 (* --- line-oriented JSON output --- *)
 

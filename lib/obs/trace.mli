@@ -99,9 +99,33 @@ val observe : string -> float -> unit
 (** Record a histogram sample in the current tracer's registry. *)
 
 val timed : string -> (unit -> 'a) -> 'a
-(** Time [f] into histogram [name] when the current tracer carries a
-    registry — per-pass attribution where a span per basic block would be
-    too heavy. *)
+(** Time [f] into histogram [name], on the tracer's clock, when the
+    current tracer carries a registry — per-pass attribution for a pass
+    that runs once (the MiniC compiler's). *)
+
+(** {2 Tallies}
+
+    Probes that fire per basic block or per instruction (the
+    translators') go to a tally, which is local to one translation, and
+    reach the registry once when it is flushed. *)
+
+type tally
+
+val tally : unit -> tally
+(** A new tally, on if the current tracer carries a registry. An off
+    tally's probes cost a branch. *)
+
+val tally_count : ?by:int -> tally -> string -> unit
+(** Add to the tally's count [name]. *)
+
+val tally_time : tally -> string -> (unit -> 'a) -> 'a
+(** Run [f], adding the monotonic time it took to the tally's pass
+    [name]. *)
+
+val flush : tally -> unit
+(** Land each count in the registry as one bump of counter [name], and
+    each pass as one observation of histogram [name] holding its total
+    seconds; then empty the tally. Does nothing for an off tally. *)
 
 val json_line : span -> string
 (** One span as a single JSON line (omnirun's [--trace] output). *)

@@ -272,7 +272,15 @@ let decode (s : string) : Exe.t =
   let bss_size = r32 c in
   let nsyms = r32 c in
   if count > 0x400000 then bad "unreasonable instruction count";
-  let text = Array.init count (fun _ -> decode_instr c) in
+  (* every instruction takes at least its opcode byte *)
+  if count > String.length s - c.pos then bad "truncated module";
+  (* filled in place from a constant: [Array.init] seeds the array with
+     the first, young, instruction, and a text over 256 instructions then
+     forces a minor collection *)
+  let text = Array.make count Instr.Nop in
+  for k = 0 to count - 1 do
+    text.(k) <- decode_instr c
+  done;
   if c.pos + data_len > String.length s then bad "truncated data";
   let data = Bytes.of_string (String.sub s c.pos data_len) in
   c.pos <- c.pos + data_len;

@@ -3,24 +3,7 @@ module Machine = Omni_targets.Machine
 module Certificate = Omni_cert.Certificate
 module Check = Omni_cert.Check
 module Metrics = Omni_obs.Metrics
-module Risc = Omni_targets.Risc
-module X86 = Omni_targets.X86
-
-type tprog = P_risc of Risc.program | P_x86 of X86.program
-
-(* Must agree with Omni_service.Exec.fingerprint (the cache and the
-   certificates both use that formula); pinned by a test. *)
-let fingerprint = function
-  | P_risc p -> Fnv64.mix_int (Risc.fingerprint_program p) 1
-  | P_x86 p -> Fnv64.mix_int (X86.fingerprint_program p) 2
-
-let arch_of = function
-  | P_risc p -> (
-      match p.Risc.cfg.Risc.arch with
-      | Risc.Mips -> Omni_targets.Arch.Mips
-      | Risc.Sparc -> Omni_targets.Arch.Sparc
-      | Risc.Ppc -> Omni_targets.Arch.Ppc)
-  | P_x86 _ -> Omni_targets.Arch.X86
+module Translated = Omni_targets.Translated
 
 (* -- file names ------------------------------------------------------- *)
 
@@ -109,7 +92,7 @@ type rtrans = {
   rt_module : Fnv64.t;
   rt_mode : Machine.mode;
   rt_opts : Machine.topts;
-  rt_prog : tprog;
+  rt_prog : Translated.t;
   rt_cert : Certificate.t;
   rt_fp : Fnv64.t;
 }
@@ -193,15 +176,16 @@ let validate_translation ~eager ~seq ~modules payload :
       | Ok cert -> (
           let blob = String.sub payload (12 + cert_len) (n - 12 - cert_len) in
           match
-            (Marshal.from_string blob 0 : Machine.mode * Machine.topts * tprog)
+            (Marshal.from_string blob 0
+               : Machine.mode * Machine.topts * Translated.t)
           with
           | exception _ -> Error (Bad_blob { seq })
           | mode, opts, prog ->
               if not (Hashtbl.mem modules module_digest) then
                 Error (Module_missing { seq; digest = module_digest })
               else
-                let fp = fingerprint prog in
-                let arch = arch_of prog in
+                let fp = Translated.fingerprint prog in
+                let arch = Translated.arch prog in
                 (match
                    Check.bind cert ~module_digest ~arch ~mode ~opts ~code_fp:fp
                  with
@@ -213,8 +197,8 @@ let validate_translation ~eager ~seq ~modules payload :
                       if not eager then Ok ()
                       else
                         match prog with
-                        | P_risc p -> Check.check_risc cert p
-                        | P_x86 p -> Check.check_x86 cert p
+                        | Translated.T_risc p -> Check.check_risc cert p
+                        | Translated.T_x86 p -> Check.check_x86 cert p
                     in
                     (match obligations with
                     | Error e ->
@@ -320,7 +304,8 @@ let scan ~eager io gen : scan =
                        (fun o ->
                          not
                            (Int64.equal o.rt_module rt.rt_module
-                           && arch_of o.rt_prog = arch_of rt.rt_prog
+                           && Translated.arch o.rt_prog
+                              = Translated.arch rt.rt_prog
                            && o.rt_mode = rt.rt_mode
                            && o.rt_opts = rt.rt_opts))
                        !translations
@@ -454,7 +439,8 @@ let append_module t bytes = append_record t kind_module bytes
 let translation_payload ~module_digest ~mode ~opts ~cert prog =
   let cert_bytes = Certificate.encode cert in
   let blob =
-    Marshal.to_string ((mode, opts, prog) : Machine.mode * Machine.topts * tprog)
+    Marshal.to_string
+      ((mode, opts, prog) : Machine.mode * Machine.topts * Translated.t)
       []
   in
   let b = Bytes.create (12 + String.length cert_bytes + String.length blob) in

@@ -42,21 +42,7 @@
 module Fnv64 = Omni_util.Fnv64
 module Machine = Omni_targets.Machine
 module Certificate = Omni_cert.Certificate
-
-(** A translated program as the disk knows it — the persist layer's
-    mirror of [Omni_service.Exec.translated], kept separate so this
-    library sits below the service. *)
-type tprog =
-  | P_risc of Omni_targets.Risc.program
-  | P_x86 of Omni_targets.X86.program
-
-val fingerprint : tprog -> Fnv64.t
-(** Content digest of the translated program; matches
-    [Omni_service.Exec.fingerprint] on the corresponding translation
-    (asserted by the test suite), so recovered fingerprints bind against
-    certificates minted by the live path. *)
-
-val arch_of : tprog -> Omni_targets.Arch.t
+module Translated = Omni_targets.Translated
 
 (** Why a replayed record was refused — the typed quarantine. [seq] is
     the journal sequence number of the offending record. *)
@@ -88,7 +74,7 @@ type rtrans = {
   rt_module : Fnv64.t;  (** digest of the module it translates *)
   rt_mode : Machine.mode;
   rt_opts : Machine.topts;
-  rt_prog : tprog;
+  rt_prog : Translated.t;
   rt_cert : Certificate.t;
   rt_fp : Fnv64.t;  (** recomputed (not stored) code fingerprint *)
 }
@@ -124,7 +110,7 @@ val append_translation :
   mode:Machine.mode ->
   opts:Machine.topts ->
   cert:Certificate.t ->
-  tprog ->
+  Translated.t ->
   unit
 (** Journal one certified translation. Same durability and counting as
     {!append_module}. Callers persist only certified (Sandbox-verified)

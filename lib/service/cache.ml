@@ -56,14 +56,6 @@ let pow2_at_least n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 1
 
-let tprog_of_translated = function
-  | Exec.T_risc p -> Omni_persist.Store.P_risc p
-  | Exec.T_x86 p -> Omni_persist.Store.P_x86 p
-
-let translated_of_tprog = function
-  | Omni_persist.Store.P_risc p -> Exec.T_risc p
-  | Omni_persist.Store.P_x86 p -> Exec.T_x86 p
-
 let create ?(capacity = default_capacity) ?persist ?(shards = default_shards)
     c =
   let n = pow2_at_least (max 1 shards) in
@@ -106,12 +98,14 @@ let verdict_applicable (k : key) =
 
 (* Fresh admission (misses): run the certifying verifier, which both
    performs the full static check and mints the witness that makes every
-   later warm admission cheap. *)
-let admit t k tr =
+   later warm admission cheap. [fp] is the entry's code fingerprint,
+   computed once per miss for both. *)
+let admit t k tr ~fp =
   if verdict_applicable k then begin
     Metrics.incr t.c.Counters.verifications;
     match
-      Exec.certify ~module_digest:k.k_digest ~mode:k.k_mode ~opts:k.k_opts tr
+      Exec.certify ~module_digest:k.k_digest ~mode:k.k_mode ~opts:k.k_opts
+        ~code_fp:fp tr
     with
     | Ok cert -> (Verified, Some cert)
     | Error reason -> raise (Rejected reason)
@@ -176,17 +170,16 @@ let find_or_translate t (k : key) (exe : Omnivm.Exe.t) : Exec.translated =
               Exec.translate ~mode:k.k_mode ~opts:k.k_opts k.k_arch exe
             in
             Metrics.incr t.c.Counters.translations;
-            let verdict, cert = admit t k tr in
-            (match
-               Lru.add s.lru k { tr; verdict; fp = Exec.fingerprint tr; cert }
-             with
+            let fp = Exec.fingerprint tr in
+            let verdict, cert = admit t k tr ~fp in
+            (match Lru.add s.lru k { tr; verdict; fp; cert } with
             | Some _ -> Metrics.incr t.c.Counters.evictions
             | None -> ());
             (match (t.persist, cert) with
             | Some p, Some cert ->
                 Omni_persist.Store.append_translation p
                   ~module_digest:k.k_digest ~mode:k.k_mode ~opts:k.k_opts
-                  ~cert (tprog_of_translated tr)
+                  ~cert tr
             | _ -> ());
             Metrics.incr t.c.Counters.misses;
             Trace.count "cache.misses";
@@ -209,7 +202,7 @@ let peek t k =
    Counts no miss and no translation (no translator ran) and is never
    re-journaled. *)
 let restore t (rt : Omni_persist.Store.rtrans) =
-  let tr = translated_of_tprog rt.Omni_persist.Store.rt_prog in
+  let tr = rt.Omni_persist.Store.rt_prog in
   let k =
     {
       k_digest = rt.Omni_persist.Store.rt_module;

@@ -212,7 +212,7 @@ let run_fast ?(fuel = max_int) ?watchdog ?program
   r
 
 (* Translate a loaded module for a target architecture. *)
-type translated =
+type translated = Omni_targets.Translated.t =
   | T_risc of Risc.program
   | T_x86 of X86.program
 
@@ -323,22 +323,14 @@ let equal_translated (a : translated) (b : translated) =
   | T_x86 pa, T_x86 pb -> X86.equal_program pa pb
   | _ -> false
 
-let fingerprint = function
-  | T_risc p -> Omni_util.Fnv64.mix_int (Risc.fingerprint_program p) 1
-  | T_x86 p -> Omni_util.Fnv64.mix_int (X86.fingerprint_program p) 2
+let fingerprint = Omni_targets.Translated.fingerprint
 
 (* --- certification: produce-once / check-cheap safety witnesses --- *)
 
-let arch_of = function
-  | T_risc p -> (
-      match p.Risc.cfg.Risc.arch with
-      | Risc.Mips -> Arch.Mips
-      | Risc.Sparc -> Arch.Sparc
-      | Risc.Ppc -> Arch.Ppc)
-  | T_x86 _ -> Arch.X86
+let arch_of = Omni_targets.Translated.arch
 
 let certify ~(module_digest : Omni_util.Fnv64.t) ~(mode : Machine.mode)
-    ~(opts : Machine.topts) (tr : translated) :
+    ~(opts : Machine.topts) ?code_fp (tr : translated) :
     (Omni_cert.Certificate.t, string) result =
   Trace.phase "certify" ~attrs:[ ("arch", arch_of_translated tr) ]
   @@ fun () ->
@@ -353,8 +345,11 @@ let certify ~(module_digest : Omni_util.Fnv64.t) ~(mode : Machine.mode)
     Error (Printf.sprintf "instruction %d: %s" index reason)
   in
   let mk n_code obs =
-    Omni_cert.Certificate.make ~arch:(arch_of tr) ~module_digest
-      ~code_fp:(fingerprint tr) ~protect_reads ~pad ~opts ~n_code obs
+    let code_fp =
+      match code_fp with Some fp -> fp | None -> fingerprint tr
+    in
+    Omni_cert.Certificate.make ~arch:(arch_of tr) ~module_digest ~code_fp
+      ~protect_reads ~pad ~opts ~n_code obs
   in
   match tr with
   | T_risc p -> (

@@ -78,7 +78,7 @@ val run_fast :
     compiled on the spot. *)
 
 (** A translated module, ready to execute on its target simulator. *)
-type translated =
+type translated = Omni_targets.Translated.t =
   | T_risc of Omni_targets.Risc.program
   | T_x86 of Omni_targets.X86.program
 
@@ -112,8 +112,8 @@ val equal_translated : translated -> translated -> bool
     invariant the translation cache's memoization rests on. *)
 
 val fingerprint : translated -> Omni_util.Fnv64.t
-(** Content digest of the translated program; equal programs have equal
-    fingerprints. *)
+(** {!Omni_targets.Translated.fingerprint}: content digest of the
+    translated program; equal programs have equal fingerprints. *)
 
 val arch_of : translated -> Arch.t
 
@@ -121,6 +121,7 @@ val certify :
   module_digest:Omni_util.Fnv64.t ->
   mode:Machine.mode ->
   opts:Machine.topts ->
+  ?code_fp:Omni_util.Fnv64.t ->
   translated ->
   (Omni_cert.Certificate.t, string) result
 (** Run the certifying verifier: like {!verify}, but on success also
@@ -128,6 +129,8 @@ val certify :
     digest × arch × policy × opts × code fingerprint). The certificate
     re-establishes safety later via {!check_cert} at a fraction of the
     cost. Certification accepts exactly the programs {!verify} accepts.
+    Pass [code_fp] when the fingerprint is already known (the cache
+    computes it once per miss for its entry) to skip recomputing it.
     Traced as the ["certify"] phase. *)
 
 val check_cert :

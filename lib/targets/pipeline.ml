@@ -54,6 +54,19 @@ let set c k (a : attrs) =
   c.((3 * k) + 1) <- pack 0 a.defs;
   c.((3 * k) + 2) <- (a.latency lsl 2) lor class_index a.unit_
 
+(* Reading a table back, for the scheduler, which decodes each basic
+   block once and then works on the same ints the simulators step. *)
+let uses (c : costs) k = c.(3 * k)
+let defs (c : costs) k = c.((3 * k) + 1)
+let latency (c : costs) k = c.((3 * k) + 2) lsr 2
+
+(* A packed list is non-empty iff non-zero: [first] is its head's id,
+   [rest] its tail. *)
+let first p = (p land 127) - 1
+let rest p = p lsr 7
+let rec mem r p = p <> 0 && ((p land 127) = r + 1 || mem r (p lsr 7))
+let rec meets p q = p <> 0 && (mem ((p land 127) - 1) q || meets (p lsr 7) q)
+
 type t = {
   cfg : config;
   pairs : bool array; (* [dual_issue_rule], indexed by 4 * last + next *)
@@ -73,9 +86,9 @@ let create cfg = {
   last_class = class_index IU;
 }
 
-(* The [int array] annotations matter: without them these two would be
-   polymorphic, paying a generic comparison and a float-array check per
-   resource. *)
+(* Scoreboards: resource id -> cycle its value is ready. The [int array]
+   annotations matter: without them these two would be polymorphic,
+   paying a generic comparison and a float-array check per resource. *)
 let rec ready_at (ready : int array) uses acc =
   if uses = 0 then acc
   else

@@ -13,6 +13,9 @@
 
 type unit_class = IU | FPU | LSU | BRU
 
+val resources : int
+(** Resource ids run from 0 to [resources - 1]. *)
+
 type attrs = {
   uses : int list;
   defs : int list;
@@ -41,6 +44,34 @@ val set : costs -> int -> attrs -> unit
 (** [set c k a] decodes [a] as instruction [k] of [c].
     @raise Invalid_argument if a resource id is outside 0..79 or a list
     holds more than eight. *)
+
+(** {2 Reading a table back}
+
+    Resource lists stay packed, one int each: zero is the empty list. *)
+
+val uses : costs -> int -> int
+val defs : costs -> int -> int
+val latency : costs -> int -> int
+
+val first : int -> int
+(** The id of a non-empty packed list's first resource. *)
+
+val rest : int -> int
+(** A non-empty packed list without its first resource. *)
+
+val mem : int -> int -> bool
+(** [mem r p]: resource [r] is in packed list [p]. *)
+
+val meets : int -> int -> bool
+(** The two packed lists share a resource. *)
+
+val ready_at : int array -> int -> int -> int
+(** [ready_at board p t]: the latest of [t] and the ready cycles
+    [board] holds for the resources of [p]. A board is indexed by
+    resource id: it holds {!resources} cycles. *)
+
+val set_ready : int array -> int -> int -> unit
+(** [set_ready board p c] marks every resource of [p] ready at [c]. *)
 
 type t
 

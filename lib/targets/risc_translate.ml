@@ -43,6 +43,7 @@ type emitter = {
   mutable pool : float list; (* reversed *)
   mutable pool_n : int;
   decl : Machine.sfi_decl; (* shared across chunks; masking counts *)
+  tally : Trace.tally; (* shared across chunks *)
 }
 
 let emit e origin i = e.slots <- mk origin i :: e.slots
@@ -120,7 +121,7 @@ let mem_addr t e ~origin base disp =
     (* absolute address *)
     if fits bits disp then (r_zero, disp)
     else if use_gp t && fits t.cfg.imm_bits (disp - gp_value t) then begin
-      Trace.count "translate.gp_uses";
+      Trace.tally_count e.tally "translate.gp_uses";
       (r_gp, disp - gp_value t)
     end
     else begin
@@ -164,11 +165,11 @@ let sfi_store t e ~base ~disp ~(emit_store : core:bool -> int -> int -> unit) =
       (* guard-zone reuse: the dedicated register already holds a sandboxed
          address for this base; a small displacement from it cannot leave
          the segment's guard zone, so no new check is needed *)
-      Trace.count "translate.sfi_checks_elided";
+      Trace.tally_count e.tally "translate.sfi_checks_elided";
       let d0 = match t.sfi_cache with Some (_, d, _) -> d | None -> 0 in
       emit_store ~core:true r_sfi_data (disp - d0)
   | Omni_sfi.Policy.Sandbox ->
-      Trace.count "translate.sfi_checks";
+      Trace.tally_count e.tally "translate.sfi_checks";
       (* address into a single register, then mask into the segment *)
       let asrc =
         if disp = 0 then base
@@ -200,7 +201,7 @@ let sfi_store t e ~base ~disp ~(emit_store : core:bool -> int -> int -> unit) =
                         else None)
       end
   | Omni_sfi.Policy.Guard ->
-      Trace.count "translate.sfi_checks";
+      Trace.tally_count e.tally "translate.sfi_checks";
       let areg =
         if disp = 0 then base
         else begin
@@ -458,7 +459,7 @@ let translate_instr t e ~idx (ins : int VI.t) =
          && use_gp t
          && fits t.cfg.imm_bits (v - gp_value t)
       then begin
-        Trace.count "translate.gp_uses";
+        Trace.tally_count e.tally "translate.gp_uses";
         emit e Machine.Core (Alui (VI.Add, m rd, r_gp, v - gp_value t))
       end
       else
@@ -652,6 +653,9 @@ let is_barrier_slot (s : slot) =
   | Hcall _ | Guard_data _ | Guard_code _ | Trapi _ -> true
   | _ -> false
 
+(* A static slot to seed arrays with (see [Machine.array_of_list]). *)
+let placeholder = { i = Nop; origin = Machine.Bnop; annul = false }
+
 let sched_info cfg : slot Sched.info =
   {
     Sched.attrs = (fun s -> attrs cfg s.i);
@@ -663,12 +667,15 @@ let translate (t : tconfig) (exe : Omnivm.Exe.t) : program =
   let n = Array.length text in
   let lead = leaders exe in
   let decl = Machine.new_sfi_decl () in
-  let pool = { slots = []; pool = []; pool_n = 0; decl } in
+  let tally = Trace.tally () in
+  let pool = { slots = []; pool = []; pool_n = 0; decl; tally } in
   (* chunk per omni instruction; the constant pool threads through *)
   let chunks = Array.make n [] in
   for i = 0 to n - 1 do
     if lead.(i) then t.sfi_cache <- None;
-    let e = { slots = []; pool = pool.pool; pool_n = pool.pool_n; decl } in
+    let e =
+      { slots = []; pool = pool.pool; pool_n = pool.pool_n; decl; tally }
+    in
     translate_instr t e ~idx:i text.(i);
     pool.pool <- e.pool;
     pool.pool_n <- e.pool_n;
@@ -692,7 +699,7 @@ let translate (t : tconfig) (exe : Omnivm.Exe.t) : program =
     | Machine.Native Machine.Cc -> Sched.Critical_path
     | _ -> Sched.Greedy
   in
-  let info = sched_info t.cfg in
+  let sched = Sched.create (sched_info t.cfg) in
   let out = ref [] in
   let out_n = ref 0 in
   let addr_map = Array.make n (-1) in
@@ -713,10 +720,10 @@ let translate (t : tconfig) (exe : Omnivm.Exe.t) : program =
               | Machine.Native Machine.Cc ->
                   let before = List.length slots in
                   let slots' =
-                    Trace.timed "pass.peephole" (fun () ->
+                    Trace.tally_time tally "pass.peephole" (fun () ->
                         apply_record_forms slots)
                   in
-                  Trace.count ~by:(before - List.length slots')
+                  Trace.tally_count tally ~by:(before - List.length slots')
                     "translate.peephole_folds";
                   slots'
               | _ -> slots
@@ -729,11 +736,11 @@ let translate (t : tconfig) (exe : Omnivm.Exe.t) : program =
             | s :: rest -> split (s :: acc) rest
           in
           let body, ctrl = split [] slots in
-          let body = Array.of_list body in
+          let body = Machine.array_of_list ~dummy:placeholder body in
           let body =
             if t.opts.Machine.schedule then
-              Trace.timed "pass.schedule" (fun () ->
-                  Sched.schedule_body info ~quality body)
+              Trace.tally_time tally "pass.schedule" (fun () ->
+                  Sched.schedule_body sched ~quality body)
             else body
           in
           (match ctrl with
@@ -742,8 +749,8 @@ let translate (t : tconfig) (exe : Omnivm.Exe.t) : program =
               if t.cfg.has_delay_slot then begin
                 let body, filler =
                   if t.opts.Machine.fill_delay_slots then
-                    Trace.timed "pass.delay_slot" (fun () ->
-                        Sched.fill_delay_slot info
+                    Trace.tally_time tally "pass.delay_slot" (fun () ->
+                        Sched.fill_delay_slot sched
                           ~branch_attrs:(attrs t.cfg c.i) body)
                   else (body, None)
                 in
@@ -751,10 +758,10 @@ let translate (t : tconfig) (exe : Omnivm.Exe.t) : program =
                 emit_out c;
                 match filler with
                 | Some f ->
-                    Trace.count "translate.delay_slots_filled";
+                    Trace.tally_count tally "translate.delay_slots_filled";
                     emit_out f
                 | None ->
-                    Trace.count "translate.delay_slot_nops";
+                    Trace.tally_count tally "translate.delay_slot_nops";
                     emit_out (mk Machine.Bnop Nop)
               end
               else begin
@@ -762,7 +769,8 @@ let translate (t : tconfig) (exe : Omnivm.Exe.t) : program =
                 emit_out c
               end))
     blocks;
-  let code = Array.of_list (List.rev !out) in
+  Trace.flush tally;
+  let code = Machine.array_of_list ~dummy:placeholder (List.rev !out) in
   (* patch branch targets: omni index -> native index *)
   let patch_target i =
     if i < 0 || i >= n || addr_map.(i) < 0 then

@@ -16,16 +16,19 @@ type 'a info = {
     vendor-compiler tier's stronger heuristic. *)
 type quality = Greedy | Critical_path
 
-val build_deps : 'a info -> 'a array -> int list array
-(** Dependence predecessors (RAW/WAR/WAW on registers, conservative memory
-    ordering, barriers) for each instruction of a straight-line body. *)
+type 'a t
+(** A scheduler for one translation: [info] and the scratch arrays every
+    block reuses. Not safe to share between domains. *)
 
-val critical_path : 'a info -> 'a array -> int list array -> int array
+val create : 'a info -> 'a t
 
-val schedule_body : 'a info -> quality:quality -> 'a array -> 'a array
-(** A semantics-preserving permutation of the body. *)
+val schedule_body : 'a t -> quality:quality -> 'a array -> 'a array
+(** A semantics-preserving permutation of the body. Dependences are
+    RAW/WAR/WAW on registers, a conservative memory order (stores in
+    program order, loads ordered against stores both ways), and
+    barriers. *)
 
 val fill_delay_slot :
-  'a info -> branch_attrs:Pipeline.attrs -> 'a array -> 'a array * 'a option
+  'a t -> branch_attrs:Pipeline.attrs -> 'a array -> 'a array * 'a option
 (** Try to move the body's last instruction into the branch delay slot;
     refuses on any RAW/WAW/WAR hazard against the branch. *)

@@ -153,10 +153,22 @@ let op_is_mem = function M _ -> true | R _ | I _ -> false
    only issue in the U pipe; a branch can issue in the V pipe after an
    integer op. We encode this with unit classes: IU pairs with IU and BRU;
    LSU (shift-class) and FPU pair with nothing. *)
+let unit_of : instr -> Pipeline.unit_class = function
+  | Shift (_, (R _ | M _), _) | Shiftv (_, (R _ | M _), _) | Setcc _
+  | Fcc_to_reg _ ->
+      Pipeline.LSU
+  | Jcc _ | Jmp _ | Jmp_ind _ | Call _ | Call_ind _ -> Pipeline.BRU
+  | Fop _ | Fun1 _ | Fload _ | Fstore _ | Fld_pool _ | Fcmp _ | Cvt_f_i _
+  | Cvt_i_f _ ->
+      Pipeline.FPU
+  | Mov _ | Load _ | Store _ | Alu _ | Shift (_, I _, _) | Shiftv (_, I _, _)
+  | Imul _ | Idiv _ | Cdq | Lea _ | Cmp _ | Guard_data _ | Guard_code _
+  | Trapi _ | Hcall _ | Nop ->
+      Pipeline.IU
+
 let attrs (i : instr) : Pipeline.attrs =
-  let mk ?(lat = 1) ?(unit_ = Pipeline.IU) ?(load = false) ?(store = false)
-      uses defs =
-    { Pipeline.uses; defs; latency = lat; unit_; is_load = load;
+  let mk ?(lat = 1) ?(load = false) ?(store = false) uses defs =
+    { Pipeline.uses; defs; latency = lat; unit_ = unit_of i; is_load = load;
       is_store = store }
   in
   match i with
@@ -174,16 +186,12 @@ let attrs (i : instr) : Pipeline.attrs =
   | Alu (_, M m, src) ->
       mk ~load:true ~store:true ~lat:3 (op_uses src @ mem_uses m) [ cc_id ]
   | Alu (_, I _, _) -> mk [] []
-  | Shift (_, R d, _) -> mk ~unit_:Pipeline.LSU [ rid d ] [ rid d; cc_id ]
-  | Shift (_, M m, _) ->
-      mk ~unit_:Pipeline.LSU ~load:true ~store:true ~lat:3 (mem_uses m)
-        [ cc_id ]
+  | Shift (_, R d, _) -> mk [ rid d ] [ rid d; cc_id ]
+  | Shift (_, M m, _) -> mk ~load:true ~store:true ~lat:3 (mem_uses m) [ cc_id ]
   | Shift (_, I _, _) -> mk [] []
-  | Shiftv (_, R d, c) ->
-      mk ~lat:2 ~unit_:Pipeline.LSU [ rid d; rid c ] [ rid d; cc_id ]
+  | Shiftv (_, R d, c) -> mk ~lat:2 [ rid d; rid c ] [ rid d; cc_id ]
   | Shiftv (_, M m, c) ->
-      mk ~lat:3 ~unit_:Pipeline.LSU ~load:true ~store:true
-        (rid c :: mem_uses m) [ cc_id ]
+      mk ~lat:3 ~load:true ~store:true (rid c :: mem_uses m) [ cc_id ]
   | Shiftv (_, I _, _) -> mk [] []
   | Imul (d, src) ->
       mk ~lat:9 ~load:(op_is_mem src) (rid d :: op_uses src) [ rid d ]
@@ -195,28 +203,25 @@ let attrs (i : instr) : Pipeline.attrs =
   | Lea (d, m) -> mk (mem_uses m) [ rid d ]
   | Cmp (a, b) ->
       mk ~load:(op_is_mem a || op_is_mem b) (op_uses a @ op_uses b) [ cc_id ]
-  | Setcc (_, d) -> mk ~lat:1 ~unit_:Pipeline.LSU [ cc_id ] [ rid d ]
-  | Jcc _ -> mk ~unit_:Pipeline.BRU [ cc_id ] []
-  | Jmp _ -> mk ~unit_:Pipeline.BRU [] []
-  | Jmp_ind o -> mk ~unit_:Pipeline.BRU (op_uses o) []
-  | Call (_, _) -> mk ~unit_:Pipeline.BRU [] [ rid ebp ]
-  | Call_ind (o, _) -> mk ~unit_:Pipeline.BRU (op_uses o) [ rid ebp ]
+  | Setcc (_, d) -> mk ~lat:1 [ cc_id ] [ rid d ]
+  | Jcc _ -> mk [ cc_id ] []
+  | Jmp _ -> mk [] []
+  | Jmp_ind o -> mk (op_uses o) []
+  | Call (_, _) -> mk [] [ rid ebp ]
+  | Call_ind (o, _) -> mk (op_uses o) [ rid ebp ]
   | Fop (op, _, d, a, b) ->
       let lat =
         match op with VI.Fadd | VI.Fsub -> 3 | VI.Fmul -> 3 | VI.Fdiv -> 39
       in
-      mk ~lat ~unit_:Pipeline.FPU [ fid a; fid b ] [ fid d ]
-  | Fun1 (_, d, a) -> mk ~unit_:Pipeline.FPU [ fid a ] [ fid d ]
-  | Fload (_, d, m) ->
-      mk ~load:true ~lat:2 ~unit_:Pipeline.FPU (mem_uses m) [ fid d ]
-  | Fstore (_, v, m) -> mk ~store:true ~unit_:Pipeline.FPU (fid v :: mem_uses m) []
-  | Fld_pool (d, _) -> mk ~load:true ~lat:2 ~unit_:Pipeline.FPU [] [ fid d ]
-  | Fcmp (_, a, b) -> mk ~lat:3 ~unit_:Pipeline.FPU [ fid a; fid b ] [ fcc_id ]
-  | Fcc_to_reg d -> mk ~lat:2 ~unit_:Pipeline.LSU [ fcc_id ] [ rid d ]
-  | Cvt_f_i (d, src) ->
-      mk ~lat:3 ~load:(op_is_mem src) ~unit_:Pipeline.FPU (op_uses src)
-        [ fid d ]
-  | Cvt_i_f (d, a) -> mk ~lat:3 ~unit_:Pipeline.FPU [ fid a ] [ rid d ]
+      mk ~lat [ fid a; fid b ] [ fid d ]
+  | Fun1 (_, d, a) -> mk [ fid a ] [ fid d ]
+  | Fload (_, d, m) -> mk ~load:true ~lat:2 (mem_uses m) [ fid d ]
+  | Fstore (_, v, m) -> mk ~store:true (fid v :: mem_uses m) []
+  | Fld_pool (d, _) -> mk ~load:true ~lat:2 [] [ fid d ]
+  | Fcmp (_, a, b) -> mk ~lat:3 [ fid a; fid b ] [ fcc_id ]
+  | Fcc_to_reg d -> mk ~lat:2 [ fcc_id ] [ rid d ]
+  | Cvt_f_i (d, src) -> mk ~lat:3 ~load:(op_is_mem src) (op_uses src) [ fid d ]
+  | Cvt_i_f (d, a) -> mk ~lat:3 [ fid a ] [ rid d ]
   | Guard_data r | Guard_code r -> mk [ rid r ] []
   | Trapi _ -> mk [] []
   | Hcall _ -> mk [] [ rid ecx ]

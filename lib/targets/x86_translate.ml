@@ -27,6 +27,7 @@ type emitter = {
   mutable pool : float list;
   mutable pool_n : int;
   decl : Machine.sfi_decl; (* shared across chunks; masking counts *)
+  tally : Trace.tally; (* shared across chunks *)
 }
 
 let emit e origin i = e.slots <- mk origin i :: e.slots
@@ -276,7 +277,7 @@ let sandbox_store e mode ~base ~disp ~(do_store : mem -> unit) =
   if sfi_mode mode = Omni_sfi.Policy.Off || store_statically_safe mode base disp
   then begin
     if sfi_mode mode <> Omni_sfi.Policy.Off then
-      Trace.count "translate.sfi_checks_elided";
+      Trace.tally_count e.tally "translate.sfi_checks_elided";
     let m = addr_mem e Machine.Addr base disp in
     do_store m
   end
@@ -288,7 +289,7 @@ let sandbox_store e mode ~base ~disp ~(do_store : mem -> unit) =
     | Hmem a ->
         emit e Machine.Sfi (Mov (R eax, M (mabs a)));
         if disp <> 0 then emit e Machine.Sfi (Lea (eax, mbase eax disp)));
-    Trace.count "translate.sfi_checks";
+    Trace.tally_count e.tally "translate.sfi_checks";
     match sfi_mode mode with
     | Omni_sfi.Policy.Sandbox ->
         e.decl.Machine.data_masks <- e.decl.Machine.data_masks + 1;
@@ -316,7 +317,7 @@ let sandbox_load e mode ~base ~disp ~(do_load : mem -> unit) =
     | Hmem a ->
         emit e Machine.Sfi (Mov (R eax, M (mabs a)));
         if disp <> 0 then emit e Machine.Sfi (Lea (eax, mbase eax disp)));
-    Trace.count "translate.sfi_checks";
+    Trace.tally_count e.tally "translate.sfi_checks";
     match sfi_mode mode with
     | Omni_sfi.Policy.Sandbox ->
         e.decl.Machine.data_masks <- e.decl.Machine.data_masks + 1;
@@ -559,15 +560,14 @@ let is_barrier_slot (s : slot) =
   | Hcall _ | Guard_data _ | Guard_code _ | Trapi _ | Idiv _ -> true
   | _ -> false
 
+(* A static slot to seed arrays with (see [Machine.array_of_list]). *)
+let placeholder = { i = Nop; origin = Machine.Bnop }
+
 let sched_info : slot Sched.info =
   { Sched.attrs = (fun s -> attrs s.i); is_barrier = is_barrier_slot }
 
 let has_fp (slots : slot list) =
-  List.exists
-    (fun s -> match (attrs s.i).Pipeline.unit_ with
-      | Pipeline.FPU -> true
-      | _ -> false)
-    slots
+  List.exists (fun s -> unit_of s.i = Pipeline.FPU) slots
 
 let translate ~(mode : Machine.mode) ~(opts : Machine.topts)
     (exe : Omnivm.Exe.t) : program =
@@ -575,10 +575,13 @@ let translate ~(mode : Machine.mode) ~(opts : Machine.topts)
   let n = Array.length text in
   let lead = leaders exe in
   let decl = Machine.new_sfi_decl () in
-  let pool = { slots = []; pool = []; pool_n = 0; decl } in
+  let tally = Trace.tally () in
+  let pool = { slots = []; pool = []; pool_n = 0; decl; tally } in
   let chunks = Array.make n [] in
   for i = 0 to n - 1 do
-    let e = { slots = []; pool = pool.pool; pool_n = pool.pool_n; decl } in
+    let e =
+      { slots = []; pool = pool.pool; pool_n = pool.pool_n; decl; tally }
+    in
     translate_instr mode e ~idx:i text.(i);
     pool.pool <- e.pool;
     pool.pool_n <- e.pool_n;
@@ -603,12 +606,7 @@ let translate ~(mode : Machine.mode) ~(opts : Machine.topts)
   let out = ref [] in
   let out_n = ref 0 in
   let addr_map = Array.make n (-1) in
-  let sched_limit =
-    match Sys.getenv_opt "X86_SCHED_LIMIT" with
-    | Some v -> int_of_string v
-    | None -> max_int
-  in
-  let block_counter = ref 0 in
+  let sched = Sched.create sched_info in
   let emit_out s =
     out := s :: !out;
     incr out_n
@@ -624,9 +622,10 @@ let translate ~(mode : Machine.mode) ~(opts : Machine.topts)
             if opts.Machine.peephole then begin
               let before = List.length slots in
               let slots' =
-                Trace.timed "pass.peephole" (fun () -> redundant_cmp slots)
+                Trace.tally_time tally "pass.peephole" (fun () ->
+                    redundant_cmp slots)
               in
-              Trace.count ~by:(before - List.length slots')
+              Trace.tally_count tally ~by:(before - List.length slots')
                 "translate.peephole_folds";
               slots'
             end
@@ -638,24 +637,23 @@ let translate ~(mode : Machine.mode) ~(opts : Machine.topts)
             | s :: rest -> split (s :: acc) rest
           in
           let body, ctrl = split [] slots in
-          incr block_counter;
           let schedule_this =
             opts.Machine.schedule
             && (quality = Sched.Critical_path || has_fp body)
-            && !block_counter <= sched_limit
             (* the mobile x86 translator schedules only FP code (paper 4) *)
           in
-          let body = Array.of_list body in
+          let body = Machine.array_of_list ~dummy:placeholder body in
           let body =
             if schedule_this then
-              Trace.timed "pass.schedule" (fun () ->
-                  Sched.schedule_body sched_info ~quality body)
+              Trace.tally_time tally "pass.schedule" (fun () ->
+                  Sched.schedule_body sched ~quality body)
             else body
           in
           Array.iter emit_out body;
           (match ctrl with Some c -> emit_out c | None -> ()))
     blocks;
-  let code = Array.of_list (List.rev !out) in
+  Trace.flush tally;
+  let code = Machine.array_of_list ~dummy:placeholder (List.rev !out) in
   let patch_target i =
     if i < 0 || i >= n || addr_map.(i) < 0 then
       terror "branch targets non-leader omni instruction %d" i

@@ -12,6 +12,14 @@ val cpu : t
     spent while the span was open, which equals its latency only when
     one domain is busy and nothing blocks. *)
 
+val monotonic : t
+(** Wall seconds from CLOCK_MONOTONIC, since an arbitrary origin: never
+    steps back, and unlike {!cpu} it measures latency, not CPU. *)
+
+val monotonic_ns : unit -> int
+(** The {!monotonic} clock in integer nanoseconds, read without
+    allocating — for accumulating many short intervals. *)
+
 val manual : ?start:float -> unit -> t
 (** A clock that only moves when told to ([start] defaults to 0). *)
 
@@ -24,8 +32,10 @@ val now : t -> float
 
 val advance : t -> float -> unit
 (** Advance a manual clock by a non-negative step.
-    @raise Invalid_argument on the CPU clock or a negative step. *)
+    @raise Invalid_argument on a clock that is not manual, or a negative
+    step. *)
 
 val set : t -> float -> unit
 (** Set a manual clock to an absolute time not before its current reading.
-    @raise Invalid_argument on the CPU clock or a backwards jump. *)
+    @raise Invalid_argument on a clock that is not manual, or a backwards
+    jump. *)

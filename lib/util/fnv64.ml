@@ -8,18 +8,21 @@ let prime = 0x100000001b3L
 let step h byte =
   Int64.mul (Int64.logxor h (Int64.of_int (byte land 0xff))) prime
 
-let digest_sub get len ?(seed = offset_basis) () =
+(* Direct loops, one per input type: a per-byte accessor closure would
+   cost a call and a boxed accumulator on every byte. *)
+let digest_string ?(seed = offset_basis) s =
   let h = ref seed in
-  for i = 0 to len - 1 do
-    h := step !h (get i)
+  for i = 0 to String.length s - 1 do
+    h := step !h (Char.code (String.unsafe_get s i))
   done;
   !h
 
-let digest_string ?seed s =
-  digest_sub (fun i -> Char.code s.[i]) (String.length s) ?seed ()
-
-let digest_bytes ?seed b =
-  digest_sub (fun i -> Char.code (Bytes.get b i)) (Bytes.length b) ?seed ()
+let digest_bytes ?(seed = offset_basis) b =
+  let h = ref seed in
+  for i = 0 to Bytes.length b - 1 do
+    h := step !h (Char.code (Bytes.unsafe_get b i))
+  done;
+  !h
 
 (* Fold a full OCaml int in 8 little-endian bytes. *)
 let mix_int h v =

@@ -98,6 +98,64 @@ let phase_histograms_fed () =
   Alcotest.(check bool) "breakdown lists translate" true
     (contains ~affix:"translate" table)
 
+(* --- tallies: one registry update per name per translation --- *)
+
+let tally_flushes_once () =
+  let m = Metrics.create () in
+  let t = Trace.make ~metrics:m Trace.Null in
+  Trace.with_current t (fun () ->
+      let tl = Trace.tally () in
+      for _ = 1 to 5 do
+        Trace.tally_count tl "translate.x";
+        Trace.tally_count tl ~by:2 "translate.y";
+        Alcotest.(check int) "the pass's result" 7
+          (Trace.tally_time tl "pass.p" (fun () -> 7))
+      done;
+      Alcotest.(check int) "nothing before the flush" 0
+        (Metrics.histogram_count (Metrics.histogram m "pass.p"));
+      Trace.flush tl;
+      Trace.flush tl);
+  Alcotest.(check int) "counts summed" 5
+    (Metrics.value (Metrics.counter m "translate.x"));
+  Alcotest.(check int) "by summed" 10
+    (Metrics.value (Metrics.counter m "translate.y"));
+  Alcotest.(check int) "one observation for five runs" 1
+    (Metrics.histogram_count (Metrics.histogram m "pass.p"));
+  (* with no registry the tally is off, but the pass still runs *)
+  let tl = Trace.tally () in
+  Alcotest.(check int) "off tally runs the pass" 3
+    (Trace.tally_time tl "pass.p" (fun () -> 3));
+  Trace.tally_count tl "translate.x";
+  Trace.flush tl
+
+let translation_passes_once () =
+  let exe =
+    Api.compile_exe ~name:"passes"
+      "int f(int n) { int s; int i; s = 1;\n\
+      \  for (i = 0; i < n; i++) { if (s > 9) s = s - 3; else s = s * 2; }\n\
+      \  return s; }\n\
+       int main(void) { print_int(f(12)); putchar(10); return 0; }\n"
+  in
+  let m = Metrics.create () in
+  let t = Trace.make ~metrics:m Trace.Null in
+  Trace.with_current t (fun () ->
+      ignore (Api.translate Arch.Mips exe);
+      ignore (Api.translate Arch.Mips exe));
+  let count name = Metrics.histogram_count (Metrics.histogram m name) in
+  (* many blocks each translation, one observation each *)
+  Alcotest.(check int) "pass.schedule" 2 (count "pass.schedule");
+  Alcotest.(check int) "pass.delay_slot" 2 (count "pass.delay_slot");
+  Alcotest.(check bool) "sfi checks counted" true
+    (Metrics.value (Metrics.counter m "translate.sfi_checks") > 0)
+
+let monotonic_clock () =
+  let a = Clock.now Clock.monotonic in
+  let b = Clock.now Clock.monotonic in
+  Alcotest.(check bool) "never steps back" true (b >= a && a > 0.0);
+  match Clock.advance Clock.monotonic 1.0 with
+  | () -> Alcotest.fail "advanced the monotonic clock"
+  | exception Invalid_argument _ -> ()
+
 (* --- histogram bucket boundaries --- *)
 
 let bucket_boundaries () =
@@ -250,6 +308,10 @@ let () =
          Alcotest.test_case "unbalanced end raises" `Quick end_without_begin;
          Alcotest.test_case "null tracer is inert" `Quick null_tracer_inert;
          Alcotest.test_case "phase histograms fed" `Quick phase_histograms_fed;
+         Alcotest.test_case "tally flushes once" `Quick tally_flushes_once;
+         Alcotest.test_case "one pass observation per translation" `Quick
+           translation_passes_once;
+         Alcotest.test_case "monotonic clock" `Quick monotonic_clock;
          Alcotest.test_case "json escaping" `Quick json_escaping ]);
       ("metrics",
        [ Alcotest.test_case "bucket boundaries" `Quick bucket_boundaries;

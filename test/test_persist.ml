@@ -109,9 +109,8 @@ let check_recovery ~case io =
     (fun (rt : Store.rtrans) ->
       let matches (o : Store.rtrans) =
         o.Store.rt_module = rt.Store.rt_module
-        && Store.arch_of o.Store.rt_prog = Store.arch_of rt.Store.rt_prog
-        && Store.fingerprint o.Store.rt_prog
-           = Store.fingerprint rt.Store.rt_prog
+        && Exec.arch_of o.Store.rt_prog = Exec.arch_of rt.Store.rt_prog
+        && Exec.fingerprint o.Store.rt_prog = Exec.fingerprint rt.Store.rt_prog
         && o.Store.rt_fp = rt.Store.rt_fp
       in
       if not (List.exists matches trs) then
@@ -340,11 +339,11 @@ let fingerprint_parity () =
     (List.length r.Store.r_translations);
   List.iter
     (fun (rt : Store.rtrans) ->
-      let arch = Store.arch_of rt.Store.rt_prog in
+      let arch = Exec.arch_of rt.Store.rt_prog in
       Alcotest.(check bool)
         (Printf.sprintf "fingerprint parity on %s" (Arch.name arch))
         true
-        (Store.fingerprint rt.Store.rt_prog = rt.Store.rt_fp
+        (Exec.fingerprint rt.Store.rt_prog = rt.Store.rt_fp
         && rt.Store.rt_fp = live_fp arch))
     r.Store.r_translations
 

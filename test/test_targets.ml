@@ -38,6 +38,10 @@ let sched_attrs = function
 
 let sched_info = { S.attrs = sched_attrs; is_barrier = (fun _ -> false) }
 
+(* One scheduler for every block, as in a translation: each block must
+   leave its scratch state clean for the next. *)
+let sched = S.create sched_info
+
 let sched_exec prog =
   let regs = Array.init 8 (fun i -> (i * 13) + 1) in
   let mem = Array.make 4 5 in
@@ -49,24 +53,35 @@ let sched_exec prog =
     prog;
   (Array.to_list regs, Array.to_list mem)
 
-let gen_block =
+let gen_block_upto max_len =
   QCheck.Gen.(
-    list_size (int_range 1 14)
+    list_size (int_range 1 max_len)
       (oneof
          [ map3 (fun a b c -> Op (a, b, c)) (int_bound 7) (int_bound 7) (int_bound 7);
            map2 (fun a b -> Ld (a, b)) (int_bound 7) (int_bound 3);
            map2 (fun a b -> St (a, b)) (int_bound 3) (int_bound 7) ])
     >>= fun l -> return (Array.of_list l))
 
+let gen_block = gen_block_upto 14
+
+let preserves prog =
+  sched_exec (S.schedule_body sched ~quality:S.Greedy prog) = sched_exec prog
+  && sched_exec (S.schedule_body sched ~quality:S.Critical_path prog)
+     = sched_exec prog
+
 let scheduler_preserves =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:3000 ~name:"list scheduling preserves semantics"
-       (QCheck.make gen_block)
-       (fun prog ->
-         sched_exec (S.schedule_body sched_info ~quality:S.Greedy prog)
-         = sched_exec prog
-         && sched_exec (S.schedule_body sched_info ~quality:S.Critical_path prog)
-            = sched_exec prog))
+       (QCheck.make gen_block) preserves)
+
+(* Blocks longer than the scratch arrays start out: they grow, and the
+   short blocks after them still schedule correctly. *)
+let scheduler_preserves_long =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300
+       ~name:"list scheduling preserves semantics on long blocks"
+       (QCheck.make QCheck.Gen.(pair (gen_block_upto 90) gen_block))
+       (fun (long, short) -> preserves long && preserves short))
 
 let delay_slot_filler_safe =
   QCheck_alcotest.to_alcotest
@@ -79,7 +94,7 @@ let delay_slot_filler_safe =
            { P.uses = [ breg ]; defs = [ 7 ]; latency = 1; unit_ = P.BRU;
              is_load = false; is_store = false }
          in
-         let body, filler = S.fill_delay_slot sched_info ~branch_attrs:battrs prog in
+         let body, filler = S.fill_delay_slot sched ~branch_attrs:battrs prog in
          match filler with
          | None -> true
          | Some f ->
@@ -647,6 +662,117 @@ let simulator_allocation () =
         targets)
     [ "compress"; "eqntott" ]
 
+(* --- golden translations ---
+
+   One FNV-64 digest over the code fingerprint and the encoded
+   certificate of every translation of a fixed module set: seeded guest
+   programs, seeded MiniC loops and the spec-inproc programs, on every
+   target, under the default mobile translation and under the vendor tier
+   with every optimization (the only configuration that schedules by
+   critical path). Recorded before the scheduler moved to packed costs;
+   any change to what a translator emits, or to a certificate, moves it. *)
+
+module Exec = Omni_service.Exec
+
+let golden_modules =
+  lazy
+    (List.init 32 (fun seed ->
+         let rng = Random.State.make [| 0x90de; seed |] in
+         let p = Omni_guest.Gen.program rng in
+         match Omni_guest.Lift.lift_wire p with
+         | Ok wire -> wire
+         | Error e -> failwith (Omni_guest.Error.to_string e))
+    @ List.init 10 (fun k ->
+          Minic.Driver.compile_wire ~name:(Printf.sprintf "loop%d" k)
+            (Printf.sprintf
+               "int step(int x) { return (x * %d + %d) & 65535; }\n\
+                int main(void) {\n\
+               \  int i; int acc = %d; double f = 1.5;\n\
+               \  for (i = 0; i < %d; i = i + 1) {\n\
+               \    acc = acc ^ step(acc + i); f = f * 1.25 + 0.5;\n\
+               \  }\n\
+               \  print_int(acc + (int) f); putchar(10);\n\
+               \  return 0;\n\
+                }\n"
+               ((k * 7919) + 3) ((k * 104729) + 1) (k * 31) (8 + k)))
+    @ List.map
+        (fun (w : W.t) -> Minic.Driver.compile_wire ~name:w.W.name w.W.source)
+        (W.all ~size:W.Test))
+
+let golden_configs =
+  [ (sandbox, None); (Machine.Native Machine.Cc, Some Machine.all_opts) ]
+
+let translation_digest () =
+  List.fold_left
+    (fun h wire ->
+      let exe = Omnivm.Wire.decode wire in
+      let module_digest = Omni_util.Fnv64.digest_string wire in
+      List.fold_left
+        (fun h arch ->
+          List.fold_left
+            (fun h (mode, opts) ->
+              let tr = Exec.translate ~mode ?opts arch exe in
+              let opts =
+                match opts with Some o -> o | None -> Exec.mobile_opts arch
+              in
+              let h = Omni_util.Fnv64.mix_int h 0 in
+              let h =
+                Omni_util.Fnv64.digest_string ~seed:h
+                  (Omni_util.Fnv64.to_hex (Exec.fingerprint tr))
+              in
+              match Exec.certify ~module_digest ~mode ~opts tr with
+              | Ok c ->
+                  Omni_util.Fnv64.digest_string ~seed:h
+                    (Omni_cert.Certificate.encode c)
+              | Error e -> Omni_util.Fnv64.digest_string ~seed:h e)
+            h golden_configs)
+        h targets)
+    0L (Lazy.force golden_modules)
+
+let golden_translation_digest = "a6f5350d5061ac2f"
+
+let golden_translations () =
+  Alcotest.(check int) "modules" 46 (List.length (Lazy.force golden_modules));
+  Alcotest.(check string) "translation digest" golden_translation_digest
+    (Omni_util.Fnv64.to_hex (translation_digest ()))
+
+(* --- cold admission forces no minor collection ---
+
+   In OCaml 5 an array over 256 words seeded with a young element, as
+   [Array.init] and [Array.of_list] seed theirs, forces a minor
+   collection. Under a minor heap far larger than what admitting one
+   module allocates, decoding, translating and certifying a module of
+   more than 256 instructions must then collect nothing. *)
+let no_forced_minor_collections () =
+  let wire =
+    List.fold_left
+      (fun best w -> if String.length w > String.length best then w else best)
+      "" (Lazy.force golden_modules |> List.filteri (fun k _ -> k < 32))
+  in
+  let module_digest = Omni_util.Fnv64.digest_string wire in
+  let n = Array.length (Omnivm.Wire.decode wire).Omnivm.Exe.text in
+  if n <= 256 then Alcotest.failf "module of %d instructions is too small" n;
+  let saved = Gc.get () in
+  Gc.set { saved with Gc.minor_heap_size = 8 lsl 20 };
+  Fun.protect ~finally:(fun () -> Gc.set saved) @@ fun () ->
+  List.iter
+    (fun arch ->
+      Gc.minor ();
+      let before = (Gc.quick_stat ()).Gc.minor_collections in
+      let exe = Omnivm.Wire.decode wire in
+      let tr = Exec.translate ~mode:sandbox arch exe in
+      (match
+         Exec.certify ~module_digest ~mode:sandbox ~opts:(Exec.mobile_opts arch)
+           tr
+       with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: certify refused: %s" (Arch.name arch) e);
+      let collections = (Gc.quick_stat ()).Gc.minor_collections - before in
+      if collections <> 0 then
+        Alcotest.failf "%s: %d minor collections admitting %d instructions"
+          (Arch.name arch) collections n)
+    targets
+
 (* x86 register homes *)
 let x86_homes () =
   let open Omni_targets.X86 in
@@ -661,7 +787,9 @@ let x86_homes () =
 
 let () =
   Alcotest.run "targets"
-    [ ("scheduler", [ scheduler_preserves; delay_slot_filler_safe ]);
+    [ ("scheduler",
+       [ scheduler_preserves; scheduler_preserves_long;
+         delay_slot_filler_safe ]);
       ("translation",
        [ Alcotest.test_case "sfi store sequences" `Quick store_sfi_sequences;
          Alcotest.test_case "branch models" `Quick branch_models;
@@ -671,7 +799,10 @@ let () =
          Alcotest.test_case "scheduling helps" `Quick scheduling_helps;
          Alcotest.test_case "gp addressing" `Quick gp_addressing;
          Alcotest.test_case "tier ordering" `Quick tier_ordering;
-         Alcotest.test_case "sfi guard-zone opt" `Quick sfi_opt_correct ]);
+         Alcotest.test_case "sfi guard-zone opt" `Quick sfi_opt_correct;
+         Alcotest.test_case "golden translations" `Quick golden_translations;
+         Alcotest.test_case "cold admission forces no minor collection" `Quick
+           no_forced_minor_collections ]);
       ("pipeline",
        [ Alcotest.test_case "cost model" `Quick pipeline_unit;
          Alcotest.test_case "golden simulator stats" `Quick golden_simulator_stats;

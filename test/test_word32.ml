@@ -1,4 +1,5 @@
-(* Unit and property tests for 32-bit word arithmetic. *)
+(* Unit and property tests for 32-bit word arithmetic and the FNV-1a
+   digest. *)
 
 module W = Omni_util.Word32
 
@@ -109,4 +110,28 @@ let props =
         W.of_unsigned (W.to_unsigned x) = x)
   ]
 
-let () = Alcotest.run "word32" [ ("units", unit_tests); ("props", props) ]
+(* The published FNV-1a 64 test vectors, and the two entry points and
+   seeding agreeing with one another. *)
+module Fnv = Omni_util.Fnv64
+
+let fnv_tests =
+  [ Alcotest.test_case "known answers" `Quick (fun () ->
+        List.iter
+          (fun (input, want) ->
+            Alcotest.(check string) (Printf.sprintf "%S" input) want
+              (Fnv.to_hex (Fnv.digest_string input));
+            Alcotest.(check string) (Printf.sprintf "%S as bytes" input) want
+              (Fnv.to_hex (Fnv.digest_bytes (Bytes.of_string input))))
+          [ ("", "cbf29ce484222325"); ("a", "af63dc4c8601ec8c");
+            ("foobar", "85944171f73967e8") ]);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300 ~name:"seeding continues a digest"
+         QCheck.(pair string string)
+         (fun (a, b) ->
+           Fnv.equal
+             (Fnv.digest_string ~seed:(Fnv.digest_string a) b)
+             (Fnv.digest_string (a ^ b)))) ]
+
+let () =
+  Alcotest.run "word32"
+    [ ("units", unit_tests); ("props", props); ("fnv64", fnv_tests) ]
