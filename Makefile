@@ -22,10 +22,11 @@ bench-smoke:
 	dune exec bench/main.exe -- service
 
 # Performance regression gate: run the hot-path benchmarks and compare
-# against the committed snapshot with the highest N among BENCH_N.json;
-# >20% regression on any hot path fails. The first run (no baseline)
-# seeds it; keys present in only one snapshot are skipped and summarized
-# in one stderr line.
+# against the committed snapshot with the highest N among BENCH_N.json,
+# which the gate only reads; >20% regression on any hot path fails. With
+# no baseline it passes; keys present in only one snapshot are skipped
+# and summarized in one stderr line. `dune exec bench/main.exe -- json`
+# is the one command that writes a snapshot.
 bench-gate:
 	dune exec bench/main.exe -- gate
 

@@ -23,55 +23,50 @@ let sections =
 
 (* --- the persisted snapshot + regression gate (BENCH_N.json) ----------
 
-   [json] re-measures every subsystem's hot paths and writes the latest
-   BENCH_N.json at the repo root. [gate] additionally diffs the new
-   numbers against that snapshot's [hot_paths] before overwriting it:
-   any named path more than 20% slower (and by more than 10us absolute —
-   20% of a 30us path is timer noise) — in the per-key minimum over up
-   to five measurement attempts, so a one-off host interference spike
-   never fails a build — fails the gate (exit 1); hot paths that only
-   exist in one of the two snapshots are skipped and summarized in one
-   stderr line, so adding or retiring a subsystem never trips the gate —
-   or shrinks it — silently. With no snapshot present the first run
-   seeds BENCH_1.json and passes.
+   [json] re-measures every subsystem's hot paths and writes them to the
+   latest BENCH_N.json at the repo root (BENCH_1.json when there is
+   none); it is the only section that writes a snapshot. [gate] measures
+   the same snapshot in memory and diffs its [hot_paths] against the
+   latest BENCH_N.json, which it only reads: any named path more than 20%
+   slower (and by more than 10us absolute — 20% of a 30us path is timer
+   noise) — in the per-key minimum over up to five measurement attempts,
+   so a one-off host interference spike never fails a build — fails the
+   gate (exit 1); hot paths that only exist in one of the two snapshots
+   are skipped and summarized in one stderr line, so adding or retiring a
+   subsystem never trips the gate — or shrinks it — silently. With no
+   snapshot present the gate has nothing to compare and passes.
    The classification logic lives in Omni_harness.Gate, where the test
    suite exercises it against synthetic snapshot pairs. *)
 
-(* The highest-numbered snapshot is both the baseline and the file the
-   fresh numbers overwrite. *)
-let snapshot_file =
-  Option.value ~default:"BENCH_1.json"
-    (Gate.latest_snapshot (Array.to_list (Sys.readdir ".")))
+let latest_snapshot () = Gate.latest_snapshot (Array.to_list (Sys.readdir "."))
 
 let write_snapshot ~size =
+  let file = Option.value ~default:"BENCH_1.json" (latest_snapshot ()) in
   let json = E.bench_snapshot ~size in
-  let oc = open_out snapshot_file in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote %s (%d hot paths)\n" snapshot_file
-    (List.length (Gate.hot_paths_of_json json));
-  json
+  Out_channel.with_open_bin file (fun oc -> output_string oc json);
+  Printf.printf "wrote %s (%d hot paths)\n" file
+    (List.length (Gate.hot_paths_of_json json))
+
+let measure ~size = Gate.hot_paths_of_json (E.bench_snapshot ~size)
 
 let run_gate ~size =
   let previous =
-    if not (Sys.file_exists snapshot_file) then None
-    else
-      Some
-        (Gate.hot_paths_of_json
-           (In_channel.with_open_bin snapshot_file In_channel.input_all))
+    Option.map
+      (fun file ->
+        Gate.hot_paths_of_json (In_channel.with_open_bin file In_channel.input_all))
+      (latest_snapshot ())
   in
-  let fresh = Gate.hot_paths_of_json (write_snapshot ~size) in
+  let fresh = measure ~size in
   match previous with
   | None | Some [] ->
-      Printf.printf "bench-gate: baseline seeded (%d hot paths); PASS\n"
+      Printf.printf "bench-gate: no baseline snapshot (%d hot paths); PASS\n"
         (List.length fresh)
   | Some old ->
       (* A regression must survive re-measurement: on FAIL, re-run the
          snapshot (up to [max_attempts] total) and gate on the per-key
          minimum across attempts — the stable estimator under host
          interference. A genuine slowdown is slow in every attempt; a
-         scheduler or frequency-scaling spike is not. The written
-         snapshot is the last attempt's full snapshot. *)
+         scheduler or frequency-scaling spike is not. *)
       let max_attempts = 5 in
       let rec attempt n fresh =
         let d = Gate.diff ~baseline:old ~fresh () in
@@ -83,9 +78,7 @@ let run_gate ~size =
           (* brief cool-down: back-to-back attempts measure a host still
              hot (and frequency-throttled) from the previous one *)
           Unix.sleep 3;
-          attempt (n + 1)
-            (Gate.merge_min fresh
-               (Gate.hot_paths_of_json (write_snapshot ~size)))
+          attempt (n + 1) (Gate.merge_min fresh (measure ~size))
         end
         else d
       in
@@ -134,7 +127,7 @@ let run_section ~size name =
   | "guest" -> print_string (E.guest_front_end ~size)
   | "fastpath" -> print_string (E.fastpath ~size)
   | "persistence" -> print_string (E.persistence ~size)
-  | "json" -> ignore (write_snapshot ~size)
+  | "json" -> write_snapshot ~size
   | "gate" -> run_gate ~size
   | "bechamel" -> Bechamel_bench.run ~size
   | other -> Printf.eprintf "unknown section %s\n" other);

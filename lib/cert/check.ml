@@ -161,7 +161,7 @@ let no_const = min_int
 (* --- RISC (mips / sparc / ppc) --- *)
 
 (* Destination integer register of an instruction; -1 if none. Mirrors
-   [Risc.attrs] defs restricted to the integer file. *)
+   [Risc.cost_of] defs restricted to the integer file. *)
 let risc_dest (i : R.instr) : int =
   match i with
   | R.Alu (_, rd, _, _)
@@ -437,7 +437,7 @@ let check_risc (c : Certificate.t) (p : R.program) : (unit, error) result =
 
 (* --- x86 --- *)
 
-(* Does [ins] write integer register [r]? Mirrors [X86.attrs] defs. *)
+(* Does [ins] write integer register [r]? Mirrors [X86.cost_of] defs. *)
 let x86_writes (r : int) (ins : X.instr) : bool =
   match ins with
   | X.Mov (X.R d, _)

@@ -94,7 +94,7 @@ let skip_summary d =
               (String.concat ", " keys) ]
     in
     Some
-      (Printf.sprintf "bench-gate: skipped %s — new keys gate next run"
+      (Printf.sprintf "bench-gate: skipped %s — new keys are gated once a snapshot holds them"
          (String.concat " and "
             (clause "new" d.d_new @ clause "dropped" d.d_dropped)))
 

@@ -19,7 +19,8 @@ type diff = {
       (** [(name, before_us, now_us)] for every gated key slower than
           [threshold * before]; order follows the fresh snapshot *)
   d_new : string list;
-      (** fresh keys with no baseline — skipped this run, gated next *)
+      (** fresh keys with no baseline — skipped until a written snapshot
+          holds them *)
   d_dropped : string list;
       (** baseline keys missing from the fresh snapshot — skipped *)
   d_compared : int;  (** keys present (and gated) in both snapshots *)

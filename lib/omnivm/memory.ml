@@ -331,21 +331,27 @@ let[@inline] load64 t addr =
 
 (* Both halves are checked before either is written: a store that faults
    leaves memory untouched. *)
-let store64_halves t addr v =
+let store64_halves t addr lo hi =
   let lo_addr = addr land 0xFFFFFFFF and hi_addr = (addr + 4) land 0xFFFFFFFF in
   let lo_r = check t lo_addr 4 Fault.Write in
   let hi_r = check t hi_addr 4 Fault.Write in
-  write32 t lo_r lo_addr (Int64.to_int v);
-  write32 t hi_r hi_addr (Int64.to_int (Int64.shift_right_logical v 32))
+  write32 t lo_r lo_addr lo;
+  write32 t hi_r hi_addr hi
 
-let[@inline] store64 t addr v =
+let store_words t addr lo hi =
   let addr = addr land 0xFFFFFFFF in
   let r = check t addr 4 Fault.Write in
   let off = addr - r.base in
   let po = off land page_mask in
   if po <= page_size - 8 && off + 8 <= r.size then
-    Bytes.set_int64_le (writable_page t r off) po v
-  else store64_halves t addr v
+    Bytes.set_int64_le (writable_page t r off) po
+      (Int64.logor
+         (Int64.of_int (lo land 0xFFFFFFFF))
+         (Int64.shift_left (Int64.of_int hi) 32))
+  else store64_halves t addr lo hi
+
+let[@inline] store64 t addr v =
+  store_words t addr (Int64.to_int v) (Int64.to_int (Int64.shift_right_logical v 32))
 
 let load_float t addr = Int64.float_of_bits (load64 t addr)
 let store_float t addr f = store64 t addr (Int64.bits_of_float f)

@@ -82,6 +82,12 @@ val store8 : t -> int -> int -> unit
 val store16 : t -> int -> int -> unit
 val store32 : t -> int -> int -> unit
 val store64 : t -> int -> int64 -> unit
+
+val store_words : t -> int -> int -> int -> unit
+(** [store_words t addr lo hi] is the 8-byte store of the value whose low
+    and high halves are the low 32 bits of [lo] and [hi]: {!store64} with
+    its value passed as two ints, which a caller need not box. *)
+
 val store_float : t -> int -> float -> unit
 val store_single : t -> int -> float -> unit
 

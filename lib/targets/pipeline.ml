@@ -13,15 +13,6 @@
 
 type unit_class = IU | FPU | LSU | BRU
 
-type attrs = {
-  uses : int list;
-  defs : int list;
-  latency : int; (* cycles until defs are usable *)
-  unit_ : unit_class;
-  is_load : bool;
-  is_store : bool;
-}
-
 type config = {
   issue_width : int; (* instructions per cycle *)
   dual_issue_rule : unit_class -> unit_class -> bool;
@@ -33,26 +24,49 @@ let resources = 80
 let classes = [| IU; FPU; LSU; BRU |]
 let class_index = function IU -> 0 | FPU -> 1 | LSU -> 2 | BRU -> 3
 
-(* [attrs] as the simulators step them: three ints per instruction in
-   one flat table, so a retired instruction walks ints and allocates
-   nothing. Each resource list is packed into one int, seven bits per
-   resource (its id + 1, lowest first, 0 ends the list); the third int is
-   the latency and the unit class's index. *)
+(* One instruction's costs in one int, as the translators' decoders
+   produce them without allocating: its uses (at most four resources) in
+   bits 0-27, its defs (at most three) in bits 28-48, each list packed
+   seven bits per resource (its id + 1, lowest first, 0 ends the list);
+   then the unit class's index in bits 49-50, the [load] and [store]
+   flags, and the latency from bit 53. *)
+type cost = int
+
+let id r =
+  if r < 0 || r >= resources then invalid_arg "Pipeline: resource id";
+  r + 1
+
+let one a = id a
+let two a b = id a lor (id b lsl 7)
+let three a b c = two a b lor (id c lsl 14)
+let cons r p = id r lor (p lsl 7)
+let rec length p = if p = 0 then 0 else 1 + length (p lsr 7)
+let append p q = p lor (q lsl (7 * length p))
+let load = 1 lsl 51
+let store = 1 lsl 52
+
+let cost latency unit_ uses defs =
+  if length uses > 4 || length defs > 3 || latency < 0 || latency > 511 then
+    invalid_arg "Pipeline.cost";
+  uses lor (defs lsl 28) lor (class_index unit_ lsl 49) lor (latency lsl 53)
+
+let cost_uses w = w land ((1 lsl 28) - 1)
+let cost_defs w = (w lsr 28) land ((1 lsl 21) - 1)
+let is_load w = w land load <> 0
+let is_store w = w land store <> 0
+
+(* A run of instructions' costs as the simulators step them: three ints
+   per instruction in one flat table, so a retired instruction walks ints
+   and allocates nothing. The first two are the packed uses and defs, the
+   third the latency and the unit class's index. *)
 type costs = int array
 
 let costs n = Array.make (3 * n) 0
 
-(* [rs] packed, given [n] resources before them. *)
-let rec pack n = function
-  | [] -> 0
-  | r :: rs ->
-      if n = 8 || r < 0 || r >= resources then invalid_arg "Pipeline.set";
-      (pack (n + 1) rs lsl 7) lor (r + 1)
-
-let set c k (a : attrs) =
-  c.(3 * k) <- pack 0 a.uses;
-  c.((3 * k) + 1) <- pack 0 a.defs;
-  c.((3 * k) + 2) <- (a.latency lsl 2) lor class_index a.unit_
+let set c k w =
+  c.(3 * k) <- cost_uses w;
+  c.((3 * k) + 1) <- cost_defs w;
+  c.((3 * k) + 2) <- ((w lsr 53) lsl 2) lor ((w lsr 49) land 3)
 
 (* Reading a table back, for the scheduler, which decodes each basic
    block once and then works on the same ints the simulators step. *)
@@ -68,7 +82,8 @@ let rec mem r p = p <> 0 && ((p land 127) = r + 1 || mem r (p lsr 7))
 let rec meets p q = p <> 0 && (mem ((p land 127) - 1) q || meets (p lsr 7) q)
 
 type t = {
-  cfg : config;
+  width : int; (* [issue_width] *)
+  penalty : int; (* [taken_branch_penalty] *)
   pairs : bool array; (* [dual_issue_rule], indexed by 4 * last + next *)
   ready : int array; (* resource id -> cycle its value is ready *)
   mutable cycle : int;
@@ -77,7 +92,8 @@ type t = {
 }
 
 let create cfg = {
-  cfg;
+  width = cfg.issue_width;
+  penalty = cfg.taken_branch_penalty;
   pairs =
     Array.init 16 (fun i -> cfg.dual_issue_rule classes.(i / 4) classes.(i mod 4));
   ready = Array.make resources 0;
@@ -101,34 +117,51 @@ let rec set_ready (ready : int array) defs cycle =
     set_ready ready (defs lsr 7) cycle
   end
 
-(* Account one retired instruction, number [k] of [c]; returns nothing,
-   accumulates in [t.cycle]. *)
-let step t (c : costs) k ~taken_branch =
+(* Retire instruction [k] of [c]: add one to its count in [counts] and
+   account it in [t.cycle]. The simulators call this once per instruction
+   and the build compiles modules opaquely, so nothing here is inlined
+   into them: it is one call that does all of a retirement's accounting,
+   with the first resource of each list handled in line, since most lists
+   hold one or two. *)
+let retire t (c : costs) (counts : int array) k ~taken_branch =
   let i = 3 * k in
-  if i < 0 || i + 2 >= Array.length c then invalid_arg "Pipeline.step";
+  if i < 0 || i + 2 >= Array.length c || k >= Array.length counts then
+    invalid_arg "Pipeline.retire";
+  Array.unsafe_set counts k (Array.unsafe_get counts k + 1);
   let uses = Array.unsafe_get c i
   and defs = Array.unsafe_get c (i + 1)
   and meta = Array.unsafe_get c (i + 2) in
   let unit_ = meta land 3 in
-  let ready_at = ready_at t.ready uses t.cycle in
-  let issue_cycle =
-    if ready_at > t.cycle then ready_at (* interlock stall *)
-    else if t.issued_this_cycle = 0 then t.cycle
-    else if
-      t.issued_this_cycle < t.cfg.issue_width
-      && Array.unsafe_get t.pairs ((4 * t.last_class) + unit_)
-    then t.cycle
-    else t.cycle + 1
+  let ready = t.ready and cycle = t.cycle in
+  let ready_at =
+    if uses = 0 then cycle
+    else
+      let r = Array.unsafe_get ready ((uses land 127) - 1) in
+      let acc = if r > cycle then r else cycle in
+      if uses lsr 7 = 0 then acc else ready_at ready (uses lsr 7) acc
   in
-  if issue_cycle > t.cycle then begin
+  let issue_cycle =
+    if ready_at > cycle then ready_at (* interlock stall *)
+    else if t.issued_this_cycle = 0 then cycle
+    else if
+      t.issued_this_cycle < t.width
+      && Array.unsafe_get t.pairs ((4 * t.last_class) + unit_)
+    then cycle
+    else cycle + 1
+  in
+  if issue_cycle > cycle then begin
     t.cycle <- issue_cycle;
     t.issued_this_cycle <- 1
   end
   else t.issued_this_cycle <- t.issued_this_cycle + 1;
   t.last_class <- unit_;
-  set_ready t.ready defs (issue_cycle + (meta lsr 2));
-  if taken_branch && t.cfg.taken_branch_penalty > 0 then begin
-    t.cycle <- t.cycle + t.cfg.taken_branch_penalty;
+  if defs <> 0 then begin
+    let at = issue_cycle + (meta lsr 2) in
+    Array.unsafe_set ready ((defs land 127) - 1) at;
+    if defs lsr 7 <> 0 then set_ready ready (defs lsr 7) at
+  end;
+  if taken_branch && t.penalty > 0 then begin
+    t.cycle <- t.cycle + t.penalty;
     t.issued_this_cycle <- 0
   end
 

@@ -16,15 +16,6 @@ type unit_class = IU | FPU | LSU | BRU
 val resources : int
 (** Resource ids run from 0 to [resources - 1]. *)
 
-type attrs = {
-  uses : int list;
-  defs : int list;
-  latency : int;
-  unit_ : unit_class;
-  is_load : bool;
-  is_store : bool;
-}
-
 type config = {
   issue_width : int;
   dual_issue_rule : unit_class -> unit_class -> bool;
@@ -32,18 +23,51 @@ type config = {
   taken_branch_penalty : int;
 }
 
+(** {2 One instruction's costs}
+
+    A {!cost} is one int: the resources an instruction reads (its uses,
+    at most four) and writes (its defs, at most three), each list packed
+    into an int as {!uses} below returns it, its latency (cycles until the
+    defs are usable), its functional-unit class, and whether it loads or
+    stores. Building one allocates nothing. *)
+
+type cost = int
+
+val one : int -> int
+(** The packed list of one resource id.
+    @raise Invalid_argument if the id is outside 0..79. *)
+
+val two : int -> int -> int
+val three : int -> int -> int -> int
+
+val cons : int -> int -> int
+(** [cons r p]: resource [r], then the packed list [p]. *)
+
+val append : int -> int -> int
+
+val cost : int -> unit_class -> int -> int -> cost
+(** [cost latency unit uses defs].
+    @raise Invalid_argument if [uses] holds more than four resources,
+    [defs] more than three, or [latency] is outside 0..511. *)
+
+val load : cost
+val store : cost
+(** Flags to [lor] into a cost: the instruction loads, or stores. *)
+
+val cost_uses : cost -> int
+val cost_defs : cost -> int
+val is_load : cost -> bool
+val is_store : cost -> bool
+
 type costs
-(** The {!attrs} of a run of instructions decoded for stepping: resource
-    lists packed into ints in one flat table, so a retired instruction
-    allocates nothing. *)
+(** The costs of a run of instructions decoded for stepping, in one flat
+    table of ints, so a retired instruction allocates nothing. *)
 
 val costs : int -> costs
 (** A table for [n] instructions, each to be {!set} before it is stepped. *)
 
-val set : costs -> int -> attrs -> unit
-(** [set c k a] decodes [a] as instruction [k] of [c].
-    @raise Invalid_argument if a resource id is outside 0..79 or a list
-    holds more than eight. *)
+val set : costs -> int -> cost -> unit
+(** [set c k w] records [w] as instruction [k] of [c]. *)
 
 (** {2 Reading a table back}
 
@@ -77,8 +101,10 @@ type t
 
 val create : config -> t
 
-val step : t -> costs -> int -> taken_branch:bool -> unit
-(** [step t c k] accounts one retired instruction, number [k] of [c]. *)
+val retire : t -> costs -> int array -> int -> taken_branch:bool -> unit
+(** [retire t c counts k] accounts one retired instruction, number [k] of
+    [c], and adds one to [counts.(k)].
+    @raise Invalid_argument if [k] is outside [c] or [counts]. *)
 
 val cycles : t -> int
 (** Total simulated cycles so far. *)

@@ -201,7 +201,6 @@ let is_control = function
 
 (* --- pipeline attributes --- *)
 
-let rid r = r
 let fid f = 32 + f
 let cc_id = 64
 let fcc_id = 65
@@ -211,33 +210,27 @@ let alu_latency cfg = function
   | VI.Div | VI.Divu | VI.Rem | VI.Remu -> cfg.div_latency
   | _ -> 1
 
-let attrs cfg (i : instr) : Pipeline.attrs =
-  let mk ?(lat = 1) ?(unit_ = Pipeline.IU) ?(load = false) ?(store = false)
-      uses defs =
-    { Pipeline.uses; defs; latency = lat; unit_; is_load = load;
-      is_store = store }
-  in
+let cost_of cfg (i : instr) : Pipeline.cost =
+  let open Pipeline in
   match i with
-  | Alu (op, rd, ra, rb) ->
-      mk ~lat:(alu_latency cfg op) [ rid ra; rid rb ] [ rid rd ]
-  | Alui (op, rd, ra, _) -> mk ~lat:(alu_latency cfg op) [ rid ra ] [ rid rd ]
+  | Alu (op, rd, ra, rb) -> cost (alu_latency cfg op) IU (two ra rb) (one rd)
+  | Alui (op, rd, ra, _) -> cost (alu_latency cfg op) IU (one ra) (one rd)
   | Alu_record (op, rd, ra, rb) ->
-      mk ~lat:(alu_latency cfg op) [ rid ra; rid rb ] [ rid rd; cc_id ]
-  | Lui (rd, _) -> mk [] [ rid rd ]
-  | Load (_, _, rd, b, _) ->
-      mk ~lat:cfg.load_latency ~load:true [ rid b ] [ rid rd ]
+      cost (alu_latency cfg op) IU (two ra rb) (two rd cc_id)
+  | Lui (rd, _) -> cost 1 IU 0 (one rd)
+  | Load (_, _, rd, b, _) -> cost cfg.load_latency IU (one b) (one rd) lor load
   | Load_x (_, _, rd, a, b) ->
-      mk ~lat:cfg.load_latency ~load:true [ rid a; rid b ] [ rid rd ]
-  | Store (_, rv, b, _) -> mk ~store:true [ rid rv; rid b ] []
-  | Store_x (_, rv, a, b) -> mk ~store:true [ rid rv; rid a; rid b ] []
+      cost cfg.load_latency IU (two a b) (one rd) lor load
+  | Store (_, rv, b, _) -> cost 1 IU (two rv b) 0 lor store
+  | Store_x (_, rv, a, b) -> cost 1 IU (three rv a b) 0 lor store
   | Fload (fd, b, _) | Fload_s (fd, b, _) ->
-      mk ~lat:cfg.load_latency ~load:true [ rid b ] [ fid fd ]
+      cost cfg.load_latency IU (one b) (one (fid fd)) lor load
   | Fload_x (fd, a, b) ->
-      mk ~lat:cfg.load_latency ~load:true [ rid a; rid b ] [ fid fd ]
+      cost cfg.load_latency IU (two a b) (one (fid fd)) lor load
   | Fstore (fv, b, _) | Fstore_s (fv, b, _) ->
-      mk ~store:true [ fid fv; rid b ] []
-  | Fstore_x (fv, a, b) -> mk ~store:true [ fid fv; rid a; rid b ] []
-  | Fld_pool (fd, _) -> mk ~lat:cfg.load_latency ~load:true [] [ fid fd ]
+      cost 1 IU (two (fid fv) b) 0 lor store
+  | Fstore_x (fv, a, b) -> cost 1 IU (three (fid fv) a b) 0 lor store
+  | Fld_pool (fd, _) -> cost cfg.load_latency IU 0 (one (fid fd)) lor load
   | Fop (op, _, fd, fa, fb) ->
       let lat =
         match op with
@@ -245,30 +238,28 @@ let attrs cfg (i : instr) : Pipeline.attrs =
         | VI.Fmul -> cfg.fmul_latency
         | VI.Fdiv -> cfg.fdiv_latency
       in
-      mk ~lat ~unit_:Pipeline.FPU [ fid fa; fid fb ] [ fid fd ]
-  | Fun1 (_, fd, fa) -> mk ~lat:1 ~unit_:Pipeline.FPU [ fid fa ] [ fid fd ]
+      cost lat FPU (two (fid fa) (fid fb)) (one (fid fd))
+  | Fun1 (_, fd, fa) -> cost 1 FPU (one (fid fa)) (one (fid fd))
   | Fcmp (_, fa, fb) ->
-      mk ~lat:cfg.fcmp_latency ~unit_:Pipeline.FPU [ fid fa; fid fb ]
-        [ fcc_id ]
-  | Fcc_to_reg rd -> mk [ fcc_id ] [ rid rd ]
-  | Cvt_f_i (fd, ra) -> mk ~lat:3 ~unit_:Pipeline.FPU [ rid ra ] [ fid fd ]
-  | Cvt_i_f (rd, fa) -> mk ~lat:3 ~unit_:Pipeline.FPU [ fid fa ] [ rid rd ]
-  | Cvt_d_s (fd, fa) | Cvt_s_d (fd, fa) ->
-      mk ~lat:2 ~unit_:Pipeline.FPU [ fid fa ] [ fid fd ]
-  | Cmp (a, b) -> mk ~lat:cfg.cmp_latency [ rid a; rid b ] [ cc_id ]
-  | Cmpi (a, _) -> mk ~lat:cfg.cmp_latency [ rid a ] [ cc_id ]
-  | Br_cc (_, _) -> mk ~unit_:Pipeline.BRU [ cc_id ] []
-  | Br_cmp (_, a, b, _) -> mk ~unit_:Pipeline.BRU [ rid a; rid b ] []
-  | Fbr (_, _) -> mk ~unit_:Pipeline.BRU [ fcc_id ] []
-  | J _ -> mk ~unit_:Pipeline.BRU [] []
-  | Call (_, _) -> mk ~unit_:Pipeline.BRU [] [ rid omni_ra ]
-  | Call_ind (r, _) -> mk ~unit_:Pipeline.BRU [ rid r ] [ rid omni_ra ]
-  | Jmp_ind r -> mk ~unit_:Pipeline.BRU [ rid r ] []
-  | Guard_data r | Guard_code r -> mk ~lat:1 [ rid r ] []
-  | Cc_to_reg (_, rd) -> mk [ cc_id ] [ rid rd ]
-  | Trapi _ -> mk [] []
-  | Hcall _ -> mk [] [ rid (map_reg 1) ]
-  | Nop -> mk [] []
+      cost cfg.fcmp_latency FPU (two (fid fa) (fid fb)) (one fcc_id)
+  | Fcc_to_reg rd -> cost 1 IU (one fcc_id) (one rd)
+  | Cvt_f_i (fd, ra) -> cost 3 FPU (one ra) (one (fid fd))
+  | Cvt_i_f (rd, fa) -> cost 3 FPU (one (fid fa)) (one rd)
+  | Cvt_d_s (fd, fa) | Cvt_s_d (fd, fa) -> cost 2 FPU (one (fid fa)) (one (fid fd))
+  | Cmp (a, b) -> cost cfg.cmp_latency IU (two a b) (one cc_id)
+  | Cmpi (a, _) -> cost cfg.cmp_latency IU (one a) (one cc_id)
+  | Br_cc (_, _) -> cost 1 BRU (one cc_id) 0
+  | Br_cmp (_, a, b, _) -> cost 1 BRU (two a b) 0
+  | Fbr (_, _) -> cost 1 BRU (one fcc_id) 0
+  | J _ -> cost 1 BRU 0 0
+  | Call (_, _) -> cost 1 BRU 0 (one omni_ra)
+  | Call_ind (r, _) -> cost 1 BRU (one r) (one omni_ra)
+  | Jmp_ind r -> cost 1 BRU (one r) 0
+  | Guard_data r | Guard_code r -> cost 1 IU (one r) 0
+  | Cc_to_reg (_, rd) -> cost 1 IU (one cc_id) (one rd)
+  | Trapi _ -> cost 1 IU 0 0
+  | Hcall _ -> cost 1 IU 0 (one (map_reg 1))
+  | Nop -> cost 1 IU 0 0
 
 let pipeline_config cfg : Pipeline.config =
   {

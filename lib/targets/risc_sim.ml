@@ -5,7 +5,8 @@
    delay slots (with Sparc-style annulment), and feeds every retired
    instruction to the generic pipeline cost model. A slot's costs are
    decoded the first time it executes, so retiring an instruction
-   allocates nothing. *)
+   allocates nothing; its statistics are counted per slot and folded
+   when the run ends (see [Machine.finish]). *)
 
 open Risc
 module W = Omni_util.Word32
@@ -29,8 +30,12 @@ type state = {
   table : Machine.table; (* [prog.code]'s costs; the run's until it ends *)
 }
 
-let get st r = if r = 0 then 0 else st.regs.(r)
-let set st r v = if r <> 0 then st.regs.(r) <- W.of_int v
+(* [Word32.of_int] in line: the low 32 bits, sign-extended. *)
+let canon v = (v lsl 31) asr 31
+
+(* [regs.(0)] is never written, so it reads as zero. *)
+let get st r = st.regs.(r)
+let set st r v = if r <> 0 then st.regs.(r) <- canon v
 
 let is_branch = function Br_cc _ | Br_cmp _ | Fbr _ -> true | _ -> false
 
@@ -77,7 +82,26 @@ let native_of_omni st addr =
     if n < 0 then fault (Access_violation { addr; access = Execute })
     else n
 
-let eff st base disp = W.to_unsigned (W.add (get st base) (W.of_int disp))
+(* [VI.eval_binop], in line but for division, with the same arithmetic
+   as [Word32]'s: the low 32 bits of [a * b] are those of the unsigned
+   product [W.mul] builds. *)
+let binop op a b =
+  match op with
+  | VI.Add -> canon (a + b)
+  | VI.Sub -> canon (a - b)
+  | VI.Mul -> canon (a * b)
+  | VI.And -> canon (a land b)
+  | VI.Or -> canon (a lor b)
+  | VI.Xor -> canon (a lxor b)
+  | VI.Sll -> canon (a lsl (b land 31))
+  | VI.Srl -> canon ((a land 0xFFFFFFFF) lsr (b land 31))
+  | VI.Sra -> canon (a asr (b land 31))
+  | VI.Slt -> if a < b then 1 else 0
+  | VI.Sltu -> if a land 0xFFFFFFFF < b land 0xFFFFFFFF then 1 else 0
+  | VI.Div | VI.Divu | VI.Rem | VI.Remu -> VI.eval_binop op a b
+
+(* [W.to_unsigned (W.add a (W.of_int disp))], in line. *)
+let eff st base disp = (get st base + disp) land 0xFFFFFFFF
 
 let do_load st w signed addr =
   match (w, signed) with
@@ -92,6 +116,28 @@ let do_store st w addr v =
   | VI.W8 -> Mem.store8 st.mem addr v
   | VI.W16 -> Mem.store16 st.mem addr v
   | VI.W32 -> Mem.store32 st.mem addr v
+
+(* [Mem.load_float] and [Mem.store_float] without boxing: a float that
+   crosses into another module is boxed, an int is not. An 8-byte load is
+   two 4-byte loads, low half first, as [Mem] defines it. *)
+let[@inline] load_float mem a =
+  let lo = Mem.load32 mem a in
+  let hi = Mem.load32 mem (a + 4) in
+  Int64.float_of_bits
+    (Int64.logor
+       (Int64.of_int (lo land 0xFFFFFFFF))
+       (Int64.shift_left (Int64.of_int hi) 32))
+
+let[@inline] store_float mem a f =
+  let b = Int64.bits_of_float f in
+  Mem.store_words mem a (Int64.to_int b)
+    (Int64.to_int (Int64.shift_right_logical b 32))
+
+let[@inline] load_single mem a =
+  Int32.float_of_bits (Int32.of_int (Mem.load32 mem a land 0xFFFFFFFF))
+
+let[@inline] store_single mem a f =
+  Mem.store32 mem a (Int32.to_int (Int32.bits_of_float f) land 0xFFFFFFFF)
 
 let round_single f = Int32.float_of_bits (Int32.bits_of_float f)
 
@@ -113,11 +159,11 @@ let hcall st n =
 (* Execute a non-control instruction. *)
 let exec_simple st (i : instr) =
   match i with
-  | Alu (op, rd, ra, rb) -> set st rd (VI.eval_binop op (get st ra) (get st rb))
+  | Alu (op, rd, ra, rb) -> set st rd (binop op (get st ra) (get st rb))
   | Alui (op, rd, ra, imm) ->
-      set st rd (VI.eval_binop op (get st ra) (W.of_int imm))
+      set st rd (binop op (get st ra) (canon imm))
   | Alu_record (op, rd, ra, rb) ->
-      let v = VI.eval_binop op (get st ra) (get st rb) in
+      let v = binop op (get st ra) (get st rb) in
       set st rd v;
       st.cc_a <- v;
       st.cc_b <- 0
@@ -128,17 +174,15 @@ let exec_simple st (i : instr) =
   | Store (w, rv, b, d) -> do_store st w (eff st b d) (get st rv)
   | Store_x (w, rv, a, b) ->
       do_store st w (W.to_unsigned (W.add (get st a) (get st b))) (get st rv)
-  | Fload (fd, b, d) -> st.fregs.(fd) <- Mem.load_float st.mem (eff st b d)
-  | Fstore (fv, b, d) -> Mem.store_float st.mem (eff st b d) st.fregs.(fv)
-  | Fload_s (fd, b, d) -> st.fregs.(fd) <- Mem.load_single st.mem (eff st b d)
-  | Fstore_s (fv, b, d) -> Mem.store_single st.mem (eff st b d) st.fregs.(fv)
+  | Fload (fd, b, d) -> st.fregs.(fd) <- load_float st.mem (eff st b d)
+  | Fstore (fv, b, d) -> store_float st.mem (eff st b d) st.fregs.(fv)
+  | Fload_s (fd, b, d) -> st.fregs.(fd) <- load_single st.mem (eff st b d)
+  | Fstore_s (fv, b, d) -> store_single st.mem (eff st b d) st.fregs.(fv)
   | Fload_x (fd, a, b) ->
       st.fregs.(fd) <-
-        Mem.load_float st.mem (W.to_unsigned (W.add (get st a) (get st b)))
+        load_float st.mem ((get st a + get st b) land 0xFFFFFFFF)
   | Fstore_x (fv, a, b) ->
-      Mem.store_float st.mem
-        (W.to_unsigned (W.add (get st a) (get st b)))
-        st.fregs.(fv)
+      store_float st.mem ((get st a + get st b) land 0xFFFFFFFF) st.fregs.(fv)
   | Fld_pool (fd, i) -> st.fregs.(fd) <- st.prog.pool.(i)
   | Fop (op, prec, fd, fa, fb) ->
       let a = st.fregs.(fa) and b = st.fregs.(fb) in
@@ -199,15 +243,9 @@ let exec_simple st (i : instr) =
 (* Slot [k]'s tag, decoding the slot the first time it executes. *)
 let[@inline never] decode st k =
   let s = st.prog.code.(k) in
-  Machine.decode st.table k (attrs st.prog.cfg s.i) s.origin
+  Machine.decode st.table k (cost_of st.prog.cfg s.i) s.origin
     ~branch:(is_branch s.i) ~control:(is_control s.i)
-
-let tag_of st k =
-  let t = Array.unsafe_get st.table.tags k in
-  if t >= 0 then t else decode st k
-
-let account st k tag ~taken =
-  Machine.retire st.stats st.pipe st.table k tag ~taken
+    ~hcall:(match s.i with Hcall _ -> true | _ -> false)
 
 (* Evaluate whether a control instruction branches, and to where: the
    native index, or -1 if it falls through. *)
@@ -237,88 +275,95 @@ let deliver_fault st f =
   end
 
 exception Out_of_fuel_exn
+exception Exit_exn
 
+(* The run is one loop inside one exception handler, entered again only
+   after a fault is delivered to the module's handler. Fuel and the
+   watchdog are countdowns local to the loop: [fuel] is what the run may
+   still retire (the instruction it runs out on is not retired), [poll]
+   the steps until the watchdog's clock is next read, the scheme of
+   Interp.run; with no watchdog it never reaches zero. A step is polled
+   once, its delay slot included; a delay slot spends fuel of its own. A
+   run leaves the loop on a host call that exits, on running out of fuel,
+   or on a fault it cannot deliver. *)
 let run ?(fuel = max_int) ?watchdog (prog : program) mem host :
     Machine.outcome * Machine.stats * state =
   let st = create prog mem host in
   let code = prog.code in
   let n = Array.length code in
-  let fuel_left = ref fuel in
-  let spend () =
-    decr fuel_left;
-    if !fuel_left < 0 then raise Out_of_fuel_exn
-  in
-  (* Same countdown scheme as Interp.run: the clock is only read every
-     [poll_every] native instructions; expiry raises Deadline_exceeded
-     through the ordinary fault-delivery path, preserving engine parity. *)
-  let poll =
+  let delay = prog.cfg.has_delay_slot in
+  let pipe = st.pipe and stats = st.stats in
+  let { Machine.costs; tags; counts } = st.table in
+  let every =
     match watchdog with
-    | None -> fun () -> ()
-    | Some w ->
-        let every = Omnivm.Watchdog.poll_every w in
-        let left = ref every in
-        fun () ->
-          decr left;
-          if !left <= 0 then begin
-            left := every;
-            Omnivm.Watchdog.check w
-          end
+    | Some w -> Omnivm.Watchdog.poll_every w
+    | None -> max_int
   in
-  let step () =
-    poll ();
-    if st.pc < 0 || st.pc >= n then
-      fault
-        (Access_violation
-           { addr = st.pc; access = Execute })
-    else begin
-      let s = Array.unsafe_get code st.pc in
-      spend ();
-      let tag = tag_of st st.pc in
-      if tag land Machine.tag_control <> 0 then begin
-        let target = control_target st s.i in
-        let taken = target >= 0 in
-        account st st.pc tag ~taken;
-        if prog.cfg.has_delay_slot then begin
-          (* execute the delay slot unless annulled *)
-          let slot_i = st.pc + 1 in
-          if slot_i < n then begin
-            let ds = Array.unsafe_get code slot_i in
-            let annulled = s.annul && not taken in
-            if not annulled then begin
-              spend ();
-              account st slot_i (tag_of st slot_i) ~taken:false;
-              exec_simple st ds.i
-            end
-          end;
-          st.pc <- (if taken then target else st.pc + 2)
+  let fuel = ref fuel and poll = ref every in
+  let outcome = ref None in
+  let deliver f =
+    match deliver_fault st f with
+    | () -> ()
+    | exception Omnivm.Fault.Vm_fault f -> outcome := Some (Machine.Faulted f)
+  in
+  while Option.is_none !outcome do
+    match
+      while true do
+        decr poll;
+        if !poll <= 0 then begin
+          poll := every;
+          Option.iter Omnivm.Watchdog.check watchdog
+        end;
+        let pc = st.pc in
+        if pc < 0 || pc >= n then
+          fault (Access_violation { addr = pc; access = Execute });
+        decr fuel;
+        if !fuel < 0 then raise_notrace Out_of_fuel_exn;
+        let tag =
+          let t = Array.unsafe_get tags pc in
+          if t >= 0 then t else decode st pc
+        in
+        if tag land (Machine.tag_control lor Machine.tag_hcall) = 0 then begin
+          Pipeline.retire pipe costs counts pc ~taken_branch:false;
+          exec_simple st (Array.unsafe_get code pc).i;
+          st.pc <- pc + 1
         end
-        else st.pc <- (if taken then target else st.pc + 1)
-      end
-      else begin
-        account st st.pc tag ~taken:false;
-        exec_simple st s.i;
-        st.pc <- st.pc + 1
-      end
-    end
-  in
-  let outcome =
-    let rec go () =
-      match st.exited with
-      | Some code -> Machine.Exited code
-      | None -> (
-          match step () with
-          | () -> go ()
-          | exception Omnivm.Fault.Vm_fault f -> (
-              match deliver_fault st f with
-              | () -> go ()
-              | exception Omnivm.Fault.Vm_fault f -> Machine.Faulted f)
-          | exception W.Division_by_zero -> (
-              match deliver_fault st Omnivm.Fault.Division_by_zero with
-              | () -> go ()
-              | exception Omnivm.Fault.Vm_fault f -> Machine.Faulted f))
-    in
-    try go () with Out_of_fuel_exn -> Machine.Out_of_fuel
-  in
-  st.stats.Machine.cycles <- Pipeline.cycles st.pipe;
-  Machine.give_table st.table;
-  (outcome, st.stats, st)
+        else if tag land Machine.tag_control = 0 then begin
+          Pipeline.retire pipe costs counts pc ~taken_branch:false;
+          exec_simple st (Array.unsafe_get code pc).i;
+          st.pc <- pc + 1;
+          if Option.is_some st.exited then raise_notrace Exit_exn
+        end
+        else begin
+          let s = Array.unsafe_get code pc in
+          let target = control_target st s.i in
+          let taken = target >= 0 in
+          if taken && tag land Machine.tag_branch <> 0 then
+            stats.Machine.taken_branches <- stats.Machine.taken_branches + 1;
+          Pipeline.retire pipe costs counts pc ~taken_branch:taken;
+          if delay then begin
+            (* execute the delay slot unless annulled *)
+            let d = pc + 1 in
+            if d < n && not (s.annul && not taken) then begin
+              decr fuel;
+              if !fuel < 0 then raise_notrace Out_of_fuel_exn;
+              if Array.unsafe_get tags d < 0 then ignore (decode st d);
+              Pipeline.retire pipe costs counts d ~taken_branch:false;
+              exec_simple st (Array.unsafe_get code d).i
+            end;
+            st.pc <- (if taken then target else pc + 2);
+            if Option.is_some st.exited then raise_notrace Exit_exn
+          end
+          else st.pc <- (if taken then target else pc + 1)
+        end
+      done
+    with
+    | () -> ()
+    | exception Out_of_fuel_exn -> outcome := Some Machine.Out_of_fuel
+    | exception Exit_exn ->
+        outcome := Some (Machine.Exited (Option.get st.exited))
+    | exception Omnivm.Fault.Vm_fault f -> deliver f
+    | exception W.Division_by_zero -> deliver Omnivm.Fault.Division_by_zero
+  done;
+  Machine.finish stats pipe st.table n;
+  (Option.get !outcome, stats, st)

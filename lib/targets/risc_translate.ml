@@ -591,11 +591,12 @@ let apply_record_forms (slots : slot list) : slot list =
   let arr = Array.of_list slots in
   let n = Array.length arr in
   let writes_reg r i =
-    List.mem r (attrs ppc_cfg i).Pipeline.defs
+    Pipeline.mem r (Pipeline.cost_defs (cost_of ppc_cfg i))
   in
   let touches_cc i =
-    let a = attrs ppc_cfg i in
-    List.mem cc_id a.Pipeline.defs || List.mem cc_id a.Pipeline.uses
+    let w = cost_of ppc_cfg i in
+    Pipeline.mem cc_id (Pipeline.cost_defs w)
+    || Pipeline.mem cc_id (Pipeline.cost_uses w)
   in
   let drop = Array.make n false in
   for j = 0 to n - 1 do
@@ -658,7 +659,7 @@ let placeholder = { i = Nop; origin = Machine.Bnop; annul = false }
 
 let sched_info cfg : slot Sched.info =
   {
-    Sched.attrs = (fun s -> attrs cfg s.i);
+    Sched.cost = (fun s -> cost_of cfg s.i);
     is_barrier = is_barrier_slot;
   }
 
@@ -751,7 +752,7 @@ let translate (t : tconfig) (exe : Omnivm.Exe.t) : program =
                   if t.opts.Machine.fill_delay_slots then
                     Trace.tally_time tally "pass.delay_slot" (fun () ->
                         Sched.fill_delay_slot sched
-                          ~branch_attrs:(attrs t.cfg c.i) body)
+                          ~branch_cost:(cost_of t.cfg c.i) body)
                   else (body, None)
                 in
                 Array.iter emit_out body;

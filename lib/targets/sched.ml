@@ -21,7 +21,7 @@
    entries it touched. *)
 
 type 'a info = {
-  attrs : 'a -> Pipeline.attrs;
+  cost : 'a -> Pipeline.cost;
   is_barrier : 'a -> bool; (* calls / host calls: nothing moves across *)
 }
 
@@ -100,11 +100,11 @@ let load t (body : 'a array) =
   reserve t n;
   for k = 0 to n - 1 do
     let s = body.(k) in
-    let a = t.info.attrs s in
-    Pipeline.set t.costs k a;
+    let w = t.info.cost s in
+    Pipeline.set t.costs k w;
     t.flags.(k) <-
-      (if a.Pipeline.is_load then flag_load else 0)
-      lor (if a.Pipeline.is_store then flag_store else 0)
+      (if Pipeline.is_load w then flag_load else 0)
+      lor (if Pipeline.is_store w then flag_store else 0)
       lor if t.info.is_barrier s then flag_barrier else 0
   done;
   Array.fill t.remaining 0 n 0;
@@ -276,22 +276,22 @@ let schedule_body t ~quality (body : 'a array) : 'a array =
   end
 
 (* Try to move one scheduled-body instruction into the branch delay slot.
-   [branch_attrs] are the attributes of the terminating control
+   [branch_cost] is the cost of the terminating control
    instruction. Returns (new_body, filler option).
 
    The candidate is the last instruction, which no later instruction can
    depend on; it moves unless the branch reads what it writes (RAW), both
    write one register (WAW), or it reads a register the branch writes
    (WAR: calls write the link register before the slot executes). *)
-let fill_delay_slot t ~branch_attrs (body : 'a array) : 'a array * 'a option =
+let fill_delay_slot t ~branch_cost (body : 'a array) : 'a array * 'a option =
   let n = Array.length body in
   if n = 0 then (body, None)
   else
     let last = body.(n - 1) in
     if t.info.is_barrier last then (body, None)
     else begin
-      Pipeline.set t.pair 0 (t.info.attrs last);
-      Pipeline.set t.pair 1 branch_attrs;
+      Pipeline.set t.pair 0 (t.info.cost last);
+      Pipeline.set t.pair 1 branch_cost;
       let uses = Pipeline.uses t.pair 0 and defs = Pipeline.defs t.pair 0 in
       let b_uses = Pipeline.uses t.pair 1 and b_defs = Pipeline.defs t.pair 1 in
       if

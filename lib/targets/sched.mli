@@ -8,7 +8,7 @@
     that fit into interlock bubbles. *)
 
 type 'a info = {
-  attrs : 'a -> Pipeline.attrs;
+  cost : 'a -> Pipeline.cost;
   is_barrier : 'a -> bool;  (** calls/host calls: nothing moves across *)
 }
 
@@ -29,6 +29,6 @@ val schedule_body : 'a t -> quality:quality -> 'a array -> 'a array
     barriers. *)
 
 val fill_delay_slot :
-  'a t -> branch_attrs:Pipeline.attrs -> 'a array -> 'a array * 'a option
+  'a t -> branch_cost:Pipeline.cost -> 'a array -> 'a array * 'a option
 (** Try to move the body's last instruction into the branch delay slot;
     refuses on any RAW/WAW/WAR hazard against the branch. *)

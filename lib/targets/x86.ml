@@ -132,20 +132,19 @@ let is_control = function
 
 (* --- pipeline attributes (Pentium-ish) --- *)
 
-let rid r = r
 let fid f = 32 + f
 let cc_id = 64
 let fcc_id = 65
 
+(* Packed resource lists (see [Pipeline.cost]). *)
 let mem_uses (m : mem) =
-  let b = match m.base with Some r -> [ rid r ] | None -> [] in
-  let i = match m.index with Some (r, _) -> [ rid r ] | None -> [] in
-  b @ i
+  let i = match m.index with Some (r, _) -> Pipeline.one r | None -> 0 in
+  match m.base with Some r -> Pipeline.cons r i | None -> i
 
 let op_uses = function
-  | R r -> [ rid r ]
+  | R r -> Pipeline.one r
   | M m -> mem_uses m
-  | I _ -> []
+  | I _ -> 0
 
 let op_is_mem = function M _ -> true | R _ | I _ -> false
 
@@ -166,66 +165,62 @@ let unit_of : instr -> Pipeline.unit_class = function
   | Trapi _ | Hcall _ | Nop ->
       Pipeline.IU
 
-let attrs (i : instr) : Pipeline.attrs =
-  let mk ?(lat = 1) ?(load = false) ?(store = false) uses defs =
-    { Pipeline.uses; defs; latency = lat; unit_ = unit_of i; is_load = load;
-      is_store = store }
-  in
+(* [Pipeline.load] if the operand is in memory. *)
+let mem_flag o = if op_is_mem o then Pipeline.load else 0
+
+let cost_of (i : instr) : Pipeline.cost =
+  let open Pipeline in
+  let u = unit_of i in
   match i with
-  | Mov (R d, src) -> mk ~load:(op_is_mem src) ~lat:(if op_is_mem src then 2 else 1)
-        (op_uses src) [ rid d ]
-  | Mov (M m, src) -> mk ~store:true (op_uses src @ mem_uses m) []
-  | Mov (I _, _) -> mk [] []
-  | Load (_, _, d, m) -> mk ~load:true ~lat:2 (mem_uses m) [ rid d ]
-  | Store (_, m, src) -> mk ~store:true (op_uses src @ mem_uses m) []
+  | Mov (R d, src) ->
+      cost (if op_is_mem src then 2 else 1) u (op_uses src) (one d) lor mem_flag src
+  | Mov (M m, src) -> cost 1 u (append (op_uses src) (mem_uses m)) 0 lor store
+  | Mov (I _, _) -> cost 1 u 0 0
+  | Load (_, _, d, m) -> cost 2 u (mem_uses m) (one d) lor load
+  | Store (_, m, src) -> cost 1 u (append (op_uses src) (mem_uses m)) 0 lor store
   | Alu (_, R d, src) ->
-      mk ~load:(op_is_mem src)
-        ~lat:(if op_is_mem src then 2 else 1)
-        (rid d :: op_uses src)
-        [ rid d; cc_id ]
+      cost (if op_is_mem src then 2 else 1) u (cons d (op_uses src)) (two d cc_id)
+      lor mem_flag src
   | Alu (_, M m, src) ->
-      mk ~load:true ~store:true ~lat:3 (op_uses src @ mem_uses m) [ cc_id ]
-  | Alu (_, I _, _) -> mk [] []
-  | Shift (_, R d, _) -> mk [ rid d ] [ rid d; cc_id ]
-  | Shift (_, M m, _) -> mk ~load:true ~store:true ~lat:3 (mem_uses m) [ cc_id ]
-  | Shift (_, I _, _) -> mk [] []
-  | Shiftv (_, R d, c) -> mk ~lat:2 [ rid d; rid c ] [ rid d; cc_id ]
-  | Shiftv (_, M m, c) ->
-      mk ~lat:3 ~load:true ~store:true (rid c :: mem_uses m) [ cc_id ]
-  | Shiftv (_, I _, _) -> mk [] []
-  | Imul (d, src) ->
-      mk ~lat:9 ~load:(op_is_mem src) (rid d :: op_uses src) [ rid d ]
+      cost 3 u (append (op_uses src) (mem_uses m)) (one cc_id) lor load lor store
+  | Alu (_, I _, _) -> cost 1 u 0 0
+  | Shift (_, R d, _) -> cost 1 u (one d) (two d cc_id)
+  | Shift (_, M m, _) -> cost 3 u (mem_uses m) (one cc_id) lor load lor store
+  | Shift (_, I _, _) -> cost 1 u 0 0
+  | Shiftv (_, R d, c) -> cost 2 u (two d c) (two d cc_id)
+  | Shiftv (_, M m, c) -> cost 3 u (cons c (mem_uses m)) (one cc_id) lor load lor store
+  | Shiftv (_, I _, _) -> cost 1 u 0 0
+  | Imul (d, src) -> cost 9 u (cons d (op_uses src)) (one d) lor mem_flag src
   | Idiv (src, _) ->
-      mk ~lat:25 ~load:(op_is_mem src)
-        (rid eax :: rid edx :: op_uses src)
-        [ rid eax; rid edx ]
-  | Cdq -> mk [ rid eax ] [ rid edx ]
-  | Lea (d, m) -> mk (mem_uses m) [ rid d ]
+      cost 25 u (cons eax (cons edx (op_uses src))) (two eax edx) lor mem_flag src
+  | Cdq -> cost 1 u (one eax) (one edx)
+  | Lea (d, m) -> cost 1 u (mem_uses m) (one d)
   | Cmp (a, b) ->
-      mk ~load:(op_is_mem a || op_is_mem b) (op_uses a @ op_uses b) [ cc_id ]
-  | Setcc (_, d) -> mk ~lat:1 [ cc_id ] [ rid d ]
-  | Jcc _ -> mk [ cc_id ] []
-  | Jmp _ -> mk [] []
-  | Jmp_ind o -> mk (op_uses o) []
-  | Call (_, _) -> mk [] [ rid ebp ]
-  | Call_ind (o, _) -> mk (op_uses o) [ rid ebp ]
+      cost 1 u (append (op_uses a) (op_uses b)) (one cc_id)
+      lor mem_flag a lor mem_flag b
+  | Setcc (_, d) -> cost 1 u (one cc_id) (one d)
+  | Jcc _ -> cost 1 u (one cc_id) 0
+  | Jmp _ -> cost 1 u 0 0
+  | Jmp_ind o -> cost 1 u (op_uses o) 0
+  | Call (_, _) -> cost 1 u 0 (one ebp)
+  | Call_ind (o, _) -> cost 1 u (op_uses o) (one ebp)
   | Fop (op, _, d, a, b) ->
       let lat =
         match op with VI.Fadd | VI.Fsub -> 3 | VI.Fmul -> 3 | VI.Fdiv -> 39
       in
-      mk ~lat [ fid a; fid b ] [ fid d ]
-  | Fun1 (_, d, a) -> mk [ fid a ] [ fid d ]
-  | Fload (_, d, m) -> mk ~load:true ~lat:2 (mem_uses m) [ fid d ]
-  | Fstore (_, v, m) -> mk ~store:true (fid v :: mem_uses m) []
-  | Fld_pool (d, _) -> mk ~load:true ~lat:2 [] [ fid d ]
-  | Fcmp (_, a, b) -> mk ~lat:3 [ fid a; fid b ] [ fcc_id ]
-  | Fcc_to_reg d -> mk ~lat:2 [ fcc_id ] [ rid d ]
-  | Cvt_f_i (d, src) -> mk ~lat:3 ~load:(op_is_mem src) (op_uses src) [ fid d ]
-  | Cvt_i_f (d, a) -> mk ~lat:3 [ fid a ] [ rid d ]
-  | Guard_data r | Guard_code r -> mk [ rid r ] []
-  | Trapi _ -> mk [] []
-  | Hcall _ -> mk [] [ rid ecx ]
-  | Nop -> mk [] []
+      cost lat u (two (fid a) (fid b)) (one (fid d))
+  | Fun1 (_, d, a) -> cost 1 u (one (fid a)) (one (fid d))
+  | Fload (_, d, m) -> cost 2 u (mem_uses m) (one (fid d)) lor load
+  | Fstore (_, v, m) -> cost 1 u (cons (fid v) (mem_uses m)) 0 lor store
+  | Fld_pool (d, _) -> cost 2 u 0 (one (fid d)) lor load
+  | Fcmp (_, a, b) -> cost 3 u (two (fid a) (fid b)) (one fcc_id)
+  | Fcc_to_reg d -> cost 2 u (one fcc_id) (one d)
+  | Cvt_f_i (d, src) -> cost 3 u (op_uses src) (one (fid d)) lor mem_flag src
+  | Cvt_i_f (d, a) -> cost 3 u (one (fid a)) (one d)
+  | Guard_data r | Guard_code r -> cost 1 u (one r) 0
+  | Trapi _ -> cost 1 u 0 0
+  | Hcall _ -> cost 1 u 0 (one ecx)
+  | Nop -> cost 1 u 0 0
 
 let pipeline_config : Pipeline.config =
   {

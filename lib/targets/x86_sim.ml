@@ -1,6 +1,7 @@
 (* Functional + cycle-approximate simulator for translated x86 code. Like
    [Risc_sim], it decodes a slot's costs the first time the slot executes,
-   so retiring an instruction allocates nothing. *)
+   so retiring an instruction allocates nothing, and counts per slot,
+   folding the counts when the run ends. *)
 
 open X86
 module W = Omni_util.Word32
@@ -68,12 +69,15 @@ let eff st (m : mem) =
   let i = match m.index with Some (r, s) -> st.regs.(r) * s | None -> 0 in
   (b + i + m.disp) land 0xFFFFFFFF
 
+(* [Word32.of_int] in line: the low 32 bits, sign-extended. *)
+let canon v = (v lsl 31) asr 31
+
 let value st = function
   | R r -> st.regs.(r)
-  | I v -> W.of_int v
+  | I v -> canon v
   | M m -> Mem.load32 st.mem (eff st m)
 
-let set_reg st r v = st.regs.(r) <- W.of_int v
+let set_reg st r v = st.regs.(r) <- canon v
 
 let write st dst v =
   match dst with
@@ -111,6 +115,28 @@ let hcall st n =
   | Omni_runtime.Host.Exit code -> st.exited <- Some code
   | Omni_runtime.Host.Set_handler addr -> st.handler <- addr
 
+(* [Mem.load_float] and [Mem.store_float] without boxing: a float that
+   crosses into another module is boxed, an int is not. An 8-byte load is
+   two 4-byte loads, low half first, as [Mem] defines it. *)
+let[@inline] load_float mem a =
+  let lo = Mem.load32 mem a in
+  let hi = Mem.load32 mem (a + 4) in
+  Int64.float_of_bits
+    (Int64.logor
+       (Int64.of_int (lo land 0xFFFFFFFF))
+       (Int64.shift_left (Int64.of_int hi) 32))
+
+let[@inline] store_float mem a f =
+  let b = Int64.bits_of_float f in
+  Mem.store_words mem a (Int64.to_int b)
+    (Int64.to_int (Int64.shift_right_logical b 32))
+
+let[@inline] load_single mem a =
+  Int32.float_of_bits (Int32.of_int (Mem.load32 mem a land 0xFFFFFFFF))
+
+let[@inline] store_single mem a f =
+  Mem.store32 mem a (Int32.to_int (Int32.bits_of_float f) land 0xFFFFFFFF)
+
 let round_single f = Int32.float_of_bits (Int32.bits_of_float f)
 
 let exec_simple st (i : instr) =
@@ -138,11 +164,11 @@ let exec_simple st (i : instr) =
       let a = value st dst and b = value st src in
       let v =
         match op with
-        | Add -> W.add a b
-        | Sub -> W.sub a b
-        | And -> W.logand a b
-        | Or -> W.logor a b
-        | Xor -> W.logxor a b
+        | Add -> canon (a + b)
+        | Sub -> canon (a - b)
+        | And -> canon (a land b)
+        | Or -> canon (a lor b)
+        | Xor -> canon (a lxor b)
       in
       write st dst v;
       st.cc_a <- v;
@@ -214,13 +240,13 @@ let exec_simple st (i : instr) =
       let a = eff st m in
       st.fps.(d) <-
         (match prec with
-        | VI.Single -> Mem.load_single st.mem a
-        | VI.Double -> Mem.load_float st.mem a)
+        | VI.Single -> load_single st.mem a
+        | VI.Double -> load_float st.mem a)
   | Fstore (prec, v, m) -> (
       let a = eff st m in
       match prec with
-      | VI.Single -> Mem.store_single st.mem a st.fps.(v)
-      | VI.Double -> Mem.store_float st.mem a st.fps.(v))
+      | VI.Single -> store_single st.mem a st.fps.(v)
+      | VI.Double -> store_float st.mem a st.fps.(v))
   | Fld_pool (d, i) -> st.fps.(d) <- st.prog.pool.(i)
   | Fcmp (op, a, b) ->
       let x = st.fps.(a) and y = st.fps.(b) in
@@ -258,26 +284,20 @@ let control_target st (i : instr) =
   | Jmp l -> l
   | Jmp_ind x -> native_of_omni st (W.to_unsigned (value st x))
   | Call (l, ret) ->
-      st.regs.(ebp) <- W.of_int ret;
+      set_reg st ebp ret;
       l
   | Call_ind (x, ret) ->
       let t = native_of_omni st (W.to_unsigned (value st x)) in
-      st.regs.(ebp) <- W.of_int ret;
+      set_reg st ebp ret;
       t
   | _ -> assert false
 
 (* Slot [k]'s tag, decoding the slot the first time it executes. *)
 let[@inline never] decode st k =
   let s = st.prog.code.(k) in
-  Machine.decode st.table k (attrs s.i) s.origin
+  Machine.decode st.table k (cost_of s.i) s.origin
     ~branch:(is_branch s.i) ~control:(is_control s.i)
-
-let tag_of st k =
-  let t = Array.unsafe_get st.table.tags k in
-  if t >= 0 then t else decode st k
-
-let account st k tag ~taken =
-  Machine.retire st.stats st.pipe st.table k tag ~taken
+    ~hcall:(match s.i with Hcall _ -> true | _ -> false)
 
 let deliver_fault st f =
   if st.handler = 0 then raise (Omnivm.Fault.Vm_fault f)
@@ -292,69 +312,73 @@ let deliver_fault st f =
   end
 
 exception Out_of_fuel_exn
+exception Exit_exn
 
+(* One loop inside one exception handler, with fuel and the watchdog as
+   local countdowns: see Risc_sim.run. *)
 let run ?(fuel = max_int) ?watchdog (prog : program) mem host :
     Machine.outcome * Machine.stats * state =
   let st = create prog mem host in
   let code = prog.code in
   let n = Array.length code in
-  let fuel_left = ref fuel in
-  (* Same countdown scheme as Interp.run: the clock is only read every
-     [poll_every] native instructions; expiry raises Deadline_exceeded
-     through the ordinary fault-delivery path, preserving engine parity. *)
-  let poll =
+  let pipe = st.pipe and stats = st.stats in
+  let { Machine.costs; tags; counts } = st.table in
+  let every =
     match watchdog with
-    | None -> fun () -> ()
-    | Some w ->
-        let every = Omnivm.Watchdog.poll_every w in
-        let left = ref every in
-        fun () ->
-          decr left;
-          if !left <= 0 then begin
-            left := every;
-            Omnivm.Watchdog.check w
-          end
+    | Some w -> Omnivm.Watchdog.poll_every w
+    | None -> max_int
   in
-  let step () =
-    poll ();
-    if st.pc < 0 || st.pc >= n then
-      fault (Access_violation { addr = st.pc; access = Execute })
-    else begin
-      let s = Array.unsafe_get code st.pc in
-      decr fuel_left;
-      if !fuel_left < 0 then raise Out_of_fuel_exn;
-      let tag = tag_of st st.pc in
-      if tag land Machine.tag_control <> 0 then begin
-        let target = control_target st s.i in
-        let taken = target >= 0 in
-        account st st.pc tag ~taken;
-        st.pc <- (if taken then target else st.pc + 1)
-      end
-      else begin
-        account st st.pc tag ~taken:false;
-        exec_simple st s.i;
-        st.pc <- st.pc + 1
-      end
-    end
+  let fuel = ref fuel and poll = ref every in
+  let outcome = ref None in
+  let deliver f =
+    match deliver_fault st f with
+    | () -> ()
+    | exception Omnivm.Fault.Vm_fault f -> outcome := Some (Machine.Faulted f)
   in
-  let outcome =
-    let rec go () =
-      match st.exited with
-      | Some code -> Machine.Exited code
-      | None -> (
-          match step () with
-          | () -> go ()
-          | exception Omnivm.Fault.Vm_fault f -> (
-              match deliver_fault st f with
-              | () -> go ()
-              | exception Omnivm.Fault.Vm_fault f -> Machine.Faulted f)
-          | exception W.Division_by_zero -> (
-              match deliver_fault st Omnivm.Fault.Division_by_zero with
-              | () -> go ()
-              | exception Omnivm.Fault.Vm_fault f -> Machine.Faulted f))
-    in
-    try go () with Out_of_fuel_exn -> Machine.Out_of_fuel
-  in
-  st.stats.Machine.cycles <- Pipeline.cycles st.pipe;
-  Machine.give_table st.table;
-  (outcome, st.stats, st)
+  while Option.is_none !outcome do
+    match
+      while true do
+        decr poll;
+        if !poll <= 0 then begin
+          poll := every;
+          Option.iter Omnivm.Watchdog.check watchdog
+        end;
+        let pc = st.pc in
+        if pc < 0 || pc >= n then
+          fault (Access_violation { addr = pc; access = Execute });
+        decr fuel;
+        if !fuel < 0 then raise_notrace Out_of_fuel_exn;
+        let tag =
+          let t = Array.unsafe_get tags pc in
+          if t >= 0 then t else decode st pc
+        in
+        if tag land (Machine.tag_control lor Machine.tag_hcall) = 0 then begin
+          Pipeline.retire pipe costs counts pc ~taken_branch:false;
+          exec_simple st (Array.unsafe_get code pc).i;
+          st.pc <- pc + 1
+        end
+        else if tag land Machine.tag_control = 0 then begin
+          Pipeline.retire pipe costs counts pc ~taken_branch:false;
+          exec_simple st (Array.unsafe_get code pc).i;
+          st.pc <- pc + 1;
+          if Option.is_some st.exited then raise_notrace Exit_exn
+        end
+        else begin
+          let target = control_target st (Array.unsafe_get code pc).i in
+          let taken = target >= 0 in
+          if taken && tag land Machine.tag_branch <> 0 then
+            stats.Machine.taken_branches <- stats.Machine.taken_branches + 1;
+          Pipeline.retire pipe costs counts pc ~taken_branch:taken;
+          st.pc <- (if taken then target else pc + 1)
+        end
+      done
+    with
+    | () -> ()
+    | exception Out_of_fuel_exn -> outcome := Some Machine.Out_of_fuel
+    | exception Exit_exn ->
+        outcome := Some (Machine.Exited (Option.get st.exited))
+    | exception Omnivm.Fault.Vm_fault f -> deliver f
+    | exception W.Division_by_zero -> deliver Omnivm.Fault.Division_by_zero
+  done;
+  Machine.finish stats pipe st.table n;
+  (Option.get !outcome, stats, st)

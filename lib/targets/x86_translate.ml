@@ -564,7 +564,7 @@ let is_barrier_slot (s : slot) =
 let placeholder = { i = Nop; origin = Machine.Bnop }
 
 let sched_info : slot Sched.info =
-  { Sched.attrs = (fun s -> attrs s.i); is_barrier = is_barrier_slot }
+  { Sched.cost = (fun s -> cost_of s.i); is_barrier = is_barrier_slot }
 
 let has_fp (slots : slot list) =
   List.exists (fun s -> unit_of s.i = Pipeline.FPU) slots

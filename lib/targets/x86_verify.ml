@@ -22,10 +22,9 @@ type ded = Dirty | Masked of seg | Boxed of seg
 
 let code_mask_imm = L.code_mask land lnot 3
 
-let writes_reg r (i : instr) =
-  List.mem r (attrs i).Pipeline.defs
-
 let summarize_instr (eax_state : ded ref) (i : instr) : V.event =
+  (* the resources [i] writes, read once for both the esp and eax tests *)
+  let defs = Pipeline.cost_defs (cost_of i) in
   let event =
     match i with
     | Alu (And, R r, I m) when r = eax ->
@@ -56,7 +55,7 @@ let summarize_instr (eax_state : ded ref) (i : instr) : V.event =
     | Alu ((Add | Sub), R r, I k) when r = esp -> V.Sp_adjust_const k
     | Alu (And, R r, I m) when r = esp && m = L.data_mask -> V.Neutral
     | Alu (Or, R r, I b) when r = esp && b = L.data_base -> V.Neutral
-    | i when writes_reg esp i && not (is_control i) ->
+    | i when Pipeline.mem esp defs && not (is_control i) ->
         V.Sp_clobber (string_of_instr i)
     (* stores *)
     | Mov (M m, _) | Store (_, m, _) | Fstore (_, _, m) -> (
@@ -87,7 +86,7 @@ let summarize_instr (eax_state : ded ref) (i : instr) : V.event =
   (* any other write to eax dirties it *)
   (match i with
   | Alu ((And | Or), R r, I _) when r = eax -> ()
-  | i when writes_reg eax i -> eax_state := Dirty
+  | _ when Pipeline.mem eax defs -> eax_state := Dirty
   | _ -> ());
   if is_control i then eax_state := Dirty;
   event

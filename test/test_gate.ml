@@ -84,8 +84,8 @@ let gate_custom_threshold () =
   Alcotest.(check int) "above 2x" 1 (List.length d.Gate.d_regressions)
 
 let gate_new_key_skipped () =
-  (* a new hot path has no baseline: skipped this run, named in the
-     summary, gated next run once the fresh snapshot becomes baseline *)
+  (* a new hot path has no baseline: skipped, named in the summary, and
+     gated once a written snapshot holds it *)
   let d = diff [ ("a", 100) ] [ ("a", 100); ("persist.cold_us", 1) ] in
   Alcotest.(check (list string)) "new key listed" [ "persist.cold_us" ]
     d.Gate.d_new;

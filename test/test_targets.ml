@@ -25,18 +25,12 @@ type sched_ins =
   | Ld of int * int (* rd := mem[cell] *)
   | St of int * int (* mem[cell] := ra *)
 
-let sched_attrs = function
-  | Op (rd, ra, rb) ->
-      { P.uses = [ ra; rb ]; defs = [ rd ]; latency = 2; unit_ = P.IU;
-        is_load = false; is_store = false }
-  | Ld (rd, _) ->
-      { P.uses = []; defs = [ rd ]; latency = 2; unit_ = P.IU;
-        is_load = true; is_store = false }
-  | St (_, ra) ->
-      { P.uses = [ ra ]; defs = []; latency = 1; unit_ = P.IU;
-        is_load = false; is_store = true }
+let sched_cost = function
+  | Op (rd, ra, rb) -> P.cost 2 P.IU (P.two ra rb) (P.one rd)
+  | Ld (rd, _) -> P.cost 2 P.IU 0 (P.one rd) lor P.load
+  | St (_, ra) -> P.cost 1 P.IU (P.one ra) 0 lor P.store
 
-let sched_info = { S.attrs = sched_attrs; is_barrier = (fun _ -> false) }
+let sched_info = { S.cost = sched_cost; is_barrier = (fun _ -> false) }
 
 (* One scheduler for every block, as in a translation: each block must
    leave its scratch state clean for the next. *)
@@ -90,11 +84,8 @@ let delay_slot_filler_safe =
           QCheck.Gen.(pair gen_block (int_bound 7)))
        (fun (prog, breg) ->
          (* a "branch" that reads breg and writes reg 7 (like a call) *)
-         let battrs =
-           { P.uses = [ breg ]; defs = [ 7 ]; latency = 1; unit_ = P.BRU;
-             is_load = false; is_store = false }
-         in
-         let body, filler = S.fill_delay_slot sched ~branch_attrs:battrs prog in
+         let bcost = P.cost 1 P.BRU (P.one breg) (P.one 7) in
+         let body, filler = S.fill_delay_slot sched ~branch_cost:bcost prog in
          match filler with
          | None -> true
          | Some f ->
@@ -102,11 +93,11 @@ let delay_slot_filler_safe =
              let a = sched_exec (Array.append body [| f |]) in
              let b = sched_exec prog in
              (* the filler must not touch breg's value or reg 7 *)
-             let fa = sched_attrs f in
+             let fc = sched_cost f in
              a = b
-             && (not (List.mem 7 fa.P.uses))
-             && (not (List.mem 7 fa.P.defs))
-             && not (List.mem breg fa.P.defs)))
+             && (not (P.mem 7 (P.cost_uses fc)))
+             && (not (P.mem 7 (P.cost_defs fc)))
+             && not (P.mem breg (P.cost_defs fc))))
 
 (* --- golden translations: check key sequences per architecture --- *)
 
@@ -405,30 +396,27 @@ let pipeline_unit () =
     { P.issue_width = 1; dual_issue_rule = (fun _ _ -> false);
       taken_branch_penalty = 0 }
   in
-  let step t a =
+  let step t w =
     let c = P.costs 1 in
-    P.set c 0 a;
-    P.step t c 0 ~taken_branch:false
+    P.set c 0 w;
+    P.retire t c [| 0 |] 0 ~taken_branch:false
   in
   let t = P.create cfg in
-  let simple = { P.uses = []; defs = [ 1 ]; latency = 1; unit_ = P.IU;
-                 is_load = false; is_store = false } in
+  let simple = P.cost 1 P.IU 0 (P.one 1) in
   step t simple;
   step t simple;
   Alcotest.(check int) "two independent ops, 1/cycle" 2 (P.cycles t);
   (* load-use interlock *)
   let t = P.create cfg in
-  let load = { P.uses = []; defs = [ 2 ]; latency = 3; unit_ = P.IU;
-               is_load = true; is_store = false } in
-  let use = { P.uses = [ 2 ]; defs = [ 3 ]; latency = 1; unit_ = P.IU;
-              is_load = false; is_store = false } in
+  let load = P.cost 3 P.IU 0 (P.one 2) lor P.load in
+  let use = P.cost 1 P.IU (P.one 2) (P.one 3) in
   step t load;
   step t use;
   Alcotest.(check int) "load-use stall" 4 (P.cycles t);
   (* dual issue *)
   let cfg2 = { cfg with P.issue_width = 2; dual_issue_rule = (fun _ _ -> true) } in
   let t = P.create cfg2 in
-  let op d = { simple with P.defs = [ d ] } in
+  let op d = P.cost 1 P.IU 0 (P.one d) in
   step t (op 1);
   step t (op 2);
   step t (op 3);
@@ -616,29 +604,535 @@ let golden_stats =
         g_output = "12a3efa6fa5e0aee" } );
   ]
 
+let check_golden name arch (r : Api.run_result) =
+  let got = golden_of r in
+  match List.assoc_opt (name, Arch.name arch) golden_stats with
+  | Some want when want = got -> ()
+  | Some want ->
+      Alcotest.failf
+        "%s on %s: instructions %d cycles %d loads %d stores %d \
+         branches %d taken %d by_origin [%s] output %s; expected \
+         %d %d %d %d %d %d [%s] %s"
+        name (Arch.name arch) got.g_instrs got.g_cycles got.g_loads
+        got.g_stores got.g_branches got.g_taken
+        (String.concat ";" (List.map string_of_int got.g_by_origin))
+        got.g_output want.g_instrs want.g_cycles want.g_loads
+        want.g_stores want.g_branches want.g_taken
+        (String.concat ";" (List.map string_of_int want.g_by_origin))
+        want.g_output
+  | None -> Alcotest.failf "%s on %s: no golden entry" name (Arch.name arch)
+
 let golden_simulator_stats () =
   List.iter
     (fun (name, exe) ->
-      List.iter
-        (fun arch ->
-          let got = golden_of (run_spec arch exe) in
-          match List.assoc_opt (name, Arch.name arch) golden_stats with
-          | Some want when want = got -> ()
-          | Some want ->
-              Alcotest.failf
-                "%s on %s: instructions %d cycles %d loads %d stores %d \
-                 branches %d taken %d by_origin [%s] output %s; expected \
-                 %d %d %d %d %d %d [%s] %s"
-                name (Arch.name arch) got.g_instrs got.g_cycles got.g_loads
-                got.g_stores got.g_branches got.g_taken
-                (String.concat ";" (List.map string_of_int got.g_by_origin))
-                got.g_output want.g_instrs want.g_cycles want.g_loads
-                want.g_stores want.g_branches want.g_taken
-                (String.concat ";" (List.map string_of_int want.g_by_origin))
-                want.g_output
-          | None -> Alcotest.failf "%s on %s: no golden entry" name (Arch.name arch))
-        targets)
+      List.iter (fun arch -> check_golden name arch (run_spec arch exe)) targets)
     (Lazy.force spec_programs)
+
+(* A run takes its domain's spare decoded table, whose slots past the new
+   program's end still hold the last run's tags and counts: a smaller
+   program run after a larger one must fold only its own. *)
+let recycled_table () =
+  let progs = Lazy.force spec_programs in
+  List.iter
+    (fun arch ->
+      let slots name =
+        match Api.translate ~mode:sandbox arch (List.assoc name progs) with
+        | Api.T_risc p -> Array.length p.Risc.code
+        | Api.T_x86 p -> Array.length p.Omni_targets.X86.code
+      in
+      if slots "eqntott" <= slots "g_sort" then
+        Alcotest.failf "%s: eqntott is not the larger program" (Arch.name arch);
+      List.iter
+        (fun name -> check_golden name arch (run_spec arch (List.assoc name progs)))
+        [ "eqntott"; "g_sort" ])
+    targets
+
+(* --- exit-path goldens ---
+
+   The clean exits above are one way out of a simulator run; these pin
+   the others, recorded before the per-instruction path was rewritten.
+   Each case is one line: the outcome, every [Machine.stats] field, where
+   the run stopped (the native pc, and a digest of the sixteen OmniVM
+   registers read the way a crash site reads them) and a digest of the
+   output. *)
+
+module Risc_sim = Omni_targets.Risc_sim
+module X86_sim = Omni_targets.X86_sim
+module Fnv64 = Omni_util.Fnv64
+
+let outcome_string = function
+  | Machine.Exited c -> Printf.sprintf "exit %d" c
+  | Machine.Faulted f -> "fault " ^ Omnivm.Fault.to_string f
+  | Machine.Out_of_fuel -> "out of fuel"
+
+let exit_line ?fuel ?watchdog tr exe =
+  let img = Api.load exe in
+  let mem = img.Omni_runtime.Loader.mem in
+  let host = img.Omni_runtime.Loader.host in
+  let outcome, s, pc, regs =
+    match tr with
+    | Api.T_risc p ->
+        let o, s, st = Risc_sim.run ?fuel ?watchdog p mem host in
+        ( o, s, st.Risc_sim.pc,
+          Array.init 16 (fun i -> Risc_sim.get st (Risc.map_reg i)) )
+    | Api.T_x86 p ->
+        let o, s, st = X86_sim.run ?fuel ?watchdog p mem host in
+        let reg i =
+          match Omni_targets.X86.int_home i with
+          | Omni_targets.X86.Hzero -> 0
+          | Omni_targets.X86.Hreg x -> st.X86_sim.regs.(x)
+          | Omni_targets.X86.Hmem a -> Omnivm.Memory.load32 mem a
+        in
+        (o, s, st.X86_sim.pc, Array.init 16 reg)
+  in
+  Printf.sprintf
+    "%s; instrs %d cycles %d loads %d stores %d branches %d taken %d omni %d \
+     origins %s; pc %d regs %s; output %s"
+    (outcome_string outcome) s.Machine.instructions s.Machine.cycles
+    s.Machine.loads s.Machine.stores s.Machine.branches
+    s.Machine.taken_branches s.Machine.omni_instructions
+    (String.concat "/" (Array.to_list (Array.map string_of_int s.Machine.by_origin)))
+    pc
+    (Fnv64.to_hex (Array.fold_left Fnv64.mix_int 0L regs))
+    (Fnv64.to_hex (Fnv64.digest_string (Omni_runtime.Host.output host)))
+
+(* A clock that reads one second later each time: a watchdog's deadline
+   is then a pure function of how often the engine polls. *)
+let counting_clock () =
+  let t = ref 0.0 in
+  Omni_util.Clock.fn (fun () ->
+      t := !t +. 1.0;
+      !t)
+
+let guard = Machine.Mobile (Omni_sfi.Policy.make ~mode:Omni_sfi.Policy.Guard ())
+
+(* [body] after [main:], optionally behind a handler that prints the
+   fault code and exits 0. *)
+let fault_module ~handler body =
+  compile_asm
+    (Printf.sprintf
+       {|
+        .text
+        .globl main
+handler:
+        hcall 2            ; print_int(r1 = fault code)
+        li r1, 10
+        hcall 1
+        li r1, 0
+        hcall 0
+main:
+%s
+%s
+|}
+       (if handler then "        li r1, handler\n        hcall 7" else "")
+       body)
+
+let wild_store =
+  Printf.sprintf
+    {|
+        li r2, %d
+        li r3, 1
+        sw r3, 0(r2)       ; outside the data segment: the guard traps
+        li r1, 99
+        hcall 2
+        li r1, 1
+        hcall 0
+|}
+    Omnivm.Layout.host_base
+
+let spin = {|
+        li r4, 0
+loop:   addi r4, r4, 1
+        j loop
+|}
+
+(* A fault inside the handler: delivery cleared it, so the run aborts. *)
+let fault_in_handler =
+  compile_asm
+    {|
+        .text
+        .globl main
+handler:
+        li r2, 0
+        li r3, 1
+        div r3, r3, r2
+main:
+        li r1, handler
+        hcall 7
+        li r2, 0
+        li r3, 4
+        div r3, r3, r2
+|}
+
+(* Sparc code with every conditional branch whose delay slot is an
+   unfilled nop marked annulling: the nop is skipped when the branch
+   falls through, so the program still computes the same result. *)
+let annul_nop_slots = function
+  | Api.T_risc p ->
+      let code = p.Risc.code in
+      Api.T_risc
+        { p with
+          Risc.code =
+            Array.mapi
+              (fun k (s : Risc.slot) ->
+                match s.Risc.i with
+                | (Risc.Br_cc _ | Risc.Br_cmp _ | Risc.Fbr _)
+                  when k + 1 < Array.length code
+                       && code.(k + 1).Risc.i = Risc.Nop ->
+                    { s with Risc.annul = true }
+                | _ -> s)
+              code }
+  | Api.T_x86 _ as tr -> tr
+
+(* Fuel budgets that run out right after a branch: on the delay slot
+   (mips, sparc), or on the instruction after an annulled branch that
+   fell through (sparc). *)
+let landing_fuels = function
+  | Arch.Mips -> [ ("delay slot", 1001); ("delay slot", 1004) ]
+  | Arch.Sparc -> [ ("delay slot", 1004); ("delay slot", 1015) ]
+  | Arch.Ppc | Arch.X86 -> []
+
+let annulled_fuels = [ 1033; 1069 ]
+
+let exit_cases arch =
+  let g_sort = List.assoc "g_sort" (Lazy.force spec_programs) in
+  let sort_tr = lazy (Api.translate ~mode:sandbox arch g_sort) in
+  let sort ?fuel ?watchdog () = exit_line ?fuel ?watchdog (Lazy.force sort_tr) g_sort in
+  let asm ?(mode = sandbox) ?fuel ?watchdog exe () =
+    exit_line ?fuel ?watchdog (Api.translate ~mode arch exe) exe
+  in
+  let watchdog ~poll_every ~budget_s =
+    Omnivm.Watchdog.make ~poll_every ~clock:(counting_clock ()) ~budget_s ()
+  in
+  List.map
+    (fun fuel -> (Printf.sprintf "g_sort fuel %d" fuel, fun () -> sort ~fuel ()))
+    [ 0; 1; 2; 3; 17; 1000; 20001 ]
+  @ List.map
+      (fun (what, fuel) ->
+        (Printf.sprintf "g_sort fuel %d (%s)" fuel what, fun () -> sort ~fuel ()))
+      (landing_fuels arch)
+  @ (if arch <> Arch.Sparc then []
+     else
+       let annulled = lazy (annul_nop_slots (Lazy.force sort_tr)) in
+       ( "annulled g_sort",
+         fun () -> exit_line (Lazy.force annulled) g_sort )
+       :: List.map
+            (fun fuel ->
+              ( Printf.sprintf "annulled g_sort fuel %d" fuel,
+                fun () -> exit_line ~fuel (Lazy.force annulled) g_sort ))
+            annulled_fuels)
+  @ [ ( "handled wild store",
+        asm ~mode:guard (fault_module ~handler:true wild_store) );
+      ( "unhandled wild store",
+        asm ~mode:guard (fault_module ~handler:false wild_store) );
+      ( "unhandled division by zero",
+        asm
+          (fault_module ~handler:false
+             "        li r2, 0\n        li r3, 4\n        div r3, r3, r2") );
+      ("fault in handler", asm fault_in_handler);
+      ( "watchdog",
+        fun () ->
+          asm ~watchdog:(watchdog ~poll_every:7 ~budget_s:20.0)
+            (fault_module ~handler:false spin) () );
+      ( "watchdog to handler",
+        fun () ->
+          asm ~watchdog:(watchdog ~poll_every:5 ~budget_s:9.0)
+            (fault_module ~handler:true spin) () );
+      ( "g_sort watchdog",
+        fun () -> sort ~watchdog:(watchdog ~poll_every:3 ~budget_s:1000.0) () );
+      ( "g_sort watchdog and fuel",
+        fun () ->
+          sort ~fuel:2500 ~watchdog:(watchdog ~poll_every:3 ~budget_s:1000.0) ()
+      ) ]
+
+let exit_goldens =
+  [
+    (("g_sort fuel 0", "mips"),
+     "out of fuel; instrs 0 cycles 1 loads 0 stores 0 branches 0 taken 0 omni 0 origins 0/0/0/0/0/0; pc 0 regs e917f0614d381712; output cbf29ce484222325");
+    (("g_sort fuel 1", "mips"),
+     "out of fuel; instrs 1 cycles 1 loads 0 stores 0 branches 0 taken 0 omni 1 origins 1/0/0/0/0/0; pc 0 regs 9a14d9dda3fe9966; output cbf29ce484222325");
+    (("g_sort fuel 2", "mips"),
+     "out of fuel; instrs 2 cycles 2 loads 0 stores 0 branches 0 taken 0 omni 1 origins 1/0/0/0/1/0; pc 26 regs 9a14d9dda3fe9966; output cbf29ce484222325");
+    (("g_sort fuel 3", "mips"),
+     "out of fuel; instrs 3 cycles 3 loads 0 stores 0 branches 0 taken 0 omni 2 origins 2/0/0/0/1/0; pc 27 regs f4984722f5d6aa9a; output cbf29ce484222325");
+    (("g_sort fuel 17", "mips"),
+     "out of fuel; instrs 17 cycles 17 loads 0 stores 11 branches 0 taken 0 omni 15 origins 15/0/0/1/1/0; pc 41 regs f4984722f5d6aa9a; output cbf29ce484222325");
+    (("g_sort fuel 1000", "mips"),
+     "out of fuel; instrs 1000 cycles 1028 loads 141 stores 95 branches 84 taken 56 omni 773 origins 773/0/57/57/57/56; pc 44 regs 4cf45cab2979c803; output cbf29ce484222325");
+    (("g_sort fuel 20001", "mips"),
+     "out of fuel; instrs 20001 cycles 21107 loads 3078 stores 908 branches 2607 taken 1504 omni 13694 origins 13694/0/1841/1124/2560/782; pc 158 regs a611fa66b548de9b; output cbf29ce484222325");
+    (("g_sort fuel 1001 (delay slot)", "mips"),
+     "out of fuel; instrs 1001 cycles 1029 loads 141 stores 95 branches 85 taken 57 omni 774 origins 774/0/57/57/57/56; pc 44 regs 4cf45cab2979c803; output cbf29ce484222325");
+    (("g_sort fuel 1004 (delay slot)", "mips"),
+     "out of fuel; instrs 1004 cycles 1032 loads 141 stores 95 branches 86 taken 57 omni 776 origins 776/0/57/57/58/56; pc 49 regs 188a0670a4e5e7fe; output cbf29ce484222325");
+    (("handled wild store", "mips"),
+     "exit 0; instrs 12 cycles 12 loads 0 stores 0 branches 0 taken 0 omni 9 origins 9/0/0/2/0/1; pc 5 regs b9a8154781820bf3; output 07f8bc07b4ba5002");
+    (("unhandled wild store", "mips"),
+     "fault access violation: write at 0x40000000; instrs 4 cycles 4 loads 0 stores 0 branches 0 taken 0 omni 2 origins 2/0/0/1/0/1; pc 8 regs b9a8154781820bf3; output cbf29ce484222325");
+    (("unhandled division by zero", "mips"),
+     "fault integer division by zero; instrs 3 cycles 3 loads 0 stores 0 branches 0 taken 0 omni 3 origins 3/0/0/0/0/0; pc 7 regs 08c480769d5d8816; output cbf29ce484222325");
+    (("fault in handler", "mips"),
+     "fault integer division by zero; instrs 9 cycles 9 loads 0 stores 0 branches 0 taken 0 omni 8 origins 8/0/0/1/0/0; pc 2 regs 2a246c5edeab6614; output cbf29ce484222325");
+    (("watchdog", "mips"),
+     "fault wall-clock deadline exceeded; instrs 277 cycles 277 loads 0 stores 0 branches 0 taken 0 omni 277 origins 277/0/0/0/0/0; pc 6 regs 6a3630a5c5fc7a1c; output cbf29ce484222325");
+    (("watchdog to handler", "mips"),
+     "fault wall-clock deadline exceeded; instrs 88 cycles 88 loads 0 stores 0 branches 0 taken 0 omni 87 origins 87/0/0/1/0/0; pc 4 regs 297289056f37287a; output 08175e07b4d460d7");
+    (("g_sort watchdog", "mips"),
+     "fault wall-clock deadline exceeded; instrs 3509 cycles 3662 loads 524 stores 238 branches 389 taken 236 omni 2547 origins 2547/0/267/193/342/160; pc 121 regs 73595d262cee1b84; output cbf29ce484222325");
+    (("g_sort watchdog and fuel", "mips"),
+     "out of fuel; instrs 2500 cycles 2595 loads 368 stores 194 branches 253 taken 159 omni 1863 origins 1863/0/171/138/206/122; pc 148 regs fc952ace6b9b9f1a; output cbf29ce484222325");
+    (("g_sort fuel 0", "sparc"),
+     "out of fuel; instrs 0 cycles 1 loads 0 stores 0 branches 0 taken 0 omni 0 origins 0/0/0/0/0/0; pc 0 regs e917f0614d381712; output cbf29ce484222325");
+    (("g_sort fuel 1", "sparc"),
+     "out of fuel; instrs 1 cycles 1 loads 0 stores 0 branches 0 taken 0 omni 1 origins 1/0/0/0/0/0; pc 0 regs 9a14d9dda3fe9966; output cbf29ce484222325");
+    (("g_sort fuel 2", "sparc"),
+     "out of fuel; instrs 2 cycles 2 loads 0 stores 0 branches 0 taken 0 omni 1 origins 1/0/0/0/1/0; pc 26 regs 9a14d9dda3fe9966; output cbf29ce484222325");
+    (("g_sort fuel 3", "sparc"),
+     "out of fuel; instrs 3 cycles 3 loads 0 stores 0 branches 0 taken 0 omni 2 origins 2/0/0/0/1/0; pc 27 regs f4984722f5d6aa9a; output cbf29ce484222325");
+    (("g_sort fuel 17", "sparc"),
+     "out of fuel; instrs 17 cycles 17 loads 0 stores 11 branches 0 taken 0 omni 15 origins 15/0/0/1/1/0; pc 41 regs f4984722f5d6aa9a; output cbf29ce484222325");
+    (("g_sort fuel 1000", "sparc"),
+     "out of fuel; instrs 1000 cycles 1054 loads 134 stores 90 branches 80 taken 53 omni 732 origins 732/0/80/55/81/52; pc 64 regs 24fa6e62038c453b; output cbf29ce484222325");
+    (("g_sort fuel 20001", "sparc"),
+     "out of fuel; instrs 20001 cycles 21167 loads 3112 stores 918 branches 2635 taken 1520 omni 13842 origins 13842/0/2636/97/2636/790; pc 111 regs c556e88df9ee9c97; output cbf29ce484222325");
+    (("g_sort fuel 1004 (delay slot)", "sparc"),
+     "out of fuel; instrs 1004 cycles 1058 loads 134 stores 90 branches 81 taken 54 omni 735 origins 735/0/81/55/81/52; pc 67 regs b966ed9ec063b11c; output cbf29ce484222325");
+    (("g_sort fuel 1015 (delay slot)", "sparc"),
+     "out of fuel; instrs 1015 cycles 1069 loads 135 stores 91 branches 81 taken 54 omni 743 origins 743/0/81/55/82/54; pc 79 regs d5b0b3d209a63025; output cbf29ce484222325");
+    (("annulled g_sort", "sparc"),
+     "exit 0; instrs 35065 cycles 37382 loads 5937 stores 1877 branches 4772 taken 2739 omni 25734 origins 25734/0/4772/98/2787/1674; pc 283 regs fe3c37ebe05d33a2; output 12a3efa6fa5e0aee");
+    (("annulled g_sort fuel 1033", "sparc"),
+     "out of fuel; instrs 1033 cycles 1089 loads 141 stores 95 branches 86 taken 57 omni 776 origins 776/0/86/57/58/56; pc 52 regs 188a0670a4e5e7fe; output cbf29ce484222325");
+    (("annulled g_sort fuel 1069", "sparc"),
+     "out of fuel; instrs 1069 cycles 1127 loads 146 stores 98 branches 89 taken 59 omni 803 origins 803/0/89/59/60/58; pc 52 regs ca490e80bd94747e; output cbf29ce484222325");
+    (("handled wild store", "sparc"),
+     "exit 0; instrs 12 cycles 12 loads 0 stores 0 branches 0 taken 0 omni 9 origins 9/0/0/2/0/1; pc 5 regs b9a8154781820bf3; output 07f8bc07b4ba5002");
+    (("unhandled wild store", "sparc"),
+     "fault access violation: write at 0x40000000; instrs 4 cycles 4 loads 0 stores 0 branches 0 taken 0 omni 2 origins 2/0/0/1/0/1; pc 8 regs b9a8154781820bf3; output cbf29ce484222325");
+    (("unhandled division by zero", "sparc"),
+     "fault integer division by zero; instrs 3 cycles 3 loads 0 stores 0 branches 0 taken 0 omni 3 origins 3/0/0/0/0/0; pc 7 regs 08c480769d5d8816; output cbf29ce484222325");
+    (("fault in handler", "sparc"),
+     "fault integer division by zero; instrs 9 cycles 9 loads 0 stores 0 branches 0 taken 0 omni 8 origins 8/0/0/1/0/0; pc 2 regs 2a246c5edeab6614; output cbf29ce484222325");
+    (("watchdog", "sparc"),
+     "fault wall-clock deadline exceeded; instrs 277 cycles 277 loads 0 stores 0 branches 0 taken 0 omni 277 origins 277/0/0/0/0/0; pc 6 regs 6a3630a5c5fc7a1c; output cbf29ce484222325");
+    (("watchdog to handler", "sparc"),
+     "fault wall-clock deadline exceeded; instrs 88 cycles 88 loads 0 stores 0 branches 0 taken 0 omni 87 origins 87/0/0/1/0/0; pc 4 regs 297289056f37287a; output 08175e07b4d460d7");
+    (("g_sort watchdog", "sparc"),
+     "fault wall-clock deadline exceeded; instrs 3493 cycles 3689 loads 510 stores 234 branches 377 taken 229 omni 2485 origins 2485/0/377/97/378/156; pc 138 regs 815129daa917ff24; output cbf29ce484222325");
+    (("g_sort watchdog and fuel", "sparc"),
+     "out of fuel; instrs 2500 cycles 2637 loads 353 stores 191 branches 240 taken 152 omni 1802 origins 1802/0/240/97/241/120; pc 163 regs 9375484edeb295fd; output cbf29ce484222325");
+    (("g_sort fuel 0", "ppc"),
+     "out of fuel; instrs 0 cycles 1 loads 0 stores 0 branches 0 taken 0 omni 0 origins 0/0/0/0/0/0; pc 0 regs e917f0614d381712; output cbf29ce484222325");
+    (("g_sort fuel 1", "ppc"),
+     "out of fuel; instrs 1 cycles 2 loads 0 stores 0 branches 0 taken 0 omni 1 origins 1/0/0/0/0/0; pc 24 regs 9a14d9dda3fe9966; output cbf29ce484222325");
+    (("g_sort fuel 2", "ppc"),
+     "out of fuel; instrs 2 cycles 2 loads 0 stores 0 branches 0 taken 0 omni 2 origins 2/0/0/0/0/0; pc 25 regs f4984722f5d6aa9a; output cbf29ce484222325");
+    (("g_sort fuel 3", "ppc"),
+     "out of fuel; instrs 3 cycles 3 loads 0 stores 1 branches 0 taken 0 omni 3 origins 3/0/0/0/0/0; pc 26 regs f4984722f5d6aa9a; output cbf29ce484222325");
+    (("g_sort fuel 17", "ppc"),
+     "out of fuel; instrs 17 cycles 17 loads 1 stores 11 branches 0 taken 0 omni 16 origins 16/0/0/1/0/0; pc 40 regs f4984722f5d6aa9a; output cbf29ce484222325");
+    (("g_sort fuel 1000", "ppc"),
+     "out of fuel; instrs 1000 cycles 1121 loads 149 stores 99 branches 90 taken 60 omni 819 origins 819/0/90/61/0/30; pc 69 regs 2e1c9b969c156fe3; output cbf29ce484222325");
+    (("g_sort fuel 20001", "ppc"),
+     "out of fuel; instrs 20001 cycles 26174 loads 3461 stores 1010 branches 2939 taken 1693 omni 15364 origins 15364/0/2939/1262/0/436; pc 145 regs 9cbbdaf428eedbf4; output cbf29ce484222325");
+    (("handled wild store", "ppc"),
+     "exit 0; instrs 12 cycles 12 loads 0 stores 0 branches 0 taken 0 omni 9 origins 9/0/0/2/0/1; pc 5 regs b9a8154781820bf3; output 07f8bc07b4ba5002");
+    (("unhandled wild store", "ppc"),
+     "fault access violation: write at 0x40000000; instrs 4 cycles 4 loads 0 stores 0 branches 0 taken 0 omni 2 origins 2/0/0/1/0/1; pc 8 regs b9a8154781820bf3; output cbf29ce484222325");
+    (("unhandled division by zero", "ppc"),
+     "fault integer division by zero; instrs 3 cycles 3 loads 0 stores 0 branches 0 taken 0 omni 3 origins 3/0/0/0/0/0; pc 7 regs 08c480769d5d8816; output cbf29ce484222325");
+    (("fault in handler", "ppc"),
+     "fault integer division by zero; instrs 9 cycles 9 loads 0 stores 0 branches 0 taken 0 omni 8 origins 8/0/0/1/0/0; pc 2 regs 2a246c5edeab6614; output cbf29ce484222325");
+    (("watchdog", "ppc"),
+     "fault wall-clock deadline exceeded; instrs 139 cycles 71 loads 0 stores 0 branches 0 taken 0 omni 139 origins 139/0/0/0/0/0; pc 6 regs d65bde9418bef097; output cbf29ce484222325");
+    (("watchdog to handler", "ppc"),
+     "fault wall-clock deadline exceeded; instrs 48 cycles 28 loads 0 stores 0 branches 0 taken 0 omni 47 origins 47/0/0/1/0/0; pc 4 regs cfd067fb779d6106; output 08175e07b4d460d7");
+    (("g_sort watchdog", "ppc"),
+     "fault wall-clock deadline exceeded; instrs 2999 cycles 3647 loads 488 stores 228 branches 357 taken 218 omni 2387 origins 2387/0/357/180/0/75; pc 136 regs a0b5a63d79f31ece; output cbf29ce484222325");
+    (("g_sort watchdog and fuel", "ppc"),
+     "out of fuel; instrs 2500 cycles 2985 loads 400 stores 204 branches 281 taken 175 omni 2005 origins 2005/0/281/149/0/65; pc 124 regs a3f1813ebed92b6b; output cbf29ce484222325");
+    (("g_sort fuel 0", "x86"),
+     "out of fuel; instrs 0 cycles 1 loads 0 stores 0 branches 0 taken 0 omni 0 origins 0/0/0/0/0/0; pc 0 regs e917f0614d381712; output cbf29ce484222325");
+    (("g_sort fuel 1", "x86"),
+     "out of fuel; instrs 1 cycles 2 loads 0 stores 0 branches 0 taken 0 omni 1 origins 1/0/0/0/0/0; pc 31 regs 9a14d9dda3fe9966; output cbf29ce484222325");
+    (("g_sort fuel 2", "x86"),
+     "out of fuel; instrs 2 cycles 2 loads 0 stores 0 branches 0 taken 0 omni 2 origins 2/0/0/0/0/0; pc 32 regs f4984722f5d6aa9a; output cbf29ce484222325");
+    (("g_sort fuel 3", "x86"),
+     "out of fuel; instrs 3 cycles 3 loads 0 stores 1 branches 0 taken 0 omni 3 origins 3/0/0/0/0/0; pc 33 regs f4984722f5d6aa9a; output cbf29ce484222325");
+    (("g_sort fuel 17", "x86"),
+     "out of fuel; instrs 17 cycles 13 loads 2 stores 11 branches 0 taken 0 omni 15 origins 15/2/0/0/0/0; pc 47 regs f4984722f5d6aa9a; output cbf29ce484222325");
+    (("g_sort fuel 1000", "x86"),
+     "out of fuel; instrs 1000 cycles 1134 loads 322 stores 284 branches 69 taken 46 omni 630 origins 630/232/69/0/0/69; pc 87 regs 12cf16f1a96751ea; output cbf29ce484222325");
+    (("g_sort fuel 20001", "x86"),
+     "out of fuel; instrs 20001 cycles 19246 loads 5822 stores 3382 branches 2563 taken 1479 omni 13479 origins 13479/2804/2563/0/0/1155; pc 119 regs 0dc5f56bbb627016; output cbf29ce484222325");
+    (("handled wild store", "x86"),
+     "exit 0; instrs 11 cycles 6 loads 0 stores 0 branches 0 taken 0 omni 9 origins 9/0/0/0/0/2; pc 5 regs b9a8154781820bf3; output 07f8bc07b4ba5002");
+    (("unhandled wild store", "x86"),
+     "fault access violation: write at 0x40000000; instrs 4 cycles 3 loads 0 stores 0 branches 0 taken 0 omni 2 origins 2/0/0/0/0/2; pc 8 regs b9a8154781820bf3; output cbf29ce484222325");
+    (("unhandled division by zero", "x86"),
+     "fault integer division by zero; instrs 5 cycles 4 loads 0 stores 0 branches 0 taken 0 omni 3 origins 3/2/0/0/0/0; pc 9 regs 08c480769d5d8816; output cbf29ce484222325");
+    (("fault in handler", "x86"),
+     "fault integer division by zero; instrs 12 cycles 9 loads 0 stores 0 branches 0 taken 0 omni 8 origins 8/4/0/0/0/0; pc 4 regs 2a246c5edeab6614; output cbf29ce484222325");
+    (("watchdog", "x86"),
+     "fault wall-clock deadline exceeded; instrs 139 cycles 71 loads 0 stores 0 branches 0 taken 0 omni 139 origins 139/0/0/0/0/0; pc 6 regs d65bde9418bef097; output cbf29ce484222325");
+    (("watchdog to handler", "x86"),
+     "fault wall-clock deadline exceeded; instrs 48 cycles 25 loads 0 stores 0 branches 0 taken 0 omni 48 origins 48/0/0/0/0/0; pc 4 regs d9da6baa4f4c8b87; output 08175e07b4d460d7");
+    (("g_sort watchdog", "x86"),
+     "fault wall-clock deadline exceeded; instrs 2999 cycles 3230 loads 934 stores 736 branches 270 taken 169 omni 1950 origins 1950/587/270/0/0/192; pc 171 regs 438ab96e525ecb25; output cbf29ce484222325");
+    (("g_sort watchdog and fuel", "x86"),
+     "out of fuel; instrs 2500 cycles 2760 loads 794 stores 658 branches 201 taken 130 omni 1606 origins 1606/527/202/0/0/165; pc 121 regs a0c784ed9a7ec304; output cbf29ce484222325");
+    (("g_sort fuel 0", "mips"),
+     "out of fuel; instrs 0 cycles 1 loads 0 stores 0 branches 0 taken 0 omni 0 origins 0/0/0/0/0/0; pc 0 regs e917f0614d381712; output cbf29ce484222325");
+    (("g_sort fuel 1", "mips"),
+     "out of fuel; instrs 1 cycles 1 loads 0 stores 0 branches 0 taken 0 omni 1 origins 1/0/0/0/0/0; pc 0 regs 9a14d9dda3fe9966; output cbf29ce484222325");
+    (("g_sort fuel 2", "mips"),
+     "out of fuel; instrs 2 cycles 2 loads 0 stores 0 branches 0 taken 0 omni 1 origins 1/0/0/0/1/0; pc 26 regs 9a14d9dda3fe9966; output cbf29ce484222325");
+    (("g_sort fuel 3", "mips"),
+     "out of fuel; instrs 3 cycles 3 loads 0 stores 0 branches 0 taken 0 omni 2 origins 2/0/0/0/1/0; pc 27 regs f4984722f5d6aa9a; output cbf29ce484222325");
+    (("g_sort fuel 17", "mips"),
+     "out of fuel; instrs 17 cycles 17 loads 0 stores 11 branches 0 taken 0 omni 15 origins 15/0/0/1/1/0; pc 41 regs f4984722f5d6aa9a; output cbf29ce484222325");
+    (("g_sort fuel 1000", "mips"),
+     "out of fuel; instrs 1000 cycles 1028 loads 141 stores 95 branches 84 taken 56 omni 773 origins 773/0/57/57/57/56; pc 44 regs 4cf45cab2979c803; output cbf29ce484222325");
+    (("g_sort fuel 20001", "mips"),
+     "out of fuel; instrs 20001 cycles 21107 loads 3078 stores 908 branches 2607 taken 1504 omni 13694 origins 13694/0/1841/1124/2560/782; pc 158 regs a611fa66b548de9b; output cbf29ce484222325");
+    (("g_sort fuel 1001 (delay slot)", "mips"),
+     "out of fuel; instrs 1001 cycles 1029 loads 141 stores 95 branches 85 taken 57 omni 774 origins 774/0/57/57/57/56; pc 44 regs 4cf45cab2979c803; output cbf29ce484222325");
+    (("g_sort fuel 1004 (delay slot)", "mips"),
+     "out of fuel; instrs 1004 cycles 1032 loads 141 stores 95 branches 86 taken 57 omni 776 origins 776/0/57/57/58/56; pc 49 regs 188a0670a4e5e7fe; output cbf29ce484222325");
+    (("handled wild store", "mips"),
+     "exit 0; instrs 12 cycles 12 loads 0 stores 0 branches 0 taken 0 omni 9 origins 9/0/0/2/0/1; pc 5 regs b9a8154781820bf3; output 07f8bc07b4ba5002");
+    (("unhandled wild store", "mips"),
+     "fault access violation: write at 0x40000000; instrs 4 cycles 4 loads 0 stores 0 branches 0 taken 0 omni 2 origins 2/0/0/1/0/1; pc 8 regs b9a8154781820bf3; output cbf29ce484222325");
+    (("unhandled division by zero", "mips"),
+     "fault integer division by zero; instrs 3 cycles 3 loads 0 stores 0 branches 0 taken 0 omni 3 origins 3/0/0/0/0/0; pc 7 regs 08c480769d5d8816; output cbf29ce484222325");
+    (("fault in handler", "mips"),
+     "fault integer division by zero; instrs 9 cycles 9 loads 0 stores 0 branches 0 taken 0 omni 8 origins 8/0/0/1/0/0; pc 2 regs 2a246c5edeab6614; output cbf29ce484222325");
+    (("watchdog", "mips"),
+     "fault wall-clock deadline exceeded; instrs 277 cycles 277 loads 0 stores 0 branches 0 taken 0 omni 277 origins 277/0/0/0/0/0; pc 6 regs 6a3630a5c5fc7a1c; output cbf29ce484222325");
+    (("watchdog to handler", "mips"),
+     "fault wall-clock deadline exceeded; instrs 88 cycles 88 loads 0 stores 0 branches 0 taken 0 omni 87 origins 87/0/0/1/0/0; pc 4 regs 297289056f37287a; output 08175e07b4d460d7");
+    (("g_sort watchdog", "mips"),
+     "fault wall-clock deadline exceeded; instrs 3509 cycles 3662 loads 524 stores 238 branches 389 taken 236 omni 2547 origins 2547/0/267/193/342/160; pc 121 regs 73595d262cee1b84; output cbf29ce484222325");
+    (("g_sort watchdog and fuel", "mips"),
+     "out of fuel; instrs 2500 cycles 2595 loads 368 stores 194 branches 253 taken 159 omni 1863 origins 1863/0/171/138/206/122; pc 148 regs fc952ace6b9b9f1a; output cbf29ce484222325");
+    (("g_sort fuel 0", "sparc"),
+     "out of fuel; instrs 0 cycles 1 loads 0 stores 0 branches 0 taken 0 omni 0 origins 0/0/0/0/0/0; pc 0 regs e917f0614d381712; output cbf29ce484222325");
+    (("g_sort fuel 1", "sparc"),
+     "out of fuel; instrs 1 cycles 1 loads 0 stores 0 branches 0 taken 0 omni 1 origins 1/0/0/0/0/0; pc 0 regs 9a14d9dda3fe9966; output cbf29ce484222325");
+    (("g_sort fuel 2", "sparc"),
+     "out of fuel; instrs 2 cycles 2 loads 0 stores 0 branches 0 taken 0 omni 1 origins 1/0/0/0/1/0; pc 26 regs 9a14d9dda3fe9966; output cbf29ce484222325");
+    (("g_sort fuel 3", "sparc"),
+     "out of fuel; instrs 3 cycles 3 loads 0 stores 0 branches 0 taken 0 omni 2 origins 2/0/0/0/1/0; pc 27 regs f4984722f5d6aa9a; output cbf29ce484222325");
+    (("g_sort fuel 17", "sparc"),
+     "out of fuel; instrs 17 cycles 17 loads 0 stores 11 branches 0 taken 0 omni 15 origins 15/0/0/1/1/0; pc 41 regs f4984722f5d6aa9a; output cbf29ce484222325");
+    (("g_sort fuel 1000", "sparc"),
+     "out of fuel; instrs 1000 cycles 1054 loads 134 stores 90 branches 80 taken 53 omni 732 origins 732/0/80/55/81/52; pc 64 regs 24fa6e62038c453b; output cbf29ce484222325");
+    (("g_sort fuel 20001", "sparc"),
+     "out of fuel; instrs 20001 cycles 21167 loads 3112 stores 918 branches 2635 taken 1520 omni 13842 origins 13842/0/2636/97/2636/790; pc 111 regs c556e88df9ee9c97; output cbf29ce484222325");
+    (("g_sort fuel 1004 (delay slot)", "sparc"),
+     "out of fuel; instrs 1004 cycles 1058 loads 134 stores 90 branches 81 taken 54 omni 735 origins 735/0/81/55/81/52; pc 67 regs b966ed9ec063b11c; output cbf29ce484222325");
+    (("g_sort fuel 1015 (delay slot)", "sparc"),
+     "out of fuel; instrs 1015 cycles 1069 loads 135 stores 91 branches 81 taken 54 omni 743 origins 743/0/81/55/82/54; pc 79 regs d5b0b3d209a63025; output cbf29ce484222325");
+    (("annulled g_sort", "sparc"),
+     "exit 0; instrs 35065 cycles 37382 loads 5937 stores 1877 branches 4772 taken 2739 omni 25734 origins 25734/0/4772/98/2787/1674; pc 283 regs fe3c37ebe05d33a2; output 12a3efa6fa5e0aee");
+    (("annulled g_sort fuel 1033", "sparc"),
+     "out of fuel; instrs 1033 cycles 1089 loads 141 stores 95 branches 86 taken 57 omni 776 origins 776/0/86/57/58/56; pc 52 regs 188a0670a4e5e7fe; output cbf29ce484222325");
+    (("annulled g_sort fuel 1069", "sparc"),
+     "out of fuel; instrs 1069 cycles 1127 loads 146 stores 98 branches 89 taken 59 omni 803 origins 803/0/89/59/60/58; pc 52 regs ca490e80bd94747e; output cbf29ce484222325");
+    (("handled wild store", "sparc"),
+     "exit 0; instrs 12 cycles 12 loads 0 stores 0 branches 0 taken 0 omni 9 origins 9/0/0/2/0/1; pc 5 regs b9a8154781820bf3; output 07f8bc07b4ba5002");
+    (("unhandled wild store", "sparc"),
+     "fault access violation: write at 0x40000000; instrs 4 cycles 4 loads 0 stores 0 branches 0 taken 0 omni 2 origins 2/0/0/1/0/1; pc 8 regs b9a8154781820bf3; output cbf29ce484222325");
+    (("unhandled division by zero", "sparc"),
+     "fault integer division by zero; instrs 3 cycles 3 loads 0 stores 0 branches 0 taken 0 omni 3 origins 3/0/0/0/0/0; pc 7 regs 08c480769d5d8816; output cbf29ce484222325");
+    (("fault in handler", "sparc"),
+     "fault integer division by zero; instrs 9 cycles 9 loads 0 stores 0 branches 0 taken 0 omni 8 origins 8/0/0/1/0/0; pc 2 regs 2a246c5edeab6614; output cbf29ce484222325");
+    (("watchdog", "sparc"),
+     "fault wall-clock deadline exceeded; instrs 277 cycles 277 loads 0 stores 0 branches 0 taken 0 omni 277 origins 277/0/0/0/0/0; pc 6 regs 6a3630a5c5fc7a1c; output cbf29ce484222325");
+    (("watchdog to handler", "sparc"),
+     "fault wall-clock deadline exceeded; instrs 88 cycles 88 loads 0 stores 0 branches 0 taken 0 omni 87 origins 87/0/0/1/0/0; pc 4 regs 297289056f37287a; output 08175e07b4d460d7");
+    (("g_sort watchdog", "sparc"),
+     "fault wall-clock deadline exceeded; instrs 3493 cycles 3689 loads 510 stores 234 branches 377 taken 229 omni 2485 origins 2485/0/377/97/378/156; pc 138 regs 815129daa917ff24; output cbf29ce484222325");
+    (("g_sort watchdog and fuel", "sparc"),
+     "out of fuel; instrs 2500 cycles 2637 loads 353 stores 191 branches 240 taken 152 omni 1802 origins 1802/0/240/97/241/120; pc 163 regs 9375484edeb295fd; output cbf29ce484222325");
+    (("g_sort fuel 0", "ppc"),
+     "out of fuel; instrs 0 cycles 1 loads 0 stores 0 branches 0 taken 0 omni 0 origins 0/0/0/0/0/0; pc 0 regs e917f0614d381712; output cbf29ce484222325");
+    (("g_sort fuel 1", "ppc"),
+     "out of fuel; instrs 1 cycles 2 loads 0 stores 0 branches 0 taken 0 omni 1 origins 1/0/0/0/0/0; pc 24 regs 9a14d9dda3fe9966; output cbf29ce484222325");
+    (("g_sort fuel 2", "ppc"),
+     "out of fuel; instrs 2 cycles 2 loads 0 stores 0 branches 0 taken 0 omni 2 origins 2/0/0/0/0/0; pc 25 regs f4984722f5d6aa9a; output cbf29ce484222325");
+    (("g_sort fuel 3", "ppc"),
+     "out of fuel; instrs 3 cycles 3 loads 0 stores 1 branches 0 taken 0 omni 3 origins 3/0/0/0/0/0; pc 26 regs f4984722f5d6aa9a; output cbf29ce484222325");
+    (("g_sort fuel 17", "ppc"),
+     "out of fuel; instrs 17 cycles 17 loads 1 stores 11 branches 0 taken 0 omni 16 origins 16/0/0/1/0/0; pc 40 regs f4984722f5d6aa9a; output cbf29ce484222325");
+    (("g_sort fuel 1000", "ppc"),
+     "out of fuel; instrs 1000 cycles 1121 loads 149 stores 99 branches 90 taken 60 omni 819 origins 819/0/90/61/0/30; pc 69 regs 2e1c9b969c156fe3; output cbf29ce484222325");
+    (("g_sort fuel 20001", "ppc"),
+     "out of fuel; instrs 20001 cycles 26174 loads 3461 stores 1010 branches 2939 taken 1693 omni 15364 origins 15364/0/2939/1262/0/436; pc 145 regs 9cbbdaf428eedbf4; output cbf29ce484222325");
+    (("handled wild store", "ppc"),
+     "exit 0; instrs 12 cycles 12 loads 0 stores 0 branches 0 taken 0 omni 9 origins 9/0/0/2/0/1; pc 5 regs b9a8154781820bf3; output 07f8bc07b4ba5002");
+    (("unhandled wild store", "ppc"),
+     "fault access violation: write at 0x40000000; instrs 4 cycles 4 loads 0 stores 0 branches 0 taken 0 omni 2 origins 2/0/0/1/0/1; pc 8 regs b9a8154781820bf3; output cbf29ce484222325");
+    (("unhandled division by zero", "ppc"),
+     "fault integer division by zero; instrs 3 cycles 3 loads 0 stores 0 branches 0 taken 0 omni 3 origins 3/0/0/0/0/0; pc 7 regs 08c480769d5d8816; output cbf29ce484222325");
+    (("fault in handler", "ppc"),
+     "fault integer division by zero; instrs 9 cycles 9 loads 0 stores 0 branches 0 taken 0 omni 8 origins 8/0/0/1/0/0; pc 2 regs 2a246c5edeab6614; output cbf29ce484222325");
+    (("watchdog", "ppc"),
+     "fault wall-clock deadline exceeded; instrs 139 cycles 71 loads 0 stores 0 branches 0 taken 0 omni 139 origins 139/0/0/0/0/0; pc 6 regs d65bde9418bef097; output cbf29ce484222325");
+    (("watchdog to handler", "ppc"),
+     "fault wall-clock deadline exceeded; instrs 48 cycles 28 loads 0 stores 0 branches 0 taken 0 omni 47 origins 47/0/0/1/0/0; pc 4 regs cfd067fb779d6106; output 08175e07b4d460d7");
+    (("g_sort watchdog", "ppc"),
+     "fault wall-clock deadline exceeded; instrs 2999 cycles 3647 loads 488 stores 228 branches 357 taken 218 omni 2387 origins 2387/0/357/180/0/75; pc 136 regs a0b5a63d79f31ece; output cbf29ce484222325");
+    (("g_sort watchdog and fuel", "ppc"),
+     "out of fuel; instrs 2500 cycles 2985 loads 400 stores 204 branches 281 taken 175 omni 2005 origins 2005/0/281/149/0/65; pc 124 regs a3f1813ebed92b6b; output cbf29ce484222325");
+    (("g_sort fuel 0", "x86"),
+     "out of fuel; instrs 0 cycles 1 loads 0 stores 0 branches 0 taken 0 omni 0 origins 0/0/0/0/0/0; pc 0 regs e917f0614d381712; output cbf29ce484222325");
+    (("g_sort fuel 1", "x86"),
+     "out of fuel; instrs 1 cycles 2 loads 0 stores 0 branches 0 taken 0 omni 1 origins 1/0/0/0/0/0; pc 31 regs 9a14d9dda3fe9966; output cbf29ce484222325");
+    (("g_sort fuel 2", "x86"),
+     "out of fuel; instrs 2 cycles 2 loads 0 stores 0 branches 0 taken 0 omni 2 origins 2/0/0/0/0/0; pc 32 regs f4984722f5d6aa9a; output cbf29ce484222325");
+    (("g_sort fuel 3", "x86"),
+     "out of fuel; instrs 3 cycles 3 loads 0 stores 1 branches 0 taken 0 omni 3 origins 3/0/0/0/0/0; pc 33 regs f4984722f5d6aa9a; output cbf29ce484222325");
+    (("g_sort fuel 17", "x86"),
+     "out of fuel; instrs 17 cycles 13 loads 2 stores 11 branches 0 taken 0 omni 15 origins 15/2/0/0/0/0; pc 47 regs f4984722f5d6aa9a; output cbf29ce484222325");
+    (("g_sort fuel 1000", "x86"),
+     "out of fuel; instrs 1000 cycles 1134 loads 322 stores 284 branches 69 taken 46 omni 630 origins 630/232/69/0/0/69; pc 87 regs 12cf16f1a96751ea; output cbf29ce484222325");
+    (("g_sort fuel 20001", "x86"),
+     "out of fuel; instrs 20001 cycles 19246 loads 5822 stores 3382 branches 2563 taken 1479 omni 13479 origins 13479/2804/2563/0/0/1155; pc 119 regs 0dc5f56bbb627016; output cbf29ce484222325");
+    (("handled wild store", "x86"),
+     "exit 0; instrs 11 cycles 6 loads 0 stores 0 branches 0 taken 0 omni 9 origins 9/0/0/0/0/2; pc 5 regs b9a8154781820bf3; output 07f8bc07b4ba5002");
+    (("unhandled wild store", "x86"),
+     "fault access violation: write at 0x40000000; instrs 4 cycles 3 loads 0 stores 0 branches 0 taken 0 omni 2 origins 2/0/0/0/0/2; pc 8 regs b9a8154781820bf3; output cbf29ce484222325");
+    (("unhandled division by zero", "x86"),
+     "fault integer division by zero; instrs 5 cycles 4 loads 0 stores 0 branches 0 taken 0 omni 3 origins 3/2/0/0/0/0; pc 9 regs 08c480769d5d8816; output cbf29ce484222325");
+    (("fault in handler", "x86"),
+     "fault integer division by zero; instrs 12 cycles 9 loads 0 stores 0 branches 0 taken 0 omni 8 origins 8/4/0/0/0/0; pc 4 regs 2a246c5edeab6614; output cbf29ce484222325");
+    (("watchdog", "x86"),
+     "fault wall-clock deadline exceeded; instrs 139 cycles 71 loads 0 stores 0 branches 0 taken 0 omni 139 origins 139/0/0/0/0/0; pc 6 regs d65bde9418bef097; output cbf29ce484222325");
+    (("watchdog to handler", "x86"),
+     "fault wall-clock deadline exceeded; instrs 48 cycles 25 loads 0 stores 0 branches 0 taken 0 omni 48 origins 48/0/0/0/0/0; pc 4 regs d9da6baa4f4c8b87; output 08175e07b4d460d7");
+    (("g_sort watchdog", "x86"),
+     "fault wall-clock deadline exceeded; instrs 2999 cycles 3230 loads 934 stores 736 branches 270 taken 169 omni 1950 origins 1950/587/270/0/0/192; pc 171 regs 438ab96e525ecb25; output cbf29ce484222325");
+    (("g_sort watchdog and fuel", "x86"),
+     "out of fuel; instrs 2500 cycles 2760 loads 794 stores 658 branches 201 taken 130 omni 1606 origins 1606/527/202/0/0/165; pc 121 regs a0c784ed9a7ec304; output cbf29ce484222325");
+  ]
+
+let exit_path_goldens () =
+  let bad =
+    List.concat_map
+      (fun arch ->
+        List.filter_map
+          (fun (case, run) ->
+            let got = run () in
+            let key = (case, Arch.name arch) in
+            if List.assoc_opt key exit_goldens = Some got then None
+            else Some (Printf.sprintf "(( %S, %S ),\n %S);" case (Arch.name arch) got))
+          (exit_cases arch))
+      targets
+  in
+  if bad <> [] then
+    Alcotest.failf "%d exit paths differ; got:\n%s" (List.length bad)
+      (String.concat "\n" bad)
 
 (* The simulators allocate nothing per retired instruction: what a run
    allocates is its set-up, its first decoding of each slot it reaches,
@@ -660,7 +1154,7 @@ let simulator_allocation () =
             Alcotest.failf "%s on %s: %.3f minor words per instruction" name
               (Arch.name arch) per_instr)
         targets)
-    [ "compress"; "eqntott" ]
+    (List.map fst (Lazy.force spec_programs))
 
 (* --- golden translations ---
 
@@ -806,6 +1300,8 @@ let () =
       ("pipeline",
        [ Alcotest.test_case "cost model" `Quick pipeline_unit;
          Alcotest.test_case "golden simulator stats" `Quick golden_simulator_stats;
+         Alcotest.test_case "exit-path goldens" `Quick exit_path_goldens;
+         Alcotest.test_case "recycled decoded table" `Quick recycled_table;
          Alcotest.test_case "simulators allocate nothing per instruction" `Quick
            simulator_allocation ]);
       ("x86", [ Alcotest.test_case "register homes" `Quick x86_homes ])
