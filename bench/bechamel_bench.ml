@@ -30,7 +30,7 @@ let make_tests ~size =
            ignore (Minic.Driver.compile_exe ~name:w.W.name w.W.source)))
   ]
 
-let benchmark tests =
+let benchmark b tests =
   let instances = Toolkit.Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:None () in
   let raw =
@@ -51,11 +51,13 @@ let benchmark tests =
       let result = Analyze.one ols Toolkit.Instance.monotonic_clock m in
       match Analyze.OLS.estimates result with
       | Some [ est ] ->
-          Printf.printf "  %-20s %12.0f ns/run  (%.2f ms)\n" name est
+          Printf.bprintf b "  %-20s %12.0f ns/run  (%.2f ms)\n" name est
             (est /. 1e6)
-      | _ -> Printf.printf "  %-20s (no estimate)\n" name)
+      | _ -> Printf.bprintf b "  %-20s (no estimate)\n" name)
     raw
 
 let run ~size =
-  print_endline "Bechamel wall-clock: load-time operations";
-  benchmark (make_tests ~size)
+  let b = Buffer.create 512 in
+  Buffer.add_string b "Bechamel wall-clock: load-time operations\n";
+  benchmark b (make_tests ~size);
+  Buffer.contents b

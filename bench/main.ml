@@ -1,60 +1,62 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation section (see DESIGN.md's experiment index and EXPERIMENTS.md
-   for recorded results).
+   evaluation section, plus the beyond-the-paper sections (see DESIGN.md's
+   experiment index and EXPERIMENTS.md for recorded results).
 
-     dune exec bench/main.exe                 -- everything, test size
-     dune exec bench/main.exe -- --size ref   -- everything, reference size
+     dune exec bench/main.exe                 -- every section, test size
+     dune exec bench/main.exe -- --size ref   -- every section, reference size
      dune exec bench/main.exe -- table1 figure1 speed bechamel ...
+     dune exec bench/main.exe -- json         -- write BENCH_{N+1}.json
+     dune exec bench/main.exe -- gate         -- diff against BENCH_N.json
 
-   All relative-time numbers come from the simulated pipeline cycle counts;
-   [speed] and [bechamel] measure real wall-clock translation time (the
-   paper's load-time-matters argument), the latter with statistically
-   sound measurement via Bechamel. *)
+   The sections are Omni_harness.Experiments.sections plus [bechamel];
+   an unknown name exits 2 before anything is measured. All relative-time
+   numbers come from the simulated pipeline cycle counts; [speed] and
+   [bechamel] measure real wall-clock translation time (the paper's
+   load-time-matters argument), the latter with statistically sound
+   measurement via Bechamel.
+
+   --- the persisted snapshot + regression gate (BENCH_N.json) ----------
+
+   [json] measures every snapshot section once, prints their tables and
+   writes the same numbers to BENCH_{N+1}.json at the repo root (N the
+   latest snapshot, BENCH_1.json when there is none), so it never
+   overwrites a baseline; it is the only command that writes a snapshot.
+   [gate] measures the same snapshot in memory and diffs its [hot_paths]
+   against the latest BENCH_N.json, which it only reads: any named path
+   more than 20% slower (and by more than 10us absolute — 20% of a 30us
+   path is timer noise) — in the per-key minimum over up to five
+   measurement attempts, each of which re-measures every section, so a
+   one-off host interference spike never fails a build — fails the gate
+   (exit 1); hot paths that only exist in one of the two snapshots are
+   skipped and summarized in one stderr line, so adding or retiring a
+   subsystem never trips the gate — or shrinks it — silently. With no
+   snapshot present the gate has nothing to compare and passes. The
+   snapshot format and the classification logic live in
+   Omni_harness.Gate, where the test suite exercises them. *)
 
 module E = Omni_harness.Experiments
 module Gate = Omni_harness.Gate
 module W = Omni_workloads.Workloads
 
-let sections =
-  [ "table1"; "table2"; "table3"; "table4"; "table5"; "table6"; "figure1";
-    "figure2"; "ablation"; "ablation-reads"; "speed"; "service"; "remote";
-    "resilience"; "isolation"; "phases"; "cert"; "concurrency"; "guest";
-    "fastpath"; "persistence"; "bechamel" ]
-
-(* --- the persisted snapshot + regression gate (BENCH_N.json) ----------
-
-   [json] re-measures every subsystem's hot paths and writes them to the
-   latest BENCH_N.json at the repo root (BENCH_1.json when there is
-   none); it is the only section that writes a snapshot. [gate] measures
-   the same snapshot in memory and diffs its [hot_paths] against the
-   latest BENCH_N.json, which it only reads: any named path more than 20%
-   slower (and by more than 10us absolute — 20% of a 30us path is timer
-   noise) — in the per-key minimum over up to five measurement attempts,
-   so a one-off host interference spike never fails a build — fails the
-   gate (exit 1); hot paths that only exist in one of the two snapshots
-   are skipped and summarized in one stderr line, so adding or retiring a
-   subsystem never trips the gate — or shrinks it — silently. With no
-   snapshot present the gate has nothing to compare and passes.
-   The classification logic lives in Omni_harness.Gate, where the test
-   suite exercises it against synthetic snapshot pairs. *)
-
-let latest_snapshot () = Gate.latest_snapshot (Array.to_list (Sys.readdir "."))
+let sections = E.sections @ [ ("bechamel", E.Table Bechamel_bench.run) ]
+let snapshot_files () = Array.to_list (Sys.readdir ".")
 
 let write_snapshot ~size =
-  let file = Option.value ~default:"BENCH_1.json" (latest_snapshot ()) in
-  let json = E.bench_snapshot ~size in
+  let tables, json = E.bench_snapshot ~size in
+  print_string tables;
+  let file = Gate.next_snapshot (snapshot_files ()) in
   Out_channel.with_open_bin file (fun oc -> output_string oc json);
   Printf.printf "wrote %s (%d hot paths)\n" file
     (List.length (Gate.hot_paths_of_json json))
 
-let measure ~size = Gate.hot_paths_of_json (E.bench_snapshot ~size)
+let measure ~size = Gate.hot_paths_of_json (snd (E.bench_snapshot ~size))
 
 let run_gate ~size =
   let previous =
     Option.map
       (fun file ->
         Gate.hot_paths_of_json (In_channel.with_open_bin file In_channel.input_all))
-      (latest_snapshot ())
+      (Gate.latest_snapshot (snapshot_files ()))
   in
   let fresh = measure ~size in
   match previous with
@@ -103,34 +105,17 @@ let run_gate ~size =
         exit 1
       end
 
-let run_section ~size name =
+let print_section section ~size =
+  print_string
+    (match section with E.Table f -> f ~size | E.Snapshot f -> fst (f ~size))
+
+let actions =
+  List.map (fun (name, section) -> (name, print_section section)) sections
+  @ [ ("json", write_snapshot); ("gate", run_gate) ]
+
+let run ~size name =
   let t0 = Unix.gettimeofday () in
-  (match name with
-  | "table1" -> print_string (E.table1 ~size)
-  | "table2" -> print_string (E.table2 ~size)
-  | "table3" -> print_string (E.table3 ~size)
-  | "table4" -> print_string (E.table4 ~size)
-  | "table5" -> print_string (E.table5 ~size)
-  | "table6" -> print_string (E.table6 ~size)
-  | "figure1" -> print_string (E.figure1 ~size)
-  | "figure2" -> print_string (E.figure2 ())
-  | "ablation" -> print_string (E.ablation_sfi_opt ~size)
-  | "ablation-reads" -> print_string (E.ablation_read_protection ~size)
-  | "speed" -> print_string (E.translation_speed ~size)
-  | "service" -> print_string (E.service_amortization ~size)
-  | "remote" -> print_string (E.remote_overhead ~size)
-  | "resilience" -> print_string (E.resilience ~size)
-  | "isolation" -> print_string (E.isolation ~size)
-  | "phases" -> print_string (E.phase_breakdown ~size)
-  | "cert" -> print_string (E.cert_amortization ~size)
-  | "concurrency" -> print_string (E.concurrency ~size)
-  | "guest" -> print_string (E.guest_front_end ~size)
-  | "fastpath" -> print_string (E.fastpath ~size)
-  | "persistence" -> print_string (E.persistence ~size)
-  | "json" -> write_snapshot ~size
-  | "gate" -> run_gate ~size
-  | "bechamel" -> Bechamel_bench.run ~size
-  | other -> Printf.eprintf "unknown section %s\n" other);
+  List.assoc name actions ~size;
   Printf.printf "[%s took %.1fs]\n\n%!" name (Unix.gettimeofday () -. t0)
 
 let () =
@@ -142,7 +127,15 @@ let () =
        "test|ref workload size (default test)") ]
   in
   Arg.parse spec (fun s -> picked := s :: !picked) "bench [sections]";
-  let todo = if !picked = [] then sections else List.rev !picked in
+  let valid = List.map fst actions in
+  (match List.filter (fun s -> not (List.mem s valid)) !picked with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "bench: unknown section(s) %s (valid: %s)\n"
+        (String.concat ", " (List.rev unknown))
+        (String.concat ", " valid);
+      exit 2);
+  let todo = if !picked = [] then List.map fst sections else List.rev !picked in
   Printf.printf "omniware benchmark harness (size: %s)\n\n%!"
     (match !size with W.Test -> "test" | W.Ref -> "ref");
-  List.iter (run_section ~size:!size) todo
+  List.iter (run ~size:!size) todo

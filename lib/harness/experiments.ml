@@ -18,6 +18,7 @@ type config =
   | Mobile_nosfi_noopt
   | Mobile_sfi_opt (* + the guard-zone SFI optimization of paper 4.4 *)
   | Mobile_sfi_reads (* + read protection (cited in paper 1, not measured) *)
+  | Mobile_sfi_pad of Omni_sfi.Policy.pad (* SFI under one pad mode *)
   | Native_cc
   | Native_gcc
 
@@ -28,6 +29,7 @@ let config_name = function
   | Mobile_nosfi_noopt -> "no-sfi/noopt"
   | Mobile_sfi_opt -> "sfi/opt"
   | Mobile_sfi_reads -> "sfi/reads"
+  | Mobile_sfi_pad pad -> "sfi/pad=" ^ Omni_sfi.Policy.pad_name pad
   | Native_cc -> "native-cc"
   | Native_gcc -> "native-gcc"
 
@@ -87,6 +89,8 @@ let mode_and_opts arch = function
   | Mobile_sfi_reads ->
       ( Machine.Mobile (Omni_sfi.Policy.make ~protect_reads:true ()),
         Api.mobile_opts arch )
+  | Mobile_sfi_pad pad ->
+      (Machine.Mobile (Omni_sfi.Policy.make ~pad ()), Api.mobile_opts arch)
   | Native_cc -> (Machine.Native Machine.Cc, Machine.all_opts)
   | Native_gcc -> (Machine.Native Machine.Gcc, Machine.all_opts)
 
@@ -441,322 +445,272 @@ let ablation_read_protection ~size =
   Buffer.add_char buf '\n';
   Buffer.contents buf
 
-(* Serving experiment (beyond the paper): cold vs warm translation
-   amortization. The paper's load-time argument is that translation must be
-   fast because every load pays it; a serving host goes one step further
-   and pays the translator once per (module, arch, config), re-verifying
-   cached code on every subsequent load. Each request still gets a fresh
-   isolated image. *)
-let service_amortization ~size =
+(* --- beyond the paper: one measurement, two renderings ----------------
+
+   Each section below is one [*_measure ~size] returning a record, read
+   by two renderers: its text table and its snapshot entry (integer rows
+   plus the [hot_paths] keys it gates). [bench_snapshot] folds over the
+   sections, so the table a run prints and the numbers it writes are the
+   same measurement. Times are CPU seconds ([Sys.time]); tables and
+   entries show them through [us] and ratios through [x100], so the two
+   renderings print the same integers. *)
+
+let fuel = 4_000_000_000
+let us s = int_of_float (1e6 *. s)
+let x100 r = int_of_float (Float.round (100. *. r))
+
+(* Per-phase pipeline breakdown: every workload through the serving path
+   (decode, load, translate, certify) and run on the interpreter and every
+   target, under a Null-sink tracer feeding one metrics registry, so the
+   numbers are exactly what the span instrumentation recorded. [prepare]
+   runs inside the tracer: when its cache is cold, the compile and
+   reference-run spans land here too. *)
+let phases_measure ~size : (string * Omni_obs.Metrics.hist_snapshot) list =
+  let module Svc = Omni_service.Service in
+  let module Exec = Omni_service.Exec in
+  let m = Omni_obs.Metrics.create () in
+  let tracer = Omni_obs.Trace.make ~metrics:m Omni_obs.Trace.Null in
+  Omni_obs.Trace.with_current tracer (fun () ->
+      let svc = Svc.of_config ~metrics:m Svc.default_config in
+      List.iter
+        (fun (w : Omni_workloads.Workloads.t) ->
+          let p = prepare w in
+          let h = Svc.submit svc (Omnivm.Wire.encode p.p_exe) in
+          ignore (Svc.instantiate ~fuel svc h);
+          List.iter
+            (fun arch ->
+              ignore (Svc.instantiate ~engine:(Exec.Target arch) ~fuel svc h))
+            all_archs)
+        (workloads ~size));
+  List.filter_map
+    (fun (name, hs) ->
+      if String.starts_with ~prefix:"phase." name then
+        Some (String.sub name 6 (String.length name - 6), hs)
+      else None)
+    (Omni_obs.Metrics.snapshot m).Omni_obs.Metrics.histograms
+
+let phase_mean (h : Omni_obs.Metrics.hist_snapshot) =
+  us (h.hs_sum /. float_of_int (max 1 h.hs_count))
+
+let phases_table phases =
+  let b = Buffer.create 1024 in
+  Buffer.add_string b
+    "Per-phase pipeline breakdown: decode -> load -> translate -> certify\n\
+     -> run, as recorded by the span tracer's metrics registry\n\
+     (every workload, interpreter + all four targets, serving path)\n\n";
+  Printf.bprintf b "%-12s %8s %12s %12s %7s\n" "phase" "count" "total (us)"
+    "mean (us)" "share";
+  let total =
+    List.fold_left (fun a (_, h) -> a +. h.Omni_obs.Metrics.hs_sum) 0.0 phases
+  in
+  List.iter
+    (fun (n, (h : Omni_obs.Metrics.hist_snapshot)) ->
+      Printf.bprintf b "%-12s %8d %12d %12d %6.1f%%\n" n h.hs_count
+        (us h.hs_sum) (phase_mean h)
+        (100.0 *. h.hs_sum /. Float.max 1e-9 total))
+    phases;
+  Buffer.contents b
+
+let phases_entry phases =
+  {
+    Gate.rows =
+      List.map
+        (fun (n, (h : Omni_obs.Metrics.hist_snapshot)) ->
+          ( n,
+            [ ("count", h.hs_count); ("total_us", us h.hs_sum);
+              ("mean_us", phase_mean h) ] ))
+        phases;
+    hot =
+      List.filter_map
+        (fun (n, h) ->
+          if List.mem n [ "translate"; "verify"; "run" ] then
+            Some (Printf.sprintf "phase.%s.mean" n, phase_mean h)
+          else None)
+        phases;
+  }
+
+(* Serving: cold vs warm translation amortization. A serving host pays
+   the translator once per (module, arch, config) and re-admits cached
+   code on every later load; every request still gets a fresh isolated
+   image. Cold is the first round's translate time; warm is the best of
+   three rounds' admission time — a warm round is ~100 us, so the minimum
+   judges the path, not the scheduler. *)
+type service_row = { sv_arch : Arch.t; sv_cold_s : float; sv_warm_s : float }
+
+let service_measure ~size : service_row list =
   let module Svc = Omni_service.Service in
   let module SC = Omni_service.Counters in
   let module Exec = Omni_service.Exec in
-  let ws = workloads ~size in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    "Service: cold vs warm loads through the memoizing translation cache\n\
-     (every request instantiates a fresh isolated image; a cold load pays\n\
-     translate + verify, a warm load pays static re-verification only)\n\n";
   let svc = Svc.of_config Svc.default_config in
-  (* Trace with a Null sink into the service's own registry: no span
-     storage, but every phase lands in the "phase.*" histograms, so the
-     breakdown below and the serving counters come from one place. *)
-  let tracer =
-    Omni_obs.Trace.make ~metrics:(Svc.metrics svc) Omni_obs.Trace.Null
-  in
-  Omni_obs.Trace.with_current tracer @@ fun () ->
   let handles =
     List.map
-      (fun (w : Omni_workloads.Workloads.t) ->
+      (fun w ->
         let p = prepare w in
-        (w, p, Svc.submit svc (Omnivm.Wire.encode p.p_exe)))
-      ws
+        (p, Svc.submit svc (Omnivm.Wire.encode p.p_exe)))
+      (workloads ~size)
   in
-  let fuel = 4_000_000_000 in
-  let load_all ~check arch =
-    List.iter
-      (fun ((w : Omni_workloads.Workloads.t), p, h) ->
-        let r = Svc.instantiate ~engine:(Exec.Target arch) ~fuel svc h in
-        if check && not (String.equal r.Exec.output p.p_expected) then
-          fail "service: %s/%s produced wrong output" w.name (Arch.name arch))
-      handles
-  in
-  Buffer.add_string buf
-    (Printf.sprintf "%-8s %15s %15s %10s\n" "arch" "cold-load (ms)"
-       "warm-load (ms)" "amortize");
-  let warm_rounds = 3 in
-  List.iter
-    (fun arch ->
-      let cold0 = (Svc.stats svc).SC.s_cold_translate_s in
-      load_all ~check:true arch;
-      let cold = (Svc.stats svc).SC.s_cold_translate_s -. cold0 in
-      let warm0 = (Svc.stats svc).SC.s_warm_admit_s in
-      for _ = 1 to warm_rounds do
-        load_all ~check:true arch
-      done;
-      let warm =
-        ((Svc.stats svc).SC.s_warm_admit_s -. warm0)
-        /. float_of_int warm_rounds
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "%-8s %15.2f %15.2f %9.0fx\n" (Arch.name arch)
-           (1e3 *. cold) (1e3 *. warm)
-           (cold /. Float.max 1e-9 warm)))
-    all_archs;
-  (* Throughput of a fully warm mix through the batch driver. *)
-  let reqs =
-    Array.of_list
-      (List.concat_map
-         (fun (_, _, h) ->
-           List.map
-             (fun arch ->
-               { Svc.rq_handle = h; rq_engine = Exec.Target arch;
-                 rq_sfi = true })
-             all_archs)
-         handles)
-  in
-  let report = Svc.run_batch ~fuel svc reqs in
-  Buffer.add_char buf '\n';
-  Buffer.add_string buf (Svc.render_batch report);
-  let snap = Omni_obs.Metrics.snapshot (Svc.metrics svc) in
-  Buffer.add_string buf (Omni_obs.Metrics.render snap);
-  let c = Svc.stats svc in
-  let distinct = List.length handles * List.length all_archs in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "invariant: translations (%d) = distinct configs (%d), hits (%d) > 0: \
-        %s\n"
-       c.SC.s_translations distinct c.SC.s_hits
-       (if c.SC.s_translations = distinct && c.SC.s_hits > 0 then "OK"
-        else "VIOLATED"));
-  Buffer.add_char buf '\n';
-  Buffer.add_string buf (Omni_obs.Metrics.render_phases snap);
-  Buffer.contents buf
-
-(* Per-phase pipeline breakdown (the observability tentpole, end to end):
-   compile each workload from source, ship the bytes through the serving
-   path (decode, load, translate, verify) and run on the interpreter and
-   every target — all under a Null-sink tracer feeding one metrics
-   registry, so the table below is exactly what the span instrumentation
-   recorded, with no harness-side timing. *)
-let phase_breakdown ~size =
-  let module Svc = Omni_service.Service in
-  let module Exec = Omni_service.Exec in
-  let ws = workloads ~size in
-  let m = Omni_obs.Metrics.create () in
-  let tracer = Omni_obs.Trace.make ~metrics:m Omni_obs.Trace.Null in
-  Omni_obs.Trace.with_current tracer @@ fun () ->
-  let svc = Svc.of_config ~metrics:m Svc.default_config in
-  let fuel = 4_000_000_000 in
-  List.iter
-    (fun (w : Omni_workloads.Workloads.t) ->
-      let bytes = Minic.Driver.compile_wire ~name:w.name w.source in
-      let h = Svc.submit svc bytes in
-      ignore (Svc.instantiate ~fuel svc h);
-      List.iter
-        (fun arch ->
-          ignore (Svc.instantiate ~engine:(Exec.Target arch) ~fuel svc h))
-        all_archs)
-    ws;
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    "Per-phase pipeline breakdown: compile -> decode -> load -> translate\n\
-     -> verify -> run, as recorded by the span tracer's metrics registry\n\
-     (every workload, interpreter + all four targets, serving path)\n\n";
-  Buffer.add_string buf
-    (Omni_obs.Metrics.render_phases (Omni_obs.Metrics.snapshot m));
-  Buffer.contents buf
-
-(* Remote serving overhead: the same requests through the distribution
-   protocol — frame encode/checksum/decode both ways over the in-memory
-   pair transport, zero scheduling noise — against the identical requests
-   on the in-process service. The delta is the pure protocol cost of
-   putting the translation cache behind a wire. *)
-let remote_overhead ~size =
-  let module Svc = Omni_service.Service in
-  let module Exec = Omni_service.Exec in
-  let module Net = Omni_net in
-  let ws = workloads ~size in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    "Remote serving: cold vs warm round trips through the distribution\n\
-     protocol (in-memory pair transport) vs the in-process service.\n\
-     Every remote run's output is validated against the local result.\n\n";
-  let fuel = 4_000_000_000 in
-  (* remote stack: service behind a server behind the loopback client *)
-  let svc_r = Svc.of_config Svc.default_config in
-  let server = Net.Server.create svc_r in
-  let client = Net.Client.loopback server in
-  (* ping round trip: the protocol floor (frame codec + dispatch only) *)
-  let pings = 1000 in
-  let t0 = Sys.time () in
-  for _ = 1 to pings do
-    Net.Client.ping client
-  done;
-  let ping_us = 1e6 *. (Sys.time () -. t0) /. float_of_int pings in
-  Buffer.add_string buf
-    (Printf.sprintf "protocol floor: %.1f us per ping round trip\n\n" ping_us);
-  (* identical module set on both stacks *)
-  let prepared =
-    List.map
-      (fun (w : Omni_workloads.Workloads.t) ->
-        let p = prepare w in
-        (p, Omnivm.Wire.encode p.p_exe))
-      ws
-  in
-  let svc_l = Svc.of_config Svc.default_config in
-  let remote_handles =
-    List.map (fun (p, bytes) -> (p, Net.Client.submit client bytes)) prepared
-  in
-  let local_handles =
-    List.map (fun (p, bytes) -> (p, Svc.submit svc_l bytes)) prepared
-  in
-  let time f =
-    let t0 = Sys.time () in
-    f ();
-    Sys.time () -. t0
-  in
-  let remote_round arch ~check () =
+  let admit_time counter arch =
+    let t0 = counter (Svc.stats svc) in
     List.iter
       (fun (p, h) ->
-        let r = Net.Client.run ~engine:(Exec.Target arch) ~fuel client h in
-        if check && not (String.equal r.Exec.output p.p_expected) then
-          fail "remote: %s/%s produced wrong output" p.p_name (Arch.name arch))
-      remote_handles
+        let r = Svc.instantiate ~engine:(Exec.Target arch) ~fuel svc h in
+        if not (String.equal r.Exec.output p.p_expected) then
+          fail "service: %s/%s produced wrong output" p.p_name (Arch.name arch))
+      handles;
+    counter (Svc.stats svc) -. t0
   in
-  let local_round arch () =
-    List.iter
-      (fun (_, h) ->
-        ignore (Svc.instantiate ~engine:(Exec.Target arch) ~fuel svc_l h))
-      local_handles
+  let rows =
+    List.map
+      (fun arch ->
+        let sv_cold_s = admit_time (fun c -> c.SC.s_cold_translate_s) arch in
+        let sv_warm_s =
+          List.fold_left Float.min infinity
+            (List.init 3 (fun _ ->
+                 admit_time (fun c -> c.SC.s_warm_admit_s) arch))
+        in
+        { sv_arch = arch; sv_cold_s; sv_warm_s })
+      all_archs
   in
-  Buffer.add_string buf
-    (Printf.sprintf "%-8s %15s %15s %15s %10s\n" "arch" "cold-remote (ms)"
-       "warm-remote (ms)" "warm-local (ms)" "overhead");
-  let warm_rounds = 3 in
-  List.iter
-    (fun arch ->
-      let cold_r = time (remote_round arch ~check:true) in
-      let warm_r =
-        time (fun () ->
-            for _ = 1 to warm_rounds do
-              remote_round arch ~check:true ()
-            done)
-        /. float_of_int warm_rounds
-      in
-      ignore (time (local_round arch));
-      let warm_l =
-        time (fun () ->
-            for _ = 1 to warm_rounds do
-              local_round arch ()
-            done)
-        /. float_of_int warm_rounds
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "%-8s %15.2f %15.2f %15.2f %9.2fx\n" (Arch.name arch)
-           (1e3 *. cold_r) (1e3 *. warm_r) (1e3 *. warm_l)
-           (warm_r /. Float.max 1e-9 warm_l)))
-    all_archs;
-  Buffer.add_char buf '\n';
-  Buffer.add_string buf "remote service counters: ";
-  Buffer.add_string buf (Net.Client.stats_json client);
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
+  let c = Svc.stats svc in
+  let distinct = List.length handles * List.length all_archs in
+  if c.SC.s_translations <> distinct || c.SC.s_hits = 0 then
+    fail "service: %d translations for %d distinct configs, %d hits"
+      c.SC.s_translations distinct c.SC.s_hits;
+  rows
 
-(* Resilience under injected faults: the same serving loop as
-   remote_overhead, but the loopback wire is wrapped in the seeded fault
-   injector and the client retries under a manual clock (backoff is
-   accounted, never actually slept). Every run's output is still
-   validated bit-for-bit against the in-process service — the claim is
-   not "it mostly works", it is "a faulty wire costs retries, never
-   answers". *)
-let resilience ~size =
+let service_table rows =
+  let b = Buffer.create 512 in
+  Buffer.add_string b
+    "Service: cold vs warm loads through the memoizing translation cache\n\
+     (every request instantiates a fresh isolated image; a cold load pays\n\
+     translate + certify, a warm load pays re-admission only; warm is the\n\
+     best of three rounds)\n\n";
+  Printf.bprintf b "%-8s %15s %15s %10s\n" "arch" "cold-load (us)"
+    "warm-load (us)" "amortize";
+  List.iter
+    (fun r ->
+      Printf.bprintf b "%-8s %15d %15d %9.0fx\n" (Arch.name r.sv_arch)
+        (us r.sv_cold_s) (us r.sv_warm_s)
+        (r.sv_cold_s /. Float.max 1e-9 r.sv_warm_s))
+    rows;
+  Buffer.contents b
+
+let service_entry rows =
+  {
+    Gate.rows =
+      List.map
+        (fun r ->
+          ( Arch.name r.sv_arch,
+            [ ("cold_us", us r.sv_cold_s); ("warm_us", us r.sv_warm_s) ] ))
+        rows;
+    hot =
+      List.map
+        (fun r ->
+          ( Printf.sprintf "service.warm.%s" (Arch.name r.sv_arch),
+            us r.sv_warm_s ))
+        rows;
+  }
+
+(* Resilience under injected faults: the loopback wire is wrapped in the
+   seeded fault injector and the client retries under a manual clock
+   (backoff is accounted, never slept). Every run's output is validated
+   bit-for-bit — the claim is not "it mostly works", it is "a faulty wire
+   costs retries, never answers". *)
+type resilience_row = {
+  rs_rate : float;
+  rs_requests : int;
+  rs_injected : int;
+  rs_retries : int;
+  rs_rejected : int;
+  rs_round_s : float;  (* one X86 round over the suite *)
+}
+
+let resilience_measure ~size : resilience_row list =
   let module Svc = Omni_service.Service in
   let module Exec = Omni_service.Exec in
   let module Net = Omni_net in
-  let ws = workloads ~size in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    "Resilience: loopback serving throughput under seeded fault injection\n\
-     (drop/corrupt/truncate/stall/close at rate p per frame), retrying\n\
-     client, manual clock. Outputs validated against the local service.\n\n";
-  let fuel = 4_000_000_000 in
   let prepared =
     List.map
-      (fun (w : Omni_workloads.Workloads.t) ->
+      (fun w ->
         let p = prepare w in
         (p, Omnivm.Wire.encode p.p_exe))
-      ws
+      (workloads ~size)
   in
-  let svc_l = Svc.of_config Svc.default_config in
-  let local_handles =
-    List.map (fun (p, bytes) -> (p, Svc.submit svc_l bytes)) prepared
-  in
-  let local_output arch h =
-    (Svc.instantiate ~engine:(Exec.Target arch) ~fuel svc_l h).Exec.output
-  in
-  let rounds = 3 in
-  Buffer.add_string buf
-    (Printf.sprintf "%-8s %10s %10s %10s %10s %12s\n" "rate" "requests"
-       "injected" "retries" "rejected" "round (ms)");
-  List.iter
+  List.map
     (fun rate ->
       let svc = Svc.of_config Svc.default_config in
-      let server = Net.Server.create svc in
+      let reg = Svc.metrics svc in
       let retry = { Net.Retry.default with max_attempts = 12 } in
-      let env = Net.Retry.manual_env () in
       let armed =
         if rate > 0. then
           Some
-            (Net.Fault.arm ~metrics:(Svc.metrics svc)
-               (Net.Fault.seeded ~seed:42 ~rate ()))
+            (Net.Fault.arm ~metrics:reg (Net.Fault.seeded ~seed:42 ~rate ()))
         else None
       in
-      let client = Net.Client.loopback ~retry ~env ?fault:armed server in
-      (* retry/fallback counters land on the ambient tracer's registry;
-         point it at the service's so one snapshot tells the story *)
-      let tracer =
-        Omni_obs.Trace.make ~metrics:(Svc.metrics svc) Omni_obs.Trace.Null
+      let client =
+        Net.Client.loopback ~retry ~env:(Net.Retry.manual_env ()) ?fault:armed
+          (Net.Server.create svc)
       in
+      (* retry counters land on the ambient tracer's registry; point it at
+         the service's so one registry tells the story *)
+      let tracer = Omni_obs.Trace.make ~metrics:reg Omni_obs.Trace.Null in
       Omni_obs.Trace.with_current tracer @@ fun () ->
       let handles =
         List.map
           (fun (p, bytes) -> (p, Net.Client.submit client bytes))
           prepared
       in
-      let round () =
-        List.iter
-          (fun arch ->
-            List.iter
-              (fun (p, h) ->
-                let r =
-                  Net.Client.run ~engine:(Exec.Target arch) ~fuel client h
-                in
-                let lh = List.assq p local_handles in
-                if not (String.equal r.Exec.output (local_output arch lh))
-                then
-                  fail "resilience: %s/%s wrong output at fault rate %g"
-                    p.p_name (Arch.name arch) rate)
-              handles)
-          all_archs
-      in
       let t0 = Sys.time () in
-      for _ = 1 to rounds do
-        round ()
-      done;
-      let per_round = 1e3 *. (Sys.time () -. t0) /. float_of_int rounds in
-      let reg = Svc.metrics svc in
+      List.iter
+        (fun (p, h) ->
+          let r =
+            Net.Client.run ~engine:(Exec.Target Arch.X86) ~fuel client h
+          in
+          if not (String.equal r.Exec.output p.p_expected) then
+            fail "resilience: %s/x86 wrong output at fault rate %g" p.p_name
+              rate)
+        handles;
+      let rs_round_s = Sys.time () -. t0 in
       let c name = Omni_obs.Metrics.value (Omni_obs.Metrics.counter reg name) in
-      Buffer.add_string buf
-        (Printf.sprintf "%-8g %10d %10d %10d %10d %12.2f\n" rate
-           (c "net.requests")
-           (match armed with
-           | Some a -> Net.Fault.injected a
-           | None -> 0)
-           (c "net.retry") (c "net.limit.rejected") per_round))
-    [ 0.0; 0.01; 0.05 ];
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
+      {
+        rs_rate = rate;
+        rs_requests = c "net.requests";
+        rs_injected = Option.fold ~none:0 ~some:Net.Fault.injected armed;
+        rs_retries = c "net.retry";
+        rs_rejected = c "net.limit.rejected";
+        rs_round_s;
+      })
+    [ 0.0; 0.01; 0.05 ]
+
+let resilience_table rows =
+  let b = Buffer.create 512 in
+  Buffer.add_string b
+    "Resilience: loopback serving under seeded fault injection\n\
+     (drop/corrupt/truncate/stall/close at rate p per frame), retrying\n\
+     client, manual clock; one X86 round of the suite per rate, outputs\n\
+     validated.\n\n";
+  Printf.bprintf b "%-8s %10s %10s %10s %10s %12s\n" "rate" "requests"
+    "injected" "retries" "rejected" "round (us)";
+  List.iter
+    (fun r ->
+      Printf.bprintf b "%-8g %10d %10d %10d %10d %12d\n" r.rs_rate
+        r.rs_requests r.rs_injected r.rs_retries r.rs_rejected
+        (us r.rs_round_s))
+    rows;
+  Buffer.contents b
+
+let resilience_entry rows =
+  {
+    Gate.rows =
+      List.map
+        (fun r ->
+          ( Printf.sprintf "rate_%g" r.rs_rate,
+            [ ("round_us", us r.rs_round_s); ("requests", r.rs_requests);
+              ("injected", r.rs_injected); ("retries", r.rs_retries);
+              ("rejected", r.rs_rejected) ] ))
+        rows;
+    hot = [];
+  }
 
 (* Watchdog overhead: the wall-clock deadline is polled cooperatively —
    one counter decrement per instruction, a clock reading every K
@@ -764,17 +718,16 @@ let resilience ~size =
    deadline far in the future: the cost of being interruptible, not of
    being interrupted. Outputs are validated bit-for-bit — an armed
    watchdog must never perturb execution. *)
-let isolation ~size =
+let isolation_poll = 16_384
+
+type isolation_run = { is_off_s : float; is_polled_s : float }
+
+let isolation_measure ~size : isolation_run =
   let module Exec = Omni_service.Exec in
   let module Supervise = Omni_service.Supervise in
-  let ws = workloads ~size in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    "Isolation: wall-clock watchdog poll overhead on the interpreter\n\
-     (whole workload suite per round; deadline far in the future).\n\n";
-  let fuel = 4_000_000_000 in
-  let prepared = List.map prepare ws in
-  let round poll_every () =
+  let prepared = List.map prepare (workloads ~size) in
+  let round poll_every =
+    let t0 = Sys.time () in
     List.iter
       (fun p ->
         let img = Exec.load p.p_exe in
@@ -786,32 +739,33 @@ let isolation ~size =
         let r = Exec.run_interp ~fuel ?watchdog img in
         if not (String.equal r.Exec.output p.p_expected) then
           fail "isolation: %s wrong output under watchdog" p.p_name)
-      prepared
+      prepared;
+    Sys.time () -. t0
   in
-  let rounds = 3 in
-  let time f =
-    let t0 = Sys.time () in
-    for _ = 1 to rounds do
-      f ()
-    done;
-    (Sys.time () -. t0) /. float_of_int rounds
-  in
-  (* warm the prepare cache so compilation never lands in a timing *)
-  ignore (time (round None));
-  let base = time (round None) in
-  Buffer.add_string buf
-    (Printf.sprintf "%-12s %12s %10s\n" "poll every" "round (ms)" "overhead");
-  Buffer.add_string buf
-    (Printf.sprintf "%-12s %12.2f %10s\n" "off" (1e3 *. base) "1.00x");
-  List.iter
-    (fun k ->
-      let t = time (round (Some k)) in
-      Buffer.add_string buf
-        (Printf.sprintf "%-12d %12.2f %9.2fx\n" k (1e3 *. t)
-           (t /. Float.max 1e-9 base)))
-    [ 1_024; 16_384; 65_536 ];
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
+  (* warm-up round: the first run of the suite pays one-time costs *)
+  ignore (round None);
+  let is_off_s = round None in
+  { is_off_s; is_polled_s = round (Some isolation_poll) }
+
+let isolation_table r =
+  let b = Buffer.create 256 in
+  Buffer.add_string b
+    "Isolation: wall-clock watchdog poll overhead on the interpreter\n\
+     (one round of the whole workload suite; deadline far in the future).\n\n";
+  Printf.bprintf b "%-12s %12s %10s\n" "poll every" "round (us)" "overhead";
+  Printf.bprintf b "%-12s %12d %10s\n" "off" (us r.is_off_s) "1.00x";
+  Printf.bprintf b "%-12d %12d %9.2fx\n" isolation_poll (us r.is_polled_s)
+    (r.is_polled_s /. Float.max 1e-9 r.is_off_s);
+  Buffer.contents b
+
+let isolation_entry r =
+  let polled = Printf.sprintf "poll_%d" isolation_poll in
+  {
+    Gate.rows =
+      [ ("off", [ ("round_us", us r.is_off_s) ]);
+        (polled, [ ("round_us", us r.is_polled_s) ]) ];
+    hot = [ ("isolation." ^ polled, us r.is_polled_s) ];
+  }
 
 (* Proof-carrying translation: produce-once / check-cheap. For each arch
    and each certifiable SFI policy, translate + certify every workload
@@ -834,7 +788,7 @@ type cert_cell = {
   cc_bytes : int;  (* total encoded omni-cert/1 bytes for the suite *)
 }
 
-let cert_measure ~size : cert_cell list =
+let cert_cells ~size : cert_cell list =
   let module Exec = Omni_service.Exec in
   let module Cert = Omni_cert.Certificate in
   let ws = workloads ~size in
@@ -959,15 +913,13 @@ let cert_validate ~size =
   let module Svc = Omni_service.Service in
   let module SC = Omni_service.Counters in
   let module Exec = Omni_service.Exec in
-  let ws = workloads ~size in
   let svc = Svc.of_config Svc.default_config in
-  let fuel = 4_000_000_000 in
   let handles =
     List.map
-      (fun (w : Omni_workloads.Workloads.t) ->
+      (fun w ->
         let p = prepare w in
         (p, Svc.submit svc (Omnivm.Wire.encode p.p_exe)))
-      ws
+      (workloads ~size)
   in
   List.iter
     (fun arch ->
@@ -988,252 +940,67 @@ let cert_validate ~size =
     fail "cert: %d warm admissions were rejected" c.SC.s_verify_fail;
   c
 
-let cert_amortization ~size =
+type cert_run = {
+  ct_cells : cert_cell list;
+  ct_served : Omni_service.Counters.snapshot;  (* of the validation stack *)
+}
+
+let cert_measure ~size =
+  let ct_cells = cert_cells ~size in
+  { ct_cells; ct_served = cert_validate ~size }
+
+let cert_speedup c = c.cc_full_s /. Float.max 1e-9 c.cc_check_s
+
+let cert_table r =
   let module SC = Omni_service.Counters in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
+  let b = Buffer.create 1024 in
+  Buffer.add_string b
     "Proof-carrying translation: produce-once safety witnesses vs per-hit\n\
      full re-verification (whole workload suite per cell; produce = certify\n\
      once, the other columns are one warm admission of the suite).\n\n";
-  Buffer.add_string buf
-    (Printf.sprintf "%-6s %-14s %12s %16s %18s %9s %7s\n" "arch" "policy"
-       "produce (ms)" "full-verify (ms)" "witness-check (ms)" "speedup"
-       "bytes");
-  let cells = cert_measure ~size in
-  let min_speedup = ref infinity in
+  Printf.bprintf b "%-6s %-14s %12s %16s %18s %9s %7s\n" "arch" "policy"
+    "produce (us)" "full-verify (us)" "witness-check (us)" "speedup" "bytes";
   List.iter
     (fun c ->
-      let speedup = c.cc_full_s /. Float.max 1e-9 c.cc_check_s in
-      if speedup < !min_speedup then min_speedup := speedup;
-      Buffer.add_string buf
-        (Printf.sprintf "%-6s %-14s %12.2f %16.3f %18.3f %8.1fx %7d\n"
-           c.cc_arch c.cc_policy (1e3 *. c.cc_produce_s) (1e3 *. c.cc_full_s)
-           (1e3 *. c.cc_check_s) speedup c.cc_bytes))
-    cells;
-  let stats = cert_validate ~size in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "\nwitness-checked serving path: outputs bit-identical to the\n\
-        interpreter on every workload x arch (%d witness checks, %d full\n\
-        re-verifies, %d failures); minimum speedup %.1fx (gate: >= 5x)\n"
-       stats.SC.s_cert_checks stats.SC.s_cert_full_verify
-       stats.SC.s_verify_fail !min_speedup);
-  if !min_speedup < 5.0 then
-    Buffer.add_string buf "WARNING: speedup below the 5x acceptance gate\n";
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
-
-(* --- parallel serving: seeded concurrent load on one shared server ---
-
-   A burst of seeded requests dispatched through ONE shared server — one
-   service, one sharded store and cache, atomic counters — by D worker
-   domains, D in {1, 2, 4, 8}, each calling [Server.handle_request]
-   directly (the same dispatch the domain pool's workers run, minus the
-   socket plumbing). Request i belongs to worker (i mod D). Correctness
-   is asserted, not hoped for: every response is digested and compared
-   bit-for-bit against a serial reference round, and the service
-   counters must add up exactly — every miss is one distinct translation
-   configuration, every other admission a hit, instantiations equal to
-   requests served. Latency is per-request wall time around the
-   dispatch; round time and throughput use the wall clock
-   ([Unix.gettimeofday]) because the CPU clock sums across domains. *)
-
-type conc_row = {
-  cy_domains : int;
-  cy_wall_s : float;  (** round wall time, spawn to last join *)
-  cy_rps : float;
-  cy_p50_us : int;
-  cy_p95_us : int;
-  cy_p99_us : int;
-}
-
-type conc_run = {
-  cy_rows : conc_row list;
-  cy_requests : int;  (** requests per round *)
-  cy_tenants : int;  (** distinct tenant modules in the mix *)
-  cy_configs : int;  (** distinct (module, arch, sfi) translation configs *)
-  cy_serial_cpu_s : float;  (** CPU time of the one-domain round *)
-  cy_cores : int;  (** [Domain.recommended_domain_count ()] *)
-}
-
-(* Four small tenant modules with distinct outputs and distinct dynamic
-   shapes (arithmetic loop, recursion, memory traffic, I/O chatter).
-   The paper suite would be the wrong load here: its runs are tens of
-   milliseconds of pure simulation each, which swamps the serving-layer
-   effects this experiment is about. Small modules give request service
-   times in the low milliseconds, where dispatch, cache, and scheduling
-   contention are actually visible. *)
-let conc_tenants =
-  [
-    ( "conc-sum",
-      {| int main(void) {
-           int i; int s = 0;
-           for (i = 0; i < 800; i++) s = s + i * 3;
-           print_int(s); putchar(10); return 0; } |} );
-    ( "conc-fib",
-      {| int f(int n) { if (n < 2) return n; return f(n-1) + f(n-2); }
-         int main(void) { print_int(f(13)); putchar(10); return 0; } |} );
-    ( "conc-mem",
-      {| int a[256];
-         int main(void) {
-           int i; int s = 0;
-           for (i = 0; i < 256; i++) a[i] = i * 7;
-           for (i = 0; i < 256; i++) s = s + a[255 - i];
-           print_int(s); putchar(10); return 0; } |} );
-    ( "conc-io",
-      {| int main(void) {
-           int i;
-           for (i = 0; i < 40; i++) { print_int(i * i); putchar(32); }
-           putchar(10); return 0; } |} );
-  ]
-
-let concurrency_measure ~size : conc_run =
-  let module Svc = Omni_service.Service in
-  let module SC = Omni_service.Counters in
-  let module Exec = Omni_service.Exec in
-  let module Net = Omni_net in
-  let module M = Net.Message in
-  let fuel = 50_000_000 in
-  let n =
-    match size with Omni_workloads.Workloads.Test -> 192 | _ -> 384
+      Printf.bprintf b "%-6s %-14s %12d %16d %18d %8.2fx %7d\n" c.cc_arch
+        c.cc_policy (us c.cc_produce_s) (us c.cc_full_s) (us c.cc_check_s)
+        (cert_speedup c) c.cc_bytes)
+    r.ct_cells;
+  let min_speedup =
+    List.fold_left (fun a c -> Float.min a (cert_speedup c)) infinity r.ct_cells
   in
-  let svc = Svc.of_config Svc.default_config in
-  let server = Net.Server.create svc in
-  let handles =
-    conc_tenants
-    |> List.map (fun (name, src) ->
-           match
-             Net.Server.handle_request server (M.Submit (Api.compile ~name src))
-           with
-           | M.Submitted d -> d
-           | _ -> fail "concurrency: submit refused")
-    |> Array.of_list
-  in
-  let rng = Omni_util.Lcg.create 1996 in
-  let schedule =
-    Array.init n (fun _ ->
-        let h = handles.(Omni_util.Lcg.int rng (Array.length handles)) in
-        let arch = List.nth all_archs (Omni_util.Lcg.int rng 4) in
-        let sfi = Omni_util.Lcg.int rng 4 > 0 in
-        {
-          M.rs_handle = h;
-          rs_engine = Exec.Target arch;
-          rs_sfi = sfi;
-          rs_mode = M.M_default;
-          rs_fuel = Some fuel;
-          rs_deadline_s = None;
-          rs_want_cert = false;
-        })
-  in
-  let configs =
-    let tbl = Hashtbl.create 64 in
-    Array.iter
-      (fun rs -> Hashtbl.replace tbl (rs.M.rs_handle, rs.M.rs_engine, rs.M.rs_sfi) ())
-      schedule;
-    Hashtbl.length tbl
-  in
-  let dispatch i =
-    let fr = M.encode_resp (Net.Server.handle_request server (M.Run schedule.(i))) in
-    Omni_util.Fnv64.digest_string
-      (Printf.sprintf "%d:%s" fr.Net.Frame.tag fr.Net.Frame.payload)
-  in
-  (* The serial reference round doubles as the warm-up: after it, every
-     configuration the schedule can ask for is cached, and its answers
-     are the bit-identity baseline for every concurrent round. *)
-  let reference = Array.init n dispatch in
-  let after_ref = Svc.stats svc in
-  if after_ref.SC.s_misses <> configs then
-    fail "concurrency: %d misses for %d distinct configs" after_ref.SC.s_misses
-      configs;
-  if after_ref.SC.s_hits + after_ref.SC.s_misses <> n then
-    fail "concurrency: reference round saw %d cache lookups for %d requests"
-      (after_ref.SC.s_hits + after_ref.SC.s_misses)
-      n;
-  let run_round domains =
-    let lat = Array.make n 0. in
-    let out = Array.make n 0L in
-    let work d () =
-      let i = ref d in
-      while !i < n do
-        let t0 = Unix.gettimeofday () in
-        out.(!i) <- dispatch !i;
-        lat.(!i) <- Unix.gettimeofday () -. t0;
-        i := !i + domains
-      done
-    in
-    let w0 = Unix.gettimeofday () in
-    let c0 = Sys.time () in
-    let workers = List.init domains (fun d -> Domain.spawn (work d)) in
-    List.iter Domain.join workers;
-    let wall = Unix.gettimeofday () -. w0 in
-    let cpu = Sys.time () -. c0 in
-    Array.iteri
-      (fun i d ->
-        if not (Int64.equal d reference.(i)) then
-          fail "concurrency: request %d diverged under %d domains" i domains)
-      out;
-    Array.sort compare lat;
-    let pct p = int_of_float (1e6 *. lat.(min (n - 1) (p * n / 100))) in
-    ( {
-        cy_domains = domains;
-        cy_wall_s = wall;
-        cy_rps = float_of_int n /. Float.max 1e-9 wall;
-        cy_p50_us = pct 50;
-        cy_p95_us = pct 95;
-        cy_p99_us = pct 99;
-      },
-      cpu )
-  in
-  let pool_sizes = [ 1; 2; 4; 8 ] in
-  let measured = List.map run_round pool_sizes in
-  let final = Svc.stats svc in
-  let rounds = List.length pool_sizes in
-  if final.SC.s_misses <> configs then
-    fail "concurrency: warm rounds translated (%d misses, expected %d)"
-      final.SC.s_misses configs;
-  if final.SC.s_hits <> after_ref.SC.s_hits + (rounds * n) then
-    fail "concurrency: hit counter lost updates (%d, expected %d)"
-      final.SC.s_hits
-      (after_ref.SC.s_hits + (rounds * n));
-  if final.SC.s_instantiations <> (rounds + 1) * n then
-    fail "concurrency: %d instantiations for %d dispatches"
-      final.SC.s_instantiations
-      ((rounds + 1) * n);
-  if final.SC.s_verify_fail > 0 then
-    fail "concurrency: %d warm admissions rejected" final.SC.s_verify_fail;
+  Printf.bprintf b
+    "\nwitness-checked serving path: outputs bit-identical to the\n\
+     interpreter on every workload x arch (%d witness checks, %d full\n\
+     re-verifies, %d failures); minimum speedup %.1fx (gate: >= 5x)\n"
+    r.ct_served.SC.s_cert_checks r.ct_served.SC.s_cert_full_verify
+    r.ct_served.SC.s_verify_fail min_speedup;
+  if min_speedup < 5.0 then
+    Buffer.add_string b "WARNING: speedup below the 5x acceptance gate\n";
+  Buffer.contents b
+
+let cert_entry r =
   {
-    cy_rows = List.map fst measured;
-    cy_requests = n;
-    cy_tenants = Array.length handles;
-    cy_configs = configs;
-    cy_serial_cpu_s = snd (List.hd measured);
-    cy_cores = Domain.recommended_domain_count ();
+    Gate.rows =
+      List.map
+        (fun c ->
+          ( c.cc_arch ^ "/" ^ c.cc_policy,
+            [ ("produce_us", us c.cc_produce_s);
+              ("full_verify_us", us c.cc_full_s);
+              ("witness_check_us", us c.cc_check_s);
+              ("speedup_x100", x100 (cert_speedup c));
+              ("bytes", c.cc_bytes) ] ))
+        r.ct_cells;
+    hot =
+      List.concat_map
+        (fun c ->
+          let key what =
+            Printf.sprintf "cert.%s.%s.%s" what c.cc_arch c.cc_policy
+          in
+          [ (key "full_verify", us c.cc_full_s);
+            (key "witness_check", us c.cc_check_s) ])
+        r.ct_cells;
   }
-
-let concurrency ~size =
-  let c = concurrency_measure ~size in
-  let buf = Buffer.create 1024 in
-  Printf.bprintf buf
-    "Parallel serving: %d seeded warm requests (%d distinct translation\n\
-     configurations across %d tenant modules x 4 archs, SFI mostly on)\n\
-     dispatched through one shared server by D worker domains. Every round's\n\
-     responses are bit-identical to the serial reference and the shared\n\
-     counters sum exactly, or this table refuses to print.\n\n"
-    c.cy_requests c.cy_configs c.cy_tenants;
-  Printf.bprintf buf "%-8s %11s %9s %10s %10s %10s\n" "domains" "wall (ms)"
-    "req/s" "p50 (us)" "p95 (us)" "p99 (us)";
-  List.iter
-    (fun r ->
-      Printf.bprintf buf "%-8d %11.1f %9.0f %10d %10d %10d\n" r.cy_domains
-        (1e3 *. r.cy_wall_s) r.cy_rps r.cy_p50_us r.cy_p95_us r.cy_p99_us)
-    c.cy_rows;
-  Printf.bprintf buf
-    "\nhost reports %d recommended domain(s): domains beyond the physical\n\
-     cores contend on the minor-GC stop-the-world barrier, so oversizing\n\
-     the pool adds tail latency without adding throughput — size pools to\n\
-     cores, not tenants.\n\n"
-    c.cy_cores;
-  Buffer.contents buf
 
 (* --- guest front-end: StackVM -> OmniVM lifting ----------------------- *)
 
@@ -1285,12 +1052,11 @@ let gprepare (w : Omni_workloads.Workloads.Guest.t) : gprepared =
       Hashtbl.replace gprepare_cache w.name g;
       g
 
-(* Wall-clock lift time (assemble excluded: bytes-in is the product's
-   ingestion path), best-effort averaged over reps like [translation_speed]. *)
-(* Best-of-batches: lifting one workload takes ~10us, where scheduler
-   jitter swamps a single average. The minimum over several batches is
-   the standard noise-robust statistic for a deterministic hot path —
-   it is what the bench gate diffs, so it must be reproducible. *)
+(* Lift time (assemble excluded: bytes-in is the product's ingestion
+   path), best of batches: lifting one workload takes ~10us, where
+   scheduler jitter swamps a single average. The minimum over several
+   batches is the standard noise-robust statistic for a deterministic hot
+   path — it is what the bench gate diffs, so it must be reproducible. *)
 let glift_time (g : gprepared) : float =
   let reps = 50 and batches = 5 in
   let best = ref infinity in
@@ -1321,62 +1087,93 @@ let grun (g : gprepared) ~engine ?mode ?opts () : Api.run_result =
     fail "%s (lifted) diverged from the guest oracle" g.g_name;
   r
 
-let guest_front_end ~size =
-  let ws = Omni_workloads.Workloads.Guest.all ~size in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
+
+(* Guest front-end: lift time per workload (the gated hot path), the
+   oracle-steps vs lifted-instructions expansion, and the SFI overhead of
+   the lifted modules per arch. Every run is validated against the guest
+   oracle. All lift timings come first, so the simulated runs never sit
+   between two of them. *)
+type guest_row = {
+  gr_name : string;
+  gr_lift_s : float;
+  gr_steps : int;  (* guest ops the oracle executed *)
+  gr_instrs : int;  (* OmniVM instructions the lifted module retired *)
+  gr_sfi : float list;  (* per arch: cycles with SFI / without *)
+}
+
+let guest_measure ~size : guest_row list =
+  let timed =
+    List.map
+      (fun w ->
+        let g = gprepare w in
+        let lift_s = glift_time g in
+        (g, lift_s, (grun g ~engine:Api.Interp ()).Api.instructions))
+      (Omni_workloads.Workloads.Guest.all ~size)
+  in
+  List.map
+    (fun (g, gr_lift_s, gr_instrs) ->
+      let sfi arch =
+        let cycles config =
+          let mode, opts = mode_and_opts arch config in
+          (grun g ~engine:(Api.Target arch) ~mode ~opts ()).Api.cycles
+        in
+        float_of_int (cycles Mobile_sfi)
+        /. float_of_int (max 1 (cycles Mobile_nosfi))
+      in
+      {
+        gr_name = g.g_name;
+        gr_lift_s;
+        gr_steps = g.g_oracle_steps;
+        gr_instrs;
+        gr_sfi = List.map sfi all_archs;
+      })
+    timed
+
+let guest_table rows =
+  let b = Buffer.create 512 in
+  Buffer.add_string b
     "Guest front-end: StackVM bytecode lifted to OmniVM\n\
      (every run below validated byte-for-byte against the guest oracle)\n\n";
-  Buffer.add_string buf
-    (Printf.sprintf "%-12s %9s %12s %12s %10s\n" "program" "lift-us"
-       "guest-steps" "omni-instrs" "expansion");
+  Printf.bprintf b "%-12s %9s %12s %12s %10s\n" "program" "lift-us"
+    "guest-steps" "omni-instrs" "expansion";
   List.iter
-    (fun (w : Omni_workloads.Workloads.Guest.t) ->
-      let g = gprepare w in
-      let lift_s = glift_time g in
-      let r = grun g ~engine:Api.Interp () in
-      Buffer.add_string buf
-        (Printf.sprintf "%-12s %9.0f %12d %12d %9.1fx\n" g.g_name
-           (1e6 *. lift_s) g.g_oracle_steps r.Api.instructions
-           (float_of_int r.Api.instructions
-           /. float_of_int (max 1 g.g_oracle_steps))))
-    ws;
-  Buffer.add_string buf
+    (fun r ->
+      Printf.bprintf b "%-12s %9d %12d %12d %9.1fx\n" r.gr_name
+        (us r.gr_lift_s) r.gr_steps r.gr_instrs
+        (float_of_int r.gr_instrs /. float_of_int (max 1 r.gr_steps)))
+    rows;
+  Buffer.add_string b
     "\nSFI overhead of the lifted modules (cycles relative to the same\n\
      translator without SFI):\n";
-  Buffer.add_string buf (Printf.sprintf "%-12s" "program");
-  List.iter
-    (fun a -> Buffer.add_string buf (Printf.sprintf "%9s" (Arch.name a)))
-    all_archs;
-  Buffer.add_char buf '\n';
-  let totals = Array.make (List.length all_archs) 0.0 in
-  List.iter
-    (fun (w : Omni_workloads.Workloads.Guest.t) ->
-      let g = gprepare w in
-      Buffer.add_string buf (Printf.sprintf "%-12s" g.g_name);
-      List.iteri
-        (fun i arch ->
-          let cycles config =
-            let mode, opts = mode_and_opts arch config in
-            (grun g ~engine:(Api.Target arch) ~mode ~opts ()).Api.cycles
-          in
-          let ratio =
-            float_of_int (cycles Mobile_sfi)
-            /. float_of_int (max 1 (cycles Mobile_nosfi))
-          in
-          totals.(i) <- totals.(i) +. ratio;
-          Buffer.add_string buf (Printf.sprintf "%9.3f" ratio))
-        all_archs;
-      Buffer.add_char buf '\n')
-    ws;
-  Buffer.add_string buf (Printf.sprintf "%-12s" "average");
-  Array.iter
-    (fun t ->
-      Buffer.add_string buf
-        (Printf.sprintf "%9.3f" (t /. float_of_int (List.length ws))))
-    totals;
-  Buffer.add_string buf "\n";
-  Buffer.contents buf
+  Printf.bprintf b "%-12s" "program";
+  List.iter (fun a -> Printf.bprintf b "%9s" (Arch.name a)) all_archs;
+  Buffer.add_char b '\n';
+  let row name ratios =
+    Printf.bprintf b "%-12s" name;
+    List.iter (Printf.bprintf b "%9.3f") ratios;
+    Buffer.add_char b '\n'
+  in
+  List.iter (fun r -> row r.gr_name r.gr_sfi) rows;
+  row "average"
+    (List.mapi
+       (fun i _ ->
+         List.fold_left (fun a r -> a +. List.nth r.gr_sfi i) 0.0 rows
+         /. float_of_int (List.length rows))
+       all_archs);
+  Buffer.contents b
+
+let guest_entry rows =
+  {
+    Gate.rows =
+      List.map
+        (fun r ->
+          ( r.gr_name,
+            [ ("lift_us", us r.gr_lift_s); ("guest_steps", r.gr_steps);
+              ("omni_instrs", r.gr_instrs) ] ))
+        rows;
+    hot =
+      List.map (fun r -> ("guest.lift." ^ r.gr_name, us r.gr_lift_s)) rows;
+  }
 
 (* --- the fast path: pre-decoded threaded interpreter ------------------
 
@@ -1402,194 +1199,202 @@ type fast_cell = {
   fc_fast_s : float;
 }
 
-let fast_cache : (string, fast_cell list) Hashtbl.t = Hashtbl.create 4
-
-let fastpath_measure ~size : fast_cell list =
+let fast_cells ~size : fast_cell list =
   let module Exec = Omni_service.Exec in
-  let skey =
-    match size with Omni_workloads.Workloads.Test -> "test" | _ -> "ref"
+  let batches = 3 and reps = 2 in
+  let cell ~family name (exe : Omnivm.Exe.t) expected : fast_cell =
+    let text = exe.Omnivm.Exe.text in
+    let program = Omnivm.Fastinterp.compile text in
+    let predecode_s =
+      (* lifting-style best-of-batches: pre-decode is ~microseconds *)
+      let preps = 20 in
+      let best = ref infinity in
+      for _ = 1 to batches do
+        let t0 = Sys.time () in
+        for _ = 1 to preps do
+          ignore (Omnivm.Fastinterp.compile text)
+        done;
+        let per = (Sys.time () -. t0) /. float_of_int preps in
+        if per < !best then best := per
+      done;
+      !best
+    in
+    let timed run =
+      (* a fresh image per rep (run state is consumed); images are
+         loaded outside the timed region, runs inside *)
+      let best = ref infinity and instrs = ref 0 in
+      for _ = 1 to batches do
+        let imgs = Array.init reps (fun _ -> Exec.load exe) in
+        let t0 = Sys.time () in
+        let rs = Array.map (fun img -> (run img : Exec.run_result)) imgs in
+        let per = (Sys.time () -. t0) /. float_of_int reps in
+        Array.iter
+          (fun (r : Exec.run_result) ->
+            (match r.Exec.outcome with
+            | Machine.Exited 0 -> ()
+            | _ -> fail "%s: fast-path bench run did not exit 0" name);
+            if not (String.equal r.Exec.output expected) then
+              fail "%s: fast-path bench produced wrong output" name;
+            instrs := r.Exec.instructions)
+          rs;
+        if per < !best then best := per
+      done;
+      (!best, !instrs)
+    in
+    let interp_s, instrs = timed (fun img -> Exec.run_interp ~fuel img) in
+    let fast_s, fast_instrs =
+      timed (fun img -> Exec.run_fast ~fuel ~program img)
+    in
+    if fast_instrs <> instrs then
+      fail "%s: fast path retired %d instructions, interpreter %d" name
+        fast_instrs instrs;
+    {
+      fc_name = name;
+      fc_family = family;
+      fc_instrs = instrs;
+      fc_len = Omnivm.Fastinterp.length program;
+      fc_fused = Omnivm.Fastinterp.fused program;
+      fc_predecode_s = predecode_s;
+      fc_interp_s = interp_s;
+      fc_fast_s = fast_s;
+    }
   in
-  match Hashtbl.find_opt fast_cache skey with
-  | Some cs -> cs
-  | None ->
-      let fuel = 4_000_000_000 in
-      let batches = 3 and reps = 2 in
-      let cell ~family name (exe : Omnivm.Exe.t) expected : fast_cell =
-        let text = exe.Omnivm.Exe.text in
-        let program = Omnivm.Fastinterp.compile text in
-        let predecode_s =
-          (* lifting-style best-of-batches: pre-decode is ~microseconds *)
-          let preps = 20 in
-          let best = ref infinity in
-          for _ = 1 to batches do
-            let t0 = Sys.time () in
-            for _ = 1 to preps do
-              ignore (Omnivm.Fastinterp.compile text)
-            done;
-            let per = (Sys.time () -. t0) /. float_of_int preps in
-            if per < !best then best := per
-          done;
-          !best
-        in
-        let timed run =
-          (* a fresh image per rep (run state is consumed); images are
-             loaded outside the timed region, runs inside *)
-          let best = ref infinity and instrs = ref 0 in
-          for _ = 1 to batches do
-            let imgs = Array.init reps (fun _ -> Exec.load exe) in
-            let t0 = Sys.time () in
-            let rs = Array.map (fun img -> (run img : Exec.run_result)) imgs in
-            let per = (Sys.time () -. t0) /. float_of_int reps in
-            Array.iter
-              (fun (r : Exec.run_result) ->
-                (match r.Exec.outcome with
-                | Machine.Exited 0 -> ()
-                | _ -> fail "%s: fast-path bench run did not exit 0" name);
-                if not (String.equal r.Exec.output expected) then
-                  fail "%s: fast-path bench produced wrong output" name;
-                instrs := r.Exec.instructions)
-              rs;
-            if per < !best then best := per
-          done;
-          (!best, !instrs)
-        in
-        let interp_s, instrs = timed (fun img -> Exec.run_interp ~fuel img) in
-        let fast_s, fast_instrs =
-          timed (fun img -> Exec.run_fast ~fuel ~program img)
-        in
-        if fast_instrs <> instrs then
-          fail "%s: fast path retired %d instructions, interpreter %d" name
-            fast_instrs instrs;
-        {
-          fc_name = name;
-          fc_family = family;
-          fc_instrs = instrs;
-          fc_len = Omnivm.Fastinterp.length program;
-          fc_fused = Omnivm.Fastinterp.fused program;
-          fc_predecode_s = predecode_s;
-          fc_interp_s = interp_s;
-          fc_fast_s = fast_s;
-        }
-      in
-      let minic =
-        List.map
-          (fun (w : Omni_workloads.Workloads.t) ->
-            let p = prepare w in
-            cell ~family:"minic" p.p_name p.p_exe p.p_expected)
-          (workloads ~size)
-      in
-      let guest =
-        List.map
-          (fun (w : Omni_workloads.Workloads.Guest.t) ->
-            let g = gprepare w in
-            cell ~family:"guest" g.g_name g.g_exe g.g_expected)
-          (Omni_workloads.Workloads.Guest.all ~size)
-      in
-      let cs = minic @ guest in
-      Hashtbl.replace fast_cache skey cs;
-      cs
+  let minic =
+    List.map
+      (fun w ->
+        let p = prepare w in
+        cell ~family:"minic" p.p_name p.p_exe p.p_expected)
+      (workloads ~size)
+  in
+  let guest =
+    List.map
+      (fun w ->
+        let g = gprepare w in
+        cell ~family:"guest" g.g_name g.g_exe g.g_expected)
+      (Omni_workloads.Workloads.Guest.all ~size)
+  in
+  minic @ guest
 
-(* Simulated cycles of one (workload, arch, pad) cell, validated and
-   cached like [measure] — the padding dimension of the SFI tables. *)
-let pad_run_cache : (string * string * string, int) Hashtbl.t =
-  Hashtbl.create 64
+type fast_run = {
+  fp_cells : fast_cell list;
+  fp_workloads : string list;
+  fp_pads : ((string * string * string) * float) list;
+      (* (arch, pad, workload) -> cycles relative to native cc *)
+}
 
-let pad_cycles (w : Omni_workloads.Workloads.t) (arch : Arch.t)
-    (pad : Omni_sfi.Policy.pad) : int =
-  let pname = Omni_sfi.Policy.pad_name pad in
-  let key = (w.name, Arch.name arch, pname) in
-  match Hashtbl.find_opt pad_run_cache key with
-  | Some c -> c
-  | None ->
-      let p = prepare w in
-      let mode = Machine.Mobile (Omni_sfi.Policy.make ~pad ()) in
-      let r =
-        Api.run
-          { Api.default_request with
-            engine = Api.Target arch; mode = Some mode;
-            opts = Some (Api.mobile_opts arch); fuel = Some 4_000_000_000 }
-          (Api.Exe p.p_exe)
-      in
-      (match r.Api.outcome with
-      | Machine.Exited 0 -> ()
-      | _ ->
-          fail "%s/%s/pad=%s did not exit 0" w.name (Arch.name arch) pname);
-      if not (String.equal r.Api.output p.p_expected) then
-        fail "%s/%s/pad=%s produced wrong output" w.name (Arch.name arch)
-          pname;
-      Hashtbl.replace pad_run_cache key r.Api.cycles;
-      r.Api.cycles
+let fastpath_measure ~size =
+  let fp_cells = fast_cells ~size in
+  let fp_pads =
+    List.concat_map
+      (fun arch ->
+        List.concat_map
+          (fun pad ->
+            List.map
+              (fun (w : Omni_workloads.Workloads.t) ->
+                ( (Arch.name arch, Omni_sfi.Policy.pad_name pad, w.name),
+                  float_of_int (measure w arch (Mobile_sfi_pad pad)).m_cycles
+                  /. float_of_int (max 1 (measure w arch Native_cc).m_cycles) ))
+              (workloads ~size))
+          Omni_sfi.Policy.all_pads)
+      all_archs
+  in
+  {
+    fp_cells;
+    fp_workloads =
+      List.map
+        (fun (w : Omni_workloads.Workloads.t) -> w.name)
+        (workloads ~size);
+    fp_pads;
+  }
 
-let fastpath ~size =
-  let cells = fastpath_measure ~size in
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf
+let fast_speedup c = c.fc_interp_s /. Float.max 1e-12 c.fc_fast_s
+
+let fastpath_table r =
+  let b = Buffer.create 2048 in
+  Buffer.add_string b
     "Fast path: pre-decoded threaded interpreter vs the baseline \
      interpreter\n\
      (wall-clock ns per retired OmniVM instruction; outputs validated \
      bit-for-bit;\npre-decode is the one-time compile+fusion cost the \
      service's decode cache amortizes)\n\n";
-  Buffer.add_string buf
-    (Printf.sprintf "%-12s %-6s %10s %7s %12s %10s %10s %8s\n" "program"
-       "family" "instrs" "fused%" "predecode-us" "interp-ns" "fast-ns"
-       "speedup");
+  Printf.bprintf b "%-12s %-6s %10s %7s %12s %10s %10s %8s\n" "program"
+    "family" "instrs" "fused%" "predecode-us" "interp-ns" "fast-ns" "speedup";
   let per_ns c s = 1e9 *. s /. float_of_int (max 1 c.fc_instrs) in
   List.iter
     (fun c ->
-      Buffer.add_string buf
-        (Printf.sprintf "%-12s %-6s %10d %6.1f%% %12.1f %10.2f %10.2f %7.2fx\n"
-           c.fc_name c.fc_family c.fc_instrs
-           (100.0 *. float_of_int c.fc_fused /. float_of_int (max 1 c.fc_len))
-           (1e6 *. c.fc_predecode_s) (per_ns c c.fc_interp_s)
-           (per_ns c c.fc_fast_s)
-           (c.fc_interp_s /. Float.max 1e-12 c.fc_fast_s)))
-    cells;
+      Printf.bprintf b "%-12s %-6s %10d %6.1f%% %12d %10.2f %10.2f %7.2fx\n"
+        c.fc_name c.fc_family c.fc_instrs
+        (100.0 *. float_of_int c.fc_fused /. float_of_int (max 1 c.fc_len))
+        (us c.fc_predecode_s) (per_ns c c.fc_interp_s)
+        (per_ns c c.fc_fast_s) (fast_speedup c))
+    r.fp_cells;
   List.iter
     (fun family ->
-      let fs = List.filter (fun c -> c.fc_family = family) cells in
+      let fs = List.filter (fun c -> c.fc_family = family) r.fp_cells in
       if fs <> [] then begin
         let sum f = List.fold_left (fun a c -> a +. f c) 0.0 fs in
-        Buffer.add_string buf
-          (Printf.sprintf
-             "%-12s %-6s %10s %7s %12s %10.2f %10.2f %7.2fx\n"
-             ("avg/" ^ family) family "-" "-" "-"
-             (1e9 *. sum (fun c -> c.fc_interp_s)
-             /. sum (fun c -> float_of_int (max 1 c.fc_instrs)))
-             (1e9 *. sum (fun c -> c.fc_fast_s)
-             /. sum (fun c -> float_of_int (max 1 c.fc_instrs)))
-             (sum (fun c -> c.fc_interp_s)
-             /. Float.max 1e-12 (sum (fun c -> c.fc_fast_s))))
+        let instrs = sum (fun c -> float_of_int (max 1 c.fc_instrs)) in
+        Printf.bprintf b "%-12s %-6s %10s %7s %12s %10.2f %10.2f %7.2fx\n"
+          ("avg/" ^ family) family "-" "-" "-"
+          (1e9 *. sum (fun c -> c.fc_interp_s) /. instrs)
+          (1e9 *. sum (fun c -> c.fc_fast_s) /. instrs)
+          (sum (fun c -> c.fc_interp_s)
+          /. Float.max 1e-12 (sum (fun c -> c.fc_fast_s)))
       end)
     [ "minic"; "guest" ];
-  Buffer.add_char buf '\n';
-  let ws = workloads ~size in
-  Buffer.add_string buf
-    "SFI overhead by padding mode: translated cycles relative to native \
+  Buffer.add_string b
+    "\nSFI overhead by padding mode: translated cycles relative to native \
      code (cc)\n(pad=none is the plain SFI column of Tables 1/3)\n\n";
   List.iter
     (fun arch ->
-      Buffer.add_string buf
+      let a = Arch.name arch in
+      Buffer.add_string b
         (render_ratio_table
-           ~title:(Printf.sprintf "  [%s]" (Arch.name arch))
-           ~columns:
-             (List.map Omni_sfi.Policy.pad_name Omni_sfi.Policy.all_pads)
-           ~rows:
-             (List.map (fun (w : Omni_workloads.Workloads.t) -> w.name) ws)
-           ~cell:(fun r c ->
-             let w =
-               List.find
-                 (fun (w : Omni_workloads.Workloads.t) -> w.name = r)
-                 ws
-             in
-             let pad = Option.get (Omni_sfi.Policy.pad_of_string c) in
-             Some
-               (float_of_int (pad_cycles w arch pad)
-               /. float_of_int (max 1 (measure w arch Native_cc).m_cycles))));
-      Buffer.add_char buf '\n')
+           ~title:(Printf.sprintf "  [%s]" a)
+           ~columns:(List.map Omni_sfi.Policy.pad_name Omni_sfi.Policy.all_pads)
+           ~rows:r.fp_workloads
+           ~cell:(fun w pad -> List.assoc_opt (a, pad, w) r.fp_pads));
+      Buffer.add_char b '\n')
     all_archs;
-  Buffer.contents buf
+  Buffer.contents b
 
-(* --- persistence: crash-safe store restart costs (PR 10) --------------
+let fastpath_entry r =
+  let round f = us (List.fold_left (fun a c -> a +. f c) 0.0 r.fp_cells) in
+  let pad_avg a pad =
+    let rels =
+      List.filter_map
+        (fun ((a', pad', _), rel) ->
+          if a = a' && pad = pad' then Some rel else None)
+        r.fp_pads
+    in
+    List.fold_left ( +. ) 0.0 rels /. float_of_int (List.length rels)
+  in
+  {
+    Gate.rows =
+      List.map
+        (fun c ->
+          ( c.fc_name,
+            [ ("instrs", c.fc_instrs); ("fused", c.fc_fused);
+              ("predecode_us", us c.fc_predecode_s);
+              ("interp_us", us c.fc_interp_s); ("fast_us", us c.fc_fast_s);
+              ("speedup_x100", x100 (fast_speedup c)) ] ))
+        r.fp_cells
+      @ List.concat_map
+          (fun arch ->
+            let a = Arch.name arch in
+            List.map
+              (fun pad ->
+                let pad = Omni_sfi.Policy.pad_name pad in
+                ( Printf.sprintf "pad/%s/%s" a pad,
+                  [ ("rel_cc_x100", x100 (pad_avg a pad)) ] ))
+              Omni_sfi.Policy.all_pads)
+          all_archs;
+    hot =
+      [ ("fastpath.round.interp", round (fun c -> c.fc_interp_s));
+        ("fastpath.round.fast", round (fun c -> c.fc_fast_s)) ];
+  }
+
+(* --- persistence: crash-safe store restart costs ----------------------
 
    One serving round (submit + translate on X86) is measured four ways:
    with no store attached (the baseline), cold with journaling on (the
@@ -1738,30 +1543,29 @@ let persist_measure ~size : persist_cell =
     pc_translations = stats.SC.s_translations;
   }
 
-let persistence ~size =
-  let c = persist_measure ~size in
-  let ms s = 1e3 *. s in
+
+let persist_overhead c = max 0 (us c.pc_cold_s - us c.pc_baseline_s)
+
+let persistence_table c =
   let b = Buffer.create 1024 in
   Buffer.add_string b
     "Persistence: crash-safe store restart costs (X86, submit+translate \
      round)\n\n";
-  Printf.bprintf b "  cold round, no store attached   %8.2f ms\n"
-    (ms c.pc_baseline_s);
+  Printf.bprintf b "  cold round, no store attached   %8d us\n"
+    (us c.pc_baseline_s);
   Printf.bprintf b
-    "  cold round, journaling on       %8.2f ms  (journal overhead %+.2f \
-     ms)\n"
-    (ms c.pc_cold_s)
-    (ms (c.pc_cold_s -. c.pc_baseline_s));
+    "  cold round, journaling on       %8d us  (journal overhead %+d us)\n"
+    (us c.pc_cold_s) (persist_overhead c);
   Printf.bprintf b
-    "  dirty restart (kill -9)         %8.2f ms  (replay + witness \
+    "  dirty restart (kill -9)         %8d us  (replay + witness \
      re-proof, %d records)\n"
-    (ms c.pc_dirty_restart_s) c.pc_recovered;
-  Printf.bprintf b "  clean restart (marker)          %8.2f ms\n"
-    (ms c.pc_clean_restart_s);
+    (us c.pc_dirty_restart_s) c.pc_recovered;
+  Printf.bprintf b "  clean restart (marker)          %8d us\n"
+    (us c.pc_clean_restart_s);
   Printf.bprintf b
-    "  warm round after recovery       %8.2f ms  (%.1fx vs cold; %d \
+    "  warm round after recovery       %8d us  (%.1fx vs cold; %d \
      witness checks, %d full verifies, %d translations)\n"
-    (ms c.pc_warm_round_s)
+    (us c.pc_warm_round_s)
     (c.pc_cold_s /. Float.max 1e-9 c.pc_warm_round_s)
     c.pc_cert_checks c.pc_full_verifies c.pc_translations;
   Printf.bprintf b "  store: %d records, %d segment bytes\n" c.pc_records
@@ -1773,357 +1577,78 @@ let persistence ~size =
      else "  => WARNING: warm round did not beat cold\n");
   Buffer.contents b
 
-(* --- machine-readable benchmark snapshot (BENCH_N.json) ---------------
+(* Only the CPU-dominated paths are gated (journaled cold round, warm
+   round); the restart timings are disk-bound — a few ms of fsync and
+   page cache — and jitter past the gate's 20% threshold on a shared host
+   even under a best-of-3 minimum, so they are recorded but not gated. *)
+let persistence_entry c =
+  {
+    Gate.rows =
+      [ ( "cold",
+          [ ("baseline_us", us c.pc_baseline_s);
+            ("journaled_us", us c.pc_cold_s);
+            ("append_overhead_us", persist_overhead c) ] );
+        ( "restart",
+          [ ("dirty_us", us c.pc_dirty_restart_s);
+            ("clean_us", us c.pc_clean_restart_s);
+            ("warm_round_us", us c.pc_warm_round_s);
+            ("recovered", c.pc_recovered) ] );
+        ( "store",
+          [ ("records", c.pc_records); ("segment_bytes", c.pc_seg_bytes);
+            ("cert_checks", c.pc_cert_checks);
+            ("full_verifies", c.pc_full_verifies);
+            ("translations", c.pc_translations) ] ) ];
+    hot =
+      [ ("persist.cold_us", us c.pc_cold_s);
+        ("persist.warm_round_us", us c.pc_warm_round_s) ];
+  }
 
-   A compact re-measurement of the hot paths of every subsystem bench,
-   emitted as stable JSON so successive runs can be diffed ([make
-   bench-gate]). All times are integer microseconds of CPU time
-   ([Sys.time]), which keeps the file parseable by the repo's small
-   integer-only JSON readers and the numbers stable under scheduler
-   noise. The [hot_paths] object is the gate's contract: flat
-   name -> microseconds, nothing else promised to stay. *)
+(* --- the section registry ------------------------------------------- *)
 
-let bench_snapshot ~size : string =
-  let module Svc = Omni_service.Service in
-  let module SC = Omni_service.Counters in
-  let module Exec = Omni_service.Exec in
-  let module Net = Omni_net in
-  let us s = int_of_float (1e6 *. s) in
-  let fuel = 4_000_000_000 in
-  let ws = workloads ~size in
-  let hot : (string * int) list ref = ref [] in
-  let hot_add name v = hot := (name, v) :: !hot in
-  (* phases: serving path under a Null tracer, per-phase histograms *)
-  let m = Omni_obs.Metrics.create () in
-  let phase_section =
-    let tracer = Omni_obs.Trace.make ~metrics:m Omni_obs.Trace.Null in
-    Omni_obs.Trace.with_current tracer @@ fun () ->
-    let svc = Svc.of_config ~metrics:m Svc.default_config in
-    List.iter
-      (fun (w : Omni_workloads.Workloads.t) ->
-        let p = prepare w in
-        let h = Svc.submit svc (Omnivm.Wire.encode p.p_exe) in
-        ignore (Svc.instantiate ~fuel svc h);
-        List.iter
-          (fun arch ->
-            ignore (Svc.instantiate ~engine:(Exec.Target arch) ~fuel svc h))
-          all_archs)
-      ws;
-    let snap = Omni_obs.Metrics.snapshot m in
+type section =
+  | Table of (size:Omni_workloads.Workloads.size -> string)
+  | Snapshot of (size:Omni_workloads.Workloads.size -> string * Gate.entry)
+
+let snapshot measure table entry =
+  Snapshot
+    (fun ~size ->
+      let r = measure ~size in
+      (table r, entry r))
+
+let sections =
+  [ ("table1", Table table1);
+    ("table2", Table table2);
+    ("table3", Table table3);
+    ("table4", Table table4);
+    ("table5", Table table5);
+    ("table6", Table table6);
+    ("figure1", Table figure1);
+    ("figure2", Table (fun ~size:_ -> figure2 ()));
+    ("ablation", Table ablation_sfi_opt);
+    ("ablation-reads", Table ablation_read_protection);
+    ("speed", Table translation_speed);
+    ("phases", snapshot phases_measure phases_table phases_entry);
+    ("service", snapshot service_measure service_table service_entry);
+    ("resilience",
+     snapshot resilience_measure resilience_table resilience_entry);
+    ("isolation", snapshot isolation_measure isolation_table isolation_entry);
+    ("cert", snapshot cert_measure cert_table cert_entry);
+    ("guest", snapshot guest_measure guest_table guest_entry);
+    ("fastpath", snapshot fastpath_measure fastpath_table fastpath_entry);
+    ("persistence",
+     snapshot persist_measure persistence_table persistence_entry) ]
+
+let bench_snapshot ~size =
+  let measured =
     List.filter_map
-      (fun (name, (hs : Omni_obs.Metrics.hist_snapshot)) ->
-        let n = String.length name in
-        if n > 6 && String.sub name 0 6 = "phase." then begin
-          let phase = String.sub name 6 (n - 6) in
-          let mean =
-            hs.Omni_obs.Metrics.hs_sum
-            /. float_of_int (max 1 hs.Omni_obs.Metrics.hs_count)
-          in
-          (match phase with
-          | "translate" | "verify" | "run" ->
-              hot_add (Printf.sprintf "phase.%s.mean" phase) (us mean)
-          | _ -> ());
-          Some
-            (Printf.sprintf
-               "    \"%s\": {\"count\": %d, \"total_us\": %d, \"mean_us\": %d}"
-               phase hs.Omni_obs.Metrics.hs_count
-               (us hs.Omni_obs.Metrics.hs_sum)
-               (us mean))
-        end
-        else None)
-      snap.Omni_obs.Metrics.histograms
+      (fun (name, section) ->
+        match section with
+        | Snapshot f -> Some (name, f ~size)
+        | Table _ -> None)
+      sections
   in
-  (* service: cold vs warm admission per arch, via the serving counters *)
-  let service_section =
-    let svc = Svc.of_config Svc.default_config in
-    let handles =
-      List.map
-        (fun (w : Omni_workloads.Workloads.t) ->
-          let p = prepare w in
-          Svc.submit svc (Omnivm.Wire.encode p.p_exe))
-        ws
-    in
-    let load_all arch =
-      List.iter
-        (fun h ->
-          ignore (Svc.instantiate ~engine:(Exec.Target arch) ~fuel svc h))
-        handles
-    in
-    List.map
-      (fun arch ->
-        let cold0 = (Svc.stats svc).SC.s_cold_translate_s in
-        load_all arch;
-        let cold = (Svc.stats svc).SC.s_cold_translate_s -. cold0 in
-        (* the warm round is ~100 us of re-verification: best of three so
-           the gate judges the path, not the scheduler *)
-        let warm = ref infinity in
-        for _ = 1 to 3 do
-          let warm0 = (Svc.stats svc).SC.s_warm_admit_s in
-          load_all arch;
-          let w = (Svc.stats svc).SC.s_warm_admit_s -. warm0 in
-          if w < !warm then warm := w
-        done;
-        let warm = !warm in
-        hot_add (Printf.sprintf "service.warm.%s" (Arch.name arch)) (us warm);
-        Printf.sprintf "    \"%s\": {\"cold_us\": %d, \"warm_us\": %d}"
-          (Arch.name arch) (us cold) (us warm))
-      all_archs
-  in
-  (* remote: warm round trips over the loopback pair vs in-process *)
-  let remote_section =
-    let svc_r = Svc.of_config Svc.default_config in
-    let server = Net.Server.create svc_r in
-    let client = Net.Client.loopback server in
-    let svc_l = Svc.of_config Svc.default_config in
-    let prepared =
-      List.map
-        (fun (w : Omni_workloads.Workloads.t) ->
-          Omnivm.Wire.encode (prepare w).p_exe)
-        ws
-    in
-    let rh = List.map (Net.Client.submit client) prepared in
-    let lh = List.map (Svc.submit svc_l) prepared in
-    let time f =
-      let t0 = Sys.time () in
-      f ();
-      Sys.time () -. t0
-    in
-    List.map
-      (fun arch ->
-        let remote_round () =
-          List.iter
-            (fun h ->
-              ignore (Net.Client.run ~engine:(Exec.Target arch) ~fuel client h))
-            rh
-        in
-        let local_round () =
-          List.iter
-            (fun h ->
-              ignore (Svc.instantiate ~engine:(Exec.Target arch) ~fuel svc_l h))
-            lh
-        in
-        ignore (time remote_round);
-        ignore (time local_round);
-        let warm_r = time remote_round in
-        let warm_l = time local_round in
-        hot_add (Printf.sprintf "remote.warm.%s" (Arch.name arch)) (us warm_r);
-        Printf.sprintf
-          "    \"%s\": {\"warm_remote_us\": %d, \"warm_local_us\": %d}"
-          (Arch.name arch) (us warm_r) (us warm_l))
-      all_archs
-  in
-  (* resilience: one loopback round per fault rate, retrying client *)
-  let resilience_section =
-    List.map
-      (fun rate ->
-        let svc = Svc.of_config Svc.default_config in
-        let server = Net.Server.create svc in
-        let retry = { Net.Retry.default with max_attempts = 12 } in
-        let env = Net.Retry.manual_env () in
-        let fault =
-          if rate > 0. then Some (Net.Fault.arm (Net.Fault.seeded ~seed:42 ~rate ()))
-          else None
-        in
-        let client = Net.Client.loopback ~retry ~env ?fault server in
-        let handles = List.map
-            (fun (w : Omni_workloads.Workloads.t) ->
-              Net.Client.submit client (Omnivm.Wire.encode (prepare w).p_exe))
-            ws
-        in
-        let t0 = Sys.time () in
-        List.iter
-          (fun h ->
-            ignore
-              (Net.Client.run ~engine:(Exec.Target Arch.X86) ~fuel client h))
-          handles;
-        let round = Sys.time () -. t0 in
-        let key = Printf.sprintf "rate_%g" rate in
-        Printf.sprintf "    \"%s\": {\"round_us\": %d}" key (us round))
-      [ 0.0; 0.05 ]
-  in
-  (* isolation: watchdog poll overhead at one representative K *)
-  let isolation_section =
-    let module Supervise = Omni_service.Supervise in
-    let prepared = List.map prepare ws in
-    let round poll_every () =
-      List.iter
-        (fun (p : prepared) ->
-          let img = Exec.load p.p_exe in
-          let watchdog =
-            Option.map
-              (fun k -> Supervise.watchdog ~poll_every:k ~budget_s:1e9 ())
-              poll_every
-          in
-          ignore (Exec.run_interp ~fuel ?watchdog img))
-        prepared
-    in
-    let time f =
-      let t0 = Sys.time () in
-      f ();
-      Sys.time () -. t0
-    in
-    ignore (time (round None));
-    let base = time (round None) in
-    let polled = time (round (Some 16_384)) in
-    hot_add "isolation.poll_16384" (us polled);
-    [ Printf.sprintf "    \"off\": {\"round_us\": %d}" (us base);
-      Printf.sprintf "    \"poll_16384\": {\"round_us\": %d}" (us polled) ]
-  in
-  (* cert: the tentpole numbers — full verify vs witness check *)
-  let cert_section =
-    List.map
-      (fun c ->
-        hot_add
-          (Printf.sprintf "cert.full_verify.%s.%s" c.cc_arch c.cc_policy)
-          (us c.cc_full_s);
-        hot_add
-          (Printf.sprintf "cert.witness_check.%s.%s" c.cc_arch c.cc_policy)
-          (us c.cc_check_s);
-        Printf.sprintf
-          "    \"%s/%s\": {\"produce_us\": %d, \"full_verify_us\": %d, \
-           \"witness_check_us\": %d, \"speedup_x100\": %d, \"bytes\": %d}"
-          c.cc_arch c.cc_policy (us c.cc_produce_s) (us c.cc_full_s)
-          (us c.cc_check_s)
-          (int_of_float (100. *. c.cc_full_s /. Float.max 1e-9 c.cc_check_s))
-          c.cc_bytes)
-      (cert_measure ~size)
-  in
-  ignore (cert_validate ~size);
-  (* guest front-end: lift time per workload (the gated hot path), plus
-     oracle-vs-lifted sizes for the record *)
-  let guest_section =
-    List.map
-      (fun (w : Omni_workloads.Workloads.Guest.t) ->
-        let g = gprepare w in
-        let lift_s = glift_time g in
-        let r = grun g ~engine:Api.Interp () in
-        hot_add (Printf.sprintf "guest.lift.%s" g.g_name) (us lift_s);
-        Printf.sprintf
-          "    \"%s\": {\"lift_us\": %d, \"guest_steps\": %d, \
-           \"omni_instrs\": %d}"
-          g.g_name (us lift_s) g.g_oracle_steps r.Api.instructions)
-      (Omni_workloads.Workloads.Guest.all ~size)
-  in
-  (* concurrency: seeded concurrent load on one shared server; the gate
-     metric is the one-domain round's CPU time — the multi-domain walls
-     depend on the host's core count, so they are reported, not gated *)
-  let concurrency_section =
-    let c = concurrency_measure ~size in
-    hot_add "concurrency.round_us" (us c.cy_serial_cpu_s);
-    List.map
-      (fun r ->
-        Printf.sprintf
-          "    \"domains_%d\": {\"wall_us\": %d, \"throughput_rps\": %d, \
-           \"p50_us\": %d, \"p95_us\": %d, \"p99_us\": %d}"
-          r.cy_domains (us r.cy_wall_s)
-          (int_of_float r.cy_rps)
-          r.cy_p50_us r.cy_p95_us r.cy_p99_us)
-      c.cy_rows
-    @ [
-        Printf.sprintf
-          "    \"load\": {\"requests\": %d, \"configs\": %d, \
-           \"host_cores\": %d}"
-          c.cy_requests c.cy_configs c.cy_cores;
-      ]
-  in
-  (* fast path: steady-state fast vs baseline interpreter per workload
-     (both families) plus the pad × arch cycle ratios; the gate metric is
-     the whole-suite round per engine *)
-  let fastpath_section =
-    let cells = fastpath_measure ~size in
-    let interp_round =
-      List.fold_left (fun a c -> a +. c.fc_interp_s) 0.0 cells
-    in
-    let fast_round = List.fold_left (fun a c -> a +. c.fc_fast_s) 0.0 cells in
-    hot_add "fastpath.round.interp" (us interp_round);
-    hot_add "fastpath.round.fast" (us fast_round);
-    let per_cell =
-      List.map
-        (fun c ->
-          Printf.sprintf
-            "    \"%s\": {\"instrs\": %d, \"fused\": %d, \
-             \"predecode_us\": %d, \"interp_us\": %d, \"fast_us\": %d, \
-             \"speedup_x100\": %d}"
-            c.fc_name c.fc_instrs c.fc_fused
-            (us c.fc_predecode_s) (us c.fc_interp_s) (us c.fc_fast_s)
-            (int_of_float
-               (100. *. c.fc_interp_s /. Float.max 1e-9 c.fc_fast_s)))
-        cells
-    in
-    let pad_rows =
-      List.concat_map
-        (fun arch ->
-          List.map
-            (fun pad ->
-              let rel w =
-                float_of_int (pad_cycles w arch pad)
-                /. float_of_int (max 1 (measure w arch Native_cc).m_cycles)
-              in
-              let avg =
-                List.fold_left (fun a w -> a +. rel w) 0.0 ws
-                /. float_of_int (List.length ws)
-              in
-              Printf.sprintf "    \"pad/%s/%s\": {\"rel_cc_x100\": %d}"
-                (Arch.name arch)
-                (Omni_sfi.Policy.pad_name pad)
-                (int_of_float (100. *. avg)))
-            Omni_sfi.Policy.all_pads)
-        all_archs
-    in
-    per_cell @ pad_rows
-  in
-  (* persistence: restart costs of the crash-safe store. Only the
-     CPU-dominated paths are gated (journaled cold round, warm round);
-     the restart timings are disk-bound — a few ms of fsync and page
-     cache — and jitter past the gate's 20% threshold on a shared host
-     even under a best-of-3 minimum, so they are reported in the
-     "restart" row below but not gated. *)
-  let persist_section =
-    let c = persist_measure ~size in
-    hot_add "persist.cold_us" (us c.pc_cold_s);
-    hot_add "persist.warm_round_us" (us c.pc_warm_round_s);
-    [ Printf.sprintf
-        "    \"cold\": {\"baseline_us\": %d, \"journaled_us\": %d, \
-         \"append_overhead_us\": %d}"
-        (us c.pc_baseline_s) (us c.pc_cold_s)
-        (max 0 (us (c.pc_cold_s -. c.pc_baseline_s)));
-      Printf.sprintf
-        "    \"restart\": {\"dirty_us\": %d, \"clean_us\": %d, \
-         \"warm_round_us\": %d, \"recovered\": %d}"
-        (us c.pc_dirty_restart_s) (us c.pc_clean_restart_s)
-        (us c.pc_warm_round_s) c.pc_recovered;
-      Printf.sprintf
-        "    \"store\": {\"records\": %d, \"segment_bytes\": %d, \
-         \"cert_checks\": %d, \"full_verifies\": %d, \"translations\": %d}"
-        c.pc_records c.pc_seg_bytes c.pc_cert_checks c.pc_full_verifies
-        c.pc_translations ]
-  in
-  let obj name lines =
-    Printf.sprintf "  \"%s\": {\n%s\n  }" name (String.concat ",\n" lines)
-  in
-  let hot_lines =
-    List.rev_map
-      (fun (name, v) -> Printf.sprintf "    \"%s\": %d" name v)
-      !hot
-  in
-  String.concat ""
-    [ "{\n";
-      Printf.sprintf "  \"schema\": \"omni-bench/1\",\n";
-      Printf.sprintf "  \"size\": \"%s\",\n"
-        (match size with Omni_workloads.Workloads.Test -> "test" | _ -> "ref");
-      obj "phases" phase_section; ",\n";
-      obj "service" service_section; ",\n";
-      obj "remote" remote_section; ",\n";
-      obj "resilience" resilience_section; ",\n";
-      obj "isolation" isolation_section; ",\n";
-      obj "cert" cert_section; ",\n";
-      obj "guest" guest_section; ",\n";
-      obj "concurrency" concurrency_section; ",\n";
-      obj "fastpath" fastpath_section; ",\n";
-      obj "persistence" persist_section; ",\n";
-      obj "hot_paths" hot_lines; "\n}\n" ]
-
-let all_tables ~size =
-  String.concat "\n"
-    [ table1 ~size; table2 ~size; table3 ~size; table4 ~size; table5 ~size;
-      table6 ~size; figure1 ~size; figure2 () ]
+  ( String.concat "\n" (List.map (fun (_, (table, _)) -> table) measured),
+    Gate.json_of_sections
+      ~size:
+        (match size with Omni_workloads.Workloads.Test -> "test" | Ref -> "ref")
+      (List.map (fun (name, (_, entry)) -> (name, entry)) measured) )

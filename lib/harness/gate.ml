@@ -34,6 +34,35 @@ let hot_paths_of_json (text : string) : (string * int) list =
                              | None -> None)
                          | _ -> None))))
 
+type entry = {
+  rows : (string * (string * int) list) list;
+  hot : (string * int) list;
+}
+
+let json_of_sections ~size sections =
+  let obj indent fields =
+    if fields = [] then "{}"
+    else
+      let field (k, v) = Printf.sprintf "%s  \"%s\": %s" indent k v in
+      Printf.sprintf "{\n%s\n%s}"
+        (String.concat ",\n" (List.map field fields))
+        indent
+  in
+  let ints fields =
+    List.map (fun (k, v) -> Printf.sprintf "\"%s\": %d" k v) fields
+    |> String.concat ", " |> Printf.sprintf "{%s}"
+  in
+  let section (name, e) =
+    (name, obj "  " (List.map (fun (row, fields) -> (row, ints fields)) e.rows))
+  in
+  let hot = List.concat_map (fun (_, e) -> e.hot) sections in
+  obj ""
+    ([ ("schema", "\"omni-bench/1\""); ("size", "\"" ^ size ^ "\"") ]
+    @ List.map section sections
+    @ [ ("hot_paths",
+         obj "  " (List.map (fun (k, v) -> (k, string_of_int v)) hot)) ])
+  ^ "\n"
+
 type diff = {
   d_regressions : (string * int * int) list;
   d_new : string list;
@@ -98,27 +127,35 @@ let skip_summary d =
          (String.concat " and "
             (clause "new" d.d_new @ clause "dropped" d.d_dropped)))
 
-let latest_snapshot names =
+let snapshot_numbers names =
   let prefix = "BENCH_" and suffix = ".json" in
-  let number name =
-    if String.starts_with ~prefix name && String.ends_with ~suffix name then
-      let digits =
-        String.sub name (String.length prefix)
-          (String.length name - String.length prefix - String.length suffix)
-      in
-      if digits <> "" && String.for_all (fun c -> c >= '0' && c <= '9') digits
-      then int_of_string_opt digits
-      else None
-    else None
-  in
+  List.filter_map
+    (fun name ->
+      if String.starts_with ~prefix name && String.ends_with ~suffix name then
+        let digits =
+          String.sub name (String.length prefix)
+            (String.length name - String.length prefix - String.length suffix)
+        in
+        if digits <> "" && String.for_all (fun c -> c >= '0' && c <= '9') digits
+        then Option.map (fun n -> (n, name)) (int_of_string_opt digits)
+        else None
+      else None)
+    names
+
+let latest_snapshot names =
   List.fold_left
-    (fun best name ->
-      match (number name, best) with
-      | Some n, Some (m, _) when n <= m -> best
-      | Some n, _ -> Some (n, name)
-      | None, _ -> best)
-    None names
+    (fun best (n, name) ->
+      match best with
+      | Some (m, _) when n <= m -> best
+      | _ -> Some (n, name))
+    None (snapshot_numbers names)
   |> Option.map snd
+
+let next_snapshot names =
+  let latest =
+    List.fold_left (fun m (n, _) -> max m n) 0 (snapshot_numbers names)
+  in
+  Printf.sprintf "BENCH_%d.json" (latest + 1)
 
 let render_regression (name, before, now) =
   Printf.sprintf "bench-gate: REGRESSION %s: %dus -> %dus (%+.0f%%)" name

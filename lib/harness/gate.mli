@@ -1,17 +1,33 @@
 (** The benchmark regression gate, as a pure library.
 
     [make bench-gate] re-measures every subsystem's hot paths and diffs
-    the fresh snapshot against the previous one. This module holds the
-    logic the gate shares with its tests: extracting the flat
-    [hot_paths] object from a snapshot, classifying every key as
-    regressed / new / dropped, and summarizing the skipped keys in one
-    stderr line. The binary in [bench/main.ml] only does I/O. *)
+    the fresh snapshot against the latest one. This module holds the
+    logic the gate shares with its tests: writing a snapshot and
+    extracting its flat [hot_paths] object, classifying every key as
+    regressed / new / dropped, summarizing the skipped keys in one
+    stderr line, and naming the snapshot files. The binary in
+    [bench/main.ml] only does I/O. *)
+
+(** One bench section's snapshot entry. *)
+type entry = {
+  rows : (string * (string * int) list) list;
+      (** named rows of integer fields, written for the record *)
+  hot : (string * int) list;
+      (** the keys this section gates, with their values in µs *)
+}
+
+val json_of_sections : size:string -> (string * entry) list -> string
+(** The snapshot file: a schema tag, the workload [size], one object per
+    section holding its rows, and one flat ["hot_paths"] object that
+    concatenates every section's [hot] keys in order. Row fields never
+    become gated keys. Names are written verbatim, so they must not need
+    JSON escaping. *)
 
 val hot_paths_of_json : string -> (string * int) list
 (** Extract the flat ["name": int] pairs of the ["hot_paths"] object.
-    The writer is {!Experiments.bench_snapshot} and the schema is
-    stable, so a scanner suffices — no JSON library in the tree.
-    Malformed input yields [[]], never an exception. *)
+    The writer is {!json_of_sections} and the schema is stable, so a
+    scanner suffices — no JSON library in the tree. Malformed input
+    yields [[]], never an exception. *)
 
 (** Outcome of diffing a fresh snapshot against a baseline. *)
 type diff = {
@@ -64,10 +80,15 @@ val skip_summary : diff -> string option
     them in one line per key. *)
 
 val latest_snapshot : string list -> string option
-(** The snapshot to write and gate against: among file names of the form
+(** The snapshot to gate against: among file names of the form
     [BENCH_<N>.json] (N decimal digits), the one with the largest N,
     compared numerically so [BENCH_10.json] beats [BENCH_9.json]. Other
     names are ignored; [None] when none matches. *)
+
+val next_snapshot : string list -> string
+(** The snapshot to write: [BENCH_<N+1>.json] for the largest N that
+    {!latest_snapshot} would pick, or [BENCH_1.json] when none matches,
+    so writing a snapshot never overwrites a baseline. *)
 
 val render_regression : string * int * int -> string
 (** ["bench-gate: REGRESSION name: 10us -> 15us (+50%)"]. *)

@@ -7,23 +7,12 @@
 
 module Gate = Omni_harness.Gate
 
-(* a synthetic snapshot in the exact shape bench_snapshot writes *)
+(* a synthetic snapshot, written by the snapshot writer itself *)
 let snap hot =
-  Printf.sprintf
-    "{\n\
-    \  \"schema\": \"omni-bench/1\",\n\
-    \  \"size\": \"test\",\n\
-    \  \"service\": {\n\
-    \    \"x86\": {\"cold_us\": 1234, \"warm_us\": 56}\n\
-    \  },\n\
-    \  \"hot_paths\": {\n\
-     %s\n\
-    \  }\n\
-     }\n"
-    (String.concat ",\n"
-       (List.map
-          (fun (k, v) -> Printf.sprintf "    \"%s\": %d" k v)
-          hot))
+  Gate.json_of_sections ~size:"test"
+    [ ("service",
+       { Gate.rows = [ ("x86", [ ("cold_us", 1234); ("warm_us", 56) ]) ]; hot })
+    ]
 
 let pairs =
   Alcotest.(list (pair string int))
@@ -35,6 +24,43 @@ let scanner_roundtrip () =
     (Gate.hot_paths_of_json (snap hot));
   (* the nested objects before hot_paths are not mistaken for it *)
   Alcotest.check pairs "empty object" [] (Gate.hot_paths_of_json (snap []))
+
+(* the writer's hot paths read back through the gate's scanner: every
+   section's keys, in section order, and no row field among them *)
+let writer_roundtrip () =
+  let sections =
+    [ ("phases",
+       { Gate.rows = [ ("run", [ ("count", 24); ("mean_us", 63201) ]) ];
+         hot = [ ("phase.run.mean", 63201) ] });
+      ("resilience",
+       { Gate.rows = [ ("rate_0.05", [ ("round_us", 533309) ]) ]; hot = [] });
+      ("empty", { Gate.rows = []; hot = [] });
+      ("cert",
+       { Gate.rows =
+           [ ("x86/sandbox+reads",
+              [ ("full_verify_us", 565); ("witness_check_us", 62) ]) ];
+         hot =
+           [ ("cert.full_verify.x86.sandbox+reads", 565);
+             ("cert.witness_check.x86.sandbox+reads", 62) ] }) ]
+  in
+  let read =
+    Gate.hot_paths_of_json (Gate.json_of_sections ~size:"ref" sections)
+  in
+  Alcotest.check pairs "same keys, values and order"
+    (List.concat_map (fun (_, e) -> e.Gate.hot) sections)
+    read;
+  List.iter
+    (fun (_, e) ->
+      List.iter
+        (fun (_, fields) ->
+          List.iter
+            (fun (field, _) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "row field %s not gated" field)
+                false (List.mem_assoc field read))
+            fields)
+        e.Gate.rows)
+    sections
 
 let scanner_total_on_garbage () =
   List.iter
@@ -175,10 +201,19 @@ let latest_snapshot_is_numeric () =
   Alcotest.(check (option string)) "no match" None
     (Gate.latest_snapshot [ "BENCH.json"; "BENCH_.json"; "README.md" ])
 
+(* writing never overwrites a baseline: the next N after the latest *)
+let next_snapshot_follows_latest () =
+  Alcotest.(check string) "none yet" "BENCH_1.json" (Gate.next_snapshot []);
+  Alcotest.(check string) "numeric successor" "BENCH_11.json"
+    (Gate.next_snapshot [ "BENCH_9.json"; "BENCH_10.json" ]);
+  Alcotest.(check string) "malformed names ignored" "BENCH_1.json"
+    (Gate.next_snapshot [ "BENCH_.json"; "BENCH.json"; "README.md" ])
+
 let () =
   Alcotest.run "gate"
     [ ("scanner",
        [ Alcotest.test_case "snapshot roundtrip" `Quick scanner_roundtrip;
+         Alcotest.test_case "writer roundtrip" `Quick writer_roundtrip;
          Alcotest.test_case "total on garbage" `Quick
            scanner_total_on_garbage ]);
       ("threshold",
@@ -203,7 +238,9 @@ let () =
            gate_empty_baseline ]);
       ("snapshot-file",
        [ Alcotest.test_case "latest BENCH_N.json" `Quick
-           latest_snapshot_is_numeric ]);
+           latest_snapshot_is_numeric;
+         Alcotest.test_case "next BENCH_N.json" `Quick
+           next_snapshot_follows_latest ]);
       ("re-measure",
        [ Alcotest.test_case "spike absorbed" `Quick merge_min_absorbs_spike;
          Alcotest.test_case "real regression survives" `Quick
