@@ -451,9 +451,10 @@ let ablation_read_protection ~size =
    by two renderers: its text table and its snapshot entry (integer rows
    plus the [hot_paths] keys it gates). [bench_snapshot] folds over the
    sections, so the table a run prints and the numbers it writes are the
-   same measurement. Times are CPU seconds ([Sys.time]); tables and
-   entries show them through [us] and ratios through [x100], so the two
-   renderings print the same integers. *)
+   same measurement. Times are CPU seconds ([Sys.time]), except the
+   service section's, which reads the serving histograms' monotonic wall
+   seconds; tables and entries show them through [us] and ratios through
+   [x100], so the two renderings print the same integers. *)
 
 let fuel = 4_000_000_000
 let us s = int_of_float (1e6 *. s)

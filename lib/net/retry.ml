@@ -42,7 +42,7 @@ type env = {
 let sys_env =
   let rng = Lcg.create 0x5eed in
   {
-    clock = Clock.cpu;
+    clock = Clock.monotonic;
     sleep = (fun s -> if s > 0.0 then Unix.sleepf s);
     rand = (fun () -> Lcg.float rng);
   }

@@ -42,7 +42,8 @@ type env = {
 }
 
 val sys_env : env
-(** CPU clock, [Unix.sleepf], a fixed-seed {!Omni_util.Lcg} stream. *)
+(** Monotonic clock, [Unix.sleepf], a fixed-seed {!Omni_util.Lcg}
+    stream: backoff sleeps and blocked reads count toward the deadline. *)
 
 val manual_env : ?start:float -> ?seed:int -> unit -> env
 (** A fresh manual clock whose [sleep] advances it — deterministic

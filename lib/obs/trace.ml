@@ -57,10 +57,10 @@ type t = {
 }
 
 let null =
-  { on = false; clock = Clock.cpu; sink = Null; m = None; next_id = 1;
+  { on = false; clock = Clock.monotonic; sink = Null; m = None; next_id = 1;
     stack = [] }
 
-let make ?(clock = Clock.cpu) ?metrics sink =
+let make ?(clock = Clock.monotonic) ?metrics sink =
   { on = true; clock; sink; m = metrics; next_id = 1; stack = [] }
 
 let enabled t = t.on

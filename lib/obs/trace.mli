@@ -45,8 +45,9 @@ val null : t
 (** The disabled tracer: every operation is a no-op. *)
 
 val make : ?clock:Omni_util.Clock.t -> ?metrics:Metrics.t -> sink -> t
-(** A live tracer. [clock] defaults to {!Omni_util.Clock.cpu}; [metrics]
-    receives a ["phase.<name>"] histogram sample per completed span. *)
+(** A live tracer. [clock] defaults to {!Omni_util.Clock.monotonic}, so a
+    span's duration is its latency; [metrics] receives a
+    ["phase.<name>"] histogram sample per completed span. *)
 
 val enabled : t -> bool
 val metrics : t -> Metrics.t option

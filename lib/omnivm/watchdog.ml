@@ -8,9 +8,8 @@
    passed, so the fault flows through the ordinary handler-delivery
    mechanism and engine parity is preserved.
 
-   The clock is injected (omnivm cannot depend on unix); callers that want
-   real wall time pass [Clock.fn Unix.gettimeofday] — see
-   [Supervise.wall_clock]. *)
+   The clock is injected so tests can script it; real deadlines run on
+   [Clock.monotonic] (see [Supervise.watchdog]). *)
 
 type t = {
   clock : Omni_util.Clock.t;

@@ -6,8 +6,8 @@
     delivered to a module-registered handler (or aborts the run) exactly
     like any other fault, on every engine.
 
-    The clock is injected because this library cannot depend on unix;
-    pass [Omni_util.Clock.fn Unix.gettimeofday] for real wall time. *)
+    The clock is injected so tests can script it; pass
+    [Omni_util.Clock.monotonic] for real deadlines. *)
 
 type t
 

@@ -1,6 +1,5 @@
 module Machine = Omni_targets.Machine
 module Metrics = Omni_obs.Metrics
-module Trace = Omni_obs.Trace
 
 (* The key embeds every input of the (pure) translator: module identity by
    content digest, target architecture, translation mode (including the
@@ -40,8 +39,7 @@ exception Rejected of string
 type shard = { mu : Mutex.t; lru : (key, entry) Lru.t }
 
 type t = {
-  shards : shard array; (* power-of-two length *)
-  mask : int;
+  shards : shard array;
   c : Counters.t;
   persist : Omni_persist.Store.t option;
       (* write-behind: certified cold translations are journaled under
@@ -50,24 +48,19 @@ type t = {
 }
 
 let default_capacity = 256
-let default_shards = 8
 
-let pow2_at_least n =
-  let rec go p = if p >= n then p else go (p * 2) in
-  go 1
-
-let create ?(capacity = default_capacity) ?persist ?(shards = default_shards)
-    c =
-  let n = pow2_at_least (max 1 shards) in
+let create ?(capacity = default_capacity) ?persist c =
+  let n = Store.shards in
   (* capacity 0 disables caching entirely; otherwise each shard gets an
      equal slice, at least 1, so total capacity rounds up to a multiple
      of the shard count *)
   let per_shard = if capacity <= 0 then 0 else max 1 ((capacity + n - 1) / n) in
   { shards = Array.init n (fun _ ->
         { mu = Mutex.create (); lru = Lru.create ~capacity:per_shard });
-    mask = n - 1; c; persist }
+    c; persist }
 
-let shard t (k : key) = t.shards.(Int64.to_int k.k_digest land t.mask)
+let shard t (k : key) =
+  t.shards.(Int64.to_int k.k_digest land (Store.shards - 1))
 
 let locked mu f =
   Mutex.lock mu;
@@ -126,34 +119,33 @@ let readmit t (k : key) (e : entry) =
       match e.cert with
       | Some cert ->
           Metrics.incr t.c.Counters.cert_checks;
-          Trace.count "cache.cert.check";
           Exec.check_cert ~module_digest:k.k_digest ~mode:k.k_mode
             ~opts:k.k_opts ~code_fp:e.fp cert e.tr
       | None ->
           Metrics.incr t.c.Counters.cert_full_verify;
           Metrics.incr t.c.Counters.verifications;
-          Trace.count "cache.cert.full_verify";
           Exec.verify e.tr
     in
     match result with
     | Ok () -> ()
     | Error reason ->
         Metrics.incr t.c.Counters.verify_fail;
-        Trace.count "cache.verify_fail";
         raise (Rejected reason)
   end
+
+let seconds_since t0 =
+  float_of_int (Omni_util.Clock.monotonic_ns () - t0) *. 1e-9
 
 (* Warm path: the entry is immutable, so the witness check runs outside
    any lock. *)
 let hit t k (e : entry) t0 =
   readmit t k e;
   Metrics.incr t.c.Counters.hits;
-  Trace.count "cache.hits";
-  Metrics.observe t.c.Counters.warm_admit (Sys.time () -. t0);
+  Metrics.observe t.c.Counters.warm_admit (seconds_since t0);
   e.tr
 
 let find_or_translate t (k : key) (exe : Omnivm.Exe.t) : Exec.translated =
-  let t0 = Sys.time () in
+  let t0 = Omni_util.Clock.monotonic_ns () in
   let s = shard t k in
   match locked s.mu (fun () -> Lru.find s.lru k) with
   | Some e -> hit t k e t0
@@ -182,13 +174,12 @@ let find_or_translate t (k : key) (exe : Omnivm.Exe.t) : Exec.translated =
                   ~cert tr
             | _ -> ());
             Metrics.incr t.c.Counters.misses;
-            Trace.count "cache.misses";
             Either.Right tr
       in
       match filled with
       | Either.Left e -> hit t k e t0
       | Either.Right tr ->
-          Metrics.observe t.c.Counters.cold_translate (Sys.time () -. t0);
+          Metrics.observe t.c.Counters.cold_translate (seconds_since t0);
           tr)
 
 let peek t k =

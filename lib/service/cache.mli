@@ -54,16 +54,14 @@ exception Rejected of string
 
 type t
 
-val create :
-  ?capacity:int -> ?persist:Omni_persist.Store.t -> ?shards:int ->
-  Counters.t -> t
+val create : ?capacity:int -> ?persist:Omni_persist.Store.t -> Counters.t -> t
 (** [persist] attaches a journaled on-disk store: certified cold
     translations are journaled (write-behind, under the shard lock) so a
     restart recovers them instead of re-translating; entries without a
     witness (SFI off, Guard mode, native baselines) are never persisted
     because recovery could not re-prove them.
     Default capacity: 256 translation configurations, spread over
-    [shards] (default 8, rounded up to a power of two) independent LRUs
+    {!Store.shards} independent LRUs
     partitioned by module digest — every configuration of one module
     shares a shard, distinct modules rarely contend. Each shard gets an
     equal slice of [capacity], at least 1, so the effective capacity

@@ -4,12 +4,13 @@
     {!Service.t}, threaded through the module store and the translation
     cache so a single {!snapshot} describes the whole pipeline — and so
     the registry is the single source of truth shared with the tracer's
-    per-phase histograms. The two histograms hold [Sys.time] seconds
-    (the source of {!Omni_util.Clock.cpu}): process CPU time summed over
-    every domain, not wall time and not a per-request latency. Every
-    stats surface renders the registry ([Metrics.snapshot (metrics t)]),
-    so a new instrument registered in {!create} shows up everywhere
-    without further edits. *)
+    per-phase histograms. The two histograms hold
+    {!Omni_util.Clock.monotonic} seconds: the latency of each admission,
+    not CPU time. Every stats surface renders the registry
+    ([Metrics.snapshot (metrics t)]), so a new instrument registered in
+    {!create} shows up everywhere without further edits. Each serving
+    event is counted here and nowhere else: the store and the cache bump
+    these instruments, never an ambient [Trace.count] of their own. *)
 
 module Metrics = Omni_obs.Metrics
 

@@ -4,7 +4,6 @@ module Trace = Omni_obs.Trace
 
 type config = {
   cache_capacity : int;
-  shards : int;
   quarantine : Supervise.Quarantine.config option;
   deadline_s : float option;
   watchdog_poll : int option;
@@ -15,7 +14,6 @@ type config = {
 let default_config =
   {
     cache_capacity = 256;
-    shards = 8;
     quarantine = None;
     deadline_s = None;
     watchdog_poll = None;
@@ -36,7 +34,7 @@ type t = {
   recovery : Omni_persist.Store.recovered option;
 }
 
-let of_config ?metrics ?(clock = Supervise.wall_clock) (cfg : config) =
+let of_config ?metrics ?(clock = Omni_util.Clock.monotonic) (cfg : config) =
   let c = Counters.create ?metrics () in
   (* Open the journal (running total recovery) before the in-memory
      layers exist, then replay the proven survivors into them through
@@ -49,10 +47,8 @@ let of_config ?metrics ?(clock = Supervise.wall_clock) (cfg : config) =
         let p, r = Omni_persist.Store.open_ ~metrics:(Counters.metrics c) io in
         (Some p, Some r)
   in
-  let store = Store.create ~counters:c ?persist ~shards:cfg.shards () in
-  let cache =
-    Cache.create ~capacity:cfg.cache_capacity ?persist ~shards:cfg.shards c
-  in
+  let store = Store.create ~counters:c ?persist () in
+  let cache = Cache.create ~capacity:cfg.cache_capacity ?persist c in
   (match recovery with
   | None -> ()
   | Some r ->
@@ -209,8 +205,8 @@ type batch_report = {
 }
 
 (* Requests are dealt round-robin to [domains] workers, all driving this
-   one shared service. Elapsed time is wall clock: CPU seconds sum across
-   domains and would overstate the cost of a parallel batch. *)
+   one shared service. Elapsed time is monotonic wall time: CPU seconds
+   sum across domains and would overstate the cost of a parallel batch. *)
 let run_batch ?fuel ?(domains = 1) t (reqs : request array) : batch_report =
   let n = max 1 domains in
   let drive d () =
@@ -227,7 +223,7 @@ let run_batch ?fuel ?(domains = 1) t (reqs : request array) : batch_report =
       reqs;
     (!failures, !instructions)
   in
-  let now () = Omni_util.Clock.now Supervise.wall_clock in
+  let now () = Omni_util.Clock.(now monotonic) in
   let t0 = now () in
   let totals =
     if n = 1 then [ drive 0 () ]

@@ -33,9 +33,6 @@ type config = {
   cache_capacity : int;
       (** translation-cache bound (default 256 configurations; 0
           disables caching — every target run translates) *)
-  shards : int;
-      (** digest-shard count for store and cache (default 8, rounded up
-          to a power of two); more shards, less same-shard contention *)
   quarantine : Supervise.Quarantine.config option;
       (** per-digest circuit breaker ({!Supervise.Quarantine}); [None]
           (default) disables it *)
@@ -59,9 +56,9 @@ val of_config : ?metrics:Omni_obs.Metrics.t -> ?clock:Omni_util.Clock.t ->
 (** The one constructor. [metrics] is the registry the service's
     counters are registered in (default: a fresh one) — pass the
     registry of a {!Omni_obs.Trace} tracer to land serving counters and
-    per-phase timings in one place. [clock] (default real wall time)
-    drives watchdog deadlines; both are capabilities rather than
-    configuration, hence not in {!config}. *)
+    per-phase timings in one place. [clock] (default
+    {!Omni_util.Clock.monotonic}) drives watchdog deadlines; both are
+    capabilities rather than configuration, hence not in {!config}. *)
 
 val metrics : t -> Omni_obs.Metrics.t
 (** The backing metrics registry (serving counters + anything else
@@ -159,8 +156,8 @@ val run_batch :
   ?fuel:int -> ?domains:int -> t -> request array -> batch_report
 (** Run every request, dealt round-robin to [domains] (default 1)
     domains that share this service, and time the batch on
-    {!Supervise.wall_clock}. The request, failure and instruction totals
-    do not depend on [domains]. *)
+    {!Omni_util.Clock.monotonic}. The request, failure and instruction
+    totals do not depend on [domains]. *)
 
 val render_batch : batch_report -> string
 (** One line: totals, wall-clock seconds and requests per second. *)

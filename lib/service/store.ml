@@ -31,29 +31,24 @@ type shard = {
 }
 
 type t = {
-  shards : shard array; (* power-of-two length *)
-  mask : int;
+  shards : shard array;
   c : Counters.t;
   persist : Omni_persist.Store.t option;
       (* write-behind: fresh admissions are journaled to disk under the
          shard lock, so the on-disk order is an admission order *)
 }
 
-let default_shards = 8
+(* A power of two, so a digest picks its shard with a mask. *)
+let shards = 8
 
-let pow2_at_least n =
-  let rec go p = if p >= n then p else go (p * 2) in
-  go 1
-
-let create ?counters ?persist ?(shards = default_shards) () =
+let create ?counters ?persist () =
   let c = match counters with Some c -> c | None -> Counters.create () in
-  let n = pow2_at_least (max 1 shards) in
-  { shards = Array.init n (fun _ ->
+  { shards = Array.init shards (fun _ ->
         { mu = Mutex.create (); tbl = Hashtbl.create 16;
           ptbl = Hashtbl.create 16 });
-    mask = n - 1; c; persist }
+    c; persist }
 
-let shard t (d : Fnv64.t) = t.shards.(Int64.to_int d land t.mask)
+let shard t (d : Fnv64.t) = t.shards.(Int64.to_int d land (shards - 1))
 
 let locked mu f =
   Mutex.lock mu;
@@ -81,8 +76,7 @@ let submit ?producer t bytes =
     match Hashtbl.find_opt s.tbl h with
     | Some e ->
         if not (String.equal e.e_bytes bytes) then raise (Collision h);
-        Metrics.incr t.c.Counters.dedup_hits;
-        Trace.count "store.dedup_hits"
+        Metrics.incr t.c.Counters.dedup_hits
     | None ->
         let exe =
           Trace.phase "decode"
@@ -137,14 +131,12 @@ let predecoded t h =
   match Hashtbl.find_opt s.ptbl h with
   | Some p ->
       Metrics.incr t.c.Counters.predecode_hits;
-      Trace.count "vm.predecode.hit";
       p
   | None -> (
       match Hashtbl.find_opt s.tbl h with
       | None -> raise Unknown_handle
       | Some e ->
           Metrics.incr t.c.Counters.predecode_misses;
-          Trace.count "vm.predecode.miss";
           let p =
             Trace.phase "predecode" (fun () ->
                 Omnivm.Fastinterp.compile e.e_exe.Omnivm.Exe.text)

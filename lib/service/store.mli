@@ -20,19 +20,20 @@ val equal_handle : handle -> handle -> bool
 
 type t
 
-val create :
-  ?counters:Counters.t -> ?persist:Omni_persist.Store.t -> ?shards:int ->
-  unit -> t
+val shards : int
+(** 8: the digest-shard count of the store and of the translation
+    cache. *)
+
+val create : ?counters:Counters.t -> ?persist:Omni_persist.Store.t -> unit -> t
 (** [counters] lets a service aggregate store activity with the rest of
     the pipeline; a private record is used when omitted. [persist]
     attaches a journaled on-disk store: every fresh admission is
     journaled (write-behind, under the module's shard lock) so it
-    survives a restart. [shards] (default 8, rounded up to a power of
-    two) partitions the store by digest so concurrent submits and
-    lookups of unrelated modules never contend; all operations are safe
-    from multiple domains, and counter accounting stays exact under
-    races (a module concurrently submitted by many clients is stored
-    once, the rest count as dedup hits). *)
+    survives a restart. The {!shards} shards partition the store by
+    digest so concurrent submits and lookups of unrelated modules never
+    contend; all operations are safe from multiple domains, and counter
+    accounting stays exact under races (a module concurrently submitted
+    by many clients is stored once, the rest count as dedup hits). *)
 
 exception Collision of handle
 (** Two distinct byte strings hit the same digest (astronomically

@@ -14,10 +14,8 @@ module Machine = Omni_targets.Machine
 module Clock = Omni_util.Clock
 module Fnv64 = Omni_util.Fnv64
 
-let wall_clock = Clock.fn Unix.gettimeofday
-
 let watchdog ?poll_every ~budget_s () =
-  Omnivm.Watchdog.make ?poll_every ~clock:wall_clock ~budget_s ()
+  Omnivm.Watchdog.make ?poll_every ~clock:Clock.monotonic ~budget_s ()
 
 (* A transient fault depends on conditions outside the module's control
    (the wall clock); rerunning under a different deadline may succeed, so
@@ -455,7 +453,7 @@ let check_replay ?watchdog ?engine (r : report) : verdict =
 module Quarantine = struct
   type config = { threshold : int; ttl_s : float; clock : Clock.t }
 
-  let default_config = { threshold = 3; ttl_s = 300.0; clock = wall_clock }
+  let default_config = { threshold = 3; ttl_s = 300.0; clock = Clock.monotonic }
 
   type entry = {
     mutable strikes : int;

@@ -15,13 +15,10 @@
 module Fault = Omnivm.Fault
 module Machine = Omni_targets.Machine
 
-val wall_clock : Omni_util.Clock.t
-(** Real wall time ([Unix.gettimeofday]) as an injectable clock — the
-    default clock for watchdogs and quarantine TTLs. *)
-
 val watchdog :
   ?poll_every:int -> budget_s:float -> unit -> Omnivm.Watchdog.t
-(** A watchdog over {!wall_clock} expiring [budget_s] seconds from now. *)
+(** A watchdog over {!Omni_util.Clock.monotonic} expiring [budget_s]
+    seconds from now. *)
 
 val transient : Fault.t -> bool
 (** A transient fault depends on conditions outside the module's control
@@ -109,7 +106,7 @@ module Quarantine : sig
   }
 
   val default_config : config
-  (** threshold 3, ttl 300 s, {!wall_clock}. *)
+  (** threshold 3, ttl 300 s, {!Omni_util.Clock.monotonic}. *)
 
   type t
 

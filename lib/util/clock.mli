@@ -1,20 +1,16 @@
 (** A clock with an injectable source.
 
-    Timings in the observability layer ({!Omni_obs.Trace},
-    {!Omni_obs.Metrics}) are read from one of these, so tests can inject a
-    {!manual} clock and obtain deterministic durations. *)
+    Every product timer reads one of these: spans and histograms
+    ({!Omni_obs.Trace}, {!Omni_obs.Metrics}), retry deadlines, watchdogs
+    and quarantine TTLs. Each defaults to {!monotonic}; tests inject a
+    {!manual} or {!fn} clock and obtain deterministic durations. *)
 
 type t
 
-val cpu : t
-(** Process CPU seconds from [Sys.time], summed over every domain; not
-    wall time. A span timed on it measures the CPU the whole process
-    spent while the span was open, which equals its latency only when
-    one domain is busy and nothing blocks. *)
-
 val monotonic : t
 (** Wall seconds from CLOCK_MONOTONIC, since an arbitrary origin: never
-    steps back, and unlike {!cpu} it measures latency, not CPU. *)
+    steps back, and measures latency (sleeps and blocked reads included),
+    not CPU. *)
 
 val monotonic_ns : unit -> int
 (** The {!monotonic} clock in integer nanoseconds, read without
@@ -24,9 +20,9 @@ val manual : ?start:float -> unit -> t
 (** A clock that only moves when told to ([start] defaults to 0). *)
 
 val fn : (unit -> float) -> t
-(** A clock read from an arbitrary source — how layers with access to
-    [Unix.gettimeofday] inject real wall time without this library
-    depending on unix (e.g. the execution watchdog's deadline clock). *)
+(** A clock read from an arbitrary source — how tests script a clock
+    that moves on every read (e.g. to expire a watchdog at a chosen
+    poll). *)
 
 val now : t -> float
 

@@ -278,6 +278,29 @@ let retry_unit () =
   | () -> Alcotest.fail "accepted max_attempts = 0"
   | exception Invalid_argument _ -> ()
 
+(* The real environment's deadline is wall time: backoff sleeps (and, in
+   a client, blocked reads) use up the budget, though they burn no CPU. *)
+let retry_sys_env_deadline () =
+  let policy =
+    { Retry.max_attempts = 50; base_delay_s = 0.01; backoff = 1.0;
+      jitter = 0.0; deadline_s = 0.05 }
+  in
+  let calls = ref 0 in
+  let t0 = Clock.now Clock.monotonic in
+  (match
+     Retry.run ~env:Retry.sys_env ~classify:Client.classify policy
+       (fun ~attempt:_ ->
+         incr calls;
+         raise Transport.Timeout)
+   with
+  | () -> Alcotest.fail "always-failing op returned"
+  | exception Transport.Timeout -> ());
+  let wall = Clock.now Clock.monotonic -. t0 in
+  Alcotest.(check bool) (Printf.sprintf "%d attempts <= 6" !calls) true
+    (!calls <= 6);
+  Alcotest.(check bool) (Printf.sprintf "%.3f s wall < 0.2 s" wall) true
+    (wall < 0.2)
+
 let classification () =
   let check what want e =
     Alcotest.(check bool) what true (Client.classify e = want)
@@ -478,6 +501,8 @@ let () =
       ("retry",
        [ qcheck_deadline; qcheck_schedule; qcheck_terminal_stops;
          Alcotest.test_case "unit" `Quick retry_unit;
+         Alcotest.test_case "sys_env deadline is wall time" `Quick
+           retry_sys_env_deadline;
          Alcotest.test_case "classification" `Quick classification ]);
       ("limits",
        [ Alcotest.test_case "module bytes" `Quick limits_module_bytes;

@@ -367,6 +367,57 @@ let e2e_identity () =
   Alcotest.(check bool) "stats json mentions hits" true
     (contains json "\"service.cache.hits\":")
 
+(* Each serving event lands in exactly one instrument. [Server.create]'s
+   default tracer shares the service's registry, so a layer that bumped
+   its [Counters] instrument and also an ambient [Trace.count] under the
+   same name counted the event twice. *)
+let one_count_per_event () =
+  let svc = Service.of_config Service.default_config in
+  let server = Server.create svc in
+  let bytes = Lazy.force hello_bytes in
+  let submit () =
+    match Server.handle_request server (Msg.Submit bytes) with
+    | Msg.Submitted h -> h
+    | _ -> Alcotest.fail "submit refused"
+  in
+  let h = submit () in
+  ignore (submit ());
+  let run engine =
+    match
+      Server.handle_request server
+        (Msg.Run
+           { Msg.rs_handle = h; rs_engine = engine; rs_sfi = true;
+             rs_mode = Msg.M_default; rs_fuel = Some fuel;
+             rs_deadline_s = None; rs_want_cert = false })
+    with
+    | Msg.Ran _ -> ()
+    | _ -> Alcotest.fail "run refused"
+  in
+  run Exec.Fast;
+  run Exec.Fast;
+  (* one cold target run, then one warm *)
+  run (Exec.Target Arch.Mips);
+  run (Exec.Target Arch.Mips);
+  let counters =
+    (Omni_obs.Metrics.snapshot (Service.metrics svc)).Omni_obs.Metrics.counters
+  in
+  let value name =
+    match List.assoc_opt name counters with
+    | Some v -> v
+    | None -> Alcotest.failf "%s not registered" name
+  in
+  Alcotest.(check int) "vm.predecode.miss" 1 (value "vm.predecode.miss");
+  Alcotest.(check int) "vm.predecode.hit" 1 (value "vm.predecode.hit");
+  Alcotest.(check int) "service.dedup_hits" 1 (value "service.dedup_hits");
+  Alcotest.(check int) "service.cache.hits" 1 (value "service.cache.hits");
+  Alcotest.(check int) "service.cache.cert_check" 1
+    (value "service.cache.cert_check");
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " not registered") false
+        (List.mem_assoc name counters))
+    [ "cache.hits"; "cache.misses"; "cache.cert.check"; "store.dedup_hits" ]
+
 let e2e_native_mode () =
   with_loopback @@ fun _svc _server client ->
   let bytes = Lazy.force hello_bytes in
@@ -717,7 +768,9 @@ let () =
        [ Alcotest.test_case "identity across engines × SFI" `Quick
            e2e_identity;
          Alcotest.test_case "native baseline mode" `Quick e2e_native_mode;
-         Alcotest.test_case "api remote path" `Quick api_remote_path ]);
+         Alcotest.test_case "api remote path" `Quick api_remote_path;
+         Alcotest.test_case "one count per serving event" `Quick
+           one_count_per_event ]);
       ("hostile",
        [ Alcotest.test_case "frames" `Quick hostile_frames;
          Alcotest.test_case "frame boundaries" `Quick frame_boundaries;

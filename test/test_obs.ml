@@ -156,6 +156,19 @@ let monotonic_clock () =
   | () -> Alcotest.fail "advanced the monotonic clock"
   | exception Invalid_argument _ -> ()
 
+(* The default tracer clock is wall time: a span around a sleep lasts at
+   least the sleep, though the process spends no CPU in it. *)
+let default_clock_measures_latency () =
+  let c = Trace.collector () in
+  let t = Trace.make (Trace.Collect c) in
+  Trace.with_span t "sleep" (fun () -> Unix.sleepf 0.02);
+  match Trace.collected c with
+  | [ s ] ->
+      Alcotest.(check bool)
+        (Printf.sprintf "dur_s %.4f >= 0.02" s.Trace.dur_s)
+        true (s.Trace.dur_s >= 0.02)
+  | _ -> Alcotest.fail "expected one span"
+
 (* --- histogram bucket boundaries --- *)
 
 let bucket_boundaries () =
@@ -312,6 +325,8 @@ let () =
          Alcotest.test_case "one pass observation per translation" `Quick
            translation_passes_once;
          Alcotest.test_case "monotonic clock" `Quick monotonic_clock;
+         Alcotest.test_case "default clock measures latency" `Quick
+           default_clock_measures_latency;
          Alcotest.test_case "json escaping" `Quick json_escaping ]);
       ("metrics",
        [ Alcotest.test_case "bucket boundaries" `Quick bucket_boundaries;
