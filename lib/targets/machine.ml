@@ -106,7 +106,10 @@ let new_stats () =
    counted when it retires, its origin index in the low three bits, then
    the flags below (-1: not yet decoded). A retirement only adds one to
    the slot's count; [finish] folds the counts into the run's [stats]
-   once, when it ends. A table is the run's alone while it runs;
+   once, when it ends. The table also holds the run's segment memo
+   ([Pipeline.segment]): a slot's costs never change during a run, so a
+   segment's timing, once stepped, holds for every later entry into it
+   in the same state. A table is the run's alone while it runs;
    afterwards it goes back to a one-table spare per domain, so a server
    running one request after another decodes into the same storage
    instead of leaving a table per run to the major heap. Tables are not
@@ -123,6 +126,7 @@ type table = {
   costs : Pipeline.costs;
   tags : int array;
   counts : int array; (* times each slot retired in this run *)
+  memo : Pipeline.memo; (* the run's segment timings *)
 }
 
 let max_spare_slots = 1 lsl 16
@@ -130,9 +134,10 @@ let max_spare_slots = 1 lsl 16
 let spare : table option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-(* A table for [n] slots, none decoded or run. Taking the spare is a
-   straight line with no allocation, so no thread switch can hand it out
-   twice. Only its first [n] slots are reset: nothing reads past them. *)
+(* A table for [n] slots, none decoded or run, its memo empty. Taking
+   the spare is a straight line with no allocation, so no thread switch
+   can hand it out twice. Only its first [n] slots are reset: nothing
+   reads past them. *)
 let take_table n =
   let s = Domain.DLS.get spare in
   match !s with
@@ -140,10 +145,11 @@ let take_table n =
       s := None;
       Array.fill t.tags 0 n (-1);
       Array.fill t.counts 0 n 0;
+      Pipeline.reset t.memo n;
       t
   | Some _ | None ->
       { costs = Pipeline.costs n; tags = Array.make n (-1);
-        counts = Array.make n 0 }
+        counts = Array.make n 0; memo = Pipeline.memo n }
 
 (* Keep [t] as the spare unless the spare is at least as large. *)
 let give_table t =

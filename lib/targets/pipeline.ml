@@ -91,7 +91,10 @@ type t = {
   mutable last_class : int;
 }
 
-let create cfg = {
+let create cfg =
+  if cfg.issue_width < 1 || cfg.issue_width > 63 then
+    invalid_arg "Pipeline.create: issue width";
+  {
   width = cfg.issue_width;
   penalty = cfg.taken_branch_penalty;
   pairs =
@@ -118,11 +121,10 @@ let rec set_ready (ready : int array) defs cycle =
   end
 
 (* Retire instruction [k] of [c]: add one to its count in [counts] and
-   account it in [t.cycle]. The simulators call this once per instruction
-   and the build compiles modules opaquely, so nothing here is inlined
-   into them: it is one call that does all of a retirement's accounting,
-   with the first resource of each list handled in line, since most lists
-   hold one or two. *)
+   account it in [t.cycle]. This is the slow path of [segment] below,
+   which charges a whole segment with one call, and of a run that stops
+   inside one; the first resource of each list is handled in line, since
+   most lists hold one or two. *)
 let retire t (c : costs) (counts : int array) k ~taken_branch =
   let i = 3 * k in
   if i < 0 || i + 2 >= Array.length c || k >= Array.length counts then
@@ -166,3 +168,178 @@ let retire t (c : costs) (counts : int array) k ~taken_branch =
   end
 
 let cycles t = t.cycle + 1
+
+(* Retire [first..last] one instruction at a time, slot [taken_at]
+   taking its branch (-1: none does). *)
+let step t c counts first last ~taken_at =
+  for k = first to last do
+    retire t c counts k ~taken_branch:(k = taken_at)
+  done
+
+(* --- segment memo ---
+
+   A segment is a straight-line run of slots [first..last]. Its effect on
+   [t] depends on no register value, only on the issue state and on when
+   the resources it reads before writing them (its exposed uses) become
+   ready, and only relative to the cycle it starts in: shifting every
+   ready cycle and the start cycle by the same amount shifts the result
+   by it too. A use ready at or before the start cycle cannot stall, so
+   its relative ready time clips to 0, and since the cycle only grows no
+   later slot can tell the difference. So the key below — the issue
+   count, the last unit class and each exposed use's clipped relative
+   ready time — fixes the segment's result: the cycles it adds, the issue
+   state it leaves, and the ready time, relative to the start cycle, of
+   each resource it writes.
+
+   A memo holds one result per (first slot, taken), the range a run
+   steps from a slot being fixed by those two, in a flat pool of ints:
+
+     e     the range's last slot
+     e+1   the exposed uses, packed as a resource list, or -1 when there
+           are more than [key_uses] of them: such a segment is always
+           stepped
+     e+2   the key the result below was stepped from (-1: none yet)
+     e+3   the cycles added, then the issue count in 6 bits and the unit
+           class in 2
+     e+4   how many distinct resources the segment writes
+     e+5.. for each, its ready time relative to the start cycle, then its
+           id in 7 bits
+
+   A key packs the issue count in 6 bits, the unit class in 2, then
+   [key_uses] fields of [field_bits] each: 6 + 2 + 48 bits. A use ready
+   more than [field_max] cycles ahead does not fit, and a segment entered
+   so is stepped without being stored. *)
+
+type memo = {
+  index : int array; (* 2 * first + taken -> entry, or -1 *)
+  mutable pool : int array; (* grows as segments are first met *)
+  mutable used : int;
+  marks : int array; (* per resource, for [entry]; see there *)
+  mutable epoch : int;
+}
+
+let key_uses = 8
+let field_bits = 6
+let field_max = (1 lsl field_bits) - 1
+
+let memo n =
+  { index = Array.make (2 * n) (-1); pool = [||]; used = 0;
+    marks = Array.make resources 0; epoch = 0 }
+
+let reset m n =
+  Array.fill m.index 0 (2 * n) (-1);
+  m.used <- 0
+
+let memo_words m = m.used
+
+(* The key of a segment with exposed uses [p] entered in [t]'s state, or
+   -1 if a use is ready too far ahead. *)
+let rec fields (ready : int array) cycle p key shift =
+  if p = 0 then key
+  else
+    let r = Array.unsafe_get ready ((p land 127) - 1) - cycle in
+    let r = if r < 0 then 0 else r in
+    if r > field_max then -1
+    else fields ready cycle (p lsr 7) (key lor (r lsl shift)) (shift + field_bits)
+
+let key t p =
+  fields t.ready t.cycle p (t.issued_this_cycle lor (t.last_class lsl 6)) 8
+
+(* Add the entry for [first..last] to the pool and return it. [marks]
+   tells, for the resources seen so far, 2 * epoch: read first, and
+   2 * epoch + 1: written. *)
+let entry m (c : costs) first last =
+  let need = m.used + 5 + (3 * (last - first + 1)) in
+  if need > Array.length m.pool then begin
+    let pool = Array.make (max need (2 * Array.length m.pool)) 0 in
+    Array.blit m.pool 0 pool 0 m.used;
+    m.pool <- pool
+  end;
+  m.epoch <- m.epoch + 1;
+  let read = 2 * m.epoch and written = (2 * m.epoch) + 1 in
+  let e = m.used and pool = m.pool and marks = m.marks in
+  let exposed = ref 0 and uses = ref 0 and writes = ref 0 in
+  for k = first to last do
+    let p = ref c.(3 * k) in
+    while !p <> 0 do
+      let r = (!p land 127) - 1 in
+      if marks.(r) < read then begin
+        marks.(r) <- read;
+        if !uses < key_uses then
+          exposed := !exposed lor ((r + 1) lsl (7 * !uses));
+        incr uses
+      end;
+      p := !p lsr 7
+    done;
+    let p = ref c.((3 * k) + 1) in
+    while !p <> 0 do
+      let r = (!p land 127) - 1 in
+      if marks.(r) <> written then begin
+        marks.(r) <- written;
+        pool.(e + 5 + !writes) <- r;
+        incr writes
+      end;
+      p := !p lsr 7
+    done
+  done;
+  pool.(e) <- last;
+  if !uses > key_uses then begin
+    pool.(e + 1) <- -1;
+    m.used <- e + 2
+  end
+  else begin
+    pool.(e + 1) <- !exposed;
+    pool.(e + 2) <- -1;
+    pool.(e + 4) <- !writes;
+    m.used <- e + 5 + !writes
+  end;
+  e
+
+(* Charge [first..last] as [step] does, from the memo when the entry for
+   (first, taken) holds the result for [t]'s state, and store the result
+   when it does not. *)
+let segment t m c counts first last ~taken_at =
+  let slot = (2 * first) + if taken_at >= 0 then 1 else 0 in
+  if first < 0 || last < first || slot >= Array.length m.index
+     || (3 * last) + 2 >= Array.length c || last >= Array.length counts
+  then invalid_arg "Pipeline.segment";
+  let e = Array.unsafe_get m.index slot in
+  let e =
+    if e >= 0 then e
+    else begin
+      let e = entry m c first last in
+      m.index.(slot) <- e;
+      e
+    end
+  in
+  let pool = m.pool in
+  let exposed = pool.(e + 1) in
+  let k = if pool.(e) = last && exposed >= 0 then key t exposed else -1 in
+  if k < 0 then step t c counts first last ~taken_at
+  else if k = pool.(e + 2) then begin
+    (* a hit: the stored result, shifted to this start cycle *)
+    let cycle = t.cycle and ready = t.ready in
+    let r = pool.(e + 3) in
+    t.cycle <- cycle + (r lsr 8);
+    t.issued_this_cycle <- (r lsr 2) land 63;
+    t.last_class <- r land 3;
+    for j = e + 5 to e + 4 + pool.(e + 4) do
+      let w = Array.unsafe_get pool j in
+      Array.unsafe_set ready (w land 127) (cycle + (w lsr 7))
+    done;
+    for j = first to last do
+      Array.unsafe_set counts j (Array.unsafe_get counts j + 1)
+    done
+  end
+  else begin
+    let cycle = t.cycle and ready = t.ready in
+    step t c counts first last ~taken_at;
+    pool.(e + 2) <- k;
+    pool.(e + 3) <-
+      ((t.cycle - cycle) lsl 8) lor (t.issued_this_cycle lsl 2) lor t.last_class;
+    for j = e + 5 to e + 4 + pool.(e + 4) do
+      let id = pool.(j) land 127 in
+      pool.(j) <- ((ready.(id) - cycle) lsl 7) lor id
+    done
+  end
+

@@ -100,11 +100,57 @@ val set_ready : int array -> int -> int -> unit
 type t
 
 val create : config -> t
+(** @raise Invalid_argument if [issue_width] is outside 1..63. *)
 
 val retire : t -> costs -> int array -> int -> taken_branch:bool -> unit
 (** [retire t c counts k] accounts one retired instruction, number [k] of
-    [c], and adds one to [counts.(k)].
+    [c], and adds one to [counts.(k)]: the model's definition, and the
+    slow path of {!segment}.
     @raise Invalid_argument if [k] is outside [c] or [counts]. *)
+
+val step : t -> costs -> int array -> int -> int -> taken_at:int -> unit
+(** [step t c counts first last ~taken_at] retires instructions [first]
+    to [last] in order, instruction [taken_at] taking its branch (-1:
+    none does). A run that stops inside a segment steps what it retired
+    of it. *)
 
 val cycles : t -> int
 (** Total simulated cycles so far. *)
+
+(** {2 Retiring a segment at a time}
+
+    A segment is the straight-line run of instructions a simulator
+    retires from the slot where execution entered up to its next control
+    instruction, and that instruction's delay slot when it executes. Its
+    effect on the model depends only on the issue state and, relative to
+    the cycle it starts in, on when the resources it reads before writing
+    them become ready; so a memo keyed by those replays it exactly. *)
+
+type memo
+(** Segment results for one {!costs} table under one {!config}, in one
+    flat pool of ints, two index ints per slot plus a few ints per
+    segment. *)
+
+val memo : int -> memo
+(** An empty memo for [n] slots. *)
+
+val reset : memo -> int -> unit
+(** [reset m n] empties [m] for [n] slots, keeping its storage. [m]
+    must have been made for at least [n] slots. *)
+
+val memo_words : memo -> int
+(** The ints [m]'s segment entries take, its index not included. *)
+
+val segment : t -> memo -> costs -> int array -> int -> int -> taken_at:int -> unit
+(** [segment t m c counts first last ~taken_at] does what {!step} does,
+    for a whole segment: [first] is where execution entered, [last] the
+    last instruction retired, and [taken_at] the control instruction when
+    its branch is taken, or -1. [m] keeps one entry per [first] and
+    whether the branch is taken, as they fix a simulator's range; a call
+    whose [last] is not the entry's is stepped. The result comes from
+    [m] when [m] holds it for [t]'s state; otherwise the segment is
+    stepped and the result stored, unless the segment reads more than
+    eight resources before writing them or one of them is ready more
+    than 63 cycles ahead.
+    @raise Invalid_argument if the range is outside [c], [counts] or
+    [m]. *)

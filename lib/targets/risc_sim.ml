@@ -2,11 +2,11 @@
 
    Executes the structured native instructions over the module's segmented
    memory, dispatches host calls through the runtime host, models branch
-   delay slots (with Sparc-style annulment), and feeds every retired
-   instruction to the generic pipeline cost model. A slot's costs are
-   decoded the first time it executes, so retiring an instruction
-   allocates nothing; its statistics are counted per slot and folded
-   when the run ends (see [Machine.finish]). *)
+   delay slots (with Sparc-style annulment), and charges the generic
+   pipeline cost model for what it retires, a segment of straight-line
+   code at a time. A slot's costs are decoded the first time it executes,
+   so retiring an instruction allocates nothing; its statistics are
+   counted per slot and folded when the run ends (see [Machine.finish]). *)
 
 open Risc
 module W = Omni_util.Word32
@@ -285,7 +285,16 @@ exception Exit_exn
    Interp.run; with no watchdog it never reaches zero. A step is polled
    once, its delay slot included; a delay slot spends fuel of its own. A
    run leaves the loop on a host call that exits, on running out of fuel,
-   or on a fault it cannot deliver. *)
+   or on a fault it cannot deliver.
+
+   The pipeline model is charged a segment at a time
+   ([Pipeline.segment]): the slots from [seg], where execution entered,
+   to the next control instruction and its delay slot. Until then
+   [retired] is the last slot of it that retired, and [taken_at] the
+   control instruction once it has retired taking its branch, so
+   whichever way the loop is left, what retired is stepped. A faulting
+   instruction has retired, unless it is a control instruction whose
+   target faults. *)
 let run ?(fuel = max_int) ?watchdog (prog : program) mem host :
     Machine.outcome * Machine.stats * state =
   let st = create prog mem host in
@@ -293,13 +302,14 @@ let run ?(fuel = max_int) ?watchdog (prog : program) mem host :
   let n = Array.length code in
   let delay = prog.cfg.has_delay_slot in
   let pipe = st.pipe and stats = st.stats in
-  let { Machine.costs; tags; counts } = st.table in
+  let { Machine.costs; tags; counts; memo } = st.table in
   let every =
     match watchdog with
     | Some w -> Omnivm.Watchdog.poll_every w
     | None -> max_int
   in
   let fuel = ref fuel and poll = ref every in
+  let seg = ref 0 and retired = ref (-1) and taken_at = ref (-1) in
   let outcome = ref None in
   let deliver f =
     match deliver_fault st f with
@@ -307,6 +317,9 @@ let run ?(fuel = max_int) ?watchdog (prog : program) mem host :
     | exception Omnivm.Fault.Vm_fault f -> outcome := Some (Machine.Faulted f)
   in
   while Option.is_none !outcome do
+    seg := st.pc;
+    retired := st.pc - 1;
+    taken_at := -1;
     match
       while true do
         decr poll;
@@ -324,12 +337,12 @@ let run ?(fuel = max_int) ?watchdog (prog : program) mem host :
           if t >= 0 then t else decode st pc
         in
         if tag land (Machine.tag_control lor Machine.tag_hcall) = 0 then begin
-          Pipeline.retire pipe costs counts pc ~taken_branch:false;
+          retired := pc;
           exec_simple st (Array.unsafe_get code pc).i;
           st.pc <- pc + 1
         end
         else if tag land Machine.tag_control = 0 then begin
-          Pipeline.retire pipe costs counts pc ~taken_branch:false;
+          retired := pc;
           exec_simple st (Array.unsafe_get code pc).i;
           st.pc <- pc + 1;
           if Option.is_some st.exited then raise_notrace Exit_exn
@@ -340,30 +353,41 @@ let run ?(fuel = max_int) ?watchdog (prog : program) mem host :
           let taken = target >= 0 in
           if taken && tag land Machine.tag_branch <> 0 then
             stats.Machine.taken_branches <- stats.Machine.taken_branches + 1;
-          Pipeline.retire pipe costs counts pc ~taken_branch:taken;
-          if delay then begin
+          let taken_pc = if taken then pc else -1 in
+          let last =
             (* execute the delay slot unless annulled *)
-            let d = pc + 1 in
-            if d < n && not (s.annul && not taken) then begin
+            if delay && pc + 1 < n && not (s.annul && not taken) then begin
+              let d = pc + 1 in
+              retired := pc;
+              taken_at := taken_pc;
               decr fuel;
               if !fuel < 0 then raise_notrace Out_of_fuel_exn;
               if Array.unsafe_get tags d < 0 then ignore (decode st d);
-              Pipeline.retire pipe costs counts d ~taken_branch:false;
-              exec_simple st (Array.unsafe_get code d).i
-            end;
-            st.pc <- (if taken then target else pc + 2);
-            if Option.is_some st.exited then raise_notrace Exit_exn
-          end
-          else st.pc <- (if taken then target else pc + 1)
+              retired := d;
+              exec_simple st (Array.unsafe_get code d).i;
+              taken_at := -1;
+              d
+            end
+            else pc
+          in
+          Pipeline.segment pipe memo costs counts !seg last ~taken_at:taken_pc;
+          st.pc <-
+            (if taken then target else if delay then pc + 2 else pc + 1);
+          seg := st.pc;
+          retired := st.pc - 1;
+          if Option.is_some st.exited then raise_notrace Exit_exn
         end
       done
     with
     | () -> ()
-    | exception Out_of_fuel_exn -> outcome := Some Machine.Out_of_fuel
-    | exception Exit_exn ->
-        outcome := Some (Machine.Exited (Option.get st.exited))
-    | exception Omnivm.Fault.Vm_fault f -> deliver f
-    | exception W.Division_by_zero -> deliver Omnivm.Fault.Division_by_zero
+    | exception e -> (
+        Pipeline.step pipe costs counts !seg !retired ~taken_at:!taken_at;
+        match e with
+        | Out_of_fuel_exn -> outcome := Some Machine.Out_of_fuel
+        | Exit_exn -> outcome := Some (Machine.Exited (Option.get st.exited))
+        | Omnivm.Fault.Vm_fault f -> deliver f
+        | W.Division_by_zero -> deliver Omnivm.Fault.Division_by_zero
+        | e -> raise e)
   done;
   Machine.finish stats pipe st.table n;
   (Option.get !outcome, stats, st)

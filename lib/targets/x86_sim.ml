@@ -1,7 +1,8 @@
 (* Functional + cycle-approximate simulator for translated x86 code. Like
    [Risc_sim], it decodes a slot's costs the first time the slot executes,
-   so retiring an instruction allocates nothing, and counts per slot,
-   folding the counts when the run ends. *)
+   so retiring an instruction allocates nothing, charges the pipeline
+   model a segment at a time, and counts per slot, folding the counts
+   when the run ends. *)
 
 open X86
 module W = Omni_util.Word32
@@ -315,20 +316,22 @@ exception Out_of_fuel_exn
 exception Exit_exn
 
 (* One loop inside one exception handler, with fuel and the watchdog as
-   local countdowns: see Risc_sim.run. *)
+   local countdowns, charging the pipeline model a segment at a time:
+   see Risc_sim.run. *)
 let run ?(fuel = max_int) ?watchdog (prog : program) mem host :
     Machine.outcome * Machine.stats * state =
   let st = create prog mem host in
   let code = prog.code in
   let n = Array.length code in
   let pipe = st.pipe and stats = st.stats in
-  let { Machine.costs; tags; counts } = st.table in
+  let { Machine.costs; tags; counts; memo } = st.table in
   let every =
     match watchdog with
     | Some w -> Omnivm.Watchdog.poll_every w
     | None -> max_int
   in
   let fuel = ref fuel and poll = ref every in
+  let seg = ref 0 and retired = ref (-1) in
   let outcome = ref None in
   let deliver f =
     match deliver_fault st f with
@@ -336,6 +339,8 @@ let run ?(fuel = max_int) ?watchdog (prog : program) mem host :
     | exception Omnivm.Fault.Vm_fault f -> outcome := Some (Machine.Faulted f)
   in
   while Option.is_none !outcome do
+    seg := st.pc;
+    retired := st.pc - 1;
     match
       while true do
         decr poll;
@@ -353,12 +358,12 @@ let run ?(fuel = max_int) ?watchdog (prog : program) mem host :
           if t >= 0 then t else decode st pc
         in
         if tag land (Machine.tag_control lor Machine.tag_hcall) = 0 then begin
-          Pipeline.retire pipe costs counts pc ~taken_branch:false;
+          retired := pc;
           exec_simple st (Array.unsafe_get code pc).i;
           st.pc <- pc + 1
         end
         else if tag land Machine.tag_control = 0 then begin
-          Pipeline.retire pipe costs counts pc ~taken_branch:false;
+          retired := pc;
           exec_simple st (Array.unsafe_get code pc).i;
           st.pc <- pc + 1;
           if Option.is_some st.exited then raise_notrace Exit_exn
@@ -368,17 +373,23 @@ let run ?(fuel = max_int) ?watchdog (prog : program) mem host :
           let taken = target >= 0 in
           if taken && tag land Machine.tag_branch <> 0 then
             stats.Machine.taken_branches <- stats.Machine.taken_branches + 1;
-          Pipeline.retire pipe costs counts pc ~taken_branch:taken;
-          st.pc <- (if taken then target else pc + 1)
+          Pipeline.segment pipe memo costs counts !seg pc
+            ~taken_at:(if taken then pc else -1);
+          st.pc <- (if taken then target else pc + 1);
+          seg := st.pc;
+          retired := st.pc - 1
         end
       done
     with
     | () -> ()
-    | exception Out_of_fuel_exn -> outcome := Some Machine.Out_of_fuel
-    | exception Exit_exn ->
-        outcome := Some (Machine.Exited (Option.get st.exited))
-    | exception Omnivm.Fault.Vm_fault f -> deliver f
-    | exception W.Division_by_zero -> deliver Omnivm.Fault.Division_by_zero
+    | exception e -> (
+        Pipeline.step pipe costs counts !seg !retired ~taken_at:(-1);
+        match e with
+        | Out_of_fuel_exn -> outcome := Some Machine.Out_of_fuel
+        | Exit_exn -> outcome := Some (Machine.Exited (Option.get st.exited))
+        | Omnivm.Fault.Vm_fault f -> deliver f
+        | W.Division_by_zero -> deliver Omnivm.Fault.Division_by_zero
+        | e -> raise e)
   done;
   Machine.finish stats pipe st.table n;
   (Option.get !outcome, stats, st)

@@ -423,6 +423,91 @@ let pipeline_unit () =
   step t (op 4);
   Alcotest.(check int) "2-wide pairs" 2 (P.cycles t)
 
+(* --- segment memo: a replayed segment equals a stepped one ---
+
+   Random segments of 1-12 slots on each target's pipeline, entered one
+   to eight times, each time from the state a short random prefix of
+   stepped instructions leaves, with the branch taken or not: mostly
+   short latencies, so that entry states repeat and the memo is replayed
+   as often as it is refilled. After every call the memoized pipeline
+   and its counts must equal a copy stepped one [retire] at a time: the
+   whole scoreboard, the cycle, the issue count and the last unit class
+   ([P.t] holds only ints and arrays of them, so [=] compares all of
+   it). Resource pools of 16 and 80 make segments with more exposed uses
+   than a key holds, and latencies up to 80 make uses ready further
+   ahead than a key field holds. *)
+
+let pipeline_configs =
+  [| Risc.pipeline_config Risc.mips_cfg; Risc.pipeline_config Risc.sparc_cfg;
+     Risc.pipeline_config Risc.ppc_cfg; Omni_targets.X86.pipeline_config |]
+
+let gen_seg_cost resources =
+  QCheck.Gen.(
+    let packed most =
+      map
+        (List.fold_left (fun p r -> P.cons r p) 0)
+        (list_size (int_bound most) (int_bound (resources - 1)))
+    in
+    map4
+      (fun latency unit_ uses defs -> P.cost latency unit_ uses defs)
+      (frequency [ (4, int_bound 2); (1, int_bound 80) ])
+      (oneofl [ P.IU; P.FPU; P.LSU; P.BRU ])
+      (packed 4) (packed 3))
+
+(* (target, segment, whether its last slot is a delay slot, entries:
+   the prefix stepped before each and whether the branch is taken) *)
+let gen_seg_case =
+  QCheck.Gen.(
+    int_bound 3 >>= fun target ->
+    oneofl [ 4; 8; 16; 80 ] >>= fun resources ->
+    let cost = gen_seg_cost resources in
+    list_size (int_range 1 12) cost >>= fun segment ->
+    bool >>= fun delay ->
+    list_size (int_range 1 8) (pair (list_size (int_bound 3) cost) bool)
+    >>= fun entries -> return (target, segment, delay, entries))
+
+let print_seg_case (target, segment, delay, entries) =
+  let costs l = String.concat " " (List.map string_of_int l) in
+  Printf.sprintf "target %d delay %b segment [%s] entries %s" target delay
+    (costs segment)
+    (String.concat "; "
+       (List.map (fun (p, taken) -> Printf.sprintf "[%s] %b" (costs p) taken)
+          entries))
+
+let memo_equals_stepping (target, segment, delay, entries) =
+  let cfg = pipeline_configs.(target) in
+  let slots = Array.of_list (segment @ List.concat_map fst entries) in
+  let n = Array.length slots in
+  let c = P.costs n in
+  Array.iteri (P.set c) slots;
+  let last = List.length segment - 1 in
+  let branch = if delay && last > 0 then last - 1 else last in
+  let memoized = P.create cfg and stepped = P.create cfg in
+  let counts_m = Array.make n 0 and counts_s = Array.make n 0 in
+  let memo = P.memo n in
+  let next = ref (last + 1) in
+  List.for_all
+    (fun (prefix, taken) ->
+      List.iter
+        (fun _ ->
+          P.retire memoized c counts_m !next ~taken_branch:false;
+          P.retire stepped c counts_s !next ~taken_branch:false;
+          incr next)
+        prefix;
+      let taken_at = if taken then branch else -1 in
+      P.segment memoized memo c counts_m 0 last ~taken_at;
+      for k = 0 to last do
+        P.retire stepped c counts_s k ~taken_branch:(k = taken_at)
+      done;
+      memoized = stepped && counts_m = counts_s)
+    entries
+
+let segment_memo_exact =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:3000 ~name:"segment memo equals stepping"
+       (QCheck.make ~print:print_seg_case gen_seg_case)
+       memo_equals_stepping)
+
 (* --- golden simulator statistics ---
 
    The cycle model prices SFI, so any drift in it changes every reported
@@ -629,8 +714,10 @@ let golden_simulator_stats () =
     (Lazy.force spec_programs)
 
 (* A run takes its domain's spare decoded table, whose slots past the new
-   program's end still hold the last run's tags and counts: a smaller
-   program run after a larger one must fold only its own. *)
+   program's end still hold the last run's tags and counts, and whose
+   memo held the last run's segments: a smaller program run after a
+   larger one must fold only its own counts, and neither may replay a
+   segment the other stored. *)
 let recycled_table () =
   let progs = Lazy.force spec_programs in
   List.iter
@@ -644,7 +731,7 @@ let recycled_table () =
         Alcotest.failf "%s: eqntott is not the larger program" (Arch.name arch);
       List.iter
         (fun name -> check_golden name arch (run_spec arch (List.assoc name progs)))
-        [ "eqntott"; "g_sort" ])
+        [ "eqntott"; "g_sort"; "eqntott"; "g_sort" ])
     targets
 
 (* --- exit-path goldens ---
@@ -794,10 +881,22 @@ let landing_fuels = function
 
 let annulled_fuels = [ 1033; 1069 ]
 
+(* Sixteen consecutive budgets in a hot loop: every position in a
+   straight-line run of code, a branch and its delay slot included, is
+   the one a run stops on for one of them. *)
+let hot_fuels = List.init 16 (fun k -> 20001 + k)
+
 let exit_cases arch =
-  let g_sort = List.assoc "g_sort" (Lazy.force spec_programs) in
-  let sort_tr = lazy (Api.translate ~mode:sandbox arch g_sort) in
+  let program name =
+    let exe = List.assoc name (Lazy.force spec_programs) in
+    (exe, lazy (Api.translate ~mode:sandbox arch exe))
+  in
+  let g_sort, sort_tr = program "g_sort" in
   let sort ?fuel ?watchdog () = exit_line ?fuel ?watchdog (Lazy.force sort_tr) g_sort in
+  let eqntott_exe, eqntott_tr = program "eqntott" in
+  let eqntott ?fuel ?watchdog () =
+    exit_line ?fuel ?watchdog (Lazy.force eqntott_tr) eqntott_exe
+  in
   let asm ?(mode = sandbox) ?fuel ?watchdog exe () =
     exit_line ?fuel ?watchdog (Api.translate ~mode arch exe) exe
   in
@@ -806,7 +905,11 @@ let exit_cases arch =
   in
   List.map
     (fun fuel -> (Printf.sprintf "g_sort fuel %d" fuel, fun () -> sort ~fuel ()))
-    [ 0; 1; 2; 3; 17; 1000; 20001 ]
+    ([ 0; 1; 2; 3; 17; 1000 ] @ hot_fuels)
+  @ List.map
+      (fun fuel ->
+        (Printf.sprintf "eqntott fuel %d" fuel, fun () -> eqntott ~fuel ()))
+      hot_fuels
   @ List.map
       (fun (what, fuel) ->
         (Printf.sprintf "g_sort fuel %d (%s)" fuel what, fun () -> sort ~fuel ()))
@@ -843,6 +946,11 @@ let exit_cases arch =
       ( "g_sort watchdog and fuel",
         fun () ->
           sort ~fuel:2500 ~watchdog:(watchdog ~poll_every:3 ~budget_s:1000.0) ()
+      );
+      (* polled every step, so the deadline lands inside the hot loop's
+         straight-line code *)
+      ( "eqntott watchdog",
+        fun () -> eqntott ~watchdog:(watchdog ~poll_every:1 ~budget_s:20003.0) ()
       ) ]
 
 let exit_goldens =
@@ -981,140 +1089,262 @@ let exit_goldens =
      "fault wall-clock deadline exceeded; instrs 2999 cycles 3230 loads 934 stores 736 branches 270 taken 169 omni 1950 origins 1950/587/270/0/0/192; pc 171 regs 438ab96e525ecb25; output cbf29ce484222325");
     (("g_sort watchdog and fuel", "x86"),
      "out of fuel; instrs 2500 cycles 2760 loads 794 stores 658 branches 201 taken 130 omni 1606 origins 1606/527/202/0/0/165; pc 121 regs a0c784ed9a7ec304; output cbf29ce484222325");
-    (("g_sort fuel 0", "mips"),
-     "out of fuel; instrs 0 cycles 1 loads 0 stores 0 branches 0 taken 0 omni 0 origins 0/0/0/0/0/0; pc 0 regs e917f0614d381712; output cbf29ce484222325");
-    (("g_sort fuel 1", "mips"),
-     "out of fuel; instrs 1 cycles 1 loads 0 stores 0 branches 0 taken 0 omni 1 origins 1/0/0/0/0/0; pc 0 regs 9a14d9dda3fe9966; output cbf29ce484222325");
-    (("g_sort fuel 2", "mips"),
-     "out of fuel; instrs 2 cycles 2 loads 0 stores 0 branches 0 taken 0 omni 1 origins 1/0/0/0/1/0; pc 26 regs 9a14d9dda3fe9966; output cbf29ce484222325");
-    (("g_sort fuel 3", "mips"),
-     "out of fuel; instrs 3 cycles 3 loads 0 stores 0 branches 0 taken 0 omni 2 origins 2/0/0/0/1/0; pc 27 regs f4984722f5d6aa9a; output cbf29ce484222325");
-    (("g_sort fuel 17", "mips"),
-     "out of fuel; instrs 17 cycles 17 loads 0 stores 11 branches 0 taken 0 omni 15 origins 15/0/0/1/1/0; pc 41 regs f4984722f5d6aa9a; output cbf29ce484222325");
-    (("g_sort fuel 1000", "mips"),
-     "out of fuel; instrs 1000 cycles 1028 loads 141 stores 95 branches 84 taken 56 omni 773 origins 773/0/57/57/57/56; pc 44 regs 4cf45cab2979c803; output cbf29ce484222325");
-    (("g_sort fuel 20001", "mips"),
-     "out of fuel; instrs 20001 cycles 21107 loads 3078 stores 908 branches 2607 taken 1504 omni 13694 origins 13694/0/1841/1124/2560/782; pc 158 regs a611fa66b548de9b; output cbf29ce484222325");
-    (("g_sort fuel 1001 (delay slot)", "mips"),
-     "out of fuel; instrs 1001 cycles 1029 loads 141 stores 95 branches 85 taken 57 omni 774 origins 774/0/57/57/57/56; pc 44 regs 4cf45cab2979c803; output cbf29ce484222325");
-    (("g_sort fuel 1004 (delay slot)", "mips"),
-     "out of fuel; instrs 1004 cycles 1032 loads 141 stores 95 branches 86 taken 57 omni 776 origins 776/0/57/57/58/56; pc 49 regs 188a0670a4e5e7fe; output cbf29ce484222325");
-    (("handled wild store", "mips"),
-     "exit 0; instrs 12 cycles 12 loads 0 stores 0 branches 0 taken 0 omni 9 origins 9/0/0/2/0/1; pc 5 regs b9a8154781820bf3; output 07f8bc07b4ba5002");
-    (("unhandled wild store", "mips"),
-     "fault access violation: write at 0x40000000; instrs 4 cycles 4 loads 0 stores 0 branches 0 taken 0 omni 2 origins 2/0/0/1/0/1; pc 8 regs b9a8154781820bf3; output cbf29ce484222325");
-    (("unhandled division by zero", "mips"),
-     "fault integer division by zero; instrs 3 cycles 3 loads 0 stores 0 branches 0 taken 0 omni 3 origins 3/0/0/0/0/0; pc 7 regs 08c480769d5d8816; output cbf29ce484222325");
-    (("fault in handler", "mips"),
-     "fault integer division by zero; instrs 9 cycles 9 loads 0 stores 0 branches 0 taken 0 omni 8 origins 8/0/0/1/0/0; pc 2 regs 2a246c5edeab6614; output cbf29ce484222325");
-    (("watchdog", "mips"),
-     "fault wall-clock deadline exceeded; instrs 277 cycles 277 loads 0 stores 0 branches 0 taken 0 omni 277 origins 277/0/0/0/0/0; pc 6 regs 6a3630a5c5fc7a1c; output cbf29ce484222325");
-    (("watchdog to handler", "mips"),
-     "fault wall-clock deadline exceeded; instrs 88 cycles 88 loads 0 stores 0 branches 0 taken 0 omni 87 origins 87/0/0/1/0/0; pc 4 regs 297289056f37287a; output 08175e07b4d460d7");
-    (("g_sort watchdog", "mips"),
-     "fault wall-clock deadline exceeded; instrs 3509 cycles 3662 loads 524 stores 238 branches 389 taken 236 omni 2547 origins 2547/0/267/193/342/160; pc 121 regs 73595d262cee1b84; output cbf29ce484222325");
-    (("g_sort watchdog and fuel", "mips"),
-     "out of fuel; instrs 2500 cycles 2595 loads 368 stores 194 branches 253 taken 159 omni 1863 origins 1863/0/171/138/206/122; pc 148 regs fc952ace6b9b9f1a; output cbf29ce484222325");
-    (("g_sort fuel 0", "sparc"),
-     "out of fuel; instrs 0 cycles 1 loads 0 stores 0 branches 0 taken 0 omni 0 origins 0/0/0/0/0/0; pc 0 regs e917f0614d381712; output cbf29ce484222325");
-    (("g_sort fuel 1", "sparc"),
-     "out of fuel; instrs 1 cycles 1 loads 0 stores 0 branches 0 taken 0 omni 1 origins 1/0/0/0/0/0; pc 0 regs 9a14d9dda3fe9966; output cbf29ce484222325");
-    (("g_sort fuel 2", "sparc"),
-     "out of fuel; instrs 2 cycles 2 loads 0 stores 0 branches 0 taken 0 omni 1 origins 1/0/0/0/1/0; pc 26 regs 9a14d9dda3fe9966; output cbf29ce484222325");
-    (("g_sort fuel 3", "sparc"),
-     "out of fuel; instrs 3 cycles 3 loads 0 stores 0 branches 0 taken 0 omni 2 origins 2/0/0/0/1/0; pc 27 regs f4984722f5d6aa9a; output cbf29ce484222325");
-    (("g_sort fuel 17", "sparc"),
-     "out of fuel; instrs 17 cycles 17 loads 0 stores 11 branches 0 taken 0 omni 15 origins 15/0/0/1/1/0; pc 41 regs f4984722f5d6aa9a; output cbf29ce484222325");
-    (("g_sort fuel 1000", "sparc"),
-     "out of fuel; instrs 1000 cycles 1054 loads 134 stores 90 branches 80 taken 53 omni 732 origins 732/0/80/55/81/52; pc 64 regs 24fa6e62038c453b; output cbf29ce484222325");
-    (("g_sort fuel 20001", "sparc"),
-     "out of fuel; instrs 20001 cycles 21167 loads 3112 stores 918 branches 2635 taken 1520 omni 13842 origins 13842/0/2636/97/2636/790; pc 111 regs c556e88df9ee9c97; output cbf29ce484222325");
-    (("g_sort fuel 1004 (delay slot)", "sparc"),
-     "out of fuel; instrs 1004 cycles 1058 loads 134 stores 90 branches 81 taken 54 omni 735 origins 735/0/81/55/81/52; pc 67 regs b966ed9ec063b11c; output cbf29ce484222325");
-    (("g_sort fuel 1015 (delay slot)", "sparc"),
-     "out of fuel; instrs 1015 cycles 1069 loads 135 stores 91 branches 81 taken 54 omni 743 origins 743/0/81/55/82/54; pc 79 regs d5b0b3d209a63025; output cbf29ce484222325");
-    (("annulled g_sort", "sparc"),
-     "exit 0; instrs 35065 cycles 37382 loads 5937 stores 1877 branches 4772 taken 2739 omni 25734 origins 25734/0/4772/98/2787/1674; pc 283 regs fe3c37ebe05d33a2; output 12a3efa6fa5e0aee");
-    (("annulled g_sort fuel 1033", "sparc"),
-     "out of fuel; instrs 1033 cycles 1089 loads 141 stores 95 branches 86 taken 57 omni 776 origins 776/0/86/57/58/56; pc 52 regs 188a0670a4e5e7fe; output cbf29ce484222325");
-    (("annulled g_sort fuel 1069", "sparc"),
-     "out of fuel; instrs 1069 cycles 1127 loads 146 stores 98 branches 89 taken 59 omni 803 origins 803/0/89/59/60/58; pc 52 regs ca490e80bd94747e; output cbf29ce484222325");
-    (("handled wild store", "sparc"),
-     "exit 0; instrs 12 cycles 12 loads 0 stores 0 branches 0 taken 0 omni 9 origins 9/0/0/2/0/1; pc 5 regs b9a8154781820bf3; output 07f8bc07b4ba5002");
-    (("unhandled wild store", "sparc"),
-     "fault access violation: write at 0x40000000; instrs 4 cycles 4 loads 0 stores 0 branches 0 taken 0 omni 2 origins 2/0/0/1/0/1; pc 8 regs b9a8154781820bf3; output cbf29ce484222325");
-    (("unhandled division by zero", "sparc"),
-     "fault integer division by zero; instrs 3 cycles 3 loads 0 stores 0 branches 0 taken 0 omni 3 origins 3/0/0/0/0/0; pc 7 regs 08c480769d5d8816; output cbf29ce484222325");
-    (("fault in handler", "sparc"),
-     "fault integer division by zero; instrs 9 cycles 9 loads 0 stores 0 branches 0 taken 0 omni 8 origins 8/0/0/1/0/0; pc 2 regs 2a246c5edeab6614; output cbf29ce484222325");
-    (("watchdog", "sparc"),
-     "fault wall-clock deadline exceeded; instrs 277 cycles 277 loads 0 stores 0 branches 0 taken 0 omni 277 origins 277/0/0/0/0/0; pc 6 regs 6a3630a5c5fc7a1c; output cbf29ce484222325");
-    (("watchdog to handler", "sparc"),
-     "fault wall-clock deadline exceeded; instrs 88 cycles 88 loads 0 stores 0 branches 0 taken 0 omni 87 origins 87/0/0/1/0/0; pc 4 regs 297289056f37287a; output 08175e07b4d460d7");
-    (("g_sort watchdog", "sparc"),
-     "fault wall-clock deadline exceeded; instrs 3493 cycles 3689 loads 510 stores 234 branches 377 taken 229 omni 2485 origins 2485/0/377/97/378/156; pc 138 regs 815129daa917ff24; output cbf29ce484222325");
-    (("g_sort watchdog and fuel", "sparc"),
-     "out of fuel; instrs 2500 cycles 2637 loads 353 stores 191 branches 240 taken 152 omni 1802 origins 1802/0/240/97/241/120; pc 163 regs 9375484edeb295fd; output cbf29ce484222325");
-    (("g_sort fuel 0", "ppc"),
-     "out of fuel; instrs 0 cycles 1 loads 0 stores 0 branches 0 taken 0 omni 0 origins 0/0/0/0/0/0; pc 0 regs e917f0614d381712; output cbf29ce484222325");
-    (("g_sort fuel 1", "ppc"),
-     "out of fuel; instrs 1 cycles 2 loads 0 stores 0 branches 0 taken 0 omni 1 origins 1/0/0/0/0/0; pc 24 regs 9a14d9dda3fe9966; output cbf29ce484222325");
-    (("g_sort fuel 2", "ppc"),
-     "out of fuel; instrs 2 cycles 2 loads 0 stores 0 branches 0 taken 0 omni 2 origins 2/0/0/0/0/0; pc 25 regs f4984722f5d6aa9a; output cbf29ce484222325");
-    (("g_sort fuel 3", "ppc"),
-     "out of fuel; instrs 3 cycles 3 loads 0 stores 1 branches 0 taken 0 omni 3 origins 3/0/0/0/0/0; pc 26 regs f4984722f5d6aa9a; output cbf29ce484222325");
-    (("g_sort fuel 17", "ppc"),
-     "out of fuel; instrs 17 cycles 17 loads 1 stores 11 branches 0 taken 0 omni 16 origins 16/0/0/1/0/0; pc 40 regs f4984722f5d6aa9a; output cbf29ce484222325");
-    (("g_sort fuel 1000", "ppc"),
-     "out of fuel; instrs 1000 cycles 1121 loads 149 stores 99 branches 90 taken 60 omni 819 origins 819/0/90/61/0/30; pc 69 regs 2e1c9b969c156fe3; output cbf29ce484222325");
-    (("g_sort fuel 20001", "ppc"),
-     "out of fuel; instrs 20001 cycles 26174 loads 3461 stores 1010 branches 2939 taken 1693 omni 15364 origins 15364/0/2939/1262/0/436; pc 145 regs 9cbbdaf428eedbf4; output cbf29ce484222325");
-    (("handled wild store", "ppc"),
-     "exit 0; instrs 12 cycles 12 loads 0 stores 0 branches 0 taken 0 omni 9 origins 9/0/0/2/0/1; pc 5 regs b9a8154781820bf3; output 07f8bc07b4ba5002");
-    (("unhandled wild store", "ppc"),
-     "fault access violation: write at 0x40000000; instrs 4 cycles 4 loads 0 stores 0 branches 0 taken 0 omni 2 origins 2/0/0/1/0/1; pc 8 regs b9a8154781820bf3; output cbf29ce484222325");
-    (("unhandled division by zero", "ppc"),
-     "fault integer division by zero; instrs 3 cycles 3 loads 0 stores 0 branches 0 taken 0 omni 3 origins 3/0/0/0/0/0; pc 7 regs 08c480769d5d8816; output cbf29ce484222325");
-    (("fault in handler", "ppc"),
-     "fault integer division by zero; instrs 9 cycles 9 loads 0 stores 0 branches 0 taken 0 omni 8 origins 8/0/0/1/0/0; pc 2 regs 2a246c5edeab6614; output cbf29ce484222325");
-    (("watchdog", "ppc"),
-     "fault wall-clock deadline exceeded; instrs 139 cycles 71 loads 0 stores 0 branches 0 taken 0 omni 139 origins 139/0/0/0/0/0; pc 6 regs d65bde9418bef097; output cbf29ce484222325");
-    (("watchdog to handler", "ppc"),
-     "fault wall-clock deadline exceeded; instrs 48 cycles 28 loads 0 stores 0 branches 0 taken 0 omni 47 origins 47/0/0/1/0/0; pc 4 regs cfd067fb779d6106; output 08175e07b4d460d7");
-    (("g_sort watchdog", "ppc"),
-     "fault wall-clock deadline exceeded; instrs 2999 cycles 3647 loads 488 stores 228 branches 357 taken 218 omni 2387 origins 2387/0/357/180/0/75; pc 136 regs a0b5a63d79f31ece; output cbf29ce484222325");
-    (("g_sort watchdog and fuel", "ppc"),
-     "out of fuel; instrs 2500 cycles 2985 loads 400 stores 204 branches 281 taken 175 omni 2005 origins 2005/0/281/149/0/65; pc 124 regs a3f1813ebed92b6b; output cbf29ce484222325");
-    (("g_sort fuel 0", "x86"),
-     "out of fuel; instrs 0 cycles 1 loads 0 stores 0 branches 0 taken 0 omni 0 origins 0/0/0/0/0/0; pc 0 regs e917f0614d381712; output cbf29ce484222325");
-    (("g_sort fuel 1", "x86"),
-     "out of fuel; instrs 1 cycles 2 loads 0 stores 0 branches 0 taken 0 omni 1 origins 1/0/0/0/0/0; pc 31 regs 9a14d9dda3fe9966; output cbf29ce484222325");
-    (("g_sort fuel 2", "x86"),
-     "out of fuel; instrs 2 cycles 2 loads 0 stores 0 branches 0 taken 0 omni 2 origins 2/0/0/0/0/0; pc 32 regs f4984722f5d6aa9a; output cbf29ce484222325");
-    (("g_sort fuel 3", "x86"),
-     "out of fuel; instrs 3 cycles 3 loads 0 stores 1 branches 0 taken 0 omni 3 origins 3/0/0/0/0/0; pc 33 regs f4984722f5d6aa9a; output cbf29ce484222325");
-    (("g_sort fuel 17", "x86"),
-     "out of fuel; instrs 17 cycles 13 loads 2 stores 11 branches 0 taken 0 omni 15 origins 15/2/0/0/0/0; pc 47 regs f4984722f5d6aa9a; output cbf29ce484222325");
-    (("g_sort fuel 1000", "x86"),
-     "out of fuel; instrs 1000 cycles 1134 loads 322 stores 284 branches 69 taken 46 omni 630 origins 630/232/69/0/0/69; pc 87 regs 12cf16f1a96751ea; output cbf29ce484222325");
-    (("g_sort fuel 20001", "x86"),
-     "out of fuel; instrs 20001 cycles 19246 loads 5822 stores 3382 branches 2563 taken 1479 omni 13479 origins 13479/2804/2563/0/0/1155; pc 119 regs 0dc5f56bbb627016; output cbf29ce484222325");
-    (("handled wild store", "x86"),
-     "exit 0; instrs 11 cycles 6 loads 0 stores 0 branches 0 taken 0 omni 9 origins 9/0/0/0/0/2; pc 5 regs b9a8154781820bf3; output 07f8bc07b4ba5002");
-    (("unhandled wild store", "x86"),
-     "fault access violation: write at 0x40000000; instrs 4 cycles 3 loads 0 stores 0 branches 0 taken 0 omni 2 origins 2/0/0/0/0/2; pc 8 regs b9a8154781820bf3; output cbf29ce484222325");
-    (("unhandled division by zero", "x86"),
-     "fault integer division by zero; instrs 5 cycles 4 loads 0 stores 0 branches 0 taken 0 omni 3 origins 3/2/0/0/0/0; pc 9 regs 08c480769d5d8816; output cbf29ce484222325");
-    (("fault in handler", "x86"),
-     "fault integer division by zero; instrs 12 cycles 9 loads 0 stores 0 branches 0 taken 0 omni 8 origins 8/4/0/0/0/0; pc 4 regs 2a246c5edeab6614; output cbf29ce484222325");
-    (("watchdog", "x86"),
-     "fault wall-clock deadline exceeded; instrs 139 cycles 71 loads 0 stores 0 branches 0 taken 0 omni 139 origins 139/0/0/0/0/0; pc 6 regs d65bde9418bef097; output cbf29ce484222325");
-    (("watchdog to handler", "x86"),
-     "fault wall-clock deadline exceeded; instrs 48 cycles 25 loads 0 stores 0 branches 0 taken 0 omni 48 origins 48/0/0/0/0/0; pc 4 regs d9da6baa4f4c8b87; output 08175e07b4d460d7");
-    (("g_sort watchdog", "x86"),
-     "fault wall-clock deadline exceeded; instrs 2999 cycles 3230 loads 934 stores 736 branches 270 taken 169 omni 1950 origins 1950/587/270/0/0/192; pc 171 regs 438ab96e525ecb25; output cbf29ce484222325");
-    (("g_sort watchdog and fuel", "x86"),
-     "out of fuel; instrs 2500 cycles 2760 loads 794 stores 658 branches 201 taken 130 omni 1606 origins 1606/527/202/0/0/165; pc 121 regs a0c784ed9a7ec304; output cbf29ce484222325");
+    (("g_sort fuel 20002", "mips"),
+     "out of fuel; instrs 20002 cycles 21108 loads 3078 stores 909 branches 2607 taken 1504 omni 13695 origins 13695/0/1841/1124/2560/782; pc 159 regs a611fa66b548de9b; output cbf29ce484222325");
+    (("g_sort fuel 20003", "mips"),
+     "out of fuel; instrs 20003 cycles 21109 loads 3079 stores 909 branches 2607 taken 1504 omni 13696 origins 13696/0/1841/1124/2560/782; pc 160 regs d5101141cf347aa4; output cbf29ce484222325");
+    (("g_sort fuel 20004", "mips"),
+     "out of fuel; instrs 20004 cycles 21110 loads 3079 stores 909 branches 2607 taken 1504 omni 13697 origins 13697/0/1841/1124/2560/782; pc 161 regs d8bc0cf946bf5333; output cbf29ce484222325");
+    (("g_sort fuel 20005", "mips"),
+     "out of fuel; instrs 20005 cycles 21111 loads 3079 stores 909 branches 2607 taken 1504 omni 13698 origins 13698/0/1841/1124/2560/782; pc 162 regs afcb9863bf1de2b2; output cbf29ce484222325");
+    (("g_sort fuel 20006", "mips"),
+     "out of fuel; instrs 20006 cycles 21112 loads 3079 stores 909 branches 2607 taken 1504 omni 13699 origins 13699/0/1841/1124/2560/782; pc 162 regs afcb9863bf1de2b2; output cbf29ce484222325");
+    (("g_sort fuel 20007", "mips"),
+     "out of fuel; instrs 20007 cycles 21113 loads 3079 stores 910 branches 2607 taken 1504 omni 13700 origins 13700/0/1841/1124/2560/782; pc 106 regs afcb9863bf1de2b2; output cbf29ce484222325");
+    (("g_sort fuel 20008", "mips"),
+     "out of fuel; instrs 20008 cycles 21114 loads 3080 stores 910 branches 2607 taken 1504 omni 13701 origins 13701/0/1841/1124/2560/782; pc 107 regs afcb9863bf1de2b2; output cbf29ce484222325");
+    (("g_sort fuel 20009", "mips"),
+     "out of fuel; instrs 20009 cycles 21115 loads 3080 stores 910 branches 2607 taken 1504 omni 13702 origins 13702/0/1841/1124/2560/782; pc 108 regs 5a76fcd09bb02993; output cbf29ce484222325");
+    (("g_sort fuel 20010", "mips"),
+     "out of fuel; instrs 20010 cycles 21116 loads 3080 stores 910 branches 2607 taken 1504 omni 13702 origins 13702/0/1842/1124/2560/782; pc 109 regs 5a76fcd09bb02993; output cbf29ce484222325");
+    (("g_sort fuel 20011", "mips"),
+     "out of fuel; instrs 20011 cycles 21117 loads 3080 stores 910 branches 2608 taken 1504 omni 13703 origins 13703/0/1842/1124/2560/782; pc 109 regs 5a76fcd09bb02993; output cbf29ce484222325");
+    (("g_sort fuel 20012", "mips"),
+     "out of fuel; instrs 20012 cycles 21118 loads 3080 stores 910 branches 2608 taken 1504 omni 13703 origins 13703/0/1842/1124/2561/782; pc 111 regs 5a76fcd09bb02993; output cbf29ce484222325");
+    (("g_sort fuel 20013", "mips"),
+     "out of fuel; instrs 20013 cycles 21119 loads 3080 stores 910 branches 2608 taken 1504 omni 13704 origins 13704/0/1842/1124/2561/782; pc 111 regs 5a76fcd09bb02993; output cbf29ce484222325");
+    (("g_sort fuel 20014", "mips"),
+     "out of fuel; instrs 20014 cycles 21120 loads 3080 stores 910 branches 2608 taken 1504 omni 13705 origins 13705/0/1842/1124/2561/782; pc 114 regs 3e8c59affebb036f; output cbf29ce484222325");
+    (("g_sort fuel 20015", "mips"),
+     "out of fuel; instrs 20015 cycles 21121 loads 3080 stores 910 branches 2609 taken 1504 omni 13706 origins 13706/0/1842/1124/2561/782; pc 114 regs 3e8c59affebb036f; output cbf29ce484222325");
+    (("g_sort fuel 20016", "mips"),
+     "out of fuel; instrs 20016 cycles 21122 loads 3080 stores 910 branches 2609 taken 1504 omni 13706 origins 13706/0/1842/1124/2562/782; pc 116 regs 3e8c59affebb036f; output cbf29ce484222325");
+    (("eqntott fuel 20001", "mips"),
+     "out of fuel; instrs 20001 cycles 33557 loads 2212 stores 1071 branches 972 taken 676 omni 11484 origins 11484/2166/948/2036/1944/1423; pc 946 regs a251a759c9d5a0cc; output cbf29ce484222325");
+    (("eqntott fuel 20002", "mips"),
+     "out of fuel; instrs 20002 cycles 33558 loads 2212 stores 1071 branches 972 taken 676 omni 11484 origins 11484/2166/948/2036/1944/1424; pc 947 regs a251a759c9d5a0cc; output cbf29ce484222325");
+    (("eqntott fuel 20003", "mips"),
+     "out of fuel; instrs 20003 cycles 33559 loads 2212 stores 1071 branches 972 taken 676 omni 11484 origins 11484/2166/948/2036/1944/1425; pc 948 regs a251a759c9d5a0cc; output cbf29ce484222325");
+    (("eqntott fuel 20004", "mips"),
+     "out of fuel; instrs 20004 cycles 33560 loads 2212 stores 1071 branches 972 taken 676 omni 11485 origins 11485/2166/948/2036/1944/1425; pc 948 regs a251a759c9d5a0cc; output cbf29ce484222325");
+    (("eqntott fuel 20005", "mips"),
+     "out of fuel; instrs 20005 cycles 33561 loads 2212 stores 1072 branches 972 taken 676 omni 11486 origins 11486/2166/948/2036/1944/1425; pc 929 regs a251a759c9d5a0cc; output cbf29ce484222325");
+    (("eqntott fuel 20006", "mips"),
+     "out of fuel; instrs 20006 cycles 33562 loads 2212 stores 1072 branches 972 taken 676 omni 11487 origins 11487/2166/948/2036/1944/1425; pc 930 regs 3367c61638bfb79f; output cbf29ce484222325");
+    (("eqntott fuel 20007", "mips"),
+     "out of fuel; instrs 20007 cycles 33563 loads 2212 stores 1072 branches 972 taken 676 omni 11488 origins 11488/2166/948/2036/1944/1425; pc 931 regs 8a953a5e74c9b04a; output cbf29ce484222325");
+    (("eqntott fuel 20008", "mips"),
+     "out of fuel; instrs 20008 cycles 33564 loads 2212 stores 1072 branches 972 taken 676 omni 11489 origins 11489/2166/948/2036/1944/1425; pc 931 regs 8a953a5e74c9b04a; output cbf29ce484222325");
+    (("eqntott fuel 20009", "mips"),
+     "out of fuel; instrs 20009 cycles 33565 loads 2212 stores 1072 branches 972 taken 676 omni 11490 origins 11490/2166/948/2036/1944/1425; pc 904 regs db95faf002147855; output cbf29ce484222325");
+    (("eqntott fuel 20010", "mips"),
+     "out of fuel; instrs 20010 cycles 33566 loads 2212 stores 1072 branches 972 taken 676 omni 11490 origins 11490/2167/948/2036/1944/1425; pc 905 regs db95faf002147855; output cbf29ce484222325");
+    (("eqntott fuel 20011", "mips"),
+     "out of fuel; instrs 20011 cycles 33567 loads 2213 stores 1072 branches 972 taken 676 omni 11491 origins 11491/2167/948/2036/1944/1425; pc 906 regs 3fff898ffe4a9996; output cbf29ce484222325");
+    (("eqntott fuel 20012", "mips"),
+     "out of fuel; instrs 20012 cycles 33569 loads 2213 stores 1072 branches 972 taken 676 omni 11491 origins 11491/2167/949/2036/1944/1425; pc 907 regs 3fff898ffe4a9996; output cbf29ce484222325");
+    (("eqntott fuel 20013", "mips"),
+     "out of fuel; instrs 20013 cycles 33570 loads 2213 stores 1072 branches 973 taken 676 omni 11492 origins 11492/2167/949/2036/1944/1425; pc 907 regs 3fff898ffe4a9996; output cbf29ce484222325");
+    (("eqntott fuel 20014", "mips"),
+     "out of fuel; instrs 20014 cycles 33571 loads 2213 stores 1072 branches 973 taken 676 omni 11492 origins 11492/2167/949/2036/1945/1425; pc 909 regs 3fff898ffe4a9996; output cbf29ce484222325");
+    (("eqntott fuel 20015", "mips"),
+     "out of fuel; instrs 20015 cycles 33572 loads 2213 stores 1072 branches 973 taken 676 omni 11493 origins 11493/2167/949/2036/1945/1425; pc 909 regs 3fff898ffe4a9996; output cbf29ce484222325");
+    (("eqntott fuel 20016", "mips"),
+     "out of fuel; instrs 20016 cycles 33573 loads 2213 stores 1072 branches 973 taken 676 omni 11493 origins 11493/2167/949/2036/1946/1425; pc 962 regs 3fff898ffe4a9996; output cbf29ce484222325");
+    (("g_sort fuel 20002", "sparc"),
+     "out of fuel; instrs 20002 cycles 21168 loads 3112 stores 918 branches 2636 taken 1520 omni 13843 origins 13843/0/2636/97/2636/790; pc 111 regs c556e88df9ee9c97; output cbf29ce484222325");
+    (("g_sort fuel 20003", "sparc"),
+     "out of fuel; instrs 20003 cycles 21169 loads 3112 stores 918 branches 2636 taken 1520 omni 13843 origins 13843/0/2636/97/2637/790; pc 113 regs c556e88df9ee9c97; output cbf29ce484222325");
+    (("g_sort fuel 20004", "sparc"),
+     "out of fuel; instrs 20004 cycles 21170 loads 3112 stores 918 branches 2636 taken 1520 omni 13844 origins 13844/0/2636/97/2637/790; pc 113 regs c556e88df9ee9c97; output cbf29ce484222325");
+    (("g_sort fuel 20005", "sparc"),
+     "out of fuel; instrs 20005 cycles 21171 loads 3112 stores 918 branches 2636 taken 1520 omni 13845 origins 13845/0/2636/97/2637/790; pc 116 regs d17f18175a0b216f; output cbf29ce484222325");
+    (("g_sort fuel 20006", "sparc"),
+     "out of fuel; instrs 20006 cycles 21172 loads 3112 stores 918 branches 2636 taken 1520 omni 13845 origins 13845/0/2637/97/2637/790; pc 117 regs d17f18175a0b216f; output cbf29ce484222325");
+    (("g_sort fuel 20007", "sparc"),
+     "out of fuel; instrs 20007 cycles 21173 loads 3112 stores 918 branches 2637 taken 1520 omni 13846 origins 13846/0/2637/97/2637/790; pc 117 regs d17f18175a0b216f; output cbf29ce484222325");
+    (("g_sort fuel 20008", "sparc"),
+     "out of fuel; instrs 20008 cycles 21174 loads 3112 stores 918 branches 2637 taken 1520 omni 13846 origins 13846/0/2637/97/2638/790; pc 119 regs d17f18175a0b216f; output cbf29ce484222325");
+    (("g_sort fuel 20009", "sparc"),
+     "out of fuel; instrs 20009 cycles 21175 loads 3113 stores 918 branches 2637 taken 1520 omni 13847 origins 13847/0/2637/97/2638/790; pc 120 regs c556e88df9ee9c97; output cbf29ce484222325");
+    (("g_sort fuel 20010", "sparc"),
+     "out of fuel; instrs 20010 cycles 21177 loads 3113 stores 918 branches 2637 taken 1520 omni 13847 origins 13847/0/2638/97/2638/790; pc 121 regs c556e88df9ee9c97; output cbf29ce484222325");
+    (("g_sort fuel 20011", "sparc"),
+     "out of fuel; instrs 20011 cycles 21178 loads 3113 stores 918 branches 2638 taken 1521 omni 13848 origins 13848/0/2638/97/2638/790; pc 121 regs c556e88df9ee9c97; output cbf29ce484222325");
+    (("g_sort fuel 20012", "sparc"),
+     "out of fuel; instrs 20012 cycles 21179 loads 3113 stores 918 branches 2638 taken 1521 omni 13848 origins 13848/0/2638/97/2639/790; pc 124 regs c556e88df9ee9c97; output cbf29ce484222325");
+    (("g_sort fuel 20013", "sparc"),
+     "out of fuel; instrs 20013 cycles 21180 loads 3113 stores 918 branches 2638 taken 1521 omni 13849 origins 13849/0/2638/97/2639/790; pc 125 regs c40c26e37f56620f; output cbf29ce484222325");
+    (("g_sort fuel 20014", "sparc"),
+     "out of fuel; instrs 20014 cycles 21181 loads 3113 stores 918 branches 2638 taken 1521 omni 13850 origins 13850/0/2638/97/2639/790; pc 126 regs a434ea9c3fa29477; output cbf29ce484222325");
+    (("g_sort fuel 20015", "sparc"),
+     "out of fuel; instrs 20015 cycles 21182 loads 3113 stores 918 branches 2638 taken 1521 omni 13851 origins 13851/0/2638/97/2639/790; pc 127 regs 8ed047c1a796ab97; output cbf29ce484222325");
+    (("g_sort fuel 20016", "sparc"),
+     "out of fuel; instrs 20016 cycles 21183 loads 3114 stores 918 branches 2638 taken 1521 omni 13852 origins 13852/0/2638/97/2639/790; pc 128 regs 1d99eb5abdb65eec; output cbf29ce484222325");
+    (("eqntott fuel 20001", "sparc"),
+     "out of fuel; instrs 20001 cycles 37019 loads 2474 stores 1200 branches 1088 taken 756 omni 12859 origins 12859/0/1088/2279/2181/1594; pc 504 regs d120b904c96e2b16; output cbf29ce484222325");
+    (("eqntott fuel 20002", "sparc"),
+     "out of fuel; instrs 20002 cycles 37020 loads 2474 stores 1200 branches 1088 taken 756 omni 12859 origins 12859/0/1088/2279/2181/1595; pc 505 regs d120b904c96e2b16; output cbf29ce484222325");
+    (("eqntott fuel 20003", "sparc"),
+     "out of fuel; instrs 20003 cycles 37021 loads 2474 stores 1200 branches 1088 taken 756 omni 12860 origins 12860/0/1088/2279/2181/1595; pc 505 regs d120b904c96e2b16; output cbf29ce484222325");
+    (("eqntott fuel 20004", "sparc"),
+     "out of fuel; instrs 20004 cycles 37022 loads 2474 stores 1200 branches 1088 taken 756 omni 12860 origins 12860/0/1088/2279/2182/1595; pc 927 regs d120b904c96e2b16; output cbf29ce484222325");
+    (("eqntott fuel 20005", "sparc"),
+     "out of fuel; instrs 20005 cycles 37023 loads 2474 stores 1200 branches 1088 taken 756 omni 12861 origins 12861/0/1088/2279/2182/1595; pc 928 regs b083350a0b705fe9; output cbf29ce484222325");
+    (("eqntott fuel 20006", "sparc"),
+     "out of fuel; instrs 20006 cycles 37059 loads 2474 stores 1200 branches 1088 taken 756 omni 12861 origins 12861/0/1089/2279/2182/1595; pc 929 regs b083350a0b705fe9; output cbf29ce484222325");
+    (("eqntott fuel 20007", "sparc"),
+     "out of fuel; instrs 20007 cycles 37060 loads 2474 stores 1200 branches 1089 taken 757 omni 12862 origins 12862/0/1089/2279/2182/1595; pc 929 regs b083350a0b705fe9; output cbf29ce484222325");
+    (("eqntott fuel 20008", "sparc"),
+     "out of fuel; instrs 20008 cycles 37061 loads 2474 stores 1200 branches 1089 taken 757 omni 12862 origins 12862/0/1089/2279/2183/1595; pc 933 regs b083350a0b705fe9; output cbf29ce484222325");
+    (("eqntott fuel 20009", "sparc"),
+     "out of fuel; instrs 20009 cycles 37062 loads 2475 stores 1200 branches 1089 taken 757 omni 12863 origins 12863/0/1089/2279/2183/1595; pc 934 regs 94493e5c4e308850; output cbf29ce484222325");
+    (("eqntott fuel 20010", "sparc"),
+     "out of fuel; instrs 20010 cycles 37063 loads 2476 stores 1200 branches 1089 taken 757 omni 12864 origins 12864/0/1089/2279/2183/1595; pc 935 regs bb5fd9e86519c13a; output cbf29ce484222325");
+    (("eqntott fuel 20011", "sparc"),
+     "out of fuel; instrs 20011 cycles 37065 loads 2476 stores 1200 branches 1089 taken 757 omni 12865 origins 12865/0/1089/2279/2183/1595; pc 936 regs e3abc932b4913e29; output cbf29ce484222325");
+    (("eqntott fuel 20012", "sparc"),
+     "out of fuel; instrs 20012 cycles 37070 loads 2476 stores 1200 branches 1089 taken 757 omni 12866 origins 12866/0/1089/2279/2183/1595; pc 937 regs 8a9bb0272b4fb3c0; output cbf29ce484222325");
+    (("eqntott fuel 20013", "sparc"),
+     "out of fuel; instrs 20013 cycles 37071 loads 2476 stores 1200 branches 1089 taken 757 omni 12867 origins 12867/0/1089/2279/2183/1595; pc 938 regs aec31cfe7ae4ede8; output cbf29ce484222325");
+    (("eqntott fuel 20014", "sparc"),
+     "out of fuel; instrs 20014 cycles 37072 loads 2476 stores 1200 branches 1089 taken 757 omni 12867 origins 12867/0/1089/2279/2183/1596; pc 939 regs aec31cfe7ae4ede8; output cbf29ce484222325");
+    (("eqntott fuel 20015", "sparc"),
+     "out of fuel; instrs 20015 cycles 37073 loads 2476 stores 1200 branches 1089 taken 757 omni 12867 origins 12867/0/1089/2279/2183/1597; pc 940 regs aec31cfe7ae4ede8; output cbf29ce484222325");
+    (("eqntott fuel 20016", "sparc"),
+     "out of fuel; instrs 20016 cycles 37074 loads 2476 stores 1201 branches 1089 taken 757 omni 12868 origins 12868/0/1089/2279/2183/1597; pc 941 regs aec31cfe7ae4ede8; output cbf29ce484222325");
+    (("g_sort fuel 20002", "ppc"),
+     "out of fuel; instrs 20002 cycles 26175 loads 3461 stores 1010 branches 2939 taken 1693 omni 15364 origins 15364/0/2939/1262/0/437; pc 146 regs 9cbbdaf428eedbf4; output cbf29ce484222325");
+    (("g_sort fuel 20003", "ppc"),
+     "out of fuel; instrs 20003 cycles 26176 loads 3461 stores 1011 branches 2939 taken 1693 omni 15365 origins 15365/0/2939/1262/0/437; pc 147 regs 9cbbdaf428eedbf4; output cbf29ce484222325");
+    (("g_sort fuel 20004", "ppc"),
+     "out of fuel; instrs 20004 cycles 26177 loads 3462 stores 1011 branches 2939 taken 1693 omni 15366 origins 15366/0/2939/1262/0/437; pc 148 regs d0d67218141a536b; output cbf29ce484222325");
+    (("g_sort fuel 20005", "ppc"),
+     "out of fuel; instrs 20005 cycles 26178 loads 3462 stores 1011 branches 2939 taken 1693 omni 15367 origins 15367/0/2939/1262/0/437; pc 149 regs d8bc0cf946bf5333; output cbf29ce484222325");
+    (("g_sort fuel 20006", "ppc"),
+     "out of fuel; instrs 20006 cycles 26179 loads 3462 stores 1011 branches 2939 taken 1693 omni 15368 origins 15368/0/2939/1262/0/437; pc 150 regs afcb9863bf1de2b2; output cbf29ce484222325");
+    (("g_sort fuel 20007", "ppc"),
+     "out of fuel; instrs 20007 cycles 26180 loads 3462 stores 1012 branches 2939 taken 1693 omni 15369 origins 15369/0/2939/1262/0/437; pc 151 regs afcb9863bf1de2b2; output cbf29ce484222325");
+    (("g_sort fuel 20008", "ppc"),
+     "out of fuel; instrs 20008 cycles 26181 loads 3462 stores 1012 branches 2939 taken 1693 omni 15370 origins 15370/0/2939/1262/0/437; pc 100 regs afcb9863bf1de2b2; output cbf29ce484222325");
+    (("g_sort fuel 20009", "ppc"),
+     "out of fuel; instrs 20009 cycles 26181 loads 3463 stores 1012 branches 2939 taken 1693 omni 15371 origins 15371/0/2939/1262/0/437; pc 101 regs afcb9863bf1de2b2; output cbf29ce484222325");
+    (("g_sort fuel 20010", "ppc"),
+     "out of fuel; instrs 20010 cycles 26182 loads 3463 stores 1012 branches 2939 taken 1693 omni 15372 origins 15372/0/2939/1262/0/437; pc 102 regs 5a76fcd09bb02993; output cbf29ce484222325");
+    (("g_sort fuel 20011", "ppc"),
+     "out of fuel; instrs 20011 cycles 26183 loads 3463 stores 1012 branches 2939 taken 1693 omni 15372 origins 15372/0/2940/1262/0/437; pc 103 regs 5a76fcd09bb02993; output cbf29ce484222325");
+    (("g_sort fuel 20012", "ppc"),
+     "out of fuel; instrs 20012 cycles 26186 loads 3463 stores 1012 branches 2940 taken 1693 omni 15373 origins 15373/0/2940/1262/0/437; pc 104 regs 5a76fcd09bb02993; output cbf29ce484222325");
+    (("g_sort fuel 20013", "ppc"),
+     "out of fuel; instrs 20013 cycles 26187 loads 3463 stores 1012 branches 2940 taken 1693 omni 15374 origins 15374/0/2940/1262/0/437; pc 105 regs 3e8c59affebb036f; output cbf29ce484222325");
+    (("g_sort fuel 20014", "ppc"),
+     "out of fuel; instrs 20014 cycles 26188 loads 3463 stores 1012 branches 2940 taken 1693 omni 15375 origins 15375/0/2940/1262/0/437; pc 107 regs 3e8c59affebb036f; output cbf29ce484222325");
+    (("g_sort fuel 20015", "ppc"),
+     "out of fuel; instrs 20015 cycles 26188 loads 3463 stores 1012 branches 2940 taken 1693 omni 15375 origins 15375/0/2941/1262/0/437; pc 108 regs 3e8c59affebb036f; output cbf29ce484222325");
+    (("g_sort fuel 20016", "ppc"),
+     "out of fuel; instrs 20016 cycles 26191 loads 3463 stores 1012 branches 2941 taken 1693 omni 15376 origins 15376/0/2941/1262/0/437; pc 109 regs 3e8c59affebb036f; output cbf29ce484222325");
+    (("eqntott fuel 20001", "ppc"),
+     "out of fuel; instrs 20001 cycles 37362 loads 2494 stores 1210 branches 1098 taken 762 omni 12972 origins 12972/2449/1098/2292/0/1190; pc 786 regs a6d30c869a5c8caf; output cbf29ce484222325");
+    (("eqntott fuel 20002", "ppc"),
+     "out of fuel; instrs 20002 cycles 37363 loads 2495 stores 1210 branches 1098 taken 762 omni 12973 origins 12973/2449/1098/2292/0/1190; pc 787 regs 11d3706b28c82baa; output cbf29ce484222325");
+    (("eqntott fuel 20003", "ppc"),
+     "out of fuel; instrs 20003 cycles 37365 loads 2495 stores 1210 branches 1098 taken 762 omni 12973 origins 12973/2449/1099/2292/0/1190; pc 788 regs 11d3706b28c82baa; output cbf29ce484222325");
+    (("eqntott fuel 20004", "ppc"),
+     "out of fuel; instrs 20004 cycles 37369 loads 2495 stores 1210 branches 1099 taken 763 omni 12974 origins 12974/2449/1099/2292/0/1190; pc 790 regs 11d3706b28c82baa; output cbf29ce484222325");
+    (("eqntott fuel 20005", "ppc"),
+     "out of fuel; instrs 20005 cycles 37370 loads 2495 stores 1210 branches 1099 taken 763 omni 12975 origins 12975/2449/1099/2292/0/1190; pc 405 regs 11d3706b28c82baa; output cbf29ce484222325");
+    (("eqntott fuel 20006", "ppc"),
+     "out of fuel; instrs 20006 cycles 37370 loads 2495 stores 1210 branches 1099 taken 763 omni 12976 origins 12976/2449/1099/2292/0/1190; pc 406 regs 12c09c04edb361fa; output cbf29ce484222325");
+    (("eqntott fuel 20007", "ppc"),
+     "out of fuel; instrs 20007 cycles 37371 loads 2495 stores 1211 branches 1099 taken 763 omni 12977 origins 12977/2449/1099/2292/0/1190; pc 407 regs 12c09c04edb361fa; output cbf29ce484222325");
+    (("eqntott fuel 20008", "ppc"),
+     "out of fuel; instrs 20008 cycles 37372 loads 2495 stores 1211 branches 1099 taken 763 omni 12977 origins 12977/2450/1099/2292/0/1190; pc 408 regs 12c09c04edb361fa; output cbf29ce484222325");
+    (("eqntott fuel 20009", "ppc"),
+     "out of fuel; instrs 20009 cycles 37373 loads 2496 stores 1211 branches 1099 taken 763 omni 12978 origins 12978/2450/1099/2292/0/1190; pc 409 regs f7ce3efc9ffab0ef; output cbf29ce484222325");
+    (("eqntott fuel 20010", "ppc"),
+     "out of fuel; instrs 20010 cycles 37374 loads 2496 stores 1211 branches 1099 taken 763 omni 12978 origins 12978/2450/1099/2293/0/1190; pc 410 regs f7ce3efc9ffab0ef; output cbf29ce484222325");
+    (("eqntott fuel 20011", "ppc"),
+     "out of fuel; instrs 20011 cycles 37375 loads 2496 stores 1211 branches 1099 taken 763 omni 12978 origins 12978/2450/1099/2294/0/1190; pc 411 regs f7ce3efc9ffab0ef; output cbf29ce484222325");
+    (("eqntott fuel 20012", "ppc"),
+     "out of fuel; instrs 20012 cycles 37376 loads 2496 stores 1211 branches 1099 taken 763 omni 12979 origins 12979/2450/1099/2294/0/1190; pc 412 regs dd800db5ce4606ea; output cbf29ce484222325");
+    (("eqntott fuel 20013", "ppc"),
+     "out of fuel; instrs 20013 cycles 37377 loads 2496 stores 1211 branches 1099 taken 763 omni 12979 origins 12979/2450/1099/2295/0/1190; pc 413 regs dd800db5ce4606ea; output cbf29ce484222325");
+    (("eqntott fuel 20014", "ppc"),
+     "out of fuel; instrs 20014 cycles 37378 loads 2496 stores 1211 branches 1099 taken 763 omni 12979 origins 12979/2450/1099/2296/0/1190; pc 414 regs dd800db5ce4606ea; output cbf29ce484222325");
+    (("eqntott fuel 20015", "ppc"),
+     "out of fuel; instrs 20015 cycles 37379 loads 2496 stores 1211 branches 1099 taken 763 omni 12979 origins 12979/2451/1099/2296/0/1190; pc 415 regs dd800db5ce4606ea; output cbf29ce484222325");
+    (("eqntott fuel 20016", "ppc"),
+     "out of fuel; instrs 20016 cycles 37381 loads 2496 stores 1211 branches 1099 taken 763 omni 12980 origins 12980/2451/1099/2296/0/1190; pc 416 regs cdcdee7ae19a36db; output cbf29ce484222325");
+    (("g_sort fuel 20002", "x86"),
+     "out of fuel; instrs 20002 cycles 19246 loads 5822 stores 3383 branches 2563 taken 1479 omni 13480 origins 13480/2804/2563/0/0/1155; pc 120 regs c556e88df9ee9c97; output cbf29ce484222325");
+    (("g_sort fuel 20003", "x86"),
+     "out of fuel; instrs 20003 cycles 19248 loads 5823 stores 3383 branches 2563 taken 1479 omni 13480 origins 13480/2804/2564/0/0/1155; pc 121 regs c556e88df9ee9c97; output cbf29ce484222325");
+    (("g_sort fuel 20004", "x86"),
+     "out of fuel; instrs 20004 cycles 19249 loads 5823 stores 3383 branches 2564 taken 1479 omni 13481 origins 13481/2804/2564/0/0/1155; pc 122 regs c556e88df9ee9c97; output cbf29ce484222325");
+    (("g_sort fuel 20005", "x86"),
+     "out of fuel; instrs 20005 cycles 19250 loads 5823 stores 3383 branches 2564 taken 1479 omni 13482 origins 13482/2804/2564/0/0/1155; pc 123 regs d17f18175a0b216f; output cbf29ce484222325");
+    (("g_sort fuel 20006", "x86"),
+     "out of fuel; instrs 20006 cycles 19251 loads 5823 stores 3383 branches 2564 taken 1479 omni 13483 origins 13483/2804/2564/0/0/1155; pc 125 regs d17f18175a0b216f; output cbf29ce484222325");
+    (("g_sort fuel 20007", "x86"),
+     "out of fuel; instrs 20007 cycles 19251 loads 5823 stores 3383 branches 2564 taken 1479 omni 13483 origins 13483/2804/2565/0/0/1155; pc 126 regs d17f18175a0b216f; output cbf29ce484222325");
+    (("g_sort fuel 20008", "x86"),
+     "out of fuel; instrs 20008 cycles 19252 loads 5823 stores 3383 branches 2565 taken 1479 omni 13484 origins 13484/2804/2565/0/0/1155; pc 127 regs d17f18175a0b216f; output cbf29ce484222325");
+    (("g_sort fuel 20009", "x86"),
+     "out of fuel; instrs 20009 cycles 19253 loads 5824 stores 3383 branches 2565 taken 1479 omni 13485 origins 13485/2804/2565/0/0/1155; pc 128 regs c556e88df9ee9c97; output cbf29ce484222325");
+    (("g_sort fuel 20010", "x86"),
+     "out of fuel; instrs 20010 cycles 19255 loads 5824 stores 3383 branches 2565 taken 1479 omni 13485 origins 13485/2804/2566/0/0/1155; pc 129 regs c556e88df9ee9c97; output cbf29ce484222325");
+    (("g_sort fuel 20011", "x86"),
+     "out of fuel; instrs 20011 cycles 19257 loads 5824 stores 3383 branches 2566 taken 1480 omni 13486 origins 13486/2804/2566/0/0/1155; pc 131 regs c556e88df9ee9c97; output cbf29ce484222325");
+    (("g_sort fuel 20012", "x86"),
+     "out of fuel; instrs 20012 cycles 19257 loads 5824 stores 3383 branches 2566 taken 1480 omni 13486 origins 13486/2805/2566/0/0/1155; pc 132 regs 8783d9b567c5eaa7; output cbf29ce484222325");
+    (("g_sort fuel 20013", "x86"),
+     "out of fuel; instrs 20013 cycles 19258 loads 5824 stores 3383 branches 2566 taken 1480 omni 13487 origins 13487/2805/2566/0/0/1155; pc 133 regs c40c26e37f56620f; output cbf29ce484222325");
+    (("g_sort fuel 20014", "x86"),
+     "out of fuel; instrs 20014 cycles 19259 loads 5824 stores 3383 branches 2566 taken 1480 omni 13488 origins 13488/2805/2566/0/0/1155; pc 134 regs a434ea9c3fa29477; output cbf29ce484222325");
+    (("g_sort fuel 20015", "x86"),
+     "out of fuel; instrs 20015 cycles 19260 loads 5824 stores 3383 branches 2566 taken 1480 omni 13489 origins 13489/2805/2566/0/0/1155; pc 135 regs 8ed047c1a796ab97; output cbf29ce484222325");
+    (("g_sort fuel 20016", "x86"),
+     "out of fuel; instrs 20016 cycles 19261 loads 5825 stores 3383 branches 2566 taken 1480 omni 13490 origins 13490/2805/2566/0/0/1155; pc 136 regs 1d99eb5abdb65eec; output cbf29ce484222325");
+    (("eqntott fuel 20001", "x86"),
+     "out of fuel; instrs 20001 cycles 32107 loads 4099 stores 1965 branches 912 taken 629 omni 10720 origins 10720/6377/912/0/0/1992; pc 1303 regs c24264743bd8c3f0; output cbf29ce484222325");
+    (("eqntott fuel 20002", "x86"),
+     "out of fuel; instrs 20002 cycles 32116 loads 4099 stores 1965 branches 912 taken 629 omni 10720 origins 10720/6378/912/0/0/1992; pc 1304 regs 05e178d203c95b81; output cbf29ce484222325");
+    (("eqntott fuel 20003", "x86"),
+     "out of fuel; instrs 20003 cycles 32117 loads 4099 stores 1965 branches 912 taken 629 omni 10720 origins 10720/6379/912/0/0/1992; pc 1305 regs 05e178d203c95b81; output cbf29ce484222325");
+    (("eqntott fuel 20004", "x86"),
+     "out of fuel; instrs 20004 cycles 32118 loads 4100 stores 1965 branches 912 taken 629 omni 10721 origins 10721/6379/912/0/0/1992; pc 1306 regs 05e178d203c95b81; output cbf29ce484222325");
+    (("eqntott fuel 20005", "x86"),
+     "out of fuel; instrs 20005 cycles 32120 loads 4100 stores 1966 branches 912 taken 629 omni 10721 origins 10721/6380/912/0/0/1992; pc 1307 regs fd6f63920c6525e1; output cbf29ce484222325");
+    (("eqntott fuel 20006", "x86"),
+     "out of fuel; instrs 20006 cycles 32120 loads 4100 stores 1966 branches 912 taken 629 omni 10721 origins 10721/6381/912/0/0/1992; pc 1308 regs e092ecd113693642; output cbf29ce484222325");
+    (("eqntott fuel 20007", "x86"),
+     "out of fuel; instrs 20007 cycles 32121 loads 4101 stores 1966 branches 912 taken 629 omni 10722 origins 10722/6381/912/0/0/1992; pc 1309 regs 8f73eb245cdff333; output cbf29ce484222325");
+    (("eqntott fuel 20008", "x86"),
+     "out of fuel; instrs 20008 cycles 32123 loads 4102 stores 1966 branches 912 taken 629 omni 10723 origins 10723/6381/912/0/0/1992; pc 1310 regs 8f73eb245cdff333; output cbf29ce484222325");
+    (("eqntott fuel 20009", "x86"),
+     "out of fuel; instrs 20009 cycles 32125 loads 4102 stores 1967 branches 912 taken 629 omni 10723 origins 10723/6382/912/0/0/1992; pc 1311 regs fe311d3979a1880d; output cbf29ce484222325");
+    (("eqntott fuel 20010", "x86"),
+     "out of fuel; instrs 20010 cycles 32125 loads 4103 stores 1967 branches 912 taken 629 omni 10723 origins 10723/6383/912/0/0/1992; pc 1312 regs fe311d3979a1880d; output cbf29ce484222325");
+    (("eqntott fuel 20011", "x86"),
+     "out of fuel; instrs 20011 cycles 32127 loads 4103 stores 1967 branches 912 taken 629 omni 10724 origins 10724/6383/912/0/0/1992; pc 1313 regs fe311d3979a1880d; output cbf29ce484222325");
+    (("eqntott fuel 20012", "x86"),
+     "out of fuel; instrs 20012 cycles 32136 loads 4103 stores 1967 branches 912 taken 629 omni 10724 origins 10724/6384/912/0/0/1992; pc 1314 regs 2b80f25a7dceb04c; output cbf29ce484222325");
+    (("eqntott fuel 20013", "x86"),
+     "out of fuel; instrs 20013 cycles 32137 loads 4103 stores 1967 branches 912 taken 629 omni 10724 origins 10724/6385/912/0/0/1992; pc 1315 regs 0bd35b80e59c59c7; output cbf29ce484222325");
+    (("eqntott fuel 20014", "x86"),
+     "out of fuel; instrs 20014 cycles 32138 loads 4104 stores 1967 branches 912 taken 629 omni 10725 origins 10725/6385/912/0/0/1992; pc 1316 regs 0bd35b80e59c59c7; output cbf29ce484222325");
+    (("eqntott fuel 20015", "x86"),
+     "out of fuel; instrs 20015 cycles 32138 loads 4104 stores 1967 branches 912 taken 629 omni 10725 origins 10725/6386/912/0/0/1992; pc 1317 regs 4c42639976d758bf; output cbf29ce484222325");
+    (("eqntott fuel 20016", "x86"),
+     "out of fuel; instrs 20016 cycles 32140 loads 4104 stores 1967 branches 912 taken 629 omni 10726 origins 10726/6386/912/0/0/1992; pc 1318 regs e76ce3e5b62d480a; output cbf29ce484222325");
+    (("eqntott watchdog", "mips"),
+     "fault wall-clock deadline exceeded; instrs 23353 cycles 39245 loads 2574 stores 1249 branches 1134 taken 789 omni 13390 origins 13390/2529/1106/2394/2273/1661; pc 905 regs 92220e73e5395877; output cbf29ce484222325");
+    (("eqntott watchdog", "sparc"),
+     "fault wall-clock deadline exceeded; instrs 23830 cycles 44074 loads 2956 stores 1422 branches 1299 taken 904 omni 15342 origins 15342/0/1300/2693/2594/1901; pc 986 regs 8adabb11b397e5f0; output cbf29ce484222325");
+    (("eqntott watchdog", "ppc"),
+     "fault wall-clock deadline exceeded; instrs 20002 cycles 37363 loads 2495 stores 1210 branches 1098 taken 762 omni 12973 origins 12973/2449/1098/2292/0/1190; pc 787 regs 11d3706b28c82baa; output cbf29ce484222325");
+    (("eqntott watchdog", "x86"),
+     "fault wall-clock deadline exceeded; instrs 20002 cycles 32116 loads 4099 stores 1965 branches 912 taken 629 omni 10720 origins 10720/6378/912/0/0/1992; pc 1304 regs 05e178d203c95b81; output cbf29ce484222325");
   ]
 
 let exit_path_goldens () =
@@ -1133,6 +1363,34 @@ let exit_path_goldens () =
   if bad <> [] then
     Alcotest.failf "%d exit paths differ; got:\n%s" (List.length bad)
       (String.concat "\n" bad)
+
+(* Memo storage is proportional to the code: on every spec program and
+   target, a run's segment entries and its two index ints per slot take
+   at most 8 ints per slot. *)
+let memo_storage () =
+  List.iter
+    (fun (name, exe) ->
+      List.iter
+        (fun arch ->
+          let img = Api.load exe in
+          let mem = img.Omni_runtime.Loader.mem in
+          let host = img.Omni_runtime.Loader.host in
+          let fuel = 1_000_000_000 in
+          let table, slots =
+            match Api.translate ~mode:sandbox arch exe with
+            | Api.T_risc p ->
+                let _, _, st = Risc_sim.run ~fuel p mem host in
+                (st.Risc_sim.table, Array.length p.Risc.code)
+            | Api.T_x86 p ->
+                let _, _, st = X86_sim.run ~fuel p mem host in
+                (st.X86_sim.table, Array.length p.Omni_targets.X86.code)
+          in
+          let words = P.memo_words table.Machine.memo + (2 * slots) in
+          if words > 8 * slots then
+            Alcotest.failf "%s on %s: %d memo ints for %d slots" name
+              (Arch.name arch) words slots)
+        targets)
+    (Lazy.force spec_programs)
 
 (* The simulators allocate nothing per retired instruction: what a run
    allocates is its set-up, its first decoding of each slot it reaches,
@@ -1299,9 +1557,11 @@ let () =
            no_forced_minor_collections ]);
       ("pipeline",
        [ Alcotest.test_case "cost model" `Quick pipeline_unit;
+         segment_memo_exact;
          Alcotest.test_case "golden simulator stats" `Quick golden_simulator_stats;
          Alcotest.test_case "exit-path goldens" `Quick exit_path_goldens;
          Alcotest.test_case "recycled decoded table" `Quick recycled_table;
+         Alcotest.test_case "memo storage per slot" `Quick memo_storage;
          Alcotest.test_case "simulators allocate nothing per instruction" `Quick
            simulator_allocation ]);
       ("x86", [ Alcotest.test_case "register homes" `Quick x86_homes ])
