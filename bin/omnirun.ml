@@ -302,6 +302,7 @@ let run_single trace args =
                  certificates only come from the daemon *)
               let h = Omni_net.Client.submit c wire in
               Omni_net.Client.run_cert ~engine:eng ~sfi:!sfi
+                ~mode:(Omni_net.Message.mode_spec_of_mode req_mode)
                 ?deadline_s:(if !deadline > 0.0 then Some !deadline else None)
                 ~want_cert:true c h
           | _ -> (Api.run req (Api.Wire wire), None)
@@ -313,28 +314,23 @@ let run_single trace args =
           | Api.Interp | Api.Fast ->
               prerr_endline
                 "omnirun: --cert: interpreter runs carry no certificate"
-          | Api.Target arch when not !sfi ->
-              ignore arch;
+          | Api.Target _ when not !sfi ->
               prerr_endline
                 "omnirun: --cert: unsandboxed translations are not \
                  certified"
           | Api.Target arch -> (
               let digest = Omni_util.Fnv64.digest_string wire in
-              let mode =
-                match req_mode with
-                | Some m -> m
-                | None -> Omni_targets.Machine.Mobile (Omni_sfi.Policy.make ())
+              let mode, opts = Exec.resolve ?mode:req_mode arch in
+              (* translate locally and check the witness against it:
+                 translation is pure, so the daemon's certificate must
+                 hold here too *)
+              let tr =
+                lazy (Exec.translate ~mode ~opts arch (Omnivm.Wire.decode wire))
               in
-              let opts = Exec.mobile_opts arch in
               let check_local cert origin =
-                (* re-translate locally and check the witness against it:
-                   translation is pure, so the daemon's certificate must
-                   hold here too *)
-                let tr =
-                  Exec.translate ~mode ~opts arch (Omnivm.Wire.decode wire)
-                in
                 match
-                  Exec.check_cert ~module_digest:digest ~mode ~opts cert tr
+                  Exec.check_cert ~module_digest:digest ~mode ~opts cert
+                    (Lazy.force tr)
                 with
                 | Ok () ->
                     Printf.eprintf "certificate:   %s (%s; check ok)\n"
@@ -355,10 +351,10 @@ let run_single trace args =
                   prerr_endline
                     "certificate:   none (daemon offered no certificate)"
               | None -> (
-                  let tr =
-                    Exec.translate ~mode ~opts arch (Omnivm.Wire.decode wire)
-                  in
-                  match Exec.certify ~module_digest:digest ~mode ~opts tr with
+                  match
+                    Exec.certify ~module_digest:digest ~mode ~opts
+                      (Lazy.force tr)
+                  with
                   | Ok cert -> check_local cert "local"
                   | Error msg ->
                       Printf.eprintf "certificate:   REFUSED: %s\n" msg))
@@ -370,7 +366,7 @@ let run_single trace args =
             (fun report ->
               let file = Supervise.write_report ~dir:!crash_dir report in
               Printf.eprintf "omnirun: crash report written to %s\n" file)
-            (Supervise.of_run ~engine:eng ~sfi:!sfi
+            (Supervise.of_run ~engine:eng ~sfi:!sfi ?mode:req_mode
                ?producer:(if !producer = "" then None else Some !producer)
                ~wire result);
         print_string result.Api.output;
@@ -573,14 +569,13 @@ let run_cert trace args =
       let wire = read_file path in
       let exe = Omnivm.Wire.decode wire in
       let digest = Omni_util.Fnv64.digest_string wire in
-      let mode = Omni_targets.Machine.Mobile (Omni_sfi.Policy.make ()) in
       let failures = ref 0 in
       let code =
         with_tracer trace @@ fun _ ->
         List.iter
           (fun arch ->
             let name = Omni_targets.Arch.name arch in
-            let opts = Exec.mobile_opts arch in
+            let mode, opts = Exec.resolve arch in
             let tr = Exec.translate ~mode ~opts arch exe in
             match Exec.certify ~module_digest:digest ~mode ~opts tr with
             | Error msg ->

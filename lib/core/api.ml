@@ -72,7 +72,6 @@ type run_result = Exec.run_result = {
 (* --- loading and running --- *)
 
 let load = Exec.load
-let run_interp = Exec.run_interp
 
 type translated = Exec.translated =
   | T_risc of Risc.program
@@ -80,7 +79,6 @@ type translated = Exec.translated =
 
 let translate = Exec.translate
 let run_translated = Exec.run_translated
-let verify_translated = Exec.verify
 
 (* --- the unified run entry point --- *)
 
@@ -136,21 +134,6 @@ let default_request =
     on_unreachable = `Fail;
   }
 
-(* A Machine.mode as it travels in a Run request. Only policies for the
-   standard module layout survive the wire (custom bases/masks do not);
-   [None] maps to M_default, which the server resolves from the sfi flag
-   exactly as the local path does. *)
-let mode_spec_of_mode = function
-  | None -> Net.Message.M_default
-  | Some (Machine.Mobile p) ->
-      Net.Message.M_policy
-        {
-          pmode = p.Omni_sfi.Policy.mode;
-          protect_reads = p.Omni_sfi.Policy.protect_reads;
-          pad = p.Omni_sfi.Policy.pad;
-        }
-  | Some (Machine.Native tier) -> Net.Message.M_native tier
-
 let wire_of_source = function
   | Wire b -> b
   | Exe exe -> Omnivm.Wire.encode exe
@@ -172,8 +155,8 @@ let run_remote (client : Net.Client.t) (r : request) (src : source) :
   try
     let h = Net.Client.submit client bytes in
     Net.Client.run ~engine:r.engine ~sfi:r.sfi
-      ~mode:(mode_spec_of_mode r.mode) ?fuel:r.fuel ?deadline_s:r.deadline_s
-      client h
+      ~mode:(Net.Message.mode_spec_of_mode r.mode)
+      ?fuel:r.fuel ?deadline_s:r.deadline_s client h
   with
   | Net.Client.Remote_error (Net.Message.E_decode, msg) ->
       raise (Omnivm.Wire.Bad_module msg)
@@ -207,36 +190,22 @@ let run (r : request) (src : source) : run_result =
         let h = Service.submit ?producer:produced service bytes in
         Service.instantiate ~engine:r.engine ~sfi:r.sfi ?mode:r.mode
           ?opts:r.opts ?fuel:r.fuel ?deadline_s:r.deadline_s service h
-    | None -> (
+    | None ->
         let watchdog =
           Option.map
             (fun budget_s -> Supervise.watchdog ~budget_s ())
             r.deadline_s
         in
-        let exe, img =
+        let img =
           match src with
           | Text _ -> assert false (* normalized to Wire above *)
-          | Exe exe -> (exe, load ~map_host_region:r.map_host_region exe)
+          | Exe exe -> load ~map_host_region:r.map_host_region exe
           | Wire b ->
-              let img =
-                Omni_runtime.Loader.load_wire
-                  ~map_host_region:r.map_host_region b
-              in
-              (img.Omni_runtime.Loader.exe, img)
+              Omni_runtime.Loader.load_wire ~map_host_region:r.map_host_region
+                b
         in
-        match r.engine with
-        | Interp -> run_interp ?fuel:r.fuel ?watchdog img
-        | Fast -> Exec.run_fast ?fuel:r.fuel ?watchdog img
-        | Target arch ->
-            let mode =
-              match r.mode with
-              | Some m -> m
-              | None ->
-                  if r.sfi then Machine.Mobile (Omni_sfi.Policy.make ())
-                  else Machine.Mobile Omni_sfi.Policy.off
-            in
-            let tr = translate ~mode ?opts:r.opts arch exe in
-            run_translated ?fuel:r.fuel ?watchdog tr img)
+        Exec.run ?fuel:r.fuel ?watchdog ~sfi:r.sfi ?mode:r.mode ?opts:r.opts
+          r.engine img
   in
   let go () =
     match r.remote with

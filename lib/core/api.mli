@@ -100,13 +100,6 @@ val load :
     all). [map_host_region] additionally maps a region standing in for
     host-owned memory, used to demonstrate SFI containment. *)
 
-val run_interp :
-  ?fuel:int ->
-  ?watchdog:Omnivm.Watchdog.t ->
-  Omni_runtime.Loader.image ->
-  run_result
-(** Execute under the OmniVM reference interpreter. *)
-
 (** A translated module, ready to execute on its target simulator. *)
 type translated = Exec.translated =
   | T_risc of Risc.program
@@ -128,13 +121,6 @@ val run_translated :
   translated ->
   Omni_runtime.Loader.image ->
   run_result
-
-val verify_translated :
-  ?mode:Machine.mode -> translated -> (unit, string) result
-(** Run the target's static SFI verifier over translated code — the cheap
-    admission check a distrustful host applies before executing sandboxed
-    code (fresh or cached). [mode] (when it names a padded policy) widens
-    the verifier's displacement bound to the policy's guard zone. *)
 
 module Producer = Omni_producer.Producer
 
@@ -166,9 +152,10 @@ type request = {
   sfi : bool;
       (** sandbox mobile code (default true; ignored when [mode] is given) *)
   mode : Machine.mode option;
-      (** explicit translation mode; [None] derives one from [sfi] *)
+      (** explicit translation mode; [None] derives one from [sfi]
+          ({!Exec.resolve} decides, on every path) *)
   opts : Machine.topts option;  (** [None] = {!mobile_opts} of the target *)
-  fuel : int option;  (** instruction budget; [None] = a large default *)
+  fuel : int option;  (** instruction budget; [None] = unbounded *)
   deadline_s : float option;
       (** wall-clock budget in seconds; a run exceeding it faults with
           [Deadline_exceeded], reported like any other fault. Travels
@@ -206,7 +193,7 @@ type request = {
 }
 
 val default_request : request
-(** Interpreter engine, SFI on, derived mode/opts, unlimited-ish fuel, no
+(** Interpreter engine, SFI on, derived mode/opts, unbounded fuel, no
     host region, ambient tracing, no service, no fallback. *)
 
 val run : request -> source -> run_result

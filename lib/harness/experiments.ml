@@ -11,6 +11,9 @@ module Api = Omniware.Api
 module Machine = Omni_targets.Machine
 module Arch = Omni_targets.Arch
 
+(* Every timing below reads wall seconds from the one product clock. *)
+let now () = Omni_util.Clock.(now monotonic)
+
 type config =
   | Mobile_sfi (* translated, SFI on, per-arch translator opts *)
   | Mobile_nosfi
@@ -348,14 +351,13 @@ let translation_speed ~size =
       Buffer.add_string buf (Printf.sprintf "%-10s %10d" w.name n);
       List.iter
         (fun arch ->
-          let mode = Machine.Mobile (Omni_sfi.Policy.make ()) in
-          let opts = Api.mobile_opts arch in
-          let t0 = Sys.time () in
+          let mode, opts = Omni_service.Exec.resolve arch in
+          let t0 = now () in
           let reps = 20 in
           for _ = 1 to reps do
             ignore (Api.translate ~mode ~opts arch p.p_exe)
           done;
-          let dt = (Sys.time () -. t0) /. float_of_int reps in
+          let dt = (now () -. t0) /. float_of_int reps in
           let rate = float_of_int n /. dt /. 1e6 in
           Buffer.add_string buf (Printf.sprintf "%10.1fM" rate))
         all_archs;
@@ -451,10 +453,10 @@ let ablation_read_protection ~size =
    by two renderers: its text table and its snapshot entry (integer rows
    plus the [hot_paths] keys it gates). [bench_snapshot] folds over the
    sections, so the table a run prints and the numbers it writes are the
-   same measurement. Times are CPU seconds ([Sys.time]), except the
-   service section's, which reads the serving histograms' monotonic wall
-   seconds; tables and entries show them through [us] and ratios through
-   [x100], so the two renderings print the same integers. *)
+   same measurement. Times are monotonic wall seconds ([now], or the
+   serving histograms' for the service section); tables and entries show
+   them through [us] and ratios through [x100], so the two renderings
+   print the same integers. *)
 
 let fuel = 4_000_000_000
 let us s = int_of_float (1e6 *. s)
@@ -661,7 +663,7 @@ let resilience_measure ~size : resilience_row list =
           (fun (p, bytes) -> (p, Net.Client.submit client bytes))
           prepared
       in
-      let t0 = Sys.time () in
+      let t0 = now () in
       List.iter
         (fun (p, h) ->
           let r =
@@ -671,7 +673,7 @@ let resilience_measure ~size : resilience_row list =
             fail "resilience: %s/x86 wrong output at fault rate %g" p.p_name
               rate)
         handles;
-      let rs_round_s = Sys.time () -. t0 in
+      let rs_round_s = now () -. t0 in
       let c name = Omni_obs.Metrics.value (Omni_obs.Metrics.counter reg name) in
       {
         rs_rate = rate;
@@ -728,7 +730,7 @@ let isolation_measure ~size : isolation_run =
   let module Supervise = Omni_service.Supervise in
   let prepared = List.map prepare (workloads ~size) in
   let round poll_every =
-    let t0 = Sys.time () in
+    let t0 = now () in
     List.iter
       (fun p ->
         let img = Exec.load p.p_exe in
@@ -741,7 +743,7 @@ let isolation_measure ~size : isolation_run =
         if not (String.equal r.Exec.output p.p_expected) then
           fail "isolation: %s wrong output under watchdog" p.p_name)
       prepared;
-    Sys.time () -. t0
+    now () -. t0
   in
   (* warm-up round: the first run of the suite pays one-time costs *)
   ignore (round None);
@@ -809,7 +811,7 @@ let cert_cells ~size : cert_cell list =
                 (p, digest, Exec.translate ~mode ~opts arch p.p_exe))
               ws
           in
-          let t0 = Sys.time () in
+          let t0 = now () in
           let certs =
             List.map
               (fun (p, digest, tr) ->
@@ -820,7 +822,7 @@ let cert_cells ~size : cert_cell list =
                       (Arch.name arch) pname msg)
               items
           in
-          let produce = Sys.time () -. t0 in
+          let produce = now () -. t0 in
           let bytes =
             List.fold_left
               (fun acc (_, _, _, _, c) -> acc + String.length (Cert.encode c))
@@ -854,9 +856,9 @@ let cert_cells ~size : cert_cell list =
               certs
           in
           (* Adaptive paired timing: per candidate, double the batch until
-             one batch takes at least 50ms of CPU time (so neither number
-             sits at the clock's resolution floor), then time the two
-             candidates ALTERNATELY for five rounds and keep each one's
+             one batch takes at least 50ms (so neither number sits at the
+             clock's resolution floor), then time the two candidates
+             ALTERNATELY for five rounds and keep each one's
              minimum. Alternation matters: external interference (other
              tenants, frequency shifts) arrives in bursts longer than one
              batch, so back-to-back batches of the two candidates see the
@@ -868,11 +870,11 @@ let cert_cells ~size : cert_cell list =
             f ();
             (* warmup *)
             let rec go batch =
-              let t0 = Sys.time () in
+              let t0 = now () in
               for _ = 1 to batch do
                 f ()
               done;
-              if Sys.time () -. t0 >= 0.05 then batch else go (batch * 2)
+              if now () -. t0 >= 0.05 then batch else go (batch * 2)
             in
             go 1
           in
@@ -880,17 +882,17 @@ let cert_cells ~size : cert_cell list =
           let batch_check = calibrate run_check in
           let best_full = ref infinity and best_check = ref infinity in
           for _ = 1 to 5 do
-            let t0 = Sys.time () in
+            let t0 = now () in
             for _ = 1 to batch_full do
               run_full ()
             done;
-            let e = Sys.time () -. t0 in
+            let e = now () -. t0 in
             if e < !best_full then best_full := e;
-            let t0 = Sys.time () in
+            let t0 = now () in
             for _ = 1 to batch_check do
               run_check ()
             done;
-            let e = Sys.time () -. t0 in
+            let e = now () -. t0 in
             if e < !best_check then best_check := e
           done;
           let full = !best_full /. float_of_int batch_full in
@@ -1062,11 +1064,11 @@ let glift_time (g : gprepared) : float =
   let reps = 50 and batches = 5 in
   let best = ref infinity in
   for _ = 1 to batches do
-    let t0 = Sys.time () in
+    let t0 = now () in
     for _ = 1 to reps do
       ignore (Omni_guest.Lift.lift_exe g.g_prog)
     done;
-    let per = (Sys.time () -. t0) /. float_of_int reps in
+    let per = (now () -. t0) /. float_of_int reps in
     if per < !best then best := per
   done;
   !best
@@ -1211,11 +1213,11 @@ let fast_cells ~size : fast_cell list =
       let preps = 20 in
       let best = ref infinity in
       for _ = 1 to batches do
-        let t0 = Sys.time () in
+        let t0 = now () in
         for _ = 1 to preps do
           ignore (Omnivm.Fastinterp.compile text)
         done;
-        let per = (Sys.time () -. t0) /. float_of_int preps in
+        let per = (now () -. t0) /. float_of_int preps in
         if per < !best then best := per
       done;
       !best
@@ -1226,9 +1228,9 @@ let fast_cells ~size : fast_cell list =
       let best = ref infinity and instrs = ref 0 in
       for _ = 1 to batches do
         let imgs = Array.init reps (fun _ -> Exec.load exe) in
-        let t0 = Sys.time () in
+        let t0 = now () in
         let rs = Array.map (fun img -> (run img : Exec.run_result)) imgs in
-        let per = (Sys.time () -. t0) /. float_of_int reps in
+        let per = (now () -. t0) /. float_of_int reps in
         Array.iter
           (fun (r : Exec.run_result) ->
             (match r.Exec.outcome with
@@ -1453,9 +1455,9 @@ let persist_measure ~size : persist_cell =
       ws
   in
   let time f =
-    let t0 = Sys.time () in
+    let t0 = now () in
     let r = f () in
-    (Sys.time () -. t0, r)
+    (now () -. t0, r)
   in
   let persisted () =
     { Svc.default_config with Svc.persist = Some (Omni_persist.Io.real ~dir) }

@@ -88,6 +88,23 @@ type mode_spec =
   | M_policy of { pmode : Policy.mode; protect_reads : bool; pad : Policy.pad }
   | M_native of Machine.tier
 
+(* The wire form of a request's optional explicit mode, and back. Only
+   policies over the standard layout travel; [M_default] leaves the
+   decision to Exec.resolve on the server, as on a local run. *)
+let mode_spec_of_mode = function
+  | None -> M_default
+  | Some (Machine.Mobile p) ->
+      M_policy
+        { pmode = p.Policy.mode; protect_reads = p.Policy.protect_reads;
+          pad = p.Policy.pad }
+  | Some (Machine.Native tier) -> M_native tier
+
+let mode_of_spec = function
+  | M_default -> None
+  | M_policy { pmode; protect_reads; pad } ->
+      Some (Machine.Mobile (Policy.make ~mode:pmode ~protect_reads ~pad ()))
+  | M_native tier -> Some (Machine.Native tier)
+
 type run_spec = {
   rs_handle : int64;
   rs_engine : Exec.engine;

@@ -58,8 +58,9 @@ val fault_code_of_message : string -> int option
 (** Extract the machine-readable fault code from an {!E_module_fault}
     message; [None] if the message does not carry one. *)
 
-(** Translation mode requested over the wire. [M_default] derives the
-    mode from the [rs_sfi] flag exactly as [Api.run] does — the common
+(** Translation mode requested over the wire. [M_default] leaves the
+    mode to {!Omni_service.Exec.resolve}, which derives it from the
+    [rs_sfi] flag on the server as it does on a local run — the common
     case, and the one that guarantees remote runs are bit-identical to
     local ones. [M_policy] selects an explicit SFI policy mode for the
     standard module layout; [M_native] requests a native compiler
@@ -72,6 +73,15 @@ type mode_spec =
       pad : Omni_sfi.Policy.pad;
     }
   | M_native of Machine.tier
+
+val mode_spec_of_mode : Machine.mode option -> mode_spec
+(** The wire form of a request's explicit mode: [None] is [M_default].
+    A policy travels as its mode, [protect_reads] and pad; a custom
+    segment layout does not survive the wire. *)
+
+val mode_of_spec : mode_spec -> Machine.mode option
+(** Inverse of {!mode_spec_of_mode}: [mode_spec_of_mode (mode_of_spec s)
+    = s] for every [s]. A policy is rebuilt over the standard layout. *)
 
 (** A [Run] request: which stored module, on which engine, under which
     sandboxing configuration, with how much fuel ([None] = the server's

@@ -132,17 +132,6 @@ let req_name = function
   | M.Run _ -> "run"
   | M.Stats -> "stats"
 
-(* Resolve a wire mode_spec to the optional Machine.mode Service.instantiate
-   expects. M_default maps to None so the service derives the mode from the
-   sfi flag exactly as Api.run does — the bit-identity guarantee. *)
-let resolve_mode = function
-  | M.M_default -> None
-  | M.M_policy { pmode; protect_reads; pad } ->
-      Some
-        (Omni_targets.Machine.Mobile
-           (Omni_sfi.Policy.make ~mode:pmode ~protect_reads ~pad ()))
-  | M.M_native tier -> Some (Omni_targets.Machine.Native tier)
-
 (* The safety certificate the cache holds for this run configuration, if
    any. Only translated runs have one; a [peek], so recency is not
    perturbed. *)
@@ -218,9 +207,13 @@ let dispatch t (req : M.req) : M.resp =
             | None, 0. -> None
             | None, m -> Some m
           in
+          (* M_default is [None]: the service hands the decision to
+             Exec.resolve, as a local run does — the bit-identity
+             guarantee. *)
+          let mode = M.mode_of_spec rs.M.rs_mode in
           match
             Service.instantiate ~engine:rs.M.rs_engine ~sfi:rs.M.rs_sfi
-              ?mode:(resolve_mode rs.M.rs_mode) ?fuel ?deadline_s t.svc h
+              ?mode ?fuel ?deadline_s t.svc h
           with
           | r -> (
               (* The run's admission path already validated the witness
@@ -234,7 +227,7 @@ let dispatch t (req : M.req) : M.resp =
                  exempt. *)
               let cert =
                 certificate_for t ~engine:rs.M.rs_engine ~sfi:rs.M.rs_sfi
-                  ~mode:(resolve_mode rs.M.rs_mode) h
+                  ~mode h
               in
               match (cert, t.cfg.require_cert, rs.M.rs_engine) with
               | None, true, Omni_service.Exec.Target _ ->

@@ -106,14 +106,14 @@ let host_iface (img : image) : Interp.host_iface =
   { Interp.on_hcall }
 
 (* Convenience: run a loaded image in the OmniVM reference interpreter. *)
-let run_interp ?(fuel = 2_000_000_000) ?watchdog (img : image) =
+let run_interp ?fuel ?watchdog (img : image) =
   let interp = Interp.create img.exe img.mem in
-  (Interp.run ~fuel ?watchdog (host_iface img) interp, interp)
+  (Interp.run ?fuel ?watchdog (host_iface img) interp, interp)
 
 (* Run a loaded image under the pre-decoded fast interpreter. [program]
    (when given) must have been compiled from this image's text; serving
    hosts compile once per module digest and share it across runs. *)
-let run_fast ?(fuel = 2_000_000_000) ?watchdog ?program (img : image) =
+let run_fast ?fuel ?watchdog ?program (img : image) =
   let program =
     match program with
     | Some p -> p
@@ -122,4 +122,4 @@ let run_fast ?(fuel = 2_000_000_000) ?watchdog ?program (img : image) =
             Fastinterp.compile img.exe.Exe.text)
   in
   let st = Interp.create img.exe img.mem in
-  (Fastinterp.run ~fuel ?watchdog (host_iface img) program st, st)
+  (Fastinterp.run ?fuel ?watchdog (host_iface img) program st, st)

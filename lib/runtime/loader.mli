@@ -55,8 +55,9 @@ val load_wire :
 val run_interp :
   ?fuel:int -> ?watchdog:Omnivm.Watchdog.t -> image -> Interp.outcome * Interp.t
 (** Execute the image under the OmniVM reference interpreter with this
-    host's services. [watchdog] bounds wall-clock time cooperatively
-    (see {!Omnivm.Watchdog}). *)
+    host's services. [fuel] goes to the interpreter as given (omitted,
+    the run is unbounded); [watchdog] bounds wall-clock time
+    cooperatively (see {!Omnivm.Watchdog}). *)
 
 val host_iface : image -> Interp.host_iface
 (** The host-call interface {!run_interp} and {!run_fast} execute

@@ -104,39 +104,6 @@ let window_around mem fault =
               Bytes.to_string
                 (Omnivm.Memory.read_bytes mem ~addr:lo ~len:(hi - lo)) ))
 
-let crash_of_interp (st : Omnivm.Interp.t) fault =
-  let cs_window_base, cs_window = window_around st.Omnivm.Interp.mem fault in
-  {
-    cs_pc = Omnivm.Exe.code_addr st.Omnivm.Interp.pc;
-    cs_regs = Array.init 16 (fun i -> Omnivm.Interp.get_reg st i);
-    cs_window_base;
-    cs_window;
-  }
-
-let crash_of_risc (st : Risc_sim.state) fault =
-  let cs_window_base, cs_window = window_around st.Risc_sim.mem fault in
-  {
-    cs_pc = st.Risc_sim.pc;
-    cs_regs = Array.init 16 (fun i -> Risc_sim.get st (Risc.map_reg i));
-    cs_window_base;
-    cs_window;
-  }
-
-let crash_of_x86 (st : X86_sim.state) fault =
-  let cs_window_base, cs_window = window_around st.X86_sim.mem fault in
-  let reg i =
-    match X86.int_home i with
-    | X86.Hzero -> 0
-    | X86.Hreg x -> st.X86_sim.regs.(x)
-    | X86.Hmem a -> Omnivm.Memory.load32 st.X86_sim.mem a
-  in
-  {
-    cs_pc = st.X86_sim.pc;
-    cs_regs = Array.init 16 reg;
-    cs_window_base;
-    cs_window;
-  }
-
 (* Mirror one run's statistics into the ambient metrics registry. *)
 let record_exec ~engine (img : Omni_runtime.Loader.image) (r : run_result) =
   Trace.count ~by:r.instructions "exec.instructions";
@@ -148,148 +115,127 @@ let record_exec ~engine (img : Omni_runtime.Loader.image) (r : run_result) =
   | Machine.Exited _ | Machine.Out_of_fuel -> ());
   Trace.count ("exec.runs." ^ engine)
 
-(* --- loading and running --- *)
-
-let load ?(map_host_region = false) ?allow exe =
-  Omni_runtime.Loader.load ?allow ~map_host_region exe
-
-let run_interp ?(fuel = max_int) ?watchdog (img : Omni_runtime.Loader.image) :
-    run_result =
-  Trace.phase "run" ~attrs:[ ("engine", "interp") ] @@ fun () ->
-  let outcome, st = Omni_runtime.Loader.run_interp ~fuel ?watchdog img in
-  let outcome' =
-    match outcome with
-    | Omnivm.Interp.Exited c -> Machine.Exited c
-    | Omnivm.Interp.Faulted f -> Machine.Faulted f
-    | Omnivm.Interp.Out_of_fuel -> Machine.Out_of_fuel
-  in
+(* The one result builder every engine shares. [pc] and [reg] (the
+   sixteen OmniVM registers, read through the engine's register mapping)
+   become the crash site when the run faulted. *)
+let result ~engine (img : Omni_runtime.Loader.image) outcome ~instructions
+    ~cycles ~stats ~pc ~reg mem =
   let crash =
-    match outcome' with
-    | Machine.Faulted f -> Some (crash_of_interp st f)
-    | Machine.Exited _ | Machine.Out_of_fuel -> None
-  in
-  let r =
-    {
-      output = Omni_runtime.Host.output img.Omni_runtime.Loader.host;
-      exit_code = (match outcome' with Machine.Exited c -> c | _ -> -1);
-      outcome = outcome';
-      instructions = st.Omnivm.Interp.icount;
-      cycles = st.Omnivm.Interp.icount;
-      stats = None;
-      crash;
-    }
-  in
-  record_exec ~engine:"interp" img r;
-  r
-
-let run_fast ?(fuel = max_int) ?watchdog ?program
-    (img : Omni_runtime.Loader.image) : run_result =
-  Trace.phase "run" ~attrs:[ ("engine", "fast") ] @@ fun () ->
-  let outcome, st = Omni_runtime.Loader.run_fast ~fuel ?watchdog ?program img in
-  let outcome' =
     match outcome with
-    | Omnivm.Interp.Exited c -> Machine.Exited c
-    | Omnivm.Interp.Faulted f -> Machine.Faulted f
-    | Omnivm.Interp.Out_of_fuel -> Machine.Out_of_fuel
-  in
-  let crash =
-    match outcome' with
-    | Machine.Faulted f -> Some (crash_of_interp st f)
+    | Machine.Faulted f ->
+        let cs_window_base, cs_window = window_around mem f in
+        Some { cs_pc = pc; cs_regs = Array.init 16 reg; cs_window_base;
+               cs_window }
     | Machine.Exited _ | Machine.Out_of_fuel -> None
-  in
-  let r =
-    {
-      output = Omni_runtime.Host.output img.Omni_runtime.Loader.host;
-      exit_code = (match outcome' with Machine.Exited c -> c | _ -> -1);
-      outcome = outcome';
-      instructions = st.Omnivm.Interp.icount;
-      cycles = st.Omnivm.Interp.icount;
-      stats = None;
-      crash;
-    }
-  in
-  record_exec ~engine:"fast" img r;
-  r
-
-(* Translate a loaded module for a target architecture. *)
-type translated = Omni_targets.Translated.t =
-  | T_risc of Risc.program
-  | T_x86 of X86.program
-
-let translate ?(mode : Machine.mode option) ?opts (arch : Arch.t)
-    (exe : Omnivm.Exe.t) : translated =
-  let mode =
-    match mode with
-    | Some m -> m
-    | None -> Machine.Mobile (Omni_sfi.Policy.make ())
-  in
-  let opts = match opts with Some o -> o | None -> mobile_opts arch in
-  Trace.phase "translate" ~attrs:[ ("arch", Arch.name arch) ] @@ fun () ->
-  Trace.count ~by:(Array.length exe.Omnivm.Exe.text) "translate.omni_instrs";
-  match arch with
-  | Arch.Mips ->
-      T_risc
-        (Risc_translate.translate
-           { Risc_translate.cfg = Risc.mips_cfg; mode; opts; sfi_cache = None }
-           exe)
-  | Arch.Sparc ->
-      T_risc
-        (Risc_translate.translate
-           { Risc_translate.cfg = Risc.sparc_cfg; mode; opts; sfi_cache = None }
-           exe)
-  | Arch.Ppc ->
-      T_risc
-        (Risc_translate.translate
-           { Risc_translate.cfg = Risc.ppc_cfg; mode; opts; sfi_cache = None }
-           exe)
-  | Arch.X86 -> T_x86 (X86_translate.translate ~mode ~opts exe)
-
-let arch_of_translated = function
-  | T_risc p -> Risc.arch_name p.Risc.cfg.Risc.arch
-  | T_x86 _ -> "x86"
-
-let run_translated ?(fuel = max_int) ?watchdog (tr : translated)
-    (img : Omni_runtime.Loader.image) : run_result =
-  let engine = arch_of_translated tr in
-  Trace.phase "run" ~attrs:[ ("engine", engine) ] @@ fun () ->
-  let outcome, stats, crash =
-    match tr with
-    | T_risc p ->
-        let o, s, st =
-          Risc_sim.run ~fuel ?watchdog p img.Omni_runtime.Loader.mem
-            img.Omni_runtime.Loader.host
-        in
-        let crash =
-          match o with
-          | Machine.Faulted f -> Some (crash_of_risc st f)
-          | Machine.Exited _ | Machine.Out_of_fuel -> None
-        in
-        (o, s, crash)
-    | T_x86 p ->
-        let o, s, st =
-          X86_sim.run ~fuel ?watchdog p img.Omni_runtime.Loader.mem
-            img.Omni_runtime.Loader.host
-        in
-        let crash =
-          match o with
-          | Machine.Faulted f -> Some (crash_of_x86 st f)
-          | Machine.Exited _ | Machine.Out_of_fuel -> None
-        in
-        (o, s, crash)
   in
   let r =
     {
       output = Omni_runtime.Host.output img.Omni_runtime.Loader.host;
       exit_code = (match outcome with Machine.Exited c -> c | _ -> -1);
       outcome;
-      instructions = stats.Machine.instructions;
-      cycles = stats.Machine.cycles;
-      stats = Some stats;
+      instructions;
+      cycles;
+      stats;
       crash;
     }
   in
   record_exec ~engine img r;
   r
+
+(* --- loading and running --- *)
+
+let load ?(map_host_region = false) ?allow exe =
+  Omni_runtime.Loader.load ?allow ~map_host_region exe
+
+(* Both interpreters run on an [Interp.t]; only the loader call and the
+   engine label differ. *)
+let interpreted ~engine run (img : Omni_runtime.Loader.image) : run_result =
+  Trace.phase "run" ~attrs:[ ("engine", engine) ] @@ fun () ->
+  let outcome, (st : Omnivm.Interp.t) = run img in
+  result ~engine img outcome ~instructions:st.icount ~cycles:st.icount
+    ~stats:None
+    ~pc:(Omnivm.Exe.code_addr st.pc)
+    ~reg:(Omnivm.Interp.get_reg st) st.mem
+
+let run_interp ?fuel ?watchdog img =
+  interpreted ~engine:"interp" (Omni_runtime.Loader.run_interp ?fuel ?watchdog)
+    img
+
+let run_fast ?fuel ?watchdog ?program img =
+  interpreted ~engine:"fast"
+    (Omni_runtime.Loader.run_fast ?fuel ?watchdog ?program)
+    img
+
+(* The one sandbox-configuration decision. An explicit [mode] wins;
+   otherwise [sfi] (default on) picks the sandboxing policy for the
+   standard layout or no protection. [opts] defaults to the paper's
+   per-arch translator options. *)
+let resolve ?(sfi = true) ?mode ?opts arch =
+  let mode =
+    match mode with
+    | Some m -> m
+    | None ->
+        Machine.Mobile
+          (if sfi then Omni_sfi.Policy.make () else Omni_sfi.Policy.off)
+  in
+  let opts = match opts with Some o -> o | None -> mobile_opts arch in
+  (mode, opts)
+
+(* Translate a loaded module for a target architecture. *)
+type translated = Omni_targets.Translated.t =
+  | T_risc of Risc.program
+  | T_x86 of X86.program
+
+let translate ?mode ?opts (arch : Arch.t) (exe : Omnivm.Exe.t) : translated =
+  let mode, opts = resolve ?mode ?opts arch in
+  Trace.phase "translate" ~attrs:[ ("arch", Arch.name arch) ] @@ fun () ->
+  Trace.count ~by:(Array.length exe.Omnivm.Exe.text) "translate.omni_instrs";
+  let risc cfg =
+    T_risc
+      (Risc_translate.translate
+         { Risc_translate.cfg; mode; opts; sfi_cache = None }
+         exe)
+  in
+  match arch with
+  | Arch.Mips -> risc Risc.mips_cfg
+  | Arch.Sparc -> risc Risc.sparc_cfg
+  | Arch.Ppc -> risc Risc.ppc_cfg
+  | Arch.X86 -> T_x86 (X86_translate.translate ~mode ~opts exe)
+
+let arch_of = Omni_targets.Translated.arch
+let arch_name tr = Arch.name (arch_of tr)
+
+let run_translated ?fuel ?watchdog (tr : translated)
+    (img : Omni_runtime.Loader.image) : run_result =
+  let engine = arch_name tr in
+  Trace.phase "run" ~attrs:[ ("engine", engine) ] @@ fun () ->
+  let { Omni_runtime.Loader.mem; host; _ } = img in
+  let finish outcome (stats : Machine.stats) ~pc ~reg =
+    result ~engine img outcome ~instructions:stats.Machine.instructions
+      ~cycles:stats.Machine.cycles ~stats:(Some stats) ~pc ~reg mem
+  in
+  match tr with
+  | T_risc p ->
+      let o, s, st = Risc_sim.run ?fuel ?watchdog p mem host in
+      finish o s ~pc:st.Risc_sim.pc ~reg:(fun i ->
+          Risc_sim.get st (Risc.map_reg i))
+  | T_x86 p ->
+      let o, s, st = X86_sim.run ?fuel ?watchdog p mem host in
+      finish o s ~pc:st.X86_sim.pc ~reg:(fun i ->
+          match X86.int_home i with
+          | X86.Hzero -> 0
+          | X86.Hreg x -> st.X86_sim.regs.(x)
+          | X86.Hmem a -> Omnivm.Memory.load32 mem a)
+
+let run ?fuel ?watchdog ?sfi ?mode ?opts engine
+    (img : Omni_runtime.Loader.image) =
+  match engine with
+  | Interp -> run_interp ?fuel ?watchdog img
+  | Fast -> run_fast ?fuel ?watchdog img
+  | Target arch ->
+      let mode, opts = resolve ?sfi ?mode ?opts arch in
+      let tr = translate ~mode ~opts arch img.Omni_runtime.Loader.exe in
+      run_translated ?fuel ?watchdog tr img
 
 (* --- structural identity and verification of translated programs --- *)
 
@@ -299,7 +245,7 @@ let guard_zone_of_mode (mode : Machine.mode) =
   | Machine.Native _ -> Omni_sfi.Policy.safe_sp_disp
 
 let verify ?mode (tr : translated) : (unit, string) result =
-  Trace.phase "verify" ~attrs:[ ("arch", arch_of_translated tr) ]
+  Trace.phase "verify" ~attrs:[ ("arch", arch_name tr) ]
   @@ fun () ->
   (* [mode] widens the displacement bound for [Pad_guard8] translations;
      omitting it keeps the default guard zone. *)
@@ -327,12 +273,10 @@ let fingerprint = Omni_targets.Translated.fingerprint
 
 (* --- certification: produce-once / check-cheap safety witnesses --- *)
 
-let arch_of = Omni_targets.Translated.arch
-
 let certify ~(module_digest : Omni_util.Fnv64.t) ~(mode : Machine.mode)
     ~(opts : Machine.topts) ?code_fp (tr : translated) :
     (Omni_cert.Certificate.t, string) result =
-  Trace.phase "certify" ~attrs:[ ("arch", arch_of_translated tr) ]
+  Trace.phase "certify" ~attrs:[ ("arch", arch_name tr) ]
   @@ fun () ->
   let protect_reads, pad =
     match mode with
@@ -364,7 +308,7 @@ let certify ~(module_digest : Omni_util.Fnv64.t) ~(mode : Machine.mode)
 let check_cert ~(module_digest : Omni_util.Fnv64.t) ~(mode : Machine.mode)
     ~(opts : Machine.topts) ?code_fp (cert : Omni_cert.Certificate.t)
     (tr : translated) : (unit, string) result =
-  Trace.phase "cert.check" ~attrs:[ ("arch", arch_of_translated tr) ]
+  Trace.phase "cert.check" ~attrs:[ ("arch", arch_name tr) ]
   @@ fun () ->
   (* [code_fp] lets callers that already hold the fingerprint (the cache
      stores it with each entry) skip recomputing it — that hash is most

@@ -64,6 +64,8 @@ val run_interp :
   ?watchdog:Omnivm.Watchdog.t ->
   Omni_runtime.Loader.image ->
   run_result
+(** Run under the OmniVM reference interpreter. Every engine owns its
+    "no fuel" default (unbounded); [fuel] is passed through as given. *)
 
 val run_fast :
   ?fuel:int ->
@@ -82,14 +84,27 @@ type translated = Omni_targets.Translated.t =
   | T_risc of Omni_targets.Risc.program
   | T_x86 of Omni_targets.X86.program
 
+val resolve :
+  ?sfi:bool ->
+  ?mode:Machine.mode ->
+  ?opts:Machine.topts ->
+  Arch.t ->
+  Machine.mode * Machine.topts
+(** The one sandbox-configuration decision, shared by every path that
+    turns a request into a translation ({!translate}, {!run}, the
+    service, crash-report replay, the wire and the CLI): an explicit
+    [mode] wins; otherwise [sfi] (default [true]) selects the sandboxing
+    policy for the standard module layout, and [false] no protection.
+    [opts] defaults to {!mobile_opts}. *)
+
 val translate :
   ?mode:Machine.mode ->
   ?opts:Machine.topts ->
   Arch.t ->
   Omnivm.Exe.t ->
   translated
-(** Load-time translation. [mode] defaults to sandboxed mobile code;
-    [opts] defaults to {!mobile_opts}. *)
+(** Load-time translation, configured by {!resolve}: [mode] defaults to
+    sandboxed mobile code, [opts] to {!mobile_opts}. *)
 
 val run_translated :
   ?fuel:int ->
@@ -97,6 +112,21 @@ val run_translated :
   translated ->
   Omni_runtime.Loader.image ->
   run_result
+
+val run :
+  ?fuel:int ->
+  ?watchdog:Omnivm.Watchdog.t ->
+  ?sfi:bool ->
+  ?mode:Machine.mode ->
+  ?opts:Machine.topts ->
+  engine ->
+  Omni_runtime.Loader.image ->
+  run_result
+(** The one local run path: run the image's executable on [engine]. A
+    target engine translates it under the configuration {!resolve}
+    picks from [sfi], [mode] and [opts]; the interpreters ignore them.
+    [Api.run] without a service, crash-report replay and the tests all
+    run through here. *)
 
 val verify : ?mode:Machine.mode -> translated -> (unit, string) result
 (** Run the target's static SFI verifier over the translated code — the

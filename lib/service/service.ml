@@ -94,25 +94,10 @@ let quarantined t =
   | None -> []
   | Some q -> Supervise.Quarantine.active q
 
-(* Resolve the translation configuration exactly as Api.run does, so a
-   service run and a direct run of the same request are the same
-   computation — the observational-identity tests rely on this. *)
-let resolve_config ?sfi ?mode ?opts arch =
-  let mode =
-    match mode with
-    | Some m -> m
-    | None ->
-        if Option.value sfi ~default:true then
-          Machine.Mobile (Omni_sfi.Policy.make ())
-        else Machine.Mobile Omni_sfi.Policy.off
-  in
-  let opts = match opts with Some o -> o | None -> Exec.mobile_opts arch in
-  (mode, opts)
-
 (* Post-run supervision: count and report the crash, feed the quarantine.
    The quarantine is fed every outcome (clean exits reset strikes); the
    crash report is only materialized when someone will read it. *)
-let supervise_result t h ~engine ~sfi ?fuel (res : Exec.run_result) =
+let supervise_result t h ~engine ~sfi ?mode ?fuel (res : Exec.run_result) =
   let digest = Store.digest h in
   (match res.Exec.outcome with
   | Machine.Faulted f ->
@@ -123,7 +108,7 @@ let supervise_result t h ~engine ~sfi ?fuel (res : Exec.run_result) =
       | None -> ()
       | Some k -> (
           match
-            Supervise.of_run ~engine ~sfi
+            Supervise.of_run ~engine ~sfi ?mode
               ?producer:(Store.producer t.store h)
               ?fuel ~wire:(Store.bytes t.store h) res
           with
@@ -172,15 +157,15 @@ let instantiate ?(engine = Exec.Interp) ?(sfi = true) ?mode ?opts ?fuel
           ~program:(Store.predecoded t.store h)
           img
     | Exec.Target arch ->
-        let mode, opts = resolve_config ~sfi ?mode ?opts arch in
+        let mode, opts = Exec.resolve ~sfi ?mode ?opts arch in
         let key = Cache.key ~digest:(Store.digest h) ~arch ~mode ~opts in
         let tr = Cache.find_or_translate t.cache key (Store.exe t.store h) in
         Exec.run_translated ?fuel ?watchdog tr img
   in
-  supervise_result t h ~engine ~sfi ?fuel res
+  supervise_result t h ~engine ~sfi ?mode ?fuel res
 
 let cached ?sfi ?mode ?opts ~arch t h =
-  let mode, opts = resolve_config ?sfi ?mode ?opts arch in
+  let mode, opts = Exec.resolve ?sfi ?mode ?opts arch in
   Cache.peek t.cache (Cache.key ~digest:(Store.digest h) ~arch ~mode ~opts)
 
 let certificate ?sfi ?mode ?opts ~arch t h =

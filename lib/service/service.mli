@@ -90,10 +90,12 @@ val instantiate :
   Store.handle ->
   Exec.run_result
 (** Run the module named by the handle on a fresh isolated image.
-    Defaults mirror [Api.default_request]: the interpreter engine; for
-    target engines, sandboxed mobile code ([sfi], default true, ignored when
-    [mode] is given) with the per-arch translator options. [deadline_s]
-    overrides the service-wide wall-clock budget for this run.
+    The engine defaults to the interpreter; a target engine's
+    configuration comes from {!Exec.resolve} on [sfi] (default true),
+    [mode] and [opts], as on every other run path. A faulted run's crash
+    report records [sfi] and [mode], so it replays under the same
+    configuration. [deadline_s] overrides the service-wide wall-clock
+    budget for this run.
     @raise Store.Unknown_handle on a foreign handle.
     @raise Cache.Rejected if the SFI verifier rejects the translation.
     @raise Supervise.Quarantine.Quarantined when the module's breaker is

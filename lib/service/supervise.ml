@@ -35,6 +35,7 @@ type report = {
   r_fault : Fault.t;
   r_engine : Exec.engine;
   r_sfi : bool;
+  r_mode : Machine.mode option; (* explicit mode; None = derived from sfi *)
   r_producer : string option; (* front-end that produced the module *)
   r_digest : Fnv64.t;
   r_fuel : int option; (* the request's instruction budget *)
@@ -50,7 +51,7 @@ let no_site =
   { Exec.cs_pc = -1; cs_regs = Array.make 16 0; cs_window_base = -1;
     cs_window = "" }
 
-let of_run ~engine ~sfi ?producer ?fuel ~wire (r : Exec.run_result) :
+let of_run ~engine ~sfi ?mode ?producer ?fuel ~wire (r : Exec.run_result) :
     report option =
   match r.Exec.outcome with
   | Machine.Exited _ | Machine.Out_of_fuel -> None
@@ -61,6 +62,7 @@ let of_run ~engine ~sfi ?producer ?fuel ~wire (r : Exec.run_result) :
           r_fault = f;
           r_engine = engine;
           r_sfi = sfi;
+          r_mode = mode;
           r_producer = producer;
           r_digest = Fnv64.digest_string wire;
           r_fuel = fuel;
@@ -102,6 +104,47 @@ let hex_decode s =
 
 let schema = "omni-crash/1"
 
+(* The report's explicit mode travels as the wire carries it, in one
+   token: [<policy>[+reads]/<pad>] for a policy over the standard layout
+   (e.g. "guard/none", "sandbox+reads/nop"), or [native/<tier>]. *)
+let policy_modes =
+  Omni_sfi.Policy.[ ("off", Off); ("sandbox", Sandbox); ("guard", Guard) ]
+
+let tiers = Machine.[ ("gcc", Gcc); ("cc", Cc) ]
+let name_in tbl v = fst (List.find (fun (_, v') -> v' = v) tbl)
+
+let mode_token = function
+  | Machine.Native t -> "native/" ^ name_in tiers t
+  | Machine.Mobile p ->
+      Printf.sprintf "%s%s/%s"
+        (name_in policy_modes p.Omni_sfi.Policy.mode)
+        (if p.Omni_sfi.Policy.protect_reads then "+reads" else "")
+        (Omni_sfi.Policy.pad_name p.Omni_sfi.Policy.pad)
+
+let mode_of_token s =
+  let bad () = raise (Bad_report ("bad mode " ^ s)) in
+  let find tbl k =
+    match List.assoc_opt k tbl with Some v -> v | None -> bad ()
+  in
+  match String.split_on_char '/' s with
+  | [ "native"; t ] -> Machine.Native (find tiers t)
+  | [ m; pad ] ->
+      let m, protect_reads =
+        match String.split_on_char '+' m with
+        | [ m ] -> (m, false)
+        | [ m; "reads" ] -> (m, true)
+        | _ -> bad ()
+      in
+      let pad =
+        match Omni_sfi.Policy.pad_of_string pad with
+        | Some p -> p
+        | None -> bad ()
+      in
+      Machine.Mobile
+        (Omni_sfi.Policy.make ~mode:(find policy_modes m) ~protect_reads ~pad
+           ())
+  | _ -> bad ()
+
 let to_json (r : report) =
   let b = Buffer.create 512 in
   Printf.bprintf b "{\"schema\":\"%s\"" schema;
@@ -122,6 +165,9 @@ let to_json (r : report) =
       ());
   Printf.bprintf b "},\"engine\":\"%s\"" (Exec.engine_name r.r_engine);
   Printf.bprintf b ",\"sfi\":%b" r.r_sfi;
+  Option.iter
+    (fun m -> Printf.bprintf b ",\"mode\":\"%s\"" (mode_token m))
+    r.r_mode;
   (match r.r_producer with
   | Some p -> Printf.bprintf b ",\"producer\":\"%s\"" p
   | None -> Printf.bprintf b ",\"producer\":null");
@@ -313,6 +359,13 @@ let of_json (text : string) : report =
     | J_bool v -> v
     | _ -> raise (Bad_report "sfi must be a boolean")
   in
+  (* absent in reports that predate it: the mode derives from sfi *)
+  let r_mode =
+    match field "mode" with
+    | None | Some J_null -> None
+    | Some (J_str m) -> Some (mode_of_token m)
+    | Some _ -> raise (Bad_report "mode must be a string or null")
+  in
   (* absent in pre-producer reports: stay readable *)
   let r_producer =
     match field "producer" with
@@ -342,6 +395,7 @@ let of_json (text : string) : report =
     r_fault;
     r_engine;
     r_sfi;
+    r_mode;
     r_producer;
     r_digest;
     r_fuel;
@@ -383,8 +437,9 @@ let pp fmt (r : report) =
   (match r.r_producer with
   | Some p -> Format.fprintf fmt "  produced by %s@\n" p
   | None -> ());
-  Format.fprintf fmt "  sfi %b, fuel %s, %d instructions spent, pc %d@\n"
+  Format.fprintf fmt "  sfi %b%s, fuel %s, %d instructions spent, pc %d@\n"
     r.r_sfi
+    (match r.r_mode with None -> "" | Some m -> ", mode " ^ mode_token m)
     (match r.r_fuel with Some f -> string_of_int f | None -> "unlimited")
     r.r_fuel_spent r.r_pc;
   Format.fprintf fmt "  regs";
@@ -418,22 +473,11 @@ let replay ?watchdog ?engine (r : report) : Exec.run_result =
     | None, None when transient r.r_fault -> Some (max 1 r.r_fuel_spent)
     | fuel, _ -> fuel
   in
-  let exe = Omnivm.Wire.decode r.r_wire in
-  let img = Exec.load exe in
-  match engine with
-  | Exec.Interp -> Exec.run_interp ?fuel ?watchdog img
-  | Exec.Fast -> Exec.run_fast ?fuel ?watchdog img
-  | Exec.Target arch ->
-      (* Mirror Service.resolve_config / Api.run: the bundle records the
-         request as expressible on the wire (engine, sfi, fuel); mode and
-         opts derive from sfi exactly as they did on the original run. *)
-      let mode =
-        if r.r_sfi then Machine.Mobile (Omni_sfi.Policy.make ())
-        else Machine.Mobile Omni_sfi.Policy.off
-      in
-      let opts = Exec.mobile_opts arch in
-      let tr = Exec.translate ~mode ~opts arch exe in
-      Exec.run_translated ?fuel ?watchdog tr img
+  (* The bundle records the request as the wire expresses it (engine,
+     sfi, explicit mode, fuel); Exec.resolve turns it into the same
+     configuration the original run had. *)
+  Exec.run ?fuel ?watchdog ~sfi:r.r_sfi ?mode:r.r_mode engine
+    (Exec.load (Omnivm.Wire.decode r.r_wire))
 
 type verdict =
   | Reproduced

@@ -30,6 +30,13 @@ type report = {
   r_fault : Fault.t;
   r_engine : Exec.engine;
   r_sfi : bool;
+  r_mode : Machine.mode option;
+      (** the explicit translation mode the run was given ([Service]'s
+          [?mode], [omnirun --sfi-pad]); [None] means the mode derives
+          from [r_sfi] through {!Exec.resolve}. It is recorded in the
+          terms the wire can express: a policy's mode, [protect_reads]
+          and pad over the standard layout, or a native tier. Reports
+          written before the field existed read back as [None]. *)
   r_producer : string option;
       (** the front-end that produced the module (e.g. ["minic"],
           ["stackvm"]), when the submitter declared one — a crash report
@@ -47,6 +54,7 @@ type report = {
 val of_run :
   engine:Exec.engine ->
   sfi:bool ->
+  ?mode:Machine.mode ->
   ?producer:string ->
   ?fuel:int ->
   wire:string ->
@@ -79,8 +87,9 @@ val pp : Format.formatter -> report -> unit
 
 val replay :
   ?watchdog:Omnivm.Watchdog.t -> ?engine:Exec.engine -> report -> Exec.run_result
-(** Re-execute the bundled request in-process: decode [r_wire], derive
-    mode/opts from [r_sfi] exactly as the original run did, run with
+(** Re-execute the bundled request in-process through {!Exec.run}:
+    decode [r_wire], resolve the configuration from [r_sfi] and [r_mode]
+    with {!Exec.resolve} as the original run did, run with
     [r_fuel] on [r_engine] (or [engine] when overridden, e.g. to check a
     fault reproduces across architectures). A transient bundle with no
     fuel of its own (and no [watchdog] given) is bounded by

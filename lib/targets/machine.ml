@@ -196,7 +196,9 @@ let finish s pipe t n =
   s.cycles <- Pipeline.cycles pipe;
   give_table t
 
-type outcome =
+(* How a run ended: the interpreter's outcome type, so every engine's
+   result needs no conversion. *)
+type outcome = Omnivm.Interp.outcome =
   | Exited of int
   | Faulted of Omnivm.Fault.t
   | Out_of_fuel

@@ -284,6 +284,22 @@ let qcheck_message_roundtrip =
          Msg.decode_req (Msg.encode_req req) = Ok req
          && Msg.decode_resp (Msg.encode_resp resp) = Ok resp))
 
+(* The wire form of an explicit mode and its resolution are one inverse
+   pair: every mode_spec survives the trip through Machine.mode, so what
+   a client asks for is what the server runs. *)
+let qcheck_mode_spec_roundtrip =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:200
+       ~name:"message: mode_spec_of_mode (mode_of_spec s) = s"
+       (QCheck.make gen_mode) (fun spec ->
+         let mode = Msg.mode_of_spec spec in
+         Msg.mode_spec_of_mode mode = spec
+         && (spec = Msg.M_default) = (mode = None)
+         && Option.fold ~none:true
+              ~some:(fun m ->
+                Msg.mode_of_spec (Msg.mode_spec_of_mode (Some m)) = Some m)
+              mode))
+
 let qcheck_message_corruption =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:500
@@ -763,7 +779,8 @@ let () =
          Alcotest.test_case "hostile bytes" `Quick frame_hostile;
          qcheck_frame_total ]);
       ("message",
-       [ qcheck_message_roundtrip; qcheck_message_corruption ]);
+       [ qcheck_message_roundtrip; qcheck_mode_spec_roundtrip;
+         qcheck_message_corruption ]);
       ("e2e",
        [ Alcotest.test_case "identity across engines × SFI" `Quick
            e2e_identity;

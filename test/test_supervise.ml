@@ -2,8 +2,8 @@
 
    Load-bearing properties:
 
-   - engine parity of fault delivery: every engine (interpreter + four
-     simulated targets) delivers the same fault code — including the new
+   - engine parity of fault delivery: every engine (both interpreters +
+     four simulated targets) delivers the same fault code — including
      deadline_exceeded — to a registered handler in r1 and clears the
      handler on delivery (a second fault aborts);
    - the watchdog is deterministic under an injectable clock, fires as
@@ -12,7 +12,8 @@
    - crash reports are a total JSON round-trip (qcheck'd over arbitrary
      faults, register files, and byte windows), and a report is a replay
      bundle: re-execution reproduces the fault on the report's own
-     engine and on every other architecture;
+     engine and on every other architecture, under the explicit SFI mode
+     the original run was given;
    - the quarantine breaker obeys its laws (qcheck'd): trips exactly at
      the threshold, TTL expiry grants fresh chances, a clean exit resets
      strikes, transient faults and fuel exhaustion are neutral;
@@ -44,20 +45,10 @@ let ticking ?(step = 0.001) () =
       !t)
 
 let engines =
-  [ Exec.Interp; Exec.Target Arch.Mips; Exec.Target Arch.Sparc;
+  [ Exec.Interp; Exec.Fast; Exec.Target Arch.Mips; Exec.Target Arch.Sparc;
     Exec.Target Arch.Ppc; Exec.Target Arch.X86 ]
 
 let assemble src = Omni_asm.Link.link [ Omni_asm.Parse.assemble ~name:"t" src ]
-
-let run_engine ?fuel ?watchdog engine exe =
-  let img = Exec.load exe in
-  match engine with
-  | Exec.Interp -> Exec.run_interp ?fuel ?watchdog img
-  | Exec.Fast -> Exec.run_fast ?fuel ?watchdog img
-  | Exec.Target arch ->
-      let mode = Machine.Mobile (Omni_sfi.Policy.make ()) in
-      let tr = Exec.translate ~mode ~opts:(Exec.mobile_opts arch) arch exe in
-      Exec.run_translated ?fuel ?watchdog tr img
 
 (* --- source modules --- *)
 
@@ -113,14 +104,16 @@ let parity_scenarios =
   [ ( "division_by_zero",
       Fault.code Fault.Division_by_zero,
       fun engine ->
-        run_engine ~fuel engine (report_handler_exe div_fault_body) );
+        Exec.run ~fuel engine
+          (Exec.load (report_handler_exe div_fault_body)) );
     ( "deadline_exceeded",
       Fault.code Fault.Deadline_exceeded,
       fun engine ->
         let w =
           Watchdog.make ~poll_every:256 ~clock:(ticking ()) ~budget_s:0.01 ()
         in
-        run_engine ~fuel ~watchdog:w engine (report_handler_exe spin_body) ) ]
+        Exec.run ~fuel ~watchdog:w engine
+          (Exec.load (report_handler_exe spin_body)) ) ]
 
 let qcheck_engine_parity =
   QCheck_alcotest.to_alcotest
@@ -158,7 +151,7 @@ main:
   in
   List.iter
     (fun engine ->
-      let r = run_engine ~fuel engine exe in
+      let r = Exec.run ~fuel engine (Exec.load exe) in
       Alcotest.(check bool)
         (Exec.engine_name engine ^ ": second fault aborts")
         true
@@ -174,7 +167,7 @@ let watchdog_fires () =
       let w =
         Watchdog.make ~poll_every:256 ~clock:(ticking ()) ~budget_s:0.01 ()
       in
-      let r = run_engine ~fuel ~watchdog:w engine exe in
+      let r = Exec.run ~fuel ~watchdog:w engine (Exec.load exe) in
       Alcotest.(check bool)
         (Exec.engine_name engine ^ ": deadline fault")
         true
@@ -191,7 +184,7 @@ let watchdog_spares_finishers () =
   let w =
     Watchdog.make ~poll_every:256 ~clock:(ticking ()) ~budget_s:1e6 ()
   in
-  let r = run_engine ~fuel ~watchdog:w Exec.Interp exe in
+  let r = Exec.run ~fuel ~watchdog:w Exec.Interp (Exec.load exe) in
   Alcotest.(check bool) "exited 0" true (r.Exec.outcome = Machine.Exited 0)
 
 let watchdog_rejects_nonsense () =
@@ -255,12 +248,24 @@ let gen_fault =
       map (fun n -> Fault.Explicit_trap n) (int_bound 255);
       return Fault.Deadline_exceeded ]
 
+let gen_mode =
+  let open QCheck.Gen in
+  oneof
+    [ map3
+        (fun mode protect_reads pad ->
+          Machine.Mobile (Omni_sfi.Policy.make ~mode ~protect_reads ~pad ()))
+        (oneofl Omni_sfi.Policy.[ Off; Sandbox; Guard ])
+        bool
+        (oneofl Omni_sfi.Policy.all_pads);
+      map (fun t -> Machine.Native t) (oneofl Machine.[ Gcc; Cc ]) ]
+
 let gen_report =
   let open QCheck.Gen in
   let bytes = string_size ~gen:(map Char.chr (int_bound 255)) (int_bound 80) in
   let* r_fault = gen_fault
   and* r_engine = oneofl engines
   and* r_sfi = bool
+  and* r_mode = opt gen_mode
   and* r_producer = opt (oneofl [ "minic"; "stackvm" ])
   and* r_digest = map Int64.of_int int
   and* r_fuel = opt (int_bound 1_000_000)
@@ -275,6 +280,7 @@ let gen_report =
       Supervise.r_fault;
       r_engine;
       r_sfi;
+      r_mode;
       r_producer;
       r_digest;
       r_fuel;
@@ -394,6 +400,99 @@ let replay_transient_terminates () =
   | Supervise.Transient _ -> ()
   | Supervise.Reproduced | Supervise.Diverged _ ->
       Alcotest.fail "transient fault was asserted"
+
+(* The wild store of test_sfi.ml: two stores into host memory, then a
+   clean exit. Sandboxing masks them into the data segment, so only an
+   explicit mode makes them fault: a Guard policy traps, and a native
+   baseline stores to the unmapped host region. *)
+let wild_store_exe =
+  lazy
+    (assemble
+       (Printf.sprintf
+          {|
+        .text
+        .globl main
+main:   li r2, %d
+        li r3, 0x5A5A5A5A
+        sw r3, 0(r2)
+        sw r3, 16(r2)
+        li r1, 0
+        hcall 0
+|}
+          Omnivm.Layout.host_base))
+
+let replay_explicit_mode () =
+  (* A report of a run served under an explicit mode must replay under
+     that mode, not under the one its sfi flag alone derives. *)
+  let wire = Omnivm.Wire.encode (Lazy.force wild_store_exe) in
+  let guard =
+    Machine.Mobile (Omni_sfi.Policy.make ~mode:Omni_sfi.Policy.Guard ())
+  in
+  List.iter
+    (fun (mname, mode) ->
+      List.iter
+        (fun arch ->
+          let what = Printf.sprintf "%s/%s" (Arch.name arch) mname in
+          let reports = ref [] in
+          let svc =
+            Service.of_config
+              { Service.default_config with
+                on_crash = Some (fun r -> reports := r :: !reports) }
+          in
+          let h = Service.submit svc wire in
+          let r =
+            Service.instantiate ~engine:(Exec.Target arch) ~mode ~fuel svc h
+          in
+          (match r.Exec.outcome with
+          | Machine.Faulted
+              (Fault.Access_violation { access = Fault.Write; _ }) ->
+              ()
+          | _ -> Alcotest.failf "%s: expected a write violation" what);
+          let report =
+            match !reports with
+            | [ report ] -> report
+            | l -> Alcotest.failf "%s: %d reports" what (List.length l)
+          in
+          Alcotest.(check bool) (what ^ ": mode recorded") true
+            (report.Supervise.r_mode = Some mode);
+          let rt = Supervise.of_json (Supervise.to_json report) in
+          Alcotest.(check bool) (what ^ ": JSON round-trip") true
+            (rt = report);
+          List.iter
+            (fun (how, report) ->
+              match Supervise.check_replay report with
+              | Supervise.Reproduced -> ()
+              | Supervise.Transient o | Supervise.Diverged o ->
+                  Alcotest.failf "%s: %s replay did not reproduce (%s)" what
+                    how
+                    (match o with
+                    | Machine.Exited n -> Printf.sprintf "exited %d" n
+                    | Machine.Faulted f -> Fault.to_string f
+                    | Machine.Out_of_fuel -> "out of fuel"))
+            [ ("in-memory", report); ("round-tripped", rt) ])
+        Arch.all)
+    [ ("guard", guard); ("native-gcc", Machine.Native Machine.Gcc) ]
+
+let replay_reads_reports_without_mode () =
+  (* A report written before the mode field existed still parses, as
+     [None], and replays as it always did: mode derived from sfi. *)
+  let report = report_of_crashy ~engine:(Exec.Target Arch.Ppc) () in
+  let json = Supervise.to_json report in
+  let has_mode =
+    let k = {|"mode"|} in
+    let n = String.length k in
+    let rec at i =
+      i + n <= String.length json && (String.sub json i n = k || at (i + 1))
+    in
+    at 0
+  in
+  Alcotest.(check bool) "no mode field written for a derived mode" false
+    has_mode;
+  let old = Supervise.of_json json in
+  Alcotest.(check bool) "mode reads back as None" true
+    (old.Supervise.r_mode = None);
+  Alcotest.(check bool) "replays" true
+    (Supervise.check_replay old = Supervise.Reproduced)
 
 (* --- quarantine laws --- *)
 
@@ -645,6 +744,10 @@ let () =
            replay_reproduces_everywhere;
          Alcotest.test_case "detects divergence" `Quick
            replay_divergence_detected;
+         Alcotest.test_case "explicit mode reproduces" `Quick
+           replay_explicit_mode;
+         Alcotest.test_case "reports without a mode replay" `Quick
+           replay_reads_reports_without_mode;
          Alcotest.test_case "transient replay terminates" `Quick
            replay_transient_terminates ]);
       ("quarantine",
