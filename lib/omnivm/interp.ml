@@ -95,15 +95,13 @@ let ins_field dst src pos len =
   let cleared = W.to_unsigned dst land lnot (mask lsl (8 * pos)) in
   W.of_int (cleared lor ((W.to_unsigned src land mask) lsl (8 * pos)))
 
+(* [Exe.index_of_addr] in line, with the text's bounds, building no
+   option: a transfer of control allocates nothing. *)
 let jump_index t addr =
-  match
-    if addr >= Layout.code_base
-       && addr < Layout.code_base + (4 * Array.length t.text)
-    then Exe.index_of_addr addr
-    else None
-  with
-  | Some i -> i
-  | None -> raise (Fault.Vm_fault (Access_violation { addr; access = Execute }))
+  let off = addr - Layout.code_base in
+  if off >= 0 && off land 3 = 0 && off < Exe.instr_size * Array.length t.text
+  then off / Exe.instr_size
+  else raise (Fault.Vm_fault (Access_violation { addr; access = Execute }))
 
 (* Execute one instruction; updates pc. *)
 let step host t =
@@ -113,7 +111,6 @@ let step host t =
   let i = Array.unsafe_get t.text t.pc in
   let next = t.pc + 1 in
   t.icount <- t.icount + 1;
-  let target_of_label l = jump_index t l in
   (match i with
   | Instr.Binop (op, rd, rs1, rs2) ->
       set_reg t rd (Instr.eval_binop op (get_reg t rs1) (get_reg t rs2));
@@ -195,16 +192,16 @@ let step host t =
       t.pc <- next
   | Instr.Br (c, rs1, rs2, l) ->
       if Instr.eval_cond c (get_reg t rs1) (get_reg t rs2) then
-        t.pc <- target_of_label l
+        t.pc <- jump_index t l
       else t.pc <- next
   | Instr.Bri (c, rs1, imm, l) ->
       if Instr.eval_cond c (get_reg t rs1) (W.of_int imm) then
-        t.pc <- target_of_label l
+        t.pc <- jump_index t l
       else t.pc <- next
-  | Instr.J l -> t.pc <- target_of_label l
+  | Instr.J l -> t.pc <- jump_index t l
   | Instr.Jal l ->
       set_reg t Reg.ra (Exe.code_addr next);
-      t.pc <- target_of_label l
+      t.pc <- jump_index t l
   | Instr.Jr rs -> t.pc <- jump_index t (W.to_unsigned (get_reg t rs))
   | Instr.Jalr (rd, rs) ->
       let target = jump_index t (W.to_unsigned (get_reg t rs)) in

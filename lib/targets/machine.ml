@@ -102,9 +102,12 @@ let new_stats () =
 (* --- decoded slots ---
 
    A simulator run decodes each slot the first time it executes into a
-   [table]: the slot's [Pipeline.costs], and a tag packing what is
-   counted when it retires, its origin index in the low three bits, then
-   the flags below (-1: not yet decoded). A retirement only adds one to
+   [table]: the slot's [Pipeline.costs]; its two op words, which the
+   simulator packs from the instruction (a dense opcode and the fields it
+   executes on, each checked once here, so executing the slot matches no
+   variant); and a tag packing what is counted when it retires, its
+   origin index in the low three bits, then the flags below (-1: not yet
+   decoded). A retirement only adds one to
    the slot's count; [finish] folds the counts into the run's [stats]
    once, when it ends. The table also holds the run's segment memo
    ([Pipeline.segment]): a slot's costs never change during a run, so a
@@ -124,6 +127,7 @@ let tag_hcall = 128 (* a host call: the run may exit after it *)
 
 type table = {
   costs : Pipeline.costs;
+  ops : int array; (* two words per slot, packed by the simulator *)
   tags : int array;
   counts : int array; (* times each slot retired in this run *)
   memo : Pipeline.memo; (* the run's segment timings *)
@@ -148,7 +152,8 @@ let take_table n =
       Pipeline.reset t.memo n;
       t
   | Some _ | None ->
-      { costs = Pipeline.costs n; tags = Array.make n (-1);
+      { costs = Pipeline.costs n; ops = Array.make (2 * n) 0;
+        tags = Array.make n (-1);
         counts = Array.make n 0; memo = Pipeline.memo n }
 
 (* Keep [t] as the spare unless the spare is at least as large. *)
@@ -160,9 +165,9 @@ let give_table t =
     | Some k when Array.length k.tags >= n -> ()
     | Some _ | None -> s := Some t
 
-(* Decode slot [k], of cost [w], into [t]; returns its tag.
-   [branch]: a conditional branch; [control]: it transfers control;
-   [hcall]: a host call. *)
+(* Decode slot [k], of cost [w], into [t], whose op words the simulator
+   has packed already; returns its tag. [branch]: a conditional branch;
+   [control]: it transfers control; [hcall]: a host call. *)
 let decode t k w origin ~branch ~control ~hcall =
   Pipeline.set t.costs k w;
   let tag =
@@ -175,6 +180,29 @@ let decode t k w origin ~branch ~control ~hcall =
   in
   t.tags.(k) <- tag;
   tag
+
+(* Dense indexes of an instruction's sub-operation, from 0, which the
+   simulators' decoders add to an opcode's base. *)
+let load_index (w : Omnivm.Instr.mem_width) signed =
+  match (w, signed) with
+  | W8, true -> 0
+  | W8, false -> 1
+  | W16, true -> 2
+  | W16, false -> 3
+  | W32, _ -> 4
+
+let store_index : Omnivm.Instr.mem_width -> int = function
+  | W8 -> 0
+  | W16 -> 1
+  | W32 -> 2
+
+let cond_index : Omnivm.Instr.cond -> int = function
+  | Eq -> 0 | Ne -> 1 | Lt -> 2 | Le -> 3 | Gt -> 4
+  | Ge -> 5 | Ltu -> 6 | Leu -> 7 | Gtu -> 8 | Geu -> 9
+
+let fop_index (op : Omnivm.Instr.fbinop) (prec : Omnivm.Instr.fprec) =
+  (2 * match op with Fadd -> 0 | Fsub -> 1 | Fmul -> 2 | Fdiv -> 3)
+  + match prec with Single -> 0 | Double -> 1
 
 (* End a run over the first [n] slots of [t]: fold their counts into [s],
    which holds only the live [taken_branches] so far, read the cycles off

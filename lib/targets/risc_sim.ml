@@ -1,12 +1,15 @@
 (* Functional + cycle-approximate simulator for translated RISC code.
 
-   Executes the structured native instructions over the module's segmented
-   memory, dispatches host calls through the runtime host, models branch
-   delay slots (with Sparc-style annulment), and charges the generic
-   pipeline cost model for what it retires, a segment of straight-line
-   code at a time. A slot's costs are decoded the first time it executes,
-   so retiring an instruction allocates nothing; its statistics are
-   counted per slot and folded when the run ends (see [Machine.finish]). *)
+   Executes translated native code over the module's segmented memory,
+   dispatches host calls through the runtime host, models branch delay
+   slots (with Sparc-style annulment), and charges the generic pipeline
+   cost model for what it retires, a segment of straight-line code at a
+   time. The first time a slot executes, [decode] checks its instruction
+   once and packs it into two op words, a dense opcode and its fields
+   (see "op words" below), beside the slot's costs; from then on the
+   slot runs by one jump on that opcode, with no match on the
+   instruction and no allocation. Statistics are counted per slot and
+   folded when the run ends (see [Machine.finish]). *)
 
 open Risc
 module W = Omni_util.Word32
@@ -15,7 +18,9 @@ module Mem = Omnivm.Memory
 
 type state = {
   prog : program;
-  regs : int array; (* 32, canonical word32; index 0 pinned to zero *)
+  regs : int array;
+      (* 32, canonical word32, and the sink [decode] names for writes to
+         r0 (index 0 stays zero) *)
   fregs : float array; (* 32 *)
   mutable cc_a : int; (* last compare operand pair *)
   mutable cc_b : int;
@@ -33,17 +38,16 @@ type state = {
 (* [Word32.of_int] in line: the low 32 bits, sign-extended. *)
 let canon v = (v lsl 31) asr 31
 
-(* [regs.(0)] is never written, so it reads as zero. *)
+(* [regs.(0)] is never written (a decoded write to r0 goes to [sink]),
+   so it reads as zero. *)
 let get st r = st.regs.(r)
 let set st r v = if r <> 0 then st.regs.(r) <- canon v
-
-let is_branch = function Br_cc _ | Br_cmp _ | Fbr _ -> true | _ -> false
 
 let create (prog : program) mem host =
   let st =
     {
       prog;
-      regs = Array.make 32 0;
+      regs = Array.make 33 0;
       fregs = Array.make 32 0.0;
       cc_a = 0;
       cc_b = 0;
@@ -81,41 +85,6 @@ let native_of_omni st addr =
     let n = st.prog.addr_map.(off / 4) in
     if n < 0 then fault (Access_violation { addr; access = Execute })
     else n
-
-(* [VI.eval_binop], in line but for division, with the same arithmetic
-   as [Word32]'s: the low 32 bits of [a * b] are those of the unsigned
-   product [W.mul] builds. *)
-let binop op a b =
-  match op with
-  | VI.Add -> canon (a + b)
-  | VI.Sub -> canon (a - b)
-  | VI.Mul -> canon (a * b)
-  | VI.And -> canon (a land b)
-  | VI.Or -> canon (a lor b)
-  | VI.Xor -> canon (a lxor b)
-  | VI.Sll -> canon (a lsl (b land 31))
-  | VI.Srl -> canon ((a land 0xFFFFFFFF) lsr (b land 31))
-  | VI.Sra -> canon (a asr (b land 31))
-  | VI.Slt -> if a < b then 1 else 0
-  | VI.Sltu -> if a land 0xFFFFFFFF < b land 0xFFFFFFFF then 1 else 0
-  | VI.Div | VI.Divu | VI.Rem | VI.Remu -> VI.eval_binop op a b
-
-(* [W.to_unsigned (W.add a (W.of_int disp))], in line. *)
-let eff st base disp = (get st base + disp) land 0xFFFFFFFF
-
-let do_load st w signed addr =
-  match (w, signed) with
-  | VI.W8, false -> Mem.load8 st.mem addr
-  | VI.W8, true -> W.sext8 (Mem.load8 st.mem addr)
-  | VI.W16, false -> Mem.load16 st.mem addr
-  | VI.W16, true -> W.sext16 (Mem.load16 st.mem addr)
-  | VI.W32, _ -> Mem.load32 st.mem addr
-
-let do_store st w addr v =
-  match w with
-  | VI.W8 -> Mem.store8 st.mem addr v
-  | VI.W16 -> Mem.store16 st.mem addr v
-  | VI.W32 -> Mem.store32 st.mem addr v
 
 (* [Mem.load_float] and [Mem.store_float] without boxing: a float that
    crosses into another module is boxed, an int is not. An 8-byte load is
@@ -156,114 +125,329 @@ let hcall st n =
   | Omni_runtime.Host.Exit code -> st.exited <- Some code
   | Omni_runtime.Host.Set_handler addr -> st.handler <- addr
 
-(* Execute a non-control instruction. *)
-let exec_simple st (i : instr) =
+(* --- op words ---
+
+   The first time a slot executes, [decode] packs its instruction into
+   two ints in the run's table. Word [a] holds a dense opcode in bits
+   0-7, naming the constructor together with its ALU operation, width
+   and signedness, condition or precision, so executing the slot is one
+   jump on it; then three register fields, [rd] in bits 8-13 and [ra],
+   [rb] in bits 14-18 and 19-23; and a 32-bit immediate in bits 24-55,
+   canonical when read. Word [b] holds the one field that needs all of
+   an int: a displacement, a branch's label, a pool index, a trap or
+   host-call number, exactly as the instruction has it.
+
+   Every field is checked here, once: a register outside 0-31 is
+   refused with the exception a bounds check raises, as the register
+   file refused it before it was decoded, and so is a pool index
+   outside the pool. An immediate or return address is held as the
+   32-bit value execution would have canonicalised it to. A write to r0
+   names register 32, a sink nothing reads, so execution writes
+   registers without testing for r0 and reads them unchecked. *)
+
+let sink = 32
+
+let[@inline] reg r =
+  if r < 0 || r > 31 then invalid_arg "index out of bounds" else r
+let[@inline] dst r = if reg r = 0 then sink else r
+
+let[@inline] word op rd ra rb imm =
+  op lor (rd lsl 8) lor (ra lsl 14) lor (rb lsl 19)
+  lor ((imm land 0xFFFFFFFF) lsl 24)
+
+(* Bit 56 of word [a]: the slot is a branch that annuls its delay slot
+   when it falls through. *)
+let annul = 1 lsl 56
+
+let[@inline] rd a = (a lsr 8) land 63
+let[@inline] ra a = (a lsr 14) land 31
+let[@inline] rb a = (a lsr 19) land 31
+let[@inline] imm a = (a lsl 7) asr 31
+
+let[@inline] binop_index = function
+  | VI.Add -> 0 | VI.Sub -> 1 | VI.Mul -> 2 | VI.Div -> 3 | VI.Divu -> 4
+  | VI.Rem -> 5 | VI.Remu -> 6 | VI.And -> 7 | VI.Or -> 8 | VI.Xor -> 9
+  | VI.Sll -> 10 | VI.Srl -> 11 | VI.Sra -> 12 | VI.Slt -> 13 | VI.Sltu -> 14
+
+let[@inline] put ops k a b =
+  ops.(2 * k) <- a;
+  ops.((2 * k) + 1) <- b
+
+(* Pack slot [k]'s [i] into [ops]. The opcodes, in the order [exec] and
+   [branch] take them: Alu 0-14, Alui 15-29 and Alu_record 30-44 (by
+   [binop_index]), Lui 45, Load 46-50 (by [Machine.load_index]), Store
+   51-53 (by [Machine.store_index]), Load_x 54-58, Store_x 59-61, Fload
+   62, Fstore 63, Fload_s 64, Fstore_s 65, Fload_x 66, Fstore_x 67,
+   Fld_pool 68, Fop 69-76 (by [Machine.fop_index]), Fun1 77-79, Fcmp
+   80-82, Fcc_to_reg 83, Cvt_f_i 84, Cvt_i_f 85, Cvt_d_s and Cvt_s_d
+   86, Cmp 87, Cmpi 88, Cc_to_reg 89-98 (by [Machine.cond_index]),
+   Guard_data 99, Guard_code 100, Trapi 101, Hcall 102, Nop 103; the
+   control instructions Br_cc 104-113, Br_cmp 114-123, Fbr 124 (on
+   true) and 125, J 126, Call 127, Call_ind 128, Jmp_ind 129. *)
+let pack (prog : program) ops k (i : instr) =
   match i with
-  | Alu (op, rd, ra, rb) -> set st rd (binop op (get st ra) (get st rb))
-  | Alui (op, rd, ra, imm) ->
-      set st rd (binop op (get st ra) (canon imm))
-  | Alu_record (op, rd, ra, rb) ->
-      let v = binop op (get st ra) (get st rb) in
-      set st rd v;
-      st.cc_a <- v;
-      st.cc_b <- 0
-  | Lui (rd, v) -> set st rd (W.of_int v)
-  | Load (w, s, rd, b, d) -> set st rd (do_load st w s (eff st b d))
-  | Load_x (w, s, rd, a, b) ->
-      set st rd (do_load st w s (W.to_unsigned (W.add (get st a) (get st b))))
-  | Store (w, rv, b, d) -> do_store st w (eff st b d) (get st rv)
-  | Store_x (w, rv, a, b) ->
-      do_store st w (W.to_unsigned (W.add (get st a) (get st b))) (get st rv)
-  | Fload (fd, b, d) -> st.fregs.(fd) <- load_float st.mem (eff st b d)
-  | Fstore (fv, b, d) -> store_float st.mem (eff st b d) st.fregs.(fv)
-  | Fload_s (fd, b, d) -> st.fregs.(fd) <- load_single st.mem (eff st b d)
-  | Fstore_s (fv, b, d) -> store_single st.mem (eff st b d) st.fregs.(fv)
-  | Fload_x (fd, a, b) ->
-      st.fregs.(fd) <-
-        load_float st.mem ((get st a + get st b) land 0xFFFFFFFF)
-  | Fstore_x (fv, a, b) ->
-      store_float st.mem ((get st a + get st b) land 0xFFFFFFFF) st.fregs.(fv)
-  | Fld_pool (fd, i) -> st.fregs.(fd) <- st.prog.pool.(i)
-  | Fop (op, prec, fd, fa, fb) ->
-      let a = st.fregs.(fa) and b = st.fregs.(fb) in
-      let v =
-        match op with
-        | VI.Fadd -> a +. b
-        | VI.Fsub -> a -. b
-        | VI.Fmul -> a *. b
-        | VI.Fdiv -> a /. b
-      in
-      st.fregs.(fd) <-
-        (match prec with VI.Single -> round_single v | VI.Double -> v)
-  | Fun1 (op, fd, fa) ->
-      let a = st.fregs.(fa) in
-      st.fregs.(fd) <-
-        (match op with
-        | VI.Fneg -> -.a
-        | VI.Fabs -> Float.abs a
-        | VI.Fmov -> a)
-  | Fcmp (op, fa, fb) ->
-      let a = st.fregs.(fa) and b = st.fregs.(fb) in
-      st.fcc <-
-        (match op with VI.Feq -> a = b | VI.Flt -> a < b | VI.Fle -> a <= b)
-  | Fcc_to_reg rd -> set st rd (if st.fcc then 1 else 0)
-  | Cvt_f_i (fd, ra) -> st.fregs.(fd) <- float_of_int (get st ra)
-  | Cvt_i_f (rd, fa) ->
-      let f = st.fregs.(fa) in
-      let v =
-        if Float.is_nan f then 0
-        else if f >= 2147483648.0 then W.max_int32
-        else if f <= -2147483649.0 then W.min_int32
-        else W.of_int (int_of_float f)
-      in
-      set st rd v
-  | Cvt_d_s (fd, fa) | Cvt_s_d (fd, fa) ->
-      st.fregs.(fd) <- round_single st.fregs.(fa)
-  | Cmp (a, b) ->
-      st.cc_a <- get st a;
-      st.cc_b <- get st b
-  | Cmpi (a, imm) ->
-      st.cc_a <- get st a;
-      st.cc_b <- W.of_int imm
-  | Cc_to_reg (c, rd) -> set st rd (if VI.eval_cond c st.cc_a st.cc_b then 1 else 0)
-  | Guard_data r ->
-      let a = W.to_unsigned (get st r) in
-      if not (Omnivm.Layout.in_data a) then
-        fault (Access_violation { addr = a; access = Write })
-  | Guard_code r ->
-      let a = W.to_unsigned (get st r) in
-      if not (Omnivm.Layout.in_code a) then
-        fault (Access_violation { addr = a; access = Execute })
-  | Trapi n -> fault (Explicit_trap n)
-  | Hcall n -> hcall st n
-  | Nop -> ()
-  | Br_cc _ | Br_cmp _ | Fbr _ | J _ | Call _ | Call_ind _ | Jmp_ind _ ->
-      assert false
+  | Alu (op, d, x, y) ->
+      put ops k (word (binop_index op) (dst d) (reg x) (reg y) 0) 0
+  | Alui (op, d, x, v) ->
+      put ops k (word (15 + binop_index op) (dst d) (reg x) 0 v) 0
+  | Alu_record (op, d, x, y) ->
+      put ops k (word (30 + binop_index op) (dst d) (reg x) (reg y) 0) 0
+  | Lui (d, v) -> put ops k (word 45 (dst d) 0 0 v) 0
+  | Load (w, s, d, base, disp) ->
+      put ops k (word (46 + Machine.load_index w s) (dst d) (reg base) 0 0) disp
+  | Store (w, v, base, disp) ->
+      put ops k (word (51 + Machine.store_index w) (reg v) (reg base) 0 0) disp
+  | Load_x (w, s, d, x, y) ->
+      put ops k (word (54 + Machine.load_index w s) (dst d) (reg x) (reg y) 0) 0
+  | Store_x (w, v, x, y) ->
+      put ops k (word (59 + Machine.store_index w) (reg v) (reg x) (reg y) 0) 0
+  | Fload (f, base, disp) -> put ops k (word 62 (reg f) (reg base) 0 0) disp
+  | Fstore (f, base, disp) -> put ops k (word 63 (reg f) (reg base) 0 0) disp
+  | Fload_s (f, base, disp) -> put ops k (word 64 (reg f) (reg base) 0 0) disp
+  | Fstore_s (f, base, disp) -> put ops k (word 65 (reg f) (reg base) 0 0) disp
+  | Fload_x (f, x, y) -> put ops k (word 66 (reg f) (reg x) (reg y) 0) 0
+  | Fstore_x (f, x, y) -> put ops k (word 67 (reg f) (reg x) (reg y) 0) 0
+  | Fld_pool (f, n) ->
+      if n < 0 || n >= Array.length prog.pool then
+        invalid_arg "index out of bounds";
+      put ops k (word 68 (reg f) 0 0 0) n
+  | Fop (op, prec, f, x, y) ->
+      put ops k (word (69 + Machine.fop_index op prec) (reg f) (reg x) (reg y) 0) 0
+  | Fun1 (op, f, x) ->
+      let o = match op with VI.Fneg -> 77 | VI.Fabs -> 78 | VI.Fmov -> 79 in
+      put ops k (word o (reg f) (reg x) 0 0) 0
+  | Fcmp (op, x, y) ->
+      let o = match op with VI.Feq -> 80 | VI.Flt -> 81 | VI.Fle -> 82 in
+      put ops k (word o 0 (reg x) (reg y) 0) 0
+  | Fcc_to_reg d -> put ops k (word 83 (dst d) 0 0 0) 0
+  | Cvt_f_i (f, x) -> put ops k (word 84 (reg f) (reg x) 0 0) 0
+  | Cvt_i_f (d, f) -> put ops k (word 85 (dst d) (reg f) 0 0) 0
+  | Cvt_d_s (f, x) | Cvt_s_d (f, x) -> put ops k (word 86 (reg f) (reg x) 0 0) 0
+  | Cmp (x, y) -> put ops k (word 87 0 (reg x) (reg y) 0) 0
+  | Cmpi (x, v) -> put ops k (word 88 0 (reg x) 0 v) 0
+  | Cc_to_reg (c, d) -> put ops k (word (89 + Machine.cond_index c) (dst d) 0 0 0) 0
+  | Guard_data r -> put ops k (word 99 0 (reg r) 0 0) 0
+  | Guard_code r -> put ops k (word 100 0 (reg r) 0 0) 0
+  | Trapi n -> put ops k (word 101 0 0 0 0) n
+  | Hcall n -> put ops k (word 102 0 0 0 0) n
+  | Nop -> put ops k (word 103 0 0 0 0) 0
+  | Br_cc (c, l) -> put ops k (word (104 + Machine.cond_index c) 0 0 0 0) l
+  | Br_cmp (c, x, y, l) ->
+      put ops k (word (114 + Machine.cond_index c) 0 (reg x) (reg y) 0) l
+  | Fbr (flag, l) -> put ops k (word (if flag then 124 else 125) 0 0 0 0) l
+  | J l -> put ops k (word 126 0 0 0 0) l
+  | Call (l, ret) -> put ops k (word 127 0 0 0 ret) l
+  | Call_ind (r, ret) -> put ops k (word 128 0 (reg r) 0 ret) 0
+  | Jmp_ind r -> put ops k (word 129 0 (reg r) 0 0) 0
 
 (* Slot [k]'s tag, decoding the slot the first time it executes. *)
 let[@inline never] decode st k =
   let s = st.prog.code.(k) in
-  Machine.decode st.table k (cost_of st.prog.cfg s.i) s.origin
-    ~branch:(is_branch s.i) ~control:(is_control s.i)
-    ~hcall:(match s.i with Hcall _ -> true | _ -> false)
+  let w = cost_of st.prog.cfg s.i in
+  let ops = st.table.Machine.ops in
+  pack st.prog ops k s.i;
+  if s.annul then ops.(2 * k) <- ops.(2 * k) lor annul;
+  (* the opcode ranges [pack] lists *)
+  let op = ops.(2 * k) land 255 in
+  Machine.decode st.table k w s.origin ~branch:(op >= 104 && op <= 125)
+    ~control:(op >= 104) ~hcall:(op = 102)
 
-(* Evaluate whether a control instruction branches, and to where: the
+(* Registers, read and written unchecked: [decode] checked every field. *)
+let[@inline] rg (regs : int array) k = Array.unsafe_get regs k
+let[@inline] wr (regs : int array) k v = Array.unsafe_set regs k (canon v)
+let[@inline] fr (fregs : float array) k = Array.unsafe_get fregs k
+let[@inline] fw (fregs : float array) k (v : float) = Array.unsafe_set fregs k v
+let[@inline] flag b = if b then 1 else 0
+let[@inline] ltu x y = x land 0xFFFFFFFF < y land 0xFFFFFFFF
+let[@inline] leu x y = x land 0xFFFFFFFF <= y land 0xFFFFFFFF
+
+(* The address [base + disp] and the indexed address [ra + rb]. *)
+let[@inline] ea regs a b = (rg regs (ra a) + b) land 0xFFFFFFFF
+let[@inline] ex regs a = (rg regs (ra a) + rg regs (rb a)) land 0xFFFFFFFF
+
+let[@inline] record st regs a v =
+  let v = canon v in
+  Array.unsafe_set regs (rd a) v;
+  st.cc_a <- v;
+  st.cc_b <- 0
+
+let[@inline] cvt_i_f f =
+  if Float.is_nan f then 0
+  else if f >= 2147483648.0 then W.max_int32
+  else if f <= -2147483649.0 then W.min_int32
+  else W.of_int (int_of_float f)
+
+let guard_data a =
+  let a = W.to_unsigned a in
+  if not (Omnivm.Layout.in_data a) then
+    fault (Access_violation { addr = a; access = Write })
+
+let guard_code a =
+  let a = W.to_unsigned a in
+  if not (Omnivm.Layout.in_code a) then
+    fault (Access_violation { addr = a; access = Execute })
+
+(* Execute a slot that does not transfer control, from its op words: in
+   line in [run]'s loop, where most slots retire, and through [exec_call]
+   where a host call or a delay slot does. *)
+let[@inline] exec st a b =
+  let regs = st.regs in
+  match a land 255 with
+  | 0 -> wr regs (rd a) (rg regs (ra a) + rg regs (rb a))
+  | 1 -> wr regs (rd a) (rg regs (ra a) - rg regs (rb a))
+  | 2 -> wr regs (rd a) (rg regs (ra a) * rg regs (rb a))
+  | 3 -> wr regs (rd a) (W.div (rg regs (ra a)) (rg regs (rb a)))
+  | 4 -> wr regs (rd a) (W.divu (rg regs (ra a)) (rg regs (rb a)))
+  | 5 -> wr regs (rd a) (W.rem (rg regs (ra a)) (rg regs (rb a)))
+  | 6 -> wr regs (rd a) (W.remu (rg regs (ra a)) (rg regs (rb a)))
+  | 7 -> wr regs (rd a) (rg regs (ra a) land rg regs (rb a))
+  | 8 -> wr regs (rd a) (rg regs (ra a) lor rg regs (rb a))
+  | 9 -> wr regs (rd a) (rg regs (ra a) lxor rg regs (rb a))
+  | 10 -> wr regs (rd a) (rg regs (ra a) lsl (rg regs (rb a) land 31))
+  | 11 ->
+      wr regs (rd a) ((rg regs (ra a) land 0xFFFFFFFF) lsr (rg regs (rb a) land 31))
+  | 12 -> wr regs (rd a) (rg regs (ra a) asr (rg regs (rb a) land 31))
+  | 13 -> wr regs (rd a) (flag (rg regs (ra a) < rg regs (rb a)))
+  | 14 -> wr regs (rd a) (flag (ltu (rg regs (ra a)) (rg regs (rb a))))
+  | 15 -> wr regs (rd a) (rg regs (ra a) + imm a)
+  | 16 -> wr regs (rd a) (rg regs (ra a) - imm a)
+  | 17 -> wr regs (rd a) (rg regs (ra a) * imm a)
+  | 18 -> wr regs (rd a) (W.div (rg regs (ra a)) (imm a))
+  | 19 -> wr regs (rd a) (W.divu (rg regs (ra a)) (imm a))
+  | 20 -> wr regs (rd a) (W.rem (rg regs (ra a)) (imm a))
+  | 21 -> wr regs (rd a) (W.remu (rg regs (ra a)) (imm a))
+  | 22 -> wr regs (rd a) (rg regs (ra a) land imm a)
+  | 23 -> wr regs (rd a) (rg regs (ra a) lor imm a)
+  | 24 -> wr regs (rd a) (rg regs (ra a) lxor imm a)
+  | 25 -> wr regs (rd a) (rg regs (ra a) lsl (imm a land 31))
+  | 26 -> wr regs (rd a) ((rg regs (ra a) land 0xFFFFFFFF) lsr (imm a land 31))
+  | 27 -> wr regs (rd a) (rg regs (ra a) asr (imm a land 31))
+  | 28 -> wr regs (rd a) (flag (rg regs (ra a) < imm a))
+  | 29 -> wr regs (rd a) (flag (ltu (rg regs (ra a)) (imm a)))
+  | 30 -> record st regs a (rg regs (ra a) + rg regs (rb a))
+  | 31 -> record st regs a (rg regs (ra a) - rg regs (rb a))
+  | 32 -> record st regs a (rg regs (ra a) * rg regs (rb a))
+  | 33 -> record st regs a (W.div (rg regs (ra a)) (rg regs (rb a)))
+  | 34 -> record st regs a (W.divu (rg regs (ra a)) (rg regs (rb a)))
+  | 35 -> record st regs a (W.rem (rg regs (ra a)) (rg regs (rb a)))
+  | 36 -> record st regs a (W.remu (rg regs (ra a)) (rg regs (rb a)))
+  | 37 -> record st regs a (rg regs (ra a) land rg regs (rb a))
+  | 38 -> record st regs a (rg regs (ra a) lor rg regs (rb a))
+  | 39 -> record st regs a (rg regs (ra a) lxor rg regs (rb a))
+  | 40 -> record st regs a (rg regs (ra a) lsl (rg regs (rb a) land 31))
+  | 41 ->
+      record st regs a
+        ((rg regs (ra a) land 0xFFFFFFFF) lsr (rg regs (rb a) land 31))
+  | 42 -> record st regs a (rg regs (ra a) asr (rg regs (rb a) land 31))
+  | 43 -> record st regs a (flag (rg regs (ra a) < rg regs (rb a)))
+  | 44 -> record st regs a (flag (ltu (rg regs (ra a)) (rg regs (rb a))))
+  | 45 -> Array.unsafe_set regs (rd a) (imm a)
+  | 46 -> Array.unsafe_set regs (rd a) (W.sext8 (Mem.load8 st.mem (ea regs a b)))
+  | 47 -> Array.unsafe_set regs (rd a) (Mem.load8 st.mem (ea regs a b))
+  | 48 -> Array.unsafe_set regs (rd a) (W.sext16 (Mem.load16 st.mem (ea regs a b)))
+  | 49 -> Array.unsafe_set regs (rd a) (Mem.load16 st.mem (ea regs a b))
+  | 50 -> Array.unsafe_set regs (rd a) (Mem.load32 st.mem (ea regs a b))
+  | 51 -> Mem.store8 st.mem (ea regs a b) (rg regs (rd a))
+  | 52 -> Mem.store16 st.mem (ea regs a b) (rg regs (rd a))
+  | 53 -> Mem.store32 st.mem (ea regs a b) (rg regs (rd a))
+  | 54 -> Array.unsafe_set regs (rd a) (W.sext8 (Mem.load8 st.mem (ex regs a)))
+  | 55 -> Array.unsafe_set regs (rd a) (Mem.load8 st.mem (ex regs a))
+  | 56 -> Array.unsafe_set regs (rd a) (W.sext16 (Mem.load16 st.mem (ex regs a)))
+  | 57 -> Array.unsafe_set regs (rd a) (Mem.load16 st.mem (ex regs a))
+  | 58 -> Array.unsafe_set regs (rd a) (Mem.load32 st.mem (ex regs a))
+  | 59 -> Mem.store8 st.mem (ex regs a) (rg regs (rd a))
+  | 60 -> Mem.store16 st.mem (ex regs a) (rg regs (rd a))
+  | 61 -> Mem.store32 st.mem (ex regs a) (rg regs (rd a))
+  | 62 -> fw st.fregs (rd a) (load_float st.mem (ea regs a b))
+  | 63 -> store_float st.mem (ea regs a b) (fr st.fregs (rd a))
+  | 64 -> fw st.fregs (rd a) (load_single st.mem (ea regs a b))
+  | 65 -> store_single st.mem (ea regs a b) (fr st.fregs (rd a))
+  | 66 -> fw st.fregs (rd a) (load_float st.mem (ex regs a))
+  | 67 -> store_float st.mem (ex regs a) (fr st.fregs (rd a))
+  | 68 -> fw st.fregs (rd a) (Array.unsafe_get st.prog.pool b)
+  | 69 ->
+      fw st.fregs (rd a) (round_single (fr st.fregs (ra a) +. fr st.fregs (rb a)))
+  | 70 -> fw st.fregs (rd a) (fr st.fregs (ra a) +. fr st.fregs (rb a))
+  | 71 ->
+      fw st.fregs (rd a) (round_single (fr st.fregs (ra a) -. fr st.fregs (rb a)))
+  | 72 -> fw st.fregs (rd a) (fr st.fregs (ra a) -. fr st.fregs (rb a))
+  | 73 ->
+      fw st.fregs (rd a) (round_single (fr st.fregs (ra a) *. fr st.fregs (rb a)))
+  | 74 -> fw st.fregs (rd a) (fr st.fregs (ra a) *. fr st.fregs (rb a))
+  | 75 ->
+      fw st.fregs (rd a) (round_single (fr st.fregs (ra a) /. fr st.fregs (rb a)))
+  | 76 -> fw st.fregs (rd a) (fr st.fregs (ra a) /. fr st.fregs (rb a))
+  | 77 -> fw st.fregs (rd a) (-.fr st.fregs (ra a))
+  | 78 -> fw st.fregs (rd a) (Float.abs (fr st.fregs (ra a)))
+  | 79 -> fw st.fregs (rd a) (fr st.fregs (ra a))
+  | 80 -> st.fcc <- fr st.fregs (ra a) = fr st.fregs (rb a)
+  | 81 -> st.fcc <- fr st.fregs (ra a) < fr st.fregs (rb a)
+  | 82 -> st.fcc <- fr st.fregs (ra a) <= fr st.fregs (rb a)
+  | 83 -> Array.unsafe_set regs (rd a) (flag st.fcc)
+  | 84 -> fw st.fregs (rd a) (float_of_int (rg regs (ra a)))
+  | 85 -> Array.unsafe_set regs (rd a) (cvt_i_f (fr st.fregs (ra a)))
+  | 86 -> fw st.fregs (rd a) (round_single (fr st.fregs (ra a)))
+  | 87 ->
+      st.cc_a <- rg regs (ra a);
+      st.cc_b <- rg regs (rb a)
+  | 88 ->
+      st.cc_a <- rg regs (ra a);
+      st.cc_b <- imm a
+  | 89 -> Array.unsafe_set regs (rd a) (flag (st.cc_a = st.cc_b))
+  | 90 -> Array.unsafe_set regs (rd a) (flag (st.cc_a <> st.cc_b))
+  | 91 -> Array.unsafe_set regs (rd a) (flag (st.cc_a < st.cc_b))
+  | 92 -> Array.unsafe_set regs (rd a) (flag (st.cc_a <= st.cc_b))
+  | 93 -> Array.unsafe_set regs (rd a) (flag (st.cc_b < st.cc_a))
+  | 94 -> Array.unsafe_set regs (rd a) (flag (st.cc_b <= st.cc_a))
+  | 95 -> Array.unsafe_set regs (rd a) (flag (ltu st.cc_a st.cc_b))
+  | 96 -> Array.unsafe_set regs (rd a) (flag (leu st.cc_a st.cc_b))
+  | 97 -> Array.unsafe_set regs (rd a) (flag (ltu st.cc_b st.cc_a))
+  | 98 -> Array.unsafe_set regs (rd a) (flag (leu st.cc_b st.cc_a))
+  | 99 -> guard_data (rg regs (ra a))
+  | 100 -> guard_code (rg regs (ra a))
+  | 101 -> fault (Explicit_trap b)
+  | 102 -> hcall st b
+  | 103 -> ()
+  | _ -> invalid_arg "Risc_sim: control instruction in a delay slot"
+
+let[@inline never] exec_call st a b = exec st a b
+
+(* Evaluate a control slot from its op words: where it branches, as a
    native index, or -1 if it falls through. *)
-let control_target st (i : instr) =
-  match i with
-  | Br_cc (c, l) -> if VI.eval_cond c st.cc_a st.cc_b then l else -1
-  | Br_cmp (c, a, b, l) -> if VI.eval_cond c (get st a) (get st b) then l else -1
-  | Fbr (flag, l) -> if st.fcc = flag then l else -1
-  | J l -> l
-  | Call (l, ret) ->
-      set st omni_ra ret;
-      l
-  | Call_ind (r, ret) ->
-      let target = native_of_omni st (W.to_unsigned (get st r)) in
-      set st omni_ra ret;
+let[@inline] branch st a b =
+  let regs = st.regs in
+  match a land 255 with
+  | 104 -> if st.cc_a = st.cc_b then b else -1
+  | 105 -> if st.cc_a <> st.cc_b then b else -1
+  | 106 -> if st.cc_a < st.cc_b then b else -1
+  | 107 -> if st.cc_a <= st.cc_b then b else -1
+  | 108 -> if st.cc_b < st.cc_a then b else -1
+  | 109 -> if st.cc_b <= st.cc_a then b else -1
+  | 110 -> if ltu st.cc_a st.cc_b then b else -1
+  | 111 -> if leu st.cc_a st.cc_b then b else -1
+  | 112 -> if ltu st.cc_b st.cc_a then b else -1
+  | 113 -> if leu st.cc_b st.cc_a then b else -1
+  | 114 -> if rg regs (ra a) = rg regs (rb a) then b else -1
+  | 115 -> if rg regs (ra a) <> rg regs (rb a) then b else -1
+  | 116 -> if rg regs (ra a) < rg regs (rb a) then b else -1
+  | 117 -> if rg regs (ra a) <= rg regs (rb a) then b else -1
+  | 118 -> if rg regs (rb a) < rg regs (ra a) then b else -1
+  | 119 -> if rg regs (rb a) <= rg regs (ra a) then b else -1
+  | 120 -> if ltu (rg regs (ra a)) (rg regs (rb a)) then b else -1
+  | 121 -> if leu (rg regs (ra a)) (rg regs (rb a)) then b else -1
+  | 122 -> if ltu (rg regs (rb a)) (rg regs (ra a)) then b else -1
+  | 123 -> if leu (rg regs (rb a)) (rg regs (ra a)) then b else -1
+  | 124 -> if st.fcc then b else -1
+  | 125 -> if st.fcc then -1 else b
+  | 126 -> b
+  | 127 ->
+      Array.unsafe_set regs omni_ra (imm a);
+      b
+  | 128 ->
+      let target = native_of_omni st (W.to_unsigned (rg regs (ra a))) in
+      Array.unsafe_set regs omni_ra (imm a);
       target
-  | Jmp_ind r -> native_of_omni st (W.to_unsigned (get st r))
-  | _ -> assert false
+  | _ -> native_of_omni st (W.to_unsigned (rg regs (ra a)))
 
 let deliver_fault st f =
   if st.handler = 0 then raise (Omnivm.Fault.Vm_fault f)
@@ -302,7 +486,8 @@ let run ?(fuel = max_int) ?watchdog (prog : program) mem host :
   let n = Array.length code in
   let delay = prog.cfg.has_delay_slot in
   let pipe = st.pipe and stats = st.stats in
-  let { Machine.costs; tags; counts; memo } = st.table in
+  let { Machine.costs; ops; tags; counts; memo } = st.table in
+  let stops = Machine.tag_control lor Machine.tag_hcall in
   let every =
     match watchdog with
     | Some w -> Omnivm.Watchdog.poll_every w
@@ -336,27 +521,28 @@ let run ?(fuel = max_int) ?watchdog (prog : program) mem host :
           let t = Array.unsafe_get tags pc in
           if t >= 0 then t else decode st pc
         in
-        if tag land (Machine.tag_control lor Machine.tag_hcall) = 0 then begin
+        let a = Array.unsafe_get ops (2 * pc)
+        and b = Array.unsafe_get ops ((2 * pc) + 1) in
+        if tag land stops = 0 then begin
           retired := pc;
-          exec_simple st (Array.unsafe_get code pc).i;
+          exec st a b;
           st.pc <- pc + 1
         end
         else if tag land Machine.tag_control = 0 then begin
           retired := pc;
-          exec_simple st (Array.unsafe_get code pc).i;
+          exec_call st a b;
           st.pc <- pc + 1;
           if Option.is_some st.exited then raise_notrace Exit_exn
         end
         else begin
-          let s = Array.unsafe_get code pc in
-          let target = control_target st s.i in
+          let target = branch st a b in
           let taken = target >= 0 in
           if taken && tag land Machine.tag_branch <> 0 then
             stats.Machine.taken_branches <- stats.Machine.taken_branches + 1;
           let taken_pc = if taken then pc else -1 in
           let last =
             (* execute the delay slot unless annulled *)
-            if delay && pc + 1 < n && not (s.annul && not taken) then begin
+            if delay && pc + 1 < n && (taken || a land annul = 0) then begin
               let d = pc + 1 in
               retired := pc;
               taken_at := taken_pc;
@@ -364,7 +550,8 @@ let run ?(fuel = max_int) ?watchdog (prog : program) mem host :
               if !fuel < 0 then raise_notrace Out_of_fuel_exn;
               if Array.unsafe_get tags d < 0 then ignore (decode st d);
               retired := d;
-              exec_simple st (Array.unsafe_get code d).i;
+              exec_call st (Array.unsafe_get ops (2 * d))
+                (Array.unsafe_get ops ((2 * d) + 1));
               taken_at := -1;
               d
             end

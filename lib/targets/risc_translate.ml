@@ -146,8 +146,11 @@ let store_statically_safe t base disp =
   || (base = r_zero && L.in_data disp)
 
 (* Emit the SFI-protected (or direct) store of [emit_store : base -> disp ->
-   unit] to address base+disp. *)
-let sfi_store t e ~base ~disp ~(emit_store : core:bool -> int -> int -> unit) =
+   unit] to address base+disp. Under [indexed] (the default) a target with
+   indexed addressing masks the address and has [emit_store] store at
+   data base + dedicated register, given as base -1. *)
+let sfi_store ?(indexed = true) t e ~base ~disp
+    ~(emit_store : core:bool -> int -> int -> unit) =
   if sfi_mode t = Omni_sfi.Policy.Off || store_statically_safe t base disp
   then begin
     let b, d = mem_addr t e ~origin:Machine.Addr base disp in
@@ -186,7 +189,7 @@ let sfi_store t e ~base ~disp ~(emit_store : core:bool -> int -> int -> unit) =
       in
       e.decl.Machine.data_masks <- e.decl.Machine.data_masks + 1;
       emit e Machine.Sfi (Alu (VI.And, r_sfi_data, asrc, r_data_mask));
-      if t.cfg.has_indexed then begin
+      if t.cfg.has_indexed && indexed then begin
         (* indexed addressing shortens the PPC check sequence (paper 4.3) *)
         emit_pad t e;
         emit_store ~core:true (-1) (-1) (* special-cased by caller *);
@@ -506,7 +509,10 @@ let translate_instr t e ~idx (ins : int VI.t) =
           | VI.Double -> emit e Machine.Core (Fload (fd, b, d))
           | VI.Single -> emit e Machine.Core (Fload_s (fd, b, d)))
   | VI.Fstore (prec, fv, base, off) ->
-      sfi_store t e ~base:(m base) ~disp:off ~emit_store:(fun ~core b d ->
+      (* there is no indexed single-precision store: a single is stored
+         through the boxed dedicated register, as without indexing *)
+      sfi_store ~indexed:(prec = VI.Double) t e ~base:(m base) ~disp:off
+        ~emit_store:(fun ~core b d ->
           ignore core;
           if b = -1 then emit e Machine.Core (Fstore_x (fv, r_data_base, r_sfi_data))
           else
@@ -557,16 +563,17 @@ let translate_instr t e ~idx (ins : int VI.t) =
         emit e Machine.Core (Alui (VI.Srl, m rd, r_scratch1, k2))
       end
   | VI.Ins (rd, rs, pos, len) ->
+      (* the field of [rs] first: [rs] may be [rd] *)
       let mask = (1 lsl (8 * len)) - 1 in
+      mat_imm t e ~hi_origin:Machine.Ldi ~last_origin:Machine.Ldi r_scratch2
+        mask;
+      emit e Machine.Addr (Alu (VI.And, r_scratch2, m rs, r_scratch2));
+      if pos > 0 then
+        emit e Machine.Addr (Alui (VI.Sll, r_scratch2, r_scratch2, 8 * pos));
       mat_imm t e ~hi_origin:Machine.Ldi ~last_origin:Machine.Ldi r_scratch1
         (lnot (mask lsl (8 * pos)));
       emit e Machine.Addr (Alu (VI.And, m rd, m rd, r_scratch1));
-      mat_imm t e ~hi_origin:Machine.Ldi ~last_origin:Machine.Ldi r_scratch1
-        mask;
-      emit e Machine.Addr (Alu (VI.And, r_scratch1, m rs, r_scratch1));
-      if pos > 0 then
-        emit e Machine.Addr (Alui (VI.Sll, r_scratch1, r_scratch1, 8 * pos));
-      emit e Machine.Core (Alu (VI.Or, m rd, m rd, r_scratch1))
+      emit e Machine.Core (Alu (VI.Or, m rd, m rd, r_scratch2))
   | VI.Hcall n -> emit e Machine.Core (Hcall n)
   | VI.Trap n -> emit e Machine.Core (Trapi n));
   (* sp safety invariant *)

@@ -1,8 +1,10 @@
 (* Functional + cycle-approximate simulator for translated x86 code. Like
-   [Risc_sim], it decodes a slot's costs the first time the slot executes,
-   so retiring an instruction allocates nothing, charges the pipeline
-   model a segment at a time, and counts per slot, folding the counts
-   when the run ends. *)
+   [Risc_sim], it decodes a slot the first time the slot executes, its
+   costs and two op words whose dense opcode names the instruction with
+   its operation and operand shapes, so a retired slot runs by one jump
+   on an int and allocates nothing; it charges the pipeline model a
+   segment at a time, and counts per slot, folding the counts when the
+   run ends. *)
 
 open X86
 module W = Omni_util.Word32
@@ -11,7 +13,7 @@ module Mem = Omnivm.Memory
 
 type state = {
   prog : program;
-  regs : int array; (* 8 *)
+  regs : int array; (* 8, and register 8, a missing base, reading zero *)
   fps : float array; (* 8 *)
   mutable cc_a : int; (* last compare operand pair *)
   mutable cc_b : int;
@@ -26,13 +28,12 @@ type state = {
   table : Machine.table; (* [prog.code]'s costs; the run's until it ends *)
 }
 
-let is_branch = function Jcc _ -> true | _ -> false
 
 let create prog mem host =
   let st =
     {
       prog;
-      regs = Array.make 8 0;
+      regs = Array.make 9 0;
       fps = Array.make 8 0.0;
       cc_a = 0;
       cc_b = 0;
@@ -65,26 +66,10 @@ let native_of_omni st addr =
     if n < 0 then fault (Access_violation { addr; access = Execute })
     else n
 
-let eff st (m : mem) =
-  let b = match m.base with Some r -> st.regs.(r) | None -> 0 in
-  let i = match m.index with Some (r, s) -> st.regs.(r) * s | None -> 0 in
-  (b + i + m.disp) land 0xFFFFFFFF
-
 (* [Word32.of_int] in line: the low 32 bits, sign-extended. *)
 let canon v = (v lsl 31) asr 31
 
-let value st = function
-  | R r -> st.regs.(r)
-  | I v -> canon v
-  | M m -> Mem.load32 st.mem (eff st m)
-
 let set_reg st r v = st.regs.(r) <- canon v
-
-let write st dst v =
-  match dst with
-  | R r -> set_reg st r v
-  | M m -> Mem.store32 st.mem (eff st m) v
-  | I _ -> invalid_arg "x86 write to immediate"
 
 let hcall st n =
   let home_get r =
@@ -140,165 +125,499 @@ let[@inline] store_single mem a f =
 
 let round_single f = Int32.float_of_bits (Int32.bits_of_float f)
 
-let exec_simple st (i : instr) =
-  match i with
-  | Mov (dst, src) -> write st dst (value st src)
-  | Load (w, signed, d, m) ->
-      let a = eff st m in
-      let v =
-        match (w, signed) with
-        | VI.W8, false -> Mem.load8 st.mem a
-        | VI.W8, true -> W.sext8 (Mem.load8 st.mem a)
-        | VI.W16, false -> Mem.load16 st.mem a
-        | VI.W16, true -> W.sext16 (Mem.load16 st.mem a)
-        | VI.W32, _ -> Mem.load32 st.mem a
-      in
-      set_reg st d v
-  | Store (w, m, src) -> (
-      let a = eff st m in
-      let v = value st src in
-      match w with
-      | VI.W8 -> Mem.store8 st.mem a v
-      | VI.W16 -> Mem.store16 st.mem a v
-      | VI.W32 -> Mem.store32 st.mem a v)
-  | Alu (op, dst, src) ->
-      let a = value st dst and b = value st src in
-      let v =
-        match op with
-        | Add -> canon (a + b)
-        | Sub -> canon (a - b)
-        | And -> canon (a land b)
-        | Or -> canon (a lor b)
-        | Xor -> canon (a lxor b)
-      in
-      write st dst v;
-      st.cc_a <- v;
-      st.cc_b <- 0
-  | Shift (op, dst, k) ->
-      let a = value st dst in
-      let v =
-        match op with
-        | Shl -> W.shift_left a k
-        | Shr -> W.shift_right_logical a k
-        | Sar -> W.shift_right_arith a k
-      in
-      write st dst v;
-      st.cc_a <- v;
-      st.cc_b <- 0
-  | Shiftv (op, dst, c) ->
-      let a = value st dst in
-      let k = W.to_unsigned st.regs.(c) land 31 in
-      let v =
-        match op with
-        | Shl -> W.shift_left a k
-        | Shr -> W.shift_right_logical a k
-        | Sar -> W.shift_right_arith a k
-      in
-      write st dst v;
-      st.cc_a <- v;
-      st.cc_b <- 0
-  | Imul (d, src) -> set_reg st d (W.mul st.regs.(d) (value st src))
-  | Idiv (src, signed) ->
-      let a = st.regs.(eax) and b = value st src in
-      if signed then begin
-        let q = W.div a b and r = W.rem a b in
-        set_reg st eax q;
-        set_reg st edx r
-      end
-      else begin
-        let q = W.divu a b and r = W.remu a b in
-        set_reg st eax q;
-        set_reg st edx r
-      end
-  | Cdq -> set_reg st edx (if st.regs.(eax) < 0 then -1 else 0)
-  | Lea (d, m) -> set_reg st d (eff st m)
-  | Cmp (a, b) ->
-      (* [b] before [a], the order the operand pair was evaluated in: a
-         compare whose operands both fault reports the same fault *)
-      let y = value st b in
-      st.cc_a <- value st a;
-      st.cc_b <- y
-  | Setcc (c, d) -> set_reg st d (if VI.eval_cond c st.cc_a st.cc_b then 1 else 0)
-  | Fop (op, prec, d, a, b) ->
-      let x = st.fps.(a) and y = st.fps.(b) in
-      let v =
-        match op with
-        | VI.Fadd -> x +. y
-        | VI.Fsub -> x -. y
-        | VI.Fmul -> x *. y
-        | VI.Fdiv -> x /. y
-      in
-      st.fps.(d) <-
-        (match prec with VI.Single -> round_single v | VI.Double -> v)
-  | Fun1 (op, d, a) ->
-      let x = st.fps.(a) in
-      st.fps.(d) <-
-        (match op with
-        | VI.Fneg -> -.x
-        | VI.Fabs -> Float.abs x
-        | VI.Fmov -> x)
-  | Fload (prec, d, m) ->
-      let a = eff st m in
-      st.fps.(d) <-
-        (match prec with
-        | VI.Single -> load_single st.mem a
-        | VI.Double -> load_float st.mem a)
-  | Fstore (prec, v, m) -> (
-      let a = eff st m in
-      match prec with
-      | VI.Single -> store_single st.mem a st.fps.(v)
-      | VI.Double -> store_float st.mem a st.fps.(v))
-  | Fld_pool (d, i) -> st.fps.(d) <- st.prog.pool.(i)
-  | Fcmp (op, a, b) ->
-      let x = st.fps.(a) and y = st.fps.(b) in
-      st.fcc <-
-        (match op with VI.Feq -> x = y | VI.Flt -> x < y | VI.Fle -> x <= y)
-  | Fcc_to_reg d -> set_reg st d (if st.fcc then 1 else 0)
-  | Cvt_f_i (d, src) -> st.fps.(d) <- float_of_int (value st src)
-  | Cvt_i_f (d, a) ->
-      let f = st.fps.(a) in
-      let v =
-        if Float.is_nan f then 0
-        else if f >= 2147483648.0 then W.max_int32
-        else if f <= -2147483649.0 then W.min_int32
-        else W.of_int (int_of_float f)
-      in
-      set_reg st d v
-  | Guard_data r ->
-      let a = W.to_unsigned st.regs.(r) in
-      if not (Omnivm.Layout.in_data a) then
-        fault (Access_violation { addr = a; access = Write })
-  | Guard_code r ->
-      let a = W.to_unsigned st.regs.(r) in
-      if not (Omnivm.Layout.in_code a) then
-        fault (Access_violation { addr = a; access = Execute })
-  | Trapi n -> fault (Explicit_trap n)
-  | Hcall n -> hcall st n
-  | Nop -> ()
-  | Jcc _ | Jmp _ | Jmp_ind _ | Call _ | Call_ind _ -> assert false
+(* --- op words ---
 
-(* The native index a control instruction transfers to, or -1 if it
-   falls through. *)
-let control_target st (i : instr) =
+   The first time a slot executes, [decode] packs its instruction into
+   two ints in the run's table, as [Risc_sim] does. Word [a] holds a
+   dense opcode in bits 0-7, naming the constructor together with its
+   ALU or shift operation, width and signedness, condition or precision
+   and the shape of its operands (register, immediate or memory), so
+   executing the slot is one jump on it; then register [f1] in bits
+   8-11 and [f2] in bits 12-15; a memory operand's index register in
+   bits 16-18 (a third register, for [Fop]) and whether it has one in
+   bit 19; and a 32-bit immediate or return address in bits 20-51,
+   canonical when read. A memory operand's base is [f2], 8 when it has
+   none: register 8 reads as zero and is never written. Word [b] holds
+   a memory operand's displacement in its low 32 bits and its index
+   scale's low 31 bits above them, the scale's bit 31 being bit 52 of
+   [a]; otherwise a branch's label, a pool index, a trap or host-call
+   number, or a second immediate, exactly. Address arithmetic is modulo
+   2^32, so a displacement or scale is held exactly as far as any
+   address can tell.
+
+   Every field is checked here, once: a register outside 0-7 is refused
+   with the exception a bounds check raises, as the register file
+   refused it before it was decoded, and so is a pool index outside the
+   pool; a destination that is an immediate is refused as a write to it
+   always was. An instruction with two memory operands holds the second
+   (which must not be indexed) in [f1] and the immediate field and
+   takes opcode 111, its operation in bits 53-62 of [a]; one with two
+   indexed memory operands has more fields than two words hold, and is
+   refused. *)
+
+let no_base = 8
+let indexed = 1 lsl 19
+
+let[@inline] reg r = if r < 0 || r > 7 then invalid_arg "index out of bounds" else r
+
+let[@inline] word op r1 r2 v =
+  op lor (r1 lsl 8) lor (r2 lsl 12) lor ((v land 0xFFFFFFFF) lsl 20)
+
+let[@inline] f1 a = (a lsr 8) land 15
+let[@inline] f2 a = (a lsr 12) land 15
+let[@inline] f3 a = (a lsr 16) land 7
+let[@inline] v32 a = (a lsl 11) asr 31
+
+(* A memory operand's fields of word [a], and its word [b]. *)
+let[@inline] mem_a (m : mem) =
+  let base = (match m.base with Some r -> reg r | None -> no_base) lsl 12 in
+  match m.index with
+  | None -> base
+  | Some (r, s) ->
+      base lor (reg r lsl 16) lor indexed lor (((s lsr 31) land 1) lsl 52)
+
+let[@inline] mem_b (m : mem) =
+  let s = match m.index with Some (_, s) -> s land 0x7FFFFFFF | None -> 0 in
+  (m.disp land 0xFFFFFFFF) lor (s lsl 32)
+
+let check = function R r -> ignore (reg r) | I _ -> () | M m -> ignore (mem_a m)
+
+let to_immediate () = invalid_arg "x86 write to immediate"
+
+let[@inline] alu_index = function
+  | Add -> 0 | Sub -> 1 | And -> 2 | Or -> 3 | Xor -> 4
+let[@inline] shift_index = function Shl -> 0 | Shr -> 2 | Sar -> 4
+
+let[@inline] put ops k a b =
+  ops.(2 * k) <- a;
+  ops.((2 * k) + 1) <- b
+
+let[@inline] put_mem ops k a m = put ops k (a lor mem_a m) (mem_b m)
+
+(* Opcode 111: the primary operand is the indexed one, else the
+   destination. *)
+let put_two_mem ops k kind dst src =
+  let on_dst = dst.index <> None || src.index = None in
+  let p = if on_dst then dst else src and q = if on_dst then src else dst in
+  if q.index <> None then invalid_arg "X86_sim: two indexed memory operands";
+  let q_base = match q.base with Some r -> reg r | None -> no_base in
+  put_mem ops k
+    (word 111 q_base 0 q.disp lor (((2 * kind) + Bool.to_int on_dst) lsl 53))
+    p
+
+(* Pack slot [k]'s [i] into [ops]. The opcodes, in the order [exec] and
+   [branch] take them: Mov 0-4 (r r, r i, r m, m r, m i), Load 5-9 (by
+   [Machine.load_index]), Store 10-12 from a register and 13-15 of an
+   immediate (by [Machine.store_index]), Alu 16-40 (five shapes, r r, r
+   i, r m, m r, m i, of five operations each, by [alu_index]), Shift
+   41-46 and Shiftv 47-52 (register then memory, by [shift_index]),
+   Imul 53-55 (r, i, m), Idiv 56-61 (r, i, m; unsigned then signed),
+   Cdq 62, Lea 63, Cmp 64-71 (r r, r i, r m, m r, m i, i r, i i, i m),
+   Setcc 72-81 (by [Machine.cond_index]), Fop 82-89 (by
+   [Machine.fop_index]), Fun1 90-92, Fload 93-94 and Fstore 95-96
+   (single, double), Fld_pool 97, Fcmp 98-100, Fcc_to_reg 101, Cvt_f_i
+   102-104 (r, i, m), Cvt_i_f 105, Guard_data 106, Guard_code 107,
+   Trapi 108, Hcall 109, Nop 110, two memory operands 111 (Mov 0, Alu
+   1-5, Cmp 6, Store 7-9); the control instructions Jcc 112-121, Jmp
+   122, Jmp_ind 123-125 and Call 126, Call_ind 127-129 (r, i, m). *)
+let pack (prog : program) ops k (i : instr) =
   match i with
-  | Jcc (c, l) -> if VI.eval_cond c st.cc_a st.cc_b then l else -1
-  | Jmp l -> l
-  | Jmp_ind x -> native_of_omni st (W.to_unsigned (value st x))
-  | Call (l, ret) ->
-      set_reg st ebp ret;
-      l
-  | Call_ind (x, ret) ->
-      let t = native_of_omni st (W.to_unsigned (value st x)) in
-      set_reg st ebp ret;
-      t
-  | _ -> assert false
+  | Mov (R d, R x) -> put ops k (word 0 (reg d) (reg x) 0) 0
+  | Mov (R d, I v) -> put ops k (word 1 (reg d) 0 v) 0
+  | Mov (R d, M m) -> put_mem ops k (word 2 (reg d) 0 0) m
+  | Mov (M m, R x) -> put_mem ops k (word 3 (reg x) 0 0) m
+  | Mov (M m, I v) -> put_mem ops k (word 4 0 0 v) m
+  | Mov (M m, M m') -> put_two_mem ops k 0 m m'
+  | Mov (I _, x) -> check x; to_immediate ()
+  | Load (w, s, d, m) ->
+      put_mem ops k (word (5 + Machine.load_index w s) (reg d) 0 0) m
+  | Store (w, m, R x) ->
+      put_mem ops k (word (10 + Machine.store_index w) (reg x) 0 0) m
+  | Store (w, m, I v) -> put_mem ops k (word (13 + Machine.store_index w) 0 0 v) m
+  | Store (w, m, M m') -> put_two_mem ops k (7 + Machine.store_index w) m m'
+  | Alu (op, R d, R x) -> put ops k (word (16 + alu_index op) (reg d) (reg x) 0) 0
+  | Alu (op, R d, I v) -> put ops k (word (21 + alu_index op) (reg d) 0 v) 0
+  | Alu (op, R d, M m) -> put_mem ops k (word (26 + alu_index op) (reg d) 0 0) m
+  | Alu (op, M m, R x) -> put_mem ops k (word (31 + alu_index op) (reg x) 0 0) m
+  | Alu (op, M m, I v) -> put_mem ops k (word (36 + alu_index op) 0 0 v) m
+  | Alu (op, M m, M m') -> put_two_mem ops k (1 + alu_index op) m m'
+  | Alu (_, I _, x) -> check x; to_immediate ()
+  | Shift (op, R d, n) ->
+      put ops k (word (41 + shift_index op) (reg d) 0 (n land 31)) 0
+  | Shift (op, M m, n) ->
+      put_mem ops k (word (42 + shift_index op) 0 0 (n land 31)) m
+  | Shift (_, I _, _) -> to_immediate ()
+  | Shiftv (op, R d, c) ->
+      put ops k (word (47 + shift_index op) (reg d) (reg c) 0) 0
+  | Shiftv (op, M m, c) -> put_mem ops k (word (48 + shift_index op) (reg c) 0 0) m
+  | Shiftv (_, I _, c) -> ignore (reg c); to_immediate ()
+  | Imul (d, R x) -> put ops k (word 53 (reg d) (reg x) 0) 0
+  | Imul (d, I v) -> put ops k (word 54 (reg d) 0 v) 0
+  | Imul (d, M m) -> put_mem ops k (word 55 (reg d) 0 0) m
+  | Idiv (R x, signed) -> put ops k (word (56 + Bool.to_int signed) (reg x) 0 0) 0
+  | Idiv (I v, signed) -> put ops k (word (58 + Bool.to_int signed) 0 0 v) 0
+  | Idiv (M m, signed) -> put_mem ops k (word (60 + Bool.to_int signed) 0 0 0) m
+  | Cdq -> put ops k (word 62 0 0 0) 0
+  | Lea (d, m) -> put_mem ops k (word 63 (reg d) 0 0) m
+  | Cmp (R x, R y) -> put ops k (word 64 (reg x) (reg y) 0) 0
+  | Cmp (R x, I v) -> put ops k (word 65 (reg x) 0 v) 0
+  | Cmp (R x, M m) -> put_mem ops k (word 66 (reg x) 0 0) m
+  | Cmp (M m, R y) -> put_mem ops k (word 67 (reg y) 0 0) m
+  | Cmp (M m, I v) -> put_mem ops k (word 68 0 0 v) m
+  | Cmp (I v, R y) -> put ops k (word 69 (reg y) 0 v) 0
+  | Cmp (I v, I w) -> put ops k (word 70 0 0 v) (canon w)
+  | Cmp (I v, M m) -> put_mem ops k (word 71 0 0 v) m
+  | Cmp (M m, M m') -> put_two_mem ops k 6 m m'
+  | Setcc (c, d) -> put ops k (word (72 + Machine.cond_index c) (reg d) 0 0) 0
+  | Fop (op, prec, d, x, y) ->
+      let o = 82 + Machine.fop_index op prec in
+      put ops k (word o (reg d) (reg x) 0 lor (reg y lsl 16)) 0
+  | Fun1 (op, d, x) ->
+      let o = match op with VI.Fneg -> 90 | VI.Fabs -> 91 | VI.Fmov -> 92 in
+      put ops k (word o (reg d) (reg x) 0) 0
+  | Fload (prec, d, m) ->
+      let o = match prec with VI.Single -> 93 | VI.Double -> 94 in
+      put_mem ops k (word o (reg d) 0 0) m
+  | Fstore (prec, x, m) ->
+      let o = match prec with VI.Single -> 95 | VI.Double -> 96 in
+      put_mem ops k (word o (reg x) 0 0) m
+  | Fld_pool (d, n) ->
+      if n < 0 || n >= Array.length prog.pool then
+        invalid_arg "index out of bounds";
+      put ops k (word 97 (reg d) 0 0) n
+  | Fcmp (op, x, y) ->
+      let o = match op with VI.Feq -> 98 | VI.Flt -> 99 | VI.Fle -> 100 in
+      put ops k (word o (reg x) (reg y) 0) 0
+  | Fcc_to_reg d -> put ops k (word 101 (reg d) 0 0) 0
+  | Cvt_f_i (d, R x) -> put ops k (word 102 (reg d) (reg x) 0) 0
+  | Cvt_f_i (d, I v) -> put ops k (word 103 (reg d) 0 v) 0
+  | Cvt_f_i (d, M m) -> put_mem ops k (word 104 (reg d) 0 0) m
+  | Cvt_i_f (d, x) -> put ops k (word 105 (reg d) (reg x) 0) 0
+  | Guard_data r -> put ops k (word 106 (reg r) 0 0) 0
+  | Guard_code r -> put ops k (word 107 (reg r) 0 0) 0
+  | Trapi n -> put ops k (word 108 0 0 0) n
+  | Hcall n -> put ops k (word 109 0 0 0) n
+  | Nop -> put ops k (word 110 0 0 0) 0
+  | Jcc (c, l) -> put ops k (word (112 + Machine.cond_index c) 0 0 0) l
+  | Jmp l -> put ops k (word 122 0 0 0) l
+  | Jmp_ind (R x) -> put ops k (word 123 (reg x) 0 0) 0
+  | Jmp_ind (I v) -> put ops k (word 124 0 0 0) (canon v)
+  | Jmp_ind (M m) -> put_mem ops k (word 125 0 0 0) m
+  | Call (l, ret) -> put ops k (word 126 0 0 ret) l
+  | Call_ind (R x, ret) -> put ops k (word 127 (reg x) 0 ret) 0
+  | Call_ind (I v, ret) -> put ops k (word 128 0 0 ret) (canon v)
+  | Call_ind (M m, ret) -> put_mem ops k (word 129 0 0 ret) m
 
 (* Slot [k]'s tag, decoding the slot the first time it executes. *)
 let[@inline never] decode st k =
   let s = st.prog.code.(k) in
-  Machine.decode st.table k (cost_of s.i) s.origin
-    ~branch:(is_branch s.i) ~control:(is_control s.i)
-    ~hcall:(match s.i with Hcall _ -> true | _ -> false)
+  let w = cost_of s.i in
+  let ops = st.table.Machine.ops in
+  pack st.prog ops k s.i;
+  (* the opcode ranges [pack] lists *)
+  let op = ops.(2 * k) land 255 in
+  Machine.decode st.table k w s.origin ~branch:(op >= 112 && op <= 121)
+    ~control:(op >= 112) ~hcall:(op = 109)
+
+(* Registers, read and written unchecked: [decode] checked every field. *)
+let[@inline] rg (regs : int array) k = Array.unsafe_get regs k
+let[@inline] wr (regs : int array) k v = Array.unsafe_set regs k (canon v)
+let[@inline] fr (fps : float array) k = Array.unsafe_get fps k
+let[@inline] fw (fps : float array) k (v : float) = Array.unsafe_set fps k v
+let[@inline] flag b = if b then 1 else 0
+let[@inline] ltu x y = x land 0xFFFFFFFF < y land 0xFFFFFFFF
+let[@inline] leu x y = x land 0xFFFFFFFF <= y land 0xFFFFFFFF
+
+let[@inline never] eff_indexed regs a b =
+  let scale = (b lsr 32) lor (((a lsr 52) land 1) lsl 31) in
+  (rg regs (f2 a) + (rg regs (f3 a) * scale) + b) land 0xFFFFFFFF
+
+(* The address of the memory operand. *)
+let[@inline] eff regs a b =
+  if a land indexed = 0 then (rg regs (f2 a) + b) land 0xFFFFFFFF
+  else eff_indexed regs a b
+
+(* Set the destination register [f1] or the memory word at [addr] to an
+   ALU or shift result, and the compare state to (result, 0). *)
+let[@inline] alu_r st regs a v =
+  let v = canon v in
+  Array.unsafe_set regs (f1 a) v;
+  st.cc_a <- v;
+  st.cc_b <- 0
+
+let[@inline] alu_m st addr v =
+  let v = canon v in
+  Mem.store32 st.mem addr v;
+  st.cc_a <- v;
+  st.cc_b <- 0
+
+let alu k x y =
+  match k with
+  | 0 -> x + y
+  | 1 -> x - y
+  | 2 -> x land y
+  | 3 -> x lor y
+  | _ -> x lxor y
+
+let cvt_i_f f =
+  if Float.is_nan f then 0
+  else if f >= 2147483648.0 then W.max_int32
+  else if f <= -2147483649.0 then W.min_int32
+  else W.of_int (int_of_float f)
+
+let idiv st signed y =
+  let x = st.regs.(eax) in
+  if signed then begin
+    let q = W.div x y and r = W.rem x y in
+    set_reg st eax q;
+    set_reg st edx r
+  end
+  else begin
+    let q = W.divu x y and r = W.remu x y in
+    set_reg st eax q;
+    set_reg st edx r
+  end
+
+let guard_data a =
+  let a = W.to_unsigned a in
+  if not (Omnivm.Layout.in_data a) then
+    fault (Access_violation { addr = a; access = Write })
+
+let guard_code a =
+  let a = W.to_unsigned a in
+  if not (Omnivm.Layout.in_code a) then
+    fault (Access_violation { addr = a; access = Execute })
+
+(* Opcode 111: the operand [b] and [f2] describe, and the one [f1] and
+   the immediate field do, in the order the instruction names them. *)
+let two_mem st a b =
+  let regs = st.regs and mem = st.mem in
+  let p = eff regs a b and q = (rg regs (f1 a) + v32 a) land 0xFFFFFFFF in
+  let op = a lsr 53 in
+  let on_dst = op land 1 = 1 in
+  let dst = if on_dst then p else q and src = if on_dst then q else p in
+  match op lsr 1 with
+  | 0 -> Mem.store32 mem dst (Mem.load32 mem src)
+  | 6 ->
+      let y = Mem.load32 mem src in
+      st.cc_a <- Mem.load32 mem dst;
+      st.cc_b <- y
+  | 7 -> Mem.store8 mem dst (Mem.load32 mem src)
+  | 8 -> Mem.store16 mem dst (Mem.load32 mem src)
+  | 9 -> Mem.store32 mem dst (Mem.load32 mem src)
+  | k ->
+      let x = Mem.load32 mem dst in
+      let y = Mem.load32 mem src in
+      alu_m st dst (alu (k - 1) x y)
+
+(* Execute a slot that does not transfer control, from its op words: in
+   line in [run]'s loop, where most slots retire, and through [exec_call]
+   where a host call or a delay slot does. *)
+let[@inline] exec st a b =
+  let regs = st.regs and fps = st.fps and mem = st.mem in
+  match a land 255 with
+  | 0 -> Array.unsafe_set regs (f1 a) (rg regs (f2 a))
+  | 1 -> Array.unsafe_set regs (f1 a) (v32 a)
+  | 2 -> Array.unsafe_set regs (f1 a) (Mem.load32 mem (eff regs a b))
+  | 3 -> Mem.store32 mem (eff regs a b) (rg regs (f1 a))
+  | 4 -> Mem.store32 mem (eff regs a b) (v32 a)
+  | 5 -> Array.unsafe_set regs (f1 a) (W.sext8 (Mem.load8 mem (eff regs a b)))
+  | 6 -> Array.unsafe_set regs (f1 a) (Mem.load8 mem (eff regs a b))
+  | 7 -> Array.unsafe_set regs (f1 a) (W.sext16 (Mem.load16 mem (eff regs a b)))
+  | 8 -> Array.unsafe_set regs (f1 a) (Mem.load16 mem (eff regs a b))
+  | 9 -> Array.unsafe_set regs (f1 a) (Mem.load32 mem (eff regs a b))
+  | 10 -> Mem.store8 mem (eff regs a b) (rg regs (f1 a))
+  | 11 -> Mem.store16 mem (eff regs a b) (rg regs (f1 a))
+  | 12 -> Mem.store32 mem (eff regs a b) (rg regs (f1 a))
+  | 13 -> Mem.store8 mem (eff regs a b) (v32 a)
+  | 14 -> Mem.store16 mem (eff regs a b) (v32 a)
+  | 15 -> Mem.store32 mem (eff regs a b) (v32 a)
+  | 16 -> alu_r st regs a (rg regs (f1 a) + rg regs (f2 a))
+  | 17 -> alu_r st regs a (rg regs (f1 a) - rg regs (f2 a))
+  | 18 -> alu_r st regs a (rg regs (f1 a) land rg regs (f2 a))
+  | 19 -> alu_r st regs a (rg regs (f1 a) lor rg regs (f2 a))
+  | 20 -> alu_r st regs a (rg regs (f1 a) lxor rg regs (f2 a))
+  | 21 -> alu_r st regs a (rg regs (f1 a) + v32 a)
+  | 22 -> alu_r st regs a (rg regs (f1 a) - v32 a)
+  | 23 -> alu_r st regs a (rg regs (f1 a) land v32 a)
+  | 24 -> alu_r st regs a (rg regs (f1 a) lor v32 a)
+  | 25 -> alu_r st regs a (rg regs (f1 a) lxor v32 a)
+  | 26 -> alu_r st regs a (rg regs (f1 a) + Mem.load32 mem (eff regs a b))
+  | 27 -> alu_r st regs a (rg regs (f1 a) - Mem.load32 mem (eff regs a b))
+  | 28 -> alu_r st regs a (rg regs (f1 a) land Mem.load32 mem (eff regs a b))
+  | 29 -> alu_r st regs a (rg regs (f1 a) lor Mem.load32 mem (eff regs a b))
+  | 30 -> alu_r st regs a (rg regs (f1 a) lxor Mem.load32 mem (eff regs a b))
+  | 31 ->
+      let m = eff regs a b in
+      alu_m st m (Mem.load32 mem m + rg regs (f1 a))
+  | 32 ->
+      let m = eff regs a b in
+      alu_m st m (Mem.load32 mem m - rg regs (f1 a))
+  | 33 ->
+      let m = eff regs a b in
+      alu_m st m (Mem.load32 mem m land rg regs (f1 a))
+  | 34 ->
+      let m = eff regs a b in
+      alu_m st m (Mem.load32 mem m lor rg regs (f1 a))
+  | 35 ->
+      let m = eff regs a b in
+      alu_m st m (Mem.load32 mem m lxor rg regs (f1 a))
+  | 36 ->
+      let m = eff regs a b in
+      alu_m st m (Mem.load32 mem m + v32 a)
+  | 37 ->
+      let m = eff regs a b in
+      alu_m st m (Mem.load32 mem m - v32 a)
+  | 38 ->
+      let m = eff regs a b in
+      alu_m st m (Mem.load32 mem m land v32 a)
+  | 39 ->
+      let m = eff regs a b in
+      alu_m st m (Mem.load32 mem m lor v32 a)
+  | 40 ->
+      let m = eff regs a b in
+      alu_m st m (Mem.load32 mem m lxor v32 a)
+  | 41 -> alu_r st regs a (W.shift_left (rg regs (f1 a)) (v32 a))
+  | 42 ->
+      let m = eff regs a b in
+      alu_m st m (W.shift_left (Mem.load32 mem m) (v32 a))
+  | 43 -> alu_r st regs a (W.shift_right_logical (rg regs (f1 a)) (v32 a))
+  | 44 ->
+      let m = eff regs a b in
+      alu_m st m (W.shift_right_logical (Mem.load32 mem m) (v32 a))
+  | 45 -> alu_r st regs a (W.shift_right_arith (rg regs (f1 a)) (v32 a))
+  | 46 ->
+      let m = eff regs a b in
+      alu_m st m (W.shift_right_arith (Mem.load32 mem m) (v32 a))
+  | 47 -> alu_r st regs a (W.shift_left (rg regs (f1 a)) (rg regs (f2 a)))
+  | 48 ->
+      let m = eff regs a b in
+      let x = Mem.load32 mem m in
+      alu_m st m (W.shift_left x (rg regs (f1 a)))
+  | 49 -> alu_r st regs a (W.shift_right_logical (rg regs (f1 a)) (rg regs (f2 a)))
+  | 50 ->
+      let m = eff regs a b in
+      let x = Mem.load32 mem m in
+      alu_m st m (W.shift_right_logical x (rg regs (f1 a)))
+  | 51 -> alu_r st regs a (W.shift_right_arith (rg regs (f1 a)) (rg regs (f2 a)))
+  | 52 ->
+      let m = eff regs a b in
+      let x = Mem.load32 mem m in
+      alu_m st m (W.shift_right_arith x (rg regs (f1 a)))
+  | 53 -> wr regs (f1 a) (W.mul (rg regs (f1 a)) (rg regs (f2 a)))
+  | 54 -> wr regs (f1 a) (W.mul (rg regs (f1 a)) (v32 a))
+  | 55 -> wr regs (f1 a) (W.mul (rg regs (f1 a)) (Mem.load32 mem (eff regs a b)))
+  | 56 -> idiv st false (rg regs (f1 a))
+  | 57 -> idiv st true (rg regs (f1 a))
+  | 58 -> idiv st false (v32 a)
+  | 59 -> idiv st true (v32 a)
+  | 60 -> idiv st false (Mem.load32 mem (eff regs a b))
+  | 61 -> idiv st true (Mem.load32 mem (eff regs a b))
+  | 62 -> Array.unsafe_set regs edx (if rg regs eax < 0 then -1 else 0)
+  | 63 -> Array.unsafe_set regs (f1 a) (canon (eff regs a b))
+  | 64 ->
+      st.cc_a <- rg regs (f1 a);
+      st.cc_b <- rg regs (f2 a)
+  | 65 ->
+      st.cc_a <- rg regs (f1 a);
+      st.cc_b <- v32 a
+  | 66 ->
+      let y = Mem.load32 mem (eff regs a b) in
+      st.cc_a <- rg regs (f1 a);
+      st.cc_b <- y
+  | 67 ->
+      st.cc_a <- Mem.load32 mem (eff regs a b);
+      st.cc_b <- rg regs (f1 a)
+  | 68 ->
+      st.cc_a <- Mem.load32 mem (eff regs a b);
+      st.cc_b <- v32 a
+  | 69 ->
+      st.cc_a <- v32 a;
+      st.cc_b <- rg regs (f1 a)
+  | 70 ->
+      st.cc_a <- v32 a;
+      st.cc_b <- b
+  | 71 ->
+      st.cc_b <- Mem.load32 mem (eff regs a b);
+      st.cc_a <- v32 a
+  | 72 -> Array.unsafe_set regs (f1 a) (flag (st.cc_a = st.cc_b))
+  | 73 -> Array.unsafe_set regs (f1 a) (flag (st.cc_a <> st.cc_b))
+  | 74 -> Array.unsafe_set regs (f1 a) (flag (st.cc_a < st.cc_b))
+  | 75 -> Array.unsafe_set regs (f1 a) (flag (st.cc_a <= st.cc_b))
+  | 76 -> Array.unsafe_set regs (f1 a) (flag (st.cc_b < st.cc_a))
+  | 77 -> Array.unsafe_set regs (f1 a) (flag (st.cc_b <= st.cc_a))
+  | 78 -> Array.unsafe_set regs (f1 a) (flag (ltu st.cc_a st.cc_b))
+  | 79 -> Array.unsafe_set regs (f1 a) (flag (leu st.cc_a st.cc_b))
+  | 80 -> Array.unsafe_set regs (f1 a) (flag (ltu st.cc_b st.cc_a))
+  | 81 -> Array.unsafe_set regs (f1 a) (flag (leu st.cc_b st.cc_a))
+  | 82 -> fw fps (f1 a) (round_single (fr fps (f2 a) +. fr fps (f3 a)))
+  | 83 -> fw fps (f1 a) (fr fps (f2 a) +. fr fps (f3 a))
+  | 84 -> fw fps (f1 a) (round_single (fr fps (f2 a) -. fr fps (f3 a)))
+  | 85 -> fw fps (f1 a) (fr fps (f2 a) -. fr fps (f3 a))
+  | 86 -> fw fps (f1 a) (round_single (fr fps (f2 a) *. fr fps (f3 a)))
+  | 87 -> fw fps (f1 a) (fr fps (f2 a) *. fr fps (f3 a))
+  | 88 -> fw fps (f1 a) (round_single (fr fps (f2 a) /. fr fps (f3 a)))
+  | 89 -> fw fps (f1 a) (fr fps (f2 a) /. fr fps (f3 a))
+  | 90 -> fw fps (f1 a) (-.fr fps (f2 a))
+  | 91 -> fw fps (f1 a) (Float.abs (fr fps (f2 a)))
+  | 92 -> fw fps (f1 a) (fr fps (f2 a))
+  | 93 -> fw fps (f1 a) (load_single mem (eff regs a b))
+  | 94 -> fw fps (f1 a) (load_float mem (eff regs a b))
+  | 95 -> store_single mem (eff regs a b) (fr fps (f1 a))
+  | 96 -> store_float mem (eff regs a b) (fr fps (f1 a))
+  | 97 -> fw fps (f1 a) (Array.unsafe_get st.prog.pool b)
+  | 98 -> st.fcc <- fr fps (f1 a) = fr fps (f2 a)
+  | 99 -> st.fcc <- fr fps (f1 a) < fr fps (f2 a)
+  | 100 -> st.fcc <- fr fps (f1 a) <= fr fps (f2 a)
+  | 101 -> Array.unsafe_set regs (f1 a) (flag st.fcc)
+  | 102 -> fw fps (f1 a) (float_of_int (rg regs (f2 a)))
+  | 103 -> fw fps (f1 a) (float_of_int (v32 a))
+  | 104 -> fw fps (f1 a) (float_of_int (Mem.load32 mem (eff regs a b)))
+  | 105 -> Array.unsafe_set regs (f1 a) (cvt_i_f (fr fps (f2 a)))
+  | 106 -> guard_data (rg regs (f1 a))
+  | 107 -> guard_code (rg regs (f1 a))
+  | 108 -> fault (Explicit_trap b)
+  | 109 -> hcall st b
+  | 110 -> ()
+  | _ -> two_mem st a b
+
+let[@inline never] exec_call st a b = exec st a b
+
+(* Evaluate a control slot from its op words: where it branches, as a
+   native index, or -1 if it falls through. *)
+let[@inline] branch st a b =
+  let regs = st.regs in
+  match a land 255 with
+  | 112 -> if st.cc_a = st.cc_b then b else -1
+  | 113 -> if st.cc_a <> st.cc_b then b else -1
+  | 114 -> if st.cc_a < st.cc_b then b else -1
+  | 115 -> if st.cc_a <= st.cc_b then b else -1
+  | 116 -> if st.cc_b < st.cc_a then b else -1
+  | 117 -> if st.cc_b <= st.cc_a then b else -1
+  | 118 -> if ltu st.cc_a st.cc_b then b else -1
+  | 119 -> if leu st.cc_a st.cc_b then b else -1
+  | 120 -> if ltu st.cc_b st.cc_a then b else -1
+  | 121 -> if leu st.cc_b st.cc_a then b else -1
+  | 122 -> b
+  | 123 -> native_of_omni st (W.to_unsigned (rg regs (f1 a)))
+  | 124 -> native_of_omni st (W.to_unsigned b)
+  | 125 -> native_of_omni st (W.to_unsigned (Mem.load32 st.mem (eff regs a b)))
+  | 126 ->
+      Array.unsafe_set regs ebp (v32 a);
+      b
+  | 127 ->
+      let t = native_of_omni st (W.to_unsigned (rg regs (f1 a))) in
+      Array.unsafe_set regs ebp (v32 a);
+      t
+  | 128 ->
+      let t = native_of_omni st (W.to_unsigned b) in
+      Array.unsafe_set regs ebp (v32 a);
+      t
+  | _ ->
+      let x = Mem.load32 st.mem (eff regs a b) in
+      let t = native_of_omni st (W.to_unsigned x) in
+      Array.unsafe_set regs ebp (v32 a);
+      t
 
 let deliver_fault st f =
   if st.handler = 0 then raise (Omnivm.Fault.Vm_fault f)
@@ -324,7 +643,8 @@ let run ?(fuel = max_int) ?watchdog (prog : program) mem host :
   let code = prog.code in
   let n = Array.length code in
   let pipe = st.pipe and stats = st.stats in
-  let { Machine.costs; tags; counts; memo } = st.table in
+  let { Machine.costs; ops; tags; counts; memo } = st.table in
+  let stops = Machine.tag_control lor Machine.tag_hcall in
   let every =
     match watchdog with
     | Some w -> Omnivm.Watchdog.poll_every w
@@ -357,19 +677,21 @@ let run ?(fuel = max_int) ?watchdog (prog : program) mem host :
           let t = Array.unsafe_get tags pc in
           if t >= 0 then t else decode st pc
         in
-        if tag land (Machine.tag_control lor Machine.tag_hcall) = 0 then begin
+        let a = Array.unsafe_get ops (2 * pc)
+        and b = Array.unsafe_get ops ((2 * pc) + 1) in
+        if tag land stops = 0 then begin
           retired := pc;
-          exec_simple st (Array.unsafe_get code pc).i;
+          exec st a b;
           st.pc <- pc + 1
         end
         else if tag land Machine.tag_control = 0 then begin
           retired := pc;
-          exec_simple st (Array.unsafe_get code pc).i;
+          exec_call st a b;
           st.pc <- pc + 1;
           if Option.is_some st.exited then raise_notrace Exit_exn
         end
         else begin
-          let target = control_target st (Array.unsafe_get code pc).i in
+          let target = branch st a b in
           let taken = target >= 0 in
           if taken && tag land Machine.tag_branch <> 0 then
             stats.Machine.taken_branches <- stats.Machine.taken_branches + 1;

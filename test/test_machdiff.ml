@@ -4,8 +4,11 @@
    the same register checksum.
 
    This hits translator paths the compiler never generates: odd register
-   combinations, immediate edge values, mixed-width memory traffic, and
-   branch patterns. Programs are built to be self-terminating (conditional
+   combinations, immediate edge values, mixed-width and sign-extending
+   memory traffic, shifts by register counts, byte inserts, float
+   division, compares, conversions and single-precision memory traffic,
+   unsigned immediate branches, direct and indirect calls, and branch
+   patterns. Programs are built to be self-terminating (conditional
    branches only jump forward) and in-segment (all addresses fall inside a
    data buffer), so sandboxing is semantically transparent and every engine
    must agree exactly. *)
@@ -14,6 +17,9 @@ module Api = Omniware.Api
 module Machine = Omni_targets.Machine
 
 let buf_size = 256
+
+(* Leaf functions each program may call. *)
+let n_funcs = 3
 
 (* Generate one random program as assembly text. *)
 let gen_program (rng : Random.State.t) : string =
@@ -49,8 +55,8 @@ let gen_program (rng : Random.State.t) : string =
     List.iter
       (fun (at, l) -> if at = i then Printf.bprintf b ".L%d:\n" l)
       !pending_labels;
-    match ri 12 with
-    | 0 | 1 | 2 ->
+    match ri 20 with
+    | 0 | 1 | 2 | 18 | 19 ->
         let ops = [| "add"; "sub"; "mul"; "and"; "or"; "xor"; "slt"; "sltu" |] in
         Printf.bprintf b "        %s r%d, r%d, r%d\n"
           ops.(ri (Array.length ops)) (reg ()) (reg ()) (reg ())
@@ -73,7 +79,10 @@ let gen_program (rng : Random.State.t) : string =
     | 7 ->
         (* in-bounds store + load through r10 (= buf) *)
         let off = 4 * ri (buf_size / 4) in
-        let w = [| ("sw", "lw"); ("sh", "lhu"); ("sb", "lbu") |].(ri 3) in
+        let w =
+          [| ("sw", "lw"); ("sh", "lhu"); ("sb", "lbu"); ("sh", "lh"); ("sb", "lb") |]
+            .(ri 5)
+        in
         Printf.bprintf b "        %s r%d, %d(r10)\n" (fst w) (reg ()) off;
         Printf.bprintf b "        %s r%d, %d(r10)\n" (snd w) (reg ()) off
     | 8 ->
@@ -92,15 +101,54 @@ let gen_program (rng : Random.State.t) : string =
           conds.(ri (Array.length conds)) (reg ()) (reg ()) l;
         pending_labels := (min (n - 1) (i + skip), l) :: !pending_labels
     | 10 ->
-        let conds = [| "beqi"; "bnei"; "blti"; "bgei" |] in
+        let conds =
+          [| "beqi"; "bnei"; "blti"; "bgei"; "bltui"; "bgeui"; "bleui"; "bgtui" |]
+        in
         let l = !label in
         incr label;
         Printf.bprintf b "        %s r%d, %d, .L%d\n"
           conds.(ri (Array.length conds)) (reg ()) (imm ()) l;
         pending_labels := (min (n - 1) (i + 1 + ri 4), l) :: !pending_labels
-    | _ ->
+    | 11 ->
         Printf.bprintf b "        ext r%d, r%d, %d, %d\n" (reg ()) (reg ())
           (ri 3) (1 + ri 2)
+    | 12 ->
+        Printf.bprintf b "        ins r%d, r%d, %d, %d\n" (reg ()) (reg ())
+          (ri 3) (1 + ri 2)
+    | 13 ->
+        (* shifts by a register's count, taken modulo 32 *)
+        let ops = [| "sll"; "srl"; "sra" |] in
+        Printf.bprintf b "        %s r%d, r%d, r%d\n"
+          ops.(ri (Array.length ops)) (reg ()) (reg ()) (reg ())
+    | 14 ->
+        (* a quotient of integer-valued doubles, compared and truncated *)
+        Printf.bprintf b "        fdiv.d f%d, f%d, f%d\n" (freg ()) (freg ()) (freg ());
+        let cmps = [| "feq"; "flt"; "fle" |] in
+        Printf.bprintf b "        %s.d r%d, f%d, f%d\n"
+          cmps.(ri (Array.length cmps)) (reg ()) (freg ()) (freg ());
+        Printf.bprintf b "        cvt.w.d r%d, f%d\n" (reg ()) (freg ())
+    | 15 ->
+        (* double and single floats through memory *)
+        let off = 8 * ri (buf_size / 8) in
+        if ri 2 = 0 then begin
+          Printf.bprintf b "        fsd f%d, %d(r10)\n" (freg ()) off;
+          Printf.bprintf b "        fld f%d, %d(r10)\n" (freg ()) off
+        end
+        else begin
+          Printf.bprintf b "        fss f%d, %d(r10)\n" (freg ()) off;
+          Printf.bprintf b "        fls f%d, %d(r10)\n" (freg ()) off
+        end;
+        Printf.bprintf b "        cvt.w.d r%d, f%d\n" (reg ()) (freg ())
+    | 16 ->
+        let cvt = [| "cvt.s.d"; "cvt.d.s" |] in
+        Printf.bprintf b "        %s f%d, f%d\n" cvt.(ri 2) (freg ()) (freg ());
+        Printf.bprintf b "        cvt.w.d r%d, f%d\n" (reg ()) (freg ())
+    | _ ->
+        (* a call to one of the leaf functions after the exit, which
+           return through ra with jr *)
+        let f = ri n_funcs in
+        if ri 2 = 0 then Printf.bprintf b "        jal fn%d\n" f
+        else Printf.bprintf b "        la r12, fn%d\n        jalr r12\n" f
   done;
   (* park all pending labels at the end *)
   List.iter (fun (_, l) -> Printf.bprintf b ".L%d:\n" l) !pending_labels;
@@ -115,6 +163,15 @@ let gen_program (rng : Random.State.t) : string =
   done;
   Buffer.add_string b "        hcall 2\n        li r1, 10\n        hcall 1\n";
   Buffer.add_string b "        li r1, 0\n        hcall 0\n";
+  for f = 0 to n_funcs - 1 do
+    Printf.bprintf b "        .globl fn%d\nfn%d:\n" f f;
+    for _ = 0 to ri 3 do
+      let ops = [| "add"; "sub"; "xor"; "mul" |] in
+      Printf.bprintf b "        %s r%d, r%d, r%d\n"
+        ops.(ri (Array.length ops)) (reg ()) (reg ()) (reg ())
+    done;
+    Buffer.add_string b "        jr r15\n"
+  done;
   Buffer.contents b
 
 let engines_agree src =

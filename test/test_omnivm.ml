@@ -1026,6 +1026,33 @@ let wire_rejects_garbage () =
   | exception Omnivm.Wire.Bad_module _ -> ()
   | _ -> Alcotest.fail "truncated module accepted")
 
+(* The interpreter allocates nothing per instruction: a loop that calls
+   a function and takes a branch on every iteration runs its hundreds of
+   thousands of instructions far below this bound, with what the run
+   allocates being its set-up and its output. *)
+let interp_allocation () =
+  let src =
+    {| int step(int x) { if (x % 2 == 0) return x / 2; return 3 * x + 1; }
+       int main(void) {
+         int i; int s;
+         s = 0;
+         for (i = 1; i < 20000; i++) s += step(i) % 7;
+         print_int(s); putchar(10);
+         return 0;
+       } |}
+  in
+  let img = Omni_runtime.Loader.load (Minic.Driver.compile_exe ~name:"calls" src) in
+  let before = Gc.minor_words () in
+  let outcome, st = Omni_runtime.Loader.run_interp ~fuel:100_000_000 img in
+  let words = Gc.minor_words () -. before in
+  (match outcome with
+  | Omnivm.Interp.Exited 0 -> ()
+  | _ -> Alcotest.fail "loop did not exit cleanly");
+  let per_instr = words /. float_of_int st.Omnivm.Interp.icount in
+  if st.Omnivm.Interp.icount < 200_000 || per_instr > 0.05 then
+    Alcotest.failf "%.3f minor words per instruction over %d instructions"
+      per_instr st.Omnivm.Interp.icount
+
 let () =
   Alcotest.run "omnivm"
     [ ("interp",
@@ -1035,7 +1062,9 @@ let () =
          Alcotest.test_case "float ops" `Quick float_ops;
          Alcotest.test_case "ext/ins" `Quick ext_ins;
          Alcotest.test_case "branches" `Quick branches;
-         Alcotest.test_case "calls" `Quick calls ]);
+         Alcotest.test_case "calls" `Quick calls;
+         Alcotest.test_case "allocates nothing per instruction" `Quick
+           interp_allocation ]);
       ("faults",
        [ Alcotest.test_case "unmapped read" `Quick fault_unmapped;
          Alcotest.test_case "write to code" `Quick fault_write_code;

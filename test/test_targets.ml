@@ -6,6 +6,7 @@ module Machine = Omni_targets.Machine
 module Arch = Omni_targets.Arch
 module Risc = Omni_targets.Risc
 module P = Omni_targets.Pipeline
+module VI = Omnivm.Instr
 module S = Omni_targets.Sched
 
 let sandbox = Machine.Mobile (Omni_sfi.Policy.make ())
@@ -1364,6 +1365,512 @@ let exit_path_goldens () =
     Alcotest.failf "%d exit paths differ; got:\n%s" (List.length bad)
       (String.concat "\n" bad)
 
+(* --- per-form goldens ---
+
+   One line per instruction form each simulator decodes, run as a few
+   slots patched over the [trap] markers of a small translated program
+   whose prologue seeds the registers and the data: the outcome (or the
+   exception the run raised), every [Machine.stats] field, the native pc,
+   a digest of every native register and the compare state, a digest of
+   the data segment's first bytes and one of the output. A patched
+   branch targets the marker [form_taken] slots past the patch, so the
+   trap a run stops on says where control went. Recorded before the
+   simulators decoded slots into op words; the hostile cases (registers
+   out of range, labels past either end, fields beyond 32 bits, an index
+   scale of 3, a pool index past the pool) pin that a field is either
+   held exactly or refused as it always was. *)
+
+let form_exe =
+  lazy
+    (compile_asm
+       {|
+        .data
+buf:    .word 0x12345678, 0x89abcdef, 0xfffffffe, 7
+        .word 0x7fffffff, 0x80000000, 0xfedcba98, 3
+        .double 2.5, -0.75
+        .space 64
+        .text
+        .globl main
+main:
+        li r1, 0x12345678
+        la r2, buf
+        li r3, -7
+        li r4, 4
+        li r5, -2147483648
+        li r6, -1
+        li r7, 0
+        li r8, 3
+        la r9, tgt
+        la r10, main
+        addi r10, r10, 4
+        li r11, 0x7fffffff
+        li r12, 40
+        fli.d f1, 1.25
+        fli.d f2, -3.5
+        fli.d f3, 10000000000.0
+        fli.d f4, 0.1
+        fli.s f5, 0.3
+        fli.d f6, 7.0
+        trap 1
+        trap 2
+        trap 3
+        trap 4
+        trap 5
+        trap 6
+        trap 7
+        trap 8
+        trap 9
+        trap 10
+        trap 11
+        trap 12
+        .globl tgt
+tgt:    trap 20
+        trap 21
+|})
+
+(* Where a patched branch goes: the marker that many slots past the
+   first patched one. *)
+let form_taken = 8
+
+let form_line tr =
+  let exe = Lazy.force form_exe in
+  let img = Api.load exe in
+  let mem = img.Omni_runtime.Loader.mem in
+  let host = img.Omni_runtime.Loader.host in
+  let fuel = 10_000 in
+  let f64 h x = Fnv64.mix_int h (Int64.to_int (Int64.bits_of_float x)) in
+  match
+    match tr with
+    | Api.T_risc p ->
+        let o, s, st = Risc_sim.run ~fuel p mem host in
+        let h = ref 0L in
+        for r = 0 to 31 do h := Fnv64.mix_int !h (Risc_sim.get st r) done;
+        Array.iter (fun x -> h := f64 !h x) st.Risc_sim.fregs;
+        h := Fnv64.mix_int !h st.Risc_sim.cc_a;
+        h := Fnv64.mix_int !h st.Risc_sim.cc_b;
+        (o, s, st.Risc_sim.pc, Fnv64.mix_int !h (Bool.to_int st.Risc_sim.fcc))
+    | Api.T_x86 p ->
+        let o, s, st = X86_sim.run ~fuel p mem host in
+        let h = ref 0L in
+        for r = 0 to 7 do h := Fnv64.mix_int !h st.X86_sim.regs.(r) done;
+        Array.iter (fun x -> h := f64 !h x) st.X86_sim.fps;
+        h := Fnv64.mix_int !h st.X86_sim.cc_a;
+        h := Fnv64.mix_int !h st.X86_sim.cc_b;
+        (o, s, st.X86_sim.pc, Fnv64.mix_int !h (Bool.to_int st.X86_sim.fcc))
+  with
+  | exception e -> "exception " ^ Printexc.to_string e
+  | outcome, s, pc, regs ->
+      let m = ref 0L in
+      let base = Omnivm.Layout.data_base in
+      for k = 0 to ((Omnivm.Layout.reserved_data + 128) / 4) - 1 do
+        m := Fnv64.mix_int !m (Omnivm.Memory.load32 mem (base + (4 * k)))
+      done;
+      Printf.sprintf
+        "%s; instrs %d cycles %d loads %d stores %d branches %d taken %d \
+         origins %s; pc %d regs %s mem %s; output %s"
+        (outcome_string outcome) s.Machine.instructions s.Machine.cycles
+        s.Machine.loads s.Machine.stores s.Machine.branches
+        s.Machine.taken_branches
+        (String.concat "/"
+           (Array.to_list (Array.map string_of_int s.Machine.by_origin)))
+        pc (Fnv64.to_hex regs) (Fnv64.to_hex !m)
+        (Fnv64.to_hex (Fnv64.digest_string (Omni_runtime.Host.output host)))
+
+(* The first [trap 1] marker. *)
+let form_marker n is_trap1 =
+  let rec go k =
+    if k >= n then Alcotest.fail "no trap 1 marker" else if is_trap1 k then k
+    else go (k + 1)
+  in
+  go 0
+
+let risc_form_cases ~delay =
+  let open Risc in
+  let o = map_reg in
+  let br i = if delay then [ i; Nop ] else [ i ] in
+  let binops =
+    VI.[ Add; Sub; Mul; Div; Divu; Rem; Remu; And; Or; Xor; Sll; Srl; Sra;
+         Slt; Sltu ]
+  in
+  let widths = VI.[ (W8, true); (W8, false); (W16, true); (W16, false);
+                    (W32, true); (W32, false) ] in
+  let conds = VI.[ Eq; Ne; Lt; Le; Gt; Ge; Ltu; Leu; Gtu; Geu ] in
+  let fops = VI.[ Fadd; Fsub; Fmul; Fdiv ] in
+  let precs = VI.[ Single; Double ] in
+  let wname (w, s) = VI.load_name w s ^ if s then " s" else " u" in
+  let forms =
+    List.concat_map
+      (fun op ->
+        let n = VI.binop_name op in
+        [ ("alu " ^ n, fun _ -> [ Alu (op, o 12, o 3, o 4) ]);
+          ("alui " ^ n, fun _ -> [ Alui (op, o 12, o 3, 3) ]);
+          ("alui neg " ^ n, fun _ -> [ Alui (op, o 12, o 1, -5) ]);
+          ("alu. " ^ n, fun _ -> [ Alu_record (op, o 12, o 3, o 4) ]) ])
+      binops
+    @ List.map
+        (fun op ->
+          ( "alu by zero " ^ VI.binop_name op,
+            fun _ -> [ Alu (op, o 12, o 3, o 7) ] ))
+        VI.[ Div; Divu; Rem; Remu ]
+    @ [ ("alui div by zero", fun _ -> [ Alui (VI.Div, o 12, o 3, 0) ]);
+        ("alu. rem by zero", fun _ -> [ Alu_record (VI.Rem, o 12, o 3, o 7) ]);
+        ("alu min div -1", fun _ -> [ Alu (VI.Div, o 12, o 5, o 6) ]);
+        ("alu min rem -1", fun _ -> [ Alu (VI.Rem, o 12, o 5, o 6) ]);
+        ("alu sll by 31", fun _ -> [ Alu (VI.Sll, o 12, o 1, o 11) ]);
+        ("alu sra by 31", fun _ -> [ Alu (VI.Sra, o 12, o 5, o 11) ]);
+        ("alu to zero", fun _ -> [ Alu (VI.Add, 0, o 3, o 4) ]);
+        ("alu. to zero", fun _ -> [ Alu_record (VI.Sub, 0, o 3, o 4) ]);
+        ("lui", fun _ -> [ Lui (o 12, 0x12340000) ]);
+        ("lui neg", fun _ -> [ Lui (o 12, -65536) ]) ]
+    @ List.concat_map
+        (fun ((w, s) as ws) ->
+          [ ("load " ^ wname ws, fun _ -> [ Load (w, s, o 12, o 2, 4) ]);
+            ("load_x " ^ wname ws, fun _ -> [ Load_x (w, s, o 12, o 2, o 4) ]);
+            ("load to zero " ^ wname ws, fun _ -> [ Load (w, s, 0, o 2, 4) ]) ])
+        widths
+    @ List.concat_map
+        (fun w ->
+          [ ("store " ^ VI.store_name w, fun _ -> [ Store (w, o 1, o 2, 8) ]);
+            ("store_x " ^ VI.store_name w, fun _ -> [ Store_x (w, o 3, o 2, o 4) ]) ])
+        VI.[ W8; W16; W32 ]
+    @ [ ("load misaligned", fun _ -> [ Load (VI.W32, false, o 12, o 2, 2) ]);
+        ("store outside data", fun _ -> [ Store (VI.W32, o 1, o 1, 0) ]);
+        ("fload", fun _ -> [ Fload (7, o 2, 32) ]);
+        ("fstore", fun _ -> [ Fstore (2, o 2, 48) ]);
+        ("fload_s", fun _ -> [ Fload_s (7, o 2, 0) ]);
+        ("fstore_s", fun _ -> [ Fstore_s (2, o 2, 48) ]);
+        ("fload_x", fun _ -> [ Fload_x (7, o 2, o 4) ]);
+        ("fstore_x", fun _ -> [ Fstore_x (1, o 2, o 4) ]);
+        ("fld_pool", fun _ -> [ Fld_pool (7, 0) ]) ]
+    @ List.concat_map
+        (fun op ->
+          List.map
+            (fun pr ->
+              ( Printf.sprintf "fop %s.%s" (VI.fbinop_name op) (VI.prec_suffix pr),
+                fun _ -> [ Fop (op, pr, 7, 1, 2) ] ))
+            precs)
+        fops
+    @ List.map
+        (fun op -> ("fun1 " ^ VI.funop_name op, fun _ -> [ Fun1 (op, 7, 2) ]))
+        VI.[ Fneg; Fabs; Fmov ]
+    @ List.concat_map
+        (fun op ->
+          [ ("fcmp " ^ VI.fcmp_name op, fun _ -> [ Fcmp (op, 1, 2) ]);
+            ("fcmp rev " ^ VI.fcmp_name op, fun _ -> [ Fcmp (op, 2, 1) ]) ])
+        VI.[ Feq; Flt; Fle ]
+    @ [ ("fcc_to_reg false", fun _ -> [ Fcc_to_reg (o 12) ]);
+        ("fcc_to_reg true", fun _ -> [ Fcmp (VI.Flt, 2, 1); Fcc_to_reg (o 12) ]);
+        ("cvt_f_i", fun _ -> [ Cvt_f_i (7, o 3) ]);
+        ("cvt_i_f", fun _ -> [ Cvt_i_f (o 12, 2) ]);
+        ("cvt_i_f saturates", fun _ -> [ Cvt_i_f (o 12, 3) ]);
+        ("cvt_d_s", fun _ -> [ Cvt_d_s (7, 4) ]);
+        ("cvt_s_d", fun _ -> [ Cvt_s_d (7, 4) ]);
+        ("cmp", fun _ -> [ Cmp (o 3, o 4) ]);
+        ("cmpi", fun _ -> [ Cmpi (o 3, -7) ]) ]
+    @ List.concat_map
+        (fun c ->
+          let n = VI.cond_name c in
+          List.concat_map
+            (fun (pair, x, y) ->
+              [ ("cc_to_reg " ^ n ^ pair, fun _ -> [ Cmp (x, y); Cc_to_reg (c, o 12) ]);
+                ("br_cc " ^ n ^ pair, fun l -> Cmp (x, y) :: br (Br_cc (c, l)));
+                ("br_cmp " ^ n ^ pair, fun l -> br (Br_cmp (c, x, y, l))) ])
+            [ ("", o 3, o 4); (" rev", o 4, o 3); (" same", o 4, o 4) ])
+        conds
+    @ [ ("fbr true", fun l -> Fcmp (VI.Flt, 2, 1) :: br (Fbr (true, l)));
+        ("fbr false", fun l -> Fcmp (VI.Flt, 2, 1) :: br (Fbr (false, l)));
+        ("j", fun l -> br (J l));
+        ("call", fun l -> br (Call (l, 0x10000040)));
+        ("call_ind entry", fun _ -> br (Call_ind (o 9, 0x10000040)));
+        ("call_ind non-entry", fun _ -> br (Call_ind (o 10, 0x10000040)));
+        ("jmp_ind entry", fun _ -> br (Jmp_ind (o 9)));
+        ("jmp_ind non-entry", fun _ -> br (Jmp_ind (o 10)));
+        ("jmp_ind outside code", fun _ -> br (Jmp_ind (o 3)));
+        ("delay slot alu", fun l ->
+          if delay then [ J l; Alu (VI.Add, o 12, o 3, o 4) ] else [ J l ]);
+        ("guard_data pass", fun _ -> [ Guard_data (o 2) ]);
+        ("guard_data fail", fun _ -> [ Guard_data (o 1) ]);
+        ("guard_code pass", fun _ -> [ Guard_code (o 9) ]);
+        ("guard_code fail", fun _ -> [ Guard_code (o 2) ]);
+        ("trapi", fun _ -> [ Trapi 5 ]);
+        ("hcall print_int", fun _ -> [ Hcall 2 ]);
+        ("hcall exit", fun _ -> [ Hcall 0 ]);
+        ("nop", fun _ -> [ Nop ]) ]
+  in
+  let hostile =
+    [ ("rd 32", fun _ -> [ Alu (VI.Add, 32, o 3, o 4) ]);
+      ("ra 32", fun _ -> [ Alu (VI.Add, o 12, 32, o 4) ]);
+      ("rd -1", fun _ -> [ Alu (VI.Add, -1, o 3, o 4) ]);
+      ("alui rd 32", fun _ -> [ Alui (VI.Add, 32, o 3, 1) ]);
+      ("load rd 32", fun _ -> [ Load (VI.W32, false, 32, o 2, 0) ]);
+      ("store base 32", fun _ -> [ Store (VI.W32, o 1, 32, 0) ]);
+      ("fop fd 32", fun _ -> [ Fop (VI.Fadd, VI.Double, 32, 1, 2) ]);
+      ("fload fd -1", fun _ -> [ Fload (-1, o 2, 0) ]);
+      ("cc_to_reg rd 32", fun _ -> [ Cc_to_reg (VI.Eq, 32) ]);
+      ("br_cmp ra 32", fun l -> br (Br_cmp (VI.Eq, 32, o 4, l)));
+      ("jmp_ind 32", fun _ -> br (Jmp_ind 32));
+      ("call_ind -1", fun _ -> br (Call_ind (-1, 0x10000040)));
+      ("guard_data 32", fun _ -> [ Guard_data 32 ]);
+      ("j past end", fun l -> br (J (l + 1000)));
+      ("j far past end", fun _ -> br (J (1 lsl 40)));
+      ("j negative", fun _ -> br (J (-3)));
+      ("br_cmp negative", fun _ -> br (Br_cmp (VI.Eq, o 3, o 3, -5)));
+      ("call negative", fun _ -> br (Call (-2, 0x10000040)));
+      ("call ret beyond 32 bits", fun l -> br (Call (l, 0x110000040)));
+      ("load disp beyond 32 bits", fun _ -> [ Load (VI.W32, false, o 12, o 2, (1 lsl 32) + 4) ]);
+      ("store disp beyond 32 bits", fun _ -> [ Store (VI.W32, o 1, o 2, (1 lsl 40) + 8) ]);
+      ("fload disp negative", fun _ -> [ Fload (7, o 2, -(1 lsl 36) + 32) ]);
+      ("alui imm beyond 32 bits", fun _ -> [ Alui (VI.Add, o 12, o 3, (1 lsl 32) + 5) ]);
+      ("alui imm beyond 63 bits", fun _ -> [ Alui (VI.Xor, o 12, o 3, min_int + 9) ]);
+      ("cmpi imm beyond 32 bits", fun _ -> [ Cmpi (o 3, (1 lsl 33) - 7); Cc_to_reg (VI.Eq, o 12) ]);
+      ("lui beyond 32 bits", fun _ -> [ Lui (o 12, 0x123450000) ]);
+      ("fld_pool past the pool", fun _ -> [ Fld_pool (7, 1000) ]);
+      ("fld_pool negative", fun _ -> [ Fld_pool (7, -1) ]);
+      ("trapi beyond 32 bits", fun _ -> [ Trapi ((1 lsl 40) + 3) ]);
+      ("hcall unknown", fun _ -> [ Hcall 99 ]) ]
+  in
+  (forms, List.map (fun (n, f) -> ("hostile " ^ n, f)) hostile)
+
+let x86_form_cases () =
+  let open Omni_targets.X86 in
+  let home r = M (mabs (Omnivm.Layout.regsave_int_addr r)) in
+  let bm d = mbase ebx d in
+  let b d = M (bm d) in
+  let ixm ?(base = Some ebx) r s d = { base; index = Some (r, s); disp = d } in
+  let ix ?base r s d = M (ixm ?base r s d) in
+  let alus = [ Add; Sub; And; Or; Xor ] in
+  let shops = [ Shl; Shr; Sar ] in
+  let conds = VI.[ Eq; Ne; Lt; Le; Gt; Ge; Ltu; Leu; Gtu; Geu ] in
+  let forms =
+    [ ("mov r r", fun _ -> [ Mov (R eax, R ecx) ]);
+      ("mov r i", fun _ -> [ Mov (R eax, I 0x1234) ]);
+      ("mov r m abs", fun _ -> [ Mov (R eax, home 5) ]);
+      ("mov r m base", fun _ -> [ Mov (R eax, b 4) ]);
+      ("mov r m index", fun _ -> [ Mov (R eax, ix edi 2 4) ]);
+      ("mov r m index no base", fun _ ->
+        [ Mov (R eax, ix ~base:None edi 1 (Omnivm.Layout.regsave_int_addr 4)) ]);
+      ("mov m abs r", fun _ -> [ Mov (home 7, R esi) ]);
+      ("mov m base r", fun _ -> [ Mov (b 8, R ecx) ]);
+      ("mov m index r", fun _ -> [ Mov (ix edi 4 0, R ecx) ]);
+      ("mov m base i", fun _ -> [ Mov (b 12, I (-9)) ]);
+      ("mov m abs i", fun _ -> [ Mov (home 8, I 77) ]);
+      ("mov m m", fun _ -> [ Mov (b 8, home 5) ]);
+      ("mov m outside data", fun _ -> [ Mov (M (mbase ecx 0), R esi) ]) ]
+    @ List.map
+        (fun (w, s) ->
+          ( Printf.sprintf "load %s %b" (VI.load_name w s) s,
+            fun _ -> [ Load (w, s, eax, bm 4) ] ))
+        VI.[ (W8, true); (W8, false); (W16, true); (W16, false); (W32, true);
+             (W32, false) ]
+    @ List.concat_map
+        (fun w ->
+          [ ("store r " ^ VI.store_name w, fun _ -> [ Store (w, bm 8, R ecx) ]);
+            ("store i " ^ VI.store_name w, fun _ -> [ Store (w, bm 8, I 0x1ff) ]);
+            ("store m " ^ VI.store_name w, fun _ -> [ Store (w, bm 8, home 5) ]) ])
+        VI.[ W8; W16; W32 ]
+    @ List.concat_map
+        (fun op ->
+          let n = aluop_name op in
+          [ ("alu r r " ^ n, fun _ -> [ Alu (op, R esi, R edi) ]);
+            ("alu r i " ^ n, fun _ -> [ Alu (op, R esi, I 0x0f0f) ]);
+            ("alu r m " ^ n, fun _ -> [ Alu (op, R esi, b 4) ]);
+            ("alu m r " ^ n, fun _ -> [ Alu (op, b 4, R ecx) ]);
+            ("alu m i " ^ n, fun _ -> [ Alu (op, home 5, I 3) ]);
+            ("alu m m " ^ n, fun _ -> [ Alu (op, b 4, home 6) ]) ])
+        alus
+    @ List.concat_map
+        (fun op ->
+          let n = shop_name op in
+          [ ("shift r " ^ n, fun _ -> [ Shift (op, R esi, 3) ]);
+            ("shift m " ^ n, fun _ -> [ Shift (op, b 4, 4) ]);
+            ("shiftv r " ^ n, fun _ -> [ Shiftv (op, R esi, edi) ]);
+            ("shiftv m " ^ n, fun _ -> [ Shiftv (op, b 4, edi) ]) ])
+        shops
+    @ [ ("imul r", fun _ -> [ Imul (esi, R edi) ]);
+        ("imul i", fun _ -> [ Imul (esi, I (-3)) ]);
+        ("imul m", fun _ -> [ Imul (esi, b 4) ]);
+        ("cdq", fun _ -> [ Mov (R eax, I (-100)); Cdq ]);
+        ("idiv r", fun _ -> [ Mov (R eax, I (-100)); Cdq; Idiv (R edi, true) ]);
+        ("div r", fun _ -> [ Mov (R eax, I (-100)); Mov (R edx, I 0); Idiv (R edi, false) ]);
+        ("idiv i", fun _ -> [ Mov (R eax, I 100); Cdq; Idiv (I 7, true) ]);
+        ("div i", fun _ -> [ Mov (R eax, I 100); Mov (R edx, I 0); Idiv (I 7, false) ]);
+        ("idiv m", fun _ -> [ Mov (R eax, I 100); Cdq; Idiv (b 4, true) ]);
+        ("div m", fun _ -> [ Mov (R eax, I 100); Mov (R edx, I 0); Idiv (b 4, false) ]);
+        ("idiv by zero", fun _ -> [ Mov (R eax, I 100); Cdq; Idiv (I 0, true) ]);
+        ("div by zero", fun _ -> [ Mov (R eax, I 100); Mov (R edx, I 0); Idiv (R edx, false) ]);
+        ("idiv min by -1", fun _ ->
+          [ Mov (R eax, I (-0x80000000)); Cdq; Idiv (I (-1), true) ]);
+        ("lea base", fun _ -> [ Lea (eax, bm 4) ]);
+        ("lea index", fun _ -> [ Lea (eax, ixm edi 8 (-4)) ]);
+        ("lea abs", fun _ -> [ Lea (eax, mabs 0x1234) ]) ]
+    @ List.map
+        (fun (n, a, b) -> ("cmp " ^ n, fun _ -> [ Cmp (a, b); Setcc (VI.Lt, eax) ]))
+        [ ("r r", R esi, R edi); ("r i", R esi, I 5); ("r m", R esi, b 4);
+          ("m r", b 4, R esi); ("m i", b 4, I 3); ("i r", I 3, R esi);
+          ("i i", I 3, I 4); ("i m", I 3, b 4); ("m m", home 5, b 4);
+          ("m outside data", M (mbase ecx 0), I 0) ]
+    @ List.concat_map
+        (fun c ->
+          let n = VI.cond_name c in
+          List.concat_map
+            (fun (pair, x, y) ->
+              [ ("setcc " ^ n ^ pair, fun _ -> [ Cmp (x, y); Setcc (c, eax) ]);
+                ("jcc " ^ n ^ pair, fun l -> [ Cmp (x, y); Jcc (c, l) ]) ])
+            [ ("", R esi, R edi); (" rev", R edi, R esi); (" same", R edi, R edi) ])
+        conds
+    @ [ ("jmp", fun l -> [ Jmp l ]);
+        ("jmp_ind r entry", fun _ -> [ Mov (R eax, home 9); Jmp_ind (R eax) ]);
+        ("jmp_ind m entry", fun _ -> [ Jmp_ind (home 9) ]);
+        ("jmp_ind m non-entry", fun _ -> [ Jmp_ind (home 10) ]);
+        ("jmp_ind i misaligned", fun _ -> [ Jmp_ind (I 0x10000001) ]);
+        ("call", fun l -> [ Call (l, 0x10000040) ]);
+        ("call_ind r entry", fun _ -> [ Mov (R eax, home 9); Call_ind (R eax, 0x10000040) ]);
+        ("call_ind m entry", fun _ -> [ Call_ind (home 9, 0x10000040) ]);
+        ("call_ind m non-entry", fun _ -> [ Call_ind (home 10, 0x10000040) ]);
+        ("call_ind i outside code", fun _ -> [ Call_ind (I 5, 0x10000040) ]) ]
+    @ List.concat_map
+        (fun op ->
+          List.map
+            (fun pr ->
+              ( Printf.sprintf "fop %s.%s" (VI.fbinop_name op) (VI.prec_suffix pr),
+                fun _ -> [ Fop (op, pr, 6, 0, 1) ] ))
+            VI.[ Single; Double ])
+        VI.[ Fadd; Fsub; Fmul; Fdiv ]
+    @ List.map
+        (fun op -> ("fun1 " ^ VI.funop_name op, fun _ -> [ Fun1 (op, 6, 1) ]))
+        VI.[ Fneg; Fabs; Fmov ]
+    @ [ ("fload single", fun _ -> [ Fload (VI.Single, 6, bm 0) ]);
+        ("fload double", fun _ -> [ Fload (VI.Double, 6, bm 32) ]);
+        ("fstore single", fun _ -> [ Fstore (VI.Single, 1, bm 48) ]);
+        ("fstore double", fun _ -> [ Fstore (VI.Double, 1, bm 48) ]);
+        ("fld_pool", fun _ -> [ Fld_pool (6, 0) ]) ]
+    @ List.concat_map
+        (fun op ->
+          [ ("fcmp " ^ VI.fcmp_name op, fun _ -> [ Fcmp (op, 0, 1) ]);
+            ("fcmp rev " ^ VI.fcmp_name op, fun _ -> [ Fcmp (op, 1, 0) ]) ])
+        VI.[ Feq; Flt; Fle ]
+    @ [ ("fcc_to_reg false", fun _ -> [ Fcc_to_reg eax ]);
+        ("fcc_to_reg true", fun _ -> [ Fcmp (VI.Flt, 1, 0); Fcc_to_reg eax ]);
+        ("cvt_f_i r", fun _ -> [ Cvt_f_i (6, R esi) ]);
+        ("cvt_f_i i", fun _ -> [ Cvt_f_i (6, I 9) ]);
+        ("cvt_f_i m", fun _ -> [ Cvt_f_i (6, b 4) ]);
+        ("cvt_i_f", fun _ -> [ Cvt_i_f (eax, 1) ]);
+        ("cvt_i_f saturates", fun _ -> [ Cvt_i_f (eax, 2) ]);
+        ("guard_data pass", fun _ -> [ Guard_data ebx ]);
+        ("guard_data fail", fun _ -> [ Guard_data ecx ]);
+        ("guard_code pass", fun _ -> [ Mov (R eax, home 9); Guard_code eax ]);
+        ("guard_code fail", fun _ -> [ Guard_code ebx ]);
+        ("trapi", fun _ -> [ Trapi 5 ]);
+        ("hcall print_int", fun _ -> [ Hcall 2 ]);
+        ("hcall exit", fun _ -> [ Hcall 0 ]);
+        ("nop", fun _ -> [ Nop ]) ]
+  in
+  let big = (1 lsl 40) + 4 in
+  let hostile =
+    [ ("mov r8", fun _ -> [ Mov (R 8, R ecx) ]);
+      ("mov from r8", fun _ -> [ Mov (R eax, R 8) ]);
+      ("alu r -1", fun _ -> [ Alu (Add, R (-1), R ecx) ]);
+      ("base r8", fun _ -> [ Mov (R eax, M (mbase 8 0)) ]);
+      ("index r8", fun _ -> [ Mov (R eax, ix 8 1 0) ]);
+      ("lea r8", fun _ -> [ Lea (8, bm 4) ]);
+      ("setcc r8", fun _ -> [ Setcc (VI.Eq, 8) ]);
+      ("fop fp8", fun _ -> [ Fop (VI.Fadd, VI.Double, 8, 0, 1) ]);
+      ("guard_data r8", fun _ -> [ Guard_data 8 ]);
+      ("shiftv count r8", fun _ -> [ Shiftv (Shl, R esi, 8) ]);
+      ("jmp past end", fun l -> [ Jmp (l + 1000) ]);
+      ("jmp far past end", fun _ -> [ Jmp (1 lsl 40) ]);
+      ("jmp negative", fun _ -> [ Jmp (-4) ]);
+      ("jcc negative", fun _ -> [ Cmp (R esi, R esi); Jcc (VI.Eq, -1) ]);
+      ("call negative", fun _ -> [ Call (-2, 0x10000040) ]);
+      ("call ret beyond 32 bits", fun l -> [ Call (l, 0x110000040) ]);
+      ("disp beyond 32 bits", fun _ -> [ Mov (R eax, M (mbase ebx big)) ]);
+      ("abs disp beyond 32 bits", fun _ ->
+        [ Mov (R eax, M (mabs ((1 lsl 44) + Omnivm.Layout.regsave_int_addr 5))) ]);
+      ("imm beyond 32 bits", fun _ -> [ Mov (R eax, I ((1 lsl 35) + 9)) ]);
+      ("cmp imm beyond 32 bits", fun _ ->
+        [ Cmp (R esi, I ((1 lsl 32) - 7)); Setcc (VI.Eq, eax) ]);
+      ("store both beyond 32 bits", fun _ -> [ Store (VI.W32, mbase ebx big, I big) ]);
+      ("shift count beyond 31", fun _ -> [ Shift (Shl, R esi, 35) ]);
+      ("scale 3", fun _ -> [ Mov (R eax, ix edi 3 0) ]);
+      ("scale 3 store imm", fun _ -> [ Mov (ix edi 3 0, I 0x55) ]);
+      ("scale 3 lea", fun _ -> [ Lea (eax, ixm edi 3 (-1)) ]);
+      ("scale with bit 31", fun _ -> [ Lea (eax, ixm edi 0x80000003 5) ]);
+      ("scale beyond 32 bits", fun _ -> [ Lea (eax, ixm edi ((1 lsl 33) + 2) 5) ]);
+      ("scale negative", fun _ -> [ Mov (R eax, ix ~base:None edi (-1) big) ]);
+      ("scale 3 cmp m m", fun _ ->
+        [ Cmp (ix edi 0x80000003 big, home 5); Setcc (VI.Lt, eax) ]);
+      ("scale 3 call_ind", fun _ -> [ Call_ind (ix edi 3 big, 0x110000040) ]);
+      ("fld_pool past the pool", fun _ -> [ Fld_pool (6, 1000) ]);
+      ("fld_pool negative", fun _ -> [ Fld_pool (6, -1) ]);
+      ("mov to immediate", fun _ -> [ Mov (I 3, R ecx) ]);
+      ("alu to immediate", fun _ -> [ Alu (Add, I 3, R ecx) ]);
+      ("shift immediate", fun _ -> [ Shift (Shl, I 3, 1) ]);
+      ("trapi beyond 32 bits", fun _ -> [ Trapi ((1 lsl 40) + 3) ]);
+      ("hcall unknown", fun _ -> [ Hcall 99 ]) ]
+  in
+  (forms, List.map (fun (n, f) -> ("hostile " ^ n, f)) hostile)
+
+(* Every case of [arch], each as (name, line). *)
+let form_results arch =
+  let tr = Api.translate ~mode:sandbox arch (Lazy.force form_exe) in
+  match tr with
+  | Api.T_risc p ->
+      let n = Array.length p.Risc.code in
+      let k = form_marker n (fun k -> p.Risc.code.(k).Risc.i = Risc.Trapi 1) in
+      let forms, hostile = risc_form_cases ~delay:p.Risc.cfg.Risc.has_delay_slot in
+      List.map
+        (fun (name, f) ->
+          let code = Array.copy p.Risc.code in
+          List.iteri
+            (fun j i -> code.(k + j) <- Risc.mk Machine.Core i)
+            (f (k + form_taken));
+          (name, form_line (Api.T_risc { p with Risc.code })))
+        (forms @ hostile)
+  | Api.T_x86 p ->
+      let module X = Omni_targets.X86 in
+      let n = Array.length p.X.code in
+      let k = form_marker n (fun k -> p.X.code.(k).X.i = X.Trapi 1) in
+      let forms, hostile = x86_form_cases () in
+      List.map
+        (fun (name, f) ->
+          let code = Array.copy p.X.code in
+          List.iteri
+            (fun j i -> code.(k + j) <- X.mk Machine.Core i)
+            (f (k + form_taken));
+          (name, form_line (Api.T_x86 { p with X.code })))
+        (forms @ hostile)
+
+let form_goldens_file = "form_goldens.txt"
+
+let form_goldens () =
+  let want = Hashtbl.create 1024 in
+  In_channel.with_open_text form_goldens_file (fun ic ->
+      let rec go () =
+        match In_channel.input_line ic with
+        | None -> ()
+        | Some l -> (
+            match String.split_on_char '|' l with
+            | [ arch; case; line ] -> Hashtbl.replace want (arch, case) line; go ()
+            | _ -> go ())
+      in
+      go ());
+  let got =
+    List.concat_map
+      (fun arch ->
+        List.map (fun (case, line) -> (Arch.name arch, case, line)) (form_results arch))
+      targets
+  in
+  let bad =
+    List.filter
+      (fun (arch, case, line) -> Hashtbl.find_opt want (arch, case) <> Some line)
+      got
+  in
+  if bad <> [] || Hashtbl.length want <> List.length got then
+    Alcotest.failf "%d of %d forms differ (%d goldens); got:\n%s" (List.length bad)
+      (List.length got) (Hashtbl.length want)
+      (String.concat "\n"
+         (List.map (fun (a, c, l) -> String.concat "|" [ a; c; l ]) bad))
+
 (* Memo storage is proportional to the code: on every spec program and
    target, a run's segment entries and its two index ints per slot take
    at most 8 ints per slot. *)
@@ -1560,6 +2067,7 @@ let () =
          segment_memo_exact;
          Alcotest.test_case "golden simulator stats" `Quick golden_simulator_stats;
          Alcotest.test_case "exit-path goldens" `Quick exit_path_goldens;
+         Alcotest.test_case "per-form goldens" `Quick form_goldens;
          Alcotest.test_case "recycled decoded table" `Quick recycled_table;
          Alcotest.test_case "memo storage per slot" `Quick memo_storage;
          Alcotest.test_case "simulators allocate nothing per instruction" `Quick
