@@ -31,9 +31,10 @@ bench-gate:
 	dune exec bench/main.exe -- gate
 
 # Fast-path smoke: run a MiniC-compiled module and a guest-lifted module
-# under the pre-decoded threaded interpreter (--engine fast) and the
-# baseline interpreter, and insist the outputs are identical — the
-# differential guarantee end to end from the CLI, on both families.
+# on the interpreter over a decode made before the run (--engine fast) and
+# on the interpreter decoding per run, and insist the outputs are
+# identical — the differential guarantee end to end from the CLI, on both
+# families.
 fast-smoke:
 	dune build examples/quickstart.exe bin/omnirun.exe
 	@src="/tmp/fast-smoke-$$$$.gasm"; omni="/tmp/fast-smoke-$$$$.omni"; \

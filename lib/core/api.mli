@@ -46,12 +46,13 @@ module Net = Omni_net
 (** The distribution protocol: frame codec, transports, [omnid] server
     loop, and the remote client (see {!run}'s [remote] field). *)
 
-(** An execution engine: the OmniVM reference interpreter, or load-time
-    translation to a simulated target processor. *)
+(** An execution engine: the OmniVM reference interpreter, decoding the
+    text per run ([Interp]) or reusing a decode made once per module
+    ([Fast]), or load-time translation to a simulated target processor. *)
 type engine = Exec.engine = Interp | Fast | Target of Arch.t
 
 val engine_of_string : string -> (engine, string) result
-(** Recognizes ["interp"], ["mips"], ["sparc"], ["ppc"], ["x86"];
+(** Recognizes ["interp"], ["fast"], ["mips"], ["sparc"], ["ppc"], ["x86"];
     [Error msg] names the valid engines for an unknown string. *)
 
 val engine_name : engine -> string

@@ -1178,14 +1178,14 @@ let guest_entry rows =
       List.map (fun r -> ("guest.lift." ^ r.gr_name, us r.gr_lift_s)) rows;
   }
 
-(* --- the fast path: pre-decoded threaded interpreter ------------------
+(* --- the fast path: the interpreter over a cached decode -------------
 
    Two measurements. First, steady-state wall-clock time per retired
-   OmniVM instruction under the pre-decoded closure-threaded interpreter
-   ({!Omnivm.Fastinterp}) against the baseline decode-as-you-go
-   interpreter, over both workload families (MiniC-compiled and
-   guest-lifted), outputs validated bit-for-bit. The one-time pre-decode
-   (compile + fusion) is reported separately — the serving stack
+   OmniVM instruction under the interpreter decoding its text per run
+   ([interp]) against the same loop over a decode made once ([fast]),
+   over both workload families (MiniC-compiled and guest-lifted),
+   outputs validated bit-for-bit. The one-time decode
+   ({!Omnivm.Interp.decode}) is reported separately — the serving stack
    amortizes it through {!Omni_service.Store.predecoded}. Second, the
    SFI-overhead table gains a padding dimension: each translation-time
    pad mode ({!Omni_sfi.Policy.pad}) re-lays-out the masking sequences,
@@ -1195,9 +1195,7 @@ type fast_cell = {
   fc_name : string;
   fc_family : string; (* "minic" | "guest" *)
   fc_instrs : int; (* source instructions retired *)
-  fc_len : int; (* static program length *)
-  fc_fused : int; (* fused pairs the peephole pass selected *)
-  fc_predecode_s : float; (* one-time compile + fuse *)
+  fc_predecode_s : float; (* one-time decode *)
   fc_interp_s : float; (* best-of-batches run wall clock *)
   fc_fast_s : float;
 }
@@ -1207,15 +1205,15 @@ let fast_cells ~size : fast_cell list =
   let batches = 3 and reps = 2 in
   let cell ~family name (exe : Omnivm.Exe.t) expected : fast_cell =
     let text = exe.Omnivm.Exe.text in
-    let program = Omnivm.Fastinterp.compile text in
+    let program = Omnivm.Interp.decode text in
     let predecode_s =
-      (* lifting-style best-of-batches: pre-decode is ~microseconds *)
+      (* lifting-style best-of-batches: a decode is ~microseconds *)
       let preps = 20 in
       let best = ref infinity in
       for _ = 1 to batches do
         let t0 = now () in
         for _ = 1 to preps do
-          ignore (Omnivm.Fastinterp.compile text)
+          ignore (Omnivm.Interp.decode text)
         done;
         let per = (now () -. t0) /. float_of_int preps in
         if per < !best then best := per
@@ -1255,8 +1253,6 @@ let fast_cells ~size : fast_cell list =
       fc_name = name;
       fc_family = family;
       fc_instrs = instrs;
-      fc_len = Omnivm.Fastinterp.length program;
-      fc_fused = Omnivm.Fastinterp.fused program;
       fc_predecode_s = predecode_s;
       fc_interp_s = interp_s;
       fc_fast_s = fast_s;
@@ -1315,21 +1311,18 @@ let fast_speedup c = c.fc_interp_s /. Float.max 1e-12 c.fc_fast_s
 let fastpath_table r =
   let b = Buffer.create 2048 in
   Buffer.add_string b
-    "Fast path: pre-decoded threaded interpreter vs the baseline \
-     interpreter\n\
+    "Fast path: the interpreter over a cached decode vs decoding per run\n\
      (wall-clock ns per retired OmniVM instruction; outputs validated \
-     bit-for-bit;\npre-decode is the one-time compile+fusion cost the \
-     service's decode cache amortizes)\n\n";
-  Printf.bprintf b "%-12s %-6s %10s %7s %12s %10s %10s %8s\n" "program"
-    "family" "instrs" "fused%" "predecode-us" "interp-ns" "fast-ns" "speedup";
+     bit-for-bit;\npredecode is the one-time decode the service's decode \
+     cache amortizes)\n\n";
+  Printf.bprintf b "%-12s %-6s %10s %12s %10s %10s %8s\n" "program"
+    "family" "instrs" "predecode-us" "interp-ns" "fast-ns" "speedup";
   let per_ns c s = 1e9 *. s /. float_of_int (max 1 c.fc_instrs) in
   List.iter
     (fun c ->
-      Printf.bprintf b "%-12s %-6s %10d %6.1f%% %12d %10.2f %10.2f %7.2fx\n"
-        c.fc_name c.fc_family c.fc_instrs
-        (100.0 *. float_of_int c.fc_fused /. float_of_int (max 1 c.fc_len))
-        (us c.fc_predecode_s) (per_ns c c.fc_interp_s)
-        (per_ns c c.fc_fast_s) (fast_speedup c))
+      Printf.bprintf b "%-12s %-6s %10d %12d %10.2f %10.2f %7.2fx\n"
+        c.fc_name c.fc_family c.fc_instrs (us c.fc_predecode_s)
+        (per_ns c c.fc_interp_s) (per_ns c c.fc_fast_s) (fast_speedup c))
     r.fp_cells;
   List.iter
     (fun family ->
@@ -1337,8 +1330,8 @@ let fastpath_table r =
       if fs <> [] then begin
         let sum f = List.fold_left (fun a c -> a +. f c) 0.0 fs in
         let instrs = sum (fun c -> float_of_int (max 1 c.fc_instrs)) in
-        Printf.bprintf b "%-12s %-6s %10s %7s %12s %10.2f %10.2f %7.2fx\n"
-          ("avg/" ^ family) family "-" "-" "-"
+        Printf.bprintf b "%-12s %-6s %10s %12s %10.2f %10.2f %7.2fx\n"
+          ("avg/" ^ family) family "-" "-"
           (1e9 *. sum (fun c -> c.fc_interp_s) /. instrs)
           (1e9 *. sum (fun c -> c.fc_fast_s) /. instrs)
           (sum (fun c -> c.fc_interp_s)
@@ -1377,8 +1370,7 @@ let fastpath_entry r =
       List.map
         (fun c ->
           ( c.fc_name,
-            [ ("instrs", c.fc_instrs); ("fused", c.fc_fused);
-              ("predecode_us", us c.fc_predecode_s);
+            [ ("instrs", c.fc_instrs); ("predecode_us", us c.fc_predecode_s);
               ("interp_us", us c.fc_interp_s); ("fast_us", us c.fc_fast_s);
               ("speedup_x100", x100 (fast_speedup c)) ] ))
         r.fp_cells

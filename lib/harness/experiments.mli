@@ -82,9 +82,9 @@ val sections : (string * section) list
     (cold vs warm admission through the translation cache), [resilience]
     (loopback serving under seeded fault injection), [isolation]
     (watchdog poll overhead), [cert] (full verify vs witness check),
-    [guest] (StackVM lifting), [fastpath] (the pre-decoded interpreter,
-    and SFI cycles per pad mode) and [persistence] (journaled store
-    restart costs). Every run's output is validated before its numbers
+    [guest] (StackVM lifting), [fastpath] (the interpreter over a cached
+    decode against decoding per run, and SFI cycles per pad mode) and
+    [persistence] (journaled store restart costs). Every run's output is validated before its numbers
     are used. *)
 
 val bench_snapshot : size:Omni_workloads.Workloads.size -> string * string

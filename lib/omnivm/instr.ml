@@ -156,6 +156,28 @@ let eval_binop op a b =
   | Slt -> if W.lt a b then 1 else 0
   | Sltu -> if W.ltu a b then 1 else 0
 
+(* Dense indexes of an instruction's sub-operation, from 0, which the
+   interpreter's and the simulators' decoders add to an opcode's base. *)
+let binop_index = function
+  | Add -> 0 | Sub -> 1 | Mul -> 2 | Div -> 3 | Divu -> 4 | Rem -> 5
+  | Remu -> 6 | And -> 7 | Or -> 8 | Xor -> 9 | Sll -> 10 | Srl -> 11
+  | Sra -> 12 | Slt -> 13 | Sltu -> 14
+
+let load_index w signed =
+  match (w, signed) with
+  | W8, true -> 0 | W8, false -> 1 | W16, true -> 2 | W16, false -> 3
+  | W32, _ -> 4
+
+let store_index = function W8 -> 0 | W16 -> 1 | W32 -> 2
+
+let cond_index = function
+  | Eq -> 0 | Ne -> 1 | Lt -> 2 | Le -> 3 | Gt -> 4
+  | Ge -> 5 | Ltu -> 6 | Leu -> 7 | Gtu -> 8 | Geu -> 9
+
+let fop_index op prec =
+  (2 * match op with Fadd -> 0 | Fsub -> 1 | Fmul -> 2 | Fdiv -> 3)
+  + match prec with Single -> 0 | Double -> 1
+
 (* --- pretty printing (canonical assembly syntax) --- *)
 
 let binop_name = function

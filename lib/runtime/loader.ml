@@ -110,16 +110,9 @@ let run_interp ?fuel ?watchdog (img : image) =
   let interp = Interp.create img.exe img.mem in
   (Interp.run ?fuel ?watchdog (host_iface img) interp, interp)
 
-(* Run a loaded image under the pre-decoded fast interpreter. [program]
-   (when given) must have been compiled from this image's text; serving
-   hosts compile once per module digest and share it across runs. *)
+(* The same run over a decode of this image's text made before it
+   ([program]); serving hosts decode once per module digest and share
+   the decode across runs. *)
 let run_fast ?fuel ?watchdog ?program (img : image) =
-  let program =
-    match program with
-    | Some p -> p
-    | None ->
-        Trace.phase "predecode" (fun () ->
-            Fastinterp.compile img.exe.Exe.text)
-  in
   let st = Interp.create img.exe img.mem in
-  (Fastinterp.run ?fuel ?watchdog (host_iface img) program st, st)
+  (Interp.run ?fuel ?watchdog ?code:program (host_iface img) st, st)

@@ -66,10 +66,9 @@ val host_iface : image -> Interp.host_iface
 val run_fast :
   ?fuel:int ->
   ?watchdog:Omnivm.Watchdog.t ->
-  ?program:Fastinterp.program ->
+  ?program:Interp.code ->
   image ->
   Interp.outcome * Interp.t
-(** Execute under the pre-decoded fast interpreter ({!Omnivm.Fastinterp}):
-    observably identical to {!run_interp}. [program] must have been
-    compiled from this image's text; omitted, the text is compiled on the
-    spot (traced as the ["predecode"] phase). *)
+(** {!run_interp} over [program], a decode of this image's text
+    ({!Omnivm.Interp.decode}) made before the run; omitted, the run
+    decodes the text itself, exactly as {!run_interp} does. *)

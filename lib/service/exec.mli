@@ -9,9 +9,9 @@
 module Arch = Omni_targets.Arch
 module Machine = Omni_targets.Machine
 
-(** An execution engine: the OmniVM reference interpreter, the
-    pre-decoded fast-path interpreter ({!Omnivm.Fastinterp}), or
-    load-time translation to a simulated target processor. *)
+(** An execution engine: the OmniVM reference interpreter, decoding the
+    text per run ([Interp]) or reusing the store's cached decode
+    ([Fast]), or load-time translation to a simulated target processor. *)
 type engine = Interp | Fast | Target of Arch.t
 
 val engine_of_string : string -> (engine, string) result
@@ -70,14 +70,12 @@ val run_interp :
 val run_fast :
   ?fuel:int ->
   ?watchdog:Omnivm.Watchdog.t ->
-  ?program:Omnivm.Fastinterp.program ->
+  ?program:Omnivm.Interp.code ->
   Omni_runtime.Loader.image ->
   run_result
-(** Run under the pre-decoded threaded interpreter. Observably identical
-    to {!run_interp} (same outcome, fault, output, instruction and fuel
-    accounting); pass [program] to reuse a pre-compiled decode (see
-    {!Omni_service.Store.predecoded}), otherwise the image's code is
-    compiled on the spot. *)
+(** {!run_interp} over [program], a decode of the image's text made
+    before the run (see {!Omni_service.Store.predecoded}); omitted, the
+    run decodes the text itself. *)
 
 (** A translated module, ready to execute on its target simulator. *)
 type translated = Omni_targets.Translated.t =

@@ -24,10 +24,10 @@ type entry = {
 type shard = {
   mu : Mutex.t;
   tbl : (Fnv64.t, entry) Hashtbl.t;
-  (* pre-decoded fast-interpreter programs, filled lazily on the first
-     fast-engine run of a digest. Programs are immutable and carry no run
-     state, so one compile is shared by every concurrent run. *)
-  ptbl : (Fnv64.t, Omnivm.Fastinterp.program) Hashtbl.t;
+  (* interpreter decodes, filled lazily on the first fast-engine run of
+     a digest. A decode is immutable and carries no run state, so one is
+     shared by every concurrent run. *)
+  ptbl : (Fnv64.t, Omnivm.Interp.code) Hashtbl.t;
 }
 
 type t = {
@@ -120,11 +120,11 @@ let entry t h =
   | Some e -> e
   | None -> raise Unknown_handle
 
-(* The shard lock is held across the compile (pure, like the decoder in
-   [submit]) so the hit/miss accounting is exact under concurrency: the
-   first fast run of a digest counts one miss and compiles; every other
-   run — including ones racing the first — counts a hit and shares the
-   same program. *)
+(* The shard lock is held across the decode (pure, like the wire decoder
+   in [submit]) so the hit/miss accounting is exact under concurrency:
+   the first fast run of a digest counts one miss and decodes; every
+   other run — including ones racing the first — counts a hit and shares
+   the same decode. *)
 let predecoded t h =
   let s = shard t h in
   locked s.mu @@ fun () ->
@@ -139,7 +139,7 @@ let predecoded t h =
           Metrics.incr t.c.Counters.predecode_misses;
           let p =
             Trace.phase "predecode" (fun () ->
-                Omnivm.Fastinterp.compile e.e_exe.Omnivm.Exe.text)
+                Omnivm.Interp.decode e.e_exe.Omnivm.Exe.text)
           in
           Hashtbl.replace s.ptbl h p;
           p)

@@ -62,10 +62,10 @@ val bytes : t -> handle -> string
 val exe : t -> handle -> Omnivm.Exe.t
 val blueprint : t -> handle -> Omni_runtime.Loader.blueprint
 
-val predecoded : t -> handle -> Omnivm.Fastinterp.program
-(** The module's pre-decoded fast-interpreter program, compiled on the
-    first call for a digest and shared by every later one (programs are
-    immutable). Accounting is exact even under concurrent first calls:
+val predecoded : t -> handle -> Omnivm.Interp.code
+(** The module's interpreter decode ({!Omnivm.Interp.decode}), made on
+    the first call for a digest and shared by every later one (a decode
+    is immutable). Accounting is exact even under concurrent first calls:
     one [vm.predecode.miss], hits for everyone else. *)
 
 val producer : t -> handle -> string option

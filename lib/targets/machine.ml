@@ -181,29 +181,6 @@ let decode t k w origin ~branch ~control ~hcall =
   t.tags.(k) <- tag;
   tag
 
-(* Dense indexes of an instruction's sub-operation, from 0, which the
-   simulators' decoders add to an opcode's base. *)
-let load_index (w : Omnivm.Instr.mem_width) signed =
-  match (w, signed) with
-  | W8, true -> 0
-  | W8, false -> 1
-  | W16, true -> 2
-  | W16, false -> 3
-  | W32, _ -> 4
-
-let store_index : Omnivm.Instr.mem_width -> int = function
-  | W8 -> 0
-  | W16 -> 1
-  | W32 -> 2
-
-let cond_index : Omnivm.Instr.cond -> int = function
-  | Eq -> 0 | Ne -> 1 | Lt -> 2 | Le -> 3 | Gt -> 4
-  | Ge -> 5 | Ltu -> 6 | Leu -> 7 | Gtu -> 8 | Geu -> 9
-
-let fop_index (op : Omnivm.Instr.fbinop) (prec : Omnivm.Instr.fprec) =
-  (2 * match op with Fadd -> 0 | Fsub -> 1 | Fmul -> 2 | Fdiv -> 3)
-  + match prec with Single -> 0 | Double -> 1
-
 (* End a run over the first [n] slots of [t]: fold their counts into [s],
    which holds only the live [taken_branches] so far, read the cycles off
    [pipe], and give [t] back. *)

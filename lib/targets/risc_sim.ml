@@ -164,43 +164,38 @@ let[@inline] ra a = (a lsr 14) land 31
 let[@inline] rb a = (a lsr 19) land 31
 let[@inline] imm a = (a lsl 7) asr 31
 
-let[@inline] binop_index = function
-  | VI.Add -> 0 | VI.Sub -> 1 | VI.Mul -> 2 | VI.Div -> 3 | VI.Divu -> 4
-  | VI.Rem -> 5 | VI.Remu -> 6 | VI.And -> 7 | VI.Or -> 8 | VI.Xor -> 9
-  | VI.Sll -> 10 | VI.Srl -> 11 | VI.Sra -> 12 | VI.Slt -> 13 | VI.Sltu -> 14
-
 let[@inline] put ops k a b =
   ops.(2 * k) <- a;
   ops.((2 * k) + 1) <- b
 
 (* Pack slot [k]'s [i] into [ops]. The opcodes, in the order [exec] and
    [branch] take them: Alu 0-14, Alui 15-29 and Alu_record 30-44 (by
-   [binop_index]), Lui 45, Load 46-50 (by [Machine.load_index]), Store
-   51-53 (by [Machine.store_index]), Load_x 54-58, Store_x 59-61, Fload
+   [VI.binop_index]), Lui 45, Load 46-50 (by [VI.load_index]), Store
+   51-53 (by [VI.store_index]), Load_x 54-58, Store_x 59-61, Fload
    62, Fstore 63, Fload_s 64, Fstore_s 65, Fload_x 66, Fstore_x 67,
-   Fld_pool 68, Fop 69-76 (by [Machine.fop_index]), Fun1 77-79, Fcmp
+   Fld_pool 68, Fop 69-76 (by [VI.fop_index]), Fun1 77-79, Fcmp
    80-82, Fcc_to_reg 83, Cvt_f_i 84, Cvt_i_f 85, Cvt_d_s and Cvt_s_d
-   86, Cmp 87, Cmpi 88, Cc_to_reg 89-98 (by [Machine.cond_index]),
+   86, Cmp 87, Cmpi 88, Cc_to_reg 89-98 (by [VI.cond_index]),
    Guard_data 99, Guard_code 100, Trapi 101, Hcall 102, Nop 103; the
    control instructions Br_cc 104-113, Br_cmp 114-123, Fbr 124 (on
    true) and 125, J 126, Call 127, Call_ind 128, Jmp_ind 129. *)
 let pack (prog : program) ops k (i : instr) =
   match i with
   | Alu (op, d, x, y) ->
-      put ops k (word (binop_index op) (dst d) (reg x) (reg y) 0) 0
+      put ops k (word (VI.binop_index op) (dst d) (reg x) (reg y) 0) 0
   | Alui (op, d, x, v) ->
-      put ops k (word (15 + binop_index op) (dst d) (reg x) 0 v) 0
+      put ops k (word (15 + VI.binop_index op) (dst d) (reg x) 0 v) 0
   | Alu_record (op, d, x, y) ->
-      put ops k (word (30 + binop_index op) (dst d) (reg x) (reg y) 0) 0
+      put ops k (word (30 + VI.binop_index op) (dst d) (reg x) (reg y) 0) 0
   | Lui (d, v) -> put ops k (word 45 (dst d) 0 0 v) 0
   | Load (w, s, d, base, disp) ->
-      put ops k (word (46 + Machine.load_index w s) (dst d) (reg base) 0 0) disp
+      put ops k (word (46 + VI.load_index w s) (dst d) (reg base) 0 0) disp
   | Store (w, v, base, disp) ->
-      put ops k (word (51 + Machine.store_index w) (reg v) (reg base) 0 0) disp
+      put ops k (word (51 + VI.store_index w) (reg v) (reg base) 0 0) disp
   | Load_x (w, s, d, x, y) ->
-      put ops k (word (54 + Machine.load_index w s) (dst d) (reg x) (reg y) 0) 0
+      put ops k (word (54 + VI.load_index w s) (dst d) (reg x) (reg y) 0) 0
   | Store_x (w, v, x, y) ->
-      put ops k (word (59 + Machine.store_index w) (reg v) (reg x) (reg y) 0) 0
+      put ops k (word (59 + VI.store_index w) (reg v) (reg x) (reg y) 0) 0
   | Fload (f, base, disp) -> put ops k (word 62 (reg f) (reg base) 0 0) disp
   | Fstore (f, base, disp) -> put ops k (word 63 (reg f) (reg base) 0 0) disp
   | Fload_s (f, base, disp) -> put ops k (word 64 (reg f) (reg base) 0 0) disp
@@ -212,7 +207,7 @@ let pack (prog : program) ops k (i : instr) =
         invalid_arg "index out of bounds";
       put ops k (word 68 (reg f) 0 0 0) n
   | Fop (op, prec, f, x, y) ->
-      put ops k (word (69 + Machine.fop_index op prec) (reg f) (reg x) (reg y) 0) 0
+      put ops k (word (69 + VI.fop_index op prec) (reg f) (reg x) (reg y) 0) 0
   | Fun1 (op, f, x) ->
       let o = match op with VI.Fneg -> 77 | VI.Fabs -> 78 | VI.Fmov -> 79 in
       put ops k (word o (reg f) (reg x) 0 0) 0
@@ -225,15 +220,15 @@ let pack (prog : program) ops k (i : instr) =
   | Cvt_d_s (f, x) | Cvt_s_d (f, x) -> put ops k (word 86 (reg f) (reg x) 0 0) 0
   | Cmp (x, y) -> put ops k (word 87 0 (reg x) (reg y) 0) 0
   | Cmpi (x, v) -> put ops k (word 88 0 (reg x) 0 v) 0
-  | Cc_to_reg (c, d) -> put ops k (word (89 + Machine.cond_index c) (dst d) 0 0 0) 0
+  | Cc_to_reg (c, d) -> put ops k (word (89 + VI.cond_index c) (dst d) 0 0 0) 0
   | Guard_data r -> put ops k (word 99 0 (reg r) 0 0) 0
   | Guard_code r -> put ops k (word 100 0 (reg r) 0 0) 0
   | Trapi n -> put ops k (word 101 0 0 0 0) n
   | Hcall n -> put ops k (word 102 0 0 0 0) n
   | Nop -> put ops k (word 103 0 0 0 0) 0
-  | Br_cc (c, l) -> put ops k (word (104 + Machine.cond_index c) 0 0 0 0) l
+  | Br_cc (c, l) -> put ops k (word (104 + VI.cond_index c) 0 0 0 0) l
   | Br_cmp (c, x, y, l) ->
-      put ops k (word (114 + Machine.cond_index c) 0 (reg x) (reg y) 0) l
+      put ops k (word (114 + VI.cond_index c) 0 (reg x) (reg y) 0) l
   | Fbr (flag, l) -> put ops k (word (if flag then 124 else 125) 0 0 0 0) l
   | J l -> put ops k (word 126 0 0 0 0) l
   | Call (l, ret) -> put ops k (word 127 0 0 0 ret) l

@@ -207,14 +207,14 @@ let put_two_mem ops k kind dst src =
 
 (* Pack slot [k]'s [i] into [ops]. The opcodes, in the order [exec] and
    [branch] take them: Mov 0-4 (r r, r i, r m, m r, m i), Load 5-9 (by
-   [Machine.load_index]), Store 10-12 from a register and 13-15 of an
-   immediate (by [Machine.store_index]), Alu 16-40 (five shapes, r r, r
+   [VI.load_index]), Store 10-12 from a register and 13-15 of an
+   immediate (by [VI.store_index]), Alu 16-40 (five shapes, r r, r
    i, r m, m r, m i, of five operations each, by [alu_index]), Shift
    41-46 and Shiftv 47-52 (register then memory, by [shift_index]),
    Imul 53-55 (r, i, m), Idiv 56-61 (r, i, m; unsigned then signed),
    Cdq 62, Lea 63, Cmp 64-71 (r r, r i, r m, m r, m i, i r, i i, i m),
-   Setcc 72-81 (by [Machine.cond_index]), Fop 82-89 (by
-   [Machine.fop_index]), Fun1 90-92, Fload 93-94 and Fstore 95-96
+   Setcc 72-81 (by [VI.cond_index]), Fop 82-89 (by
+   [VI.fop_index]), Fun1 90-92, Fload 93-94 and Fstore 95-96
    (single, double), Fld_pool 97, Fcmp 98-100, Fcc_to_reg 101, Cvt_f_i
    102-104 (r, i, m), Cvt_i_f 105, Guard_data 106, Guard_code 107,
    Trapi 108, Hcall 109, Nop 110, two memory operands 111 (Mov 0, Alu
@@ -230,11 +230,11 @@ let pack (prog : program) ops k (i : instr) =
   | Mov (M m, M m') -> put_two_mem ops k 0 m m'
   | Mov (I _, x) -> check x; to_immediate ()
   | Load (w, s, d, m) ->
-      put_mem ops k (word (5 + Machine.load_index w s) (reg d) 0 0) m
+      put_mem ops k (word (5 + VI.load_index w s) (reg d) 0 0) m
   | Store (w, m, R x) ->
-      put_mem ops k (word (10 + Machine.store_index w) (reg x) 0 0) m
-  | Store (w, m, I v) -> put_mem ops k (word (13 + Machine.store_index w) 0 0 v) m
-  | Store (w, m, M m') -> put_two_mem ops k (7 + Machine.store_index w) m m'
+      put_mem ops k (word (10 + VI.store_index w) (reg x) 0 0) m
+  | Store (w, m, I v) -> put_mem ops k (word (13 + VI.store_index w) 0 0 v) m
+  | Store (w, m, M m') -> put_two_mem ops k (7 + VI.store_index w) m m'
   | Alu (op, R d, R x) -> put ops k (word (16 + alu_index op) (reg d) (reg x) 0) 0
   | Alu (op, R d, I v) -> put ops k (word (21 + alu_index op) (reg d) 0 v) 0
   | Alu (op, R d, M m) -> put_mem ops k (word (26 + alu_index op) (reg d) 0 0) m
@@ -268,9 +268,9 @@ let pack (prog : program) ops k (i : instr) =
   | Cmp (I v, I w) -> put ops k (word 70 0 0 v) (canon w)
   | Cmp (I v, M m) -> put_mem ops k (word 71 0 0 v) m
   | Cmp (M m, M m') -> put_two_mem ops k 6 m m'
-  | Setcc (c, d) -> put ops k (word (72 + Machine.cond_index c) (reg d) 0 0) 0
+  | Setcc (c, d) -> put ops k (word (72 + VI.cond_index c) (reg d) 0 0) 0
   | Fop (op, prec, d, x, y) ->
-      let o = 82 + Machine.fop_index op prec in
+      let o = 82 + VI.fop_index op prec in
       put ops k (word o (reg d) (reg x) 0 lor (reg y lsl 16)) 0
   | Fun1 (op, d, x) ->
       let o = match op with VI.Fneg -> 90 | VI.Fabs -> 91 | VI.Fmov -> 92 in
@@ -298,7 +298,7 @@ let pack (prog : program) ops k (i : instr) =
   | Trapi n -> put ops k (word 108 0 0 0) n
   | Hcall n -> put ops k (word 109 0 0 0) n
   | Nop -> put ops k (word 110 0 0 0) 0
-  | Jcc (c, l) -> put ops k (word (112 + Machine.cond_index c) 0 0 0) l
+  | Jcc (c, l) -> put ops k (word (112 + VI.cond_index c) 0 0 0) l
   | Jmp l -> put ops k (word 122 0 0 0) l
   | Jmp_ind (R x) -> put ops k (word 123 (reg x) 0 0) 0
   | Jmp_ind (I v) -> put ops k (word 124 0 0 0) (canon v)

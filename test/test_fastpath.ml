@@ -1,8 +1,9 @@
-(* Fast-path differential harness: the pre-decoded threaded interpreter
-   (Omnivm.Fastinterp) must be observably BIT-IDENTICAL to the reference
-   interpreter — same outcome, same fault at the same machine state, same
-   dynamic instruction count, same fuel accounting, same watchdog poll
-   cadence — and must agree with all four target simulators on observable
+(* Fast-path differential harness: the interpreter over a decode made
+   before the run (the [fast] engine, as the service's decode cache runs
+   it) must be observably BIT-IDENTICAL to the interpreter decoding per
+   run — same outcome, same fault at the same machine state, same dynamic
+   instruction count, same fuel accounting, same watchdog poll cadence —
+   and must agree with all four target simulators on observable
    behaviour across SFI modes and padding variants.
 
    Three program families feed the harness: random straight-line/branchy
@@ -20,7 +21,6 @@ module W = Omni_workloads.Workloads
 module Loader = Omni_runtime.Loader
 module Host = Omni_runtime.Host
 module Interp = Omnivm.Interp
-module Fastinterp = Omnivm.Fastinterp
 module Fault = Omnivm.Fault
 module Watchdog = Omnivm.Watchdog
 module Clock = Omni_util.Clock
@@ -48,7 +48,9 @@ let snap ~engine ?fuel ?watchdog exe : snap =
   let outcome, st =
     match engine with
     | `Interp -> Loader.run_interp ?fuel ?watchdog img
-    | `Fast -> Loader.run_fast ?fuel ?watchdog img
+    | `Fast ->
+        Loader.run_fast ?fuel ?watchdog
+          ~program:(Interp.decode exe.Omnivm.Exe.text) img
   in
   {
     s_outcome = outcome;
@@ -131,7 +133,7 @@ let gen_tame (rng : Random.State.t) : string =
         Printf.bprintf b "        %s r%d, r%d, r%d\n"
           ops.(ri (Array.length ops)) (reg ()) (reg ()) (reg ())
     | 3 | 4 ->
-        (* li-then-use runs straight into the constant-folding fusion rule *)
+        (* li-then-use: a constant feeding the next operation *)
         let d = reg () in
         Printf.bprintf b "        li r%d, %d\n" d (imm ());
         let ops = [| "add"; "xor"; "or"; "and" |] in
@@ -142,14 +144,14 @@ let gen_tame (rng : Random.State.t) : string =
         Printf.bprintf b "        %s r%d, r%d, %d\n"
           ops.(ri (Array.length ops)) (reg ()) (reg ()) (ri 32)
     | 6 ->
-        (* load-use pairs for the load-use fusion rule *)
+        (* load-use pairs *)
         let off = 4 * ri (buf_size / 4) in
         let d = reg () in
         Printf.bprintf b "        sw r%d, %d(r10)\n" (reg ()) off;
         Printf.bprintf b "        lw r%d, %d(r10)\n" d off;
         Printf.bprintf b "        add r%d, r%d, r%d\n" (reg ()) d (reg ())
     | 7 | 8 ->
-        (* forward compare-and-branch: the cmp_br fusion rule *)
+        (* forward compare-and-branch *)
         let l = !label in
         incr label;
         let skip = 1 + ri 4 in
@@ -315,10 +317,10 @@ let wild_property seed =
     exe;
   true
 
-(* --- property 3 (fusion law): fuel is charged per source instruction ---
+(* --- property 3: fuel is charged per source instruction ---
 
-   For any fuel budget f, the fast path retires exactly the instructions
-   the baseline retires: a fused pair at the fuel boundary must split. *)
+   For any fuel budget f, the run over a cached decode retires exactly
+   the instructions the run decoding its own text retires. *)
 let fuel_law (seed, fuel) =
   let src = gen_tame (Random.State.make [| seed |]) in
   let exe = assemble src in
@@ -331,10 +333,11 @@ let fuel_law (seed, fuel) =
   | _ -> ());
   true
 
-(* --- property 4 (fusion law): watchdog poll cadence is unchanged ---
+(* --- property 4: watchdog poll cadence is unchanged ---
 
    A counting clock observes exactly one [Clock.now] per poll (plus one at
-   [Watchdog.make]); fusion must not change how often the engines poll. *)
+   [Watchdog.make]); a cached decode must not change how often a run
+   polls. *)
 let poll_count ~engine ~every exe =
   let polls = ref 0 in
   let clock = Clock.fn (fun () -> incr polls; 0.0) in
@@ -356,10 +359,10 @@ let poll_law (seed, every) =
 
    Under an injectable clock that advances one second per reading, a
    budget of [k] seconds expires at the (k+1)-th poll — so the fault must
-   land within poll_every source instructions of the k-th poll, fusion or
-   not, and at the exact same machine state on both engines. *)
+   land within poll_every source instructions of the k-th poll, and at
+   the exact same machine state on both engines. *)
 let deadline_within_k () =
-  (* an effectively infinite loop of fusible pairs *)
+  (* an effectively infinite loop *)
   let src =
     {|
         .text
@@ -488,26 +491,6 @@ let cert_pad_matrix () =
         pads)
     Omni_targets.Arch.all
 
-(* --- fusion actually happens (and is reported) --- *)
-
-let fusion_present () =
-  let w = W.compress ~size:W.Test in
-  let exe = minic_exe w in
-  let p = Fastinterp.compile exe.Omnivm.Exe.text in
-  Alcotest.(check int) "covers the text"
-    (Array.length exe.Omnivm.Exe.text)
-    (Fastinterp.length p);
-  if Fastinterp.fused p = 0 then
-    Alcotest.fail "peephole pass fused nothing in a real workload";
-  let by_rule = Fastinterp.fused_by_rule p in
-  Alcotest.(check int) "rule counts sum to total" (Fastinterp.fused p)
-    (List.fold_left (fun a (_, n) -> a + n) 0 by_rule);
-  List.iter
-    (fun k ->
-      if not (List.mem_assoc k by_rule) then
-        Alcotest.failf "missing rule counter %s" k)
-    [ "cmp_br"; "li_op"; "load_use"; "push_pop" ]
-
 (* --- wiring --- *)
 
 let qtest ~count name gen prop =
@@ -562,5 +545,4 @@ let () =
           Alcotest.test_case "mint+check under every pad" `Quick
             cert_pad_matrix;
         ] );
-      ("fusion", [ Alcotest.test_case "rules fire" `Quick fusion_present ]);
     ]

@@ -1,7 +1,8 @@
 (* Machine-level differential fuzzing: random OmniVM assembly programs run
-   on the reference interpreter and on every target simulator (sandboxed,
-   unprotected, and with the guard-zone SFI optimization) and must print
-   the same register checksum.
+   on the reference interpreter, on the interpreter over a cached decode
+   ([Fast]) and on every target simulator (sandboxed, unprotected, and
+   with the guard-zone SFI optimization) and must print the same register
+   checksum.
 
    This hits translator paths the compiler never generates: odd register
    combinations, immediate edge values, mixed-width and sign-extending
@@ -189,7 +190,8 @@ let engines_agree src =
   match run Api.Interp ~sfi:true () with
   | None -> true (* interpreter faulted (e.g. overflowing shift count): skip *)
   | Some expected ->
-      List.for_all
+      run Api.Fast ~sfi:true () = Some expected
+      && List.for_all
         (fun arch ->
           let variants =
             [ run (Api.Target arch) ~sfi:true ();

@@ -1026,12 +1026,13 @@ let wire_rejects_garbage () =
   | exception Omnivm.Wire.Bad_module _ -> ()
   | _ -> Alcotest.fail "truncated module accepted")
 
-(* The interpreter allocates nothing per instruction: a loop that calls
-   a function and takes a branch on every iteration runs its hundreds of
-   thousands of instructions far below this bound, with what the run
-   allocates being its set-up and its output. *)
+(* The interpreters allocate nothing per instruction: a loop that calls
+   a function and takes a branch on every iteration, and alvinn, whose
+   inner loops are FP loads, multiply-adds and stores, run their hundreds
+   of thousands of instructions far below this bound on both engines,
+   with what a run allocates being its set-up and its output. *)
 let interp_allocation () =
-  let src =
+  let calls =
     {| int step(int x) { if (x % 2 == 0) return x / 2; return 3 * x + 1; }
        int main(void) {
          int i; int s;
@@ -1041,17 +1042,542 @@ let interp_allocation () =
          return 0;
        } |}
   in
-  let img = Omni_runtime.Loader.load (Minic.Driver.compile_exe ~name:"calls" src) in
-  let before = Gc.minor_words () in
-  let outcome, st = Omni_runtime.Loader.run_interp ~fuel:100_000_000 img in
-  let words = Gc.minor_words () -. before in
-  (match outcome with
-  | Omnivm.Interp.Exited 0 -> ()
-  | _ -> Alcotest.fail "loop did not exit cleanly");
-  let per_instr = words /. float_of_int st.Omnivm.Interp.icount in
-  if st.Omnivm.Interp.icount < 200_000 || per_instr > 0.05 then
-    Alcotest.failf "%.3f minor words per instruction over %d instructions"
-      per_instr st.Omnivm.Interp.icount
+  let alvinn =
+    Omni_workloads.Workloads.(alvinn ~size:Test).Omni_workloads.Workloads.source
+  in
+  List.iter
+    (fun (name, src) ->
+      let exe = Minic.Driver.compile_exe ~name src in
+      List.iter
+        (fun (engine, run) ->
+          let img = Omni_runtime.Loader.load exe in
+          let before = Gc.minor_words () in
+          let outcome, st = run img in
+          let words = Gc.minor_words () -. before in
+          (match outcome with
+          | Omnivm.Interp.Exited 0 -> ()
+          | _ -> Alcotest.failf "%s on %s did not exit cleanly" name engine);
+          let per_instr = words /. float_of_int st.Omnivm.Interp.icount in
+          if st.Omnivm.Interp.icount < 200_000 || per_instr > 0.05 then
+            Alcotest.failf
+              "%s on %s: %.3f minor words per instruction over %d instructions"
+              name engine per_instr st.Omnivm.Interp.icount)
+        [ ("interp", Omni_runtime.Loader.run_interp ~fuel:100_000_000 ?watchdog:None);
+          ( "fast",
+            let program = Omnivm.Interp.decode exe.Omnivm.Exe.text in
+            fun img ->
+              Omni_runtime.Loader.run_fast ~fuel:100_000_000 ~program img ) ])
+    [ ("calls", calls); ("alvinn", alvinn) ]
+
+(* --- exit-path and per-form goldens ---
+
+   One line per case: the outcome (or the exception the run raised), the
+   pc, [icount] and the handler, a digest of the sixteen integer and
+   sixteen FP registers, one of the data segment's first bytes and one
+   of the output. Both interpreter engines must print the golden line.
+   The goldens were recorded before the interpreter decoded its text into
+   op words, so they pin that decoding changed no exit path and no form,
+   hostile ones included: registers outside 0-15, labels outside the
+   text, and extract/insert fields outside the word. *)
+
+module Fnv64 = Omni_util.Fnv64
+module Loader = Omni_runtime.Loader
+
+let golden_outcome = function
+  | Omnivm.Interp.Exited c -> Printf.sprintf "exit %d" c
+  | Omnivm.Interp.Faulted f -> "fault " ^ Omnivm.Fault.to_string f
+  | Omnivm.Interp.Out_of_fuel -> "out of fuel"
+
+let golden_line ~engine ?fuel ?watchdog exe =
+  let img = Loader.load exe in
+  let run =
+    match engine with
+    | `Interp -> Loader.run_interp
+    | `Fast ->
+        Loader.run_fast ~program:(Omnivm.Interp.decode exe.Omnivm.Exe.text)
+  in
+  match run ?fuel ?watchdog img with
+  | exception e -> "exception " ^ Printexc.to_string e
+  | outcome, st ->
+      let h = ref 0L in
+      for r = 0 to 15 do
+        h := Fnv64.mix_int !h (Omnivm.Interp.get_reg st r)
+      done;
+      for r = 0 to 15 do
+        let b = Int64.bits_of_float st.Omnivm.Interp.fregs.(r) in
+        h := Fnv64.mix_int !h (Int64.to_int (Int64.shift_right_logical b 32));
+        h := Fnv64.mix_int !h (Int64.to_int b land 0xFFFFFFFF)
+      done;
+      let m = ref 0L in
+      let base = Omnivm.Layout.data_base in
+      for k = 0 to ((Omnivm.Layout.reserved_data + 128) / 4) - 1 do
+        m := Fnv64.mix_int !m (Omnivm.Memory.load32 img.Loader.mem (base + (4 * k)))
+      done;
+      Printf.sprintf "%s; pc %d icount %d handler %d; regs %s mem %s; output %s"
+        (golden_outcome outcome) st.Omnivm.Interp.pc st.Omnivm.Interp.icount
+        st.Omnivm.Interp.handler (Fnv64.to_hex !h) (Fnv64.to_hex !m)
+        (Fnv64.to_hex
+           (Fnv64.digest_string (Omni_runtime.Host.output img.Loader.host)))
+
+let asm src = Omni_asm.Link.link [ Omni_asm.Parse.assemble ~name:"g" src ]
+
+(* A handler that prints the fault code and exits 7, and a main that
+   registers it first when [handled]. *)
+let with_handler ~handled body =
+  Printf.sprintf
+    {|
+        .data
+buf:    .space 64
+        .text
+        .globl main
+handler:
+        hcall 2
+        li r1, 7
+        hcall 0
+main:
+%s
+%s
+|}
+    (if handled then "        li r1, handler\n        hcall 7" else "")
+    body
+
+(* A hot loop: nine instructions an iteration, a call, a load, a store,
+   an FP add and a taken branch among them. *)
+let hot_loop =
+  {|
+        .data
+buf:    .space 64
+        .text
+        .globl main
+main:   li r2, 0
+        li r3, 40
+        li r4, buf
+        fli.d f2, 0.5
+loop:   addi r2, r2, 3
+        jal bump
+        addi r3, r3, -1
+        bnei r3, 0, loop
+        add r1, r2, r0
+        hcall 2
+        li r1, 0
+        hcall 0
+bump:   lw r5, 0(r4)
+        add r5, r5, r2
+        sw r5, 0(r4)
+        fadd.d f1, f1, f2
+        jr r15
+|}
+
+let spin = "spin:   addi r2, r2, 1\n        j spin"
+
+(* A clock that reads one second later each time, and a watchdog on it. *)
+let scripted_watchdog ~every ~budget =
+  let t = ref (-1.0) in
+  let clock = Omni_util.Clock.fn (fun () -> t := !t +. 1.0; !t) in
+  Omnivm.Watchdog.make ~poll_every:every ~clock ~budget_s:budget ()
+
+(* Each case is (name, fuel, watchdog maker, exe). *)
+let exit_cases () =
+  let loop = asm hot_loop in
+  let n =
+    match Loader.run_interp (Loader.load loop) with
+    | Omnivm.Interp.Exited 0, st -> st.Omnivm.Interp.icount
+    | _ -> Alcotest.fail "hot loop did not exit 0"
+  in
+  let exit3 = asm (with_handler ~handled:false "li r1, 3\nhcall 0") in
+  let h name body =
+    [ (name ^ " unhandled", None, None, asm (with_handler ~handled:false body));
+      (name ^ " handled", None, None, asm (with_handler ~handled:true body)) ]
+  in
+  List.init 12 (fun k ->
+      (Printf.sprintf "loop fuel %d" (200 + k), Some (200 + k), None, loop))
+  @ List.map
+      (fun d -> (Printf.sprintf "loop exit fuel %+d" d, Some (n + d), None, loop))
+      [ -2; -1; 0; 1 ]
+  @ [ ("loop unbounded", None, None, loop);
+      ("exit code", None, None, exit3);
+      ("exit on fuel 2", Some 2, None, exit3);
+      ("exit on fuel 3", Some 3, None, exit3) ]
+  @ h "trap" "li r2, 5\ntrap 4"
+  @ h "wild store" "li r4, 0x3f000000\nsw r2, 0(r4)"
+  @ h "wild load" "li r4, 0x3f000000\nlw r2, 8(r4)"
+  @ h "div by zero" "li r2, 9\nli r3, 0\ndiv r2, r2, r3"
+  @ h "remu by zero" "li r2, 9\nremui r2, r2, 0"
+  @ h "past the text" "li r2, 1\nnop"
+  @ h "unauthorized hcall" "li r2, 1\nhcall 99"
+  @ h "wild jr" "li r4, 0x10000003\njr r4"
+  @ h "wild jalr" "li r4, 0x20000000\njalr r5, r4"
+  @ [ ("handled trap on the last fuel unit", Some 3, None,
+       asm (with_handler ~handled:true "trap 4"));
+      ("handled trap a unit before", Some 2, None,
+       asm (with_handler ~handled:true "trap 4"));
+      ("fault inside the handler", None, None,
+       asm
+         {|
+        .text
+        .globl main
+handler:
+        li r4, 0x3f000000
+        sw r1, 0(r4)
+        hcall 0
+main:   li r1, handler
+        hcall 7
+        trap 2
+|});
+      ("handler re-registers", None, None,
+       asm
+         {|
+        .text
+        .globl main
+h1:     hcall 2
+        li r1, h2
+        hcall 7
+        trap 3
+h2:     hcall 2
+        li r1, 9
+        hcall 0
+main:   li r1, h1
+        hcall 7
+        trap 2
+|});
+      ("handler address misaligned", None, None,
+       asm (with_handler ~handled:false "li r1, 0x10000002\nhcall 7\ntrap 1"));
+      ("handler address past the text", None, None,
+       asm (with_handler ~handled:false "li r1, 0x10400000\nhcall 7\ntrap 1")) ]
+  @ List.concat_map
+      (fun (every, budget) ->
+        let w = Some (fun () -> scripted_watchdog ~every ~budget) in
+        let name handled =
+          Printf.sprintf "watchdog every %d budget %g %s" every budget handled
+        in
+        [ (name "unhandled", Some 100_000, w, asm (with_handler ~handled:false spin));
+          (name "handled", Some 100_000, w, asm (with_handler ~handled:true spin));
+          ( name "handler spins",
+            Some 100_000,
+            w,
+            asm
+              {|
+        .text
+        .globl main
+handler:
+        hcall 2
+spin2:  addi r3, r3, 1
+        j spin2
+main:   li r1, handler
+        hcall 7
+spin:   addi r2, r2, 1
+        j spin
+|} ) ])
+      [ (1, 0.); (1, 2.); (7, 2.); (64, 1.) ]
+  @ [ ("watchdog after fuel", Some 50,
+       Some (fun () -> scripted_watchdog ~every:64 ~budget:0.),
+       asm (with_handler ~handled:false spin)) ]
+
+let exit_lines engine =
+  List.map
+    (fun (name, fuel, w, exe) ->
+      let watchdog = Option.map (fun f -> f ()) w in
+      (name, golden_line ~engine ?fuel ?watchdog exe))
+    (exit_cases ())
+
+(* The form cases run as a few instructions patched over the [trap 1]
+   marker of a program whose prologue seeds the registers and the data;
+   a patched branch targets the marker [form_taken] slots further on, so
+   the trap a run stops on says where control went. *)
+let form_base =
+  lazy
+    (asm
+       {|
+        .data
+buf:    .word 0x12345678, 0x89abcdef, 0xfffffffe, 7
+        .word 0x7fffffff, 0x80000000, 0xfedcba98, 3
+        .double 2.5, -0.75
+        .space 64
+        .text
+        .globl main
+main:
+        li r1, 0x12345678
+        la r2, buf
+        li r3, -7
+        li r4, 4
+        li r5, -2147483648
+        li r6, -1
+        li r7, 0
+        li r8, 3
+        la r9, tgt
+        la r10, main
+        addi r10, r10, 4
+        li r11, 0x7fffffff
+        li r12, 40
+        fli.d f1, 1.25
+        fli.d f2, -3.5
+        fli.d f3, 10000000000.0
+        fli.d f4, 0.1
+        fli.s f5, 0.3
+        fli.d f6, 7.0
+        fli.d f8, -10000000000.0
+        trap 1
+        trap 2
+        trap 3
+        trap 4
+        trap 5
+        trap 6
+        trap 7
+        trap 8
+        trap 9
+        trap 10
+        trap 11
+        trap 12
+tgt:    trap 20
+        trap 21
+|})
+
+let form_taken = 8
+
+let form_cases () =
+  let open VI in
+  let binops =
+    [ Add; Sub; Mul; Div; Divu; Rem; Remu; And; Or; Xor; Sll; Srl; Sra; Slt;
+      Sltu ]
+  in
+  let widths = [ (W8, true); (W8, false); (W16, true); (W16, false);
+                 (W32, true); (W32, false) ] in
+  let conds = [ Eq; Ne; Lt; Le; Gt; Ge; Ltu; Leu; Gtu; Geu ] in
+  let precs = [ Single; Double ] in
+  let pname p = prec_suffix p in
+  let taken k = Omnivm.Exe.code_addr (k + form_taken) in
+  let one name i = (name, fun _ -> [ i ]) in
+  let forms =
+    List.concat_map
+      (fun op ->
+        let n = binop_name op in
+        [ one ("binop " ^ n) (Binop (op, 7, 1, 3));
+          one ("binop " ^ n ^ " min by -1") (Binop (op, 7, 5, 6));
+          one ("binop " ^ n ^ " by 40") (Binop (op, 7, 11, 12));
+          one ("binop " ^ n ^ " by zero") (Binop (op, 7, 1, 7));
+          one ("binopi " ^ n) (Binopi (op, 7, 1, 5));
+          one ("binopi " ^ n ^ " neg") (Binopi (op, 7, 3, -3));
+          one ("binopi " ^ n ^ " zero") (Binopi (op, 7, 1, 0));
+          one ("binopi " ^ n ^ " beyond 32 bits") (Binopi (op, 7, 1, (1 lsl 35) + 9)) ])
+      binops
+    @ [ one "binop to r0" (Binop (Add, 0, 1, 3));
+        one "li" (Li (7, 0x12345678));
+        one "li neg" (Li (7, -1));
+        one "li beyond 32 bits" (Li (7, (1 lsl 35) + 9));
+        one "li to r0" (Li (0, 5)) ]
+    @ List.concat_map
+        (fun (w, s) ->
+          let n = load_name w s ^ if s then " s" else " u" in
+          [ one ("load " ^ n) (Load (w, s, 7, 2, 4));
+            one ("load " ^ n ^ " odd") (Load (w, s, 7, 2, 5));
+            one ("load " ^ n ^ " high") (Load (w, s, 7, 2, 6));
+            one ("load " ^ n ^ " unmapped") (Load (w, s, 7, 7, 0));
+            one ("load " ^ n ^ " off beyond 32 bits") (Load (w, s, 7, 2, (1 lsl 32) + 4)) ])
+        widths
+    @ [ one "load to r0" (Load (W32, false, 0, 2, 0)) ]
+    @ List.concat_map
+        (fun w ->
+          let n = store_name w in
+          [ one ("store " ^ n) (Store (w, 1, 2, 8));
+            one ("store " ^ n ^ " odd") (Store (w, 1, 2, 9));
+            one ("store " ^ n ^ " to code") (Store (w, 1, 9, 0));
+            one ("store " ^ n ^ " unmapped") (Store (w, 1, 7, 0)) ])
+        [ W8; W16; W32 ]
+    @ List.concat_map
+        (fun p ->
+          let n = pname p in
+          [ one ("fload " ^ n) (Fload (p, 7, 2, 32));
+            one ("fload " ^ n ^ " unmapped") (Fload (p, 7, 7, 0));
+            one ("fstore " ^ n) (Fstore (p, 4, 2, 48));
+            one ("fstore " ^ n ^ " to code") (Fstore (p, 4, 9, 0));
+            one ("fli " ^ n) (Fli (p, 7, 0.1));
+            one ("cvt_f_i " ^ n) (Cvt_f_i (p, 7, 1));
+            one ("cvt_i_f " ^ n) (Cvt_i_f (p, 7, 2)) ])
+        precs
+    @ List.concat_map
+        (fun op ->
+          List.map
+            (fun p ->
+              one (Printf.sprintf "fbinop %s.%s" (fbinop_name op) (pname p))
+                (Fbinop (op, p, 7, 4, 2)))
+            precs)
+        [ Fadd; Fsub; Fmul; Fdiv ]
+    @ [ one "fdiv by zero" (Fbinop (Fdiv, Double, 7, 1, 0)) ]
+    @ List.concat_map
+        (fun op ->
+          List.map
+            (fun p ->
+              one (Printf.sprintf "funop %s.%s" (funop_name op) (pname p))
+                (Funop (op, p, 7, 4)))
+            precs)
+        [ Fneg; Fabs; Fmov ]
+    @ List.concat_map
+        (fun op ->
+          List.concat_map
+            (fun p ->
+              let n = Printf.sprintf "fcmp %s.%s" (fcmp_name op) (pname p) in
+              [ one n (Fcmp (op, p, 7, 1, 2));
+                one (n ^ " rev") (Fcmp (op, p, 7, 2, 1));
+                one (n ^ " same") (Fcmp (op, p, 7, 1, 1)) ])
+            precs)
+        [ Feq; Flt; Fle ]
+    @ [ one "fli nan" (Fli (Double, 7, Float.nan));
+        one "cvt_i_f saturates up" (Cvt_i_f (Double, 7, 3));
+        one "cvt_i_f saturates down" (Cvt_i_f (Double, 7, 8));
+        ("cvt_i_f nan", fun _ -> [ Fli (Double, 9, Float.nan); Cvt_i_f (Double, 7, 9) ]);
+        one "cvt_i_f to r0" (Cvt_i_f (Double, 0, 1));
+        one "cvt_d_s" (Cvt_d_s (7, 4));
+        one "cvt_s_d" (Cvt_s_d (7, 4));
+        one "fcmp to r0" (Fcmp (Feq, Double, 0, 1, 1)) ]
+    @ List.concat_map
+        (fun c ->
+          let n = cond_name c in
+          [ ("br " ^ n, fun k -> [ Br (c, 1, 3, taken k) ]);
+            ("br " ^ n ^ " rev", fun k -> [ Br (c, 3, 1, taken k) ]);
+            ("br " ^ n ^ " same", fun k -> [ Br (c, 3, 3, taken k) ]);
+            ("bri " ^ n, fun k -> [ Bri (c, 1, 5, taken k) ]);
+            ("bri " ^ n ^ " neg", fun k -> [ Bri (c, 3, -7, taken k) ]);
+            ("bri " ^ n ^ " beyond 32 bits", fun k -> [ Bri (c, 3, (1 lsl 32) - 7, taken k) ]) ])
+        conds
+    @ [ ("j", fun k -> [ J (taken k) ]);
+        ("j self", fun k -> [ J (Omnivm.Exe.code_addr k) ]);
+        ("jal", fun k -> [ Jal (taken k) ]);
+        one "jr" (Jr 9);
+        one "jr entry" (Jr 10);
+        one "jr wild" (Jr 1);
+        one "jalr" (Jalr (7, 9));
+        one "jalr to r0" (Jalr (0, 9));
+        one "jalr wild" (Jalr (7, 1));
+        one "hcall print_int" (Hcall 2);
+        one "hcall exit" (Hcall 0);
+        one "hcall unknown" (Hcall 99);
+        one "trap" (Trap 5);
+        one "nop" Nop ]
+    @ List.concat_map
+        (fun (pos, len) ->
+          let n = Printf.sprintf "%d %d" pos len in
+          [ one ("ext " ^ n) (Ext (7, 1, pos, len));
+            one ("ins " ^ n) (Ins (1, 3, pos, len)) ])
+        [ (0, 1); (1, 2); (0, 4); (3, 1); (2, 2) ]
+    @ [ one "ext to r0" (Ext (0, 1, 0, 1)); one "ins to r0" (Ins (0, 1, 0, 1)) ]
+  in
+  let past k = Omnivm.Exe.code_addr (k + 1000) in
+  let hostile =
+    [ one "binop rd 16" (Binop (Add, 16, 1, 3));
+      one "binop rd -1" (Binop (Add, -1, 1, 3));
+      one "binop rs1 16" (Binop (Add, 7, 16, 3));
+      one "binop rs2 -1" (Binop (Add, 7, 1, -1));
+      one "binop div by zero rd 16" (Binop (Div, 16, 1, 7));
+      one "binop div rs1 16 by zero" (Binop (Div, 7, 16, 7));
+      one "binopi div by zero rd 16" (Binopi (Div, 16, 1, 0));
+      one "binopi rs1 16" (Binopi (Add, 7, 16, 1));
+      one "li rd 16" (Li (16, 1));
+      one "li rd -1" (Li (-1, 1));
+      one "load rd 16" (Load (W32, false, 16, 2, 0));
+      one "load unmapped rd 16" (Load (W32, false, 16, 7, 0));
+      one "load base 16" (Load (W32, false, 7, 16, 0));
+      one "store rv 16" (Store (W32, 16, 2, 0));
+      one "store base -1" (Store (W32, 1, -1, 0));
+      one "fload fd 16" (Fload (Double, 16, 2, 32));
+      one "fload unmapped fd 16" (Fload (Double, 16, 7, 0));
+      one "fload base 16" (Fload (Double, 7, 16, 0));
+      one "fstore fv 16" (Fstore (Double, 16, 2, 48));
+      one "fstore base 16" (Fstore (Single, 1, 16, 48));
+      one "fbinop fd 16" (Fbinop (Fadd, Double, 16, 1, 2));
+      one "fbinop fs1 16" (Fbinop (Fadd, Double, 7, 16, 2));
+      one "fbinop fs2 -1" (Fbinop (Fmul, Single, 7, 1, -1));
+      one "funop fd -1" (Funop (Fneg, Double, -1, 1));
+      one "funop fs 16" (Funop (Fabs, Single, 7, 16));
+      one "fcmp rd 16" (Fcmp (Feq, Double, 16, 1, 2));
+      one "fcmp fs2 16" (Fcmp (Feq, Double, 7, 1, 16));
+      one "fli fd 16" (Fli (Double, 16, 1.0));
+      one "cvt_f_i fd 16" (Cvt_f_i (Double, 16, 1));
+      one "cvt_f_i rs 16" (Cvt_f_i (Double, 7, 16));
+      one "cvt_i_f rd 16" (Cvt_i_f (Double, 16, 1));
+      one "cvt_i_f fs 16" (Cvt_i_f (Double, 7, 16));
+      one "cvt_d_s fd 16" (Cvt_d_s (16, 1));
+      one "cvt_s_d fs 16" (Cvt_s_d (7, 16));
+      ("br rs1 16", fun k -> [ Br (Eq, 16, 1, taken k) ]);
+      ("br rs2 -1", fun k -> [ Br (Eq, 1, -1, taken k) ]);
+      ("bri rs 16", fun k -> [ Bri (Eq, 16, 0, taken k) ]);
+      one "jr 16" (Jr 16);
+      one "jalr rd 16" (Jalr (16, 9));
+      one "jalr wild rd 16" (Jalr (16, 1));
+      one "jalr rs 16" (Jalr (7, 16));
+      one "ext rd 16" (Ext (16, 1, 0, 1));
+      one "ext bad field rd 16" (Ext (16, 1, 3, 2));
+      one "ext rs 16" (Ext (7, 16, 0, 1));
+      one "ins rd 16" (Ins (16, 1, 0, 1));
+      one "ins rs -1" (Ins (7, -1, 0, 1));
+      ("j past the end", fun k -> [ J (past k) ]);
+      (* the text ends 14 markers after the first *)
+      ("j to the end", fun k -> [ J (Omnivm.Exe.code_addr (k + 14)) ]);
+      ("j below the text", fun _ -> [ J (Omnivm.Layout.code_base - 4) ]);
+      ("j misaligned", fun k -> [ J (Omnivm.Exe.code_addr k + 2) ]);
+      ("j negative", fun _ -> [ J (-4) ]);
+      ("j beyond 32 bits", fun k -> [ J ((1 lsl 40) + taken k) ]);
+      ("jal past the end", fun k -> [ Jal (past k) ]);
+      ("jal misaligned", fun k -> [ Jal (taken k + 1) ]);
+      ("br taken past the end", fun k -> [ Br (Eq, 1, 1, past k) ]);
+      ("br untaken past the end", fun k -> [ Br (Ne, 1, 1, past k) ]);
+      ("br taken negative", fun _ -> [ Br (Lt, 3, 1, -8) ]);
+      ("bri taken misaligned", fun k -> [ Bri (Ne, 1, 0, taken k + 3) ]);
+      ("bri untaken misaligned", fun k -> [ Bri (Eq, 1, 0, taken k + 3) ]);
+      one "ext pos -1" (Ext (7, 1, -1, 1));
+      one "ext len 0" (Ext (7, 1, 0, 0));
+      one "ext past the word" (Ext (7, 1, 3, 2));
+      one "ext len 5" (Ext (7, 1, 0, 5));
+      one "ins pos 4" (Ins (7, 1, 4, 1));
+      one "ins len -1" (Ins (7, 1, 2, -1)) ]
+  in
+  forms @ List.map (fun (n, f) -> ("hostile " ^ n, f)) hostile
+
+let form_lines engine =
+  let exe = Lazy.force form_base in
+  let text = exe.Omnivm.Exe.text in
+  let k =
+    let rec go k =
+      if text.(k) = VI.Trap 1 then k
+      else if k + 1 < Array.length text then go (k + 1)
+      else Alcotest.fail "no trap 1 marker"
+    in
+    go 0
+  in
+  List.map
+    (fun (name, f) ->
+      let text = Array.copy text in
+      List.iteri (fun j i -> text.(k + j) <- i) (f k);
+      (name, golden_line ~engine ~fuel:10_000 { exe with Omnivm.Exe.text }))
+    (form_cases ())
+
+let interp_goldens_file = "interp_goldens.txt"
+
+let interp_goldens () =
+  let want = Hashtbl.create 512 in
+  In_channel.with_open_text interp_goldens_file (fun ic ->
+      let rec go () =
+        match In_channel.input_line ic with
+        | None -> ()
+        | Some l -> (
+            match String.split_on_char '|' l with
+            | [ case; line ] -> Hashtbl.replace want case line; go ()
+            | _ -> go ())
+      in
+      go ());
+  List.iter
+    (fun (engine, ename) ->
+      let got =
+        List.map (fun (c, l) -> ("exit " ^ c, l)) (exit_lines engine)
+        @ List.map (fun (c, l) -> ("form " ^ c, l)) (form_lines engine)
+      in
+      let bad =
+        List.filter (fun (c, l) -> Hashtbl.find_opt want c <> Some l) got
+      in
+      if bad <> [] || Hashtbl.length want <> List.length got then
+        Alcotest.failf "%s: %d of %d cases differ (%d goldens); got:\n%s" ename
+          (List.length bad) (List.length got) (Hashtbl.length want)
+          (String.concat "\n" (List.map (fun (c, l) -> c ^ "|" ^ l) bad)))
+    [ (`Interp, "interp"); (`Fast, "fast") ]
 
 let () =
   Alcotest.run "omnivm"
@@ -1064,7 +1590,9 @@ let () =
          Alcotest.test_case "branches" `Quick branches;
          Alcotest.test_case "calls" `Quick calls;
          Alcotest.test_case "allocates nothing per instruction" `Quick
-           interp_allocation ]);
+           interp_allocation;
+         Alcotest.test_case "exit-path and per-form goldens" `Quick
+           interp_goldens ]);
       ("faults",
        [ Alcotest.test_case "unmapped read" `Quick fault_unmapped;
          Alcotest.test_case "write to code" `Quick fault_write_code;
