@@ -1,7 +1,7 @@
 (* The omni-cert/1 witness format.
 
    A certificate packages the safety obligations a certifying verification
-   produced (see Omni_sfi.Verifier.certify) together with everything that
+   produced (see Omni_sfi.Verifier.scan) together with everything that
    binds the witness to one specific translation:
 
      - the module's content digest (which bytes were translated),

@@ -1,7 +1,7 @@
 (** The [omni-cert/1] witness format: a translation-safety certificate.
 
     A certificate carries the per-instruction safety obligations that a
-    certifying verification produced ({!Omni_sfi.Verifier.certify}),
+    certifying verification produced ({!Omni_sfi.Verifier.scan}),
     bound to one specific translation by (module digest × architecture ×
     SFI policy × translator options × sandbox layout × code fingerprint).
     Hosts re-establish safety of cached or shipped code by the cheap

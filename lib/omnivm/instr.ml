@@ -157,7 +157,8 @@ let eval_binop op a b =
   | Sltu -> if W.ltu a b then 1 else 0
 
 (* Dense indexes of an instruction's sub-operation, from 0, which the
-   interpreter's and the simulators' decoders add to an opcode's base. *)
+   interpreter's and the simulators' decoders add to an opcode's base and
+   the targets' structural fingerprints fold. *)
 let binop_index = function
   | Add -> 0 | Sub -> 1 | Mul -> 2 | Div -> 3 | Divu -> 4 | Rem -> 5
   | Remu -> 6 | And -> 7 | Or -> 8 | Xor -> 9 | Sll -> 10 | Srl -> 11
@@ -174,9 +175,14 @@ let cond_index = function
   | Eq -> 0 | Ne -> 1 | Lt -> 2 | Le -> 3 | Gt -> 4
   | Ge -> 5 | Ltu -> 6 | Leu -> 7 | Gtu -> 8 | Geu -> 9
 
+let prec_index = function Single -> 0 | Double -> 1
+
 let fop_index op prec =
   (2 * match op with Fadd -> 0 | Fsub -> 1 | Fmul -> 2 | Fdiv -> 3)
-  + match prec with Single -> 0 | Double -> 1
+  + prec_index prec
+
+let funop_index = function Fneg -> 0 | Fabs -> 1 | Fmov -> 2
+let fcmp_index = function Feq -> 0 | Flt -> 1 | Fle -> 2
 
 (* --- pretty printing (canonical assembly syntax) --- *)
 

@@ -1,7 +1,8 @@
 (* Static SFI verifier over an abstract view of translated native code.
 
-   Each target provides a [summarize] function mapping its instructions to
-   the events below; the verifier then checks the Wahbe-style invariant:
+   Each target summarizes its instructions as the events below, one
+   instruction at a time inside [scan]; the verifier checks the
+   Wahbe-style invariant:
 
    1. dedicated registers are written only by the blessed sandboxing
       sequence (so their contents always point into the proper segment,
@@ -15,11 +16,12 @@
 
    The same scan doubles as the witness producer for proof-carrying
    translation: every event that attests a positive safety fact maps to
-   exactly one {!Witness.kind}, so [certify] returns the per-instruction
-   obligation list an untrusting host can later re-check in one cheap
-   pass (see {!Omni_cert.Check}). Deriving obligations from the verifier's
-   own event stream (rather than from a separate producer) keeps the
-   witness tied to the exact facts full verification establishes. *)
+   exactly one {!Witness.kind}, so a certifying scan returns the
+   per-instruction obligation list an untrusting host can later re-check
+   in one cheap pass (see {!Omni_cert.Check}). Deriving obligations from
+   the verifier's own judgment of each event (rather than from a separate
+   producer) keeps the witness tied to the exact facts full verification
+   establishes. *)
 
 type event =
   | Sandbox_data_mask (* dedicated := x & data_mask *)
@@ -46,7 +48,7 @@ type failure = { index : int; reason : string }
 
 (* Shared judgment: an event either fails, passes without a claim
    (Neutral), or passes by virtue of one checkable obligation. *)
-let classify ?(max_disp = Policy.safe_sp_disp) (i : int) (ev : event) :
+let judge max_disp (i : int) (ev : event) :
     (Witness.kind option, failure) result =
   let fail reason = Error { index = i; reason } in
   match ev with
@@ -82,35 +84,24 @@ let classify ?(max_disp = Policy.safe_sp_disp) (i : int) (ev : event) :
       fail (Printf.sprintf "sp set from arbitrary value by %s" what)
   | Neutral -> Ok None
 
-let verify ?max_disp (events : event array) : (unit, failure) result =
-  let rec go i =
-    if i >= Array.length events then Ok ()
-    else
-      match classify ?max_disp i events.(i) with
-      | Ok _ -> go (i + 1)
-      | Error f -> Error f
-  in
-  go 0
+(* [scan] calls [judge] itself: an optional argument passed on costs an
+   allocation per call. *)
+let classify ?(max_disp = Policy.safe_sp_disp) i ev = judge max_disp i ev
 
-let certify ?max_disp (events : event array) :
-    (Witness.obligation array, failure) result =
-  let n = Array.length events in
-  let obs = ref [] in
-  let count = ref 0 in
-  let rec go i =
+let scan ?(max_disp = Policy.safe_sp_disp) ~witness n (event : int -> event)
+    : (Witness.obligation array, failure) result =
+  let rec go i count obs =
     if i >= n then begin
-      let a = Array.make !count { Witness.ox = 0; kind = Witness.Mask_data } in
+      let a = Array.make count { Witness.ox = 0; kind = Witness.Mask_data } in
       (* [obs] is in reverse index order; fill from the back *)
-      List.iteri (fun j ob -> a.(!count - 1 - j) <- ob) !obs;
+      List.iteri (fun j ob -> a.(count - 1 - j) <- ob) obs;
       Ok a
     end
     else
-      match classify ?max_disp i events.(i) with
-      | Ok None -> go (i + 1)
-      | Ok (Some kind) ->
-          obs := { Witness.ox = i; kind } :: !obs;
-          incr count;
-          go (i + 1)
+      match judge max_disp i (event i) with
+      | Ok (Some kind) when witness ->
+          go (i + 1) (count + 1) ({ Witness.ox = i; kind } :: obs)
+      | Ok _ -> go (i + 1) count obs
       | Error f -> Error f
   in
-  go 0
+  go 0 0 []

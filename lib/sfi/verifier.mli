@@ -1,8 +1,8 @@
 (** Static SFI verifier over an abstract view of translated native code.
 
-    Each target provides a [summarize] function mapping its instruction
-    stream to the events below (see {!Omni_targets.Risc_verify} and
-    {!Omni_targets.X86_verify}); the verifier then checks the Wahbe-style
+    Each target summarizes its instructions as the events below, one at a
+    time inside {!scan} (see {!Omni_targets.Risc_verify} and
+    {!Omni_targets.X86_verify}); the verifier checks the Wahbe-style
     invariant: every unsafe store and indirect branch goes through a
     properly sandboxed dedicated register, stack-pointer discipline is
     maintained, and all displacements stay within the segment guard zone.
@@ -11,8 +11,9 @@
     what makes load-time verification cheap.
 
     The same scan is the witness producer for proof-carrying translation:
-    {!certify} returns the accepted stream's obligations (one per event
-    that attests a positive safety fact), in instruction order. *)
+    with [~witness:true], {!scan} returns the accepted stream's
+    obligations (one per event that attests a positive safety fact), in
+    instruction order. *)
 
 type event =
   | Sandbox_data_mask
@@ -44,14 +45,25 @@ type event =
 
 type failure = { index : int; reason : string }
 
-val verify : ?max_disp:int -> event array -> (unit, failure) result
-(** [max_disp] is the guard-zone bound displacements are checked against
-    (default {!Policy.safe_sp_disp}); pass {!Policy.guard_zone} of the
-    translation policy when verifying code produced under [Pad_guard8]. *)
+val classify :
+  ?max_disp:int -> int -> event -> (Witness.kind option, failure) result
+(** The one judgment: the event of instruction [i] fails (with [i] as the
+    failure's index), passes without a claim ([Neutral]), or passes by
+    virtue of one checkable obligation. [max_disp] is the guard-zone
+    bound displacements are checked against (default
+    {!Policy.safe_sp_disp}); pass {!Policy.guard_zone} of the translation
+    policy when judging code produced under [Pad_guard8]. *)
 
-val certify :
-  ?max_disp:int -> event array -> (Witness.obligation array, failure) result
-(** Like {!verify}, but on acceptance returns the per-instruction safety
-    obligations the stream established, in strictly increasing
-    instruction order (at most one per instruction). [certify] accepts
-    exactly the streams [verify] accepts. *)
+val scan :
+  ?max_disp:int ->
+  witness:bool ->
+  int ->
+  (int -> event) ->
+  (Witness.obligation array, failure) result
+(** [scan ~witness n event] judges instructions [0 .. n-1] in order with
+    {!classify}, calling [event i] once per index, in increasing order (a
+    target keeps its register state between calls), and stops at the
+    first failure. With [witness] it returns the obligations of the
+    accepted stream, in strictly increasing instruction order (at most
+    one per instruction); without, an empty array. Both accept exactly
+    the same streams. *)

@@ -345,7 +345,76 @@ let string_of_instr (i : instr) =
 
 let equal_program (a : program) (b : program) = Stdlib.compare a b = 0
 
+(* The fingerprint folds, a word at a time, every field that makes up
+   the program: [cfg], each slot's constructor, operands, origin and
+   annul flag, [entry], [addr_map], the pool floats by their bits (so
+   0.0 and -0.0, and NaN payloads, stay apart) and [n_omni]. [decl]
+   describes the code rather than being part of it; certification
+   cross-checks it. *)
 let fingerprint_program (p : program) : Omni_util.Fnv64.t =
-  Omni_util.Fnv64.digest_string
-    (Marshal.to_string (p.cfg, p.code, p.entry, p.addr_map, p.pool, p.n_omni)
-       [])
+  let prime = Omni_util.Fnv64.word_prime in
+  let[@inline] ( +> ) h v = (h lxor v) * prime in
+  let w = VI.store_index and b = Bool.to_int in
+  let instr h = function
+    | Alu (op, rd, ra, rb) -> h +> 0 +> VI.binop_index op +> rd +> ra +> rb
+    | Alui (op, rd, ra, k) -> h +> 1 +> VI.binop_index op +> rd +> ra +> k
+    | Alu_record (op, rd, ra, rb) ->
+        h +> 2 +> VI.binop_index op +> rd +> ra +> rb
+    | Lui (rd, v) -> h +> 3 +> rd +> v
+    | Load (wd, s, rd, base, d) -> h +> 4 +> w wd +> b s +> rd +> base +> d
+    | Store (wd, rv, base, d) -> h +> 5 +> w wd +> rv +> base +> d
+    | Load_x (wd, s, rd, ra, rb) -> h +> 6 +> w wd +> b s +> rd +> ra +> rb
+    | Store_x (wd, rv, ra, rb) -> h +> 7 +> w wd +> rv +> ra +> rb
+    | Fload (fd, base, d) -> h +> 8 +> fd +> base +> d
+    | Fstore (fv, base, d) -> h +> 9 +> fv +> base +> d
+    | Fload_s (fd, base, d) -> h +> 10 +> fd +> base +> d
+    | Fstore_s (fv, base, d) -> h +> 11 +> fv +> base +> d
+    | Fload_x (fd, ra, rb) -> h +> 12 +> fd +> ra +> rb
+    | Fstore_x (fv, ra, rb) -> h +> 13 +> fv +> ra +> rb
+    | Fld_pool (fd, k) -> h +> 14 +> fd +> k
+    | Fop (op, pr, fd, fa, fb) -> h +> 15 +> VI.fop_index op pr +> fd +> fa +> fb
+    | Fun1 (op, fd, fa) -> h +> 16 +> VI.funop_index op +> fd +> fa
+    | Fcmp (op, fa, fb) -> h +> 17 +> VI.fcmp_index op +> fa +> fb
+    | Fcc_to_reg rd -> h +> 18 +> rd
+    | Cvt_f_i (fd, ra) -> h +> 19 +> fd +> ra
+    | Cvt_i_f (rd, fa) -> h +> 20 +> rd +> fa
+    | Cvt_d_s (fd, fa) -> h +> 21 +> fd +> fa
+    | Cvt_s_d (fd, fa) -> h +> 22 +> fd +> fa
+    | Cmp (ra, rb) -> h +> 23 +> ra +> rb
+    | Cmpi (ra, k) -> h +> 24 +> ra +> k
+    | Br_cc (c, l) -> h +> 25 +> VI.cond_index c +> l
+    | Br_cmp (c, ra, rb, l) -> h +> 26 +> VI.cond_index c +> ra +> rb +> l
+    | Fbr (f, l) -> h +> 27 +> b f +> l
+    | J l -> h +> 28 +> l
+    | Call (l, ret) -> h +> 29 +> l +> ret
+    | Call_ind (r, ret) -> h +> 30 +> r +> ret
+    | Jmp_ind r -> h +> 31 +> r
+    | Guard_data r -> h +> 32 +> r
+    | Guard_code r -> h +> 33 +> r
+    | Cc_to_reg (c, rd) -> h +> 34 +> VI.cond_index c +> rd
+    | Trapi n -> h +> 35 +> n
+    | Hcall n -> h +> 36 +> n
+    | Nop -> h +> 37
+  in
+  let c = p.cfg in
+  let h =
+    Omni_util.Fnv64.word_basis
+    +> (match c.arch with Mips -> 0 | Sparc -> 1 | Ppc -> 2)
+    +> c.imm_bits
+    +> (match c.branch_model with
+       | Fused_compare -> 0
+       | Cond_codes -> 1
+       | Cond_reg -> 2)
+    +> b c.has_delay_slot +> b c.has_annul +> b c.has_indexed
+    +> c.issue_width +> c.load_latency +> c.mul_latency +> c.div_latency
+    +> c.fadd_latency +> c.fmul_latency +> c.fdiv_latency +> c.cmp_latency
+    +> c.fcmp_latency +> c.taken_branch_penalty
+  in
+  (* [for] loops, not [Array.iter]: a ref captured by a closure is boxed *)
+  let h = ref (h +> Array.length p.code) in
+  for k = 0 to Array.length p.code - 1 do
+    let s = p.code.(k) in
+    h := instr !h s.i +> Machine.origin_index s.origin +> b s.annul
+  done;
+  let h = Omni_util.Fnv64.fold_ints (!h +> p.entry) p.addr_map in
+  Omni_util.Fnv64.of_words (Omni_util.Fnv64.fold_floats h p.pool +> p.n_omni)

@@ -310,6 +310,66 @@ let string_of_instr (i : instr) =
 
 let equal_program (a : program) (b : program) = Stdlib.compare a b = 0
 
+(* The fingerprint folds, a word at a time, each slot's constructor,
+   operands (a memory operand's base, index, scale and displacement) and
+   origin, then [entry], [addr_map], the pool floats by their bits and
+   [n_omni] (see [Risc.fingerprint_program]). *)
 let fingerprint_program (p : program) : Omni_util.Fnv64.t =
-  Omni_util.Fnv64.digest_string
-    (Marshal.to_string (p.code, p.entry, p.addr_map, p.pool, p.n_omni) [])
+  let prime = Omni_util.Fnv64.word_prime in
+  let[@inline] ( +> ) h v = (h lxor v) * prime in
+  let alu = function Add -> 0 | Sub -> 1 | And -> 2 | Or -> 3 | Xor -> 4 in
+  let sh = function Shl -> 0 | Shr -> 1 | Sar -> 2 in
+  let mem h (m : mem) =
+    let h = match m.base with None -> h +> 0 | Some r -> h +> 1 +> r in
+    let h =
+      match m.index with None -> h +> 0 | Some (r, s) -> h +> 1 +> r +> s
+    in
+    h +> m.disp
+  in
+  let opnd h = function
+    | R r -> h +> 0 +> r
+    | M m -> mem (h +> 1) m
+    | I v -> h +> 2 +> v
+  in
+  let instr h = function
+    | Mov (d, s) -> opnd (opnd (h +> 0) d) s
+    | Load (w, s, d, m) ->
+        mem (h +> 1 +> VI.store_index w +> Bool.to_int s +> d) m
+    | Store (w, m, s) -> opnd (mem (h +> 2 +> VI.store_index w) m) s
+    | Alu (op, d, s) -> opnd (opnd (h +> 3 +> alu op) d) s
+    | Shift (op, d, k) -> opnd (h +> 4 +> sh op) d +> k
+    | Shiftv (op, d, c) -> opnd (h +> 5 +> sh op) d +> c
+    | Imul (d, s) -> opnd (h +> 6 +> d) s
+    | Idiv (s, signed) -> opnd (h +> 7) s +> Bool.to_int signed
+    | Cdq -> h +> 8
+    | Lea (d, m) -> mem (h +> 9 +> d) m
+    | Cmp (a, b) -> opnd (opnd (h +> 10) a) b
+    | Setcc (c, d) -> h +> 11 +> VI.cond_index c +> d
+    | Jcc (c, l) -> h +> 12 +> VI.cond_index c +> l
+    | Jmp l -> h +> 13 +> l
+    | Jmp_ind x -> opnd (h +> 14) x
+    | Call (l, ret) -> h +> 15 +> l +> ret
+    | Call_ind (x, ret) -> opnd (h +> 16) x +> ret
+    | Fop (op, pr, d, a, b) -> h +> 17 +> VI.fop_index op pr +> d +> a +> b
+    | Fun1 (op, d, a) -> h +> 18 +> VI.funop_index op +> d +> a
+    | Fload (pr, d, m) -> mem (h +> 19 +> VI.prec_index pr +> d) m
+    | Fstore (pr, v, m) -> mem (h +> 20 +> VI.prec_index pr +> v) m
+    | Fld_pool (d, k) -> h +> 21 +> d +> k
+    | Fcmp (op, a, b) -> h +> 22 +> VI.fcmp_index op +> a +> b
+    | Fcc_to_reg d -> h +> 23 +> d
+    | Cvt_f_i (d, s) -> opnd (h +> 24 +> d) s
+    | Cvt_i_f (d, a) -> h +> 25 +> d +> a
+    | Guard_data r -> h +> 26 +> r
+    | Guard_code r -> h +> 27 +> r
+    | Trapi n -> h +> 28 +> n
+    | Hcall n -> h +> 29 +> n
+    | Nop -> h +> 30
+  in
+  (* [for] loops, not [Array.iter]: a ref captured by a closure is boxed *)
+  let h = ref (Omni_util.Fnv64.word_basis +> Array.length p.code) in
+  for k = 0 to Array.length p.code - 1 do
+    let s = p.code.(k) in
+    h := instr !h s.i +> Machine.origin_index s.origin
+  done;
+  let h = Omni_util.Fnv64.fold_ints (!h +> p.entry) p.addr_map in
+  Omni_util.Fnv64.of_words (Omni_util.Fnv64.fold_floats h p.pool +> p.n_omni)

@@ -32,5 +32,30 @@ let mix_int h v =
   done;
   !h
 
+(* Word-at-a-time folding for structural digests: the FNV-1a step taken
+   on a whole native int instead of a byte. Callers open-code the step,
+   [h := (h lxor v) * word_prime], so it inlines into their loops. *)
+let word_basis = Int64.to_int offset_basis
+let word_prime = Int64.to_int prime
+let of_words h = mix_int offset_basis h
+
+let fold_ints h a =
+  let h = ref ((h lxor Array.length a) * word_prime) in
+  for k = 0 to Array.length a - 1 do
+    h := (!h lxor Array.unsafe_get a k) * word_prime
+  done;
+  !h
+
+(* Each float as the two 32-bit halves of its bits: one word would drop
+   bit 63, the sign. *)
+let fold_floats h a =
+  let h = ref ((h lxor Array.length a) * word_prime) in
+  for k = 0 to Array.length a - 1 do
+    let bits = Int64.bits_of_float (Array.unsafe_get a k) in
+    h := (!h lxor (Int64.to_int bits land 0xFFFF_FFFF)) * word_prime;
+    h := (!h lxor Int64.to_int (Int64.shift_right_logical bits 32)) * word_prime
+  done;
+  !h
+
 let to_hex h = Printf.sprintf "%016Lx" h
 let equal = Int64.equal

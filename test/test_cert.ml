@@ -452,6 +452,48 @@ let qcheck_mutations arch =
             pair (oneofl (List.map fst policies)) gen_mutation))
        (fun case -> mutation_case arch case))
 
+(* The code mutants above, drawn deterministically: per arch x policy,
+   the honest translation and 40 swaps (alternately two arbitrary slots
+   and a slot with one of its next three, where mask / box / store
+   sequences break), judged by the full and the certifying verifier.
+   [verdict_goldens.txt] pins every verdict, first failure and
+   obligation list. *)
+let mutant_verdicts () =
+  let got =
+    List.concat
+      (List.mapi
+         (fun ai arch ->
+           List.concat
+             (List.mapi
+                (fun pi (pname, _) ->
+                  let s = setup arch pname in
+                  let n =
+                    match s.s_tr with
+                    | Exec.T_risc p -> Array.length p.R.code
+                    | Exec.T_x86 p -> Array.length p.X.code
+                  in
+                  let rng = Random.State.make [| 0xce47; ai; pi |] in
+                  let judge name tr =
+                    ( String.concat "/" [ Arch.name arch; pname; name ],
+                      Verdicts.verdict
+                        ~module_digest:(Lazy.force subject_digest)
+                        ~mode:s.s_mode ~opts:s.s_opts tr )
+                  in
+                  judge "honest" s.s_tr
+                  :: List.init 40 (fun k ->
+                         let i = Random.State.int rng n in
+                         let j =
+                           if k land 1 = 0 then Random.State.int rng n
+                           else min (n - 1) (i + 1 + Random.State.int rng 3)
+                         in
+                         judge
+                           (Printf.sprintf "swap %d %d" i j)
+                           (swap_code s.s_tr i j)))
+                policies))
+         Arch.all)
+  in
+  Verdicts.check "cert" got
+
 (* --- 4. exhaustive small-memory model of the masking algebra --- *)
 
 (* The Mask/Box obligations attest exactly [(a land mask) lor base]
@@ -550,7 +592,9 @@ let () =
          Alcotest.test_case "binding refusals" `Quick binding_refusals;
          Alcotest.test_case "cross-pad reuse refused" `Quick
            pad_cross_reuse_refused ]);
-      ("mutation", List.map qcheck_mutations Arch.all);
+      ("mutation",
+       List.map qcheck_mutations Arch.all
+       @ [ Alcotest.test_case "mutant verdict goldens" `Quick mutant_verdicts ]);
       ("model",
        [ Alcotest.test_case "exhaustive masking algebra" `Quick masking_model ]);
       ("cache",

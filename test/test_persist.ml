@@ -347,6 +347,56 @@ let fingerprint_parity () =
         && rt.Store.rt_fp = live_fp arch))
     r.Store.r_translations
 
+(* A store journaled when the code fingerprint was FNV-1a over a
+   [Marshal] image of the program: its certificates bind that older
+   value. Reopening recovers every module, refuses every translation as
+   unbound (counted), and the next Run re-translates and succeeds. *)
+let marshal_fingerprint_upgrade () =
+  let mods, trs = Lazy.force corpus in
+  let io = Io.sim () in
+  let t, _ = Store.open_ io in
+  List.iter (Store.append_module t) mods;
+  List.iter
+    (fun (rt : Store.rtrans) ->
+      let cert =
+        match
+          Exec.certify ~module_digest:rt.Store.rt_module ~mode:rt.Store.rt_mode
+            ~opts:rt.Store.rt_opts
+            ~code_fp:(Marshal_fingerprint.of_translated rt.Store.rt_prog)
+            rt.Store.rt_prog
+        with
+        | Ok c -> c
+        | Error e -> Alcotest.failf "certify: %s" e
+      in
+      Store.append_translation t ~module_digest:rt.Store.rt_module
+        ~mode:rt.Store.rt_mode ~opts:rt.Store.rt_opts ~cert rt.Store.rt_prog)
+    trs;
+  Store.close t;
+  let svc = Service.of_config (persisted io) in
+  (match Service.recovery svc with
+  | Some r ->
+      Alcotest.(check int) "every module recovered" (List.length mods)
+        (List.length r.Store.r_modules);
+      Alcotest.(check int) "no translation recovered" 0
+        (List.length r.Store.r_translations);
+      Alcotest.(check int) "every translation quarantined" (List.length trs)
+        (List.length
+           (List.filter
+              (function Store.Cert_unbound _ -> true | _ -> false)
+              r.Store.r_quarantined))
+  | None -> Alcotest.fail "persistent service reported no recovery");
+  let c = Service.stats svc in
+  Alcotest.(check int) "quarantine counted" (List.length trs)
+    c.Counters.s_persist_quarantined;
+  let h = Service.submit svc (Lazy.force hello_bytes) in
+  let r = Service.instantiate ~engine:(Exec.Target Arch.X86) ~fuel svc h in
+  Alcotest.(check int) "run succeeds" 0 r.Exec.exit_code;
+  let c = Service.stats svc in
+  Alcotest.(check int) "re-translated" 1 c.Counters.s_translations;
+  Alcotest.(check int) "no warm admission of the stale entry" 0
+    c.Counters.s_cert_checks;
+  Service.close svc
+
 let compact_drops_corruption () =
   let io = Io.sim () in
   replay_workload io;
@@ -391,7 +441,9 @@ let () =
          Alcotest.test_case "clean-marker fast path chains" `Quick
            clean_marker_fast_path;
          Alcotest.test_case "fingerprint parity with the live path" `Quick
-           fingerprint_parity ]);
+           fingerprint_parity;
+         Alcotest.test_case "marshal-fingerprint store re-translates" `Quick
+           marshal_fingerprint_upgrade ]);
       ("compact",
        [ Alcotest.test_case "drops a corrupted record" `Quick
            compact_drops_corruption ]) ]

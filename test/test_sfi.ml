@@ -426,24 +426,210 @@ let verifier_rejects_unprotected () =
 
 let verifier_unit () =
   let module V = Omni_sfi.Verifier in
-  (* minimal event streams *)
-  Alcotest.(check bool) "ok stream" true
-    (V.verify
-       [| V.Sandbox_data_mask; V.Sandbox_data_box;
-          V.Store_via_dedicated { disp = 0 }; V.Jump_via_dedicated |]
-     = Ok ());
-  (match V.verify [| V.Store_unsafe "sw" |] with
-  | Error { index = 0; _ } -> ()
+  (* single events *)
+  Alcotest.(check bool) "ok events" true
+    (List.for_all
+       (fun ev -> Result.is_ok (V.classify 0 ev))
+       [ V.Sandbox_data_mask; V.Sandbox_data_box;
+         V.Store_via_dedicated { disp = 0 }; V.Jump_via_dedicated ]);
+  (match V.classify 3 (V.Store_unsafe "sw") with
+  | Error { index = 3; _ } -> ()
   | _ -> Alcotest.fail "unsafe store accepted");
-  (match V.verify [| V.Dedicated_clobber "li" |] with
+  (match V.classify 0 (V.Dedicated_clobber "li") with
   | Error _ -> ()
   | _ -> Alcotest.fail "clobber accepted");
-  (match V.verify [| V.Store_via_dedicated { disp = 100000 } |] with
+  (match V.classify 0 (V.Store_via_dedicated { disp = 100000 }) with
   | Error _ -> ()
   | _ -> Alcotest.fail "big disp accepted");
-  match V.verify [| V.Sp_clobber "li sp" |] with
+  (match V.classify 0 (V.Sp_clobber "li sp") with
   | Error _ -> ()
-  | _ -> Alcotest.fail "sp clobber accepted"
+  | _ -> Alcotest.fail "sp clobber accepted");
+  (* the scan: obligations in order, the first failure stops it *)
+  let stream = [| V.Sandbox_data_mask; V.Neutral; V.Sandbox_data_box;
+                  V.Store_via_dedicated { disp = 0 }; V.Store_unsafe "sw";
+                  V.Jump_unsafe "jr" |] in
+  let calls = ref 0 in
+  let event i = incr calls; stream.(i) in
+  (match V.scan ~witness:true 4 event with
+  | Ok obs ->
+      Alcotest.(check (list int)) "obligation indexes" [ 0; 2; 3 ]
+        (Array.to_list (Array.map (fun o -> o.Omni_sfi.Witness.ox) obs))
+  | Error _ -> Alcotest.fail "ok stream refused");
+  calls := 0;
+  (match V.scan ~witness:false 6 event with
+  | Error { index = 4; _ } -> ()
+  | _ -> Alcotest.fail "scan missed the first failure");
+  Alcotest.(check int) "scan stops at the failure" 5 !calls
+
+(* Every hostile program above, translated for every target under every
+   SFI configuration, judged by the full and the certifying verifier:
+   the verdicts (accept, or the first failing instruction and its
+   reason) are pinned by [verdict_goldens.txt]. The wild-store template
+   of the random-stores property runs at a few fixed addresses. *)
+let hostile_verdicts () =
+  let wild_store_at addr =
+    Printf.sprintf
+      {|
+        .text
+        .globl main
+main:   li r2, %d
+        li r3, 0x5A5A5A5A
+        sw r3, 0(r2)
+        sb r3, 1(r2)
+        li r1, 0
+        hcall 0
+|}
+      (Omni_util.Word32.of_int addr)
+  in
+  let programs =
+    [ ("wild store", wild_store_src); ("computed store", computed_store_src);
+      ("sp attack", sp_attack_src); ("wild jump", wild_jump_src);
+      ("misaligned jump", misaligned_jump_src);
+      ("guard handler", guard_handler_src); ("secret read", secret_read_src) ]
+    @ List.map
+        (fun addr -> (Printf.sprintf "store@%x" addr, wild_store_at addr))
+        [ 0; L.host_base + 4; L.data_base + 8; L.code_base; 0xFFFFFFFC ]
+  in
+  let modes =
+    [ ("off", off); ("sandbox", sandbox); ("guard", guard);
+      ("reads", Machine.Mobile (Omni_sfi.Policy.make ~protect_reads:true ()));
+      ("guard8",
+       Machine.Mobile (Omni_sfi.Policy.make ~pad:Omni_sfi.Policy.Pad_guard8 ()));
+      ("native", Machine.Native Machine.Cc) ]
+  in
+  let got =
+    List.concat_map
+      (fun (pname, src) ->
+        let exe = compile_asm src in
+        let module_digest =
+          Omni_util.Fnv64.digest_string (Omnivm.Wire.encode exe)
+        in
+        List.concat_map
+          (fun arch ->
+            let opts = Api.mobile_opts arch in
+            List.map
+              (fun (mname, mode) ->
+                let tr = Api.translate ~mode ~opts arch exe in
+                ( String.concat "/" [ pname; Arch.name arch; mname ],
+                  Verdicts.verdict ~module_digest ~mode ~opts tr ))
+              modes)
+          target_archs)
+      programs
+  in
+  Verdicts.check "sfi" got
+
+(* Hand-patched code: a sandboxed translation's text replaced by a short
+   sequence that walks one transition of the verifier's state machine
+   (mask, box, dirtying writes, control-flow resets, the lui constant,
+   the sp re-sandbox lookahead, displacement bounds). Verdicts are pinned
+   by [verdict_goldens.txt] with the hostile programs. *)
+let patched_verdicts () =
+  let module R = Omni_targets.Risc in
+  let module X = Omni_targets.X86 in
+  let module VI = Omnivm.Instr in
+  let exe = compile_asm wild_store_src in
+  let module_digest = 0x5EEDL in
+  let judge name arch tr =
+    ( String.concat "/" [ name; Arch.name arch ],
+      Verdicts.verdict ~module_digest ~mode:sandbox
+        ~opts:(Api.mobile_opts arch) tr )
+  in
+  let sd = R.r_sfi_data and sc = R.r_sfi_code and sp = R.omni_sp in
+  let dm = R.r_data_mask and db = R.r_data_base in
+  let cm = R.r_code_mask and cb = R.r_code_base in
+  let t = R.r_scratch1 and o n = R.map_reg n in
+  let mask = R.Alu (VI.And, sd, o 2, dm) and box = R.Alu (VI.Or, sd, sd, db) in
+  let st d = R.Store (VI.W32, o 3, sd, d) in
+  let risc =
+    [ ("mask box store", [ mask; box; st 0 ]);
+      ("mask store", [ mask; st 0 ]);
+      ("box unmasked", [ box; st 0 ]);
+      ("dirty between", [ mask; box; R.Alui (VI.Add, sd, sd, 4); st 0 ]);
+      ("load into sd", [ mask; box; R.Load (VI.W32, true, sd, o 2, 0); st 0 ]);
+      ("store far", [ mask; box; st 100_000 ]);
+      ("store guard zone", [ mask; box; st (-4000) ]);
+      ("branch then store", [ mask; box; R.J 0; st 0; st 4 ]);
+      ("code box", [ R.Alu (VI.And, sc, o 2, cm); R.Alu (VI.Or, sc, sc, cb);
+                     R.Jmp_ind sc ]);
+      ("code mask only", [ R.Alu (VI.And, sc, o 2, cm); R.Jmp_ind sc ]);
+      ("data box jump", [ R.Alu (VI.And, sc, o 2, dm); R.Alu (VI.Or, sc, sc, db);
+                          R.Call_ind (sc, 0x40) ]);
+      ("indexed", [ mask; R.Store_x (VI.W32, o 3, db, sd) ]);
+      ("indexed boxed", [ mask; box; R.Store_x (VI.W32, o 3, db, sd) ]);
+      ("indexed wrong base", [ mask; R.Fstore_x (o 3, o 4, sd) ]);
+      ("lui store", [ R.Lui (t, L.data_base); R.Store (VI.W8, o 3, t, 8) ]);
+      ("lui outside", [ R.Lui (t, L.host_base); R.Store (VI.W8, o 3, t, 8) ]);
+      ("lui overwritten", [ R.Lui (t, L.data_base); R.Alui (VI.Add, t, t, 4);
+                            R.Store (VI.W8, o 3, t, 8) ]);
+      ("lui across branch", [ R.Lui (t, L.data_base); R.J 0; R.Nop;
+                              R.Store (VI.W8, o 3, t, 8) ]);
+      ("gp store", [ R.Fstore (o 3, R.r_gp, 16) ]);
+      ("abs store", [ R.Store (VI.W16, o 3, R.r_zero, L.data_base + 4) ]);
+      ("abs outside", [ R.Store (VI.W16, o 3, R.r_zero, L.host_base) ]);
+      ("sp adjust", [ R.Alui (VI.Sub, sp, sp, 64); R.Store (VI.W32, o 3, sp, 8) ]);
+      ("sp adjust far", [ R.Alui (VI.Add, sp, sp, 1 lsl 20) ]);
+      ("sp far store", [ R.Store (VI.W32, o 3, sp, 1 lsl 20) ]);
+      ("sp resandboxed", [ R.Lui (sp, 0x1234); R.Alu (VI.And, sp, sp, dm);
+                           R.Alu (VI.Or, sp, sp, db) ]);
+      ("sp guarded", [ R.Load (VI.W32, true, sp, o 2, 0); R.Guard_data sp ]);
+      ("sp half resandboxed", [ R.Lui (sp, 0x1234); R.Alu (VI.And, sp, sp, dm) ]);
+      ("sp clobber at end", [ R.Cc_to_reg (VI.Eq, sp) ]) ]
+  in
+  let eax = X.eax and esp = X.esp in
+  let xmask = X.Alu (X.And, X.R eax, X.I L.data_mask)
+  and xbox = X.Alu (X.Or, X.R eax, X.I L.data_base) in
+  let xst d = X.Mov (X.M (X.mbase eax d), X.R X.esi) in
+  let cmask = L.code_mask land lnot 3 in
+  let x86 =
+    [ ("mask box store", [ X.Lea (eax, X.mbase X.ebx 8); xmask; xbox; xst 0 ]);
+      ("mask store", [ xmask; xst 0 ]);
+      ("idiv between", [ xmask; xbox; X.Idiv (X.R X.ecx, true); xst 0 ]);
+      ("cdq between", [ xmask; xbox; X.Cdq; xst 0 ]);
+      ("mov into eax", [ xmask; xbox; X.Mov (X.R eax, X.I 7); xst 0 ]);
+      ("wrong mask", [ X.Alu (X.And, X.R eax, X.I 0xFF); xbox; xst 0 ]);
+      ("call between", [ xmask; xbox; X.Call (0, 0x40); xst 0 ]);
+      ("store far", [ xmask; xbox; xst 100_000 ]);
+      ("store index", [ xmask; xbox;
+                        X.Store (VI.W8, { (X.mbase eax 0) with X.index = Some (X.ecx, 1) },
+                                 X.I 1) ]);
+      ("code box jump", [ X.Alu (X.And, X.R eax, X.I cmask);
+                          X.Alu (X.Or, X.R eax, X.I L.code_base); X.Jmp_ind (X.R eax) ]);
+      ("data box jump", [ xmask; xbox; X.Call_ind (X.R eax, 0x40) ]);
+      ("jump via memory", [ X.Jmp_ind (X.M (X.mabs (L.data_base + 4))) ]);
+      ("abs store", [ X.Mov (X.M (X.mabs (L.data_base + 4)), X.I 3) ]);
+      ("abs rmw", [ X.Alu (X.Add, X.M (X.mabs (L.data_base + 4)), X.I 3) ]);
+      ("rmw via ebx", [ X.Shift (X.Shl, X.M (X.mbase X.ebx 0), 1) ]);
+      ("sp store", [ X.Fstore (VI.Double, 1, X.mbase esp 16) ]);
+      ("sp far rmw", [ X.Shiftv (X.Sar, X.M (X.mbase esp (1 lsl 20)), X.ecx) ]);
+      ("sp adjust", [ X.Alu (X.Sub, X.R esp, X.I 32) ]);
+      ("sp adjust far", [ X.Alu (X.Add, X.R esp, X.I (1 lsl 20)) ]);
+      ("sp resandboxed", [ X.Mov (X.R esp, X.I 0x1234);
+                           X.Alu (X.And, X.R esp, X.I L.data_mask);
+                           X.Alu (X.Or, X.R esp, X.I L.data_base) ]);
+      ("sp guarded", [ X.Load (VI.W32, true, esp, X.mbase X.ebx 0); X.Guard_data esp ]);
+      ("sp half resandboxed", [ X.Lea (esp, X.mbase X.ebx 4);
+                                X.Alu (X.And, X.R esp, X.I L.data_mask) ]);
+      ("sp xor", [ X.Alu (X.Xor, X.R esp, X.I 1) ]) ]
+  in
+  let got =
+    List.concat_map
+      (fun arch ->
+        match Api.translate ~mode:sandbox ~opts:(Api.mobile_opts arch) arch exe with
+        | Api.T_risc p ->
+            List.map
+              (fun (name, seq) ->
+                let code = Array.of_list (List.map (R.mk Machine.Core) seq) in
+                judge name arch (Api.T_risc { p with R.code }))
+              risc
+        | Api.T_x86 p ->
+            List.map
+              (fun (name, seq) ->
+                let code = Array.of_list (List.map (X.mk Machine.Core) seq) in
+                judge name arch (Api.T_x86 { p with X.code }))
+              x86)
+      target_archs
+  in
+  Verdicts.check "patched" got
 
 (* policy unit tests *)
 let policy_unit () =
@@ -471,6 +657,9 @@ let () =
       ("verifier",
        [ Alcotest.test_case "unit" `Quick verifier_unit;
          Alcotest.test_case "accepts sandboxed" `Quick verifier_accepts_sandboxed;
-         Alcotest.test_case "rejects unprotected" `Quick verifier_rejects_unprotected ]);
+         Alcotest.test_case "rejects unprotected" `Quick verifier_rejects_unprotected;
+         Alcotest.test_case "hostile verdict goldens" `Quick hostile_verdicts;
+         Alcotest.test_case "patched-code verdict goldens" `Quick
+           patched_verdicts ]);
       ("policy", [ Alcotest.test_case "unit" `Quick policy_unit ])
     ]

@@ -1961,39 +1961,422 @@ let golden_modules =
 let golden_configs =
   [ (sandbox, None); (Machine.Native Machine.Cc, Some Machine.all_opts) ]
 
-let translation_digest () =
+(* Two digests over every module x target x config. The translation
+   digest was recorded when the code fingerprint was FNV-1a over a
+   [Marshal] image of the program; it folds that fingerprint, computed by
+   a test-local copy, and passes it to [Exec.certify] as [~code_fp], so
+   it still pins the translated code and every certificate byte. The
+   fingerprint digest folds [Exec.fingerprint] itself, the structural
+   fold that certificates and journals bind today. *)
+let translation_digests () =
   List.fold_left
-    (fun h wire ->
+    (fun (h, hf) wire ->
       let exe = Omnivm.Wire.decode wire in
       let module_digest = Omni_util.Fnv64.digest_string wire in
       List.fold_left
-        (fun h arch ->
+        (fun (h, hf) arch ->
           List.fold_left
-            (fun h (mode, opts) ->
+            (fun (h, hf) (mode, opts) ->
               let tr = Exec.translate ~mode ?opts arch exe in
               let opts =
                 match opts with Some o -> o | None -> Exec.mobile_opts arch
               in
+              let code_fp = Marshal_fingerprint.of_translated tr in
               let h = Omni_util.Fnv64.mix_int h 0 in
               let h =
                 Omni_util.Fnv64.digest_string ~seed:h
-                  (Omni_util.Fnv64.to_hex (Exec.fingerprint tr))
+                  (Omni_util.Fnv64.to_hex code_fp)
               in
-              match Exec.certify ~module_digest ~mode ~opts tr with
-              | Ok c ->
-                  Omni_util.Fnv64.digest_string ~seed:h
-                    (Omni_cert.Certificate.encode c)
-              | Error e -> Omni_util.Fnv64.digest_string ~seed:h e)
-            h golden_configs)
-        h targets)
-    0L (Lazy.force golden_modules)
+              let h =
+                match Exec.certify ~module_digest ~mode ~opts ~code_fp tr with
+                | Ok c ->
+                    Omni_util.Fnv64.digest_string ~seed:h
+                      (Omni_cert.Certificate.encode c)
+                | Error e -> Omni_util.Fnv64.digest_string ~seed:h e
+              in
+              ( h,
+                Omni_util.Fnv64.digest_string ~seed:hf
+                  (Omni_util.Fnv64.to_hex (Exec.fingerprint tr)) ))
+            (h, hf) golden_configs)
+        (h, hf) targets)
+    (0L, 0L) (Lazy.force golden_modules)
 
 let golden_translation_digest = "a6f5350d5061ac2f"
+let golden_fingerprint_digest = "427d4a1d9e33a3cd"
 
 let golden_translations () =
   Alcotest.(check int) "modules" 46 (List.length (Lazy.force golden_modules));
+  let h, hf = translation_digests () in
   Alcotest.(check string) "translation digest" golden_translation_digest
-    (Omni_util.Fnv64.to_hex (translation_digest ()))
+    (Omni_util.Fnv64.to_hex h);
+  Alcotest.(check string) "fingerprint digest" golden_fingerprint_digest
+    (Omni_util.Fnv64.to_hex hf)
+
+(* --- the structural fingerprint: every field counts ---
+
+   A translated program's fingerprint must change with any single field:
+   a slot's instruction (every constructor of both [instr] types, from
+   the per-form cases, against every other form), its origin, its annul
+   flag, [entry], one [addr_map] entry, one pool float by its bits, one
+   [cfg] field, [n_omni]; and equal programs fingerprint equal. *)
+
+let form_instrs (forms, hostile) =
+  lazy (Array.of_list (List.concat_map (fun (_, f) -> f 5) (forms @ hostile)))
+
+(* [~delay:true] only adds the delay-slot [Nop]s *)
+let fp_risc_forms = form_instrs (risc_form_cases ~delay:true)
+let fp_x86_forms = form_instrs (x86_form_cases ())
+
+(* Every instruction one field away from [i]: each operand, register and
+   sub-operation changed in turn. *)
+let nb = function VI.Add -> VI.Sub | _ -> VI.Add
+let nw = function VI.W8 -> VI.W16 | _ -> VI.W8
+let nc = function VI.Eq -> VI.Ne | _ -> VI.Eq
+let nfo = function VI.Fadd -> VI.Fsub | _ -> VI.Fadd
+let np = function VI.Single -> VI.Double | VI.Double -> VI.Single
+let nfu = function VI.Fneg -> VI.Fabs | _ -> VI.Fneg
+let nfc = function VI.Feq -> VI.Flt | _ -> VI.Feq
+
+let risc_variants (i : Risc.instr) : Risc.instr list =
+  let open Risc in
+  let s = succ in
+  match i with
+  | Alu (o, a, b, c) ->
+      [ Alu (nb o, a, b, c); Alu (o, s a, b, c); Alu (o, a, s b, c);
+        Alu (o, a, b, s c) ]
+  | Alui (o, a, b, c) ->
+      [ Alui (nb o, a, b, c); Alui (o, s a, b, c); Alui (o, a, s b, c);
+        Alui (o, a, b, s c) ]
+  | Alu_record (o, a, b, c) ->
+      [ Alu_record (nb o, a, b, c); Alu_record (o, s a, b, c);
+        Alu_record (o, a, s b, c); Alu_record (o, a, b, s c) ]
+  | Lui (a, v) -> [ Lui (s a, v); Lui (a, s v) ]
+  | Load (w, g, a, b, d) ->
+      [ Load (nw w, g, a, b, d); Load (w, not g, a, b, d); Load (w, g, s a, b, d);
+        Load (w, g, a, s b, d); Load (w, g, a, b, s d) ]
+  | Store (w, a, b, d) ->
+      [ Store (nw w, a, b, d); Store (w, s a, b, d); Store (w, a, s b, d);
+        Store (w, a, b, s d) ]
+  | Load_x (w, g, a, b, c) ->
+      [ Load_x (nw w, g, a, b, c); Load_x (w, not g, a, b, c); Load_x (w, g, s a, b, c);
+        Load_x (w, g, a, s b, c); Load_x (w, g, a, b, s c) ]
+  | Store_x (w, a, b, c) ->
+      [ Store_x (nw w, a, b, c); Store_x (w, s a, b, c);
+        Store_x (w, a, s b, c); Store_x (w, a, b, s c) ]
+  | Fload (a, b, d) -> [ Fload (s a, b, d); Fload (a, s b, d); Fload (a, b, s d) ]
+  | Fstore (a, b, d) -> [ Fstore (s a, b, d); Fstore (a, s b, d); Fstore (a, b, s d) ]
+  | Fload_s (a, b, d) -> [ Fload_s (s a, b, d); Fload_s (a, s b, d); Fload_s (a, b, s d) ]
+  | Fstore_s (a, b, d) -> [ Fstore_s (s a, b, d); Fstore_s (a, s b, d); Fstore_s (a, b, s d) ]
+  | Fload_x (a, b, c) -> [ Fload_x (s a, b, c); Fload_x (a, s b, c); Fload_x (a, b, s c) ]
+  | Fstore_x (a, b, c) -> [ Fstore_x (s a, b, c); Fstore_x (a, s b, c); Fstore_x (a, b, s c) ]
+  | Fld_pool (a, k) -> [ Fld_pool (s a, k); Fld_pool (a, s k) ]
+  | Fop (o, p, a, b, c) ->
+      [ Fop (nfo o, p, a, b, c); Fop (o, np p, a, b, c); Fop (o, p, s a, b, c);
+        Fop (o, p, a, s b, c); Fop (o, p, a, b, s c) ]
+  | Fun1 (o, a, b) -> [ Fun1 (nfu o, a, b); Fun1 (o, s a, b); Fun1 (o, a, s b) ]
+  | Fcmp (o, a, b) -> [ Fcmp (nfc o, a, b); Fcmp (o, s a, b); Fcmp (o, a, s b) ]
+  | Fcc_to_reg a -> [ Fcc_to_reg (s a) ]
+  | Cvt_f_i (a, b) -> [ Cvt_f_i (s a, b); Cvt_f_i (a, s b) ]
+  | Cvt_i_f (a, b) -> [ Cvt_i_f (s a, b); Cvt_i_f (a, s b) ]
+  | Cvt_d_s (a, b) -> [ Cvt_d_s (s a, b); Cvt_d_s (a, s b) ]
+  | Cvt_s_d (a, b) -> [ Cvt_s_d (s a, b); Cvt_s_d (a, s b) ]
+  | Cmp (a, b) -> [ Cmp (s a, b); Cmp (a, s b) ]
+  | Cmpi (a, k) -> [ Cmpi (s a, k); Cmpi (a, s k) ]
+  | Br_cc (c, l) -> [ Br_cc (nc c, l); Br_cc (c, s l) ]
+  | Br_cmp (c, a, b, l) ->
+      [ Br_cmp (nc c, a, b, l); Br_cmp (c, s a, b, l); Br_cmp (c, a, s b, l);
+        Br_cmp (c, a, b, s l) ]
+  | Fbr (f, l) -> [ Fbr (not f, l); Fbr (f, s l) ]
+  | J l -> [ J (s l) ]
+  | Call (l, r) -> [ Call (s l, r); Call (l, s r) ]
+  | Call_ind (a, r) -> [ Call_ind (s a, r); Call_ind (a, s r) ]
+  | Jmp_ind a -> [ Jmp_ind (s a) ]
+  | Guard_data a -> [ Guard_data (s a) ]
+  | Guard_code a -> [ Guard_code (s a) ]
+  | Cc_to_reg (c, a) -> [ Cc_to_reg (nc c, a); Cc_to_reg (c, s a) ]
+  | Trapi n -> [ Trapi (s n) ]
+  | Hcall n -> [ Hcall (s n) ]
+  | Nop -> []
+
+let x86_variants (i : Omni_targets.X86.instr) : Omni_targets.X86.instr list =
+  let open Omni_targets.X86 in
+  let s = succ in
+  let mems (m : mem) =
+    [ { m with
+        base =
+          (match m.base with
+          | None -> Some eax
+          | Some r -> if r = eax then None else Some (s r)) };
+      { m with
+        index =
+          (match m.index with None -> Some (ecx, 1) | Some (r, k) -> Some (s r, k)) };
+      { m with disp = s m.disp } ]
+    @ (match m.index with Some (r, k) -> [ { m with index = Some (r, s k) } ] | None -> [])
+  in
+  let ops = function
+    | R r -> [ R (s r); I r ]
+    | I v -> [ I (s v); R v ]
+    | M m -> List.map (fun m -> M m) (mems m)
+  in
+  let na = function Add -> Sub | _ -> Add and ns = function Shl -> Shr | _ -> Shl in
+  let map f l = List.map f l in
+  match i with
+  | Mov (d, x) -> map (fun d -> Mov (d, x)) (ops d) @ map (fun x -> Mov (d, x)) (ops x)
+  | Load (w, g, d, m) ->
+      [ Load (nw w, g, d, m); Load (w, not g, d, m); Load (w, g, s d, m) ]
+      @ map (fun m -> Load (w, g, d, m)) (mems m)
+  | Store (w, m, x) ->
+      (Store (nw w, m, x) :: map (fun m -> Store (w, m, x)) (mems m))
+      @ map (fun x -> Store (w, m, x)) (ops x)
+  | Alu (o, d, x) ->
+      (Alu (na o, d, x) :: map (fun d -> Alu (o, d, x)) (ops d))
+      @ map (fun x -> Alu (o, d, x)) (ops x)
+  | Shift (o, d, k) ->
+      [ Shift (ns o, d, k); Shift (o, d, s k) ] @ map (fun d -> Shift (o, d, k)) (ops d)
+  | Shiftv (o, d, c) ->
+      [ Shiftv (ns o, d, c); Shiftv (o, d, s c) ]
+      @ map (fun d -> Shiftv (o, d, c)) (ops d)
+  | Imul (d, x) -> Imul (s d, x) :: map (fun x -> Imul (d, x)) (ops x)
+  | Idiv (x, g) -> Idiv (x, not g) :: map (fun x -> Idiv (x, g)) (ops x)
+  | Cdq -> []
+  | Lea (d, m) -> Lea (s d, m) :: map (fun m -> Lea (d, m)) (mems m)
+  | Cmp (a, b) -> map (fun a -> Cmp (a, b)) (ops a) @ map (fun b -> Cmp (a, b)) (ops b)
+  | Setcc (c, d) -> [ Setcc (nc c, d); Setcc (c, s d) ]
+  | Jcc (c, l) -> [ Jcc (nc c, l); Jcc (c, s l) ]
+  | Jmp l -> [ Jmp (s l) ]
+  | Jmp_ind x -> map (fun x -> Jmp_ind x) (ops x)
+  | Call (l, r) -> [ Call (s l, r); Call (l, s r) ]
+  | Call_ind (x, r) -> Call_ind (x, s r) :: map (fun x -> Call_ind (x, r)) (ops x)
+  | Fop (o, p, a, b, c) ->
+      [ Fop (nfo o, p, a, b, c); Fop (o, np p, a, b, c); Fop (o, p, s a, b, c);
+        Fop (o, p, a, s b, c); Fop (o, p, a, b, s c) ]
+  | Fun1 (o, a, b) -> [ Fun1 (nfu o, a, b); Fun1 (o, s a, b); Fun1 (o, a, s b) ]
+  | Fload (p, a, m) ->
+      [ Fload (np p, a, m); Fload (p, s a, m) ] @ map (fun m -> Fload (p, a, m)) (mems m)
+  | Fstore (p, a, m) ->
+      [ Fstore (np p, a, m); Fstore (p, s a, m) ]
+      @ map (fun m -> Fstore (p, a, m)) (mems m)
+  | Fld_pool (a, k) -> [ Fld_pool (s a, k); Fld_pool (a, s k) ]
+  | Fcmp (o, a, b) -> [ Fcmp (nfc o, a, b); Fcmp (o, s a, b); Fcmp (o, a, s b) ]
+  | Fcc_to_reg d -> [ Fcc_to_reg (s d) ]
+  | Cvt_f_i (a, x) -> Cvt_f_i (s a, x) :: map (fun x -> Cvt_f_i (a, x)) (ops x)
+  | Cvt_i_f (d, a) -> [ Cvt_i_f (s d, a); Cvt_i_f (d, s a) ]
+  | Guard_data r -> [ Guard_data (s r) ]
+  | Guard_code r -> [ Guard_code (s r) ]
+  | Trapi n -> [ Trapi (s n) ]
+  | Hcall n -> [ Hcall (s n) ]
+  | Nop -> []
+
+(* Constructors seen, by [Obj] representation: the tag of a constructor
+   with arguments, or the value of a constant one. *)
+let constructors instrs =
+  List.sort_uniq compare
+    (List.map
+       (fun i ->
+         let r = Obj.repr i in
+         if Obj.is_int r then `Const (Obj.obj r : int) else `Block (Obj.tag r))
+       (Array.to_list instrs))
+
+let fingerprint_covers_constructors () =
+  Alcotest.(check int) "risc constructors" 38
+    (List.length (constructors (Lazy.force fp_risc_forms)));
+  Alcotest.(check int) "x86 constructors" 31
+    (List.length (constructors (Lazy.force fp_x86_forms)))
+
+let fp_base arch =
+  let tr = Exec.translate ~mode:sandbox arch (Lazy.force form_exe) in
+  (* the form module's pool may be empty; give it two constants *)
+  match tr with
+  | Exec.T_risc p -> Exec.T_risc { p with Risc.pool = [| 1.5; 2.5 |] }
+  | Exec.T_x86 p ->
+      Exec.T_x86 { p with Omni_targets.X86.pool = [| 1.5; 2.5 |] }
+
+let fp_bases = lazy (List.map (fun a -> (a, fp_base a)) targets)
+
+let fp_floats =
+  [| 0.0; -0.0; Float.nan; Int64.float_of_bits 0x7FF8_0000_0000_0002L;
+     Int64.float_of_bits 0xFFF8_0000_0000_0001L; 1.5; Float.infinity |]
+
+type fp_mut =
+  | Fp_instr of int * int * int (* slot, form a, form b *)
+  | Fp_origin of int * int (* slot, origin *)
+  | Fp_annul of int
+  | Fp_entry
+  | Fp_addr_map of int
+  | Fp_pool of int * int * int (* pool index, float a, float b *)
+  | Fp_cfg of int
+  | Fp_n_omni
+
+let gen_fp_mut =
+  let open QCheck.Gen in
+  let big = int_bound 100_000 in
+  oneof
+    [ map3 (fun s a b -> Fp_instr (s, a, b)) big big big;
+      map2 (fun s o -> Fp_origin (s, o)) big (int_bound 5);
+      map (fun s -> Fp_annul s) big;
+      return Fp_entry;
+      map (fun k -> Fp_addr_map k) big;
+      map3 (fun k a b -> Fp_pool (k, a, b)) (int_bound 1)
+        (int_bound (Array.length fp_floats - 1))
+        (int_bound (Array.length fp_floats - 1));
+      map (fun k -> Fp_cfg k) (int_bound 15);
+      return Fp_n_omni ]
+
+(* One cfg field bumped; [k] picks which. *)
+let bump_cfg (c : Risc.cfg) k =
+  let open Risc in
+  match k with
+  | 0 -> { c with arch = (if c.arch = Mips then Sparc else Mips) }
+  | 1 -> { c with imm_bits = c.imm_bits + 1 }
+  | 2 ->
+      { c with branch_model =
+                 (if c.branch_model = Cond_reg then Fused_compare else Cond_reg) }
+  | 3 -> { c with has_delay_slot = not c.has_delay_slot }
+  | 4 -> { c with has_annul = not c.has_annul }
+  | 5 -> { c with has_indexed = not c.has_indexed }
+  | 6 -> { c with issue_width = c.issue_width + 1 }
+  | 7 -> { c with load_latency = c.load_latency + 1 }
+  | 8 -> { c with mul_latency = c.mul_latency + 1 }
+  | 9 -> { c with div_latency = c.div_latency + 1 }
+  | 10 -> { c with fadd_latency = c.fadd_latency + 1 }
+  | 11 -> { c with fmul_latency = c.fmul_latency + 1 }
+  | 12 -> { c with fdiv_latency = c.fdiv_latency + 1 }
+  | 13 -> { c with cmp_latency = c.cmp_latency + 1 }
+  | 14 -> { c with fcmp_latency = c.fcmp_latency + 1 }
+  | _ -> { c with taken_branch_penalty = c.taken_branch_penalty + 1 }
+
+(* The two programs a mutation compares, and whether they are equal. *)
+let fp_pair tr mut =
+  let module X = Omni_targets.X86 in
+  let origin o = List.nth Machine.all_origins o in
+  let other o cur = if origin o = cur then (o + 1) mod 6 else o in
+  (* [tr] with slot [s] (taken modulo the code length) rewritten by [f] *)
+  let risc p s f =
+    let code = Array.copy p.Risc.code in
+    let s = s mod Array.length code in
+    code.(s) <- f code.(s);
+    Exec.T_risc { p with Risc.code }
+  and x86 p s f =
+    let code = Array.copy p.X.code in
+    let s = s mod Array.length code in
+    code.(s) <- f code.(s);
+    Exec.T_x86 { p with X.code }
+  in
+  let pick forms a = forms.(a mod Array.length forms) in
+  match (tr, mut) with
+  | Exec.T_risc p, Fp_instr (s, a, b) ->
+      let a = pick (Lazy.force fp_risc_forms) a
+      and b = pick (Lazy.force fp_risc_forms) b in
+      let at i = risc p s (fun sl -> { sl with Risc.i }) in
+      (at a, at b, compare a b = 0)
+  | Exec.T_x86 p, Fp_instr (s, a, b) ->
+      let a = pick (Lazy.force fp_x86_forms) a
+      and b = pick (Lazy.force fp_x86_forms) b in
+      let at i = x86 p s (fun sl -> { sl with X.i }) in
+      (at a, at b, compare a b = 0)
+  | Exec.T_risc p, Fp_origin (s, o) ->
+      ( tr,
+        risc p s (fun sl ->
+            { sl with Risc.origin = origin (other o sl.Risc.origin) }),
+        false )
+  | Exec.T_x86 p, Fp_origin (s, o) ->
+      (tr, x86 p s (fun sl -> { sl with X.origin = origin (other o sl.X.origin) }), false)
+  | Exec.T_risc p, Fp_annul s ->
+      (tr, risc p s (fun sl -> { sl with Risc.annul = not sl.Risc.annul }), false)
+  | Exec.T_risc p, Fp_entry ->
+      (tr, Exec.T_risc { p with Risc.entry = p.Risc.entry + 1 }, false)
+  | Exec.T_x86 p, Fp_entry -> (tr, Exec.T_x86 { p with X.entry = p.X.entry + 1 }, false)
+  | Exec.T_risc p, Fp_addr_map k ->
+      let m = Array.copy p.Risc.addr_map in
+      let k = k mod Array.length m in
+      m.(k) <- m.(k) + 1;
+      (tr, Exec.T_risc { p with Risc.addr_map = m }, false)
+  | Exec.T_x86 p, Fp_addr_map k ->
+      let m = Array.copy p.X.addr_map in
+      let k = k mod Array.length m in
+      m.(k) <- m.(k) + 1;
+      (tr, Exec.T_x86 { p with X.addr_map = m }, false)
+  | _, Fp_pool (k, a, b) ->
+      let pool v =
+        let pl = [| 1.5; 2.5 |] in
+        pl.(k) <- fp_floats.(v);
+        match tr with
+        | Exec.T_risc p -> Exec.T_risc { p with Risc.pool = pl }
+        | Exec.T_x86 p -> Exec.T_x86 { p with X.pool = pl }
+      in
+      ( pool a,
+        pool b,
+        Int64.equal (Int64.bits_of_float fp_floats.(a))
+          (Int64.bits_of_float fp_floats.(b)) )
+  | Exec.T_risc p, Fp_cfg k ->
+      (tr, Exec.T_risc { p with Risc.cfg = bump_cfg p.Risc.cfg k }, false)
+  | Exec.T_risc p, Fp_n_omni ->
+      (tr, Exec.T_risc { p with Risc.n_omni = p.Risc.n_omni + 1 }, false)
+  | Exec.T_x86 p, Fp_n_omni -> (tr, Exec.T_x86 { p with X.n_omni = p.X.n_omni + 1 }, false)
+  | Exec.T_x86 _, (Fp_annul _ | Fp_cfg _) -> (tr, tr, true) (* RISC-only fields *)
+
+let fingerprint_sensitivity =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:3000
+       ~name:"fingerprint changes with any single field"
+       (QCheck.make QCheck.Gen.(pair (int_bound 3) gen_fp_mut))
+       (fun (a, mut) ->
+         let _, tr = List.nth (Lazy.force fp_bases) a in
+         let p1, p2, equal = fp_pair tr mut in
+         Exec.fingerprint p1 = Exec.fingerprint p2 = equal))
+
+(* Exhaustive over the forms: every instruction against each of its
+   one-field variants, placed in the middle slot of a translation. *)
+let fingerprint_single_field () =
+  List.iter
+    (fun (arch, tr) ->
+      (* forms are numbered: hostile ones have no printable text *)
+      let check n a b fa fb =
+        if compare a b = 0 then
+          Alcotest.failf "%s: variant of form %d is not a change" (Arch.name arch) n;
+        if Exec.fingerprint fa = Exec.fingerprint fb then
+          Alcotest.failf "%s: form %d and a one-field variant fingerprint equal"
+            (Arch.name arch) n
+      in
+      match tr with
+      | Exec.T_risc p ->
+          let k = Array.length p.Risc.code / 2 in
+          let at i =
+            let code = Array.copy p.Risc.code in
+            code.(k) <- { (code.(k)) with Risc.i };
+            Exec.T_risc { p with Risc.code }
+          in
+          Array.iteri
+            (fun n a ->
+              List.iter (fun b -> check n a b (at a) (at b)) (risc_variants a))
+            (Lazy.force fp_risc_forms)
+      | Exec.T_x86 p ->
+          let module X = Omni_targets.X86 in
+          let k = Array.length p.X.code / 2 in
+          let at i =
+            let code = Array.copy p.X.code in
+            code.(k) <- { (code.(k)) with X.i };
+            Exec.T_x86 { p with X.code }
+          in
+          Array.iteri
+            (fun n a ->
+              List.iter (fun b -> check n a b (at a) (at b)) (x86_variants a))
+            (Lazy.force fp_x86_forms))
+    (Lazy.force fp_bases)
+
+let fingerprint_of_retranslation () =
+  List.iter
+    (fun wire ->
+      let exe = Omnivm.Wire.decode wire in
+      List.iter
+        (fun arch ->
+          let a = Exec.translate ~mode:sandbox arch exe in
+          let b = Exec.translate ~mode:sandbox arch (Omnivm.Wire.decode wire) in
+          if a == b || Exec.fingerprint a <> Exec.fingerprint b then
+            Alcotest.failf "%s: two translations fingerprint apart"
+              (Arch.name arch))
+        targets)
+    (List.filteri (fun k _ -> k mod 5 = 0) (Lazy.force golden_modules))
 
 (* --- cold admission forces no minor collection ---
 
@@ -2060,6 +2443,13 @@ let () =
          Alcotest.test_case "tier ordering" `Quick tier_ordering;
          Alcotest.test_case "sfi guard-zone opt" `Quick sfi_opt_correct;
          Alcotest.test_case "golden translations" `Quick golden_translations;
+         Alcotest.test_case "fingerprint covers every constructor" `Quick
+           fingerprint_covers_constructors;
+         Alcotest.test_case "one-field variants fingerprint apart" `Quick
+           fingerprint_single_field;
+         fingerprint_sensitivity;
+         Alcotest.test_case "retranslation fingerprints equal" `Quick
+           fingerprint_of_retranslation;
          Alcotest.test_case "cold admission forces no minor collection" `Quick
            no_forced_minor_collections ]);
       ("pipeline",
