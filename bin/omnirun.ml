@@ -877,7 +877,7 @@ let () =
   | Sys_error msg ->
       Printf.eprintf "omnirun: %s\n" msg;
       exit 2
-  | Omnivm.Wire.Bad_module msg ->
+  | Omnivm.Wire.Bad_module msg | Omni_targets.Translate.Translate_error msg ->
       Printf.eprintf "omnirun: malformed module: %s\n" msg;
       exit 2
   | Omni_net.Client.Remote_error (cls, msg) ->

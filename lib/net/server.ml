@@ -243,6 +243,8 @@ let dispatch t (req : M.req) : M.resp =
                       else None ))
           | exception Cache.Rejected msg ->
               M.Error (M.E_verifier_rejected, msg)
+          | exception Omni_targets.Translate.Translate_error msg ->
+              M.Error (M.E_decode, msg)
           | exception Store.Unknown_handle ->
               M.Error (M.E_unknown_handle, "handle expired")
           | exception Invalid_argument msg ->

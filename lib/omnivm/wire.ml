@@ -281,6 +281,10 @@ let decode (s : string) : Exe.t =
   for k = 0 to count - 1 do
     text.(k) <- decode_instr c
   done;
+  (* every engine starts at the entry: it must name an instruction *)
+  (match Exe.index_of_addr entry with
+  | Some i when i < count -> ()
+  | _ -> bad "entry 0x%x is not an instruction of the text" entry);
   if c.pos + data_len > String.length s then bad "truncated data";
   let data = Bytes.of_string (String.sub s c.pos data_len) in
   c.pos <- c.pos + data_len;

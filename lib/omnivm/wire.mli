@@ -10,7 +10,8 @@
 
 exception Bad_module of string
 (** Raised by {!decode} on malformed input (bad magic, unknown opcode,
-    out-of-range register, truncation, unreasonable sizes). *)
+    out-of-range register, truncation, unreasonable sizes, an entry that
+    is no instruction of the text). *)
 
 val version : int
 

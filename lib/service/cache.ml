@@ -85,9 +85,7 @@ let length t =
    Guard-mode and unprotected translations carry no Wahbe-style masking
    sequences, so the verifier does not apply to them. *)
 let verdict_applicable (k : key) =
-  match k.k_mode with
-  | Machine.Mobile p -> p.Omni_sfi.Policy.mode = Omni_sfi.Policy.Sandbox
-  | Machine.Native _ -> false
+  (Machine.sfi_policy k.k_mode).Omni_sfi.Policy.mode = Omni_sfi.Policy.Sandbox
 
 (* Fresh admission (misses): run the certifying verifier, which both
    performs the full static check and mints the witness that makes every

@@ -190,12 +190,7 @@ let translate ?mode ?opts (arch : Arch.t) (exe : Omnivm.Exe.t) : translated =
   let mode, opts = resolve ?mode ?opts arch in
   Trace.phase "translate" ~attrs:[ ("arch", Arch.name arch) ] @@ fun () ->
   Trace.count ~by:(Array.length exe.Omnivm.Exe.text) "translate.omni_instrs";
-  let risc cfg =
-    T_risc
-      (Risc_translate.translate
-         { Risc_translate.cfg; mode; opts; sfi_cache = None }
-         exe)
-  in
+  let risc cfg = T_risc (Risc_translate.translate cfg ~mode ~opts exe) in
   match arch with
   | Arch.Mips -> risc Risc.mips_cfg
   | Arch.Sparc -> risc Risc.sparc_cfg
@@ -239,17 +234,14 @@ let run ?fuel ?watchdog ?sfi ?mode ?opts engine
 
 (* --- structural identity and verification of translated programs --- *)
 
-let guard_zone_of_mode (mode : Machine.mode) =
-  match mode with
-  | Machine.Mobile p -> Omni_sfi.Policy.guard_zone p
-  | Machine.Native _ -> Omni_sfi.Policy.safe_sp_disp
-
 let verify ?mode (tr : translated) : (unit, string) result =
   Trace.phase "verify" ~attrs:[ ("arch", arch_name tr) ]
   @@ fun () ->
   (* [mode] widens the displacement bound for [Pad_guard8] translations;
      omitting it keeps the default guard zone. *)
-  let max_disp = Option.map guard_zone_of_mode mode in
+  let max_disp =
+    Option.map (fun m -> Omni_sfi.Policy.guard_zone (Machine.sfi_policy m)) mode
+  in
   let fail { Omni_sfi.Verifier.index; reason } =
     Error (Printf.sprintf "instruction %d: %s" index reason)
   in
@@ -278,13 +270,10 @@ let certify ~(module_digest : Omni_util.Fnv64.t) ~(mode : Machine.mode)
     (Omni_cert.Certificate.t, string) result =
   Trace.phase "certify" ~attrs:[ ("arch", arch_name tr) ]
   @@ fun () ->
-  let protect_reads, pad =
-    match mode with
-    | Machine.Mobile p ->
-        (p.Omni_sfi.Policy.protect_reads, p.Omni_sfi.Policy.pad)
-    | Machine.Native _ -> (false, Omni_sfi.Policy.Pad_none)
+  let { Omni_sfi.Policy.protect_reads; pad; _ } as policy =
+    Machine.sfi_policy mode
   in
-  let max_disp = Omni_sfi.Policy.guard_zone_of_pad pad in
+  let max_disp = Omni_sfi.Policy.guard_zone policy in
   let fail { Omni_sfi.Verifier.index; reason } =
     Error (Printf.sprintf "instruction %d: %s" index reason)
   in

@@ -28,7 +28,6 @@ type event =
   | Sandbox_data_box (* dedicated := dedicated | data_base (was Masked) *)
   | Sandbox_code_mask
   | Sandbox_code_box
-  | Dedicated_clobber of string (* dedicated register written another way *)
   | Store_via_dedicated of { disp : int }
   | Store_indexed (* ppc store indexed off the reserved data base *)
   | Store_via_sp of { disp : int }
@@ -56,8 +55,6 @@ let judge max_disp (i : int) (ev : event) :
   | Sandbox_data_box -> Ok (Some Witness.Box_data)
   | Sandbox_code_mask -> Ok (Some Witness.Mask_code)
   | Sandbox_code_box -> Ok (Some Witness.Box_code)
-  | Dedicated_clobber what ->
-      fail (Printf.sprintf "dedicated register clobbered by %s" what)
   | Store_via_dedicated { disp } ->
       (* small negative displacements fall into the guard zone below
          the segment (unmapped), which is equally safe *)

@@ -22,8 +22,6 @@ type event =
       (** dedicated register boxed with the data base (Masked -> Boxed) *)
   | Sandbox_code_mask
   | Sandbox_code_box
-  | Dedicated_clobber of string
-      (** dedicated register written in a way that breaks the invariant *)
   | Store_via_dedicated of { disp : int }
   | Store_indexed
       (** ppc: store indexed off the reserved data-base register with a

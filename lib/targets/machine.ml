@@ -37,6 +37,9 @@ type tier = Gcc | Cc
    code acting as a compiler baseline. *)
 type mode = Mobile of Omni_sfi.Policy.t | Native of tier
 
+(* The one reading of a mode's SFI policy, for the translators, the
+   verifiers' bounds and admission alike: a native baseline runs
+   unprotected. *)
 let sfi_policy = function
   | Mobile p -> p
   | Native _ -> Omni_sfi.Policy.off

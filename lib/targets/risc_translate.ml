@@ -19,15 +19,21 @@
 
    Discipline: each OmniVM instruction's translation contains exactly one
    [Core]-tagged native instruction, so dynamic [Core] counts equal dynamic
-   OmniVM instruction counts. *)
+   OmniVM instruction counts.
+
+   This file is the RISC half of translation: one instruction's chunk,
+   the record-form peephole and the delay-slot target. Block cutting,
+   the address map, label patching and the emitter are [Translate]'s,
+   which reads the mode's SFI policy into the emitter ([e.policy]). *)
 
 open Risc
 module VI = Omnivm.Instr
 module W = Omni_util.Word32
 module L = Omnivm.Layout
+module Policy = Omni_sfi.Policy
 module Trace = Omni_obs.Trace
 
-type tconfig = {
+type t = {
   cfg : cfg;
   mode : Machine.mode;
   opts : Machine.topts;
@@ -37,28 +43,8 @@ type tconfig = {
          optimization (paper 4.4) *)
 }
 
-(* Chunk emitter for one OmniVM instruction's translation. *)
-type emitter = {
-  mutable slots : slot list; (* reversed *)
-  mutable pool : float list; (* reversed *)
-  mutable pool_n : int;
-  decl : Machine.sfi_decl; (* shared across chunks; masking counts *)
-  tally : Trace.tally; (* shared across chunks *)
-}
-
-let emit e origin i = e.slots <- mk origin i :: e.slots
-
-let pool_const e v =
-  (* small pool; linear search for sharing *)
-  let rec find i = function
-    | [] ->
-        e.pool <- v :: e.pool;
-        e.pool_n <- e.pool_n + 1;
-        e.pool_n - 1
-    | x :: rest ->
-        if Float.equal x v then e.pool_n - 1 - i else find (i + 1) rest
-  in
-  find 0 e.pool
+let emit e origin i = Translate.push e (mk origin i)
+let emit_pad e = Translate.emit_pad e (fun () -> mk Machine.Sfi Nop)
 
 let fits bits v = v >= -(1 lsl (bits - 1)) && v < 1 lsl (bits - 1)
 
@@ -70,36 +56,6 @@ let eff_bits t =
 let gp_value t = L.data_base + (1 lsl (t.cfg.imm_bits - 1))
 
 let use_gp t = t.opts.Machine.use_gp
-
-let sfi_mode t =
-  match t.mode with
-  | Machine.Mobile p -> p.Omni_sfi.Policy.mode
-  | Machine.Native _ -> Omni_sfi.Policy.Off
-
-let protect_reads t =
-  match t.mode with
-  | Machine.Mobile p -> p.Omni_sfi.Policy.protect_reads
-  | Machine.Native _ -> false
-
-let sfi_pad t =
-  match t.mode with
-  | Machine.Mobile p -> p.Omni_sfi.Policy.pad
-  | Machine.Native _ -> Omni_sfi.Policy.Pad_none
-
-(* Effective guard-zone bound for statically-safe displacements; widened
-   under [Pad_guard8]. *)
-let guard_bound t = Omni_sfi.Policy.guard_zone_of_pad (sfi_pad t)
-
-(* Padding of the sandboxing sequence (the instruction-padding paper's
-   knob). Called between the mask/box pair and the protected memory op;
-   never used on the sp re-sandboxing triple (verified by adjacency). *)
-let emit_pad t e =
-  match sfi_pad t with
-  | Omni_sfi.Policy.Pad_none | Omni_sfi.Policy.Pad_guard8 -> ()
-  | Omni_sfi.Policy.Pad_nop -> emit e Machine.Sfi Nop
-  | Omni_sfi.Policy.Pad_align ->
-      (* pad so the protected op lands on an even slot of this chunk *)
-      if List.length e.slots land 1 = 1 then emit e Machine.Sfi Nop
 
 (* Materialize a 32-bit constant into [rd]. The final instruction carries
    [last_origin]; preceding high-part instructions carry [hi_origin]. *)
@@ -121,7 +77,7 @@ let mem_addr t e ~origin base disp =
     (* absolute address *)
     if fits bits disp then (r_zero, disp)
     else if use_gp t && fits t.cfg.imm_bits (disp - gp_value t) then begin
-      Trace.tally_count e.tally "translate.gp_uses";
+      Trace.tally_count e.Translate.tally "translate.gp_uses";
       (r_gp, disp - gp_value t)
     end
     else begin
@@ -140,39 +96,35 @@ let mem_addr t e ~origin base disp =
     (r_scratch1, low)
   end
 
-(* Statically safe store addresses need no SFI check. *)
-let store_statically_safe t base disp =
-  (base = omni_sp && disp >= 0 && disp < guard_bound t)
-  || (base = r_zero && L.in_data disp)
-
 (* Emit the SFI-protected (or direct) store of [emit_store : base -> disp ->
    unit] to address base+disp. Under [indexed] (the default) a target with
    indexed addressing masks the address and has [emit_store] store at
    data base + dedicated register, given as base -1. *)
 let sfi_store ?(indexed = true) t e ~base ~disp
     ~(emit_store : core:bool -> int -> int -> unit) =
-  if sfi_mode t = Omni_sfi.Policy.Off || store_statically_safe t base disp
+  if Translate.sfi_mode e = Policy.Off
+     || Translate.statically_safe e ~sp:omni_sp base disp
   then begin
     let b, d = mem_addr t e ~origin:Machine.Addr base disp in
     emit_store ~core:true b d
   end
   else
-  match sfi_mode t with
-  | Omni_sfi.Policy.Off -> assert false
-  | Omni_sfi.Policy.Sandbox
+  match Translate.sfi_mode e with
+  | Policy.Off -> assert false
+  | Policy.Sandbox
     when t.opts.Machine.sfi_opt
          && (match t.sfi_cache with
             | Some (b, d0, boxed) ->
-                b = base && boxed && abs (disp - d0) < guard_bound t
+                b = base && boxed && abs (disp - d0) < Translate.guard_zone e
             | None -> false) ->
       (* guard-zone reuse: the dedicated register already holds a sandboxed
          address for this base; a small displacement from it cannot leave
          the segment's guard zone, so no new check is needed *)
-      Trace.tally_count e.tally "translate.sfi_checks_elided";
+      Trace.tally_count e.Translate.tally "translate.sfi_checks_elided";
       let d0 = match t.sfi_cache with Some (_, d, _) -> d | None -> 0 in
       emit_store ~core:true r_sfi_data (disp - d0)
-  | Omni_sfi.Policy.Sandbox ->
-      Trace.tally_count e.tally "translate.sfi_checks";
+  | Policy.Sandbox ->
+      Trace.tally_count e.Translate.tally "translate.sfi_checks";
       (* address into a single register, then mask into the segment *)
       let asrc =
         if disp = 0 then base
@@ -187,24 +139,24 @@ let sfi_store ?(indexed = true) t e ~base ~disp
           r_sfi_data
         end
       in
-      e.decl.Machine.data_masks <- e.decl.Machine.data_masks + 1;
+      Translate.declare_data_mask e;
       emit e Machine.Sfi (Alu (VI.And, r_sfi_data, asrc, r_data_mask));
       if t.cfg.has_indexed && indexed then begin
         (* indexed addressing shortens the PPC check sequence (paper 4.3) *)
-        emit_pad t e;
+        emit_pad e;
         emit_store ~core:true (-1) (-1) (* special-cased by caller *);
         t.sfi_cache <- (if t.opts.Machine.sfi_opt then Some (base, disp, false)
                         else None)
       end
       else begin
         emit e Machine.Sfi (Alu (VI.Or, r_sfi_data, r_sfi_data, r_data_base));
-        emit_pad t e;
+        emit_pad e;
         emit_store ~core:true r_sfi_data 0;
         t.sfi_cache <- (if t.opts.Machine.sfi_opt then Some (base, disp, true)
                         else None)
       end
-  | Omni_sfi.Policy.Guard ->
-      Trace.tally_count e.tally "translate.sfi_checks";
+  | Policy.Guard ->
+      Trace.tally_count e.Translate.tally "translate.sfi_checks";
       let areg =
         if disp = 0 then base
         else begin
@@ -226,19 +178,18 @@ let sfi_store ?(indexed = true) t e ~base ~disp
    dedicated-register discipline as stores. *)
 let sfi_load t e ~base ~disp ~(emit_load : int -> int -> unit) =
   if
-    sfi_mode t = Omni_sfi.Policy.Off
-    || (not (protect_reads t))
-    || store_statically_safe t base disp
+    Translate.sfi_mode e = Policy.Off
+    || (not e.Translate.policy.Policy.protect_reads)
+    || Translate.statically_safe e ~sp:omni_sp base disp
     || (base = r_gp)
-    || (base = r_zero && L.in_data disp)
   then begin
     let b, d = mem_addr t e ~origin:Machine.Addr base disp in
     emit_load b d
   end
   else
-    match sfi_mode t with
-    | Omni_sfi.Policy.Off -> assert false
-    | Omni_sfi.Policy.Sandbox ->
+    match Translate.sfi_mode e with
+    | Policy.Off -> assert false
+    | Policy.Sandbox ->
         let asrc =
           if disp = 0 then base
           else if fits (eff_bits t) disp then begin
@@ -252,13 +203,13 @@ let sfi_load t e ~base ~disp ~(emit_load : int -> int -> unit) =
             r_sfi_data
           end
         in
-        e.decl.Machine.data_masks <- e.decl.Machine.data_masks + 1;
+        Translate.declare_data_mask e;
         emit e Machine.Sfi (Alu (VI.And, r_sfi_data, asrc, r_data_mask));
         emit e Machine.Sfi (Alu (VI.Or, r_sfi_data, r_sfi_data, r_data_base));
-        emit_pad t e;
+        emit_pad e;
         emit_load r_sfi_data 0;
         t.sfi_cache <- None
-    | Omni_sfi.Policy.Guard ->
+    | Policy.Guard ->
         let areg =
           if disp = 0 then base
           else begin
@@ -276,54 +227,33 @@ let sfi_load t e ~base ~disp ~(emit_load : int -> int -> unit) =
         emit_load areg 0
 
 (* Sandbox an indirect branch target into a register safe to jump through. *)
-let sfi_code_target t e reg =
-  match sfi_mode t with
-  | Omni_sfi.Policy.Off -> reg
-  | Omni_sfi.Policy.Sandbox ->
-      e.decl.Machine.code_masks <- e.decl.Machine.code_masks + 1;
+let sfi_code_target e reg =
+  match Translate.sfi_mode e with
+  | Policy.Off -> reg
+  | Policy.Sandbox ->
+      Translate.declare_code_mask e;
       emit e Machine.Sfi (Alu (VI.And, r_sfi_code, reg, r_code_mask));
       emit e Machine.Sfi (Alu (VI.Or, r_sfi_code, r_sfi_code, r_code_base));
-      emit_pad t e;
+      emit_pad e;
       r_sfi_code
-  | Omni_sfi.Policy.Guard ->
+  | Policy.Guard ->
       emit e Machine.Sfi (Guard_code reg);
       reg
 
 (* Re-establish the sp-in-segment invariant after an unsafe sp write. *)
-let resandbox_sp t e =
-  match sfi_mode t with
-  | Omni_sfi.Policy.Off -> ()
-  | Omni_sfi.Policy.Sandbox ->
+let resandbox_sp e =
+  match Translate.sfi_mode e with
+  | Policy.Off -> ()
+  | Policy.Sandbox ->
       emit e Machine.Sfi (Alu (VI.And, omni_sp, omni_sp, r_data_mask));
       emit e Machine.Sfi (Alu (VI.Or, omni_sp, omni_sp, r_data_base))
-  | Omni_sfi.Policy.Guard -> emit e Machine.Sfi (Guard_data omni_sp)
-
-(* Does this OmniVM instruction leave sp safe without re-sandboxing? *)
-let sp_write_safe t (ins : int VI.t) =
-  match ins with
-  | VI.Binopi ((VI.Add | VI.Sub), rd, rs, imm)
-    when rd = Omnivm.Reg.sp && rs = Omnivm.Reg.sp && abs imm < guard_bound t ->
-      true
-  | _ -> false
-
-let writes_sp (ins : int VI.t) =
-  match ins with
-  | VI.Binop (_, rd, _, _) | VI.Binopi (_, rd, _, _) | VI.Li (rd, _)
-  | VI.Load (_, _, rd, _, _) | VI.Ext (rd, _, _, _) | VI.Ins (rd, _, _, _)
-  | VI.Cvt_i_f (_, rd, _) | VI.Fcmp (_, _, rd, _, _) ->
-      rd = Omnivm.Reg.sp
-  | VI.Jalr (rd, _) -> rd = Omnivm.Reg.sp
-  | _ -> false
+  | Policy.Guard -> emit e Machine.Sfi (Guard_data omni_sp)
 
 (* --- branches --- *)
 
 (* Negate-for-swap helpers live in Omnivm.Instr. Branch label operands hold
-   OMNI INSTRUCTION INDICES during chunk construction; they are patched to
-   native indices at the end. *)
-
-let omni_index_of_addr addr =
-  let off = addr - L.code_base in
-  if off < 0 || off land 3 <> 0 then None else Some (off / 4)
+   OMNI INSTRUCTION INDICES during chunk construction; [Translate] patches
+   them to native indices at the end. *)
 
 let unsigned_cond = function
   | VI.Ltu | VI.Leu | VI.Gtu | VI.Geu -> true
@@ -424,10 +354,6 @@ and translate_branch_reg2 t e c a b target =
 
 (* --- per-instruction translation --- *)
 
-exception Translate_error of string
-
-let terror fmt = Printf.ksprintf (fun s -> raise (Translate_error s)) fmt
-
 (* Native registers an OmniVM instruction writes (for sfi-cache
    invalidation). Conservative: host calls clobber the result register. *)
 let omni_defs (ins : int VI.t) : int list =
@@ -449,11 +375,6 @@ let omni_defs (ins : int VI.t) : int list =
 let translate_instr t e ~idx (ins : int VI.t) =
   let m = map_reg in
   let ret_addr = Omnivm.Exe.code_addr (idx + 1) in
-  let target_of addr =
-    match omni_index_of_addr addr with
-    | Some i -> i
-    | None -> terror "branch to non-code address 0x%x" addr
-  in
   (match ins with
   | VI.Nop -> emit e Machine.Core Nop
   | VI.Li (rd, v) ->
@@ -462,7 +383,7 @@ let translate_instr t e ~idx (ins : int VI.t) =
          && use_gp t
          && fits t.cfg.imm_bits (v - gp_value t)
       then begin
-        Trace.tally_count e.tally "translate.gp_uses";
+        Trace.tally_count e.Translate.tally "translate.gp_uses";
         emit e Machine.Core (Alui (VI.Add, m rd, r_gp, v - gp_value t))
       end
       else
@@ -526,29 +447,29 @@ let translate_instr t e ~idx (ins : int VI.t) =
       emit e Machine.Cmp (Fcmp (op, fs1, fs2));
       emit e Machine.Core (Fcc_to_reg (m rd))
   | VI.Fli (_prec, fd, v) ->
-      let i = pool_const e v in
+      let i = Translate.pool_const e v in
       emit e Machine.Core (Fld_pool (fd, i))
   | VI.Cvt_f_i (_prec, fd, rs) -> emit e Machine.Core (Cvt_f_i (fd, m rs))
   | VI.Cvt_i_f (_prec, rd, fs) -> emit e Machine.Core (Cvt_i_f (m rd, fs))
   | VI.Cvt_d_s (fd, fs) -> emit e Machine.Core (Cvt_d_s (fd, fs))
   | VI.Cvt_s_d (fd, fs) -> emit e Machine.Core (Cvt_s_d (fd, fs))
-  | VI.Br (c, a, b, addr) -> translate_branch t e c a b (target_of addr)
+  | VI.Br (c, a, b, addr) -> translate_branch t e c a b (Translate.label e addr)
   | VI.Bri (c, a, imm, addr) ->
-      translate_branch_imm t e c a imm (target_of addr)
-  | VI.J addr -> emit e Machine.Core (J (target_of addr))
-  | VI.Jal addr -> emit e Machine.Core (Call (target_of addr, ret_addr))
+      translate_branch_imm t e c a imm (Translate.label e addr)
+  | VI.J addr -> emit e Machine.Core (J (Translate.label e addr))
+  | VI.Jal addr -> emit e Machine.Core (Call (Translate.label e addr, ret_addr))
   | VI.Jr rs ->
-      let tr = sfi_code_target t e (m rs) in
+      let tr = sfi_code_target e (m rs) in
       emit e Machine.Core (Jmp_ind tr)
   | VI.Jalr (rd, rs) ->
       if rd = Omnivm.Reg.ra then begin
-        let tr = sfi_code_target t e (m rs) in
+        let tr = sfi_code_target e (m rs) in
         emit e Machine.Core (Call_ind (tr, ret_addr))
       end
       else begin
         (* unusual link register: save/restore ra around the call *)
         emit e Machine.Addr (Alui (VI.Add, r_scratch2, omni_ra, 0));
-        let tr = sfi_code_target t e (m rs) in
+        let tr = sfi_code_target e (m rs) in
         emit e Machine.Core (Call_ind (tr, ret_addr));
         emit e Machine.Addr (Alui (VI.Add, m rd, omni_ra, 0));
         emit e Machine.Addr (Alui (VI.Add, omni_ra, r_scratch2, 0))
@@ -577,7 +498,7 @@ let translate_instr t e ~idx (ins : int VI.t) =
   | VI.Hcall n -> emit e Machine.Core (Hcall n)
   | VI.Trap n -> emit e Machine.Core (Trapi n));
   (* sp safety invariant *)
-  if writes_sp ins && not (sp_write_safe t ins) then resandbox_sp t e;
+  if Translate.unsafe_sp_write e ins then resandbox_sp e;
   (* sfi-cache invalidation: the cached base register may have changed *)
   (match t.sfi_cache with
   | Some (b, _, _) when List.mem b (omni_defs ins) -> t.sfi_cache <- None
@@ -634,28 +555,6 @@ let apply_record_forms (slots : slot list) : slot list =
 
 (* --- whole-module translation --- *)
 
-let leaders (exe : Omnivm.Exe.t) : bool array =
-  let n = Array.length exe.Omnivm.Exe.text in
-  let lead = Array.make n false in
-  let mark addr =
-    match omni_index_of_addr addr with
-    | Some i when i >= 0 && i < n -> lead.(i) <- true
-    | _ -> ()
-  in
-  if n > 0 then lead.(0) <- true;
-  mark exe.Omnivm.Exe.entry;
-  List.iter (fun (_, addr) -> mark addr) exe.Omnivm.Exe.symbols;
-  Array.iteri
-    (fun i ins ->
-      (match VI.label ins with Some addr -> mark addr | None -> ());
-      match ins with
-      | VI.Br _ | VI.Bri _ | VI.J _ | VI.Jal _ | VI.Jr _ | VI.Jalr _
-      | VI.Trap _ ->
-          if i + 1 < n then lead.(i + 1) <- true
-      | _ -> ())
-    exe.Omnivm.Exe.text;
-  lead
-
 let is_barrier_slot (s : slot) =
   match s.i with
   | Hcall _ | Guard_data _ | Guard_code _ | Trapi _ -> true
@@ -670,145 +569,41 @@ let sched_info cfg : slot Sched.info =
     is_barrier = is_barrier_slot;
   }
 
-let translate (t : tconfig) (exe : Omnivm.Exe.t) : program =
-  let text = exe.Omnivm.Exe.text in
-  let n = Array.length text in
-  let lead = leaders exe in
-  let decl = Machine.new_sfi_decl () in
-  let tally = Trace.tally () in
-  let pool = { slots = []; pool = []; pool_n = 0; decl; tally } in
-  (* chunk per omni instruction; the constant pool threads through *)
-  let chunks = Array.make n [] in
-  for i = 0 to n - 1 do
-    if lead.(i) then t.sfi_cache <- None;
-    let e =
-      { slots = []; pool = pool.pool; pool_n = pool.pool_n; decl; tally }
-    in
-    translate_instr t e ~idx:i text.(i);
-    pool.pool <- e.pool;
-    pool.pool_n <- e.pool_n;
-    chunks.(i) <- List.rev e.slots
-  done;
-  (* group into blocks of omni indices *)
-  let blocks = ref [] in
-  let cur = ref [] in
-  for i = n - 1 downto 0 do
-    cur := i :: !cur;
-    if lead.(i) then begin
-      blocks := !cur :: !blocks;
-      cur := []
-    end
-  done;
-  (* the downward scan already leaves blocks in ascending order *)
-  let blocks = !blocks in
-  (* process each block: peephole, schedule, delay slots *)
-  let quality =
-    match t.mode with
-    | Machine.Native Machine.Cc -> Sched.Critical_path
-    | _ -> Sched.Greedy
+let map_label f s =
+  match s.i with
+  | Br_cc (c, l) -> { s with i = Br_cc (c, f l) }
+  | Br_cmp (c, a, b, l) -> { s with i = Br_cmp (c, a, b, f l) }
+  | Fbr (x, l) -> { s with i = Fbr (x, f l) }
+  | J l -> { s with i = J (f l) }
+  | Call (l, r) -> { s with i = Call (f l, r) }
+  | _ -> s
+
+let translate cfg ~(mode : Machine.mode) ~(opts : Machine.topts)
+    (exe : Omnivm.Exe.t) : program =
+  let t = { cfg; mode; opts; sfi_cache = None } in
+  let record_forms =
+    match mode with
+    | Machine.Native Machine.Cc when cfg.branch_model = Cond_reg ->
+        Some apply_record_forms
+    | Machine.Native _ | Machine.Mobile _ -> None
   in
-  let sched = Sched.create (sched_info t.cfg) in
-  let out = ref [] in
-  let out_n = ref 0 in
-  let addr_map = Array.make n (-1) in
-  let emit_out s =
-    out := s :: !out;
-    incr out_n
+  let p =
+    Translate.run
+      {
+        Translate.translate_instr = translate_instr t;
+        at_leader = (fun () -> t.sfi_cache <- None);
+        is_control = (fun s -> is_control s.i);
+        placeholder;
+        sched_info = sched_info cfg;
+        peephole = record_forms;
+        schedules = (fun _ -> true);
+        delay_nop =
+          (if cfg.has_delay_slot then Some (fun () -> mk Machine.Bnop Nop)
+           else None);
+        map_label;
+      }
+      ~mode ~opts exe
   in
-  List.iter
-    (fun omni_indices ->
-      match omni_indices with
-      | [] -> ()
-      | first :: _ ->
-          addr_map.(first) <- !out_n;
-          let slots = List.concat_map (fun i -> chunks.(i)) omni_indices in
-          let slots =
-            if t.opts.Machine.peephole && t.cfg.branch_model = Cond_reg then
-              match t.mode with
-              | Machine.Native Machine.Cc ->
-                  let before = List.length slots in
-                  let slots' =
-                    Trace.tally_time tally "pass.peephole" (fun () ->
-                        apply_record_forms slots)
-                  in
-                  Trace.tally_count tally ~by:(before - List.length slots')
-                    "translate.peephole_folds";
-                  slots'
-              | _ -> slots
-            else slots
-          in
-          (* split body / trailing control *)
-          let rec split acc = function
-            | [ s ] when is_control s.i -> (List.rev acc, Some s)
-            | [] -> (List.rev acc, None)
-            | s :: rest -> split (s :: acc) rest
-          in
-          let body, ctrl = split [] slots in
-          let body = Machine.array_of_list ~dummy:placeholder body in
-          let body =
-            if t.opts.Machine.schedule then
-              Trace.tally_time tally "pass.schedule" (fun () ->
-                  Sched.schedule_body sched ~quality body)
-            else body
-          in
-          (match ctrl with
-          | None -> Array.iter emit_out body
-          | Some c ->
-              if t.cfg.has_delay_slot then begin
-                let body, filler =
-                  if t.opts.Machine.fill_delay_slots then
-                    Trace.tally_time tally "pass.delay_slot" (fun () ->
-                        Sched.fill_delay_slot sched
-                          ~branch_cost:(cost_of t.cfg c.i) body)
-                  else (body, None)
-                in
-                Array.iter emit_out body;
-                emit_out c;
-                match filler with
-                | Some f ->
-                    Trace.tally_count tally "translate.delay_slots_filled";
-                    emit_out f
-                | None ->
-                    Trace.tally_count tally "translate.delay_slot_nops";
-                    emit_out (mk Machine.Bnop Nop)
-              end
-              else begin
-                Array.iter emit_out body;
-                emit_out c
-              end))
-    blocks;
-  Trace.flush tally;
-  let code = Machine.array_of_list ~dummy:placeholder (List.rev !out) in
-  (* patch branch targets: omni index -> native index *)
-  let patch_target i =
-    if i < 0 || i >= n || addr_map.(i) < 0 then
-      terror "branch targets non-leader omni instruction %d" i
-    else addr_map.(i)
-  in
-  Array.iteri
-    (fun idx s ->
-      let i' =
-        match s.i with
-        | Br_cc (c, l) -> Br_cc (c, patch_target l)
-        | Br_cmp (c, a, b, l) -> Br_cmp (c, a, b, patch_target l)
-        | Fbr (f, l) -> Fbr (f, patch_target l)
-        | J l -> J (patch_target l)
-        | Call (l, r) -> Call (patch_target l, r)
-        | i -> i
-      in
-      code.(idx) <- { s with i = i' })
-    code;
-  let entry =
-    match omni_index_of_addr exe.Omnivm.Exe.entry with
-    | Some i when i >= 0 && i < n && addr_map.(i) >= 0 -> addr_map.(i)
-    | _ -> terror "bad entry point"
-  in
-  {
-    cfg = t.cfg;
-    code;
-    entry;
-    addr_map;
-    pool = Array.of_list (List.rev pool.pool);
-    n_omni = n;
-    decl;
-  }
+  { cfg; code = p.Translate.code; entry = p.Translate.entry;
+    addr_map = p.Translate.addr_map; pool = p.Translate.pool;
+    n_omni = Array.length exe.Omnivm.Exe.text; decl = p.Translate.decl }

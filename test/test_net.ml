@@ -566,6 +566,44 @@ let hostile_requests () =
   let r = Client.run ~fuel client h in
   Alcotest.(check int) "exit 0 after hostile traffic" 0 r.Exec.exit_code
 
+(* A module whose entry is no instruction of its text is refused at
+   Submit as a decode error; a static label outside the text is refused
+   as a decode error by every translating engine, while the interpreters,
+   which never reach the dead jump, run the module. *)
+let hostile_entries_and_labels () =
+  with_loopback @@ fun _svc _server client ->
+  let module VI = Omnivm.Instr in
+  let exe entry text =
+    Omnivm.Wire.encode
+      { Omnivm.Exe.text; entry; data = Bytes.empty; bss_size = 0;
+        symbols = [] }
+  in
+  let exits = [| VI.Li (1, 0); VI.Hcall 0 |] in
+  let base = Omnivm.Layout.code_base in
+  List.iter
+    (fun (what, entry) ->
+      match Client.submit client (exe entry exits) with
+      | _ -> Alcotest.failf "server admitted a module with %s" what
+      | exception Client.Remote_error (Msg.E_decode, _) -> ())
+    [ ("a misaligned entry", base + 2); ("an entry below the text", base - 4);
+      ("an entry past the text", Omnivm.Exe.code_addr 2) ];
+  Client.ping client;
+  let h =
+    Client.submit client
+      (exe base (Array.append exits [| VI.J (Omnivm.Exe.code_addr 3) |]))
+  in
+  List.iter
+    (fun engine ->
+      match (engine, Client.run ~engine ~fuel client h) with
+      | (Exec.Interp | Exec.Fast), r ->
+          Alcotest.(check int) (Exec.engine_name engine) 0 r.Exec.exit_code
+      | Exec.Target _, _ ->
+          Alcotest.failf "%s translated a jump past the text"
+            (Exec.engine_name engine)
+      | exception Client.Remote_error (Msg.E_decode, _) -> ())
+    (Exec.Interp :: Exec.Fast :: List.map (fun a -> Exec.Target a) Arch.all);
+  Client.ping client
+
 (* Corrupt the server's translation cache in place: the per-hit static
    verifier must refuse to let the poisoned code reach a simulator, the
    client must see a typed error, and the daemon must keep serving. *)
@@ -792,6 +830,8 @@ let () =
        [ Alcotest.test_case "frames" `Quick hostile_frames;
          Alcotest.test_case "frame boundaries" `Quick frame_boundaries;
          Alcotest.test_case "requests" `Quick hostile_requests;
+         Alcotest.test_case "entries and labels" `Quick
+           hostile_entries_and_labels;
          Alcotest.test_case "verifier rejection" `Quick verifier_rejected ]);
       ("socket",
        [ Alcotest.test_case "daemon over unix socket" `Quick socket_e2e;

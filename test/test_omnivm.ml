@@ -1026,6 +1026,25 @@ let wire_rejects_garbage () =
   | exception Omnivm.Wire.Bad_module _ -> ()
   | _ -> Alcotest.fail "truncated module accepted")
 
+(* The entry must name an instruction of the text: every engine starts
+   there, so a module that names none is malformed, not a run-time fault. *)
+let wire_rejects_bad_entry () =
+  let base = Omnivm.Layout.code_base in
+  List.iter
+    (fun (what, text, entry) ->
+      let bytes =
+        Omnivm.Wire.encode
+          { Omnivm.Exe.text; entry; data = Bytes.empty; bss_size = 0;
+            symbols = [] }
+      in
+      match Omnivm.Wire.decode bytes with
+      | exception Omnivm.Wire.Bad_module _ -> ()
+      | _ -> Alcotest.failf "module with %s accepted" what)
+    [ ("a misaligned entry", [| VI.Nop; VI.Hcall 0 |], base + 1);
+      ("an entry below the text", [| VI.Nop; VI.Hcall 0 |], base - 4);
+      ("an entry past the text", [| VI.Nop; VI.Hcall 0 |], base + 8);
+      ("no text", [||], base) ]
+
 (* The interpreters allocate nothing per instruction: a loop that calls
    a function and takes a branch on every iteration, and alvinn, whose
    inner loops are FP loads, multiply-adds and stores, run their hundreds
@@ -1614,5 +1633,7 @@ let () =
       ("wire",
        [ wire_roundtrip;
          wire_decode_robust;
-         Alcotest.test_case "rejects garbage" `Quick wire_rejects_garbage ])
+         Alcotest.test_case "rejects garbage" `Quick wire_rejects_garbage;
+         Alcotest.test_case "rejects a bad entry" `Quick
+           wire_rejects_bad_entry ])
     ]

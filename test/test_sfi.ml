@@ -435,9 +435,6 @@ let verifier_unit () =
   (match V.classify 3 (V.Store_unsafe "sw") with
   | Error { index = 3; _ } -> ()
   | _ -> Alcotest.fail "unsafe store accepted");
-  (match V.classify 0 (V.Dedicated_clobber "li") with
-  | Error _ -> ()
-  | _ -> Alcotest.fail "clobber accepted");
   (match V.classify 0 (V.Store_via_dedicated { disp = 100000 }) with
   | Error _ -> ()
   | _ -> Alcotest.fail "big disp accepted");

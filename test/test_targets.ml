@@ -1968,7 +1968,7 @@ let golden_configs =
    it still pins the translated code and every certificate byte. The
    fingerprint digest folds [Exec.fingerprint] itself, the structural
    fold that certificates and journals bind today. *)
-let translation_digests () =
+let translation_digests ?(tracer = fun _ -> Omni_obs.Trace.null) () =
   List.fold_left
     (fun (h, hf) wire ->
       let exe = Omnivm.Wire.decode wire in
@@ -1977,7 +1977,10 @@ let translation_digests () =
         (fun (h, hf) arch ->
           List.fold_left
             (fun (h, hf) (mode, opts) ->
-              let tr = Exec.translate ~mode ?opts arch exe in
+              let tr =
+                Omni_obs.Trace.with_current (tracer arch) (fun () ->
+                    Exec.translate ~mode ?opts arch exe)
+              in
               let opts =
                 match opts with Some o -> o | None -> Exec.mobile_opts arch
               in
@@ -2004,13 +2007,64 @@ let translation_digests () =
 let golden_translation_digest = "a6f5350d5061ac2f"
 let golden_fingerprint_digest = "427d4a1d9e33a3cd"
 
+(* Per target, over the same translations: the total of every
+   [translate.*] counter the translators tally, and how many translations
+   ran each [pass.*] (one observation each). The digests pin the code;
+   these pin what [Translate.run] counts while producing it. *)
+let golden_tallies =
+  [ ( Arch.Mips,
+      "translate.delay_slot_nops=5188 translate.delay_slots_filled=3726 \
+       translate.gp_uses=771 translate.omni_instrs=46086 \
+       translate.sfi_checks=630 pass.delay_slot=92 pass.schedule=92" );
+    ( Arch.Sparc,
+      "translate.delay_slot_nops=5317 translate.delay_slots_filled=3597 \
+       translate.gp_uses=1496 translate.omni_instrs=46086 \
+       translate.sfi_checks=630 pass.delay_slot=92 pass.schedule=46" );
+    ( Arch.Ppc,
+      "translate.gp_uses=771 translate.omni_instrs=46086 \
+       translate.peephole_folds=10 translate.sfi_checks=630 \
+       pass.peephole=46 pass.schedule=92" );
+    ( Arch.X86,
+      "translate.omni_instrs=46086 translate.peephole_folds=54 \
+       translate.sfi_checks=630 translate.sfi_checks_elided=1619 \
+       pass.peephole=92 pass.schedule=60" ) ]
+
+let tally_line (m : Omni_obs.Metrics.t) =
+  let snap = Omni_obs.Metrics.snapshot m in
+  let has p n = String.starts_with ~prefix:p n in
+  String.concat " "
+    (List.filter_map
+       (fun (n, v) ->
+         if has "translate." n then Some (Printf.sprintf "%s=%d" n v) else None)
+       snap.Omni_obs.Metrics.counters
+    @ List.filter_map
+        (fun (n, (h : Omni_obs.Metrics.hist_snapshot)) ->
+          if has "pass." n then Some (Printf.sprintf "%s=%d" n h.hs_count)
+          else None)
+        snap.Omni_obs.Metrics.histograms)
+
 let golden_translations () =
   Alcotest.(check int) "modules" 46 (List.length (Lazy.force golden_modules));
-  let h, hf = translation_digests () in
+  let registries =
+    List.map (fun a -> (a, Omni_obs.Metrics.create ())) targets
+  in
+  let tracers =
+    List.map
+      (fun (a, m) -> (a, Omni_obs.Trace.make ~metrics:m Omni_obs.Trace.Null))
+      registries
+  in
+  let h, hf = translation_digests ~tracer:(fun a -> List.assoc a tracers) () in
   Alcotest.(check string) "translation digest" golden_translation_digest
     (Omni_util.Fnv64.to_hex h);
   Alcotest.(check string) "fingerprint digest" golden_fingerprint_digest
-    (Omni_util.Fnv64.to_hex hf)
+    (Omni_util.Fnv64.to_hex hf);
+  List.iter
+    (fun (a, m) ->
+      Alcotest.(check string)
+        (Arch.name a ^ " tallies")
+        (List.assoc a golden_tallies)
+        (tally_line m))
+    registries
 
 (* --- the structural fingerprint: every field counts ---
 
