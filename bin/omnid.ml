@@ -27,7 +27,9 @@
    --store-dir DIR journals every submitted module and certified
    translation to a crash-safe on-disk store (Omni_persist): a restart
    replays the journal, re-proves every translation against its
-   omni-cert/1 witness, and serves warm from the first request. SIGTERM
+   omni-cert/1 witness, and serves warm from the first request: the
+   store is the one digest index, so a Run of a recovered digest needs
+   no resubmit, and a client's retried Run still succeeds. SIGTERM
    and SIGINT drain gracefully: stop accepting, finish in-flight pool
    work, flush the journal, and commit the clean-shutdown marker so the
    next start takes the fast recovery path. kill -9 gets no marker —

@@ -1,8 +1,9 @@
 (* The witness checker: the small, independent half of proof-carrying
    translation.
 
-   [check_risc] / [check_x86] validate a certificate against translated
-   code in ONE linear pass. The discipline that keeps the checker honest:
+   [check] validates a certificate against translated code in ONE linear
+   pass ([check_risc] or [check_x86], by target family). The discipline
+   that keeps the checker honest:
 
    - Obligations are payload-free claims; every fact is re-read from the
      instruction at the claimed index, so a witness cannot assert
@@ -21,7 +22,7 @@
      the witness, so a witness that omits masking claims — or a producer
      that drifts from the translators — is caught structurally.
 
-   Soundness invariant: [check_* cert p = Ok ()] implies the full
+   Soundness invariant: [check cert p = Ok ()] implies the full
    verifier accepts [p]. The checker is cheaper because it replays
    *decisions* (one comparison chain per instruction) instead of
    re-deriving them: no event array, no attribute/def-use lists, no
@@ -631,3 +632,9 @@ let check_x86 (c : Certificate.t) (p : X.program) : (unit, error) result =
     check_counts p.X.decl ~data_masks:!n_md ~code_masks:!n_mc;
     Ok ()
   with Reject e -> Error e
+
+(* The one dispatch on the target family for a certificate check. *)
+let check c (tr : Omni_targets.Translated.t) =
+  match tr with
+  | Omni_targets.Translated.T_risc p -> check_risc c p
+  | Omni_targets.Translated.T_x86 p -> check_x86 c p

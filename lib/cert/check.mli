@@ -1,8 +1,8 @@
 (** The witness checker: validates a certificate against translated code
     in one linear, allocation-free pass.
 
-    Soundness invariant: if {!check_risc} (or {!check_x86}) accepts, the
-    full verifier ({!Omni_targets.Risc_verify.verify} /
+    Soundness invariant: if {!check} accepts, the full verifier
+    ({!Omni_targets.Risc_verify.verify} /
     {!Omni_targets.X86_verify.verify}) accepts the same program. The
     checker is deliberately small and shares no code with the verifier,
     so a bug in the producer cannot silently license unsafe code. *)
@@ -46,10 +46,7 @@ val bind :
     fingerprint, translator options + [protect_reads], and sandbox
     layout — everything except the per-instruction obligations. *)
 
-val check_risc : Certificate.t -> Omni_targets.Risc.program -> (unit, error) result
-(** Validate the obligations against a RISC-family program (MIPS, SPARC,
-    PowerPC) in one linear pass. Does NOT call {!bind}; callers bind
-    first. *)
-
-val check_x86 : Certificate.t -> Omni_targets.X86.program -> (unit, error) result
-(** Same for x86. *)
+val check : Certificate.t -> Omni_targets.Translated.t -> (unit, error) result
+(** Validate the obligations against a translated program, RISC family
+    (MIPS, SPARC, PowerPC) or x86, in one linear pass. Does NOT call
+    {!bind}; callers bind first. *)

@@ -110,11 +110,9 @@ type request = {
   opts : Machine.topts option;
   fuel : int option;
   deadline_s : float option;
-  map_host_region : bool;
   trace : Trace.t option;
   service : Service.t option;
   remote : Net.Client.t option;
-  retry : Net.Retry.policy option;
   on_unreachable : [ `Fail | `Fallback_local ];
 }
 
@@ -126,11 +124,9 @@ let default_request =
     opts = None;
     fuel = None;
     deadline_s = None;
-    map_host_region = false;
     trace = None;
     service = None;
     remote = None;
-    retry = None;
     on_unreachable = `Fail;
   }
 
@@ -146,12 +142,6 @@ let run_remote (client : Net.Client.t) (r : request) (src : source) :
   (* Re-raise remote refusals as the exceptions the local paths use, so
      a request is handled identically whether the service is in-process
      or behind a socket. *)
-  (* a per-request policy overrides the client's own for this run *)
-  let client =
-    match r.retry with
-    | None -> client
-    | Some p -> Net.Client.with_policy ~retry:p client
-  in
   try
     let h = Net.Client.submit client bytes in
     Net.Client.run ~engine:r.engine ~sfi:r.sfi
@@ -185,7 +175,7 @@ let run (r : request) (src : source) : run_result =
         (* The serving path: admission goes through the service's
            content-addressed store and translation through its memo cache —
            repeated loads of the same bytes skip decoding and translation
-           entirely. ([map_host_region] does not apply to served images.) *)
+           entirely. *)
         let bytes = wire_of_source src in
         let h = Service.submit ?producer:produced service bytes in
         Service.instantiate ~engine:r.engine ~sfi:r.sfi ?mode:r.mode
@@ -199,10 +189,8 @@ let run (r : request) (src : source) : run_result =
         let img =
           match src with
           | Text _ -> assert false (* normalized to Wire above *)
-          | Exe exe -> load ~map_host_region:r.map_host_region exe
-          | Wire b ->
-              Omni_runtime.Loader.load_wire ~map_host_region:r.map_host_region
-                b
+          | Exe exe -> load exe
+          | Wire b -> Omni_runtime.Loader.load_wire b
         in
         Exec.run ?fuel:r.fuel ?watchdog ~sfi:r.sfi ?mode:r.mode ?opts:r.opts
           r.engine img

@@ -162,8 +162,6 @@ type request = {
           [Deadline_exceeded], reported like any other fault. Travels
           with remote requests; [None] = no deadline (or the server's
           default on the remote path) *)
-  map_host_region : bool;
-      (** also map host-owned memory (SFI demos; direct path only) *)
   trace : Trace.t option;
       (** tracer installed for the duration of the run; [None] inherits the
           ambient tracer (which defaults to the zero-cost null tracer) *)
@@ -173,16 +171,9 @@ type request = {
   remote : Net.Client.t option;
       (** when set, the run happens on a remote daemon: the module bytes
           are submitted over the wire and executed there, taking
-          precedence over [service]; [map_host_region], [opts], and
-          [trace] do not travel ([trace] still scopes the local client
-          side) *)
-  retry : Net.Retry.policy option;
-      (** per-request retry policy for the remote path, overriding the
-          client's own for this run (via {!Net.Client.with_policy});
-          [None] (the default) keeps the client's policy. Transient
-          failures — lost connections, damaged frames, and a server
-          shedding load with [E_overloaded] — are retried with backoff;
-          deterministic refusals are not *)
+          precedence over [service]; [opts] and [trace] do not travel
+          ([trace] still scopes the local client side). The client's
+          own retry policy governs transient failures *)
   on_unreachable : [ `Fail | `Fallback_local ];
       (** what a remote run does when the daemon cannot be reached —
           read timeout, lost connection, connect failure — after the
@@ -194,8 +185,8 @@ type request = {
 }
 
 val default_request : request
-(** Interpreter engine, SFI on, derived mode/opts, unbounded fuel, no
-    host region, ambient tracing, no service, no fallback. *)
+(** Interpreter engine, SFI on, derived mode/opts, unbounded fuel,
+    ambient tracing, no service, no fallback. *)
 
 val run : request -> source -> run_result
 (** The one entry point: load + translate + run as specified by the

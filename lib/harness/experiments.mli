@@ -93,4 +93,5 @@ val bench_snapshot : size:Omni_workloads.Workloads.size -> string * string
     file ({!Gate.json_of_sections}) — the contents of a [BENCH_N.json],
     whose flat ["hot_paths"] object [make bench-gate] diffs. Both
     renderings read the same records, so the tables show exactly the
-    numbers written. Times are integer microseconds of CPU time. *)
+    numbers written. Times are integer microseconds of monotonic wall
+    time ({!Omni_util.Clock.monotonic}). *)

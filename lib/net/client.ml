@@ -14,21 +14,15 @@ exception Remote_error of M.err_class * string
 exception Protocol_error of string
 exception Connection_lost of string
 
-(* The connection state, shared by every view of one client so a
-   [with_policy] view and the original always talk over the same
-   (possibly re-dialed) connection. *)
-type core = {
+type t = {
   mutable conn : Transport.conn;
   redial : (unit -> Transport.conn) option;
   env : Retry.env;
+  retry : Retry.policy option;
 }
 
-type t = { core : core; retry : Retry.policy option }
-
 let of_conn ?retry ?(env = Retry.sys_env) conn =
-  { core = { conn; redial = None; env }; retry }
-
-let with_policy ?retry t = { core = t.core; retry }
+  { conn; redial = None; env; retry }
 
 let connect ?retry ?(env = Retry.sys_env) ?(read_timeout = 0.) addr =
   let dial () =
@@ -36,7 +30,7 @@ let connect ?retry ?(env = Retry.sys_env) ?(read_timeout = 0.) addr =
     if read_timeout > 0. then Transport.set_read_timeout conn read_timeout;
     conn
   in
-  { core = { conn = dial (); redial = Some dial; env }; retry }
+  { conn = dial (); redial = Some dial; env; retry }
 
 let loopback ?retry ?(env = Retry.sys_env) ?fault server =
   let dial () =
@@ -50,10 +44,10 @@ let loopback ?retry ?(env = Retry.sys_env) ?fault server =
     | None -> client_end
     | Some armed -> Fault.wrap armed client_end
   in
-  { core = { conn = dial (); redial = Some dial; env }; retry }
+  { conn = dial (); redial = Some dial; env; retry }
 
-let close t = Transport.close t.core.conn
-let descr t = Transport.descr t.core.conn
+let close t = Transport.close t.conn
+let descr t = Transport.descr t.conn
 
 let classify = function
   | Connection_lost _ -> Retry.Retryable
@@ -64,8 +58,8 @@ let classify = function
   | e -> Retry.classify e
 
 let call_once t req =
-  Transport.send t.core.conn (Frame.encode (M.encode_req req));
-  match Frame.read (Transport.recv t.core.conn) with
+  Transport.send t.conn (Frame.encode (M.encode_req req));
+  match Frame.read (Transport.recv t.conn) with
   | Error e ->
       (* The response never arrived intact: the stream ended, stalled, or
          carried a damaged frame. The connection is unusable — but the
@@ -82,13 +76,13 @@ let call t req =
   | None -> call_once t req
   | Some policy ->
       let redial () =
-        match t.core.redial with
+        match t.redial with
         | Some d ->
-            (try Transport.close t.core.conn with _ -> ());
-            t.core.conn <- d ()
+            (try Transport.close t.conn with _ -> ());
+            t.conn <- d ()
         | None -> ()
       in
-      Retry.run ~env:t.core.env
+      Retry.run ~env:t.env
         ~on_retry:(fun ~attempt:_ ~delay_s:_ _ ->
           Trace.count "net.retry";
           redial ())

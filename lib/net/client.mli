@@ -57,12 +57,6 @@ val of_conn : ?retry:Retry.policy -> ?env:Retry.env -> Transport.conn -> t
     re-attempted on the {e same} connection (useful only if it can
     recover — otherwise the retry loop fails fast on the dead wire). *)
 
-val with_policy : ?retry:Retry.policy -> t -> t
-(** A view of the same client under a different retry policy (absent
-    [retry]: no retries). Connection state — including re-dials — is
-    shared with the original, so a view is free to make and discard;
-    what [Api.run]'s per-request [retry] knob uses. *)
-
 val loopback :
   ?retry:Retry.policy ->
   ?env:Retry.env ->

@@ -3,10 +3,10 @@
    Dispatch is three layers of admission, each mapping failure to a
    typed Error response: the frame codec (magic/version/length/checksum),
    the message codec (tags/bounds), and the service itself (module
-   decode, segment fit, handle lookup, SFI verification). Only a
-   framing-level failure costs the connection — once the byte stream is
-   out of sync there is no safe way to find the next frame — and even
-   then the client is told why first.
+   decode, segment fit, digest lookup in the store, SFI verification).
+   Only a framing-level failure costs the connection — once the byte
+   stream is out of sync there is no safe way to find the next frame —
+   and even then the client is told why first.
 
    On top of dispatch sit the admission quotas: module size, fuel
    ceiling, per-connection request and byte caps. A quota refusal is an
@@ -62,11 +62,6 @@ type t = {
      registry, private span stack), so pool workers cannot corrupt one
      another's stacks; lazily initialized per domain *)
   local_tracer : Trace.t Domain.DLS.key;
-  (* digest -> handle for every module this server admitted; the wire
-     names modules by digest, the store by abstract handle. Guarded by
-     [h_mu] (leaf-level; held only across the table operation). *)
-  h_mu : Mutex.t;
-  handles : (int64, Store.handle) Hashtbl.t;
   (* net.* counters, registered in the service's own registry *)
   connections : Metrics.counter;
   requests : Metrics.counter;
@@ -96,8 +91,6 @@ let create ?(config = default_config) ?tracer svc =
     cfg = config;
     tracer;
     local_tracer = Domain.DLS.new_key (fun () -> Trace.clone tracer);
-    h_mu = Mutex.create ();
-    handles = Hashtbl.create 16;
     connections = c "net.connections";
     requests = c "net.requests";
     req_ping = c "net.req.ping";
@@ -112,16 +105,6 @@ let create ?(config = default_config) ?tracer svc =
     bytes_out = c "net.bytes_out";
     overloaded = c "net.overloaded";
   }
-
-let locked mu f =
-  Mutex.lock mu;
-  match f () with
-  | v ->
-      Mutex.unlock mu;
-      v
-  | exception e ->
-      Mutex.unlock mu;
-      raise e
 
 let service t = t.svc
 let config t = t.cfg
@@ -156,10 +139,7 @@ let dispatch t (req : M.req) : M.resp =
             (String.length bytes) t.cfg.max_module_bytes )
   | M.Submit bytes -> (
       match Service.submit t.svc bytes with
-      | h ->
-          let d = Store.digest h in
-          locked t.h_mu (fun () -> Hashtbl.replace t.handles d h);
-          M.Submitted d
+      | h -> M.Submitted (Store.digest h)
       | exception Omnivm.Wire.Bad_module msg -> M.Error (M.E_decode, msg)
       | exception Invalid_argument msg -> M.Error (M.E_limit_exceeded, msg)
       | exception Store.Collision _ ->
@@ -185,8 +165,8 @@ let dispatch t (req : M.req) : M.resp =
             "deadline %gs is invalid or exceeds this server's ceiling of %gs"
             (Option.get rs.M.rs_deadline_s) t.cfg.max_deadline_s )
   | M.Run rs -> (
-      match locked t.h_mu (fun () -> Hashtbl.find_opt t.handles rs.M.rs_handle)
-      with
+      (* the wire names a module by digest; the store is the one index *)
+      match Service.find t.svc rs.M.rs_handle with
       | None ->
           M.Error
             ( M.E_unknown_handle,

@@ -12,6 +12,13 @@
     then the {e daemon} survives; only that connection closes, after the
     client is sent the typed error.
 
+    A Run names its module by content digest, and the server resolves it
+    in the service's store ({!Service.find}), the one digest index; the
+    server keeps no table of its own. So any module the store holds is
+    runnable by digest: one submitted on an earlier connection, by an
+    in-process caller of the same service, or restored from the journal
+    after a restart, with no resubmit.
+
     Admission quotas ({!config}) bound what any one client can ask for:
     module size, fuel per run, requests and bytes per connection. Every
     quota refusal is an ordinary [E_limit_exceeded] response — typed,
@@ -88,12 +95,12 @@ val handle_request : t -> Message.req -> Message.resp
 (** Dispatch one already-decoded request. Never raises: exceptions from
     the service layers are mapped to {!Message.Error} classes —
     malformed module bytes to [E_decode], quota and segment-fit
-    violations to [E_limit_exceeded], foreign handles to
-    [E_unknown_handle], SFI verifier refusals to [E_verifier_rejected],
-    quarantined modules to [E_quarantined], module crashes that escape
-    as exceptions to [E_module_fault] (message prefixed with the fault
-    code — see {!Message.fault_code_of_message}), anything else to
-    [E_internal]. *)
+    violations to [E_limit_exceeded], a Run digest the service's store
+    does not hold to [E_unknown_handle], SFI verifier refusals to
+    [E_verifier_rejected], quarantined modules to [E_quarantined],
+    module crashes that escape as exceptions to [E_module_fault]
+    (message prefixed with the fault code — see
+    {!Message.fault_code_of_message}), anything else to [E_internal]. *)
 
 val step : ?session:session -> t -> Transport.conn -> [ `Handled | `Closed ]
 (** Read one frame, answer it. [`Closed] means the connection is done:

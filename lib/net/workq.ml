@@ -25,21 +25,11 @@ let create ~depth () =
 
 let depth t = t.d
 
-let locked mu f =
-  Mutex.lock mu;
-  match f () with
-  | v ->
-      Mutex.unlock mu;
-      v
-  | exception e ->
-      Mutex.unlock mu;
-      raise e
-
-let length t = locked t.mu (fun () -> Queue.length t.q)
-let closed t = locked t.mu (fun () -> t.is_closed)
+let length t = Mutex.protect t.mu (fun () -> Queue.length t.q)
+let closed t = Mutex.protect t.mu (fun () -> t.is_closed)
 
 let try_push t x =
-  locked t.mu @@ fun () ->
+  Mutex.protect t.mu @@ fun () ->
   if t.is_closed || (t.d > 0 && Queue.length t.q >= t.d) then false
   else begin
     Queue.add x t.q;
@@ -48,7 +38,7 @@ let try_push t x =
   end
 
 let pop t =
-  locked t.mu @@ fun () ->
+  Mutex.protect t.mu @@ fun () ->
   let rec wait () =
     if t.is_closed then None
     else if Queue.is_empty t.q then begin
@@ -60,11 +50,11 @@ let pop t =
   wait ()
 
 let try_pop t =
-  locked t.mu @@ fun () ->
+  Mutex.protect t.mu @@ fun () ->
   if Queue.is_empty t.q then None else Some (Queue.take t.q)
 
 let close t =
-  locked t.mu @@ fun () ->
+  Mutex.protect t.mu @@ fun () ->
   if not t.is_closed then begin
     t.is_closed <- true;
     Condition.broadcast t.nonempty

@@ -44,18 +44,8 @@ type t = { mu : Mutex.t; tbl : (string, instrument) Hashtbl.t }
 
 let create () = { mu = Mutex.create (); tbl = Hashtbl.create 32 }
 
-let locked mu f =
-  Mutex.lock mu;
-  match f () with
-  | v ->
-      Mutex.unlock mu;
-      v
-  | exception e ->
-      Mutex.unlock mu;
-      raise e
-
 let register t name mk describe =
-  locked t.mu @@ fun () ->
+  Mutex.protect t.mu @@ fun () ->
   match Hashtbl.find_opt t.tbl name with
   | Some i -> i
   | None ->
@@ -108,13 +98,13 @@ let bucket_upper i = Float.ldexp 1.0 (i - bucket_zero)
 
 let observe h v =
   let i = bucket_index v in
-  locked h.h_mu @@ fun () ->
+  Mutex.protect h.h_mu @@ fun () ->
   h.buckets.(i) <- h.buckets.(i) + 1;
   h.h_count <- h.h_count + 1;
   h.h_sum <- h.h_sum +. v
 
-let histogram_count h = locked h.h_mu (fun () -> h.h_count)
-let histogram_sum h = locked h.h_mu (fun () -> h.h_sum)
+let histogram_count h = Mutex.protect h.h_mu (fun () -> h.h_count)
+let histogram_sum h = Mutex.protect h.h_mu (fun () -> h.h_sum)
 
 (* --- snapshots --- *)
 
@@ -133,7 +123,7 @@ type snapshot = {
 
 let snapshot t : snapshot =
   let cs = ref [] and gs = ref [] and hs = ref [] in
-  ( locked t.mu @@ fun () ->
+  ( Mutex.protect t.mu @@ fun () ->
     Hashtbl.iter
       (fun name i ->
         match i with
@@ -141,7 +131,7 @@ let snapshot t : snapshot =
         | Gauge g -> gs := (name, Atomic.get g.g_value) :: !gs
         | Histogram h ->
             (* registry mutex before histogram mutex: the one nested pair *)
-            locked h.h_mu @@ fun () ->
+            Mutex.protect h.h_mu @@ fun () ->
             let buckets = ref [] in
             for i = bucket_count - 1 downto 0 do
               if h.buckets.(i) > 0 then
@@ -160,14 +150,14 @@ let snapshot t : snapshot =
   }
 
 let reset t =
-  locked t.mu @@ fun () ->
+  Mutex.protect t.mu @@ fun () ->
   Hashtbl.iter
     (fun _ i ->
       match i with
       | Counter c -> Atomic.set c.c_value 0
       | Gauge g -> Atomic.set g.g_value 0.0
       | Histogram h ->
-          locked h.h_mu @@ fun () ->
+          Mutex.protect h.h_mu @@ fun () ->
           Array.fill h.buckets 0 bucket_count 0;
           h.h_count <- 0;
           h.h_sum <- 0.0)

@@ -194,11 +194,7 @@ let validate_translation ~eager ~seq ~modules payload :
                       (Cert_unbound { seq; detail = Check.error_to_string e })
                 | Ok () ->
                     let obligations =
-                      if not eager then Ok ()
-                      else
-                        match prog with
-                        | Translated.T_risc p -> Check.check_risc cert p
-                        | Translated.T_x86 p -> Check.check_x86 cert p
+                      if eager then Check.check cert prog else Ok ()
                     in
                     (match obligations with
                     | Error e ->
@@ -354,16 +350,6 @@ type t = {
   c_append : Metrics.counter;
 }
 
-let locked mu f =
-  Mutex.lock mu;
-  match f () with
-  | v ->
-      Mutex.unlock mu;
-      v
-  | exception e ->
-      Mutex.unlock mu;
-      raise e
-
 let bump metrics (r : recovered) =
   match metrics with
   | None -> ()
@@ -418,7 +404,7 @@ let open_ ?metrics io =
 (* Commit one record: segment bytes first (made durable before anything
    references them), then the journal entry that gives them existence. *)
 let append_record t kind payload =
-  locked t.mu @@ fun () ->
+  Mutex.protect t.mu @@ fun () ->
   if t.closed then failwith "Omni_persist.Store: appending to a closed store";
   let record = frame kind payload in
   let seg = seg_name t.gen and journal = journal_name t.gen in
@@ -455,10 +441,10 @@ let append_translation t ~module_digest ~mode ~opts ~cert prog =
   append_record t kind_translation
     (translation_payload ~module_digest ~mode ~opts ~cert prog)
 
-let flush t = locked t.mu (fun () -> ())
+let flush t = Mutex.protect t.mu (fun () -> ())
 
 let close t =
-  locked t.mu @@ fun () ->
+  Mutex.protect t.mu @@ fun () ->
   if not t.closed then begin
     t.closed <- true;
     let journal =

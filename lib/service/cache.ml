@@ -15,14 +15,12 @@ type key = {
 let key ~digest ~arch ~mode ~opts =
   { k_digest = digest; k_arch = arch; k_mode = mode; k_opts = opts }
 
-type verdict = Verified | Not_applicable
-
 type entry = {
   tr : Exec.translated;
-  verdict : verdict;
   fp : Omni_util.Fnv64.t;
   cert : Omni_cert.Certificate.t option;
-      (* the safety witness minted at admission; present iff Verified *)
+      (* the safety witness minted at admission: the entry's admission
+         record, present iff the configuration is sandboxed *)
 }
 
 exception Rejected of string
@@ -62,22 +60,12 @@ let create ?(capacity = default_capacity) ?persist c =
 let shard t (k : key) =
   t.shards.(Int64.to_int k.k_digest land (Store.shards - 1))
 
-let locked mu f =
-  Mutex.lock mu;
-  match f () with
-  | v ->
-      Mutex.unlock mu;
-      v
-  | exception e ->
-      Mutex.unlock mu;
-      raise e
-
 let capacity t =
   Array.fold_left (fun acc s -> acc + Lru.capacity s.lru) 0 t.shards
 
 let length t =
   Array.fold_left
-    (fun acc s -> acc + locked s.mu (fun () -> Lru.length s.lru))
+    (fun acc s -> acc + Mutex.protect s.mu (fun () -> Lru.length s.lru))
     0 t.shards
 
 (* The admission check: sandboxed code must pass the static SFI verifier
@@ -98,13 +86,13 @@ let admit t k tr ~fp =
       Exec.certify ~module_digest:k.k_digest ~mode:k.k_mode ~opts:k.k_opts
         ~code_fp:fp tr
     with
-    | Ok cert -> (Verified, Some cert)
+    | Ok cert -> Some cert
     | Error reason -> raise (Rejected reason)
   end
-  else (Not_applicable, None)
+  else None
 
 (* Warm admission (hits): the stored witness replaces the full re-verify.
-   An entry without a witness (it was cached as Not_applicable but the key
+   An entry without a witness (it was cached unsandboxed but the key
    demands verification — impossible today, kept as a safety net) falls
    back to the full verifier, observable as [cache.cert.full_verify].
 
@@ -131,6 +119,13 @@ let readmit t (k : key) (e : entry) =
         raise (Rejected reason)
   end
 
+(* The one LRU add, under the shard lock: the miss path and [restore]
+   both insert through it, so both count the evictions they cause. *)
+let add t s k e =
+  match Lru.add s.lru k e with
+  | Some _ -> Metrics.incr t.c.Counters.evictions
+  | None -> ()
+
 let seconds_since t0 =
   float_of_int (Omni_util.Clock.monotonic_ns () - t0) *. 1e-9
 
@@ -145,14 +140,14 @@ let hit t k (e : entry) t0 =
 let find_or_translate t (k : key) (exe : Omnivm.Exe.t) : Exec.translated =
   let t0 = Omni_util.Clock.monotonic_ns () in
   let s = shard t k in
-  match locked s.mu (fun () -> Lru.find s.lru k) with
+  match Mutex.protect s.mu (fun () -> Lru.find s.lru k) with
   | Some e -> hit t k e t0
   | None -> (
       (* Re-check under the lock: another domain may have filled the
          entry since the probe above. The loser of that race counts a
          hit, keeping misses == distinct configurations. *)
       let filled =
-        locked s.mu @@ fun () ->
+        Mutex.protect s.mu @@ fun () ->
         match Lru.find s.lru k with
         | Some e -> Either.Left e
         | None ->
@@ -161,10 +156,8 @@ let find_or_translate t (k : key) (exe : Omnivm.Exe.t) : Exec.translated =
             in
             Metrics.incr t.c.Counters.translations;
             let fp = Exec.fingerprint tr in
-            let verdict, cert = admit t k tr ~fp in
-            (match Lru.add s.lru k { tr; verdict; fp; cert } with
-            | Some _ -> Metrics.incr t.c.Counters.evictions
-            | None -> ());
+            let cert = admit t k tr ~fp in
+            add t s k { tr; fp; cert };
             (match (t.persist, cert) with
             | Some p, Some cert ->
                 Omni_persist.Store.append_translation p
@@ -182,11 +175,11 @@ let find_or_translate t (k : key) (exe : Omnivm.Exe.t) : Exec.translated =
 
 let peek t k =
   let s = shard t k in
-  locked s.mu (fun () -> Lru.peek s.lru k)
+  Mutex.protect s.mu (fun () -> Lru.peek s.lru k)
 
 (* Recovery re-admission: the translation was proven at replay (witness
-   re-checked against the recomputed module digest), so it enters as
-   Verified with its certificate — every later warm hit still re-checks
+   re-checked against the recomputed module digest), so it enters with
+   its certificate — every later warm hit still re-checks
    the witness in [readmit], exactly like an entry the live path minted.
    Counts no miss and no translation (no translator ran) and is never
    re-journaled. *)
@@ -201,25 +194,16 @@ let restore t (rt : Omni_persist.Store.rtrans) =
     }
   in
   let e =
-    {
-      tr;
-      verdict = Verified;
-      fp = rt.Omni_persist.Store.rt_fp;
-      cert = Some rt.Omni_persist.Store.rt_cert;
-    }
+    { tr; fp = rt.Omni_persist.Store.rt_fp;
+      cert = Some rt.Omni_persist.Store.rt_cert }
   in
   let s = shard t k in
-  locked s.mu @@ fun () ->
-  match Lru.find s.lru k with
-  | Some _ -> ()
-  | None -> (
-      match Lru.add s.lru k e with
-      | Some _ -> Metrics.incr t.c.Counters.evictions
-      | None -> ())
+  Mutex.protect s.mu @@ fun () ->
+  if not (Lru.mem s.lru k) then add t s k e
 
 (* Test hook: the mli's invariant says a corrupted cache cannot reach a
    simulator; tests corrupt an entry with this and watch the warm
    admission refuse it. *)
 let inject t k e =
   let s = shard t k in
-  locked s.mu (fun () -> ignore (Lru.add s.lru k e))
+  Mutex.protect s.mu (fun () -> ignore (Lru.add s.lru k e))

@@ -34,18 +34,14 @@ val key :
     translator (after defaulting), so equal configurations share an
     entry. *)
 
-(** Verifier verdict recorded with each cached translation. *)
-type verdict =
-  | Verified  (** static SFI verifier passed (Sandbox-mode translations) *)
-  | Not_applicable
-      (** nothing to verify: SFI off, Guard mode, or a native baseline *)
-
 type entry = {
   tr : Exec.translated;
-  verdict : verdict;
   fp : Omni_util.Fnv64.t;  (** fingerprint at insertion time *)
   cert : Omni_cert.Certificate.t option;
-      (** safety witness minted at insertion; [Some] iff [Verified] *)
+      (** safety witness minted at insertion, and the entry's only
+          admission record: [Some] iff the static SFI verifier passed a
+          Sandbox-mode translation, [None] when there is nothing to
+          verify (SFI off, Guard mode, or a native baseline) *)
 }
 
 exception Rejected of string
@@ -91,8 +87,9 @@ val peek : t -> key -> entry option
 
 val restore : t -> Omni_persist.Store.rtrans -> unit
 (** Re-admit a translation recovered (and proven) by the persistent
-    store's replay: enters as [Verified] with its certificate, counts
-    neither a miss nor a translation, and is not re-journaled. Warm hits
+    store's replay: enters with its certificate, counts neither a miss
+    nor a translation (an eviction it causes is counted, as on the miss
+    path), and is not re-journaled. Warm hits
     on restored entries still re-check the witness like any other entry
     — [cache.cert.check] rises, [cache.cert.full_verify] does not. *)
 

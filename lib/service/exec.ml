@@ -303,19 +303,11 @@ let check_cert ~(module_digest : Omni_util.Fnv64.t) ~(mode : Machine.mode)
      stores it with each entry) skip recomputing it — that hash is most
      of the checking cost for small programs. *)
   let code_fp = match code_fp with Some fp -> fp | None -> fingerprint tr in
-  let err e = Error (Omni_cert.Check.error_to_string e) in
   match
-    Omni_cert.Check.bind cert ~module_digest ~arch:(arch_of tr) ~mode ~opts
-      ~code_fp
+    Result.bind
+      (Omni_cert.Check.bind cert ~module_digest ~arch:(arch_of tr) ~mode ~opts
+         ~code_fp)
+      (fun () -> Omni_cert.Check.check cert tr)
   with
-  | Error e -> err e
-  | Ok () -> (
-      match tr with
-      | T_risc p -> (
-          match Omni_cert.Check.check_risc cert p with
-          | Ok () -> Ok ()
-          | Error e -> err e)
-      | T_x86 p -> (
-          match Omni_cert.Check.check_x86 cert p with
-          | Ok () -> Ok ()
-          | Error e -> err e))
+  | Ok () -> Ok ()
+  | Error e -> Error (Omni_cert.Check.error_to_string e)

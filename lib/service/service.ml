@@ -79,6 +79,7 @@ let close t =
       Omni_persist.Store.close p
 
 let submit ?producer t bytes = Store.submit ?producer t.store bytes
+let find t digest = Store.find t.store digest
 let metrics t = Counters.metrics t.c
 
 let clear_quarantine t digest =
@@ -159,7 +160,9 @@ let instantiate ?(engine = Exec.Interp) ?(sfi = true) ?mode ?opts ?fuel
     | Exec.Target arch ->
         let mode, opts = Exec.resolve ~sfi ?mode ?opts arch in
         let key = Cache.key ~digest:(Store.digest h) ~arch ~mode ~opts in
-        let tr = Cache.find_or_translate t.cache key (Store.exe t.store h) in
+        let tr =
+          Cache.find_or_translate t.cache key img.Omni_runtime.Loader.exe
+        in
         Exec.run_translated ?fuel ?watchdog tr img
   in
   supervise_result t h ~engine ~sfi ?mode ?fuel res

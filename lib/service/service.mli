@@ -7,7 +7,9 @@
       content-derived handle;
     + {!instantiate} stamps out a fresh isolated image for the handle and
       runs it on the requested engine, reusing the cached translation for
-      its (arch, mode, opts) configuration when one exists.
+      its (arch, mode, opts) configuration when one exists; the image's
+      own executable feeds the translator, so a warm run reads the store
+      once.
 
     Every layer reports into one {!Counters.t} set of instruments
     (snapshot via {!stats}), and
@@ -78,6 +80,11 @@ val close : t -> unit
 val submit : ?producer:string -> t -> string -> Store.handle
 (** Admit module bytes; see {!Store.submit} for validation, errors, and
     the [producer] attribution (which flows into crash reports). *)
+
+val find : t -> Omni_util.Fnv64.t -> Store.handle option
+(** The handle of the module stored under a content digest — submitted
+    or restored by recovery — if any ({!Store.find}). What a server
+    resolves a wire digest with: the store is the one digest index. *)
 
 val instantiate :
   ?engine:Exec.engine ->

@@ -50,33 +50,26 @@ let create ?counters ?persist () =
 
 let shard t (d : Fnv64.t) = t.shards.(Int64.to_int d land (shards - 1))
 
-let locked mu f =
-  Mutex.lock mu;
-  match f () with
-  | v ->
-      Mutex.unlock mu;
-      v
-  | exception e ->
-      Mutex.unlock mu;
-      raise e
-
 exception Collision of handle
 exception Unknown_handle
 
-(* The shard lock is held across decode + blueprint so that concurrent
-   submits of the same new module stay exactly accounted: one of them
-   inserts (counting [modules] and [bytes_stored] once), every other
-   counts [dedup_hits]. Cold submits of same-shard modules serialize;
+(* The one insert, shared by [submit] and [restore]. The shard lock is
+   held across decode + blueprint so that concurrent admissions of the
+   same new module stay exactly accounted: one of them inserts (counting
+   [modules] and [bytes_stored] once) and is told it was fresh; every
+   other finds the entry. A fresh module is journaled under the same
+   lock when [journal] is set, so no translation of it can reach the
+   journal first. Cold admissions of same-shard modules serialize;
    distinct shards proceed in parallel. *)
-let submit ?producer t bytes =
+let insert ?producer ~journal t bytes =
   let h = Fnv64.digest_string bytes in
-  Metrics.incr t.c.Counters.submits;
   let s = shard t h in
-  ( locked s.mu @@ fun () ->
+  let fresh =
+    Mutex.protect s.mu @@ fun () ->
     match Hashtbl.find_opt s.tbl h with
     | Some e ->
         if not (String.equal e.e_bytes bytes) then raise (Collision h);
-        Metrics.incr t.c.Counters.dedup_hits
+        false
     | None ->
         let exe =
           Trace.phase "decode"
@@ -90,33 +83,30 @@ let submit ?producer t bytes =
         Metrics.incr t.c.Counters.modules;
         Metrics.incr ~by:(String.length bytes) t.c.Counters.bytes_stored;
         (match t.persist with
-        | Some p -> Omni_persist.Store.append_module p bytes
-        | None -> ()) );
+        | Some p when journal -> Omni_persist.Store.append_module p bytes
+        | _ -> ());
+        true
+  in
+  (h, fresh)
+
+let submit ?producer t bytes =
+  Metrics.incr t.c.Counters.submits;
+  let h, fresh = insert ?producer ~journal:true t bytes in
+  if not fresh then Metrics.incr t.c.Counters.dedup_hits;
   h
 
 (* Recovery re-admission: the bytes come from the persistent store's
-   validated replay, so they count as modules held ([modules],
-   [bytes_stored]) but not as client traffic ([submits], [dedup_hits])
-   — and they are never re-journaled. *)
-let restore t bytes =
-  let h = Fnv64.digest_string bytes in
-  let s = shard t h in
-  ( locked s.mu @@ fun () ->
-    match Hashtbl.find_opt s.tbl h with
-    | Some _ -> ()
-    | None ->
-        let exe = Omnivm.Wire.decode bytes in
-        let bp = Omni_runtime.Loader.blueprint exe in
-        Hashtbl.replace s.tbl h
-          { e_bytes = bytes; e_exe = exe; e_blueprint = bp;
-            e_producer = None };
-        Metrics.incr t.c.Counters.modules;
-        Metrics.incr ~by:(String.length bytes) t.c.Counters.bytes_stored );
-  h
+   validated replay, so they count as modules held but not as client
+   traffic ([submits], [dedup_hits]), and they are never re-journaled. *)
+let restore t bytes = fst (insert ~journal:false t bytes)
+
+let find t d =
+  let s = shard t d in
+  if Mutex.protect s.mu (fun () -> Hashtbl.mem s.tbl d) then Some d else None
 
 let entry t h =
   let s = shard t h in
-  match locked s.mu (fun () -> Hashtbl.find_opt s.tbl h) with
+  match Mutex.protect s.mu (fun () -> Hashtbl.find_opt s.tbl h) with
   | Some e -> e
   | None -> raise Unknown_handle
 
@@ -127,7 +117,7 @@ let entry t h =
    the same decode. *)
 let predecoded t h =
   let s = shard t h in
-  locked s.mu @@ fun () ->
+  Mutex.protect s.mu @@ fun () ->
   match Hashtbl.find_opt s.ptbl h with
   | Some p ->
       Metrics.incr t.c.Counters.predecode_hits;
@@ -151,5 +141,5 @@ let producer t h = (entry t h).e_producer
 
 let modules t =
   Array.fold_left
-    (fun acc s -> acc + locked s.mu (fun () -> Hashtbl.length s.tbl))
+    (fun acc s -> acc + Mutex.protect s.mu (fun () -> Hashtbl.length s.tbl))
     0 t.shards

@@ -51,9 +51,16 @@ val submit : ?producer:string -> t -> string -> handle
 val restore : t -> string -> handle
 (** Re-admit module bytes recovered from the persistent store: counted
     as a held module ([modules], [bytes_stored]) but not as client
-    traffic (no [submits]), and never re-journaled. The bytes were
-    validated by recovery, but the decode runs again — a handle always
-    names a loadable module, whatever its provenance. *)
+    traffic (no [submits]), and never re-journaled. It shares
+    {!submit}'s insert: the decode runs again, so a handle always names
+    a loadable module, whatever its provenance.
+    @raise Collision on a digest collision. *)
+
+val find : t -> Omni_util.Fnv64.t -> handle option
+(** The module this store holds under a content digest, whether a client
+    submitted it or recovery restored it. The store is the one digest
+    index: the wire names modules by digest, and this lookup (one shard
+    lock) turns a digest into a handle. *)
 
 exception Unknown_handle
 (** Raised by the accessors below for a handle this store never issued. *)

@@ -520,18 +520,8 @@ module Quarantine = struct
     if cfg.ttl_s <= 0.0 then invalid_arg "Quarantine.create: ttl must be > 0";
     { cfg; mu = Mutex.create (); tbl = Hashtbl.create 64 }
 
-  let locked mu f =
-    Mutex.lock mu;
-    match f () with
-    | v ->
-        Mutex.unlock mu;
-        v
-    | exception e ->
-        Mutex.unlock mu;
-        raise e
-
   let check t digest =
-    locked t.mu @@ fun () ->
+    Mutex.protect t.mu @@ fun () ->
     match Hashtbl.find_opt t.tbl digest with
     | None -> ()
     | Some e ->
@@ -554,7 +544,7 @@ module Quarantine = struct
      (the module demonstrably can succeed, so earlier faults were
      input-dependent); transient faults and fuel exhaustion are neutral. *)
   let note t digest (outcome : Machine.outcome) : bool =
-    locked t.mu @@ fun () ->
+    Mutex.protect t.mu @@ fun () ->
     match outcome with
     | Machine.Faulted f when not (transient f) ->
         let e =
@@ -578,7 +568,7 @@ module Quarantine = struct
     | Machine.Faulted _ (* transient *) | Machine.Out_of_fuel -> false
 
   let clear t digest =
-    locked t.mu @@ fun () ->
+    Mutex.protect t.mu @@ fun () ->
     match Hashtbl.find_opt t.tbl digest with
     | Some e when e.until > 0.0 ->
         Hashtbl.remove t.tbl digest;
@@ -586,7 +576,7 @@ module Quarantine = struct
     | Some _ | None -> false
 
   let clear_all t =
-    locked t.mu @@ fun () ->
+    Mutex.protect t.mu @@ fun () ->
     let cleared =
       Hashtbl.fold (fun d e acc -> if e.until > 0.0 then d :: acc else acc)
         t.tbl []
@@ -596,14 +586,14 @@ module Quarantine = struct
 
   let active t =
     let now = Clock.now t.cfg.clock in
-    locked t.mu @@ fun () ->
+    Mutex.protect t.mu @@ fun () ->
     Hashtbl.fold
       (fun d e acc ->
         if e.until > now then (d, e.until) :: acc else acc)
       t.tbl []
 
   let strikes t digest =
-    locked t.mu @@ fun () ->
+    Mutex.protect t.mu @@ fun () ->
     match Hashtbl.find_opt t.tbl digest with
     | Some e -> e.strikes
     | None -> 0

@@ -102,9 +102,7 @@ let mem_addr t e ~origin base disp =
    data base + dedicated register, given as base -1. *)
 let sfi_store ?(indexed = true) t e ~base ~disp
     ~(emit_store : core:bool -> int -> int -> unit) =
-  if Translate.sfi_mode e = Policy.Off
-     || Translate.statically_safe e ~sp:omni_sp base disp
-  then begin
+  if Translate.unchecked_store e ~sp:omni_sp base disp then begin
     let b, d = mem_addr t e ~origin:Machine.Addr base disp in
     emit_store ~core:true b d
   end

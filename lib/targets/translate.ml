@@ -89,6 +89,16 @@ let statically_safe e ~sp base disp =
   (base = sp && disp >= 0 && disp < guard_zone e)
   || (base = 0 && Omnivm.Layout.in_data disp)
 
+(* Does a store at [base]+[disp] go without a check? Under SFI a
+   statically safe store is an elided check, counted here once for every
+   target (RISC's guard-zone reuse under [sfi_opt] counts as well, where
+   it happens). *)
+let unchecked_store e ~sp base disp =
+  sfi_mode e = Policy.Off
+  || statically_safe e ~sp base disp
+     && (Trace.tally_count e.tally "translate.sfi_checks_elided";
+         true)
+
 (* Does [ins] write sp with a value that may leave the data segment, so
    the translation must re-sandbox sp after it? A small constant step
    from sp itself stays in the guard zone. *)

@@ -216,12 +216,7 @@ let translate_binop e op rd rs1 (b : operand) =
           | _ -> Translate.error "unhandled x86 binop"))
 
 let sandbox_store e ~base ~disp ~(do_store : mem -> unit) =
-  if
-    Translate.sfi_mode e = Policy.Off
-    || Translate.statically_safe e ~sp:Omnivm.Reg.sp base disp
-  then begin
-    if Translate.sfi_mode e <> Policy.Off then
-      Trace.tally_count e.Translate.tally "translate.sfi_checks_elided";
+  if Translate.unchecked_store e ~sp:Omnivm.Reg.sp base disp then begin
     let m = addr_mem e Machine.Addr base disp in
     do_store m
   end

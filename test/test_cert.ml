@@ -337,10 +337,7 @@ let swap_code tr i j =
    fingerprint binding: the point is that the obligation scan itself —
    not just the content hash — refuses code that no longer discharges
    the claims. *)
-let raw_check cert tr =
-  match tr with
-  | Exec.T_risc p -> Check.check_risc cert p
-  | Exec.T_x86 p -> Check.check_x86 cert p
+let raw_check = Check.check
 
 (* The full verifier must judge under the same displacement bound the
    policy grants (Pad_guard8 widens it), or honest guard-zone code would

@@ -423,6 +423,79 @@ let compact_drops_corruption () =
   Alcotest.(check int) "survivors intact" 4
     (List.length r3.Store.r_modules + List.length r3.Store.r_translations)
 
+(* --- the wire over a recovered store ----------------------------------
+
+   A daemon restarted over its store directory serves what the journal
+   recovered by digest: a client retrying a Run across the restart gets
+   [Ran] with the pre-restart output, with no resubmit. The server
+   resolves digests in the store, so a restored module is as runnable as
+   a submitted one; a digest nobody submitted is still unknown. *)
+
+module Server = Omni_net.Server
+module Msg = Omni_net.Message
+
+let wire_run server digest engine =
+  Server.handle_request server
+    (Msg.Run
+       { Msg.rs_handle = digest; rs_engine = engine; rs_sfi = true;
+         rs_mode = Msg.M_default; rs_fuel = Some fuel; rs_deadline_s = None;
+         rs_want_cert = false })
+
+let ran what = function
+  | Msg.Ran (r, _) -> r
+  | Msg.Error (_, msg) -> Alcotest.failf "%s: error response: %s" what msg
+  | _ -> Alcotest.failf "%s: unexpected response" what
+
+let recovered_digests_run_by_wire () =
+  let engines = [ Exec.Interp; Exec.Target Arch.X86 ] in
+  List.iter
+    (fun clean ->
+      let restart = if clean then "clean restart" else "dirty restart" in
+      let io = Io.sim () in
+      let server = Server.create (Service.of_config (persisted io)) in
+      let digest =
+        match
+          Server.handle_request server (Msg.Submit (Lazy.force hello_bytes))
+        with
+        | Msg.Submitted d -> d
+        | _ -> Alcotest.fail "submit refused"
+      in
+      let before =
+        List.map
+          (fun e -> ran (Exec.engine_name e) (wire_run server digest e))
+          engines
+      in
+      if clean then Service.close (Server.service server);
+      let svc2 = Service.of_config (persisted io) in
+      (match Service.recovery svc2 with
+      | Some r ->
+          Alcotest.(check int) (restart ^ ": recovered modules") 1
+            (List.length r.Store.r_modules)
+      | None -> Alcotest.fail "persistent service reported no recovery");
+      let server2 = Server.create svc2 in
+      List.iter2
+        (fun e (r : Exec.run_result) ->
+          let what = restart ^ ", " ^ Exec.engine_name e in
+          let r' = ran what (wire_run server2 digest e) in
+          Alcotest.(check string) (what ^ ": same output") r.Exec.output
+            r'.Exec.output;
+          Alcotest.(check int) (what ^ ": same exit") r.Exec.exit_code
+            r'.Exec.exit_code)
+        engines before;
+      let c = Service.stats svc2 in
+      Alcotest.(check int) (restart ^ ": no resubmit") 0 c.Counters.s_submits;
+      Alcotest.(check int) (restart ^ ": translation recovered, not redone") 0
+        c.Counters.s_translations;
+      let stranger = Int64.logxor digest 1L in
+      match wire_run server2 stranger Exec.Interp with
+      | Msg.Error (Msg.E_unknown_handle, msg) ->
+          Alcotest.(check string) (restart ^ ": unknown digest message")
+            (Printf.sprintf "no module %s on this server"
+               (Fnv64.to_hex stranger))
+            msg
+      | _ -> Alcotest.failf "%s: ran a digest never submitted" restart)
+    [ true; false ]
+
 let () =
   Alcotest.run "persist"
     [ ("matrix",
@@ -443,7 +516,9 @@ let () =
          Alcotest.test_case "fingerprint parity with the live path" `Quick
            fingerprint_parity;
          Alcotest.test_case "marshal-fingerprint store re-translates" `Quick
-           marshal_fingerprint_upgrade ]);
+           marshal_fingerprint_upgrade;
+         Alcotest.test_case "recovered digests run by wire" `Quick
+           recovered_digests_run_by_wire ]);
       ("compact",
        [ Alcotest.test_case "drops a corrupted record" `Quick
            compact_drops_corruption ]) ]

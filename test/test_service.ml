@@ -158,9 +158,9 @@ let cached_artifacts_verify () =
       | None -> Alcotest.failf "%s: no cached entry" (Arch.name arch)
       | Some e ->
           Alcotest.(check bool)
-            (Arch.name arch ^ ": verdict Verified")
+            (Arch.name arch ^ ": admitted with a certificate")
             true
-            (e.Cache.verdict = Cache.Verified);
+            (e.Cache.cert <> None);
           (match Exec.verify e.Cache.tr with
           | Ok () -> ()
           | Error reason ->
@@ -190,8 +190,8 @@ let nosfi_not_applicable () =
     (Service.instantiate ~engine:(Exec.Target Arch.Mips) ~sfi:false ~fuel svc h);
   (match Service.cached ~arch:Arch.Mips ~sfi:false svc h with
   | Some e ->
-      Alcotest.(check bool) "verdict N/A" true
-        (e.Cache.verdict = Cache.Not_applicable)
+      Alcotest.(check bool) "no certificate without SFI" true
+        (e.Cache.cert = None)
   | None -> Alcotest.fail "no cached entry");
   let c = Service.stats svc in
   Alcotest.(check int) "no verifier run without SFI" 0 c.Counters.s_verifications

@@ -2015,15 +2015,17 @@ let golden_tallies =
   [ ( Arch.Mips,
       "translate.delay_slot_nops=5188 translate.delay_slots_filled=3726 \
        translate.gp_uses=771 translate.omni_instrs=46086 \
-       translate.sfi_checks=630 pass.delay_slot=92 pass.schedule=92" );
+       translate.sfi_checks=630 translate.sfi_checks_elided=1619 \
+       pass.delay_slot=92 pass.schedule=92" );
     ( Arch.Sparc,
       "translate.delay_slot_nops=5317 translate.delay_slots_filled=3597 \
        translate.gp_uses=1496 translate.omni_instrs=46086 \
-       translate.sfi_checks=630 pass.delay_slot=92 pass.schedule=46" );
+       translate.sfi_checks=630 translate.sfi_checks_elided=1619 \
+       pass.delay_slot=92 pass.schedule=46" );
     ( Arch.Ppc,
       "translate.gp_uses=771 translate.omni_instrs=46086 \
        translate.peephole_folds=10 translate.sfi_checks=630 \
-       pass.peephole=46 pass.schedule=92" );
+       translate.sfi_checks_elided=1619 pass.peephole=46 pass.schedule=92" );
     ( Arch.X86,
       "translate.omni_instrs=46086 translate.peephole_folds=54 \
        translate.sfi_checks=630 translate.sfi_checks_elided=1619 \
