@@ -205,9 +205,12 @@ let dispatch t (req : M.req) : M.resp =
                  serves runs whose safety it can hand over. The
                  reference interpreter carries no translation and is
                  exempt. *)
+              let sent = rs.M.rs_want_cert || t.cfg.require_cert in
               let cert =
-                certificate_for t ~engine:rs.M.rs_engine ~sfi:rs.M.rs_sfi
-                  ~mode h
+                if sent then
+                  certificate_for t ~engine:rs.M.rs_engine ~sfi:rs.M.rs_sfi
+                    ~mode h
+                else None
               in
               match (cert, t.cfg.require_cert, rs.M.rs_engine) with
               | None, true, Omni_service.Exec.Target _ ->
@@ -215,12 +218,7 @@ let dispatch t (req : M.req) : M.resp =
                     ( M.E_certificate_invalid,
                       "this server requires certified translations; this \
                        run configuration has no safety certificate" )
-              | _ ->
-                  M.Ran
-                    ( r,
-                      if rs.M.rs_want_cert || t.cfg.require_cert then
-                        Option.map Omni_cert.Certificate.encode cert
-                      else None ))
+              | _ -> M.Ran (r, Option.map Omni_cert.Certificate.encode cert))
           | exception Cache.Rejected msg ->
               M.Error (M.E_verifier_rejected, msg)
           | exception Omni_targets.Translate.Translate_error msg ->

@@ -20,7 +20,11 @@
    running one request after another reuses the same few pages instead
    of leaving each request's pages to the major heap. A page on the list
    belongs to no region, and a reused page is overwritten whole before
-   any region can read it. *)
+   any region can read it.
+
+   A small page cache in front of the checks (see [cache_bits]) makes
+   an access to a recently used page one tag compare and the page read
+   or write. *)
 
 type perm = { read : bool; write : bool; execute : bool }
 
@@ -84,16 +88,42 @@ type region = {
 let base r = r.base
 let size r = r.size
 
+(* The page cache: [cache_size] read entries, then as many write
+   entries, each direct-mapped by page number. A read entry holds a page
+   lying wholly inside a region whose read permission it was filled
+   under; a write entry, such a page under write permission that the
+   region owns. So an access that hits within one page needs no check:
+   the checks it would make are the ones that passed when the entry was
+   filled. They hold until [set_perm] or [release] changes what they
+   read, and the page stays the region's until [own] replaces a shared
+   one; each of these drops the entries it could make stale. [map] needs
+   not: it refuses a region overlapping one already mapped, so no
+   cached page can fall inside the new one. *)
+let cache_bits = 4
+let cache_size = 1 lsl cache_bits
+let cache_mask = cache_size - 1
+
 type t = {
   mutable regions : region array;
   mutable last : region; (* the region of the latest access *)
   mutable resident : int; (* pages this memory owns *)
+  tags : int array; (* per cache entry, its page number; -1: empty *)
+  cached : Bytes.t array; (* per cache entry, its page *)
 }
 
 let no_region =
   { name = ""; base = 0; size = 0; perm = perm_r; init = [||]; dir = [||] }
 
-let create () = { regions = [||]; last = no_region; resident = 0 }
+let create () =
+  { regions = [||]; last = no_region; resident = 0;
+    tags = Array.make (2 * cache_size) (-1);
+    cached = Array.make (2 * cache_size) zero_page }
+
+(* Empty the cache, leaving no page reachable from it. *)
+let flush t =
+  Array.fill t.tags 0 (2 * cache_size) (-1);
+  Array.fill t.cached 0 (2 * cache_size) zero_page
+
 let resident_pages t = t.resident
 
 (* The calling domain's free pages: [pages.(0 .. count - 1)]. Only pages
@@ -148,7 +178,9 @@ let region_of t addr =
 
 let set_perm t name perm =
   match Array.find_opt (fun r -> String.equal r.name name) t.regions with
-  | Some r -> r.perm <- perm
+  | Some r ->
+      r.perm <- perm;
+      flush t
   | None -> invalid_arg "Memory.set_perm: unknown region"
 
 (* Unmap every region and put the pages they own on the free list; the
@@ -178,7 +210,8 @@ let release t =
     t.regions;
   t.regions <- [||];
   t.last <- no_region;
-  t.resident <- 0
+  t.resident <- 0;
+  flush t
 
 let fault addr access = raise (Fault.Vm_fault (Access_violation { addr; access }))
 
@@ -219,8 +252,10 @@ let[@inline] page r off =
 
 (* Page [k] of leaf [j] of [r] for writing: the region's own copy, made
    on first write, after copying the directory and the leaf if the region
-   does not own them yet. *)
+   does not own them yet. A read entry may hold the page it replaces. *)
 let[@inline never] own t r j k =
+  let pn = (r.base lsr page_bits) + (j lsl leaf_bits) + k in
+  if t.tags.(pn land cache_mask) = pn then t.tags.(pn land cache_mask) <- -1;
   if r.dir == r.init then r.dir <- Array.copy r.init;
   let leaf = r.dir.(j) in
   let leaf =
@@ -250,29 +285,82 @@ let set_byte t r off v =
   Bytes.unsafe_set (writable_page t r off) (off land page_mask)
     (Char.unsafe_chr (v land 0xFF))
 
-(* Loads return canonical Word32 values (unsigned for sub-word widths). *)
+(* Filling the cache after an access to [addr] in [r] passed its checks:
+   the read entry when the access reads, the write entry, with the page
+   [r] owns, when it writes; only for a page wholly inside [r]. *)
+let[@inline] whole r addr =
+  let off = (addr land lnot page_mask) - r.base in
+  off + page_size <= r.size
+
+let[@inline never] fill_read t r addr =
+  if whole r addr then begin
+    let pn = addr lsr page_bits in
+    let i = pn land cache_mask in
+    t.tags.(i) <- pn;
+    t.cached.(i) <- page r (addr - r.base)
+  end
+
+let[@inline never] fill_write t r addr =
+  if whole r addr then begin
+    let pn = addr lsr page_bits in
+    let i = cache_size + (pn land cache_mask) in
+    t.tags.(i) <- pn;
+    t.cached.(i) <- writable_page t r (addr - r.base)
+  end
+
+(* Whether the read (write: [w] = [cache_size]) entry for [addr] holds
+   its page and the [width] bytes at [addr] lie in that page. *)
+let[@inline] hit t w addr width =
+  addr land page_mask <= page_size - width
+  && Array.unsafe_get t.tags (w + ((addr lsr page_bits) land cache_mask))
+     = addr lsr page_bits
+
+let[@inline] cached t w addr =
+  Array.unsafe_get t.cached (w + ((addr lsr page_bits) land cache_mask))
+
+(* Loads return canonical Word32 values (unsigned for sub-word widths).
+   Each access below tries the cache, then makes its checks, reads or
+   writes, and fills the cache. *)
+
+let[@inline never] load8_slow t addr =
+  let r = check t addr 1 Fault.Read in
+  fill_read t r addr;
+  get_byte r (addr - r.base)
 
 let load8 t addr =
   let addr = addr land 0xFFFFFFFF in
-  let r = check t addr 1 Fault.Read in
-  get_byte r (addr - r.base)
+  if hit t 0 addr 1 then
+    Char.code (Bytes.unsafe_get (cached t 0 addr) (addr land page_mask))
+  else load8_slow t addr
+
+let[@inline never] store8_slow t addr v =
+  let r = check t addr 1 Fault.Write in
+  set_byte t r (addr - r.base) v;
+  fill_write t r addr
 
 let store8 t addr v =
   let addr = addr land 0xFFFFFFFF in
-  let r = check t addr 1 Fault.Write in
-  set_byte t r (addr - r.base) v
+  if hit t cache_size addr 1 then
+    Bytes.unsafe_set (cached t cache_size addr) (addr land page_mask)
+      (Char.unsafe_chr (v land 0xFF))
+  else store8_slow t addr v
 
-let load16 t addr =
-  let addr = addr land 0xFFFFFFFF in
+let[@inline never] load16_slow t addr =
   let r = check t addr 2 Fault.Read in
+  fill_read t r addr;
   let off = addr - r.base in
   let po = off land page_mask in
   if po <= page_size - 2 then
     Bytes.get_uint16_le (page r off) po
   else get_byte r off lor (get_byte r (off + 1) lsl 8)
 
-let store16 t addr v =
+let load16 t addr =
   let addr = addr land 0xFFFFFFFF in
+  if hit t 0 addr 2 then
+    Bytes.get_uint16_le (cached t 0 addr) (addr land page_mask)
+  else load16_slow t addr
+
+let[@inline never] store16_slow t addr v =
   let r = check t addr 2 Fault.Write in
   let off = addr - r.base in
   let po = off land page_mask in
@@ -280,11 +368,19 @@ let store16 t addr v =
     Bytes.set_uint16_le (writable_page t r off) po (v land 0xFFFF)
   else (
     set_byte t r off v;
-    set_byte t r (off + 1) (v lsr 8))
+    set_byte t r (off + 1) (v lsr 8));
+  fill_write t r addr
 
-let load32 t addr =
+let store16 t addr v =
   let addr = addr land 0xFFFFFFFF in
+  if hit t cache_size addr 2 then
+    Bytes.set_uint16_le (cached t cache_size addr) (addr land page_mask)
+      (v land 0xFFFF)
+  else store16_slow t addr v
+
+let[@inline never] load32_slow t addr =
   let r = check t addr 4 Fault.Read in
+  fill_read t r addr;
   let off = addr - r.base in
   let po = off land page_mask in
   if po <= page_size - 4 then
@@ -294,6 +390,12 @@ let load32 t addr =
       (get_byte r (off + 1))
       (get_byte r (off + 2))
       (get_byte r (off + 3))
+
+let load32 t addr =
+  let addr = addr land 0xFFFFFFFF in
+  if hit t 0 addr 4 then
+    Int32.to_int (Bytes.get_int32_le (cached t 0 addr) (addr land page_mask))
+  else load32_slow t addr
 
 (* The write half of [store32], after its checks have passed. *)
 let write32 t r addr v =
@@ -306,9 +408,17 @@ let write32 t r addr v =
       set_byte t r (off + i) (v lsr (8 * i))
     done
 
+let[@inline never] store32_slow t addr v =
+  let r = check t addr 4 Fault.Write in
+  write32 t r addr v;
+  fill_write t r addr
+
 let store32 t addr v =
   let addr = addr land 0xFFFFFFFF in
-  write32 t (check t addr 4 Fault.Write) addr v
+  if hit t cache_size addr 4 then
+    Bytes.set_int32_le (cached t cache_size addr) (addr land page_mask)
+      (Int32.of_int v)
+  else store32_slow t addr v
 
 (* An 8-byte access is two 4-byte halves, each checked as [load32] and
    [store32] check it. When the low half's checks pass and all 8 bytes lie
@@ -320,14 +430,21 @@ let load64_halves t addr =
   let hi = load32 t (addr + 4) land 0xFFFFFFFF in
   Int64.logor (Int64.of_int lo) (Int64.shift_left (Int64.of_int hi) 32)
 
-let[@inline] load64 t addr =
-  let addr = addr land 0xFFFFFFFF in
+let[@inline never] load64_slow t addr =
   let r = check t addr 4 Fault.Read in
   let off = addr - r.base in
   let po = off land page_mask in
-  if po <= page_size - 8 && off + 8 <= r.size then
+  if po <= page_size - 8 && off + 8 <= r.size then begin
+    fill_read t r addr;
     Bytes.get_int64_le (page r off) po
+  end
   else load64_halves t addr
+
+let[@inline] load64 t addr =
+  let addr = addr land 0xFFFFFFFF in
+  if hit t 0 addr 8 then
+    Bytes.get_int64_le (cached t 0 addr) (addr land page_mask)
+  else load64_slow t addr
 
 (* Both halves are checked before either is written: a store that faults
    leaves memory untouched. *)
@@ -338,17 +455,27 @@ let store64_halves t addr lo hi =
   write32 t lo_r lo_addr lo;
   write32 t hi_r hi_addr hi
 
-let store_words t addr lo hi =
-  let addr = addr land 0xFFFFFFFF in
+let[@inline] words lo hi =
+  Int64.logor
+    (Int64.of_int (lo land 0xFFFFFFFF))
+    (Int64.shift_left (Int64.of_int hi) 32)
+
+let[@inline never] store_words_slow t addr lo hi =
   let r = check t addr 4 Fault.Write in
   let off = addr - r.base in
   let po = off land page_mask in
-  if po <= page_size - 8 && off + 8 <= r.size then
-    Bytes.set_int64_le (writable_page t r off) po
-      (Int64.logor
-         (Int64.of_int (lo land 0xFFFFFFFF))
-         (Int64.shift_left (Int64.of_int hi) 32))
+  if po <= page_size - 8 && off + 8 <= r.size then begin
+    Bytes.set_int64_le (writable_page t r off) po (words lo hi);
+    fill_write t r addr
+  end
   else store64_halves t addr lo hi
+
+let store_words t addr lo hi =
+  let addr = addr land 0xFFFFFFFF in
+  if hit t cache_size addr 8 then
+    Bytes.set_int64_le (cached t cache_size addr) (addr land page_mask)
+      (words lo hi)
+  else store_words_slow t addr lo hi
 
 let[@inline] store64 t addr v =
   store_words t addr (Int64.to_int v) (Int64.to_int (Int64.shift_right_logical v 32))

@@ -80,9 +80,7 @@ let load ?allow ?map_host_region ?stack_size (exe : Exe.t) : image =
   instantiate (blueprint ?allow ?map_host_region ?stack_size exe)
 
 (* Load from wire bytes: the real mobile-code path. *)
-let load_wire ?allow ?map_host_region ?stack_size bytes =
-  let exe = Trace.phase "decode" (fun () -> Wire.decode bytes) in
-  load ?allow ?map_host_region ?stack_size exe
+let load_wire bytes = load (Trace.phase "decode" (fun () -> Wire.decode bytes))
 
 (* The host-call interface both interpreter engines run under. *)
 let host_iface (img : image) : Interp.host_iface =

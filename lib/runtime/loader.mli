@@ -43,13 +43,9 @@ val instantiate : blueprint -> image
     the image copies on first write, so instantiation copies no bytes.
     [load exe] is [instantiate (blueprint exe)]. *)
 
-val load_wire :
-  ?allow:Hostcall.t list ->
-  ?map_host_region:bool ->
-  ?stack_size:int ->
-  string ->
-  image
-(** The real mobile-code path: decode wire bytes, then {!load}.
+val load_wire : string -> image
+(** The real mobile-code path: decode wire bytes, then {!load} with
+    every default.
     @raise Omnivm.Wire.Bad_module on malformed bytes. *)
 
 val run_interp :

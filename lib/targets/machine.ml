@@ -110,17 +110,20 @@ let new_stats () =
    executes on, each checked once here, so executing the slot matches no
    variant); and a tag packing what is counted when it retires, its
    origin index in the low three bits, then the flags below (-1: not yet
-   decoded). A retirement only adds one to
-   the slot's count; [finish] folds the counts into the run's [stats]
-   once, when it ends. The table also holds the run's segment memo
-   ([Pipeline.segment]): a slot's costs never change during a run, so a
-   segment's timing, once stepped, holds for every later entry into it
-   in the same state. A table is the run's alone while it runs;
-   afterwards it goes back to a one-table spare per domain, so a server
-   running one request after another decodes into the same storage
-   instead of leaving a table per run to the major heap. Tables are not
-   part of a translated program, which is marshalled into the journal
-   and fingerprinted into certificates. *)
+   decoded). A stepped retirement only adds one to the slot's count. The
+   table also holds the run's segment memo ([Pipeline.segment]): a
+   slot's costs never change during a run, so a segment's timing, once
+   stepped, holds for every later entry into it in the same state, and
+   a segment retired from the memo adds one to its entry's hits instead;
+   [finish] folds the hits into the counts and the counts into the
+   run's [stats] once, when it ends. [runs] holds, per slot, the length
+   of the straight run from it once that has been stepped (0: not yet),
+   which the simulator then runs whole. A table is the run's alone
+   while it runs; afterwards it goes back to a one-table spare per
+   domain, so a server running one request after another decodes into
+   the same storage instead of leaving a table per run to the major
+   heap. Tables are not part of a translated program, which is
+   marshalled into the journal and fingerprinted into certificates. *)
 
 let tag_load = 8
 let tag_store = 16
@@ -132,8 +135,9 @@ type table = {
   costs : Pipeline.costs;
   ops : int array; (* two words per slot, packed by the simulator *)
   tags : int array;
-  counts : int array; (* times each slot retired in this run *)
-  memo : Pipeline.memo; (* the run's segment timings *)
+  counts : int array; (* times each slot retired in this run, but hits *)
+  runs : int array; (* the length of the straight run from a slot; 0: none *)
+  memo : Pipeline.memo; (* the run's segment timings and hits *)
 }
 
 let max_spare_slots = 1 lsl 16
@@ -152,12 +156,13 @@ let take_table n =
       s := None;
       Array.fill t.tags 0 n (-1);
       Array.fill t.counts 0 n 0;
+      Array.fill t.runs 0 n 0;
       Pipeline.reset t.memo n;
       t
   | Some _ | None ->
       { costs = Pipeline.costs n; ops = Array.make (2 * n) 0;
-        tags = Array.make n (-1);
-        counts = Array.make n 0; memo = Pipeline.memo n }
+        tags = Array.make n (-1); counts = Array.make n 0;
+        runs = Array.make n 0; memo = Pipeline.memo n }
 
 (* Keep [t] as the spare unless the spare is at least as large. *)
 let give_table t =
@@ -184,10 +189,12 @@ let decode t k w origin ~branch ~control ~hcall =
   t.tags.(k) <- tag;
   tag
 
-(* End a run over the first [n] slots of [t]: fold their counts into [s],
-   which holds only the live [taken_branches] so far, read the cycles off
-   [pipe], and give [t] back. *)
+(* End a run over the first [n] slots of [t]: fold the memo's hits into
+   their counts and the counts into [s], which holds only the live
+   [taken_branches] so far, read the cycles off [pipe], and give [t]
+   back. *)
 let finish s pipe t n =
+  Pipeline.fold_hits t.memo t.counts n;
   for k = 0 to n - 1 do
     let c = t.counts.(k) in
     if c <> 0 then begin

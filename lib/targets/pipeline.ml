@@ -9,7 +9,13 @@
    all show up at this granularity.
 
    Resource ids: 0..31 integer regs, 32..63 float regs, 64 condition codes,
-   65 FP condition, 66+ free for target use. *)
+   65 FP condition, 66+ free for target use.
+
+   The simulators charge it a segment at a time through an exact memo
+   ([segment] below): a segment entered in a state it has met replays
+   its stored result, counted by one hit on its entry. While every
+   resource is ready ([horizon] is no later than the cycle), the memo's
+   key is the issue state alone. *)
 
 type unit_class = IU | FPU | LSU | BRU
 
@@ -86,6 +92,7 @@ type t = {
   penalty : int; (* [taken_branch_penalty] *)
   pairs : bool array; (* [dual_issue_rule], indexed by 4 * last + next *)
   ready : int array; (* resource id -> cycle its value is ready *)
+  mutable horizon : int; (* no less than any cycle in [ready] *)
   mutable cycle : int;
   mutable issued_this_cycle : int;
   mutable last_class : int;
@@ -100,6 +107,7 @@ let create cfg =
   pairs =
     Array.init 16 (fun i -> cfg.dual_issue_rule classes.(i / 4) classes.(i mod 4));
   ready = Array.make resources 0;
+  horizon = 0;
   cycle = 0;
   issued_this_cycle = 0;
   last_class = class_index IU;
@@ -159,6 +167,7 @@ let retire t (c : costs) (counts : int array) k ~taken_branch =
   t.last_class <- unit_;
   if defs <> 0 then begin
     let at = issue_cycle + (meta lsr 2) in
+    if at > t.horizon then t.horizon <- at;
     Array.unsafe_set ready ((defs land 127) - 1) at;
     if defs lsr 7 <> 0 then set_ready ready (defs lsr 7) at
   end;
@@ -189,7 +198,9 @@ let step t c counts first last ~taken_at =
    count, the last unit class and each exposed use's clipped relative
    ready time — fixes the segment's result: the cycles it adds, the issue
    state it leaves, and the ready time, relative to the start cycle, of
-   each resource it writes.
+   each resource it writes. When [t.horizon], a bound on every ready
+   cycle, is no later than the start cycle, every field clips to 0 and
+   the key is the issue state alone, with no walk over the uses.
 
    A memo holds one result per (first slot, taken), the range a run
    steps from a slot being fixed by those two, in a flat pool of ints:
@@ -197,12 +208,15 @@ let step t c counts first last ~taken_at =
      e     the range's last slot
      e+1   the exposed uses, packed as a resource list, or -1 when there
            are more than [key_uses] of them: such a segment is always
-           stepped
+           stepped, and its entry ends here
      e+2   the key the result below was stepped from (-1: none yet)
      e+3   the cycles added, then the issue count in 6 bits and the unit
            class in 2
-     e+4   how many distinct resources the segment writes
-     e+5.. for each, its ready time relative to the start cycle, then its
+     e+4   the hits since the counts were last folded ([fold_hits])
+     e+5   the latest ready time the segment writes, relative to the
+           start cycle (-1: it writes none), which [t.horizon] takes
+     e+6   how many distinct resources the segment writes
+     e+7.. for each, its ready time relative to the start cycle, then its
            id in 7 bits
 
    A key packs the issue count in 6 bits, the unit class in 2, then
@@ -221,6 +235,7 @@ type memo = {
 let key_uses = 8
 let field_bits = 6
 let field_max = (1 lsl field_bits) - 1
+let head = 7 (* ints before an entry's writes *)
 
 let memo n =
   { index = Array.make (2 * n) (-1); pool = [||]; used = 0;
@@ -242,14 +257,15 @@ let rec fields (ready : int array) cycle p key shift =
     if r > field_max then -1
     else fields ready cycle (p lsr 7) (key lor (r lsl shift)) (shift + field_bits)
 
-let key t p =
-  fields t.ready t.cycle p (t.issued_this_cycle lor (t.last_class lsl 6)) 8
+let[@inline] key t p =
+  let issue = t.issued_this_cycle lor (t.last_class lsl 6) in
+  if t.horizon <= t.cycle then issue else fields t.ready t.cycle p issue 8
 
 (* Add the entry for [first..last] to the pool and return it. [marks]
    tells, for the resources seen so far, 2 * epoch: read first, and
    2 * epoch + 1: written. *)
 let entry m (c : costs) first last =
-  let need = m.used + 5 + (3 * (last - first + 1)) in
+  let need = m.used + head + (3 * (last - first + 1)) in
   if need > Array.length m.pool then begin
     let pool = Array.make (max need (2 * Array.length m.pool)) 0 in
     Array.blit m.pool 0 pool 0 m.used;
@@ -276,7 +292,7 @@ let entry m (c : costs) first last =
       let r = (!p land 127) - 1 in
       if marks.(r) <> written then begin
         marks.(r) <- written;
-        pool.(e + 5 + !writes) <- r;
+        pool.(e + head + !writes) <- r;
         incr writes
       end;
       p := !p lsr 7
@@ -290,14 +306,16 @@ let entry m (c : costs) first last =
   else begin
     pool.(e + 1) <- !exposed;
     pool.(e + 2) <- -1;
-    pool.(e + 4) <- !writes;
-    m.used <- e + 5 + !writes
+    pool.(e + 4) <- 0;
+    pool.(e + 6) <- !writes;
+    m.used <- e + head + !writes
   end;
   e
 
 (* Charge [first..last] as [step] does, from the memo when the entry for
    (first, taken) holds the result for [t]'s state, and store the result
-   when it does not. *)
+   when it does not. A hit adds one to the entry's hits, not to each
+   slot's count: [fold_hits] does that once, when the counts are read. *)
 let segment t m c counts first last ~taken_at =
   let slot = (2 * first) + if taken_at >= 0 then 1 else 0 in
   if first < 0 || last < first || slot >= Array.length m.index
@@ -312,34 +330,58 @@ let segment t m c counts first last ~taken_at =
       e
     end
   in
+  (* [entry] laid out every field read below *)
   let pool = m.pool in
-  let exposed = pool.(e + 1) in
-  let k = if pool.(e) = last && exposed >= 0 then key t exposed else -1 in
+  let exposed = Array.unsafe_get pool (e + 1) in
+  let k =
+    if Array.unsafe_get pool e = last && exposed >= 0 then key t exposed
+    else -1
+  in
   if k < 0 then step t c counts first last ~taken_at
-  else if k = pool.(e + 2) then begin
+  else if k = Array.unsafe_get pool (e + 2) then begin
     (* a hit: the stored result, shifted to this start cycle *)
     let cycle = t.cycle and ready = t.ready in
-    let r = pool.(e + 3) in
+    let r = Array.unsafe_get pool (e + 3) in
     t.cycle <- cycle + (r lsr 8);
     t.issued_this_cycle <- (r lsr 2) land 63;
     t.last_class <- r land 3;
-    for j = e + 5 to e + 4 + pool.(e + 4) do
+    Array.unsafe_set pool (e + 4) (Array.unsafe_get pool (e + 4) + 1);
+    let h = Array.unsafe_get pool (e + 5) in
+    if h >= 0 && cycle + h > t.horizon then t.horizon <- cycle + h;
+    for j = e + head to e + head - 1 + Array.unsafe_get pool (e + 6) do
       let w = Array.unsafe_get pool j in
       Array.unsafe_set ready (w land 127) (cycle + (w lsr 7))
-    done;
-    for j = first to last do
-      Array.unsafe_set counts j (Array.unsafe_get counts j + 1)
     done
   end
   else begin
-    let cycle = t.cycle and ready = t.ready in
+    let cycle = t.cycle and ready = t.ready and horizon = t.horizon in
+    (* the latest ready time the segment writes, if any: each is at or
+       after [cycle] *)
+    t.horizon <- min_int;
     step t c counts first last ~taken_at;
+    let latest = t.horizon in
+    if latest < horizon then t.horizon <- horizon;
     pool.(e + 2) <- k;
     pool.(e + 3) <-
       ((t.cycle - cycle) lsl 8) lor (t.issued_this_cycle lsl 2) lor t.last_class;
-    for j = e + 5 to e + 4 + pool.(e + 4) do
+    pool.(e + 5) <- (if latest < cycle then -1 else latest - cycle);
+    for j = e + head to e + head - 1 + pool.(e + 6) do
       let id = pool.(j) land 127 in
       pool.(j) <- ((ready.(id) - cycle) lsl 7) lor id
     done
   end
 
+(* Add each entry's hits to the counts of its slots, among the first [n]
+   slots, and clear them. *)
+let fold_hits m (counts : int array) n =
+  let pool = m.pool in
+  for slot = 0 to (2 * n) - 1 do
+    let e = m.index.(slot) in
+    if e >= 0 && pool.(e + 1) >= 0 && pool.(e + 4) > 0 then begin
+      let h = pool.(e + 4) in
+      pool.(e + 4) <- 0;
+      for k = slot / 2 to pool.(e) do
+        counts.(k) <- counts.(k) + h
+      done
+    end
+  done

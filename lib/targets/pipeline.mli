@@ -124,12 +124,14 @@ val cycles : t -> int
     instruction, and that instruction's delay slot when it executes. Its
     effect on the model depends only on the issue state and, relative to
     the cycle it starts in, on when the resources it reads before writing
-    them become ready; so a memo keyed by those replays it exactly. *)
+    them become ready; so a memo keyed by those replays it exactly. The
+    model keeps a bound on every ready cycle, so a segment entered with
+    every resource ready is keyed by the issue state alone. *)
 
 type memo
 (** Segment results for one {!costs} table under one {!config}, in one
     flat pool of ints, two index ints per slot plus a few ints per
-    segment. *)
+    segment, with a hit counter each. *)
 
 val memo : int -> memo
 (** An empty memo for [n] slots. *)
@@ -151,6 +153,13 @@ val segment : t -> memo -> costs -> int array -> int -> int -> taken_at:int -> u
     [m] when [m] holds it for [t]'s state; otherwise the segment is
     stepped and the result stored, unless the segment reads more than
     eight resources before writing them or one of them is ready more
-    than 63 cycles ahead.
+    than 63 cycles ahead. A result from [m] leaves [t] exactly as
+    stepping would, but adds one to the entry's hit counter instead of
+    to [counts]: {!fold_hits} moves the hits into [counts].
     @raise Invalid_argument if the range is outside [c], [counts] or
     [m]. *)
+
+val fold_hits : memo -> int array -> int -> unit
+(** [fold_hits m counts n] adds the hits of each entry of [m] for the
+    first [n] slots to the counts of the entry's slots, and clears
+    them. After it, [counts] is what {!step} would have counted. *)

@@ -8,8 +8,11 @@
    once and packs it into two op words, a dense opcode and its fields
    (see "op words" below), beside the slot's costs; from then on the
    slot runs by one jump on that opcode, with no match on the
-   instruction and no allocation. Statistics are counted per slot and
-   folded when the run ends (see [Machine.finish]). *)
+   instruction and no allocation. A straight run of slots that has been
+   stepped once runs whole from then on, one loop of [exec] with fuel
+   and the watchdog charged once (see [run]). Statistics are counted per
+   slot and per memo entry, and folded when the run ends (see
+   [Machine.finish]). *)
 
 open Risc
 module W = Omni_util.Word32
@@ -466,6 +469,18 @@ exception Exit_exn
    run leaves the loop on a host call that exits, on running out of fuel,
    or on a fault it cannot deliver.
 
+   Execution goes a straight run at a time: the slots from where it
+   entered up to the next control instruction or host call, which ends
+   it. The first time a straight run is stepped from its first slot to
+   its end, its length goes into the table's [runs]; entered again with
+   more fuel and more polls left than that and its ending slot, it runs
+   whole, as one loop of [exec], and fuel and polls are charged once for
+   the run and the ending slot. Its slots have all been decoded, and
+   none stops, so no step of it could have done anything else: only
+   [exec] runs. A fault inside it leaves fuel, polls, pc and [retired]
+   as stepping would have. A run that cannot go whole is stepped; either
+   way the ending slot then executes.
+
    The pipeline model is charged a segment at a time
    ([Pipeline.segment]): the slots from [seg], where execution entered,
    to the next control instruction and its delay slot. Until then
@@ -481,7 +496,7 @@ let run ?(fuel = max_int) ?watchdog (prog : program) mem host :
   let n = Array.length code in
   let delay = prog.cfg.has_delay_slot in
   let pipe = st.pipe and stats = st.stats in
-  let { Machine.costs; ops; tags; counts; memo } = st.table in
+  let { Machine.costs; ops; tags; counts; runs; memo } = st.table in
   let stops = Machine.tag_control lor Machine.tag_hcall in
   let every =
     match watchdog with
@@ -502,28 +517,71 @@ let run ?(fuel = max_int) ?watchdog (prog : program) mem host :
     taken_at := -1;
     match
       while true do
-        decr poll;
-        if !poll <= 0 then begin
-          poll := every;
-          Option.iter Omnivm.Watchdog.check watchdog
-        end;
-        let pc = st.pc in
-        if pc < 0 || pc >= n then
-          fault (Access_violation { addr = pc; access = Execute });
-        decr fuel;
-        if !fuel < 0 then raise_notrace Out_of_fuel_exn;
-        let tag =
-          let t = Array.unsafe_get tags pc in
-          if t >= 0 then t else decode st pc
+        (* [st.pc] starts a straight run; [pc] is the slot that ends it,
+           a control instruction or a host call, once it is stepped *)
+        let first = st.pc in
+        let len = if first >= 0 && first < n then Array.unsafe_get runs first else 0 in
+        let pc =
+          if len > 0 && !fuel > len + 1 && !poll > len + 1 then begin
+            let j = ref first in
+            (match
+               while !j < first + len do
+                 let k = !j in
+                 exec st (Array.unsafe_get ops (2 * k))
+                   (Array.unsafe_get ops ((2 * k) + 1));
+                 j := k + 1
+               done
+             with
+             | () -> ()
+             | exception e ->
+                 (* stepping had spent a step on each slot up to [!j] *)
+                 fuel := !fuel - (!j - first + 1);
+                 poll := !poll - (!j - first + 1);
+                 retired := !j;
+                 st.pc <- !j;
+                 raise e);
+            (* and one on the slot that ends the run *)
+            fuel := !fuel - (len + 1);
+            poll := !poll - (len + 1);
+            retired := first + len - 1;
+            st.pc <- first + len;
+            first + len
+          end
+          else begin
+            let stop = ref (-1) in
+            while !stop < 0 do
+              decr poll;
+              if !poll <= 0 then begin
+                poll := every;
+                Option.iter Omnivm.Watchdog.check watchdog
+              end;
+              let pc = st.pc in
+              if pc < 0 || pc >= n then
+                fault (Access_violation { addr = pc; access = Execute });
+              decr fuel;
+              if !fuel < 0 then raise_notrace Out_of_fuel_exn;
+              let tag =
+                let t = Array.unsafe_get tags pc in
+                if t >= 0 then t else decode st pc
+              in
+              if tag land stops = 0 then begin
+                retired := pc;
+                exec st (Array.unsafe_get ops (2 * pc))
+                  (Array.unsafe_get ops ((2 * pc) + 1));
+                st.pc <- pc + 1
+              end
+              else begin
+                if pc > first then Array.unsafe_set runs first (pc - first);
+                stop := pc
+              end
+            done;
+            !stop
+          end
         in
+        let tag = Array.unsafe_get tags pc in
         let a = Array.unsafe_get ops (2 * pc)
         and b = Array.unsafe_get ops ((2 * pc) + 1) in
-        if tag land stops = 0 then begin
-          retired := pc;
-          exec st a b;
-          st.pc <- pc + 1
-        end
-        else if tag land Machine.tag_control = 0 then begin
+        if tag land Machine.tag_control = 0 then begin
           retired := pc;
           exec_call st a b;
           st.pc <- pc + 1;
@@ -553,8 +611,7 @@ let run ?(fuel = max_int) ?watchdog (prog : program) mem host :
             else pc
           in
           Pipeline.segment pipe memo costs counts !seg last ~taken_at:taken_pc;
-          st.pc <-
-            (if taken then target else if delay then pc + 2 else pc + 1);
+          st.pc <- (if taken then target else if delay then pc + 2 else pc + 1);
           seg := st.pc;
           retired := st.pc - 1;
           if Option.is_some st.exited then raise_notrace Exit_exn

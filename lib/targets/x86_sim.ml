@@ -2,9 +2,10 @@
    [Risc_sim], it decodes a slot the first time the slot executes, its
    costs and two op words whose dense opcode names the instruction with
    its operation and operand shapes, so a retired slot runs by one jump
-   on an int and allocates nothing; it charges the pipeline model a
-   segment at a time, and counts per slot, folding the counts when the
-   run ends. *)
+   on an int and allocates nothing; it runs a straight run whole once it
+   has been stepped, charges the pipeline model a segment at a time, and
+   counts per slot and per memo entry, folding the counts when the run
+   ends. *)
 
 open X86
 module W = Omni_util.Word32
@@ -635,15 +636,16 @@ exception Out_of_fuel_exn
 exception Exit_exn
 
 (* One loop inside one exception handler, with fuel and the watchdog as
-   local countdowns, charging the pipeline model a segment at a time:
-   see Risc_sim.run. *)
+   local countdowns, running a straight run whole once it has been
+   stepped and charging the pipeline model a segment at a time: see
+   Risc_sim.run. *)
 let run ?(fuel = max_int) ?watchdog (prog : program) mem host :
     Machine.outcome * Machine.stats * state =
   let st = create prog mem host in
   let code = prog.code in
   let n = Array.length code in
   let pipe = st.pipe and stats = st.stats in
-  let { Machine.costs; ops; tags; counts; memo } = st.table in
+  let { Machine.costs; ops; tags; counts; runs; memo } = st.table in
   let stops = Machine.tag_control lor Machine.tag_hcall in
   let every =
     match watchdog with
@@ -663,28 +665,71 @@ let run ?(fuel = max_int) ?watchdog (prog : program) mem host :
     retired := st.pc - 1;
     match
       while true do
-        decr poll;
-        if !poll <= 0 then begin
-          poll := every;
-          Option.iter Omnivm.Watchdog.check watchdog
-        end;
-        let pc = st.pc in
-        if pc < 0 || pc >= n then
-          fault (Access_violation { addr = pc; access = Execute });
-        decr fuel;
-        if !fuel < 0 then raise_notrace Out_of_fuel_exn;
-        let tag =
-          let t = Array.unsafe_get tags pc in
-          if t >= 0 then t else decode st pc
+        (* [st.pc] starts a straight run; [pc] is the slot that ends it,
+           a control instruction or a host call, once it is stepped *)
+        let first = st.pc in
+        let len = if first >= 0 && first < n then Array.unsafe_get runs first else 0 in
+        let pc =
+          if len > 0 && !fuel > len + 1 && !poll > len + 1 then begin
+            let j = ref first in
+            (match
+               while !j < first + len do
+                 let k = !j in
+                 exec st (Array.unsafe_get ops (2 * k))
+                   (Array.unsafe_get ops ((2 * k) + 1));
+                 j := k + 1
+               done
+             with
+             | () -> ()
+             | exception e ->
+                 (* stepping had spent a step on each slot up to [!j] *)
+                 fuel := !fuel - (!j - first + 1);
+                 poll := !poll - (!j - first + 1);
+                 retired := !j;
+                 st.pc <- !j;
+                 raise e);
+            (* and one on the slot that ends the run *)
+            fuel := !fuel - (len + 1);
+            poll := !poll - (len + 1);
+            retired := first + len - 1;
+            st.pc <- first + len;
+            first + len
+          end
+          else begin
+            let stop = ref (-1) in
+            while !stop < 0 do
+              decr poll;
+              if !poll <= 0 then begin
+                poll := every;
+                Option.iter Omnivm.Watchdog.check watchdog
+              end;
+              let pc = st.pc in
+              if pc < 0 || pc >= n then
+                fault (Access_violation { addr = pc; access = Execute });
+              decr fuel;
+              if !fuel < 0 then raise_notrace Out_of_fuel_exn;
+              let tag =
+                let t = Array.unsafe_get tags pc in
+                if t >= 0 then t else decode st pc
+              in
+              if tag land stops = 0 then begin
+                retired := pc;
+                exec st (Array.unsafe_get ops (2 * pc))
+                  (Array.unsafe_get ops ((2 * pc) + 1));
+                st.pc <- pc + 1
+              end
+              else begin
+                if pc > first then Array.unsafe_set runs first (pc - first);
+                stop := pc
+              end
+            done;
+            !stop
+          end
         in
+        let tag = Array.unsafe_get tags pc in
         let a = Array.unsafe_get ops (2 * pc)
         and b = Array.unsafe_get ops ((2 * pc) + 1) in
-        if tag land stops = 0 then begin
-          retired := pc;
-          exec st a b;
-          st.pc <- pc + 1
-        end
-        else if tag land Machine.tag_control = 0 then begin
+        if tag land Machine.tag_control = 0 then begin
           retired := pc;
           exec_call st a b;
           st.pc <- pc + 1;

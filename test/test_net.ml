@@ -434,6 +434,31 @@ let one_count_per_event () =
         (List.mem_assoc name counters))
     [ "cache.hits"; "cache.misses"; "cache.cert.check"; "store.dedup_hits" ]
 
+(* A target run's certificate goes out only when asked for: a default
+   server answers a run without [rs_want_cert] with no certificate, cold
+   or warm, and attaches one when the client asks. *)
+let certificate_only_when_asked () =
+  let server = Server.create (Service.of_config Service.default_config) in
+  let h =
+    match Server.handle_request server (Msg.Submit (Lazy.force hello_bytes)) with
+    | Msg.Submitted h -> h
+    | _ -> Alcotest.fail "submit refused"
+  in
+  let run want =
+    match
+      Server.handle_request server
+        (Msg.Run
+           { Msg.rs_handle = h; rs_engine = Exec.Target Arch.Mips;
+             rs_sfi = true; rs_mode = Msg.M_default; rs_fuel = Some fuel;
+             rs_deadline_s = None; rs_want_cert = want })
+    with
+    | Msg.Ran (_, cert) -> cert
+    | _ -> Alcotest.fail "run refused"
+  in
+  Alcotest.(check bool) "cold run, not asked" true (run false = None);
+  Alcotest.(check bool) "warm run, not asked" true (run false = None);
+  Alcotest.(check bool) "warm run, asked" true (Option.is_some (run true))
+
 let e2e_native_mode () =
   with_loopback @@ fun _svc _server client ->
   let bytes = Lazy.force hello_bytes in
@@ -825,7 +850,9 @@ let () =
          Alcotest.test_case "native baseline mode" `Quick e2e_native_mode;
          Alcotest.test_case "api remote path" `Quick api_remote_path;
          Alcotest.test_case "one count per serving event" `Quick
-           one_count_per_event ]);
+           one_count_per_event;
+         Alcotest.test_case "certificate only when asked" `Quick
+           certificate_only_when_asked ]);
       ("hostile",
        [ Alcotest.test_case "frames" `Quick hostile_frames;
          Alcotest.test_case "frame boundaries" `Quick frame_boundaries;

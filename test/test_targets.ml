@@ -500,6 +500,7 @@ let memo_equals_stepping (target, segment, delay, entries) =
       for k = 0 to last do
         P.retire stepped c counts_s k ~taken_branch:(k = taken_at)
       done;
+      P.fold_hits memo counts_m n;
       memoized = stepped && counts_m = counts_s)
     entries
 
@@ -1921,6 +1922,151 @@ let simulator_allocation () =
         targets)
     (List.map fst (Lazy.force spec_programs))
 
+(* --- whole runs equal stepping ---
+
+   A straight run that has been stepped once runs whole when entered with
+   more fuel and more polls left than its length. A watchdog on a clock
+   that never moves, polled every instruction, always has one poll left,
+   so under it every instruction is stepped: the reference. The two must
+   end alike (outcome, every statistic, pc, registers, output and the
+   data at both ends of the data segment) on runs to exit, on runs cut
+   by fuel at every offset of a segment of each program's hot loop, and,
+   at every
+   fuel budget, on a program that faults inside a straight run into its
+   handler, three times. *)
+
+let stepped_watchdog () =
+  Omnivm.Watchdog.make ~poll_every:1 ~clock:(Omni_util.Clock.manual ())
+    ~budget_s:1.0 ()
+
+type sim_end = {
+  e_outcome : Machine.outcome;
+  e_stats : Machine.stats;
+  e_pc : int;
+  e_regs : int array;
+  e_fregs : int64 array;
+  e_output : string;
+  e_data : string; (* FNV-64 of the data segment's two ends *)
+}
+
+let sim_end ?watchdog ?(ends = 0x10000) ~fuel tr exe =
+  let img = Api.load exe in
+  let mem = img.Omni_runtime.Loader.mem in
+  let host = img.Omni_runtime.Loader.host in
+  let bits = Array.map Int64.bits_of_float in
+  let e_outcome, e_stats, e_pc, e_regs, e_fregs =
+    match tr with
+    | Api.T_risc p ->
+        let o, s, st = Risc_sim.run ~fuel ?watchdog p mem host in
+        (o, s, st.Risc_sim.pc, st.Risc_sim.regs, bits st.Risc_sim.fregs)
+    | Api.T_x86 p ->
+        let o, s, st = X86_sim.run ~fuel ?watchdog p mem host in
+        (o, s, st.X86_sim.pc, st.X86_sim.regs, bits st.X86_sim.fps)
+  in
+  let module L = Omnivm.Layout in
+  let window addr = Omnivm.Memory.read_bytes mem ~addr ~len:ends in
+  let e_data =
+    Omni_util.Fnv64.to_hex
+      (Omni_util.Fnv64.digest_string
+         (Bytes.to_string (window L.data_base)
+         ^ Bytes.to_string (window (L.data_base + L.data_size - ends))))
+  in
+  { e_outcome; e_stats; e_pc; e_regs; e_fregs; e_data;
+    e_output = Omni_runtime.Host.output host }
+
+(* The stepped end of a run with [fuel], after checking that the whole
+   run ends alike. *)
+let whole_equals_stepped ?ends what tr exe fuel =
+  let whole = sim_end ?ends ~fuel tr exe in
+  let stepped = sim_end ?ends ~watchdog:(stepped_watchdog ()) ~fuel tr exe in
+  if whole <> stepped then
+    Alcotest.failf "%s, fuel %d: whole runs %d instructions %d cycles, \
+                    stepping %d and %d"
+      what fuel whole.e_stats.Machine.instructions whole.e_stats.Machine.cycles
+      stepped.e_stats.Machine.instructions stepped.e_stats.Machine.cycles;
+  stepped
+
+let is_control tr pc =
+  match tr with
+  | Api.T_risc p ->
+      pc >= 0 && pc < Array.length p.Risc.code
+      && Risc.is_control p.Risc.code.(pc).Risc.i
+  | Api.T_x86 p ->
+      let code = p.Omni_targets.X86.code in
+      pc >= 0 && pc < Array.length code
+      && Omni_targets.X86.is_control code.(pc).Omni_targets.X86.i
+
+let whole_runs_spec () =
+  List.iter
+    (fun (name, exe) ->
+      List.iter
+        (fun arch ->
+          let tr = Api.translate ~mode:sandbox arch exe in
+          let what = Printf.sprintf "%s on %s" name (Arch.name arch) in
+          let total =
+            (whole_equals_stepped what tr exe 1_000_000_000).e_stats
+              .Machine.instructions
+          in
+          (* from a quarter of the way in, budgets until the run has
+             stopped on a control slot twice: every offset of the
+             segment between *)
+          let rec cut fuel stops =
+            if stops < 2 && fuel < (total / 4) + 1000 then
+              let e = whole_equals_stepped what tr exe fuel in
+              cut (fuel + 1) (if is_control tr e.e_pc then stops + 1 else stops)
+            else if stops < 2 then
+              Alcotest.failf "%s: no segment ends near fuel %d" what (total / 4)
+          in
+          cut (total / 4) 0)
+        targets)
+    (Lazy.force spec_programs)
+
+(* [spin] divides by zero inside its loop's straight body once [i]
+   reaches [k] or, with [m] = 1, first passes the host call that ends
+   the body's first straight run a string outside every region. The
+   handler counts the fault and spins again, re-arming itself twice: a
+   division, a host call and a division are delivered to it, and a
+   second host call fault ends the run. *)
+let faulting_source =
+  {|
+int acc;
+int rounds;
+char empty[4];
+void spin(int k, int m) {
+  int i;
+  for (i = 0; i < 100; i = i + 1) {
+    print_str(empty + (i / k) * m * 20000000);
+    acc = (acc + 1000 / (k - i) + i * 3) & 65535;
+  }
+}
+void h(int code) {
+  rounds = rounds + 1;
+  print_int(code); putchar(32); print_int(acc); putchar(10);
+  if (rounds < 3) set_handler(&h);
+  spin(30 - rounds * 7, rounds & 1);
+}
+int main(void) { set_handler(&h); spin(30, 0); return 1; }
+|}
+
+let whole_runs_fault () =
+  let exe =
+    Omnivm.Wire.decode (Minic.Driver.compile_wire ~name:"spin" faulting_source)
+  in
+  List.iter
+    (fun arch ->
+      let tr = Api.translate ~mode:sandbox arch exe in
+      let what = Printf.sprintf "spin on %s" (Arch.name arch) in
+      let last = whole_equals_stepped what tr exe 1_000_000_000 in
+      (match last.e_outcome with
+      | Machine.Faulted (Omnivm.Fault.Access_violation _)
+        when List.length (String.split_on_char '\n' last.e_output) = 4 -> ()
+      | _ -> Alcotest.failf "%s: the handler did not run three times" what);
+      let total = last.e_stats.Machine.instructions in
+      for fuel = 0 to total do
+        ignore (whole_equals_stepped ~ends:0x1000 what tr exe fuel)
+      done)
+    targets
+
 (* --- golden translations ---
 
    One FNV-64 digest over the code fingerprint and the encoded
@@ -2517,6 +2663,9 @@ let () =
          Alcotest.test_case "recycled decoded table" `Quick recycled_table;
          Alcotest.test_case "memo storage per slot" `Quick memo_storage;
          Alcotest.test_case "simulators allocate nothing per instruction" `Quick
-           simulator_allocation ]);
+           simulator_allocation;
+         Alcotest.test_case "whole runs equal stepping" `Quick whole_runs_spec;
+         Alcotest.test_case "whole runs equal stepping through faults" `Quick
+           whole_runs_fault ]);
       ("x86", [ Alcotest.test_case "register homes" `Quick x86_homes ])
     ]
