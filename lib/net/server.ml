@@ -73,6 +73,7 @@ type t = {
   frame_errors : Metrics.counter;
   limit_rejected : Metrics.counter;
   timeouts : Metrics.counter;
+  reads : Metrics.counter;
   bytes_in : Metrics.counter;
   bytes_out : Metrics.counter;
   overloaded : Metrics.counter;
@@ -101,6 +102,7 @@ let create ?(config = default_config) ?tracer svc =
     frame_errors = c "net.frame_errors";
     limit_rejected = c "net.limit.rejected";
     timeouts = c "net.timeouts";
+    reads = c "net.reads";
     bytes_in = c "net.bytes_in";
     bytes_out = c "net.bytes_out";
     overloaded = c "net.overloaded";
@@ -281,8 +283,21 @@ let over_quota t conn msg =
   send_resp t conn (M.Error (M.E_limit_exceeded, msg));
   `Closed
 
-let step ?session t conn =
+(* One frame off the connection, its read(2) calls added to net.reads
+   whether it arrives, fails or times out. *)
+let read_frame t conn =
+  let before = Transport.reads conn in
+  let count () = Metrics.incr ~by:(Transport.reads conn - before) t.reads in
   match Frame.read ~max:t.cfg.max_frame (Transport.recv conn) with
+  | r ->
+      count ();
+      r
+  | exception e ->
+      count ();
+      raise e
+
+let step ?session t conn =
+  match read_frame t conn with
   | Error Frame.Eof -> `Closed
   | Error e ->
       (* Framing is lost: answer with a typed error, then drop the

@@ -27,7 +27,8 @@
 
     Observability: [net.*] counters (connections, requests by kind,
     error responses by class, limit rejections, bytes in/out, frame
-    errors, timeouts) are registered in the service's own metrics
+    errors, timeouts, and [net.reads], the [read(2)] calls made on
+    client sockets) are registered in the service's own metrics
     registry, and every request runs under a ["net.request"] span on the
     server's tracer, so remote serving lands in the same registry/tracer
     as the rest of the pipeline. *)

@@ -26,7 +26,7 @@ type impl =
       outbox : queue;
       mutable stall : (unit -> unit) option;
     }
-  | Fd of { fd : Unix.file_descr; mutable timeout : float }
+  | Fd of sock
   | Custom of {
       c_recv : bytes -> int -> int -> int;
       c_send : string -> unit;
@@ -34,7 +34,24 @@ type impl =
       c_timeout : float -> unit;
     }
 
+(* A socket with its receive buffer. [rbuf.(rpos .. rlen-1)] holds bytes
+   already read from the kernel and not yet handed to a caller; they
+   belong to the connection, so they outlive any one reader of it (a
+   parked pool connection keeps them for the worker that resumes it). *)
+and sock = {
+  fd : Unix.file_descr;
+  rbuf : Bytes.t;
+  mutable rpos : int;
+  mutable rlen : int;
+  mutable reads : int;
+}
+
 type conn = { impl : impl; name : string; mutable closed : bool }
+
+(* One frame of the protocol's usual traffic (a Run request, a Ran
+   response) fits with room to spare; the rest of a larger frame's body
+   is read straight into the caller's bytes. *)
+let rbuf_size = 4096
 
 let descr c = c.name
 let closed c = c.closed
@@ -85,8 +102,35 @@ let close c =
 let set_read_timeout c seconds =
   match c.impl with
   | Mem _ -> ()
-  | Fd f -> f.timeout <- seconds
+  | Fd f ->
+      (* the kernel reads a zero timeval as "never" and a negative one as
+         "at once": a positive timeout is kept at least a microsecond, and
+         any other value (zero, negative, NaN, infinite) disables it *)
+      let s =
+        if seconds > 0. && Float.is_finite seconds then Float.max seconds 1e-6
+        else 0.
+      in
+      Unix.setsockopt_float f.fd Unix.SO_RCVTIMEO s
   | Custom k -> k.c_timeout seconds
+
+(* One read(2). The kernel enforces the receive timeout (SO_RCVTIMEO):
+   a read that waits past it fails with EAGAIN. *)
+let read_fd f b pos len =
+  f.reads <- f.reads + 1;
+  match Unix.read f.fd b pos len with
+  | n -> n
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      raise Timeout
+  | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> 0
+
+(* Hand over buffered bytes; never blocks. *)
+let take f b pos len =
+  let n = min len (f.rlen - f.rpos) in
+  Bytes.blit f.rbuf f.rpos b pos n;
+  f.rpos <- f.rpos + n;
+  n
+
+let reads c = match c.impl with Fd f -> f.reads | Mem _ | Custom _ -> 0
 
 let recv c b pos len =
   if len = 0 then 0
@@ -99,20 +143,16 @@ let recv c b pos len =
         else (
           (match m.stall with Some f -> f () | None -> ());
           queue_read m.inbox b pos len)
-    | Fd f -> (
+    | Fd f ->
         if c.closed then 0
+        else if f.rpos < f.rlen then take f b pos len
+        else if len >= rbuf_size then read_fd f b pos len
         else begin
-          if f.timeout > 0. then begin
-            match Unix.select [ f.fd ] [] [] f.timeout with
-            | [], _, _ -> raise Timeout
-            | _ -> ()
-          end;
-          match Unix.read f.fd b pos len with
-          | n -> n
-          | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _)
-            ->
-              0
-        end)
+          let n = read_fd f f.rbuf 0 rbuf_size in
+          f.rpos <- 0;
+          f.rlen <- n;
+          take f b pos len
+        end
     | Custom k -> if c.closed then 0 else k.c_recv b pos len
 
 let send c s =
@@ -142,7 +182,19 @@ let send c s =
   | Custom k -> if c.closed then () else k.c_send s
 
 let of_fd ?(descr = "fd") fd =
-  { impl = Fd { fd; timeout = 0. }; name = descr; closed = false }
+  {
+    impl =
+      Fd
+        {
+          fd;
+          rbuf = Bytes.create rbuf_size;
+          rpos = 0;
+          rlen = 0;
+          reads = 0;
+        };
+    name = descr;
+    closed = false;
+  }
 
 (* --- addresses --- *)
 

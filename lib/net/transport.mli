@@ -6,21 +6,35 @@
       deterministic tests and for the loopback client — no file
       descriptors, no scheduling, byte-for-byte the same frames as the
       socket path;
-    - {!of_fd}: a Unix/TCP socket wrapped with a receive timeout.
+    - {!of_fd}: a Unix/TCP socket with a receive buffer and a kernel
+      receive timeout.
 
     A connection is a [recv]/[send]/[close] triple with [Unix.read]-style
     receive semantics (0 = end of stream), which is exactly what
-    {!Frame.read} consumes. *)
+    {!Frame.read} consumes.
+
+    A socket connection reads through a 4 KiB receive buffer: one
+    [read(2)] fills it with whatever the peer has sent, and later
+    {!recv}s are served from it until it is empty. {!Frame.read} asks
+    for the 18-byte header and then the body, so a frame that fits the
+    buffer costs one [read(2)], not two. A [recv] of at least the
+    buffer's size, made while the buffer is empty, reads straight into
+    the caller's bytes. There is no [select] before a read: the read timeout is the
+    socket's own [SO_RCVTIMEO], so a warm request costs the server one
+    read and one write. *)
 
 type conn
 
 exception Timeout
-(** Raised by {!recv} on a socket connection whose per-request read
-    timeout (see {!set_read_timeout}) expires. *)
+(** Raised by {!recv} on a socket connection whose read timeout (see
+    {!set_read_timeout}) expires while it waits for bytes. *)
 
 val recv : conn -> bytes -> int -> int -> int
 (** [recv c buf pos len] reads at most [len] bytes into [buf] at [pos];
-    returns the count, 0 at end of stream. May return short counts. *)
+    returns the count, 0 at end of stream. May return short counts. On a
+    socket it may return bytes buffered by an earlier read; such a
+    [recv] never blocks, so it can neither wait nor time out. A reset or
+    broken connection reads as end of stream. *)
 
 val send : conn -> string -> unit
 (** Write the whole string (loops over partial writes). *)
@@ -31,8 +45,17 @@ val close : conn -> unit
 val closed : conn -> bool
 
 val set_read_timeout : conn -> float -> unit
-(** Seconds before a blocked {!recv} raises {!Timeout}; [0.] disables.
-    A no-op on in-memory connections (their reads never block). *)
+(** Seconds before a blocked {!recv} raises {!Timeout}; [0.] (or any
+    value that is not positive and finite) disables.
+    On a socket this is the kernel receive timeout ([SO_RCVTIMEO]): it
+    bounds each read that refills the buffer, so it fires only while
+    waiting for bytes that have not arrived.
+    A no-op on in-memory connections (their reads never block).
+    @raise Unix.Unix_error if the descriptor is not a socket. *)
+
+val reads : conn -> int
+(** The [read(2)] calls made so far on a socket connection; 0 on
+    in-memory and custom connections. *)
 
 val descr : conn -> string
 (** Human-readable endpoint name (for logs and error messages). *)
@@ -86,4 +109,5 @@ val connect : address -> conn
     @raise Unix.Unix_error when the daemon is not reachable. *)
 
 val of_fd : ?descr:string -> Unix.file_descr -> conn
-(** Wrap a connected socket (or any stream descriptor). *)
+(** Wrap a connected, blocking socket. Any blocking stream descriptor
+    reads and writes, but only a socket takes a read timeout. *)

@@ -835,6 +835,184 @@ let socket_stall_retry () =
                   >= 1);
                 Client.close client))
 
+(* --- framing over a real socket pair --- *)
+
+(* A connected Unix-domain socket pair wrapped as two connections, closed
+   afterwards; skipped like the daemon tests where sockets are missing. *)
+let with_socketpair f =
+  if not Sys.unix then socket_skip "not a Unix platform"
+  else
+    match Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 with
+    | exception Unix.Unix_error _ -> socket_skip "cannot make a socket pair"
+    | a, b ->
+        let ca = Transport.of_fd ~descr:"a" a
+        and cb = Transport.of_fd ~descr:"b" b in
+        Fun.protect
+          ~finally:(fun () ->
+            Transport.close ca;
+            Transport.close cb)
+          (fun () -> f ca cb)
+
+let expect_frame what want = function
+  | Ok fr ->
+      Alcotest.(check int) (what ^ ": tag") want.Frame.tag fr.Frame.tag;
+      Alcotest.(check string) (what ^ ": payload") want.Frame.payload
+        fr.Frame.payload
+  | Error e -> Alcotest.failf "%s: %s" what (Frame.error_to_string e)
+
+(* Two frames in one write: the first read buffers both, and the second
+   frame comes out of the buffer without another read. *)
+let socket_two_frames_one_write () =
+  with_socketpair @@ fun w r ->
+  let f1 = { Frame.tag = 1; payload = "first" }
+  and f2 = { Frame.tag = 2; payload = String.make 300 'x' } in
+  Transport.send w (Frame.encode f1 ^ Frame.encode f2);
+  Transport.set_read_timeout r 5.;
+  expect_frame "frame 1" f1 (Frame.read (Transport.recv r));
+  expect_frame "frame 2" f2 (Frame.read (Transport.recv r));
+  Alcotest.(check int) "both frames from one read" 1 (Transport.reads r)
+
+(* One frame in three pieces, cut inside the header and inside the body.
+   Each piece is written just before the reader asks for more, so every
+   cut reaches the reader as its own read. *)
+let socket_frame_in_pieces () =
+  with_socketpair @@ fun w r ->
+  let fr = { Frame.tag = 3; payload = "a frame in three pieces" } in
+  let bytes = Frame.encode fr in
+  let cut1 = 7 and cut2 = Frame.header_size + 5 in
+  let pieces =
+    ref
+      [ String.sub bytes 0 cut1;
+        String.sub bytes cut1 (cut2 - cut1);
+        String.sub bytes cut2 (String.length bytes - cut2) ]
+  in
+  let feed () =
+    match !pieces with
+    | p :: rest ->
+        Transport.send w p;
+        pieces := rest
+    | [] -> ()
+  in
+  Transport.set_read_timeout r 5.;
+  expect_frame "reassembled" fr
+    (Frame.read (fun b pos len ->
+         feed ();
+         Transport.recv r b pos len));
+  Alcotest.(check int) "one read per piece" 3 (Transport.reads r)
+
+(* A Submit frame larger than the receive buffer; the writer runs in its
+   own domain, since the socket may not hold the whole frame at once. *)
+let socket_large_submit () =
+  with_socketpair @@ fun w r ->
+  let modbytes = String.init 100_000 (fun i -> Char.chr (i * 7 land 0xff)) in
+  let fr = Msg.encode_req (Msg.Submit modbytes) in
+  let writer = Domain.spawn (fun () -> Transport.send w (Frame.encode fr)) in
+  Transport.set_read_timeout r 5.;
+  let got = Frame.read (Transport.recv r) in
+  Domain.join writer;
+  expect_frame "100 KB submit" fr got;
+  match Result.map Msg.decode_req got with
+  | Ok (Ok (Msg.Submit b)) ->
+      Alcotest.(check bool) "module bytes intact" true (String.equal b modbytes)
+  | _ -> Alcotest.fail "not a Submit"
+
+let socket_eof_mid_frame () =
+  with_socketpair @@ fun w r ->
+  let bytes = Frame.encode { Frame.tag = 1; payload = "cut short" } in
+  Transport.send w (String.sub bytes 0 (String.length bytes / 2));
+  Transport.close w;
+  Transport.set_read_timeout r 5.;
+  match Frame.read (Transport.recv r) with
+  | Error Frame.Truncated -> ()
+  | Ok _ -> Alcotest.fail "half a frame decoded"
+  | Error e ->
+      Alcotest.failf "expected Truncated, got %s" (Frame.error_to_string e)
+
+let socket_stall_mid_header () =
+  with_socketpair @@ fun w r ->
+  let bytes = Frame.encode { Frame.tag = 1; payload = "stalled" } in
+  Transport.send w (String.sub bytes 0 7);
+  Transport.set_read_timeout r 0.2;
+  match Frame.read (Transport.recv r) with
+  | exception Transport.Timeout -> ()
+  | Ok _ -> Alcotest.fail "a stalled frame decoded"
+  | Error e ->
+      Alcotest.failf "expected Timeout, got %s" (Frame.error_to_string e)
+
+(* The server's read timeout: a peer sends half a frame and stalls; the
+   connection is closed and counted under net.timeouts. *)
+let server_read_timeout () =
+  with_socketpair @@ fun peer srv ->
+  let svc = Service.of_config Service.default_config in
+  let server =
+    Server.create
+      ~config:{ Server.default_config with Server.read_timeout_s = 0.2 }
+      svc
+  in
+  let ping = Frame.encode (Msg.encode_req Msg.Ping) in
+  Transport.send peer (String.sub ping 0 (String.length ping / 2));
+  Server.serve_conn server srv;
+  Alcotest.(check bool) "server closed the connection" true
+    (Transport.closed srv);
+  let counter name =
+    Omni_obs.Metrics.value
+      (Omni_obs.Metrics.counter (Service.metrics svc) name)
+  in
+  Alcotest.(check int) "net.timeouts" 1 (counter "net.timeouts");
+  Alcotest.(check int) "no response sent" 0 (counter "net.bytes_out");
+  Transport.set_read_timeout peer 5.;
+  Alcotest.(check int) "the peer sees end of stream" 0
+    (Transport.recv peer (Bytes.create 1) 0 1)
+
+(* A warm Run over a Unix socket costs the server one read(2) and the
+   client one: each frame arrives whole in the receive buffer. *)
+let warm_run_one_read () =
+  with_socketpair @@ fun client srv ->
+  let svc = Service.of_config Service.default_config in
+  let server = Server.create svc in
+  let session = Server.new_session () in
+  let net_reads () =
+    Omni_obs.Metrics.value
+      (Omni_obs.Metrics.counter (Service.metrics svc) "net.reads")
+  in
+  Transport.set_read_timeout client 5.;
+  Transport.set_read_timeout srv 5.;
+  let call req =
+    Transport.send client (Frame.encode (Msg.encode_req req));
+    (match Server.step ~session server srv with
+    | `Handled -> ()
+    | `Closed -> Alcotest.fail "server closed the connection");
+    match Result.map Msg.decode_resp (Frame.read (Transport.recv client)) with
+    | Ok (Ok resp) -> resp
+    | _ -> Alcotest.fail "no response"
+  in
+  let h =
+    match call (Msg.Submit (Lazy.force hello_bytes)) with
+    | Msg.Submitted h -> h
+    | _ -> Alcotest.fail "submit refused"
+  in
+  let run =
+    Msg.Run
+      { Msg.rs_handle = h; rs_engine = Exec.Target Arch.X86; rs_sfi = true;
+        rs_mode = Msg.M_default; rs_fuel = Some fuel; rs_deadline_s = None;
+        rs_want_cert = false }
+  in
+  let ran () =
+    match call run with
+    | Msg.Ran (r, _) -> r
+    | _ -> Alcotest.fail "run refused"
+  in
+  let cold = ran () in
+  let server_before = net_reads () and client_before = Transport.reads client in
+  let warm = ran () in
+  check_same_result "warm run = cold run" cold warm;
+  Alcotest.(check int) "one server read per warm Run" 1
+    (net_reads () - server_before);
+  Alcotest.(check int) "one client read per response" 1
+    (Transport.reads client - client_before);
+  Alcotest.(check int) "net.reads counts every server read"
+    (Transport.reads srv) (net_reads ())
+
 let () =
   Alcotest.run "net"
     [ ("frame",
@@ -863,4 +1041,16 @@ let () =
       ("socket",
        [ Alcotest.test_case "daemon over unix socket" `Quick socket_e2e;
          Alcotest.test_case "stalled daemon, retrying client" `Quick
-           socket_stall_retry ]) ]
+           socket_stall_retry;
+         Alcotest.test_case "two frames in one write" `Quick
+           socket_two_frames_one_write;
+         Alcotest.test_case "one frame in three pieces" `Quick
+           socket_frame_in_pieces;
+         Alcotest.test_case "submit larger than the buffer" `Quick
+           socket_large_submit;
+         Alcotest.test_case "end of stream mid-frame" `Quick
+           socket_eof_mid_frame;
+         Alcotest.test_case "stall mid-header times out" `Quick
+           socket_stall_mid_header;
+         Alcotest.test_case "server read timeout" `Quick server_read_timeout;
+         Alcotest.test_case "one read per warm run" `Quick warm_run_one_read ]) ]
