@@ -20,10 +20,9 @@ module Arch = Omni_targets.Arch
 module Machine = Omni_targets.Machine
 module Risc = Omni_targets.Risc
 module Risc_translate = Omni_targets.Risc_translate
-module Risc_sim = Omni_targets.Risc_sim
 module X86 = Omni_targets.X86
 module X86_translate = Omni_targets.X86_translate
-module X86_sim = Omni_targets.X86_sim
+module Sim = Omni_targets.Sim
 
 module Exec = Omni_service.Exec
 (** The execution machinery behind this façade; the types below are

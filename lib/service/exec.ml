@@ -11,11 +11,10 @@ module Arch = Omni_targets.Arch
 module Machine = Omni_targets.Machine
 module Risc = Omni_targets.Risc
 module Risc_translate = Omni_targets.Risc_translate
-module Risc_sim = Omni_targets.Risc_sim
 module Risc_verify = Omni_targets.Risc_verify
 module X86 = Omni_targets.X86
 module X86_translate = Omni_targets.X86_translate
-module X86_sim = Omni_targets.X86_sim
+module Sim = Omni_targets.Sim
 module X86_verify = Omni_targets.X86_verify
 module Trace = Omni_obs.Trace
 
@@ -205,22 +204,10 @@ let run_translated ?fuel ?watchdog (tr : translated)
   let engine = arch_name tr in
   Trace.phase "run" ~attrs:[ ("engine", engine) ] @@ fun () ->
   let { Omni_runtime.Loader.mem; host; _ } = img in
-  let finish outcome (stats : Machine.stats) ~pc ~reg =
-    result ~engine img outcome ~instructions:stats.Machine.instructions
-      ~cycles:stats.Machine.cycles ~stats:(Some stats) ~pc ~reg mem
-  in
-  match tr with
-  | T_risc p ->
-      let o, s, st = Risc_sim.run ?fuel ?watchdog p mem host in
-      finish o s ~pc:st.Risc_sim.pc ~reg:(fun i ->
-          Risc_sim.get st (Risc.map_reg i))
-  | T_x86 p ->
-      let o, s, st = X86_sim.run ?fuel ?watchdog p mem host in
-      finish o s ~pc:st.X86_sim.pc ~reg:(fun i ->
-          match X86.int_home i with
-          | X86.Hzero -> 0
-          | X86.Hreg x -> st.X86_sim.regs.(x)
-          | X86.Hmem a -> Omnivm.Memory.load32 mem a)
+  let o, s, st = Sim.run ?fuel ?watchdog tr mem host in
+  result ~engine img o ~instructions:s.Machine.instructions
+    ~cycles:s.Machine.cycles ~stats:(Some s) ~pc:st.Sim.pc ~reg:(Sim.omni_reg st)
+    mem
 
 let run ?fuel ?watchdog ?sfi ?mode ?opts engine
     (img : Omni_runtime.Loader.image) =

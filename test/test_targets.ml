@@ -313,8 +313,8 @@ main:   lw r2, g(r0)
   (* and execution still works *)
   let img = Api.load exe in
   let o, _, _ =
-    Omni_targets.Risc_sim.run ~fuel:1000 with_gp img.Omni_runtime.Loader.mem
-      img.Omni_runtime.Loader.host
+    Omni_targets.Sim.run ~fuel:1000 (Api.T_risc with_gp)
+      img.Omni_runtime.Loader.mem img.Omni_runtime.Loader.host
   in
   match o with
   | Machine.Exited 7 -> () (* hcall 0 takes r1; r1 = junk... just check exit *)
@@ -745,8 +745,7 @@ let recycled_table () =
    registers read the way a crash site reads them) and a digest of the
    output. *)
 
-module Risc_sim = Omni_targets.Risc_sim
-module X86_sim = Omni_targets.X86_sim
+module Sim = Omni_targets.Sim
 module Fnv64 = Omni_util.Fnv64
 
 let outcome_string = function
@@ -758,22 +757,8 @@ let exit_line ?fuel ?watchdog tr exe =
   let img = Api.load exe in
   let mem = img.Omni_runtime.Loader.mem in
   let host = img.Omni_runtime.Loader.host in
-  let outcome, s, pc, regs =
-    match tr with
-    | Api.T_risc p ->
-        let o, s, st = Risc_sim.run ?fuel ?watchdog p mem host in
-        ( o, s, st.Risc_sim.pc,
-          Array.init 16 (fun i -> Risc_sim.get st (Risc.map_reg i)) )
-    | Api.T_x86 p ->
-        let o, s, st = X86_sim.run ?fuel ?watchdog p mem host in
-        let reg i =
-          match Omni_targets.X86.int_home i with
-          | Omni_targets.X86.Hzero -> 0
-          | Omni_targets.X86.Hreg x -> st.X86_sim.regs.(x)
-          | Omni_targets.X86.Hmem a -> Omnivm.Memory.load32 mem a
-        in
-        (o, s, st.X86_sim.pc, Array.init 16 reg)
-  in
+  let outcome, s, st = Sim.run ?fuel ?watchdog tr mem host in
+  let pc = st.Sim.pc and regs = Array.init 16 (Sim.omni_reg st) in
   Printf.sprintf
     "%s; instrs %d cycles %d loads %d stores %d branches %d taken %d omni %d \
      origins %s; pc %d regs %s; output %s"
@@ -1441,23 +1426,17 @@ let form_line tr =
   let fuel = 10_000 in
   let f64 h x = Fnv64.mix_int h (Int64.to_int (Int64.bits_of_float x)) in
   match
-    match tr with
-    | Api.T_risc p ->
-        let o, s, st = Risc_sim.run ~fuel p mem host in
-        let h = ref 0L in
-        for r = 0 to 31 do h := Fnv64.mix_int !h (Risc_sim.get st r) done;
-        Array.iter (fun x -> h := f64 !h x) st.Risc_sim.fregs;
-        h := Fnv64.mix_int !h st.Risc_sim.cc_a;
-        h := Fnv64.mix_int !h st.Risc_sim.cc_b;
-        (o, s, st.Risc_sim.pc, Fnv64.mix_int !h (Bool.to_int st.Risc_sim.fcc))
-    | Api.T_x86 p ->
-        let o, s, st = X86_sim.run ~fuel p mem host in
-        let h = ref 0L in
-        for r = 0 to 7 do h := Fnv64.mix_int !h st.X86_sim.regs.(r) done;
-        Array.iter (fun x -> h := f64 !h x) st.X86_sim.fps;
-        h := Fnv64.mix_int !h st.X86_sim.cc_a;
-        h := Fnv64.mix_int !h st.X86_sim.cc_b;
-        (o, s, st.X86_sim.pc, Fnv64.mix_int !h (Bool.to_int st.X86_sim.fcc))
+    let o, s, st = Sim.run ~fuel tr mem host in
+    (* the family's own registers: all but the last, which only decoding
+       names (RISC's r0 sink, x86's missing base) *)
+    let h = ref 0L in
+    for r = 0 to Array.length st.Sim.regs - 2 do
+      h := Fnv64.mix_int !h st.Sim.regs.(r)
+    done;
+    Array.iter (fun x -> h := f64 !h x) st.Sim.fregs;
+    h := Fnv64.mix_int !h st.Sim.cc_a;
+    h := Fnv64.mix_int !h st.Sim.cc_b;
+    (o, s, st.Sim.pc, Fnv64.mix_int !h (Bool.to_int st.Sim.fcc))
   with
   | exception e -> "exception " ^ Printexc.to_string e
   | outcome, s, pc, regs ->
@@ -1872,6 +1851,87 @@ let form_goldens () =
       (String.concat "\n"
          (List.map (fun (a, c, l) -> String.concat "|" [ a; c; l ]) bad))
 
+(* --- opcode classes ---
+
+   [Sim.decode] reads a slot's control, conditional-branch and host-call
+   flags off its opcode's range, and the two families share one opcode
+   space. So every form of the per-form lists that decodes must get the
+   flags of its constructor, and each x86 form that is a RISC instruction
+   (Jcc, Jmp, Trapi, Hcall, Nop) must pack to its RISC twin's op words,
+   bit for bit. *)
+
+let decode_one tr =
+  let t = Machine.take_table 1 in
+  let r =
+    match Sim.decode tr t 0 with
+    | exception Invalid_argument _ -> None (* refused: the goldens pin it *)
+    | tag -> Some (tag, (t.Machine.ops.(0), t.Machine.ops.(1)))
+  in
+  Machine.give_table t;
+  r
+
+let opcode_classes () =
+  let module X = Omni_targets.X86 in
+  let exe = Lazy.force form_exe in
+  let risc, x86 =
+    match (Api.translate ~mode:sandbox Arch.Sparc exe,
+           Api.translate ~mode:sandbox Arch.X86 exe) with
+    | Api.T_risc r, Api.T_x86 x -> (r, x)
+    | _ -> Alcotest.fail "Sparc and x86 translate to their own families"
+  in
+  let risc_one i = Api.T_risc { risc with Risc.code = [| Risc.mk Machine.Core i |] } in
+  let x86_one i = Api.T_x86 { x86 with X.code = [| X.mk Machine.Core i |] } in
+  let check what (control, branch, hcall) tr =
+    Option.map
+      (fun (tag, words) ->
+        let has f = tag land f <> 0 in
+        if has Machine.tag_control <> control || has Machine.tag_branch <> branch
+           || has Machine.tag_hcall <> hcall
+        then Alcotest.failf "%s: tag %#x" what tag;
+        words)
+      (decode_one tr)
+  in
+  let instrs (forms, hostile) =
+    List.concat_map (fun (name, f) -> List.map (fun i -> (name, i)) (f 5))
+      (forms @ hostile)
+  in
+  List.iter
+    (fun (name, i) ->
+      let cls =
+        match i with
+        | Risc.Br_cc _ | Risc.Br_cmp _ | Risc.Fbr _ -> (true, true, false)
+        | Risc.Hcall _ -> (false, false, true)
+        | i -> (Risc.is_control i, false, false)
+      in
+      ignore (check ("risc " ^ name) cls (risc_one i)))
+    (instrs (risc_form_cases ~delay:true));
+  let twins = Hashtbl.create 5 in
+  List.iter
+    (fun (name, i) ->
+      let cls =
+        match i with
+        | X.Jcc _ -> (true, true, false)
+        | X.Hcall _ -> (false, false, true)
+        | i -> (X.is_control i, false, false)
+      in
+      let twin =
+        match i with
+        | X.Jcc (c, l) -> Some ("jcc", Risc.Br_cc (c, l))
+        | X.Jmp l -> Some ("jmp", Risc.J l)
+        | X.Trapi n -> Some ("trapi", Risc.Trapi n)
+        | X.Hcall n -> Some ("hcall", Risc.Hcall n)
+        | X.Nop -> Some ("nop", Risc.Nop)
+        | _ -> None
+      in
+      match (check ("x86 " ^ name) cls (x86_one i), twin) with
+      | Some words, Some (kind, r) ->
+          Hashtbl.replace twins kind ();
+          if Option.map snd (decode_one (risc_one r)) <> Some words then
+            Alcotest.failf "x86 %s packs apart from its RISC twin" name
+      | _ -> ())
+    (instrs (x86_form_cases ()));
+  Alcotest.(check int) "every twin is among the forms" 5 (Hashtbl.length twins)
+
 (* Memo storage is proportional to the code: on every spec program and
    target, a run's segment entries and its two index ints per slot take
    at most 8 ints per slot. *)
@@ -1884,15 +1944,10 @@ let memo_storage () =
           let mem = img.Omni_runtime.Loader.mem in
           let host = img.Omni_runtime.Loader.host in
           let fuel = 1_000_000_000 in
-          let table, slots =
-            match Api.translate ~mode:sandbox arch exe with
-            | Api.T_risc p ->
-                let _, _, st = Risc_sim.run ~fuel p mem host in
-                (st.Risc_sim.table, Array.length p.Risc.code)
-            | Api.T_x86 p ->
-                let _, _, st = X86_sim.run ~fuel p mem host in
-                (st.X86_sim.table, Array.length p.Omni_targets.X86.code)
+          let _, _, st =
+            Sim.run ~fuel (Api.translate ~mode:sandbox arch exe) mem host
           in
+          let table = st.Sim.table and slots = st.Sim.slots in
           let words = P.memo_words table.Machine.memo + (2 * slots) in
           if words > 8 * slots then
             Alcotest.failf "%s on %s: %d memo ints for %d slots" name
@@ -1954,15 +2009,8 @@ let sim_end ?watchdog ?(ends = 0x10000) ~fuel tr exe =
   let mem = img.Omni_runtime.Loader.mem in
   let host = img.Omni_runtime.Loader.host in
   let bits = Array.map Int64.bits_of_float in
-  let e_outcome, e_stats, e_pc, e_regs, e_fregs =
-    match tr with
-    | Api.T_risc p ->
-        let o, s, st = Risc_sim.run ~fuel ?watchdog p mem host in
-        (o, s, st.Risc_sim.pc, st.Risc_sim.regs, bits st.Risc_sim.fregs)
-    | Api.T_x86 p ->
-        let o, s, st = X86_sim.run ~fuel ?watchdog p mem host in
-        (o, s, st.X86_sim.pc, st.X86_sim.regs, bits st.X86_sim.fps)
-  in
+  let e_outcome, e_stats, st = Sim.run ~fuel ?watchdog tr mem host in
+  let e_pc = st.Sim.pc and e_regs = st.Sim.regs and e_fregs = bits st.Sim.fregs in
   let module L = Omnivm.Layout in
   let window addr = Omnivm.Memory.read_bytes mem ~addr ~len:ends in
   let e_data =
@@ -2660,6 +2708,7 @@ let () =
          Alcotest.test_case "golden simulator stats" `Quick golden_simulator_stats;
          Alcotest.test_case "exit-path goldens" `Quick exit_path_goldens;
          Alcotest.test_case "per-form goldens" `Quick form_goldens;
+         Alcotest.test_case "opcode classes" `Quick opcode_classes;
          Alcotest.test_case "recycled decoded table" `Quick recycled_table;
          Alcotest.test_case "memo storage per slot" `Quick memo_storage;
          Alcotest.test_case "simulators allocate nothing per instruction" `Quick
