@@ -2262,6 +2262,69 @@ let golden_translations () =
         (tally_line m))
     registries
 
+(* --- every other translation configuration ---
+
+   The golden digests cover the default mobile translation and the
+   vendor tier. This one covers the rest, over the same modules and
+   targets: each padding mode (whose [Pad_align] parity is relative to
+   the chunk an OmniVM instruction translates to), read protection,
+   check-and-trap mode, the guard-zone store optimization, the portable
+   compiler tier, an unprotected mobile module, and padding with read
+   protection under every optimization. It folds the code fingerprint,
+   the declared masking counts and the certificate (or its refusal). *)
+
+let other_configs arch =
+  let mobile = Exec.mobile_opts arch in
+  let mk ?mode ?protect_reads ?pad () =
+    Machine.Mobile (Omni_sfi.Policy.make ?mode ?protect_reads ?pad ())
+  in
+  [ (mk ~pad:Omni_sfi.Policy.Pad_nop (), mobile);
+    (mk ~pad:Omni_sfi.Policy.Pad_align (), mobile);
+    (mk ~pad:Omni_sfi.Policy.Pad_guard8 (), mobile);
+    (mk ~protect_reads:true (), mobile);
+    (mk ~mode:Omni_sfi.Policy.Guard (), mobile);
+    (sandbox, { mobile with Machine.sfi_opt = true });
+    (Machine.Native Machine.Gcc, Machine.all_opts);
+    (Machine.Mobile Omni_sfi.Policy.off, mobile);
+    ( mk ~protect_reads:true ~pad:Omni_sfi.Policy.Pad_align (),
+      { Machine.all_opts with Machine.sfi_opt = true } ) ]
+
+let config_digest () =
+  List.fold_left
+    (fun h wire ->
+      let exe = Omnivm.Wire.decode wire in
+      let module_digest = Omni_util.Fnv64.digest_string wire in
+      List.fold_left
+        (fun h arch ->
+          List.fold_left
+            (fun h (mode, opts) ->
+              let tr = Exec.translate ~mode ~opts arch exe in
+              let decl =
+                match tr with
+                | Exec.T_risc p -> p.Risc.decl
+                | Exec.T_x86 p -> p.Omni_targets.X86.decl
+              in
+              let h =
+                Omni_util.Fnv64.digest_string ~seed:h
+                  (Omni_util.Fnv64.to_hex (Exec.fingerprint tr))
+              in
+              let h = Omni_util.Fnv64.mix_int h decl.Machine.data_masks in
+              let h = Omni_util.Fnv64.mix_int h decl.Machine.code_masks in
+              match Exec.certify ~module_digest ~mode ~opts tr with
+              | Ok c ->
+                  Omni_util.Fnv64.digest_string ~seed:h
+                    (Omni_cert.Certificate.encode c)
+              | Error e -> Omni_util.Fnv64.digest_string ~seed:h e)
+            h (other_configs arch))
+        h targets)
+    0L (Lazy.force golden_modules)
+
+let golden_config_digest = "cf6b2abd73c51345"
+
+let golden_other_configs () =
+  Alcotest.(check string) "all-configurations digest" golden_config_digest
+    (Omni_util.Fnv64.to_hex (config_digest ()))
+
 (* --- the structural fingerprint: every field counts ---
 
    A translated program's fingerprint must change with any single field:
@@ -2693,6 +2756,8 @@ let () =
          Alcotest.test_case "tier ordering" `Quick tier_ordering;
          Alcotest.test_case "sfi guard-zone opt" `Quick sfi_opt_correct;
          Alcotest.test_case "golden translations" `Quick golden_translations;
+         Alcotest.test_case "golden translations, other configurations"
+           `Quick golden_other_configs;
          Alcotest.test_case "fingerprint covers every constructor" `Quick
            fingerprint_covers_constructors;
          Alcotest.test_case "one-field variants fingerprint apart" `Quick
