@@ -4,16 +4,16 @@
 
      dune exec bench/main.exe                 -- every section, test size
      dune exec bench/main.exe -- --size ref   -- every section, reference size
-     dune exec bench/main.exe -- table1 figure1 speed bechamel ...
+     dune exec bench/main.exe -- table1 figure1 speed ...
      dune exec bench/main.exe -- json         -- write BENCH_{N+1}.json
      dune exec bench/main.exe -- gate         -- diff against BENCH_N.json
 
-   The sections are Omni_harness.Experiments.sections plus [bechamel];
-   an unknown name exits 2 before anything is measured. All relative-time
-   numbers come from the simulated pipeline cycle counts; [speed] and
-   [bechamel] measure real wall-clock translation time (the paper's
-   load-time-matters argument), the latter with statistically sound
-   measurement via Bechamel.
+   The sections are Omni_harness.Experiments.sections; an unknown name
+   exits 2 before anything is measured. All relative-time numbers come
+   from the simulated pipeline cycle counts; [speed] measures real
+   translation time (the paper's load-time-matters argument), the best
+   of several timings per program and target, with the minor words
+   translation allocates.
 
    --- the persisted snapshot + regression gate (BENCH_N.json) ----------
 
@@ -38,7 +38,6 @@ module E = Omni_harness.Experiments
 module Gate = Omni_harness.Gate
 module W = Omni_workloads.Workloads
 
-let sections = E.sections @ [ ("bechamel", E.Table Bechamel_bench.run) ]
 let snapshot_files () = Array.to_list (Sys.readdir ".")
 
 let write_snapshot ~size =
@@ -110,7 +109,7 @@ let print_section section ~size =
     (match section with E.Table f -> f ~size | E.Snapshot f -> fst (f ~size))
 
 let actions =
-  List.map (fun (name, section) -> (name, print_section section)) sections
+  List.map (fun (name, section) -> (name, print_section section)) E.sections
   @ [ ("json", write_snapshot); ("gate", run_gate) ]
 
 let run ~size name =
@@ -135,7 +134,7 @@ let () =
         (String.concat ", " (List.rev unknown))
         (String.concat ", " valid);
       exit 2);
-  let todo = if !picked = [] then List.map fst sections else List.rev !picked in
+  let todo = if !picked = [] then List.map fst E.sections else List.rev !picked in
   Printf.printf "omniware benchmark harness (size: %s)\n\n%!"
     (match !size with W.Test -> "test" | W.Ref -> "ref");
   List.iter (run ~size:!size) todo

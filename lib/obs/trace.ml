@@ -226,15 +226,22 @@ let tally_count ?(by = 1) t name =
       t.counts <- (name, ref by) :: t.counts
   | Some _ | None -> ()
 
+let tally_clock t =
+  match t.tm with None -> 0 | Some _ -> Clock.monotonic_ns ()
+
+let tally_add_time t name ns =
+  match t.tm with
+  | Some _ when not (add_to t.passes name ns) ->
+      t.passes <- (name, ref ns) :: t.passes
+  | Some _ | None -> ()
+
 let tally_time t name f =
   match t.tm with
   | None -> f ()
   | Some _ ->
       let t0 = Clock.monotonic_ns () in
       let r = f () in
-      let dt = Clock.monotonic_ns () - t0 in
-      if not (add_to t.passes name dt) then
-        t.passes <- (name, ref dt) :: t.passes;
+      tally_add_time t name (Clock.monotonic_ns () - t0);
       r
 
 let flush t =

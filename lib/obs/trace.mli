@@ -123,6 +123,14 @@ val tally_time : tally -> string -> (unit -> 'a) -> 'a
 (** Run [f], adding the monotonic time it took to the tally's pass
     [name]. *)
 
+val tally_clock : tally -> int
+(** The monotonic clock in nanoseconds if the tally is on, else 0: a
+    caller that runs several passes back to back per block times them
+    from shared readings, and adds each pass's total once. *)
+
+val tally_add_time : tally -> string -> int -> unit
+(** Add nanoseconds to the tally's pass [name]. *)
+
 val flush : tally -> unit
 (** Land each count in the registry as one bump of counter [name], and
     each pass as one observation of histogram [name] holding its total

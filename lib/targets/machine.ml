@@ -231,11 +231,3 @@ let expansion_profile stats =
             ( origin_name o,
               float_of_int stats.by_origin.(origin_index o) /. base ))
     all_origins
-
-(* [Array.of_list l], seeded with [dummy] instead of [l]'s head: in OCaml
-   5, seeding an array longer than 256 words with a young block forces a
-   minor collection. [dummy] should be a static constant. *)
-let array_of_list ~dummy l =
-  let a = Array.make (List.length l) dummy in
-  List.iteri (fun k x -> a.(k) <- x) l;
-  a

@@ -52,7 +52,8 @@ let load = 1 lsl 51
 let store = 1 lsl 52
 
 let cost latency unit_ uses defs =
-  if length uses > 4 || length defs > 3 || latency < 0 || latency > 511 then
+  (* more than four (three) resources: a 7-bit group past bit 28 (21) *)
+  if uses lsr 28 <> 0 || defs lsr 21 <> 0 || latency < 0 || latency > 511 then
     invalid_arg "Pipeline.cost";
   uses lor (defs lsl 28) lor (class_index unit_ lsl 49) lor (latency lsl 53)
 

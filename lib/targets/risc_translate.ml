@@ -512,10 +512,11 @@ let record_form_ok = function
 (* Fold a compare-with-zero into the instruction that computed the compared
    value (PowerPC record forms, xlc-style). The defining ALU need not be
    adjacent: we search back through the block as long as neither the
-   compared register nor the condition register is touched in between. *)
-let apply_record_forms (slots : slot list) : slot list =
-  let arr = Array.of_list slots in
-  let n = Array.length arr in
+   compared register nor the condition register is touched in between.
+   Compacts the block [lo, hi) of [code] in place and returns its new end.
+   A dropped compare is followed by the branch, which reads the condition
+   register, so no later search passes where it was. *)
+let apply_record_forms (code : slot array) lo hi =
   let writes_reg r i =
     Pipeline.mem r (Pipeline.cost_defs (cost_of ppc_cfg i))
   in
@@ -524,32 +525,35 @@ let apply_record_forms (slots : slot list) : slot list =
     Pipeline.mem cc_id (Pipeline.cost_defs w)
     || Pipeline.mem cc_id (Pipeline.cost_uses w)
   in
-  let drop = Array.make n false in
-  for j = 0 to n - 1 do
-    match arr.(j).i with
-    | Cmpi (rc, 0) when j + 1 < n ->
-        (* only when a conditional branch consumes it next *)
-        (match arr.(j + 1).i with
-        | Br_cc _ ->
-            let rec back k =
-              if k < 0 then ()
-              else
-                match arr.(k).i with
+  let w = ref lo in
+  for j = lo to hi - 1 do
+    let s = code.(j) in
+    let drop =
+      match s.i with
+      | Cmpi (rc, 0) when j + 1 < hi -> (
+          (* only when a conditional branch consumes it next *)
+          match code.(j + 1).i with
+          | Br_cc _ ->
+              let rec back k =
+                k >= lo
+                &&
+                match code.(k).i with
                 | Alu (op, rd, ra, rb) when rd = rc && record_form_ok op ->
-                    arr.(k) <- { (arr.(k)) with i = Alu_record (op, rd, ra, rb) };
-                    drop.(j) <- true
-                | i when writes_reg rc i || touches_cc i -> ()
+                    code.(k) <- { (code.(k)) with i = Alu_record (op, rd, ra, rb) };
+                    true
+                | i when writes_reg rc i || touches_cc i -> false
                 | _ -> back (k - 1)
-            in
-            back (j - 1)
-        | _ -> ())
-    | _ -> ()
+              in
+              back (!w - 1)
+          | _ -> false)
+      | _ -> false
+    in
+    if not drop then begin
+      if !w <> j then code.(!w) <- s;
+      incr w
+    end
   done;
-  let out = ref [] in
-  for j = n - 1 downto 0 do
-    if not drop.(j) then out := arr.(j) :: !out
-  done;
-  !out
+  !w
 
 (* --- whole-module translation --- *)
 
@@ -558,8 +562,11 @@ let is_barrier_slot (s : slot) =
   | Hcall _ | Guard_data _ | Guard_code _ | Trapi _ -> true
   | _ -> false
 
-(* A static slot to seed arrays with (see [Machine.array_of_list]). *)
+(* A static slot to seed arrays with: in OCaml 5, seeding an array
+   longer than 256 words with a young block forces a minor collection. *)
 let placeholder = { i = Nop; origin = Machine.Bnop; annul = false }
+
+let spare : slot Translate.spare = Translate.spare ()
 
 let sched_info cfg : slot Sched.info =
   {
@@ -592,9 +599,10 @@ let translate cfg ~(mode : Machine.mode) ~(opts : Machine.topts)
         at_leader = (fun () -> t.sfi_cache <- None);
         is_control = (fun s -> is_control s.i);
         placeholder;
+        spare;
         sched_info = sched_info cfg;
         peephole = record_forms;
-        schedules = (fun _ -> true);
+        schedules = (fun _ _ _ -> true);
         delay_nop =
           (if cfg.has_delay_slot then Some (fun () -> mk Machine.Bnop Nop)
            else None);

@@ -21,14 +21,22 @@ type 'a t
     block reuses. Not safe to share between domains. *)
 
 val create : 'a info -> 'a t
+(** Takes the domain's scratch arrays, left by the last [release], or
+    makes new ones. *)
 
-val schedule_body : 'a t -> quality:quality -> 'a array -> 'a array
-(** A semantics-preserving permutation of the body. Dependences are
-    RAW/WAR/WAW on registers, a conservative memory order (stores in
-    program order, loads ordered against stores both ways), and
-    barriers. *)
+val release : 'a t -> unit
+(** Gives [t]'s scratch arrays back to the domain; [t] is not used
+    again. *)
 
-val fill_delay_slot :
-  'a t -> branch_cost:Pipeline.cost -> 'a array -> 'a array * 'a option
-(** Try to move the body's last instruction into the branch delay slot;
-    refuses on any RAW/WAW/WAR hazard against the branch. *)
+val schedule :
+  'a t -> quality:quality -> 'a array -> int -> int -> int array -> int -> unit
+(** [schedule t ~quality src lo hi dst d] writes the indices [lo] to
+    [hi - 1] of the slots of [src] into [dst] from [d], in a
+    semantics-preserving order. Dependences are RAW/WAR/WAW on
+    registers, a conservative memory order (stores in program order,
+    loads ordered against stores both ways), and barriers. *)
+
+val fills_delay_slot : 'a t -> branch_cost:Pipeline.cost -> 'a -> bool
+(** Whether a scheduled body's last slot may move into the delay slot of
+    a branch of cost [branch_cost]: false on any RAW/WAW/WAR hazard
+    against the branch, or when the slot is a barrier. *)

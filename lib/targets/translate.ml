@@ -5,12 +5,15 @@
 
    A translator supplies its half as [hooks] (the way [Sched.info] gives
    the scheduler a slot's cost): the translation of one OmniVM instruction
-   into an [emitter], and the per-block passes it runs. [run]
-   translates every instruction into its own chunk, threading the
-   constant pool through them; groups the chunks into blocks at the
-   [leaders]; runs each block's peephole pass, schedule and delay-slot
-   filling; and patches every branch label, an OmniVM instruction index
-   while the chunks are built, to the native index of its block.
+   into an [emitter], and the per-block passes it runs. [run] emits every
+   instruction's chunk into one slot buffer, threading the constant pool
+   through them, and records where each chunk starts; a block is then the
+   index range between two [leaders]. Each block's peephole pass compacts
+   its range in place; the schedule, the delay-slot fill and the block's
+   control slot then lay the block out as buffer indices, ints that cost
+   no write barrier. At the end every slot is stored once into the code,
+   its branch label, an OmniVM instruction index while the chunks are
+   built, mapped to the native index of its block.
 
    A mode's SFI policy is read once, into the emitter, as
    [Machine.sfi_policy]: a native baseline translates under
@@ -28,11 +31,14 @@ let error fmt = Printf.ksprintf (fun s -> raise (Translate_error s)) fmt
 
 (* --- the emitter --- *)
 
-(* What one OmniVM instruction's translation is emitted into. One emitter
-   serves a whole translation; [run] empties [slots] before each
-   instruction. *)
+(* What one translation is emitted into: a growable slot buffer, each
+   OmniVM instruction's chunk appended in order. [chunk] is where the
+   current instruction's chunk begins. *)
 type 'a emitter = {
-  mutable slots : 'a list; (* this instruction's chunk, reversed *)
+  mutable buf : 'a array;
+  mutable len : int; (* slots emitted *)
+  mutable chunk : int;
+  placeholder : 'a; (* a static slot to seed the buffer with *)
   mutable pool : float list; (* reversed *)
   mutable pool_n : int;
   n_omni : int; (* instructions in the text *)
@@ -41,7 +47,54 @@ type 'a emitter = {
   tally : Trace.tally;
 }
 
-let push e s = e.slots <- s :: e.slots
+(* --- storage kept between translations ---
+
+   What a translation needs only while it runs (its slot buffer, the
+   chunk starts and the layout) is kept per domain between translations,
+   as a simulator's table is ([Machine.take_table]): a server translating
+   one module after another reuses it instead of allocating it in the
+   major heap each time. Taking it is a straight line with no
+   allocation, so no thread switch can hand it out twice. *)
+
+type 'a spare = 'a array option ref Domain.DLS.key
+
+let spare () : 'a spare = Domain.DLS.new_key (fun () -> ref None)
+
+(* Past this many elements an array is not kept. *)
+let max_spare = 1 lsl 16
+
+(* An array of at least [n] elements, taken from [k] or made from
+   [dummy]; its contents are unspecified. *)
+let take (k : 'a spare) dummy n =
+  let s = Domain.DLS.get k in
+  match !s with
+  | Some a when Array.length a >= n ->
+      s := None;
+      a
+  | Some _ | None -> Array.make n dummy
+
+(* Keep [a] in [k] unless [k] holds one at least as large. *)
+let give (k : 'a spare) a =
+  if Array.length a <= max_spare then
+    let s = Domain.DLS.get k in
+    match !s with
+    | Some b when Array.length b >= Array.length a -> ()
+    | Some _ | None -> s := Some a
+
+let starts_spare : int spare = spare ()
+let layout_spare : int spare = spare ()
+
+(* Half as much room again, once [buf] is full. *)
+let grow e =
+  let cap = Array.length e.buf in
+  let b = Array.make (cap + (cap / 2) + 16) e.placeholder in
+  Array.blit e.buf 0 b 0 e.len;
+  e.buf <- b
+
+let push e s =
+  if e.len = Array.length e.buf then grow e;
+  Array.unsafe_set e.buf e.len s;
+  e.len <- e.len + 1
 
 let sfi_mode e = e.policy.Policy.mode
 
@@ -80,7 +133,7 @@ let emit_pad e nop =
   | Policy.Pad_nop -> push e (nop ())
   | Policy.Pad_align ->
       (* pad so the protected op lands on an even slot of this chunk *)
-      if List.length e.slots land 1 = 1 then push e (nop ())
+      if (e.len - e.chunk) land 1 = 1 then push e (nop ())
 
 (* A store or load at [base]+[disp] that needs no check: sp-relative
    within the guard zone, or a constant data-segment address ([base] 0).
@@ -154,12 +207,17 @@ type 'a hooks = {
   at_leader : unit -> unit; (* before a block's first instruction *)
   is_control : 'a -> bool; (* ends a block: split off before scheduling *)
   placeholder : 'a; (* a static slot to seed arrays with *)
+  spare : 'a spare; (* the translator's slot buffer between translations *)
   sched_info : 'a Sched.info;
-  peephole : ('a list -> 'a list) option; (* the block pass, if any *)
-  schedules : 'a array -> bool; (* whether a block body is scheduled *)
+  peephole : ('a array -> int -> int -> int) option;
+      (* the block pass, if any: compacts a range in place, returns its
+         new end *)
+  schedules : 'a array -> int -> int -> bool;
+      (* whether a block body, a range, is scheduled *)
   delay_nop : (unit -> 'a) option;
       (* on a delay-slot target, the slot for a delay slot left empty *)
-  map_label : (int -> int) -> 'a -> 'a; (* apply to a slot's label, if any *)
+  map_label : (int -> int) -> 'a -> 'a;
+      (* apply to a slot's label; a slot without one is returned as is *)
 }
 
 (* The native program, less what only the target knows. *)
@@ -178,102 +236,138 @@ let run h ~(mode : Machine.mode) ~(opts : Machine.topts) (exe : Omnivm.Exe.t)
   let lead = leaders exe in
   let tally = Trace.tally () in
   let e =
-    { slots = []; pool = []; pool_n = 0; n_omni = n;
-      policy = Machine.sfi_policy mode; decl = Machine.new_sfi_decl ();
-      tally }
+    { buf = take h.spare h.placeholder ((2 * n) + 16); len = 0;
+      chunk = 0; placeholder = h.placeholder; pool = []; pool_n = 0;
+      n_omni = n; policy = Machine.sfi_policy mode;
+      decl = Machine.new_sfi_decl (); tally }
   in
-  (* chunk per omni instruction; the constant pool threads through *)
-  let chunks = Array.make n [] in
+  (* each instruction's chunk, in order; the constant pool threads through
+     them, and [starts.(i)] is where instruction [i]'s begins *)
+  let starts = take starts_spare 0 (n + 1) in
+  let blocks = ref 0 in
   for i = 0 to n - 1 do
-    if lead.(i) then h.at_leader ();
-    e.slots <- [];
-    h.translate_instr e ~idx:i text.(i);
-    chunks.(i) <- List.rev e.slots
-  done;
-  (* group into blocks of omni indices; the downward scan leaves them in
-     ascending order *)
-  let blocks = ref [] in
-  let cur = ref [] in
-  for i = n - 1 downto 0 do
-    cur := i :: !cur;
     if lead.(i) then begin
-      blocks := !cur :: !blocks;
-      cur := []
-    end
+      h.at_leader ();
+      incr blocks
+    end;
+    starts.(i) <- e.len;
+    e.chunk <- e.len;
+    h.translate_instr e ~idx:i text.(i)
   done;
+  starts.(n) <- e.len;
+  let buf = e.buf in
   let quality =
     match mode with
     | Machine.Native Machine.Cc -> Sched.Critical_path
     | Machine.Native Machine.Gcc | Machine.Mobile _ -> Sched.Greedy
   in
   let sched = Sched.create h.sched_info in
-  let out = ref [] in
+  (* The layout: native slot [k] is [buf.(slot.(k))], or an empty delay
+     slot where [slot.(k)] is -1. A block grows by at most its empty delay
+     slot. Each slot is stored once more, into the code, at the end. *)
+  let bound = e.len + if Option.is_some h.delay_nop then !blocks else 0 in
+  let slot = take layout_spare 0 bound in
   let out_n = ref 0 in
   let addr_map = Array.make n (-1) in
-  let emit_out s =
-    out := s :: !out;
+  let peephole =
+    match h.peephole with
+    | Some pass when opts.Machine.peephole -> Some pass
+    | Some _ | None -> None
+  in
+  (* the passes' times, from one clock reading after each (-1: never
+     ran), and what they counted *)
+  let peep_ns = ref (-1) and sched_ns = ref (-1) and delay_ns = ref (-1) in
+  let folds = ref 0 and filled = ref 0 and nops = ref 0 in
+  let clock = ref 0 in
+  let lap acc =
+    let now = Trace.tally_clock tally in
+    acc := max 0 !acc + (now - !clock);
+    clock := now
+  in
+  let put k =
+    slot.(!out_n) <- k;
     incr out_n
   in
-  let rec split acc = function
-    | [ s ] when h.is_control s -> (List.rev acc, Some s)
-    | [] -> (List.rev acc, None)
-    | s :: rest -> split (s :: acc) rest
-  in
-  List.iter
-    (fun omni_indices ->
-      match omni_indices with
-      | [] -> ()
-      | first :: _ -> (
-          addr_map.(first) <- !out_n;
-          let slots = List.concat_map (fun i -> chunks.(i)) omni_indices in
-          let slots =
-            match h.peephole with
-            | Some pass when opts.Machine.peephole ->
-                let before = List.length slots in
-                let slots' =
-                  Trace.tally_time tally "pass.peephole" (fun () -> pass slots)
-                in
-                Trace.tally_count tally ~by:(before - List.length slots')
-                  "translate.peephole_folds";
-                slots'
-            | Some _ | None -> slots
-          in
-          let body, ctrl = split [] slots in
-          let body = Machine.array_of_list ~dummy:h.placeholder body in
-          let body =
-            if opts.Machine.schedule && h.schedules body then
-              Trace.tally_time tally "pass.schedule" (fun () ->
-                  Sched.schedule_body sched ~quality body)
-            else body
-          in
-          match (ctrl, h.delay_nop) with
-          | None, _ -> Array.iter emit_out body
-          | Some c, None ->
-              Array.iter emit_out body;
-              emit_out c
-          | Some c, Some nop -> (
-              let body, filler =
-                if opts.Machine.fill_delay_slots then
-                  Trace.tally_time tally "pass.delay_slot" (fun () ->
-                      Sched.fill_delay_slot sched
-                        ~branch_cost:(h.sched_info.Sched.cost c) body)
-                else (body, None)
-              in
-              Array.iter emit_out body;
-              emit_out c;
-              match filler with
-              | Some f ->
-                  Trace.tally_count tally "translate.delay_slots_filled";
-                  emit_out f
-              | None ->
-                  Trace.tally_count tally "translate.delay_slot_nops";
-                  emit_out (nop ()))))
-    !blocks;
+  let first = ref 0 in
+  while !first < n do
+    let next = ref (!first + 1) in
+    while !next < n && not lead.(!next) do
+      incr next
+    done;
+    clock := Trace.tally_clock tally;
+    addr_map.(!first) <- !out_n;
+    let lo = starts.(!first) in
+    let hi = ref starts.(!next) in
+    (match peephole with
+    | Some pass ->
+        let hi' = pass buf lo !hi in
+        folds := !folds + (!hi - hi');
+        hi := hi';
+        lap peep_ns
+    | None -> ());
+    let has_ctrl = !hi > lo && h.is_control buf.(!hi - 1) in
+    if has_ctrl then decr hi;
+    let body = !out_n in
+    if opts.Machine.schedule && h.schedules buf lo !hi then begin
+      Sched.schedule sched ~quality buf lo !hi slot body;
+      lap sched_ns
+    end
+    else
+      for k = 0 to !hi - lo - 1 do
+        slot.(body + k) <- lo + k
+      done;
+    out_n := body + (!hi - lo);
+    if has_ctrl then
+      if Option.is_none h.delay_nop then put !hi
+      else begin
+        let fills =
+          opts.Machine.fill_delay_slots && !out_n > body
+          && Sched.fills_delay_slot sched
+               ~branch_cost:(h.sched_info.Sched.cost buf.(!hi))
+               buf.(slot.(!out_n - 1))
+        in
+        if opts.Machine.fill_delay_slots then lap delay_ns;
+        if fills then begin
+          (* the body's last slot moves behind the branch *)
+          let last = slot.(!out_n - 1) in
+          slot.(!out_n - 1) <- !hi;
+          put last;
+          incr filled
+        end
+        else begin
+          put !hi;
+          put (-1);
+          incr nops
+        end
+      end;
+    first := !next
+  done;
+  let pass name ns = if ns >= 0 then Trace.tally_add_time tally name ns in
+  pass "pass.peephole" !peep_ns;
+  pass "pass.schedule" !sched_ns;
+  pass "pass.delay_slot" !delay_ns;
+  if !peep_ns >= 0 then
+    Trace.tally_count tally ~by:!folds "translate.peephole_folds";
+  if !filled > 0 then
+    Trace.tally_count tally ~by:!filled "translate.delay_slots_filled";
+  if !nops > 0 then Trace.tally_count tally ~by:!nops "translate.delay_slot_nops";
   Trace.flush tally;
-  let code = Machine.array_of_list ~dummy:h.placeholder (List.rev !out) in
   (* every label is a leader: [label] checked it names an instruction *)
   let native i = addr_map.(i) in
-  Array.iteri (fun k s -> code.(k) <- h.map_label native s) code;
+  let code = Array.make !out_n h.placeholder in
+  for k = 0 to !out_n - 1 do
+    let i = slot.(k) in
+    code.(k) <-
+      (if i >= 0 then h.map_label native buf.(i) else Option.get h.delay_nop ())
+  done;
+  (* The buffer goes back as it is: clearing it costs a write barrier
+     per slot. The slots it still points to are this translation's,
+     which its code holds too, until the next translation on the domain
+     overwrites them. *)
+  give h.spare buf;
+  give starts_spare starts;
+  give layout_spare slot;
+  Sched.release sched;
   let entry =
     match Omnivm.Exe.index_of_addr exe.Omnivm.Exe.entry with
     | Some i when i < n -> addr_map.(i)

@@ -437,21 +437,29 @@ let translate_instr e ~idx (ins : int VI.t) =
 
 (* --- peephole: drop a Cmp-vs-0 whose operand was just computed --- *)
 
-let redundant_cmp (slots : slot list) : slot list =
+(* Compacts the block [lo, hi) of [code] in place and returns its new
+   end. *)
+let redundant_cmp (code : slot array) lo hi =
   let defines_flags_on (i : instr) (x : operand) =
     match (i, x) with
     | Alu (_, R d, _), R r -> d = r
     | Shift (_, R d, _), R r -> d = r
     | _ -> false
   in
-  let rec go = function
-    | a :: { i = Cmp (x, I 0); _ } :: (({ i = Jcc ((VI.Eq | VI.Ne), _); _ } :: _) as rest)
-      when defines_flags_on a.i x ->
-        a :: go rest
-    | s :: rest -> s :: go rest
-    | [] -> []
+  let folds a c b =
+    match (c.i, b.i) with
+    | Cmp (x, I 0), Jcc ((VI.Eq | VI.Ne), _) -> defines_flags_on a.i x
+    | _ -> false
   in
-  go slots
+  let w = ref lo and j = ref lo in
+  while !j < hi do
+    let a = code.(!j) in
+    if !w <> !j then code.(!w) <- a;
+    incr w;
+    if !j + 2 < hi && folds a code.(!j + 1) code.(!j + 2) then j := !j + 2
+    else incr j
+  done;
+  !w
 
 (* --- whole-module translation --- *)
 
@@ -460,14 +468,18 @@ let is_barrier_slot (s : slot) =
   | Hcall _ | Guard_data _ | Guard_code _ | Trapi _ | Idiv _ -> true
   | _ -> false
 
-(* A static slot to seed arrays with (see [Machine.array_of_list]). *)
+(* A static slot to seed arrays with: in OCaml 5, seeding an array
+   longer than 256 words with a young block forces a minor collection. *)
 let placeholder = { i = Nop; origin = Machine.Bnop }
+
+let spare : slot Translate.spare = Translate.spare ()
 
 let sched_info : slot Sched.info =
   { Sched.cost = (fun s -> cost_of s.i); is_barrier = is_barrier_slot }
 
-let has_fp (body : slot array) =
-  Array.exists (fun s -> unit_of s.i = Pipeline.FPU) body
+let has_fp (code : slot array) lo hi =
+  let rec from k = k < hi && (unit_of code.(k).i = Pipeline.FPU || from (k + 1)) in
+  from lo
 
 let map_label f s =
   match s.i with
@@ -482,7 +494,7 @@ let translate ~(mode : Machine.mode) ~(opts : Machine.topts)
      vendor-compiler tier schedules every block *)
   let schedules =
     match mode with
-    | Machine.Native Machine.Cc -> fun _ -> true
+    | Machine.Native Machine.Cc -> fun _ _ _ -> true
     | Machine.Native Machine.Gcc | Machine.Mobile _ -> has_fp
   in
   let p =
@@ -492,6 +504,7 @@ let translate ~(mode : Machine.mode) ~(opts : Machine.topts)
         at_leader = ignore;
         is_control = (fun s -> is_control s.i);
         placeholder;
+        spare;
         sched_info;
         peephole = Some redundant_cmp;
         schedules;

@@ -59,10 +59,19 @@ let gen_block_upto max_len =
 
 let gen_block = gen_block_upto 14
 
+(* [prog] scheduled as a translation schedules a block: a range of a
+   wider buffer, its slots' indices written into a layout at an offset. *)
+let scheduled quality prog =
+  let n = Array.length prog in
+  let pad = Op (0, 0, 0) in
+  let src = Array.concat [ [| pad; pad |]; prog; [| pad |] ] in
+  let dst = Array.make (n + 3) (-1) in
+  S.schedule sched ~quality src 2 (n + 2) dst 1;
+  Array.init n (fun k -> src.(dst.(k + 1)))
+
 let preserves prog =
-  sched_exec (S.schedule_body sched ~quality:S.Greedy prog) = sched_exec prog
-  && sched_exec (S.schedule_body sched ~quality:S.Critical_path prog)
-     = sched_exec prog
+  sched_exec (scheduled S.Greedy prog) = sched_exec prog
+  && sched_exec (scheduled S.Critical_path prog) = sched_exec prog
 
 let scheduler_preserves =
   QCheck_alcotest.to_alcotest
@@ -86,19 +95,20 @@ let delay_slot_filler_safe =
        (fun (prog, breg) ->
          (* a "branch" that reads breg and writes reg 7 (like a call) *)
          let bcost = P.cost 1 P.BRU (P.one breg) (P.one 7) in
-         let body, filler = S.fill_delay_slot sched ~branch_cost:bcost prog in
-         match filler with
-         | None -> true
-         | Some f ->
-             (* executing body+branch-effects+filler must equal prog+branch *)
-             let a = sched_exec (Array.append body [| f |]) in
-             let b = sched_exec prog in
-             (* the filler must not touch breg's value or reg 7 *)
-             let fc = sched_cost f in
-             a = b
-             && (not (P.mem 7 (P.cost_uses fc)))
-             && (not (P.mem 7 (P.cost_defs fc)))
-             && not (P.mem breg (P.cost_defs fc))))
+         let n = Array.length prog in
+         let f = prog.(n - 1) in
+         (not (S.fills_delay_slot sched ~branch_cost:bcost f))
+         ||
+         let body = Array.sub prog 0 (n - 1) in
+         (* executing body+branch-effects+filler must equal prog+branch *)
+         let a = sched_exec (Array.append body [| f |]) in
+         let b = sched_exec prog in
+         (* the filler must not touch breg's value or reg 7 *)
+         let fc = sched_cost f in
+         a = b
+         && (not (P.mem 7 (P.cost_uses fc)))
+         && (not (P.mem 7 (P.cost_defs fc)))
+         && not (P.mem breg (P.cost_defs fc))))
 
 (* --- golden translations: check key sequences per architecture --- *)
 
@@ -2262,6 +2272,34 @@ let golden_translations () =
         (tally_line m))
     registries
 
+(* Translation allocates a bounded number of minor words per OmniVM
+   instruction: its slots, their instructions and little else. Over the
+   golden modules in the default mobile configuration the count is
+   deterministic for a build, once a first pass has sized the buffers a
+   domain keeps between translations; each bound sits a little above
+   it. *)
+let translation_alloc_bounds =
+  [ (Arch.Mips, 17.5); (Arch.Sparc, 17.0); (Arch.Ppc, 16.5); (Arch.X86, 30.0) ]
+
+let translation_allocation () =
+  let exes = List.map Omnivm.Wire.decode (Lazy.force golden_modules) in
+  let n =
+    List.fold_left (fun a e -> a + Array.length e.Omnivm.Exe.text) 0 exes
+  in
+  List.iter
+    (fun arch ->
+      let pass () =
+        List.iter (fun e -> ignore (Exec.translate ~mode:sandbox arch e)) exes
+      in
+      pass ();
+      let before = Gc.minor_words () in
+      pass ();
+      let per_instr = (Gc.minor_words () -. before) /. float_of_int n in
+      if per_instr > List.assoc arch translation_alloc_bounds then
+        Alcotest.failf "%s: %.2f minor words per OmniVM instruction"
+          (Arch.name arch) per_instr)
+    targets
+
 (* --- every other translation configuration ---
 
    The golden digests cover the default mobile translation and the
@@ -2778,6 +2816,8 @@ let () =
          Alcotest.test_case "memo storage per slot" `Quick memo_storage;
          Alcotest.test_case "simulators allocate nothing per instruction" `Quick
            simulator_allocation;
+         Alcotest.test_case "translation allocation per instruction" `Quick
+           translation_allocation;
          Alcotest.test_case "whole runs equal stepping" `Quick whole_runs_spec;
          Alcotest.test_case "whole runs equal stepping through faults" `Quick
            whole_runs_fault ]);
