@@ -235,15 +235,6 @@ let tally_add_time t name ns =
       t.passes <- (name, ref ns) :: t.passes
   | Some _ | None -> ()
 
-let tally_time t name f =
-  match t.tm with
-  | None -> f ()
-  | Some _ ->
-      let t0 = Clock.monotonic_ns () in
-      let r = f () in
-      tally_add_time t name (Clock.monotonic_ns () - t0);
-      r
-
 let flush t =
   match t.tm with
   | None -> ()

@@ -119,10 +119,6 @@ val tally : unit -> tally
 val tally_count : ?by:int -> tally -> string -> unit
 (** Add to the tally's count [name]. *)
 
-val tally_time : tally -> string -> (unit -> 'a) -> 'a
-(** Run [f], adding the monotonic time it took to the tally's pass
-    [name]. *)
-
 val tally_clock : tally -> int
 (** The monotonic clock in nanoseconds if the tally is on, else 0: a
     caller that runs several passes back to back per block times them
