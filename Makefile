@@ -3,9 +3,7 @@
 .PHONY: check build test bench bench-smoke bench-gate trace-smoke net-smoke fault-smoke crash-smoke cert-smoke par-smoke guest-smoke fast-smoke persist-smoke clean
 
 check: ## full tier-1 verification: build + every test suite + smokes
-	dune build @all && dune runtest && $(MAKE) trace-smoke && $(MAKE) net-smoke && $(MAKE) fault-smoke && $(MAKE) crash-smoke && $(MAKE) cert-smoke && $(MAKE) par-smoke && $(MAKE) guest-smoke && $(MAKE) fast-smoke && $(MAKE) persist-smoke
-	@if ls BENCH_*.json >/dev/null 2>&1; then $(MAKE) bench-gate; \
-	else echo "check: no bench snapshot baseline; skipping bench-gate"; fi
+	dune build @all && dune runtest && $(MAKE) trace-smoke && $(MAKE) net-smoke && $(MAKE) fault-smoke && $(MAKE) crash-smoke && $(MAKE) cert-smoke && $(MAKE) par-smoke && $(MAKE) guest-smoke && $(MAKE) fast-smoke && $(MAKE) persist-smoke && $(MAKE) bench-gate
 
 build:
 	dune build
@@ -21,14 +19,16 @@ bench:
 bench-smoke:
 	dune exec bench/main.exe -- service
 
-# Performance regression gate: run the hot-path benchmarks and compare
-# against the committed snapshot with the highest N among BENCH_N.json,
-# which the gate only reads; >20% regression on any hot path fails. With
-# no baseline it passes; keys present in only one snapshot are skipped
-# and summarized in one stderr line. `dune exec bench/main.exe -- json`
-# is the one command that writes a snapshot.
+# Bench gate, two checks that hold on any host. The cycle sections at
+# reference size must print bench_output_ref.txt byte for byte (the
+# test-size text is pinned by `dune runtest`). The timed sections run
+# once, and every ratio of two times measured in that run must lie
+# within the bound written beside its section in
+# lib/harness/experiments.ml; no time is compared with another run's.
 bench-gate:
-	dune exec bench/main.exe -- gate
+	dune build bench/main.exe
+	./_build/default/bench/main.exe --size ref cycles 2>/dev/null | diff bench_output_ref.txt -
+	./_build/default/bench/main.exe gate
 
 # Fast-path smoke: run a MiniC-compiled module and a guest-lifted module
 # on the interpreter over a decode made before the run (--engine fast) and

@@ -5,117 +5,52 @@
      dune exec bench/main.exe                 -- every section, test size
      dune exec bench/main.exe -- --size ref   -- every section, reference size
      dune exec bench/main.exe -- table1 figure1 speed ...
-     dune exec bench/main.exe -- json         -- write BENCH_{N+1}.json
-     dune exec bench/main.exe -- gate         -- diff against BENCH_N.json
+     dune exec bench/main.exe -- cycles       -- every cycle section
+     dune exec bench/main.exe -- gate         -- every timed section
 
    The sections are Omni_harness.Experiments.sections; an unknown name
-   exits 2 before anything is measured. All relative-time numbers come
-   from the simulated pipeline cycle counts; [speed] measures real
-   translation time (the paper's load-time-matters argument), the best
-   of several timings per program and target, with the minor words
-   translation allocates.
+   exits 2 before anything is measured. Section text goes to stdout and
+   each section's wall time to stderr.
 
-   --- the persisted snapshot + regression gate (BENCH_N.json) ----------
-
-   [json] measures every snapshot section once, prints their tables and
-   writes the same numbers to BENCH_{N+1}.json at the repo root (N the
-   latest snapshot, BENCH_1.json when there is none), so it never
-   overwrites a baseline; it is the only command that writes a snapshot.
-   [gate] measures the same snapshot in memory and diffs its [hot_paths]
-   against the latest BENCH_N.json, which it only reads: any named path
-   more than 20% slower (and by more than 10us absolute — 20% of a 30us
-   path is timer noise) — in the per-key minimum over up to five
-   measurement attempts, each of which re-measures every section, so a
-   one-off host interference spike never fails a build — fails the gate
-   (exit 1); hot paths that only exist in one of the two snapshots are
-   skipped and summarized in one stderr line, so adding or retiring a
-   subsystem never trips the gate — or shrinks it — silently. With no
-   snapshot present the gate has nothing to compare and passes. The
-   snapshot format and the classification logic live in
-   Omni_harness.Gate, where the test suite exercises them. *)
+   A cycle section prints simulated cycle counts and ratios of them,
+   which are the same on every host: test/bench_cycles.txt pins the
+   test-size text of [cycles] byte for byte (dune runtest), and
+   bench_output_ref.txt pins the reference-size text. A timed section
+   prints wall-clock times, and gates only ratios of two times measured
+   in the same invocation, each against the fixed bound written beside
+   its section: any ratio outside its bound exits 1 once every picked
+   section has run. No time is compared with one measured in another
+   run or on another host. *)
 
 module E = Omni_harness.Experiments
-module Gate = Omni_harness.Gate
 module W = Omni_workloads.Workloads
 
-let snapshot_files () = Array.to_list (Sys.readdir ".")
+let now () = Omni_util.Clock.(now monotonic)
 
-let write_snapshot ~size =
-  let tables, json = E.bench_snapshot ~size in
-  print_string tables;
-  let file = Gate.next_snapshot (snapshot_files ()) in
-  Out_channel.with_open_bin file (fun oc -> output_string oc json);
-  Printf.printf "wrote %s (%d hot paths)\n" file
-    (List.length (Gate.hot_paths_of_json json))
+let named pick = List.filter_map pick E.sections
 
-let measure ~size = Gate.hot_paths_of_json (snd (E.bench_snapshot ~size))
+let groups =
+  [ ("cycles", named (function n, E.Cycles _ -> Some n | _ -> None));
+    ("gate", named (function n, E.Timed _ -> Some n | _ -> None)) ]
 
-let run_gate ~size =
-  let previous =
-    Option.map
-      (fun file ->
-        Gate.hot_paths_of_json (In_channel.with_open_bin file In_channel.input_all))
-      (Gate.latest_snapshot (snapshot_files ()))
-  in
-  let fresh = measure ~size in
-  match previous with
-  | None | Some [] ->
-      Printf.printf "bench-gate: no baseline snapshot (%d hot paths); PASS\n"
-        (List.length fresh)
-  | Some old ->
-      (* A regression must survive re-measurement: on FAIL, re-run the
-         snapshot (up to [max_attempts] total) and gate on the per-key
-         minimum across attempts — the stable estimator under host
-         interference. A genuine slowdown is slow in every attempt; a
-         scheduler or frequency-scaling spike is not. *)
-      let max_attempts = 5 in
-      let rec attempt n fresh =
-        let d = Gate.diff ~baseline:old ~fresh () in
-        if d.Gate.d_regressions <> [] && n < max_attempts then begin
-          Printf.eprintf
-            "bench-gate: %d hot path(s) over threshold on attempt %d/%d; \
-             re-measuring\n%!"
-            (List.length d.Gate.d_regressions) n max_attempts;
-          (* brief cool-down: back-to-back attempts measure a host still
-             hot (and frequency-throttled) from the previous one *)
-          Unix.sleep 3;
-          attempt (n + 1) (Gate.merge_min fresh (measure ~size))
-        end
-        else d
-      in
-      let d = attempt 1 fresh in
-      (* Un-gated keys go to stderr so a silently-shrinking gate is
-         visible in CI logs without failing the run. *)
-      (match Gate.skip_summary d with
-      | None -> ()
-      | Some line -> prerr_endline line);
-      List.iter
-        (fun r -> print_endline (Gate.render_regression r))
-        d.Gate.d_regressions;
-      if d.Gate.d_regressions = [] then
-        Printf.printf "bench-gate: %d hot paths within %.0f%% of the \
-                       previous snapshot; PASS\n"
-          d.Gate.d_compared
-          (100. *. (Gate.default_threshold -. 1.))
-      else begin
-        Printf.printf "bench-gate: FAIL (%d of %d hot paths regressed)\n"
-          (List.length d.Gate.d_regressions)
-          d.Gate.d_compared;
-        exit 1
-      end
-
-let print_section section ~size =
-  print_string
-    (match section with E.Table f -> f ~size | E.Snapshot f -> fst (f ~size))
-
-let actions =
-  List.map (fun (name, section) -> (name, print_section section)) E.sections
-  @ [ ("json", write_snapshot); ("gate", run_gate) ]
-
+(* Print one section; the checks it made, [] for a cycle section. *)
 let run ~size name =
-  let t0 = Unix.gettimeofday () in
-  List.assoc name actions ~size;
-  Printf.printf "[%s took %.1fs]\n\n%!" name (Unix.gettimeofday () -. t0)
+  let t0 = now () in
+  let checks =
+    match List.assoc name E.sections with
+    | E.Cycles f ->
+        print_string (f ~size);
+        []
+    | E.Timed f ->
+        let text, checks = f ~size in
+        print_string text;
+        if checks <> [] then print_newline ();
+        List.iter (fun c -> print_endline (E.render_check c)) checks;
+        checks
+  in
+  print_newline ();
+  Printf.eprintf "[%s took %.1fs]\n%!" name (now () -. t0);
+  checks
 
 let () =
   let size = ref W.Test in
@@ -126,7 +61,7 @@ let () =
        "test|ref workload size (default test)") ]
   in
   Arg.parse spec (fun s -> picked := s :: !picked) "bench [sections]";
-  let valid = List.map fst actions in
+  let valid = List.map fst E.sections @ List.map fst groups in
   (match List.filter (fun s -> not (List.mem s valid)) !picked with
   | [] -> ()
   | unknown ->
@@ -134,7 +69,21 @@ let () =
         (String.concat ", " (List.rev unknown))
         (String.concat ", " valid);
       exit 2);
-  let todo = if !picked = [] then List.map fst E.sections else List.rev !picked in
+  let todo =
+    if !picked = [] then List.map fst E.sections
+    else
+      List.concat_map
+        (fun s -> Option.value ~default:[ s ] (List.assoc_opt s groups))
+        (List.rev !picked)
+  in
   Printf.printf "omniware benchmark harness (size: %s)\n\n%!"
     (match !size with W.Test -> "test" | W.Ref -> "ref");
-  List.iter (run ~size:!size) todo
+  let checks = List.concat_map (run ~size:!size) todo in
+  if checks <> [] then begin
+    let failed = List.filter (fun c -> not (E.within c)) checks in
+    Printf.printf "bench: %d of %d ratios within their bounds; %s\n"
+      (List.length checks - List.length failed)
+      (List.length checks)
+      (if failed = [] then "PASS" else "FAIL");
+    if failed <> [] then exit 1
+  end

@@ -59,39 +59,44 @@ val render_ratio_table :
   string
 (** Text table with a computed average row (the paper's table format). *)
 
-val figure2 : unit -> string
-(** Figure 2, the universal mobile-code substrate (structural). *)
-
 (** {2 The bench sections} *)
 
-(** How a section is measured and rendered. *)
+(** A timed ratio and the fixed bound it is gated against. *)
+type check = {
+  ck_name : string;
+  ck_value : float;  (** a ratio of two times measured in one invocation *)
+  ck_lo : float;  (** inclusive bounds; [ck_hi] may be [infinity] *)
+  ck_hi : float;
+}
+
+val within : check -> bool
+(** [ck_lo <= ck_value <= ck_hi]; a NaN ratio is outside every bound. *)
+
+val render_check : check -> string
+(** One line: ["ok"] or ["FAIL"], the name, the ratio and its bound. *)
+
+(** How a section is measured. *)
 type section =
-  | Table of (size:Omni_workloads.Workloads.size -> string)
-      (** a paper table, figure or ablation: simulated cycle counts,
-          rendered as text only *)
-  | Snapshot of
-      (size:Omni_workloads.Workloads.size -> string * Gate.entry)
-      (** a beyond-the-paper section: measured once, and that one record
-          rendered both as its text table and as its snapshot entry *)
+  | Cycles of (size:Omni_workloads.Workloads.size -> string)
+      (** simulated cycles and counts: the same text on every host, so
+          the test-size output is pinned byte for byte by a golden *)
+  | Timed of
+      (size:Omni_workloads.Workloads.size -> string * check list)
+      (** wall-clock times: its text table, and the ratios it gates
+          against its own bounds *)
 
 val sections : (string * section) list
-(** Every section by its command-line name, in run order. The paper's
-    artifacts come first ([table1]–[table6], [figure1], [figure2],
-    [ablation], [ablation-reads], [speed]). The snapshot sections follow:
-    [phases] (per-phase pipeline time from the span tracer), [service]
-    (cold vs warm admission through the translation cache), [resilience]
-    (loopback serving under seeded fault injection), [isolation]
-    (watchdog poll overhead), [cert] (full verify vs witness check),
-    [guest] (StackVM lifting), [fastpath] (the interpreter over a cached
-    decode against decoding per run, and SFI cycles per pad mode) and
-    [persistence] (journaled store restart costs). Every run's output is validated before its numbers
+(** Every section by its command-line name, in run order. The cycle
+    sections are the paper's artifacts ([table1]–[table6], [figure1],
+    [figure2], [ablation], [ablation-reads]) and two beyond-the-paper
+    tables: [guest-sfi] (expansion and SFI overhead of StackVM modules
+    lifted to OmniVM) and [pads] (SFI cycles per pad mode). The timed
+    sections follow: [speed] (translation time and allocation),
+    [service] (cold vs warm admission through the translation cache),
+    [resilience] (loopback serving under seeded fault injection),
+    [isolation] (watchdog poll overhead), [cert] (full verify vs witness
+    check), [guest] (StackVM lift time), [fastpath] (the interpreter
+    over a cached decode against decoding per run) and [persistence]
+    (journaled store restart costs). [speed], [resilience] and [guest]
+    gate no ratio. Every run's output is validated before its numbers
     are used. *)
-
-val bench_snapshot : size:Omni_workloads.Workloads.size -> string * string
-(** [(tables, json)]: measures every [Snapshot] section once, in
-    {!sections} order, and returns their text tables and the snapshot
-    file ({!Gate.json_of_sections}) — the contents of a [BENCH_N.json],
-    whose flat ["hot_paths"] object [make bench-gate] diffs. Both
-    renderings read the same records, so the tables show exactly the
-    numbers written. Times are integer microseconds of monotonic wall
-    time ({!Omni_util.Clock.monotonic}). *)

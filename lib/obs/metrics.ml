@@ -235,8 +235,8 @@ let to_json (s : snapshot) =
   Buffer.add_string b "}}";
   Buffer.contents b
 
-(* Per-phase time table for histograms named "phase.<name>" — the bench
-   harness's breakdown and `omnirun serve --metrics` both use it. *)
+(* Per-phase time table for histograms named "phase.<name>" — what
+   `omnirun --trace run ... --stats` prints after the run. *)
 let render_phases (s : snapshot) =
   let b = Buffer.create 256 in
   let phases =

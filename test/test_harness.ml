@@ -124,6 +124,11 @@ let regfile_monotone () =
     (Printf.sprintf "12 regs (%d) >= 16 regs (%d)" c12 c16)
     true (c12 >= c16)
 
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
 let table_rendering () =
   (* tables render and contain every workload row (micro only, via direct
      render call) *)
@@ -131,25 +136,19 @@ let table_rendering () =
     E.render_ratio_table ~title:"T" ~columns:[ "a"; "b" ] ~rows:[ "x"; "y" ]
       ~cell:(fun r c -> if r = "x" && c = "a" then Some 1.25 else Some 2.0)
   in
-  let contains hay needle =
-    let n = String.length needle and h = String.length hay in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) "has title" true (String.length s > 0);
   Alcotest.(check bool) "has average row" true (contains s "average");
   Alcotest.(check bool) "has the cell" true (contains s "1.25")
 
-let figure2_renders () =
-  let s = E.figure2 () in
-  let contains hay needle =
-    let n = String.length needle and h = String.length hay in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "mentions all architectures" true
-    (contains s "MIPS" && contains s "SPARC" && contains s "PowerPC"
-     && contains s "x86")
+let bounds () =
+  let c lo hi v = { E.ck_name = "r"; ck_value = v; ck_lo = lo; ck_hi = hi } in
+  Alcotest.(check bool) "inside" true (E.within (c 2.0 infinity 3.1));
+  Alcotest.(check bool) "on the bound" true (E.within (c 0.8 1.25 1.25));
+  Alcotest.(check bool) "below" false (E.within (c 2.0 infinity 1.02));
+  Alcotest.(check bool) "above" false (E.within (c 0.8 1.25 1.3));
+  Alcotest.(check bool) "nan" false (E.within (c 0.8 1.25 Float.nan));
+  Alcotest.(check bool) "rendered as a failure" true
+    (contains (E.render_check (c 2.0 infinity 1.02)) "FAIL")
 
 let () =
   Alcotest.run "harness"
@@ -162,5 +161,5 @@ let () =
          Alcotest.test_case "regfile monotone" `Slow regfile_monotone ]);
       ("rendering",
        [ Alcotest.test_case "ratio table" `Quick table_rendering;
-         Alcotest.test_case "figure 2" `Quick figure2_renders ])
+         Alcotest.test_case "ratio bounds" `Quick bounds ])
     ]
