@@ -24,16 +24,18 @@
    --fair-slice bounds how many requests one connection can hold a
    worker before it is parked behind waiting connections.
 
-   --store-dir DIR journals every submitted module and certified
-   translation to a crash-safe on-disk store (Omni_persist): a restart
-   replays the journal, re-proves every translation against its
-   omni-cert/1 witness, and serves warm from the first request: the
-   store is the one digest index, so a Run of a recovered digest needs
-   no resubmit, and a client's retried Run still succeeds. SIGTERM
-   and SIGINT drain gracefully: stop accepting, finish in-flight pool
-   work, flush the journal, and commit the clean-shutdown marker so the
-   next start takes the fast recovery path. kill -9 gets no marker —
-   recovery then re-checks everything and quarantines anything that lies.
+   --store-dir DIR journals every submitted module and the omni-cert/1
+   certificate of every certified translation to a crash-safe on-disk
+   store (Omni_persist): a restart replays the journal, translates each
+   journaled configuration once from its recovered module, proves the
+   code against its certificate, and serves warm from the first
+   request, with no translation. The store is the one digest index, so
+   a Run of a recovered digest needs no resubmit, and a client's
+   retried Run still succeeds. SIGTERM and SIGINT drain gracefully:
+   stop accepting, finish in-flight pool work, flush the journal, and
+   commit the clean-shutdown marker so the next start skips the
+   per-instruction witness check. kill -9 gets no marker — recovery
+   then re-checks everything and quarantines anything that lies.
 
    --metrics dumps the full metrics registry (net.* counters, serving
    counters, per-phase timings) to stderr on exit.
@@ -139,8 +141,25 @@ let () =
   (* a client vanishing mid-response must not kill the daemon *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
+  let metrics = Metrics.create () in
+  let tracer =
+    let emit oc =
+      Trace.make ~metrics
+        (Trace.Emit
+           (fun s ->
+             output_string oc (Trace.json_line s);
+             output_char oc '\n';
+             flush oc))
+    in
+    if !trace_file <> "" then emit (open_out !trace_file)
+    else if !trace_flag then emit stderr
+    else Trace.make ~metrics Trace.Null
+  in
+  (* Recovery translates every journaled configuration: it runs under the
+     daemon's tracer, so its spans and counts show like serving's. *)
   let svc =
-    Service.of_config
+    Trace.with_current tracer @@ fun () ->
+    Service.of_config ~metrics
       {
         Service.default_config with
         Service.cache_capacity = !cache_capacity;
@@ -165,19 +184,6 @@ let () =
   | Some r ->
       Printf.eprintf "omnid: store recovery (%s): %s%!" !store_dir
         (Omni_persist.Store.render_recovered r));
-  let tracer =
-    let emit oc =
-      Trace.make ~metrics:(Service.metrics svc)
-        (Trace.Emit
-           (fun s ->
-             output_string oc (Trace.json_line s);
-             output_char oc '\n';
-             flush oc))
-    in
-    if !trace_file <> "" then Some (emit (open_out !trace_file))
-    else if !trace_flag then Some (emit stderr)
-    else None
-  in
   let server =
     Net.Server.create
       ~config:
@@ -194,7 +200,7 @@ let () =
           queue_depth = !queue_depth;
           fair_slice = !fair_slice;
         }
-      ?tracer svc
+      ~tracer svc
   in
   if !metrics_dump then
     at_exit (fun () ->

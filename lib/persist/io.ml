@@ -143,17 +143,30 @@ let size t name =
       | None -> None
       | Some f -> Some (String.length f.content))
 
+(* Directory-entry durability: the real implementation syncs the parent
+   directory after creating, renaming or removing a file so the entry
+   survives a crash; the sim models directory metadata as journaled
+   (entries durable on return), which is what the rename faults then
+   perturb. *)
+let fsync_dir dir =
+  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
+  | exception Unix.Unix_error _ -> ()
+  | fd ->
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
+
 let append t name data =
   match t with
   | Real dir ->
+      let path = Filename.concat dir name in
+      let created = not (Sys.file_exists path) in
       let oc =
-        open_out_gen
-          [ Open_append; Open_creat; Open_binary ]
-          0o644
-          (Filename.concat dir name)
+        open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path
       in
       output_string oc data;
-      close_out oc
+      close_out oc;
+      if created then fsync_dir dir
   | Sim s -> (
       let op = mutating s (Printf.sprintf "append %s" name) in
       let f = sfile s name in
@@ -197,18 +210,6 @@ let fsync t name =
         | None -> ()
         | Some f -> f.durable <- String.length f.content
       end
-
-(* Directory-entry durability: the real implementation syncs the parent
-   directory after rename/remove so the new entry survives a crash; the
-   sim models directory metadata as journaled (entries durable on
-   return), which is what the rename faults then perturb. *)
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
 
 let rename t src dst =
   match t with

@@ -74,7 +74,9 @@ val size : t -> string -> int option
 (** Physical size in bytes; [None] if absent. *)
 
 val append : t -> string -> string -> unit
-(** Append bytes to the named file, creating it if missing. *)
+(** Append bytes to the named file, creating it if missing. A created
+    file's directory entry is durable on return (the real implementation
+    syncs the directory); its bytes need {!fsync}. *)
 
 val fsync : t -> string -> unit
 (** Make the file's current bytes durable. Missing file is a no-op. *)

@@ -4,6 +4,7 @@ module Certificate = Omni_cert.Certificate
 module Check = Omni_cert.Check
 module Metrics = Omni_obs.Metrics
 module Translated = Omni_targets.Translated
+module Policy = Omni_sfi.Policy
 
 (* -- file names ------------------------------------------------------- *)
 
@@ -51,7 +52,6 @@ type corrupt =
   | Bad_record of { seq : int; detail : string }
   | Payload_digest_mismatch of { seq : int }
   | Bad_module of { seq : int; detail : string }
-  | Bad_blob of { seq : int }
   | Bad_cert of { seq : int; detail : string }
   | Cert_unbound of { seq : int; detail : string }
   | Obligations_failed of { seq : int; detail : string }
@@ -61,7 +61,6 @@ let corrupt_seq = function
   | Bad_record { seq; _ }
   | Payload_digest_mismatch { seq }
   | Bad_module { seq; _ }
-  | Bad_blob { seq }
   | Bad_cert { seq; _ }
   | Cert_unbound { seq; _ }
   | Obligations_failed { seq; _ }
@@ -75,8 +74,6 @@ let corrupt_to_string = function
       Printf.sprintf "seq %d: payload digest disagrees with journal" seq
   | Bad_module { seq; detail } ->
       Printf.sprintf "seq %d: module bytes no longer decode (%s)" seq detail
-  | Bad_blob { seq } ->
-      Printf.sprintf "seq %d: translation blob does not unmarshal" seq
   | Bad_cert { seq; detail } ->
       Printf.sprintf "seq %d: certificate does not decode (%s)" seq detail
   | Cert_unbound { seq; detail } ->
@@ -153,71 +150,62 @@ type scan = {
   sc_next_seq : int;
 }
 
-let u32 s off = Int32.to_int (Bytes.get_int32_le s off)
-let u64 s off = Int64.to_int (Bytes.get_int64_le s off)
+let u32 s off = Int32.to_int (String.get_int32_le s off)
+let u64 s off = Int64.to_int (String.get_int64_le s off)
 
-(* Validate one committed translation payload down to the witness.
+(* Validate one committed translation record down to the witness. The
+   record is the certificate alone: it names the module and the
+   configuration, so the code is re-derived by translating the recovered
+   module and then proven against the certificate, never read from disk.
    Returns a quarantine reason or the recovered translation. *)
 let validate_translation ~eager ~seq ~modules payload :
     (rtrans, corrupt) result =
-  let n = String.length payload in
-  if n < 12 then Error (Bad_record { seq; detail = "short translation payload" })
-  else
-    let b = Bytes.of_string payload in
-    let module_digest = Bytes.get_int64_le b 0 in
-    let cert_len = u32 b 8 in
-    if cert_len < 0 || 12 + cert_len > n then
-      Error (Bad_record { seq; detail = "certificate length out of range" })
-    else
-      match Certificate.decode (String.sub payload 12 cert_len) with
-      | Error e ->
-          Error
-            (Bad_cert { seq; detail = Certificate.decode_error_to_string e })
-      | Ok cert -> (
-          let blob = String.sub payload (12 + cert_len) (n - 12 - cert_len) in
-          match
-            (Marshal.from_string blob 0
-               : Machine.mode * Machine.topts * Translated.t)
-          with
-          | exception _ -> Error (Bad_blob { seq })
-          | mode, opts, prog ->
-              if not (Hashtbl.mem modules module_digest) then
-                Error (Module_missing { seq; digest = module_digest })
-              else
-                let fp = Translated.fingerprint prog in
-                let arch = Translated.arch prog in
-                (match
-                   Check.bind cert ~module_digest ~arch ~mode ~opts ~code_fp:fp
-                 with
-                | Error e ->
-                    Error
-                      (Cert_unbound { seq; detail = Check.error_to_string e })
-                | Ok () ->
-                    let obligations =
-                      if eager then Check.check cert prog else Ok ()
-                    in
-                    (match obligations with
-                    | Error e ->
-                        Error
-                          (Obligations_failed
-                             { seq; detail = Check.error_to_string e })
-                    | Ok () ->
-                        Ok
-                          {
-                            rt_module = module_digest;
-                            rt_mode = mode;
-                            rt_opts = opts;
-                            rt_prog = prog;
-                            rt_cert = cert;
-                            rt_fp = fp;
-                          })))
+  let ( let* ) = Result.bind in
+  let unbound detail = Error (Cert_unbound { seq; detail }) in
+  let* cert =
+    match Certificate.decode payload with
+    | Ok cert -> Ok cert
+    | Error e ->
+        Error (Bad_cert { seq; detail = Certificate.decode_error_to_string e })
+  in
+  let { Certificate.module_digest; arch; opts; protect_reads; pad; _ } = cert in
+  let* exe =
+    match Hashtbl.find_opt modules module_digest with
+    | Some exe -> Ok exe
+    | None -> Error (Module_missing { seq; digest = module_digest })
+  in
+  let mode = Machine.Mobile (Policy.make ~protect_reads ~pad ()) in
+  let* prog =
+    match Translated.translate arch ~mode ~opts exe with
+    | prog -> Ok prog
+    | exception Omni_targets.Translate.Translate_error msg ->
+        unbound ("the module does not translate: " ^ msg)
+  in
+  let fp = Translated.fingerprint prog in
+  let* () =
+    match Check.bind cert ~module_digest ~arch ~mode ~opts ~code_fp:fp with
+    | Ok () -> Ok ()
+    | Error e -> unbound (Check.error_to_string e)
+  in
+  match if eager then Check.check cert prog else Ok () with
+  | Error e ->
+      Error (Obligations_failed { seq; detail = Check.error_to_string e })
+  | Ok () ->
+      Ok
+        {
+          rt_module = module_digest;
+          rt_mode = mode;
+          rt_opts = opts;
+          rt_prog = prog;
+          rt_cert = cert;
+          rt_fp = fp;
+        }
 
 let scan ~eager io gen : scan =
   let seg = Option.value (Io.read io (seg_name gen)) ~default:"" in
   let journal = Option.value (Io.read io (journal_name gen)) ~default:"" in
-  let jb = Bytes.of_string journal in
-  let jn = Bytes.length jb in
-  let modules : (Fnv64.t, string) Hashtbl.t = Hashtbl.create 8 in
+  let jn = String.length journal in
+  let modules : (Fnv64.t, Omnivm.Exe.t) Hashtbl.t = Hashtbl.create 8 in
   let module_order = ref [] in
   let translations = ref [] in
   let quarantined = ref [] in
@@ -231,18 +219,18 @@ let scan ~eager io gen : scan =
      ends the replay — everything after it is a torn tail. *)
   while (not !stop) && (!i + 1) * jrec_size <= jn do
     let off = !i * jrec_size in
-    let ck = Bytes.get_int64_le jb (off + 29) in
-    let body = Bytes.sub_string jb off 29 in
+    let ck = String.get_int64_le journal (off + 29) in
+    let body = String.sub journal off 29 in
     if not (Int64.equal ck (Fnv64.digest_string body)) then begin
       incr torn;
       stop := true
     end
     else begin
-      let seq = u64 jb off in
-      let kind = Char.code (Bytes.get jb (off + 8)) in
-      let offset = u64 jb (off + 9) in
-      let rec_len = u32 jb (off + 17) in
-      let payload_digest = Bytes.get_int64_le jb (off + 21) in
+      let seq = u64 journal off in
+      let kind = Char.code journal.[off + 8] in
+      let offset = u64 journal (off + 9) in
+      let rec_len = u32 journal (off + 17) in
+      let payload_digest = String.get_int64_le journal (off + 21) in
       if seq <> !i || offset <> !seg_len || rec_len < rec_overhead then begin
         incr torn;
         stop := true
@@ -258,17 +246,13 @@ let scan ~eager io gen : scan =
         incr replayed;
         seg_len := offset + rec_len;
         let record = String.sub seg offset rec_len in
-        let payload_len = u32 (Bytes.of_string record) 1 in
+        let payload_len = rec_len - rec_overhead in
         let framing_ok =
           Char.code record.[0] = kind
-          && payload_len = rec_len - rec_overhead
-          &&
-          let ck' =
-            (Bytes.of_string record, rec_len - 8) |> fun (b, o) ->
-            Bytes.get_int64_le b o
-          in
-          Int64.equal ck'
-            (Fnv64.digest_string (String.sub record 0 (rec_len - 8)))
+          && u32 record 1 = payload_len
+          && Int64.equal
+               (String.get_int64_le record (rec_len - 8))
+               (Fnv64.digest_string (String.sub record 0 (rec_len - 8)))
         in
         if not framing_ok then
           quarantined :=
@@ -283,9 +267,9 @@ let scan ~eager io gen : scan =
                 quarantined :=
                   Bad_module { seq; detail = Printexc.to_string e }
                   :: !quarantined
-            | _exe ->
+            | exe ->
                 if not (Hashtbl.mem modules payload_digest) then begin
-                  Hashtbl.replace modules payload_digest payload;
+                  Hashtbl.replace modules payload_digest exe;
                   module_order := payload :: !module_order
                 end
           end
@@ -422,24 +406,8 @@ let append_record t kind payload =
 
 let append_module t bytes = append_record t kind_module bytes
 
-let translation_payload ~module_digest ~mode ~opts ~cert prog =
-  let cert_bytes = Certificate.encode cert in
-  let blob =
-    Marshal.to_string
-      ((mode, opts, prog) : Machine.mode * Machine.topts * Translated.t)
-      []
-  in
-  let b = Bytes.create (12 + String.length cert_bytes + String.length blob) in
-  Bytes.set_int64_le b 0 module_digest;
-  Bytes.set_int32_le b 8 (Int32.of_int (String.length cert_bytes));
-  Bytes.blit_string cert_bytes 0 b 12 (String.length cert_bytes);
-  Bytes.blit_string blob 0 b (12 + String.length cert_bytes)
-    (String.length blob);
-  Bytes.to_string b
-
-let append_translation t ~module_digest ~mode ~opts ~cert prog =
-  append_record t kind_translation
-    (translation_payload ~module_digest ~mode ~opts ~cert prog)
+let append_translation t ~cert =
+  append_record t kind_translation (Certificate.encode cert)
 
 let flush t = Mutex.protect t.mu (fun () -> ())
 
@@ -530,10 +498,7 @@ let compact ?metrics io =
   in
   List.iter (fun bytes -> put kind_module bytes) r.r_modules;
   List.iter
-    (fun rt ->
-      put kind_translation
-        (translation_payload ~module_digest:rt.rt_module ~mode:rt.rt_mode
-           ~opts:rt.rt_opts ~cert:rt.rt_cert rt.rt_prog))
+    (fun rt -> put kind_translation (Certificate.encode rt.rt_cert))
     r.r_translations;
   let journal'' = Buffer.contents jbuf in
   Io.append io seg' (Buffer.contents sbuf);

@@ -6,8 +6,10 @@
     - [seg-<gen>.dat] — append-only data segment of self-checksummed
       records: [kind(1) | len(4) | payload(len) | fnv64(8)] where the
       digest covers kind+len+payload. Kind 1 is a module (payload = the
-      wire bytes); kind 2 is a translation (payload = module digest(8) |
-      cert len(4) | omni-cert/1 bytes | marshalled (mode, opts, program)).
+      wire bytes); kind 2 is a certified translation (payload = its
+      omni-cert/1 bytes, nothing else: the certificate names the module
+      digest, the architecture, the translator options, [protect_reads],
+      the pad mode and the sandbox layout). No code is stored.
     - [journal-<gen>.wal] — the write-ahead commit log: one fixed-size
       37-byte record per committed segment record: [seq(8) | kind(1) |
       offset(8) | rec_len(4) | payload_digest(8) | fnv64(8)]. A segment
@@ -24,20 +26,28 @@
     the first torn or out-of-sequence journal record ends the replay and
     the tails of both files are dropped (counted in [persist.torn]). Each
     replayed record is then proven, not trusted: checksum, payload
-    digest, module decode, certificate decode, {!Omni_cert.Check.bind}
-    against the recomputed module digest and code fingerprint, and — on a
-    dirty restart — the full per-instruction obligation check. Anything
-    that lies is quarantined with a typed reason ([persist.quarantined]),
-    never raised and never served. Only translations that carried a
-    certificate are ever persisted, so every recovered translation has a
-    witness to re-check.
+    digest, module decode, certificate decode. A translation's code is
+    re-derived, not read: its module is looked up by the certificate's
+    digest, translated under the configuration the certificate names
+    ([Mobile (Policy.make ~protect_reads ~pad ())] and its [opts]), and
+    the fresh code is proven by {!Omni_cert.Check.bind} against its
+    fingerprint and — on a dirty restart — by the full per-instruction
+    obligation check. Translation is a pure function of the module and
+    its configuration, so recovery costs one translation per journaled
+    configuration, and code that the current translator no longer
+    produces is never served. Anything that lies is quarantined with a
+    typed reason ([persist.quarantined]), never raised and never served.
+    Only translations that carried a certificate are ever persisted, so
+    every recovered translation has a witness to re-check.
 
     Threat model: the checksum/digest/witness chain detects arbitrary
     {e random} corruption (every fault {!Io.sim} can inject). FNV-64 is
-    not collision-resistant against an adversary, and OCaml's [Marshal]
-    is only reached behind a passing checksum — an attacker with write
-    access to the store directory is outside the model, exactly as one
-    with write access to the daemon binary is. *)
+    not collision-resistant against an adversary. Bytes read from disk
+    reach only total decoders ({!Omnivm.Wire.decode},
+    {!Omni_cert.Certificate.decode}), so a record written by another
+    build is refused, never mistaken for code. An attacker with write
+    access to the store directory is otherwise outside the model,
+    exactly as one with write access to the daemon binary is. *)
 
 module Fnv64 = Omni_util.Fnv64
 module Machine = Omni_targets.Machine
@@ -53,13 +63,12 @@ type corrupt =
       (** segment payload disagrees with the journal's commit record *)
   | Bad_module of { seq : int; detail : string }
       (** stored wire bytes no longer decode *)
-  | Bad_blob of { seq : int }
-      (** the translation blob does not unmarshal *)
   | Bad_cert of { seq : int; detail : string }
       (** the stored certificate does not decode *)
   | Cert_unbound of { seq : int; detail : string }
-      (** the certificate does not speak about this translation
-          (digest / fingerprint / policy / opts / layout mismatch) *)
+      (** the certificate does not speak about the re-derived translation
+          (fingerprint / policy / opts / layout mismatch, or the module
+          does not translate under its configuration) *)
   | Obligations_failed of { seq : int; detail : string }
       (** the witness obligations fail against the recovered code *)
   | Module_missing of { seq : int; digest : Fnv64.t }
@@ -69,14 +78,15 @@ val corrupt_to_string : corrupt -> string
 
 val corrupt_seq : corrupt -> int
 
-(** A recovered certified translation, ready for cache re-admission. *)
+(** A recovered certified translation, ready for cache re-admission.
+    Everything but the certificate is derived from it at recovery. *)
 type rtrans = {
   rt_module : Fnv64.t;  (** digest of the module it translates *)
   rt_mode : Machine.mode;
   rt_opts : Machine.topts;
-  rt_prog : Translated.t;
+  rt_prog : Translated.t;  (** re-translated from the recovered module *)
   rt_cert : Certificate.t;
-  rt_fp : Fnv64.t;  (** recomputed (not stored) code fingerprint *)
+  rt_fp : Fnv64.t;  (** fingerprint of [rt_prog] *)
 }
 
 (** What a recovery scan established. *)
@@ -104,17 +114,11 @@ val append_module : t -> string -> unit
     append, fsync — durable on return). Counted in [persist.append].
     Thread-safe. *)
 
-val append_translation :
-  t ->
-  module_digest:Fnv64.t ->
-  mode:Machine.mode ->
-  opts:Machine.topts ->
-  cert:Certificate.t ->
-  Translated.t ->
-  unit
-(** Journal one certified translation. Same durability and counting as
-    {!append_module}. Callers persist only certified (Sandbox-verified)
-    translations; anything else has no witness to re-check at recovery. *)
+val append_translation : t -> cert:Certificate.t -> unit
+(** Journal one certified translation as its certificate. Same
+    durability and counting as {!append_module}. Callers persist only
+    certified (Sandbox-verified) translations; anything else has no
+    witness to re-check at recovery. *)
 
 val flush : t -> unit
 (** Barrier: every accepted append is durable (appends are synchronous,

@@ -159,10 +159,7 @@ let find_or_translate t (k : key) (exe : Omnivm.Exe.t) : Exec.translated =
             let cert = admit t k tr ~fp in
             add t s k { tr; fp; cert };
             (match (t.persist, cert) with
-            | Some p, Some cert ->
-                Omni_persist.Store.append_translation p
-                  ~module_digest:k.k_digest ~mode:k.k_mode ~opts:k.k_opts
-                  ~cert tr
+            | Some p, Some cert -> Omni_persist.Store.append_translation p ~cert
             | _ -> ());
             Metrics.incr t.c.Counters.misses;
             Either.Right tr
@@ -177,11 +174,12 @@ let peek t k =
   let s = shard t k in
   Mutex.protect s.mu (fun () -> Lru.peek s.lru k)
 
-(* Recovery re-admission: the translation was proven at replay (witness
-   re-checked against the recomputed module digest), so it enters with
-   its certificate — every later warm hit still re-checks
-   the witness in [readmit], exactly like an entry the live path minted.
-   Counts no miss and no translation (no translator ran) and is never
+(* Recovery re-admission: the translation was re-derived and proven at
+   replay (bound to its certificate, witness re-checked on a dirty
+   restart), so it enters with its certificate — every later warm hit
+   still re-checks the witness in [readmit], exactly like an entry the
+   live path minted. Counts no miss and no translation (recovery's
+   translation shows in its own [translate] span) and is never
    re-journaled. *)
 let restore t (rt : Omni_persist.Store.rtrans) =
   let tr = rt.Omni_persist.Store.rt_prog in

@@ -10,10 +10,8 @@
 module Arch = Omni_targets.Arch
 module Machine = Omni_targets.Machine
 module Risc = Omni_targets.Risc
-module Risc_translate = Omni_targets.Risc_translate
 module Risc_verify = Omni_targets.Risc_verify
 module X86 = Omni_targets.X86
-module X86_translate = Omni_targets.X86_translate
 module Sim = Omni_targets.Sim
 module X86_verify = Omni_targets.X86_verify
 module Trace = Omni_obs.Trace
@@ -187,14 +185,7 @@ type translated = Omni_targets.Translated.t =
 
 let translate ?mode ?opts (arch : Arch.t) (exe : Omnivm.Exe.t) : translated =
   let mode, opts = resolve ?mode ?opts arch in
-  Trace.phase "translate" ~attrs:[ ("arch", Arch.name arch) ] @@ fun () ->
-  Trace.count ~by:(Array.length exe.Omnivm.Exe.text) "translate.omni_instrs";
-  let risc cfg = T_risc (Risc_translate.translate cfg ~mode ~opts exe) in
-  match arch with
-  | Arch.Mips -> risc Risc.mips_cfg
-  | Arch.Sparc -> risc Risc.sparc_cfg
-  | Arch.Ppc -> risc Risc.ppc_cfg
-  | Arch.X86 -> T_x86 (X86_translate.translate ~mode ~opts exe)
+  Omni_targets.Translated.translate arch ~mode ~opts exe
 
 let arch_of = Omni_targets.Translated.arch
 let arch_name tr = Arch.name (arch_of tr)

@@ -122,8 +122,8 @@ let new_stats () =
    while it runs; afterwards it goes back to a one-table spare per
    domain, so a server running one request after another decodes into
    the same storage instead of leaving a table per run to the major
-   heap. Tables are not part of a translated program, which is
-   marshalled into the journal and fingerprinted into certificates. *)
+   heap. Tables are not part of a translated program, which
+   certificates fingerprint and journal recovery re-derives. *)
 
 let tag_load = 8
 let tag_store = 16

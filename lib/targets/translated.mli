@@ -1,8 +1,15 @@
 (** A module translated for one of the targets: what the translation
-    cache holds, what the journal stores, and what a certificate's code
-    fingerprint names. *)
+    cache holds, what journal recovery re-derives, and what a
+    certificate's code fingerprint names. *)
 
 type t = T_risc of Risc.program | T_x86 of X86.program
+
+val translate :
+  Arch.t -> mode:Machine.mode -> opts:Machine.topts -> Omnivm.Exe.t -> t
+(** Load-time translation for [arch], a pure function of its inputs.
+    Runs in a [translate] span and counts [translate.omni_instrs].
+    Raises {!Translate.Translate_error} on a module the translators
+    cannot translate. *)
 
 val arch : t -> Arch.t
 

@@ -77,9 +77,7 @@ let replay_workload io =
   List.iter (Store.append_module t) mods;
   List.iter
     (fun (rt : Store.rtrans) ->
-      Store.append_translation t ~module_digest:rt.Store.rt_module
-        ~mode:rt.Store.rt_mode ~opts:rt.Store.rt_opts ~cert:rt.Store.rt_cert
-        rt.Store.rt_prog)
+      Store.append_translation t ~cert:rt.Store.rt_cert)
     trs;
   Store.close t
 
@@ -368,8 +366,7 @@ let marshal_fingerprint_upgrade () =
         | Ok c -> c
         | Error e -> Alcotest.failf "certify: %s" e
       in
-      Store.append_translation t ~module_digest:rt.Store.rt_module
-        ~mode:rt.Store.rt_mode ~opts:rt.Store.rt_opts ~cert rt.Store.rt_prog)
+      Store.append_translation t ~cert)
     trs;
   Store.close t;
   let svc = Service.of_config (persisted io) in
@@ -396,6 +393,199 @@ let marshal_fingerprint_upgrade () =
   Alcotest.(check int) "no warm admission of the stale entry" 0
     c.Counters.s_cert_checks;
   Service.close svc
+
+(* A translation record is its certificate, so recovery derives the
+   configuration from it: [Mobile (Policy.make ~protect_reads ~pad ())]
+   and the certificate's [opts]. Every certifiable configuration on
+   every target must come back under exactly the key the live cache
+   used, with the live fingerprint, and serve warm. *)
+let every_configuration_recovers () =
+  let module Machine = Omni_targets.Machine in
+  let module Policy = Omni_sfi.Policy in
+  let configs arch =
+    let base = Exec.mobile_opts arch in
+    let mobile ?protect_reads ?pad () =
+      Machine.Mobile (Policy.make ?protect_reads ?pad ())
+    in
+    [ ("default", mobile (), base);
+      ("protect_reads", mobile ~protect_reads:true (), base);
+      ("Pad_nop", mobile ~pad:Policy.Pad_nop (), base);
+      ("Pad_align", mobile ~pad:Policy.Pad_align (), base);
+      ("Pad_guard8", mobile ~pad:Policy.Pad_guard8 (), base);
+      ("sfi_opt", mobile (), { base with Machine.sfi_opt = true }) ]
+  in
+  let cases =
+    List.concat_map
+      (fun arch ->
+        List.map
+          (fun (name, mode, opts) ->
+            (Printf.sprintf "%s/%s" (Arch.name arch) name, arch, mode, opts))
+          (configs arch))
+      Arch.all
+  in
+  let io = Io.sim () in
+  let svc = Service.of_config (persisted io) in
+  let h = Service.submit svc (Lazy.force hello_bytes) in
+  let live =
+    List.map
+      (fun (what, arch, mode, opts) ->
+        let r =
+          Service.instantiate ~engine:(Exec.Target arch) ~mode ~opts ~fuel svc h
+        in
+        match Service.cached ~arch ~mode ~opts svc h with
+        | Some e -> (r, e.Cache.fp)
+        | None -> Alcotest.failf "%s: translation not cached" what)
+      cases
+  in
+  (* kill -9: drop the service without close, so recovery runs dirty *)
+  let svc2 = Service.of_config (persisted io) in
+  let r =
+    match Service.recovery svc2 with
+    | Some r -> r
+    | None -> Alcotest.fail "persistent service reported no recovery"
+  in
+  Alcotest.(check int) "nothing quarantined" 0
+    (List.length r.Store.r_quarantined);
+  Alcotest.(check int) "every configuration recovered" (List.length cases)
+    (List.length r.Store.r_translations);
+  let h2 = Service.submit svc2 (Lazy.force hello_bytes) in
+  List.iter2
+    (fun (what, arch, mode, opts) ((cold : Exec.run_result), fp) ->
+      let recovered =
+        List.filter
+          (fun (rt : Store.rtrans) ->
+            Exec.arch_of rt.Store.rt_prog = arch
+            && rt.Store.rt_mode = mode && rt.Store.rt_opts = opts)
+          r.Store.r_translations
+      in
+      (match recovered with
+      | [ rt ] ->
+          Alcotest.(check bool) (what ^ ": live fingerprint") true
+            (rt.Store.rt_fp = fp)
+      | l ->
+          Alcotest.failf "%s: %d recovered translations under the live key"
+            what (List.length l));
+      let before = Service.stats svc2 in
+      let warm =
+        Service.instantiate ~engine:(Exec.Target arch) ~mode ~opts ~fuel svc2 h2
+      in
+      let after = Service.stats svc2 in
+      Alcotest.(check string) (what ^ ": same output") cold.Exec.output
+        warm.Exec.output;
+      Alcotest.(check int) (what ^ ": one witness check") 1
+        (after.Counters.s_cert_checks - before.Counters.s_cert_checks);
+      Alcotest.(check int) (what ^ ": no translation") 0
+        (after.Counters.s_translations - before.Counters.s_translations))
+    cases live
+
+(* The record layout a journal had while it stored code: module
+   digest(8) | cert len(4) | omni-cert/1 bytes | a Marshal image of
+   (mode, opts, program). Here the image has another layout, standing in
+   for a journal written by another build; all checksums are valid. The
+   record must be refused as a certificate that does not decode; the
+   module recovers and the next Run translates afresh. *)
+let foreign_layout_record_refused () =
+  let hello = Lazy.force hello_bytes in
+  let _, trs = Lazy.force corpus in
+  let cert =
+    match
+      List.find_opt
+        (fun (rt : Store.rtrans) ->
+          rt.Store.rt_module = Fnv64.digest_string hello
+          && Exec.arch_of rt.Store.rt_prog = Arch.X86)
+        trs
+    with
+    | Some rt -> rt.Store.rt_cert
+    | None -> Alcotest.fail "corpus has no X86 translation of hello"
+  in
+  let io = Io.sim () in
+  let t, _ = Store.open_ io in
+  Store.append_module t hello;
+  let cert_bytes = Omni_cert.Certificate.encode cert in
+  let payload =
+    let b = Buffer.create 1024 in
+    Buffer.add_int64_le b (Fnv64.digest_string hello);
+    Buffer.add_int32_le b (Int32.of_int (String.length cert_bytes));
+    Buffer.add_string b cert_bytes;
+    Buffer.add_string b (Marshal.to_string (1, 2, 3) []);
+    Buffer.contents b
+  in
+  let record =
+    let b = Buffer.create 1024 in
+    Buffer.add_char b '\002';
+    Buffer.add_int32_le b (Int32.of_int (String.length payload));
+    Buffer.add_string b payload;
+    Buffer.add_int64_le b (Fnv64.digest_string (Buffer.contents b));
+    Buffer.contents b
+  in
+  let offset = Option.get (Io.size io "seg-0000.dat") in
+  let jrec =
+    let b = Buffer.create 37 in
+    Buffer.add_int64_le b 1L;
+    Buffer.add_char b '\002';
+    Buffer.add_int64_le b (Int64.of_int offset);
+    Buffer.add_int32_le b (Int32.of_int (String.length record));
+    Buffer.add_int64_le b (Fnv64.digest_string payload);
+    Buffer.add_int64_le b (Fnv64.digest_string (Buffer.contents b));
+    Buffer.contents b
+  in
+  Io.append io "seg-0000.dat" record;
+  Io.fsync io "seg-0000.dat";
+  Io.append io "journal-0000.wal" jrec;
+  Io.fsync io "journal-0000.wal";
+  let svc = Service.of_config (persisted io) in
+  (match Service.recovery svc with
+  | Some r ->
+      Alcotest.(check int) "both records replayed" 2 r.Store.r_replayed;
+      Alcotest.(check int) "module recovered" 1
+        (List.length r.Store.r_modules);
+      Alcotest.(check int) "no translation recovered" 0
+        (List.length r.Store.r_translations);
+      Alcotest.(check bool) "refused as a certificate that does not decode"
+        true
+        (match r.Store.r_quarantined with
+        | [ Store.Bad_cert { seq = 1; _ } ] -> true
+        | _ -> false)
+  | None -> Alcotest.fail "persistent service reported no recovery");
+  let h = Service.submit svc hello in
+  let run = Service.instantiate ~engine:(Exec.Target Arch.X86) ~fuel svc h in
+  Alcotest.(check int) "run succeeds" 0 run.Exec.exit_code;
+  let c = Service.stats svc in
+  Alcotest.(check int) "re-translated" 1 c.Counters.s_translations;
+  Alcotest.(check int) "quarantine counted" 1 c.Counters.s_persist_quarantined;
+  Service.close svc
+
+(* A module whose dead jump leaves its text is admitted (the
+   interpreters run it) but does not translate. A certificate that names
+   it must be refused at recovery with a typed reason: recovery
+   translates, and the translator's refusal must not escape [open_]. *)
+let untranslatable_module_refused () =
+  let module VI = Omnivm.Instr in
+  let wire =
+    Omnivm.Wire.encode
+      { Omnivm.Exe.text = [| VI.Li (1, 0); VI.Hcall 0;
+                             VI.J (Omnivm.Exe.code_addr 3) |];
+        entry = Omnivm.Layout.code_base; data = Bytes.empty; bss_size = 0;
+        symbols = [] }
+  in
+  let cert =
+    Omni_cert.Certificate.make ~arch:Arch.X86
+      ~module_digest:(Fnv64.digest_string wire) ~code_fp:0L
+      ~protect_reads:false ~pad:Omni_sfi.Policy.Pad_none
+      ~opts:(Exec.mobile_opts Arch.X86) ~n_code:0 [||]
+  in
+  let io = Io.sim () in
+  let t, _ = Store.open_ io in
+  Store.append_module t wire;
+  Store.append_translation t ~cert;
+  let _, r = Store.open_ io in
+  Alcotest.(check int) "module recovered" 1 (List.length r.Store.r_modules);
+  Alcotest.(check int) "no translation recovered" 0
+    (List.length r.Store.r_translations);
+  Alcotest.(check bool) "refused as unbound" true
+    (match r.Store.r_quarantined with
+    | [ Store.Cert_unbound { seq = 1; _ } ] -> true
+    | _ -> false)
 
 let compact_drops_corruption () =
   let io = Io.sim () in
@@ -517,6 +707,12 @@ let () =
            fingerprint_parity;
          Alcotest.test_case "marshal-fingerprint store re-translates" `Quick
            marshal_fingerprint_upgrade;
+         Alcotest.test_case "every configuration recovers to its live key"
+           `Quick every_configuration_recovers;
+         Alcotest.test_case "foreign-layout record is a typed refusal" `Quick
+           foreign_layout_record_refused;
+         Alcotest.test_case "untranslatable module's certificate refused"
+           `Quick untranslatable_module_refused;
          Alcotest.test_case "recovered digests run by wire" `Quick
            recovered_digests_run_by_wire ]);
       ("compact",
